@@ -1,0 +1,142 @@
+"""Pinned outputs: the sealed chain and the report of fixed inputs, byte for byte.
+
+Run-to-run determinism (c01) and the structural goldens (c12) do not notice
+a change that moves every run to new, equally deterministic bytes. These
+pins do: any change to the chain bytes or to the report fold of the
+reference scenarios, or of a small synthetic world that exercises every
+epoch phase, fails here. A change that moves them on purpose must say why
+and re-pin.
+"""
+
+import random
+
+import pytest
+
+from govsim.encoding import sha256
+from govsim.report import report_json_bytes
+from govsim.simctl import run_scenario
+from tests.conftest import REFERENCE_SCENARIOS
+
+PINNED_ROOT_HASHES = {
+    "collusion_attack": "98ec7633d4ef0e855622daf029489719add266c15484193074fc1bdf1024c0f8",
+    "credit_scoring": "fd8a96a4bc07b43b8b275f22728ea264acd096307a0a11b4bac909eb9398b32c",
+    "regulation_shift": "8faf9294c8cd398f1ef91a4bdf157b1b5e0e348a99a505b9cd4e67df69c84170",
+}
+
+# sha256 of report_json_bytes(report): pins the report fold as well.
+PINNED_REPORT_DIGESTS = {
+    "collusion_attack": "71afa7c5d171a768b79370f1ad321754ebd824f3f6ef507c4c3a8ead2af46240",
+    "credit_scoring": "e03bdad46231d8e7bd0a109b909d9545a9b73b2b74d0b1f52a17e9966ba27311",
+    "regulation_shift": "bdf4bf7c5073b4c01a0e26016034ff6912c417a7c44ece6d20f2e11b3334de1d",
+}
+
+SYNTHETIC_ROOT_HASH = "e82545f112583fa699d2fc4fdf20155dd35393d1720e56ee17f830af46810d08"
+SYNTHETIC_REPORT_DIGEST = "5d222697c72fa643572a1a66a8ecad528847f6a3fcdd8befca4a2c1aa76a0425"
+
+ALL_SCOPES = ["DATA_PRIVACY", "RISK_ASSESSMENT", "CAPITAL_ADEQUACY", "TRANSPARENCY"]
+TIERS = ["HIGH", "LIMITED", "MINIMAL"]
+RULES = [
+    {"rule_id": "capital-adequacy-min", "domain": "CAPITAL_ADEQUACY",
+     "applicable_tiers": ["HIGH", "LIMITED"], "metrics": ["capital_ratio"],
+     "predicate": {"op": ">=", "metric": "capital_ratio", "value": 0.08}},
+    {"rule_id": "privacy-consent", "domain": "DATA_PRIVACY",
+     "applicable_tiers": TIERS, "metrics": ["data_privacy_consent"],
+     "predicate": {"op": "==", "metric": "data_privacy_consent", "value": True}},
+    {"rule_id": "bias-ceiling", "domain": "RISK_ASSESSMENT",
+     "applicable_tiers": ["HIGH"], "metrics": ["model_bias_metric"],
+     "predicate": {"op": "<=", "metric": "model_bias_metric", "value": 0.2}},
+]
+
+
+def synthetic_scenario() -> dict:
+    """A small world with every kind of activity: per-epoch votes by every
+    stakeholder, a colluding pair, violations, incidents of each severity,
+    market and regulation oracle feeds, and blocks split inside epochs."""
+    rng = random.Random(20_250_117)
+    epochs = 24
+    roles = ["REGULATOR", "BANK", "FINTECH", "DEVELOPER"]
+    stakeholders = [{
+        "id": f"holder-{i}", "role": roles[i % len(roles)],
+        "balance": 40_000 + rng.randrange(10_000),
+        "stakes": [{"amount": 10_000 + rng.randrange(30_000), "lock_epochs": 40}],
+    } for i in range(6)]
+    stakeholders += [{
+        "id": f"aud-{i}", "role": "AUDITOR", "balance": 5_000,
+        "stakes": [{"amount": 3_000, "lock_epochs": 40}],
+        "auditor": {"body": "body-1", "scopes": ALL_SCOPES, "validity_epochs": 40},
+    } for i in range(3)]
+    systems = [{
+        "id": f"sys-{i}", "owner": f"holder-{i % 6}", "purpose": f"system {i}",
+        "risk_tier": TIERS[i % 3], "exposure": str(round(rng.uniform(0, 1), 2)),
+        "base_metrics": {"capital_ratio": 0.12, "data_privacy_consent": True,
+                         "model_bias_metric": 0.05},
+    } for i in range(5)]
+
+    injected = []
+    for epoch in range(1, epochs + 1):
+        injected.append({"epoch": epoch, "kind": "PROPOSAL", "proposal": {
+            "kind": rng.choice(["ROUTINE", "CRITICAL"]),
+            "payload": {"n": epoch},
+            "votes": [{"voter": s["id"], "direction": rng.choice(["FOR", "AGAINST"])}
+                      for s in stakeholders if rng.random() < 0.8],
+        }})
+        if epoch % 5 == 2:
+            injected.append({"epoch": epoch, "kind": "VIOLATION",
+                             "system": f"sys-{rng.randrange(5)}",
+                             # Privacy applies to every tier, so this fails
+                             # an audit even after a system drops to MINIMAL.
+                             "metrics": {"data_privacy_consent": False}})
+        if epoch % 7 == 3:
+            injected.append({"epoch": epoch, "kind": "INCIDENT",
+                             "system": f"sys-{rng.randrange(5)}",
+                             "severity": ["LOW", "MEDIUM", "CRITICAL"][epoch % 3]})
+    injected.append({"epoch": 4, "kind": "COLLUSION",
+                     "pair": ["holder-1", "holder-2"], "proposals": 11})
+    injected.append({"epoch": 15, "kind": "COLLUSION",
+                     "pair": ["holder-3", "holder-5"], "proposals": 6})
+    injected.append({"epoch": 10, "kind": "REGULATION_CHANGE", "version": 2})
+
+    return {
+        "seed": 4242,
+        "epochs": epochs,
+        "config": {"block_capacity": 16, "n_seats": 3, "election_period": 4,
+                   "collusion_min_common": 8, "collusion_agreement": "4/5",
+                   "auditor_capacity": 3},
+        "authorities": ["sealer-1", "sealer-2", "sealer-3"],
+        "oracle_authorities": ["oracle-1"],
+        "accreditors": ["body-1"],
+        "stakeholders": stakeholders,
+        "ai_systems": systems,
+        "rules": RULES,
+        "oracle_feeds": [{"feed_id": feed, "signer": "oracle-1", "epoch": epoch,
+                          "values": {"market_stress": round(rng.random(), 3)}}
+                         for epoch in range(3, epochs + 1, 3)
+                         for feed in ("macro", "fx")],
+        "injected_events": injected,
+    }
+
+
+def _report_digest(report: dict) -> str:
+    return sha256(report_json_bytes(report)).hex()
+
+
+@pytest.mark.parametrize("name", REFERENCE_SCENARIOS)
+def test_reference_root_hash_pinned(reference_results, name):
+    assert reference_results[name].root_hash == PINNED_ROOT_HASHES[name]
+
+
+@pytest.mark.parametrize("name", REFERENCE_SCENARIOS)
+def test_reference_report_pinned(reference_results, name):
+    assert _report_digest(reference_results[name].report) == PINNED_REPORT_DIGESTS[name]
+
+
+def test_synthetic_world_pinned():
+    result = run_scenario(synthetic_scenario())
+    report = result.report
+    # The world must keep exercising what the pins are meant to cover.
+    assert report["governance"]["collusion_flags"]
+    assert report["audits"]["by_outcome"]["FAIL"] > 0
+    assert report["risk_metrics"]["incidents"]
+    assert report["blocks"] > report["epochs"]
+    assert result.root_hash == SYNTHETIC_ROOT_HASH
+    assert _report_digest(report) == SYNTHETIC_REPORT_DIGEST
