@@ -304,19 +304,20 @@ class OracleBook:
     def __init__(self, chain: Optional[Chain], oracle_authorities: Sequence[str]):
         self.chain = chain
         self.authorities = set(oracle_authorities)
-        self._feeds: dict[tuple[str, int], OracleFeed] = {}
+        # epoch -> feed_id -> feed, so that a lookup reads only its epoch.
+        self._feeds: dict[int, dict[str, OracleFeed]] = {}
         self._regulation_version: Optional[float] = None
 
     def ingest(self, feed: OracleFeed) -> bool:
         """Store a feed; returns True when it bumps the regulation version."""
         if feed.signer not in self.authorities:
             raise UnknownOracle(f"unknown oracle signer: {feed.signer}")
-        key = (feed.feed_id, feed.epoch)
-        if key in self._feeds:
+        epoch_feeds = self._feeds.setdefault(feed.epoch, {})
+        if feed.feed_id in epoch_feeds:
             raise DuplicateFeed(f"feed {feed.feed_id} already ingested for epoch {feed.epoch}")
         # Defensive copy: feed values are immutable once ingested.
-        self._feeds[key] = OracleFeed(feed.feed_id, feed.epoch,
-                                      dict(feed.values), feed.signer)
+        epoch_feeds[feed.feed_id] = OracleFeed(feed.feed_id, feed.epoch,
+                                               dict(feed.values), feed.signer)
         if self.chain is not None:
             self.chain.append(
                 EventKind.ORACLE_UPDATE,
@@ -333,9 +334,9 @@ class OracleBook:
     def values_for(self, epoch: int) -> dict[str, float | bool | int]:
         """Merged values across this epoch's feeds, in feed_id order."""
         merged: dict[str, float | bool | int] = {}
-        for (feed_id, feed_epoch), feed in sorted(self._feeds.items()):
-            if feed_epoch == epoch:
-                merged.update(feed.values)
+        feeds = self._feeds.get(epoch, {})
+        for feed_id in sorted(feeds):
+            merged.update(feeds[feed_id].values)
         return merged
 
 

@@ -178,6 +178,9 @@ def detect_collusion(
     """Pairs voting identically on >= threshold of >= min_common shared proposals.
 
     Pure over the supplied history; returns lexicographically ordered pairs.
+    This full rescan is the reference definition: the simulator reads the
+    same set from ``GovernanceState.colluding_pairs``, which keeps running
+    per-pair counters instead, and the tests hold the two equal.
     """
     flagged: set[tuple[str, str]] = set()
     for a, b in combinations(sorted(vote_history), 2):
@@ -207,6 +210,8 @@ class GovernanceState:
         self.proposals: dict[str, Proposal] = {}
         self.delegates: list[str] = []
         self._staged_weights: Optional[VoteWeights] = None
+        # Lexicographically ordered pair -> [shared proposals, identical votes].
+        self.pair_votes: dict[tuple[str, str], list[int]] = {}
 
     def add_stakeholder(self, stakeholder: Stakeholder) -> None:
         self.stakeholders[stakeholder.id] = stakeholder
@@ -271,6 +276,13 @@ class GovernanceState:
                 epoch=epoch, reason="quadratic_vote", ref=proposal_id,
             )
         vote = Vote(direction=direction, magnitude=magnitude, mode=mode)
+        for other_id, other in proposal.votes.items():
+            pair = ((other_id, stakeholder_id) if other_id < stakeholder_id
+                    else (stakeholder_id, other_id))
+            counts = self.pair_votes.setdefault(pair, [0, 0])
+            counts[0] += 1
+            if other.direction == direction:
+                counts[1] += 1
         proposal.votes[stakeholder_id] = vote
         stakeholder.vote_history[proposal_id] = direction
         self.chain.append(
@@ -379,6 +391,22 @@ class GovernanceState:
 
     def vote_histories(self) -> dict[str, dict[str, VoteDirection]]:
         return {sid: dict(s.vote_history) for sid, s in self.stakeholders.items()}
+
+    def colluding_pairs(self, min_common: int,
+                        agreement_threshold: Fraction) -> set[tuple[str, str]]:
+        """``detect_collusion(self.vote_histories(), ...)`` from the pair counters.
+
+        Costs one step per pair that has voted together, however long the
+        vote history has grown.
+        """
+        if min_common < 1:
+            raise InvalidInput("min_common must be positive")
+        threshold = Fraction(agreement_threshold)
+        numerator, denominator = threshold.numerator, threshold.denominator
+        return {
+            pair for pair, (shared, identical) in self.pair_votes.items()
+            if shared >= min_common and identical * denominator >= numerator * shared
+        }
 
     def apply_collusion_penalty(self, stakeholder_id: str,
                                 penalty: Fraction = Fraction(9, 10)) -> None:

@@ -125,10 +125,10 @@ class PendingPosition(NamedTuple):
 
 
 def compute_block_hash(height: int, prev_hash: bytes, events: Sequence[GovernanceEvent]) -> bytes:
-    body = pack_u64(height) + prev_hash
-    for event in events:
-        body += pack_bytes(event.encode())
-    return sha256(body)
+    return sha256(b"".join([
+        pack_u64(height), prev_hash,
+        *(pack_bytes(event.encode()) for event in events),
+    ]))
 
 
 @dataclass(frozen=True)
@@ -339,14 +339,13 @@ def query_events(
 # magic(8) | version(1) | header json (len-prefixed) | u64 block count | blocks
 
 def _encode_block(block: Block) -> bytes:
-    out = pack_u64(block.height) + block.prev_hash + pack_u32(len(block.events))
-    for event in block.events:
-        out += pack_bytes(event.encode())
-    out += pack_u32(len(block.sealer_signatures))
+    parts = [pack_u64(block.height), block.prev_hash, pack_u32(len(block.events))]
+    parts.extend(pack_bytes(event.encode()) for event in block.events)
+    parts.append(pack_u32(len(block.sealer_signatures)))
     for authority_id, signature in block.sealer_signatures:
-        out += pack_str(authority_id) + pack_bytes(signature)
-    out += block.block_hash
-    return out
+        parts += (pack_str(authority_id), pack_bytes(signature))
+    parts.append(block.block_hash)
+    return b"".join(parts)
 
 
 def _decode_block(reader: ByteReader) -> Block:
@@ -369,12 +368,12 @@ def save_chain(chain: Chain, path: str | Path) -> None:
         "capacity": chain.capacity,
         "scheme": chain.scheme_name,
     }
-    out = CHAIN_MAGIC + bytes([CHAIN_FORMAT_VERSION])
-    out += pack_bytes(canonical_json_bytes(header))
-    out += pack_u64(len(chain.blocks))
-    for block in chain.blocks:
-        out += pack_bytes(_encode_block(block))
-    Path(path).write_bytes(out)
+    parts = [
+        CHAIN_MAGIC, bytes([CHAIN_FORMAT_VERSION]),
+        pack_bytes(canonical_json_bytes(header)), pack_u64(len(chain.blocks)),
+    ]
+    parts.extend(pack_bytes(_encode_block(block)) for block in chain.blocks)
+    Path(path).write_bytes(b"".join(parts))
 
 
 def load_chain(path: str | Path) -> Chain:

@@ -6,6 +6,12 @@ registration/update events, and per-epoch risk scores are recomputed from
 on-chain assessment/audit/incident data plus the config snapshot embedded
 in the genesis event. The simulator itself reports via this fold, and
 ``verify`` re-runs it against the emitted report file.
+
+The fold is one pass over the events. The per-(system, epoch) lookups that
+the score series needs read indexes that ``ChainFold`` builds during that
+pass: failed audits by (DID, epoch) and incident ids by DID. The tests hold
+them equal to the plain scans over ``ChainFold.audits`` and
+``ChainFold.incidents``, which stay as the reference definition.
 """
 
 from __future__ import annotations
@@ -117,6 +123,9 @@ class ChainFold:
         self.assessments: dict[int, dict[str, dict]] = defaultdict(dict)
         self.audits: list[dict] = []
         self.incidents: dict[str, dict] = {}
+        # Indexes over audits and incidents, filled as events are applied.
+        self._failed_audits: set[tuple[str, int]] = set()
+        self._incident_ids: dict[str, set[str]] = defaultdict(set)
         self.proposals: dict[str, dict] = {}
         self.elections: list[dict] = []
         self.collusion_flags: list[dict] = []
@@ -183,8 +192,12 @@ class ChainFold:
                 "compliant": body["compliant"],
             }
         elif kind == EventKind.AUDIT_RECORDED:
-            self.audits.append({"epoch": epoch, **body})
+            audit = {"epoch": epoch, **body}
+            self.audits.append(audit)
+            if audit["outcome"] in ("FAIL", "INCONCLUSIVE"):
+                self._failed_audits.add((audit["did"], audit["epoch"]))
         elif kind == EventKind.INCIDENT_RAISED:
+            self._incident_ids[body["did"]].add(body["incident_id"])
             self.incidents[body["incident_id"]] = {
                 "incident_id": body["incident_id"],
                 "did": body["did"],
@@ -234,10 +247,12 @@ class ChainFold:
     # --- derived views ---
 
     def incident_open_at(self, did: str, epoch: int) -> int:
+        """Incidents of ``did`` raised or contained as of ``epoch``."""
         open_count = 0
-        for incident in self.incidents.values():
+        for incident_id in self._incident_ids.get(did, ()):
+            incident = self.incidents[incident_id]
             if incident["did"] != did:
-                continue
+                continue  # the id was raised again for another system
             state = None
             for name, at_epoch in incident["transitions"]:
                 if at_epoch <= epoch:
@@ -247,10 +262,8 @@ class ChainFold:
         return open_count
 
     def audit_failed_at(self, did: str, epoch: int) -> bool:
-        return any(
-            a["did"] == did and a["epoch"] == epoch and a["outcome"] in ("FAIL", "INCONCLUSIVE")
-            for a in self.audits
-        )
+        """Whether an audit of ``did`` at ``epoch`` was FAIL or INCONCLUSIVE."""
+        return (did, epoch) in self._failed_audits
 
     def risk_weights(self) -> RiskWeights:
         config = self.genesis_meta.get("config", {})

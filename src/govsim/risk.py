@@ -76,20 +76,35 @@ DEFAULT_EWMA_ALPHA = 0.3
 DEFAULT_FORECAST_FLOOR = 0.7
 
 
+def ewma_step(smoothed: Optional[float], value: float, alpha: float) -> float:
+    """One EWMA update; ``smoothed`` is None before the first observation.
+
+    Unchecked: callers validate alpha once, up front.
+    """
+    if smoothed is None:
+        return float(value)
+    return alpha * float(value) + (1 - alpha) * smoothed
+
+
 def forecast_compliance(
     history: Sequence[float],
     alpha: float = DEFAULT_EWMA_ALPHA,
     *,
     floor: float = DEFAULT_FORECAST_FLOOR,
 ) -> tuple[float, bool]:
-    """EWMA over the aggregate-score series; flags forecasts below the floor."""
+    """EWMA over the aggregate-score series; flags forecasts below the floor.
+
+    The reference fold over a whole history. The simulator keeps one running
+    value per system with ``ewma_step`` instead; both perform the same float
+    operations in the same order, so they agree bit for bit.
+    """
     if not history:
         raise InsufficientHistory("forecast needs at least one observation")
     if not 0 < alpha < 1:
         raise InvalidInput("alpha must be in (0, 1)")
-    smoothed = float(history[0])
-    for value in history[1:]:
-        smoothed = alpha * float(value) + (1 - alpha) * smoothed
+    smoothed = None
+    for value in history:
+        smoothed = ewma_step(smoothed, value, alpha)
     return smoothed, smoothed < floor
 
 

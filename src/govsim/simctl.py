@@ -264,6 +264,12 @@ def _parse_config(raw: Mapping[str, Any]) -> SimConfig:
             config.funding_pool = Pool(value)
         else:
             _fail(f"config.{key}", "unknown config key")
+    # The run reads these through running state that does no checks of its
+    # own, so bad values are refused here rather than misread later.
+    if not 0 < config.ewma_alpha < 1:
+        _fail("config.ewma_alpha", "must be in (0, 1)")
+    if config.collusion_min_common < 1:
+        _fail("config.collusion_min_common", "must be a positive integer")
     return config
 
 
@@ -575,10 +581,20 @@ class Simulator:
 
         self._run_election(epoch=0)
 
+        # Scripted inputs, indexed once by the epoch they fire in.
+        self._scripted: dict[tuple[int, str], list[dict]] = {}
+        for injection in self.scenario.injected_events:
+            self._scripted.setdefault(
+                (injection["epoch"], injection["kind"]), []).append(injection)
+        self._feeds: dict[int, list[dict]] = {}
+        for feed_spec in self.scenario.oracle_feeds:
+            self._feeds.setdefault(feed_spec["epoch"], []).append(feed_spec)
+
         # Mutable run state.
         self._latest_assessment: dict[str, compliance_mod.Assessment] = {}
         self.assessment_log: list[compliance_mod.Assessment] = []
-        self._aggregate_history: dict[str, list[float]] = {}
+        # Running EWMA of each system's aggregate compliance score.
+        self._forecast: dict[str, float] = {}
         self._audit_failed_prev: dict[str, bool] = {}
         self._pending_triggers: dict[str, set[str]] = {}
         self._carryover_triggers: dict[str, set[str]] = {}
@@ -605,8 +621,7 @@ class Simulator:
     # --- phase bodies ---
 
     def _injections(self, epoch: int, kind: str) -> list[dict]:
-        return [e for e in self.scenario.injected_events
-                if e["epoch"] == epoch and e["kind"] == kind]
+        return self._scripted.get((epoch, kind), [])
 
     def _add_trigger(self, did: str, reason: str, *, carryover: bool = False) -> None:
         bucket = self._carryover_triggers if carryover else self._pending_triggers
@@ -618,9 +633,7 @@ class Simulator:
                           actor="simulator", epoch=epoch)
 
         regulation_changed = False
-        for feed_spec in self.scenario.oracle_feeds:
-            if feed_spec["epoch"] != epoch:
-                continue
+        for feed_spec in self._feeds.get(epoch, []):
             feed = compliance_mod.OracleFeed(
                 feed_id=feed_spec["feed_id"], epoch=epoch,
                 values=dict(feed_spec["values"]), signer=feed_spec["signer"])
@@ -677,8 +690,9 @@ class Simulator:
                 record, metrics, epoch, self.rules, self.chain, salt=salt)
             self._latest_assessment[did] = assessment
             self.assessment_log.append(assessment)
-            self._aggregate_history.setdefault(did, []).append(
-                float(assessment.aggregate_score))
+            self._forecast[did] = risk_mod.ewma_step(
+                self._forecast.get(did), float(assessment.aggregate_score),
+                self.config.ewma_alpha)
             if not assessment.compliant:
                 self._add_trigger(did, "mitigation")
             elif record.compliance_status == ComplianceStatus.UNDER_REVIEW:
@@ -706,10 +720,7 @@ class Simulator:
                 incident_count=self.incidents.open_count(did),
                 exposure=spec.exposure,
             )
-            forecast, flagged = risk_mod.forecast_compliance(
-                self._aggregate_history[did],
-                self.config.ewma_alpha, floor=self.config.forecast_floor)
-            if flagged:
+            if self._forecast[did] < self.config.forecast_floor:
                 self._add_trigger(did, "forecast")
 
     def _phase_audit(self, epoch: int) -> list[audit_mod.AuditRecord]:
@@ -821,19 +832,15 @@ class Simulator:
                 rule = _parse_rule(proposal.payload["rule"], f"proposal {proposal_id}")
                 self.rules.register_rule(rule, proposal, epoch=epoch)
 
-        flagged = governance_mod.detect_collusion(
-            self.governance.vote_histories(),
-            self.config.collusion_min_common,
-            self.config.collusion_agreement,
-        )
+        flagged = self.governance.colluding_pairs(
+            self.config.collusion_min_common, self.config.collusion_agreement)
         for pair in sorted(flagged - self._flagged_pairs):
             self._flagged_pairs.add(pair)
             a, b = pair
-            shared = (self.governance.stakeholders[a].vote_history.keys()
-                      & self.governance.stakeholders[b].vote_history.keys())
+            shared, _ = self.governance.pair_votes[pair]
             self.chain.append(
                 EventKind.COLLUSION_FLAGGED,
-                {"pair": [a, b], "shared": len(shared),
+                {"pair": [a, b], "shared": shared,
                  "penalty": str(self.config.collusion_penalty),
                  "expiry_epoch": epoch + 1},
                 actor="governance", epoch=epoch)

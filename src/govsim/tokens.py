@@ -103,7 +103,7 @@ class TokenLedger:
         pools: dict[Pool, int] = {}
         for pool in Pool:
             share = fractions.get(pool, Fraction(0)) * total_supply
-            pools[pool] = int(share) if share.denominator == 1 else int(share)  # floor
+            pools[pool] = int(share)  # floor
         # Flooring dust goes to REWARDS so the supply equation stays exact.
         pools[Pool.REWARDS] += total_supply - sum(pools.values())
         emission = pools[Pool.REWARDS] // emission_divisor

@@ -206,6 +206,29 @@ def test_unknown_owner_rejected():
         load_scenario(base)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("ewma_alpha", 0), ("ewma_alpha", 1), ("ewma_alpha", 1.5),
+    ("ewma_alpha", -0.2), ("ewma_alpha", "nan"),
+    ("collusion_min_common", 0), ("collusion_min_common", -3),
+])
+def test_config_values_the_run_cannot_use_are_rejected(key, value):
+    # Both used to fail part-way through a run (InvalidInput at the first
+    # forecast, ZeroDivisionError at the first collusion scan).
+    base = json.loads(scenario_path("collusion_attack").read_text())
+    base["config"][key] = value
+    with pytest.raises(ScenarioError, match=f"config.{key}"):
+        load_scenario(base)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("ewma_alpha", 0.01), ("ewma_alpha", 0.99), ("collusion_min_common", 1),
+])
+def test_config_values_at_the_edges_run(key, value):
+    base = json.loads(scenario_path("collusion_attack").read_text())
+    base["config"][key] = value
+    assert run_scenario(base).report["tokens"]["conserved"] is True
+
+
 # --- fold views ---
 
 def test_fold_rebuilds_did_record(reference_results):
