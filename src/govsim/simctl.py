@@ -582,10 +582,9 @@ class Simulator:
         self._run_election(epoch=0)
 
         # Scripted inputs, indexed once by the epoch they fire in.
-        self._scripted: dict[tuple[int, str], list[dict]] = {}
+        self._scripted: dict[int, list[dict]] = {}
         for injection in self.scenario.injected_events:
-            self._scripted.setdefault(
-                (injection["epoch"], injection["kind"]), []).append(injection)
+            self._scripted.setdefault(injection["epoch"], []).append(injection)
         self._feeds: dict[int, list[dict]] = {}
         for feed_spec in self.scenario.oracle_feeds:
             self._feeds.setdefault(feed_spec["epoch"], []).append(feed_spec)
@@ -621,7 +620,7 @@ class Simulator:
     # --- phase bodies ---
 
     def _injections(self, epoch: int, kind: str) -> list[dict]:
-        return self._scripted.get((epoch, kind), [])
+        return [e for e in self._scripted.get(epoch, []) if e["kind"] == kind]
 
     def _add_trigger(self, did: str, reason: str, *, carryover: bool = False) -> None:
         bucket = self._carryover_triggers if carryover else self._pending_triggers
