@@ -690,7 +690,7 @@ class Simulator:
             self._latest_assessment[did] = assessment
             self.assessment_log.append(assessment)
             self._forecast[did] = risk_mod.ewma_step(
-                self._forecast.get(did), float(assessment.aggregate_score),
+                self._forecast.get(did), assessment.aggregate_score,
                 self.config.ewma_alpha)
             if not assessment.compliant:
                 self._add_trigger(did, "mitigation")
