@@ -79,13 +79,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     elif args.proposals:
         out = [fold.proposals[k] for k in sorted(fold.proposals)]
     elif args.balances:
-        from .encoding import canonical_json_bytes, sha256
-
-        snapshot = fold.tokens.snapshot()
         out = {
-            "snapshot": snapshot,
-            "conserved": fold.tokens.allocated() == fold.tokens.total_supply,
-            "conservation_checksum": sha256(canonical_json_bytes(snapshot)).hex(),
+            "snapshot": fold.tokens.snapshot(),
+            "conserved": fold.tokens.conserved(),
+            "conservation_checksum": fold.tokens.conservation_checksum(),
         }
     else:
         out = {

@@ -62,9 +62,9 @@ class VoteWeights:
     def validate(self) -> "VoteWeights":
         if not 0 < self.cap_fraction <= 1:
             raise InvalidWeights("cap_fraction must be in (0, 1]")
-        for threshold in (self.threshold_routine, self.threshold_critical):
-            if not 0 < threshold <= 1:
-                raise InvalidWeights("thresholds must be in (0, 1]")
+        for name in ("threshold_routine", "threshold_critical"):
+            if not 0 < getattr(self, name) <= 1:
+                raise InvalidWeights(f"{name} must be in (0, 1]")
         for role, multiplier in self.role_multiplier.items():
             if multiplier <= 0:
                 raise InvalidWeights(f"multiplier for {role.value} must be positive")

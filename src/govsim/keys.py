@@ -57,6 +57,9 @@ class Ed25519Scheme:
                 "(pip install govsim[ed25519])"
             ) from exc
         self._mod = ed25519
+        # One key object per private key: rebuilding it re-derives the
+        # public key on every signature.
+        self._signing_keys: dict[bytes, object] = {}
 
     def generate(self, seed: bytes) -> KeyPair:
         private = sha256(b"govsim-ed25519-seed" + seed)
@@ -65,7 +68,10 @@ class Ed25519Scheme:
         return KeyPair(private=private, public=public)
 
     def sign(self, private: bytes, message: bytes) -> bytes:
-        key = self._mod.Ed25519PrivateKey.from_private_bytes(private)
+        key = self._signing_keys.get(private)
+        if key is None:
+            key = self._mod.Ed25519PrivateKey.from_private_bytes(private)
+            self._signing_keys[private] = key
         return key.sign(message)
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:

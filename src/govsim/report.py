@@ -1,7 +1,8 @@
 """Report building as a pure fold over sealed chain events.
 
 Everything in a run report is reconstructed from event payloads alone: the
-token position is replayed arithmetically, DID records are rebuilt from
+token position is the token events folded through ``TokenLedger.apply``, the
+same transition the live ledger runs; DID records are rebuilt from
 registration/update events, and per-epoch risk scores are recomputed from
 on-chain assessment/audit/incident data plus the config snapshot embedded
 in the genesis event. The simulator itself reports via this fold, and
@@ -24,91 +25,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .encoding import as_fraction, canonical_json_bytes, sha256
+from .encoding import as_fraction
 from .errors import IoError, UnsupportedFormat
 from .ledger import Block, EventKind
 from .risk import RiskWeights, compute_risk_score
-
-
-class _TokenReplica:
-    """Integer-only replay of token movement events."""
-
-    def __init__(self):
-        self.total_supply = 0
-        self.pools: dict[str, int] = {}
-        self.balances: dict[str, int] = {}
-        self.stakes: dict[str, list[dict]] = {}
-        self.burned = 0
-
-    def apply_transfer(self, body: dict) -> None:
-        op = body.get("op")
-        if op == "mint_genesis":
-            self.total_supply = body["total_supply"]
-            self.pools = dict(body["pools"])
-        elif op == "grant":
-            self.pools[body["pool"]] -= body["amount"]
-            self._credit(body["to"], body["amount"])
-        elif op == "transfer":
-            self.balances[body["from"]] -= body["amount"]
-            self._credit(body["to"], body["amount"])
-        elif op == "pool_charge":
-            self.balances[body["from"]] -= body["amount"]
-            self.pools[body["pool"]] += body["amount"]
-        elif op == "reward":
-            self.pools["REWARDS"] -= body["amount"]
-            self._credit(body["to"], body["amount"])
-
-    def _credit(self, holder: str, amount: int) -> None:
-        self.balances[holder] = self.balances.get(holder, 0) + amount
-
-    def apply_stake(self, body: dict) -> None:
-        holder = body["holder"]
-        entries = self.stakes.setdefault(holder, [])
-        if body["op"] == "stake":
-            self.balances[holder] -= body["amount"]
-            entries.append({
-                "amount": body["amount"],
-                "lock_start_epoch": body["lock_start_epoch"],
-                "lock_epochs": body["lock_epochs"],
-            })
-        else:  # unstake
-            for i, entry in enumerate(entries):
-                if (entry["amount"] == body["amount"]
-                        and entry["lock_start_epoch"] == body["lock_start_epoch"]
-                        and entry["lock_epochs"] == body["lock_epochs"]):
-                    entries.pop(i)
-                    break
-            self._credit(holder, body["amount"])
-
-    def apply_slash(self, body: dict) -> None:
-        holder = body["holder"]
-        remaining = body["burned"]
-        entries = self.stakes.get(holder, [])
-        entries.sort(key=lambda e: (e["lock_start_epoch"], e["lock_epochs"]))
-        while remaining > 0 and entries:
-            take = min(entries[0]["amount"], remaining)
-            entries[0]["amount"] -= take
-            remaining -= take
-            if entries[0]["amount"] == 0:
-                entries.pop(0)
-        self.burned += body["burned"]
-
-    def allocated(self) -> int:
-        return (
-            sum(self.pools.values())
-            + sum(self.balances.values())
-            + sum(e["amount"] for entries in self.stakes.values() for e in entries)
-            + self.burned
-        )
-
-    def snapshot(self) -> dict:
-        return {
-            "total_supply": self.total_supply,
-            "pools": dict(self.pools),
-            "balances": dict(sorted(self.balances.items())),
-            "stakes": {h: list(es) for h, es in sorted(self.stakes.items()) if es},
-            "burned": self.burned,
-        }
+from .tokens import TOKEN_EVENT_KINDS, TokenLedger
 
 
 class ChainFold:
@@ -117,7 +38,7 @@ class ChainFold:
     def __init__(self, blocks: Sequence[Block]):
         self.blocks = blocks
         self.genesis_meta: dict = {}
-        self.tokens = _TokenReplica()
+        self.tokens = TokenLedger(0, {})
         self.dids: dict[str, dict] = {}
         self.did_events: dict[str, list[dict]] = defaultdict(list)
         self.assessments: dict[int, dict[str, dict]] = defaultdict(dict)
@@ -147,14 +68,10 @@ class ChainFold:
         counts[kind.value] = counts.get(kind.value, 0) + 1
         self.max_epoch = max(self.max_epoch, epoch)
 
-        if kind == EventKind.TOKENS_TRANSFERRED:
+        if kind in TOKEN_EVENT_KINDS:
             if body.get("op") == "mint_genesis":
                 self.genesis_meta = body
-            self.tokens.apply_transfer(body)
-        elif kind == EventKind.STAKE_CHANGED:
-            self.tokens.apply_stake(body)
-        elif kind == EventKind.SLASH_APPLIED:
-            self.tokens.apply_slash(body)
+            self.tokens.apply(kind, body)
         elif kind == EventKind.DID_REGISTERED:
             self.dids[body["did"]] = {
                 "did": body["did"],
@@ -268,14 +185,7 @@ class ChainFold:
     def risk_weights(self) -> RiskWeights:
         config = self.genesis_meta.get("config", {})
         raw = config.get("risk_weights")
-        if not raw:
-            return RiskWeights()
-        return RiskWeights(
-            noncompliance=as_fraction(raw["noncompliance"]),
-            audit_failure=as_fraction(raw["audit_failure"]),
-            incidents=as_fraction(raw["incidents"]),
-            exposure=as_fraction(raw["exposure"]),
-        )
+        return RiskWeights.from_json(raw) if raw else RiskWeights()
 
     def score_series(self) -> dict[str, list[list]]:
         """Recompute each system's per-epoch score from on-chain inputs."""
@@ -334,9 +244,6 @@ def build_report(blocks: Sequence[Block]) -> dict:
         audit_outcomes[audit["outcome"]] += 1
         audits_by_trigger[audit["trigger"]] += 1
 
-    snapshot = fold.tokens.snapshot()
-    conserved = fold.tokens.allocated() == fold.tokens.total_supply
-
     return {
         "root_hash": blocks[-1].block_hash.hex() if blocks else "",
         "blocks": len(blocks),
@@ -350,9 +257,9 @@ def build_report(blocks: Sequence[Block]) -> dict:
             "by_trigger": dict(sorted(audits_by_trigger.items())),
         },
         "tokens": {
-            "snapshot": snapshot,
-            "conserved": conserved,
-            "checksum": sha256(canonical_json_bytes(snapshot)).hex(),
+            "snapshot": fold.tokens.snapshot(),
+            "conserved": fold.tokens.conserved(),
+            "checksum": fold.tokens.conservation_checksum(),
         },
         "risk_metrics": {
             "scores": fold.score_series(),

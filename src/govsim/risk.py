@@ -12,18 +12,32 @@ written through on every change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
+from .encoding import as_fraction
 from .errors import InsufficientHistory, InvalidInput, TerminalState
 from .identity import ComplianceStatus, DidRegistry, RiskTier
 from .ledger import Chain, EventKind
 
 
+class _NamedFractions:
+    """JSON form of a record of named fractions: one "a/b" string per field."""
+
+    @classmethod
+    def from_json(cls, raw: Mapping[str, Any]):
+        if not isinstance(raw, Mapping):
+            raise InvalidInput("must be an object")
+        return cls(**{f.name: as_fraction(raw[f.name]) for f in fields(cls)})
+
+    def to_json(self) -> dict[str, str]:
+        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class RiskWeights:
+class RiskWeights(_NamedFractions):
     noncompliance: Fraction = Fraction(1, 2)
     audit_failure: Fraction = Fraction(1, 5)
     incidents: Fraction = Fraction(1, 5)
@@ -31,7 +45,7 @@ class RiskWeights:
 
 
 @dataclass(frozen=True)
-class TierThresholds:
+class TierThresholds(_NamedFractions):
     unacceptable: Fraction = Fraction(9, 10)
     high: Fraction = Fraction(3, 5)
     limited: Fraction = Fraction(3, 10)

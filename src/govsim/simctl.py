@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from . import audit as audit_mod
 from . import compliance as compliance_mod
@@ -31,6 +31,8 @@ from .encoding import as_fraction, canonical_json_bytes, sha256
 from .errors import (
     GovSimError,
     InsufficientCandidates,
+    InvalidInput,
+    InvalidWeights,
     ScenarioError,
 )
 from .identity import (
@@ -44,7 +46,14 @@ from .keys import get_scheme
 from .ledger import Chain, EventKind, verify_chain
 from .report import build_report, load_report
 from .rng import DeterministicStream
-from .tokens import Pool, SlashReason, TokenLedger
+from .tokens import (
+    DEFAULT_POOL_FRACTIONS,
+    DEFAULT_SLASH_FRACTIONS,
+    Pool,
+    SlashReason,
+    TokenLedger,
+    validate_pool_fractions,
+)
 
 # Phase indices; phase 0 is scenario setup.
 PHASE_SETUP = 0
@@ -100,7 +109,7 @@ class SimConfig:
     election_period: int = 4
     cap_fraction: Fraction = Fraction(1, 5)
     regulator_multiplier: Fraction = Fraction(3, 2)
-    role_multiplier: dict[str, Fraction] = field(default_factory=dict)
+    role_multiplier: dict[Role, Fraction] = field(default_factory=dict)
     threshold_routine: Fraction = Fraction(1, 2)
     threshold_critical: Fraction = Fraction(2, 3)
     collusion_min_common: int = 10
@@ -114,25 +123,17 @@ class SimConfig:
     ewma_alpha: float = 0.3
     forecast_floor: float = 0.7
     total_supply: int = 1_000_000_000
-    pool_fractions: dict[Pool, Fraction] = field(default_factory=dict)
+    pool_fractions: dict[Pool, Fraction] = field(
+        default_factory=lambda: dict(DEFAULT_POOL_FRACTIONS))
     emission_divisor: int = 1000
-    slash_fractions: dict[SlashReason, Fraction] = field(default_factory=dict)
+    slash_fractions: dict[SlashReason, Fraction] = field(
+        default_factory=lambda: dict(DEFAULT_SLASH_FRACTIONS))
     funding_pool: Pool = Pool.DEVELOPMENT
 
-    def __post_init__(self):
-        from .tokens import DEFAULT_POOL_FRACTIONS, DEFAULT_SLASH_FRACTIONS
-
-        if not isinstance(self.pool_fractions, dict) or not self.pool_fractions:
-            self.pool_fractions = dict(DEFAULT_POOL_FRACTIONS)
-        if not self.slash_fractions:
-            self.slash_fractions = dict(DEFAULT_SLASH_FRACTIONS)
-
     def vote_weights(self) -> governance_mod.VoteWeights:
-        multipliers = {Role.REGULATOR: self.regulator_multiplier}
-        for role_name, multiplier in self.role_multiplier.items():
-            multipliers[Role(role_name)] = multiplier
         return governance_mod.VoteWeights(
-            role_multiplier=multipliers,
+            role_multiplier={Role.REGULATOR: self.regulator_multiplier,
+                             **self.role_multiplier},
             cap_fraction=self.cap_fraction,
             threshold_routine=self.threshold_routine,
             threshold_critical=self.threshold_critical,
@@ -156,17 +157,8 @@ class SimConfig:
             "audit_intervals": {t.value: i for t, i in sorted(
                 self.audit_intervals.items(), key=lambda kv: kv[0].value)},
             "auditor_capacity": self.auditor_capacity,
-            "risk_weights": {
-                "noncompliance": str(self.risk_weights.noncompliance),
-                "audit_failure": str(self.risk_weights.audit_failure),
-                "incidents": str(self.risk_weights.incidents),
-                "exposure": str(self.risk_weights.exposure),
-            },
-            "tier_thresholds": {
-                "unacceptable": str(self.tier_thresholds.unacceptable),
-                "high": str(self.tier_thresholds.high),
-                "limited": str(self.tier_thresholds.limited),
-            },
+            "risk_weights": self.risk_weights.to_json(),
+            "tier_thresholds": self.tier_thresholds.to_json(),
             "ewma_alpha": self.ewma_alpha,
             "forecast_floor": self.forecast_floor,
             "emission_divisor": self.emission_divisor,
@@ -215,61 +207,96 @@ def _fail(path: str, message: str) -> None:
     raise ScenarioError(f"{path}: {message}")
 
 
-def _parse_config(raw: Mapping[str, Any]) -> SimConfig:
+def _at_least(low: int) -> Callable[[Any], int]:
+    def parse(value: Any) -> int:
+        number = int(value)
+        if number < low:
+            raise InvalidInput(f"must be an integer >= {low}")
+        return number
+    return parse
+
+
+def _open_unit(value: Any) -> float:
+    number = float(value)
+    if not 0 < number < 1:
+        raise InvalidInput("must be in (0, 1)")
+    return number
+
+
+def _slash_fraction(value: Any) -> Fraction:
+    fraction = as_fraction(value)
+    if not 0 < fraction <= 1:
+        raise InvalidInput("slash fractions must be in (0, 1]")
+    return fraction
+
+
+def _table(key: Callable[[Any], Any], value: Callable[[Any], Any]) -> Callable[[Any], dict]:
+    def parse(raw: Any) -> dict:
+        if not isinstance(raw, Mapping):
+            raise InvalidInput("must be an object")
+        return {key(k): value(v) for k, v in raw.items()}
+    return parse
+
+
+def _over_defaults(defaults: Mapping, key: Callable[[Any], Any],
+                   value: Callable[[Any], Any]) -> Callable[[Any], dict]:
+    """A table whose left-out entries keep their defaults."""
+    parse = _table(key, value)
+    return lambda raw: {**defaults, **parse(raw)}
+
+
+# Config key -> parser of its JSON value into the SimConfig field. Bounds
+# sit here, because the run reads these values through state that does no
+# checks of its own: a bad value is refused at load, not met mid-run.
+_CONFIG_PARSERS: dict[str, Callable[[Any], Any]] = {
+    "block_capacity": _at_least(1),
+    "signature_scheme": lambda value: get_scheme(value).name,
+    "quorum": lambda value: None if value is None else _at_least(1)(value),
+    "n_seats": int,
+    "election_period": _at_least(1),
+    "cap_fraction": as_fraction,
+    "regulator_multiplier": as_fraction,
+    "role_multiplier": _table(Role, as_fraction),
+    "threshold_routine": as_fraction,
+    "threshold_critical": as_fraction,
+    "collusion_min_common": _at_least(1),
+    "collusion_agreement": as_fraction,
+    "collusion_penalty": as_fraction,
+    "audit_intervals": _over_defaults(
+        audit_mod.DEFAULT_AUDIT_INTERVALS, RiskTier, _at_least(1)),
+    "auditor_capacity": int,
+    "risk_weights": risk_mod.RiskWeights.from_json,
+    "tier_thresholds": risk_mod.TierThresholds.from_json,
+    "ewma_alpha": _open_unit,
+    "forecast_floor": float,
+    "total_supply": _at_least(0),
+    "pool_fractions": lambda value: validate_pool_fractions(
+        _table(Pool, as_fraction)(value)),
+    "emission_divisor": _at_least(1),
+    "slash_fractions": _over_defaults(
+        DEFAULT_SLASH_FRACTIONS, SlashReason, _slash_fraction),
+    "funding_pool": Pool,
+}
+
+
+def _parse_config(raw: Any) -> SimConfig:
+    if not isinstance(raw, Mapping):
+        _fail("config", "must be an object")
     config = SimConfig()
-    simple_ints = {
-        "block_capacity", "n_seats", "election_period", "collusion_min_common",
-        "auditor_capacity", "total_supply", "emission_divisor", "quorum",
-    }
-    fractions = {
-        "cap_fraction", "regulator_multiplier", "threshold_routine",
-        "threshold_critical", "collusion_agreement", "collusion_penalty",
-    }
     for key, value in raw.items():
-        if key == "quorum" and value is None:
-            continue
-        if key in simple_ints:
-            setattr(config, key, int(value))
-        elif key in fractions:
-            setattr(config, key, as_fraction(value))
-        elif key == "signature_scheme":
-            config.signature_scheme = str(value)
-        elif key == "role_multiplier":
-            config.role_multiplier = {r: as_fraction(m) for r, m in value.items()}
-        elif key == "audit_intervals":
-            config.audit_intervals = {RiskTier(t): int(i) for t, i in value.items()}
-        elif key == "risk_weights":
-            config.risk_weights = risk_mod.RiskWeights(
-                noncompliance=as_fraction(value["noncompliance"]),
-                audit_failure=as_fraction(value["audit_failure"]),
-                incidents=as_fraction(value["incidents"]),
-                exposure=as_fraction(value["exposure"]),
-            )
-        elif key == "tier_thresholds":
-            config.tier_thresholds = risk_mod.TierThresholds(
-                unacceptable=as_fraction(value["unacceptable"]),
-                high=as_fraction(value["high"]),
-                limited=as_fraction(value["limited"]),
-            )
-        elif key == "ewma_alpha":
-            config.ewma_alpha = float(value)
-        elif key == "forecast_floor":
-            config.forecast_floor = float(value)
-        elif key == "pool_fractions":
-            config.pool_fractions = {Pool(p): as_fraction(f) for p, f in value.items()}
-        elif key == "slash_fractions":
-            config.slash_fractions = {
-                SlashReason(r): as_fraction(f) for r, f in value.items()}
-        elif key == "funding_pool":
-            config.funding_pool = Pool(value)
-        else:
+        parse = _CONFIG_PARSERS.get(key)
+        if parse is None:
             _fail(f"config.{key}", "unknown config key")
-    # The run reads these through running state that does no checks of its
-    # own, so bad values are refused here rather than misread later.
-    if not 0 < config.ewma_alpha < 1:
-        _fail("config.ewma_alpha", "must be in (0, 1)")
-    if config.collusion_min_common < 1:
-        _fail("config.collusion_min_common", "must be a positive integer")
+        try:
+            setattr(config, key, parse(value))
+        except KeyError as exc:
+            _fail(f"config.{key}", f"missing key {exc}")
+        except (GovSimError, ArithmeticError, TypeError, ValueError) as exc:
+            _fail(f"config.{key}", str(exc))
+    try:
+        config.vote_weights()
+    except InvalidWeights as exc:
+        _fail("config", str(exc))
     return config
 
 
@@ -317,6 +344,8 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
     authorities = list(raw.get("authorities", ["authority-1", "authority-2", "authority-3"]))
     if not authorities:
         _fail("authorities", "at least one sealing authority required")
+    if config.quorum is not None and config.quorum > len(authorities):
+        _fail("config.quorum", f"exceeds the {len(authorities)} sealing authorities")
 
     stakeholders: list[StakeholderSpec] = []
     seen_ids: set[str] = set()

@@ -7,6 +7,13 @@ preserves, exactly:
 
 Reward shares are floored; remainders stay in the REWARDS pool. Slashing
 burns floor(fraction * staked), consuming the oldest stake entries first.
+
+``TokenLedger.apply`` is the one transition. It takes a token event (kind
+and body) as it stands on the chain: TOKENS_TRANSFERRED (ops mint_genesis,
+grant, transfer, pool_charge, reward), STAKE_CHANGED (stake, unstake) or
+SLASH_APPLIED. Each live method validates its input, builds the event body,
+applies it and appends it to the chain; the report fold applies the same
+bodies to a chain-less ledger, so the two positions are one computation.
 """
 
 from __future__ import annotations
@@ -64,6 +71,20 @@ class StakeEntry:
         return max(1, epoch - self.lock_start_epoch)
 
 
+# The event kinds that ``TokenLedger.apply`` folds.
+TOKEN_EVENT_KINDS = frozenset(
+    {EventKind.TOKENS_TRANSFERRED, EventKind.STAKE_CHANGED, EventKind.SLASH_APPLIED})
+
+
+def validate_pool_fractions(fractions: Mapping[Pool, Fraction]) -> dict[Pool, Fraction]:
+    """The genesis split, refused unless each share is in [0, 1] and they sum to 1."""
+    if any(not 0 <= share <= 1 for share in fractions.values()):
+        raise InvalidAllocation("each pool fraction must be in [0, 1]")
+    if sum(fractions.values(), Fraction(0)) != 1:
+        raise InvalidAllocation("pool fractions must sum to exactly 1")
+    return dict(fractions)
+
+
 class TokenLedger:
     def __init__(
         self,
@@ -83,6 +104,66 @@ class TokenLedger:
         self.emission = emission
         self.slash_fractions = dict(slash_fractions or DEFAULT_SLASH_FRACTIONS)
 
+    # --- the transition ---
+
+    def apply(self, kind: EventKind, body: Mapping) -> None:
+        """Apply one event of ``TOKEN_EVENT_KINDS``; the live methods and the
+        chain fold share it.
+
+        ``body`` is trusted: the live methods validate before they build it,
+        and the fold reads bodies that those methods wrote.
+        """
+        if kind is EventKind.TOKENS_TRANSFERRED:
+            op = body["op"]
+            if op == "reward":
+                self.pools[Pool.REWARDS] -= body["amount"]
+                self._credit(body["to"], body["amount"])
+            elif op == "pool_charge":
+                self.balances[body["from"]] -= body["amount"]
+                self.pools[Pool(body["pool"])] += body["amount"]
+            elif op == "transfer":
+                self.balances[body["from"]] -= body["amount"]
+                self._credit(body["to"], body["amount"])
+            elif op == "grant":
+                self.pools[Pool(body["pool"])] -= body["amount"]
+                self._credit(body["to"], body["amount"])
+            elif op == "mint_genesis":
+                self.total_supply = body["total_supply"]
+                self.pools = {p: body["pools"][p.value] for p in Pool}
+                self.emission = body["emission"]
+            else:
+                raise InvalidInput(f"unknown token op {op!r}")
+        elif kind is EventKind.STAKE_CHANGED:
+            holder = body["holder"]
+            entry = StakeEntry(body["amount"], body["lock_start_epoch"], body["lock_epochs"])
+            if body["op"] == "stake":
+                self.balances[holder] -= entry.amount
+                self.stakes.setdefault(holder, []).append(entry)
+            else:  # unstake: the first entry equal in value leaves
+                self.stakes[holder].remove(entry)
+                self._credit(holder, entry.amount)
+        else:  # SLASH_APPLIED
+            remaining = body["burned"]
+            entries = self.stakes.get(body["holder"], [])
+            entries.sort(key=lambda e: (e.lock_start_epoch, e.lock_epochs))
+            while remaining > 0 and entries:
+                entry = entries[0]
+                take = min(entry.amount, remaining)
+                entry.amount -= take
+                remaining -= take
+                if entry.amount == 0:
+                    entries.pop(0)
+            self.burned += body["burned"]
+
+    def _credit(self, holder: str, amount: int) -> None:
+        self.balances[holder] = self.balances.get(holder, 0) + amount
+
+    def _record(self, kind: EventKind, body: dict, *, epoch: int,
+                actor: str = "token-ledger") -> None:
+        self.apply(kind, body)
+        if self.chain is not None:
+            self.chain.append(kind, body, actor=actor, epoch=epoch)
+
     # --- genesis ---
 
     @classmethod
@@ -97,28 +178,24 @@ class TokenLedger:
         genesis_meta: Optional[dict] = None,
     ) -> "TokenLedger":
         """Fund the pools from nothing; the only supply-creating operation."""
-        fractions = dict(DEFAULT_POOL_FRACTIONS if fractions is None else fractions)
-        if sum(fractions.values(), Fraction(0)) != 1:
-            raise InvalidAllocation("pool fractions must sum to exactly 1")
+        fractions = validate_pool_fractions(
+            DEFAULT_POOL_FRACTIONS if fractions is None else fractions)
         pools: dict[Pool, int] = {}
         for pool in Pool:
             share = fractions.get(pool, Fraction(0)) * total_supply
             pools[pool] = int(share)  # floor
         # Flooring dust goes to REWARDS so the supply equation stays exact.
         pools[Pool.REWARDS] += total_supply - sum(pools.values())
-        emission = pools[Pool.REWARDS] // emission_divisor
-        ledger = cls(total_supply, pools, chain,
-                     emission=emission, slash_fractions=slash_fractions)
-        if chain is not None:
-            body = {
-                "op": "mint_genesis",
-                "total_supply": total_supply,
-                "pools": {p.value: pools[p] for p in Pool},
-                "emission": emission,
-            }
-            if genesis_meta:
-                body.update(genesis_meta)
-            chain.append(EventKind.TOKENS_TRANSFERRED, body, actor="genesis", epoch=0)
+        body = {
+            "op": "mint_genesis",
+            "total_supply": total_supply,
+            "pools": {p.value: pools[p] for p in Pool},
+            "emission": pools[Pool.REWARDS] // emission_divisor,
+        }
+        if genesis_meta:
+            body.update(genesis_meta)
+        ledger = cls(0, {}, chain, slash_fractions=slash_fractions)
+        ledger._record(EventKind.TOKENS_TRANSFERRED, body, actor="genesis", epoch=0)
         return ledger
 
     # --- bookkeeping ---
@@ -157,10 +234,6 @@ class TokenLedger:
     def conservation_checksum(self) -> str:
         return sha256(canonical_json_bytes(self.snapshot())).hex()
 
-    def _emit(self, body: dict, *, epoch: int, actor: str = "token-ledger") -> None:
-        if self.chain is not None:
-            self.chain.append(EventKind.TOKENS_TRANSFERRED, body, actor=actor, epoch=epoch)
-
     # --- movements ---
 
     def grant(self, pool: Pool, to: str, amount: int, *, epoch: int = 0) -> None:
@@ -169,20 +242,18 @@ class TokenLedger:
             raise InvalidInput("negative grant")
         if self.pools[pool] < amount:
             raise InsufficientTokens(f"{pool.value} pool below {amount}")
-        self.pools[pool] -= amount
-        self.balances[to] = self.balances.get(to, 0) + amount
-        self._emit({"op": "grant", "pool": pool.value, "to": to, "amount": amount},
-                   epoch=epoch)
+        self._record(EventKind.TOKENS_TRANSFERRED,
+                     {"op": "grant", "pool": pool.value, "to": to, "amount": amount},
+                     epoch=epoch)
 
     def transfer(self, frm: str, to: str, amount: int, *, epoch: int = 0) -> None:
         if amount <= 0:
             raise InvalidInput("transfer amount must be positive")
         if self.balances.get(frm, 0) < amount:
             raise InsufficientTokens(f"{frm} balance below {amount}")
-        self.balances[frm] -= amount
-        self.balances[to] = self.balances.get(to, 0) + amount
-        self._emit({"op": "transfer", "from": frm, "to": to, "amount": amount},
-                   epoch=epoch, actor=frm)
+        self._record(EventKind.TOKENS_TRANSFERRED,
+                     {"op": "transfer", "from": frm, "to": to, "amount": amount},
+                     actor=frm, epoch=epoch)
 
     def charge_to_pool(self, frm: str, pool: Pool, amount: int, *, epoch: int = 0,
                        reason: str = "", ref: str = "") -> None:
@@ -191,14 +262,12 @@ class TokenLedger:
             raise InvalidInput("charge amount must be positive")
         if self.balances.get(frm, 0) < amount:
             raise InsufficientTokens(f"{frm} balance below {amount}")
-        self.balances[frm] -= amount
-        self.pools[pool] += amount
         body = {"op": "pool_charge", "from": frm, "pool": pool.value, "amount": amount}
         if reason:
             body["reason"] = reason
         if ref:
             body["ref"] = ref
-        self._emit(body, epoch=epoch, actor=frm)
+        self._record(EventKind.TOKENS_TRANSFERRED, body, actor=frm, epoch=epoch)
 
     # --- staking ---
 
@@ -209,17 +278,11 @@ class TokenLedger:
             raise InvalidInput("lock must be at least one epoch")
         if self.balances.get(stakeholder, 0) < amount:
             raise InsufficientTokens(f"{stakeholder} balance below {amount}")
-        self.balances[stakeholder] -= amount
-        entry = StakeEntry(amount=amount, lock_start_epoch=epoch, lock_epochs=lock_epochs)
-        self.stakes.setdefault(stakeholder, []).append(entry)
-        if self.chain is not None:
-            self.chain.append(
-                EventKind.STAKE_CHANGED,
-                {"holder": stakeholder, "op": "stake", "amount": amount,
-                 "lock_start_epoch": epoch, "lock_epochs": lock_epochs},
-                actor=stakeholder, epoch=epoch,
-            )
-        return entry
+        self._record(EventKind.STAKE_CHANGED,
+                     {"holder": stakeholder, "op": "stake", "amount": amount,
+                      "lock_start_epoch": epoch, "lock_epochs": lock_epochs},
+                     actor=stakeholder, epoch=epoch)
+        return self.stakes[stakeholder][-1]
 
     def unstake(self, stakeholder: str, entry_index: int, *, epoch: int) -> int:
         entries = self.stakes.get(stakeholder, [])
@@ -230,16 +293,11 @@ class TokenLedger:
             raise StillLocked(
                 f"locked until epoch {entry.unlock_epoch()}, now {epoch}"
             )
-        entries.pop(entry_index)
-        self.balances[stakeholder] = self.balances.get(stakeholder, 0) + entry.amount
-        if self.chain is not None:
-            self.chain.append(
-                EventKind.STAKE_CHANGED,
-                {"holder": stakeholder, "op": "unstake", "amount": entry.amount,
-                 "lock_start_epoch": entry.lock_start_epoch,
-                 "lock_epochs": entry.lock_epochs},
-                actor=stakeholder, epoch=epoch,
-            )
+        self._record(EventKind.STAKE_CHANGED,
+                     {"holder": stakeholder, "op": "unstake", "amount": entry.amount,
+                      "lock_start_epoch": entry.lock_start_epoch,
+                      "lock_epochs": entry.lock_epochs},
+                     actor=stakeholder, epoch=epoch)
         return entry.amount
 
     # --- rewards ---
@@ -276,9 +334,8 @@ class TokenLedger:
             if share == 0:
                 continue
             payouts[holder] = share
-            self.pools[Pool.REWARDS] -= share
-            self.balances[holder] = self.balances.get(holder, 0) + share
-            self._emit({"op": "reward", "to": holder, "amount": share}, epoch=epoch)
+            self._record(EventKind.TOKENS_TRANSFERRED,
+                         {"op": "reward", "to": holder, "amount": share}, epoch=epoch)
         return payouts
 
     # --- slashing ---
@@ -297,23 +354,9 @@ class TokenLedger:
             raise InvalidInput("slash fraction must be in (0, 1]")
         staked = self.staked_total(stakeholder)
         to_burn = int(frac * staked)  # floor
-        remaining = to_burn
-        entries = self.stakes.get(stakeholder, [])
-        entries.sort(key=lambda e: (e.lock_start_epoch, e.lock_epochs))
-        while remaining > 0 and entries:
-            entry = entries[0]
-            take = min(entry.amount, remaining)
-            entry.amount -= take
-            remaining -= take
-            if entry.amount == 0:
-                entries.pop(0)
-        self.burned += to_burn
-        if self.chain is not None:
-            self.chain.append(
-                EventKind.SLASH_APPLIED,
-                {"holder": stakeholder, "reason": reason.value,
-                 "fraction": str(frac), "burned": to_burn,
-                 "remaining_stake": self.staked_total(stakeholder)},
-                actor="token-ledger", epoch=epoch,
-            )
+        # to_burn <= staked, so this is the stake left once it is consumed.
+        self._record(EventKind.SLASH_APPLIED,
+                     {"holder": stakeholder, "reason": reason.value,
+                      "fraction": str(frac), "burned": to_burn,
+                      "remaining_stake": staked - to_burn}, epoch=epoch)
         return to_burn

@@ -1,14 +1,21 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import govsim
 from govsim.cli import main as cli_main
 from govsim.errors import ScenarioError
 from govsim.ledger import EventKind, load_chain, save_chain
 from govsim.report import ChainFold, build_report, export_report, report_csv_bytes
 from govsim.simctl import (
+    _CONFIG_PARSERS,
     PHASE_OF_KIND,
+    SimConfig,
     Simulator,
     check_phase_discipline,
     load_scenario,
@@ -208,25 +215,87 @@ def test_unknown_owner_rejected():
 
 @pytest.mark.parametrize("key,value", [
     ("ewma_alpha", 0), ("ewma_alpha", 1), ("ewma_alpha", 1.5),
-    ("ewma_alpha", -0.2), ("ewma_alpha", "nan"),
+    ("ewma_alpha", -0.2), ("ewma_alpha", "nan"), ("ewma_alpha", "abc"),
     ("collusion_min_common", 0), ("collusion_min_common", -3),
+    # Each of these used to fail part-way through a run or at set-up (a
+    # zero slash fraction at the first slash for that reason).
+    ("election_period", 0), ("emission_divisor", 0), ("block_capacity", 0),
+    ("role_multiplier", {"KING": 2}), ("cap_fraction", "3/2"),
+    ("threshold_critical", 0), ("regulator_multiplier", -1),
+    ("pool_fractions", {}), ("pool_fractions", {"REWARDS": "1/2"}),
+    ("pool_fractions", {"REWARDS": "3/2", "GOVERNANCE": "-1/2"}),
+    ("slash_fractions", {"AUDIT_FAIL": 0}), ("audit_intervals", {"HIGH": 0}),
+    ("quorum", 0), ("quorum", 4), ("signature_scheme", "rsa"),
+    # Each of these used to crash load_scenario with an error that was not
+    # a ScenarioError.
+    ("block_capacity", "abc"), ("quorum", "two"), ("funding_pool", "NOPE"),
+    ("cap_fraction", True),
+    ("risk_weights", {"noncompliance": 1, "audit_failure": 0, "incidents": 0}),
+    ("tier_thresholds", None), ("role_multiplier", [1]),
+    ("slash_fractions", {"X": "1/2"}), ("audit_intervals", {"FOO": 3}),
+    pytest.param(None, ["block_capacity", 5], id="config-not-an-object"),
 ])
 def test_config_values_the_run_cannot_use_are_rejected(key, value):
-    # Both used to fail part-way through a run (InvalidInput at the first
-    # forecast, ZeroDivisionError at the first collusion scan).
     base = json.loads(scenario_path("collusion_attack").read_text())
-    base["config"][key] = value
-    with pytest.raises(ScenarioError, match=f"config.{key}"):
+    if key is None:
+        base["config"] = value
+    else:
+        base["config"][key] = value
+    # The path is "config.<key>", or "config: <key> ..." for a vote weight,
+    # which is checked once all keys are read; the regulator's multiplier is
+    # checked as the REGULATOR entry of the role multipliers.
+    expected = {
+        None: "^config: must be an object",
+        "regulator_multiplier": "^config: multiplier for REGULATOR",
+    }.get(key, rf"^config(\.|: ){key}")
+    with pytest.raises(ScenarioError, match=expected):
         load_scenario(base)
 
 
 @pytest.mark.parametrize("key,value", [
     ("ewma_alpha", 0.01), ("ewma_alpha", 0.99), ("collusion_min_common", 1),
+    ("election_period", 1), ("emission_divisor", 1), ("quorum", 3),
+    ("role_multiplier", {"AUDITOR": "1/2"}),
+    # Partial tables: the entries left out keep their defaults (a partial
+    # audit_intervals used to raise KeyError at the first cadence check).
+    ("slash_fractions", {"AUDIT_FAIL": 1}), ("audit_intervals", {"HIGH": 1}),
 ])
 def test_config_values_at_the_edges_run(key, value):
     base = json.loads(scenario_path("collusion_attack").read_text())
     base["config"][key] = value
     assert run_scenario(base).report["tokens"]["conserved"] is True
+
+
+def test_every_config_field_has_one_parser():
+    assert list(_CONFIG_PARSERS) == [f.name for f in dataclasses.fields(SimConfig)]
+
+
+def test_partial_slash_table_keeps_the_default_fractions():
+    # Slashing for a reason left out of the table used to raise KeyError.
+    base = json.loads(scenario_path("credit_scoring").read_text())
+    base["config"]["slash_fractions"] = {"COLLUSION_CONFIRMED": "1/10"}
+    result = run_scenario(base)
+    slashes = [e.body() for b in result.chain.blocks for e in b.events
+               if e.kind == EventKind.SLASH_APPLIED]
+    assert {s["fraction"] for s in slashes if s["reason"] == "AUDIT_FAIL"} == {"1/20"}
+    assert result.report["tokens"]["conserved"] is True
+
+
+def test_cli_run_reports_a_bad_config_value_without_a_traceback(tmp_path):
+    base = json.loads(scenario_path("collusion_attack").read_text())
+    base["config"]["election_period"] = 0
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(base))
+    src = Path(govsim.__file__).resolve().parent.parent
+    completed = subprocess.run(
+        [sys.executable, "-m", "govsim.cli", "run", str(scenario_file),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert completed.returncode == 1
+    assert completed.stderr.startswith("error: config.election_period")
+    assert "Traceback" not in completed.stderr
 
 
 # --- fold views ---

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from govsim.errors import (
     InsufficientTokens,
@@ -9,6 +11,8 @@ from govsim.errors import (
     InvalidInput,
     StillLocked,
 )
+from govsim.keys import get_scheme
+from govsim.ledger import Chain
 from govsim.tokens import (
     DEFAULT_POOL_FRACTIONS,
     Pool,
@@ -284,3 +288,86 @@ def test_checksum_changes_with_state():
     before = ledger.conservation_checksum()
     ledger.transfer("a", "b", 5)
     assert ledger.conservation_checksum() != before
+
+
+# --- the chain fold equals the live ledger ---
+
+HOLDERS = ["h0", "h1", "h2"]
+_HOLDER = st.sampled_from(HOLDERS)
+_POOL = st.sampled_from(list(Pool))
+# A stake step makes one to three entries, with amounts and locks from small
+# sets, so that a holder often holds several entries equal in value and
+# unstake must pick among them.
+_STEP = st.one_of(
+    st.tuples(st.just("grant"), _POOL, _HOLDER, st.integers(0, 400)),
+    st.tuples(st.just("transfer"), _HOLDER, _HOLDER, st.integers(1, 300)),
+    st.tuples(st.just("charge"), _HOLDER, _POOL, st.integers(1, 200)),
+    st.tuples(st.just("stake"), _HOLDER, st.sampled_from([10, 25]), st.integers(1, 2),
+              st.integers(1, 3)),
+    st.tuples(st.just("unstake"), _HOLDER, st.integers(0, 4)),
+    st.tuples(st.just("rewards"), st.lists(
+        st.fractions(min_value=0, max_value=1, max_denominator=4),
+        min_size=len(HOLDERS), max_size=len(HOLDERS))),
+    st.tuples(st.just("slash"), _HOLDER, st.sampled_from(list(SlashReason)),
+              st.none() | st.fractions(min_value=Fraction(1, 20), max_value=1,
+                                       max_denominator=20)),
+    st.tuples(st.just("tick")),
+)
+
+
+def _run_step(ledger: TokenLedger, step: tuple, epoch: int) -> int:
+    op, *args = step
+    if op == "grant":
+        ledger.grant(*args, epoch=epoch)
+    elif op == "transfer":
+        ledger.transfer(*args, epoch=epoch)
+    elif op == "charge":
+        ledger.charge_to_pool(*args, epoch=epoch)
+    elif op == "stake":
+        holder, amount, lock_epochs, copies = args
+        for _ in range(copies):
+            ledger.stake(holder, amount, lock_epochs, epoch=epoch)
+    elif op == "unstake":
+        holder, index = args
+        entries = ledger.stakes.get(holder, [])
+        if entries:
+            ledger.unstake(holder, index % len(entries), epoch=epoch)
+    elif op == "rewards":
+        ledger.distribute_rewards(epoch, dict(zip(HOLDERS, args[0])))
+    elif op == "slash":
+        holder, reason, fraction = args
+        ledger.slash(holder, reason, fraction=fraction, epoch=epoch)
+    else:  # tick
+        epoch += 1
+    return epoch
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_STEP, min_size=10, max_size=60))
+@example([
+    ("grant", Pool.DEVELOPMENT, "h0", 100),
+    ("stake", "h0", 10, 1, 1), ("stake", "h0", 25, 1, 1), ("stake", "h0", 10, 1, 1),
+    ("tick",), ("tick",),
+    ("unstake", "h0", 2),  # equal in value to entry 0
+    ("slash", "h0", SlashReason.AUDIT_FAIL, Fraction(1, 2)),
+])
+def test_fold_of_chain_token_events_equals_live_ledger(steps):
+    chain = Chain({"a1": get_scheme("seeded").generate(b"a1").public}, quorum=1)
+    # Slash fractions other than the defaults: the fold must read what was
+    # burned from the event, not recompute it from its own table.
+    ledger = TokenLedger.mint_genesis(
+        total_supply=3_000, emission_divisor=10, chain=chain,
+        slash_fractions={reason: Fraction(1, 3) for reason in SlashReason})
+    for holder in HOLDERS:
+        ledger.grant(Pool.DEVELOPMENT, holder, 200)
+    epoch = 0
+    for step in steps:
+        try:
+            epoch = _run_step(ledger, step, epoch)
+        except (InsufficientTokens, InvalidInput, StillLocked):
+            pass
+        fold = TokenLedger(0, {})
+        for event in chain.pending:
+            fold.apply(event.kind, event.body())
+        assert fold.snapshot() == ledger.snapshot()
+        assert fold.conserved() and ledger.conserved()
