@@ -3,9 +3,10 @@
 Run-to-run determinism (c01) and the structural goldens (c12) do not notice
 a change that moves every run to new, equally deterministic bytes. These
 pins do: any change to the chain bytes or to the report fold of the
-reference scenarios, or of a small synthetic world that exercises every
-epoch phase, fails here. A change that moves them on purpose must say why
-and re-pin.
+reference scenarios, of a small synthetic world that exercises every
+epoch phase, or of a second one that exercises the weighted, quadratic and
+re-weighted paths of the rational arithmetic, fails here. A change that
+moves them on purpose must say why and re-pin.
 """
 
 import random
@@ -32,6 +33,9 @@ PINNED_REPORT_DIGESTS = {
 
 SYNTHETIC_ROOT_HASH = "e82545f112583fa699d2fc4fdf20155dd35393d1720e56ee17f830af46810d08"
 SYNTHETIC_REPORT_DIGEST = "5d222697c72fa643572a1a66a8ecad528847f6a3fcdd8befca4a2c1aa76a0425"
+
+WEIGHTED_ROOT_HASH = "ae52fb58a496e3d59b9bf9281ae036236f78d1ff3c34bc1878c1c3b84c99245a"
+WEIGHTED_REPORT_DIGEST = "cdb2931c3b5dcab88ccbf9c74a356f19e66e912c5bff70df54f967841c4ba34d"
 
 ALL_SCOPES = ["DATA_PRIVACY", "RISK_ASSESSMENT", "CAPITAL_ADEQUACY", "TRANSPARENCY"]
 TIERS = ["HIGH", "LIMITED", "MINIMAL"]
@@ -116,6 +120,81 @@ def synthetic_scenario() -> dict:
     }
 
 
+def weighted_scenario() -> dict:
+    """A small world for the rational arithmetic the first one leaves at its
+    defaults: QUADRATIC tallies, two passed WEIGHT_ADJUSTMENT proposals (new
+    role multipliers, then a new cap and routine threshold) that take effect
+    mid-run, non-default risk weights (one negative, so scores clamp at 0 and
+    at 1) and tier thresholds, and owners of several systems whose reward
+    factors fall below 1."""
+    rng = random.Random(20_260_301)
+    epochs = 20
+    roles = ["REGULATOR", "BANK", "FINTECH", "DEVELOPER", "BANK"]
+    stakeholders = [{
+        "id": f"holder-{i}", "role": roles[i], "balance": 60_000,
+        "stakes": [{"amount": 5_000 + rng.randrange(40_000), "lock_epochs": 30},
+                   {"amount": 1_000 + rng.randrange(5_000), "lock_epochs": 30}],
+    } for i in range(5)]
+    stakeholders += [{
+        "id": f"aud-{i}", "role": "AUDITOR", "balance": 5_000,
+        "stakes": [{"amount": 2_000, "lock_epochs": 30}],
+        "auditor": {"body": "body-1", "scopes": ALL_SCOPES, "validity_epochs": 30},
+    } for i in range(2)]
+    # Owners holder-0..2 hold two systems each; the odd ones fail rules.
+    systems = [{
+        "id": f"sys-{i}", "owner": f"holder-{i % 3}", "purpose": f"system {i}",
+        "risk_tier": TIERS[i % 3], "exposure": ["0", "1", "1/3", "9/10", "1/2", "3/4"][i],
+        "base_metrics": {"capital_ratio": [0.12, 0.05][i % 2], "data_privacy_consent": True,
+                         "model_bias_metric": [0.05, 0.3][i % 2]},
+    } for i in range(6)]
+    voters = [s["id"] for s in stakeholders]
+
+    injected = []
+    for epoch in range(1, epochs + 1):
+        quadratic = epoch % 2 == 0
+        injected.append({"epoch": epoch, "kind": "PROPOSAL", "proposal": {
+            "kind": rng.choice(["ROUTINE", "CRITICAL"]),
+            "mode": "QUADRATIC" if quadratic else "LINEAR",
+            "payload": {"n": epoch},
+            "votes": [{"voter": v, "direction": rng.choice(["FOR", "AGAINST"]),
+                       **({"magnitude": 1 + rng.randrange(5)} if quadratic else {})}
+                      for v in voters if rng.random() < 0.7],
+        }})
+        if epoch % 4 == 1:
+            injected.append({"epoch": epoch, "kind": "VIOLATION",
+                             "system": f"sys-{rng.randrange(6)}",
+                             "metrics": {"data_privacy_consent": False,
+                                         "capital_ratio": 0.01}})
+        if epoch % 5 == 2:
+            injected.append({"epoch": epoch, "kind": "INCIDENT",
+                             "system": f"sys-{rng.randrange(6)}",
+                             "severity": ["LOW", "MEDIUM", "CRITICAL"][epoch % 3]})
+    for epoch, payload in ((6, {"role_multiplier": {"BANK": "5/2", "REGULATOR": "2/3"}}),
+                           (13, {"cap_fraction": "1/3", "threshold_routine": "3/5"})):
+        injected.append({"epoch": epoch, "kind": "PROPOSAL", "proposal": {
+            "kind": "WEIGHT_ADJUSTMENT", "payload": payload,
+            "votes": [{"voter": v, "direction": "FOR"} for v in voters]}})
+    injected.append({"epoch": 3, "kind": "COLLUSION",
+                     "pair": ["holder-1", "holder-4"], "proposals": 9})
+
+    return {
+        "seed": 777,
+        "epochs": epochs,
+        "config": {"block_capacity": 24, "collusion_min_common": 8,
+                   "auditor_capacity": 4, "cap_fraction": "1/4",
+                   "risk_weights": {"noncompliance": "3/4", "audit_failure": "3/5",
+                                    "incidents": "1/2", "exposure": "-1/4"},
+                   "tier_thresholds": {"unacceptable": "99/100", "high": "1/2",
+                                       "limited": "1/5"}},
+        "authorities": ["sealer-1", "sealer-2"],
+        "accreditors": ["body-1"],
+        "stakeholders": stakeholders,
+        "ai_systems": systems,
+        "rules": RULES,
+        "injected_events": injected,
+    }
+
+
 def _report_digest(report: dict) -> str:
     return sha256(report_json_bytes(report)).hex()
 
@@ -140,3 +219,21 @@ def test_synthetic_world_pinned():
     assert report["blocks"] > report["epochs"]
     assert result.root_hash == SYNTHETIC_ROOT_HASH
     assert _report_digest(report) == SYNTHETIC_REPORT_DIGEST
+
+
+def test_weighted_world_pinned():
+    scenario = weighted_scenario()
+    result = run_scenario(scenario)
+    report = result.report
+    governance = report["governance"]
+    assert {p["mode"] for p in governance["proposals"]} == {"LINEAR", "QUADRATIC"}
+    assert [a["weights"]["cap_fraction"] for a in governance["weight_adjustments"]] \
+        == ["1/4", "1/3"]
+    assert governance["collusion_flags"]
+    scores = {score for series in report["risk_metrics"]["scores"].values()
+              for _, score in series}
+    assert {"0", "1"} <= scores
+    owners = [system["owner"] for system in scenario["ai_systems"]]
+    assert max(owners.count(owner) for owner in owners) > 1
+    assert result.root_hash == WEIGHTED_ROOT_HASH
+    assert _report_digest(report) == WEIGHTED_REPORT_DIGEST
