@@ -125,7 +125,10 @@ class ByteReader:
         return self._take(self.u32())
 
     def str_(self) -> str:
-        return self.bytes_().decode("utf-8")
+        try:
+            return self.bytes_().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IoError(f"invalid UTF-8 in string field: {exc}") from exc
 
     def exhausted(self) -> bool:
         return self._buf.tell() == self._size

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .encoding import as_fraction
@@ -127,16 +128,30 @@ class Proposal:
 
 # --- pure power math ---
 
+def _raw_power_terms(stakeholder: Stakeholder, weights: VoteWeights) -> tuple[int, int]:
+    """stake * role multiplier * penalty as (numerator, positive denominator)."""
+    multiplier = weights.multiplier(stakeholder.role)
+    penalty = stakeholder.weight_penalty
+    return (stakeholder.stake * multiplier.numerator * penalty.numerator,
+            multiplier.denominator * penalty.denominator)
+
+
 def raw_power(stakeholder: Stakeholder, weights: VoteWeights) -> Fraction:
-    return (
-        Fraction(stakeholder.stake)
-        * weights.multiplier(stakeholder.role)
-        * stakeholder.weight_penalty
-    )
+    return Fraction(*_raw_power_terms(stakeholder, weights))
+
+
+def _sum_terms(terms: Mapping[int, int]) -> Fraction:
+    """The sum of n/d over ``terms`` ({d: summed n}), built as one Fraction."""
+    den = lcm(*terms)
+    return Fraction(sum(num * (den // d) for d, num in terms.items()), den)
 
 
 def total_raw_power(stakeholders: Sequence[Stakeholder], weights: VoteWeights) -> Fraction:
-    return sum((raw_power(s, weights) for s in stakeholders), Fraction(0))
+    terms: dict[int, int] = {}
+    for stakeholder in stakeholders:
+        num, den = _raw_power_terms(stakeholder, weights)
+        terms[den] = terms.get(den, 0) + num
+    return _sum_terms(terms)
 
 
 def effective_power(
@@ -299,18 +314,27 @@ class GovernanceState:
         proposal = self.proposals[proposal_id]
         if proposal.status != ProposalStatus.OPEN:
             raise AlreadyResolved(f"{proposal_id} already {proposal.status.value}")
-        power_for = Fraction(0)
-        power_against = Fraction(0)
-        total = total_raw_power(list(self.stakeholders.values()), self.weights)
-        for voter_id, vote in proposal.votes.items():
-            if proposal.mode == VoteMode.QUADRATIC:
-                power = Fraction(vote.magnitude)
-            else:
-                power = effective_power(self.stakeholders[voter_id], self.weights, total)
-            if vote.direction == VoteDirection.FOR:
-                power_for += power
-            else:
-                power_against += power
+        # Each side sums integers as {denominator: numerator}.
+        sides: dict[VoteDirection, dict[int, int]] = {d: {} for d in VoteDirection}
+        if proposal.mode == VoteMode.QUADRATIC:
+            for vote in proposal.votes.values():
+                terms = sides[vote.direction]
+                terms[1] = terms.get(1, 0) + vote.magnitude
+        elif proposal.votes:
+            # effective_power per voter, with the total and cap taken once.
+            total = total_raw_power(list(self.stakeholders.values()), self.weights)
+            if total <= 0:
+                raise NoVotingPower("total raw weighted power is zero")
+            cap = self.weights.cap_fraction * total
+            cap_num, cap_den = cap.numerator, cap.denominator
+            for voter_id, vote in proposal.votes.items():
+                num, den = _raw_power_terms(self.stakeholders[voter_id], self.weights)
+                if num * cap_den > cap_num * den:
+                    num, den = cap_num, cap_den
+                terms = sides[vote.direction]
+                terms[den] = terms.get(den, 0) + num
+        power_for = _sum_terms(sides[VoteDirection.FOR])
+        power_against = _sum_terms(sides[VoteDirection.AGAINST])
         turnout = power_for + power_against
         threshold = self.weights.threshold(proposal.kind)
         if turnout == 0:

@@ -23,6 +23,7 @@ from .encoding import (
     ZERO_DIGEST,
     ByteReader,
     canonical_json_bytes,
+    from_canonical_json,
     is_canonical_json,
     pack_bytes,
     pack_str,
@@ -95,19 +96,31 @@ class GovernanceEvent:
 
     def body(self) -> dict:
         """Decode the payload back into its JSON body."""
-        from .encoding import from_canonical_json
-
         return from_canonical_json(self.payload)
 
 
 def decode_event(reader: ByteReader) -> GovernanceEvent:
+    event_id = reader.u64()
+    kind_name = reader.str_()
+    try:
+        kind = EventKind(kind_name)
+    except ValueError as exc:
+        raise IoError(f"unknown event kind {kind_name!r}") from exc
     return GovernanceEvent(
-        event_id=reader.u64(),
-        kind=EventKind(reader.str_()),
+        event_id=event_id,
+        kind=kind,
         epoch=reader.u64(),
         payload=reader.bytes_(),
         actor=reader.str_(),
     )
+
+
+def _decode_event_frame(frame: bytes) -> GovernanceEvent:
+    reader = ByteReader(frame)
+    event = decode_event(reader)
+    if not reader.exhausted():
+        raise IoError("trailing bytes inside event frame")
+    return event
 
 
 @dataclass(frozen=True)
@@ -297,6 +310,8 @@ def verify_chain(
             return ChainVerification(False, position, "broken prev_hash linkage")
         valid_signers = set()
         for authority_id, signature in block.sealer_signatures:
+            if len(valid_signers) >= quorum:
+                break  # further signatures cannot change the outcome
             public = authorities.get(authority_id)
             if public is not None and sig.verify(public, block.block_hash, signature):
                 valid_signers.add(authority_id)
@@ -351,9 +366,7 @@ def _encode_block(block: Block) -> bytes:
 def _decode_block(reader: ByteReader) -> Block:
     height = reader.u64()
     prev_hash = reader.raw(DIGEST_SIZE)
-    events = tuple(
-        decode_event(ByteReader(reader.bytes_())) for _ in range(reader.u32())
-    )
+    events = tuple(_decode_event_frame(reader.bytes_()) for _ in range(reader.u32()))
     signatures = tuple(
         (reader.str_(), reader.bytes_()) for _ in range(reader.u32())
     )
@@ -387,8 +400,6 @@ def load_chain(path: str | Path) -> Chain:
     version = reader.raw(1)[0]
     if version != CHAIN_FORMAT_VERSION:
         raise IoError(f"unsupported chain format version {version}")
-    from .encoding import from_canonical_json
-
     header = from_canonical_json(reader.bytes_())
     chain = Chain(
         {aid: bytes.fromhex(pub) for aid, pub in header["authorities"].items()},

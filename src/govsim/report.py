@@ -22,6 +22,7 @@ import io
 import json
 from collections import defaultdict
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -190,6 +191,8 @@ class ChainFold:
     def score_series(self) -> dict[str, list[list]]:
         """Recompute each system's per-epoch score from on-chain inputs."""
         weights = self.risk_weights()
+        # Scores and exposures repeat: each distinct string is parsed once.
+        fraction = cache(as_fraction)
         series: dict[str, list[list]] = defaultdict(list)
         for epoch in sorted(self.assessments):
             for did in sorted(self.assessments[epoch]):
@@ -198,10 +201,10 @@ class ChainFold:
                     continue
                 entry = self.assessments[epoch][did]
                 score = compute_risk_score(
-                    as_fraction(entry["score"]),
+                    fraction(entry["score"]),
                     self.audit_failed_at(did, epoch - 1),
                     self.incident_open_at(did, epoch),
-                    as_fraction(record["exposure"]),
+                    fraction(record["exposure"]),
                     weights,
                 )
                 series[did].append([epoch, str(score)])

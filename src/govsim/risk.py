@@ -51,6 +51,9 @@ class TierThresholds(_NamedFractions):
     limited: Fraction = Fraction(3, 10)
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def compute_risk_score(
     compliance_aggregate: Fraction,
     audit_failed: bool,
@@ -58,20 +61,31 @@ def compute_risk_score(
     exposure: Fraction,
     weights: RiskWeights = RiskWeights(),
 ) -> Fraction:
-    """Exact risk score in [0, 1]; 1 is maximal risk."""
-    if not 0 <= compliance_aggregate <= 1:
+    """Exact risk score in [0, 1]; 1 is maximal risk. Summed and clamped on
+    integers, so at most one ``Fraction`` is built per call."""
+    a_num, a_den = compliance_aggregate.numerator, compliance_aggregate.denominator
+    e_num, e_den = exposure.numerator, exposure.denominator
+    if not 0 <= a_num <= a_den:
         raise InvalidInput("compliance aggregate must be in [0, 1]")
-    if not 0 <= exposure <= 1:
+    if not 0 <= e_num <= e_den:
         raise InvalidInput("exposure weight must be in [0, 1]")
     if incident_count < 0:
         raise InvalidInput("incident count must be non-negative")
-    score = (
-        weights.noncompliance * (1 - compliance_aggregate)
-        + weights.audit_failure * (1 if audit_failed else 0)
-        + weights.incidents * Fraction(min(incident_count, 3), 3)
-        + weights.exposure * exposure
-    )
-    return max(Fraction(0), min(Fraction(1), score))
+    w_n, w_f, w_i, w_e = (weights.noncompliance, weights.audit_failure,
+                          weights.incidents, weights.exposure)
+    # score = n1/d1 + n2/d2 + n3/d3 + n4/d4, the four terms of the module docstring.
+    n1, d1 = w_n.numerator * (a_den - a_num), w_n.denominator * a_den
+    n2, d2 = (w_f.numerator if audit_failed else 0), w_f.denominator
+    n3, d3 = w_i.numerator * min(incident_count, 3), w_i.denominator * 3
+    n4, d4 = w_e.numerator * e_num, w_e.denominator * e_den
+    d12, d34 = d1 * d2, d3 * d4
+    num = (n1 * d2 + n2 * d1) * d34 + (n3 * d4 + n4 * d3) * d12
+    den = d12 * d34
+    if num <= 0:
+        return _ZERO
+    if num >= den:
+        return _ONE
+    return Fraction(num, den)
 
 
 def tier_for_score(score: Fraction, thresholds: TierThresholds = TierThresholds()) -> RiskTier:
@@ -163,6 +177,11 @@ class IncidentLog:
         self.chain = chain
         self.registry = registry
         self.incidents: list[Incident] = []
+        # Incidents not yet at POSTMORTEM_FILED, by id in raise order, and
+        # the number of open ones per system: kept as incidents move, so
+        # neither the risk phase nor open_count walks the whole log.
+        self.active: dict[str, Incident] = {}
+        self._open_counts: dict[str, int] = {}
         self._seq = 0
 
     def raise_incident(self, system_did: str, severity: Severity, *, epoch: int = 0) -> Incident:
@@ -177,6 +196,8 @@ class IncidentLog:
         )
         incident.transitions.append((IncidentState.RAISED.value, epoch))
         self.incidents.append(incident)
+        self.active[incident.incident_id] = incident
+        self._open_counts[system_did] = self._open_counts.get(system_did, 0) + 1
         if self.chain is not None:
             self.chain.append(
                 EventKind.INCIDENT_RAISED,
@@ -196,8 +217,13 @@ class IncidentLog:
         position = INCIDENT_ORDER.index(incident.state)
         if position == len(INCIDENT_ORDER) - 1:
             raise TerminalState(f"{incident.incident_id} already at POSTMORTEM_FILED")
+        was_open = incident.open_()
         incident.state = INCIDENT_ORDER[position + 1]
         incident.transitions.append((incident.state.value, epoch))
+        if was_open and not incident.open_():
+            self._open_counts[incident.system_did] -= 1
+        if incident.state == IncidentState.POSTMORTEM_FILED:
+            del self.active[incident.incident_id]
         if self.chain is not None:
             self.chain.append(
                 EventKind.INCIDENT_ADVANCED,
@@ -217,7 +243,7 @@ class IncidentLog:
         return incident.state
 
     def open_count(self, system_did: str) -> int:
-        return sum(1 for i in self.incidents if i.system_did == system_did and i.open_())
+        return self._open_counts.get(system_did, 0)
 
 
 # --- profiles and write-through ---

@@ -731,9 +731,7 @@ class Simulator:
                     epoch=epoch, actor="compliance-engine")
 
     def _phase_risk(self, epoch: int) -> None:
-        for incident in self.incidents.incidents:
-            if incident.state == risk_mod.IncidentState.POSTMORTEM_FILED:
-                continue
+        for incident in list(self.incidents.active.values()):
             last_epoch = incident.transitions[-1][1]
             if last_epoch < epoch:
                 self.incidents.advance_incident(incident, epoch=epoch)

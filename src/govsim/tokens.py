@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
 from .encoding import canonical_json_bytes, sha256
@@ -316,21 +317,26 @@ class TokenLedger:
         factors = dict(compliance_factors or {})
         if self.pools[Pool.REWARDS] < self.emission or self.emission == 0:
             return {}
-        weights: dict[str, Fraction] = {}
+        # Each weight s*d*c as an integer numerator over c's denominator;
+        # scaling all of them to one common denominator keeps every ratio
+        # w / total_weight, so each share is one integer division.
+        scaled: list[tuple[str, int, int]] = []
         for holder in sorted(self.stakes):
             c = factors.get(holder, Fraction(1))
             if not 0 <= c <= 1:
                 raise InvalidInput(f"compliance factor out of [0,1] for {holder}")
             sd = sum(e.amount * e.elapsed(epoch) for e in self.stakes[holder])
-            w = Fraction(sd) * c
-            if w > 0:
-                weights[holder] = w
-        total_weight = sum(weights.values(), Fraction(0))
+            weight = sd * c.numerator
+            if weight > 0:
+                scaled.append((holder, weight, c.denominator))
+        common = lcm(*(den for _, _, den in scaled))
+        weights = {holder: num * (common // den) for holder, num, den in scaled}
+        total_weight = sum(weights.values())
         if total_weight == 0:
             return {}
         payouts: dict[str, int] = {}
         for holder, w in weights.items():
-            share = int(self.emission * w / total_weight)  # floor
+            share = self.emission * w // total_weight
             if share == 0:
                 continue
             payouts[holder] = share

@@ -1,7 +1,8 @@
 """Incremental state equals the rescans it replaces.
 
 The simulator and the report fold keep running state (pair vote counters,
-a running EWMA, indexes by DID and epoch) instead of rescanning history.
+a running EWMA, indexes by DID and epoch, open incident counts) instead of
+rescanning history.
 Each property here drives that state with generated inputs and compares it
 with the plain scan over the full history, which stays the reference
 definition.
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from govsim.compliance import OracleBook, OracleFeed
 from govsim.encoding import ZERO_DIGEST, canonical_json_bytes
-from govsim.errors import DuplicateFeed, GovSimError, InvalidInput
+from govsim.errors import DuplicateFeed, GovSimError, InvalidInput, TerminalState
 from govsim.governance import (
     GovernanceState,
     ProposalKind,
@@ -28,7 +29,7 @@ from govsim.identity import Role
 from govsim.keys import get_scheme
 from govsim.ledger import Block, Chain, EventKind, GovernanceEvent
 from govsim.report import ChainFold
-from govsim.risk import ewma_step, forecast_compliance
+from govsim.risk import IncidentLog, IncidentState, Severity, ewma_step, forecast_compliance
 from govsim.tokens import Pool, TokenLedger
 
 VOTERS = [f"v{i}" for i in range(6)]
@@ -184,6 +185,39 @@ def test_running_ewma_is_bit_identical_to_forecast(history, alpha):
         smoothed = ewma_step(smoothed, value, alpha)
         forecast, _ = forecast_compliance(history[:length], alpha)
         assert smoothed.hex() == forecast.hex() == _ewma_scan(history[:length], alpha).hex()
+
+
+# --- risk: open incident counts vs a scan of every incident ---
+
+INCIDENT_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("raise"), st.sampled_from(DIDS), st.sampled_from(list(Severity))),
+        st.tuples(st.just("advance"), st.integers(0, 30)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=INCIDENT_OPS)
+def test_incident_counts_equal_full_scan(ops):
+    log = IncidentLog(None)
+    for epoch, op in enumerate(ops, start=1):
+        if op[0] == "raise":
+            log.raise_incident(op[1], op[2], epoch=epoch)
+        elif log.incidents:
+            incident = log.incidents[op[1] % len(log.incidents)]
+            if incident.state == IncidentState.POSTMORTEM_FILED:
+                with pytest.raises(TerminalState):
+                    log.advance_incident(incident, epoch=epoch)
+            else:
+                log.advance_incident(incident, epoch=epoch)
+        for did in [*DIDS, "did:unknown"]:
+            assert log.open_count(did) == sum(
+                1 for i in log.incidents if i.system_did == did and i.open_())
+        # Raise order, which the risk phase advances them in.
+        assert list(log.active.values()) == [
+            i for i in log.incidents if i.state != IncidentState.POSTMORTEM_FILED]
 
 
 # --- compliance: per-epoch feed index vs sorted full scan ---

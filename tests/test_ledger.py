@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import struct
 
 import pytest
 
@@ -14,7 +15,7 @@ from govsim.errors import (
     SignatureInvalid,
     UnknownAuthority,
 )
-from govsim.keys import get_scheme
+from govsim.keys import SeededScheme, get_scheme
 from govsim.ledger import (
     Chain,
     EventKind,
@@ -348,6 +349,66 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTCHAIN" + b"\x01" + b"\x00" * 40)
     with pytest.raises(IoError):
         load_chain(path)
+
+
+def _first_event_frame(data: bytes) -> tuple[int, int]:
+    """Offsets of block 1's length prefix and of its first event's length
+    prefix in a chain file: magic, version, header, block count, then
+    length-prefixed blocks of height, prev hash, event count and events."""
+    offset = 16 + 1
+    offset += 4 + struct.unpack_from("<I", data, offset)[0] + 8
+    return offset, offset + 4 + 8 + 32 + 4
+
+
+def test_bytes_appended_inside_event_frame_rejected(reference_results, tmp_path):
+    path = tmp_path / "chain.db"
+    save_chain(reference_results["credit_scoring"].chain, path)
+    data = bytearray(path.read_bytes())
+    block_at, event_at = _first_event_frame(data)
+    (event_len,) = struct.unpack_from("<I", data, event_at)
+    data[event_at + 4 + event_len:event_at + 4 + event_len] = b"\x00\x01\x02"
+    for at in (block_at, event_at):
+        struct.pack_into("<I", data, at, struct.unpack_from("<I", data, at)[0] + 3)
+    path.write_bytes(bytes(data))
+    with pytest.raises(IoError, match="trailing bytes inside event frame"):
+        load_chain(path)
+
+
+@pytest.mark.parametrize("kind_bytes, message", [
+    (b"HEARTBEAX", "unknown event kind 'HEARTBEAX'"),
+    (b"HEARTBEA\xff", "invalid UTF-8"),
+])
+def test_bad_event_kind_in_frame_rejected(tmp_path, kind_bytes, message):
+    chain = make_chain(capacity=2)
+    chain.append_event(make_event(1))
+    chain.append_event(make_event(2))
+    seal_pending(chain)
+    path = tmp_path / "chain.db"
+    save_chain(chain, path)
+    data = path.read_bytes()
+    assert data.count(b"HEARTBEAT") == 2
+    path.write_bytes(data.replace(b"HEARTBEAT", kind_bytes, 1))
+    with pytest.raises(IoError, match=message):
+        load_chain(path)
+
+
+def test_verify_stops_checking_signatures_at_quorum(monkeypatch):
+    chain = build_sealed_chain(5)
+    calls = []
+    real_verify = SeededScheme.verify
+
+    def counting_verify(self, public, message, signature):
+        calls.append(public)
+        return real_verify(self, public, message, signature)
+
+    monkeypatch.setattr(SeededScheme, "verify", counting_verify)
+    assert len(chain.blocks[0].sealer_signatures) == 4
+    assert verify_chain(chain.blocks, AUTHORITIES, 3).ok
+    assert len(calls) == 3 * 5
+    # Below quorum, every signature is still checked before the verdict.
+    calls.clear()
+    assert not verify_chain(chain.blocks, AUTHORITIES, 5)
+    assert len(calls) == 4
 
 
 def test_saved_file_bytes_deterministic(tmp_path):
