@@ -13,7 +13,9 @@ import random
 
 import pytest
 
+from govsim.cli import main as cli_main
 from govsim.encoding import sha256
+from govsim.ledger import save_chain
 from govsim.report import report_json_bytes
 from govsim.simctl import run_scenario
 from tests.conftest import REFERENCE_SCENARIOS
@@ -29,6 +31,25 @@ PINNED_REPORT_DIGESTS = {
     "collusion_attack": "71afa7c5d171a768b79370f1ad321754ebd824f3f6ef507c4c3a8ead2af46240",
     "credit_scoring": "e03bdad46231d8e7bd0a109b909d9545a9b73b2b74d0b1f52a17e9966ba27311",
     "regulation_shift": "bdf4bf7c5073b4c01a0e26016034ff6912c417a7c44ece6d20f2e11b3334de1d",
+}
+
+# sha256 of the stdout of `govsim inspect <chain> --did <did>`, per DID: pins
+# the record and history that the fold rebuilds for each system.
+PINNED_INSPECT_DID_DIGESTS = {
+    "collusion_attack": {
+        "did:govsim:64a4d485693f418bfff5b95672f38bd9":
+            "95a471d1246091f9ccc047244ebdca389671eb10ea4a55b08d6a0c91ccc85705",
+    },
+    "credit_scoring": {
+        "did:govsim:618ff7cd5ec536e24ac31b4b9f5cd6eb":
+            "91ef80a50d5c03f5f4f8b676fa9e2bca85675f043ef680d0d9f10998c91c4418",
+    },
+    "regulation_shift": {
+        "did:govsim:2ba77b70b001b4dd1b9d8dcee660d8b7":
+            "70513a227631732197468915745a1685b3590ceae8217352a287c36175c5bacd",
+        "did:govsim:3871bc867dbd036277284f10c4b5f347":
+            "06541d151e6b8bb70b5e23a588bb31f60d1da04f6a21b102d3e51edb6778b974",
+    },
 }
 
 SYNTHETIC_ROOT_HASH = "e82545f112583fa699d2fc4fdf20155dd35393d1720e56ee17f830af46810d08"
@@ -207,6 +228,18 @@ def test_reference_root_hash_pinned(reference_results, name):
 @pytest.mark.parametrize("name", REFERENCE_SCENARIOS)
 def test_reference_report_pinned(reference_results, name):
     assert _report_digest(reference_results[name].report) == PINNED_REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", REFERENCE_SCENARIOS)
+def test_inspect_did_output_pinned(reference_results, tmp_path, capsys, name):
+    result = reference_results[name]
+    save_chain(result.chain, tmp_path / "chain.db")
+    digests = {}
+    for did in sorted(result.registry.records):
+        capsys.readouterr()
+        assert cli_main(["inspect", str(tmp_path / "chain.db"), "--did", did]) == 0
+        digests[did] = sha256(capsys.readouterr().out.encode("utf-8")).hex()
+    assert digests == PINNED_INSPECT_DID_DIGESTS[name]
 
 
 def test_synthetic_world_pinned():
