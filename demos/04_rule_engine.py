@@ -23,7 +23,7 @@ for rule in standard_rule_pack():
 print("active rules:", [f"{r.rule_id} v{r.version}" for r in registry.active_rules()])
 
 system = AISystemRecord(
-    did="did:govsim:" + "5a" * 16, public_key=b"\x5a" * 32,
+    did="did:govsim:" + "5a" * 16,
     risk_tier=RiskTier.HIGH, compliance_status=ComplianceStatus.UNDER_REVIEW,
     purpose="derivatives pricing", owner="bank-alpha",
 )

@@ -27,7 +27,7 @@ audits.accredit_auditor("auditor-one", "esma", list(RuleDomain), 100, epoch=0)
 print("auditor-one accredited for all four rule domains, epochs 0..100")
 
 system = AISystemRecord(
-    did="did:govsim:" + "c3" * 16, public_key=b"\xc3" * 32,
+    did="did:govsim:" + "c3" * 16,
     risk_tier=RiskTier.HIGH, compliance_status=ComplianceStatus.COMPLIANT,
     purpose="credit scoring", owner="bank-alpha",
 )

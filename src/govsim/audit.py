@@ -267,7 +267,3 @@ class AuditRegistry:
         if self.chain is not None:
             self.chain.append(EventKind.AUDIT_RECORDED, record.to_body(),
                               actor=record.auditor_id, epoch=record.epoch)
-
-    def outcomes_for(self, did: str, epoch: int) -> list[AuditOutcome]:
-        return [r.outcome for r in self.records
-                if r.system_did == did and r.epoch == epoch]

@@ -71,11 +71,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             audits = [a for a in audits if a["did"] == args.did]
         out = audits
     elif args.did:
-        record = fold.dids.get(args.did)
+        record = fold.registry.records.get(args.did)
         if record is None:
             print(f"unknown did: {args.did}", file=sys.stderr)
             return 1
-        out = {"record": record, "history": fold.did_events.get(args.did, [])}
+        out = {"record": record.to_json(), "history": fold.did_events.get(args.did, [])}
     elif args.proposals:
         out = [fold.proposals[k] for k in sorted(fold.proposals)]
     elif args.balances:

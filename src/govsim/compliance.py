@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .encoding import canonical_json_bytes, sha256
+from .encoding import ONE, canonical_json_bytes, sha256
 from .errors import (
     AlreadyDisputed,
     DuplicateFeed,
@@ -243,7 +243,7 @@ def evaluate_rules(
     if not rules:
         logger.warning("no applicable rules for tier %s: vacuously compliant",
                        tier.value)
-        return {}, Fraction(1), True
+        return {}, ONE, True
     results: dict[str, bool] = {}
     passed_weight = 0
     total_weight = 0

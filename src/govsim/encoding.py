@@ -24,6 +24,10 @@ from .errors import EncodingError, IoError
 DIGEST_SIZE = 32
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 
+# The rational 1, built once: a Fraction is immutable, so one object serves
+# every default multiplier, factor and score that is exactly 1.
+ONE = Fraction(1)
+
 
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()

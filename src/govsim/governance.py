@@ -15,7 +15,7 @@ from itertools import combinations
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .encoding import as_fraction
+from .encoding import ONE, as_fraction
 from .errors import (
     AlreadyResolved,
     AlreadyVoted,
@@ -72,7 +72,7 @@ class VoteWeights:
         return self
 
     def multiplier(self, role: Role) -> Fraction:
-        return self.role_multiplier.get(role, Fraction(1))
+        return self.role_multiplier.get(role, ONE)
 
     def threshold(self, kind: ProposalKind) -> Fraction:
         # Anything that rewrites the rules of the game takes the critical bar.
@@ -101,7 +101,7 @@ class Stakeholder:
     stake: int = 0
     is_delegate: bool = False
     # Temporary multiplicative reduction while under collusion scrutiny.
-    weight_penalty: Fraction = Fraction(1)
+    weight_penalty: Fraction = ONE
     vote_history: dict[str, VoteDirection] = field(default_factory=dict)
 
 
@@ -235,9 +235,6 @@ class GovernanceState:
         """Mirror staked totals from the token ledger (single source of truth)."""
         for stakeholder in self.stakeholders.values():
             stakeholder.stake = self.tokens.staked_total(stakeholder.id)
-
-    def roles_view(self) -> dict[str, Role]:
-        return {sid: s.role for sid, s in self.stakeholders.items()}
 
     # --- proposals and votes ---
 
@@ -437,4 +434,4 @@ class GovernanceState:
         self.stakeholders[stakeholder_id].weight_penalty = penalty
 
     def clear_collusion_penalty(self, stakeholder_id: str) -> None:
-        self.stakeholders[stakeholder_id].weight_penalty = Fraction(1)
+        self.stakeholders[stakeholder_id].weight_penalty = ONE

@@ -5,15 +5,20 @@ content-addressed references to off-chain metadata, and every read or write
 through the RBAC-guarded paths leaves an ACCESS_LOGGED event. The content
 store exposes the store/resolve-by-hash interface an IPFS-like backend
 would, so it can be swapped without touching the registry.
+
+``DidRegistry.apply`` is the one record transition: every writer validates,
+builds the DID_REGISTERED or DID_UPDATED body, applies it and appends it, and
+the report fold applies the same bodies to a chain-less registry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Mapping, Optional
 
-from .encoding import canonical_json_bytes, sha256
+from .encoding import as_fraction, sha256
 from .errors import (
     AccessDenied,
     DuplicateIdentity,
@@ -132,12 +137,12 @@ class ContentStore:
 @dataclass
 class AISystemRecord:
     did: str
-    public_key: bytes
     risk_tier: RiskTier
     compliance_status: ComplianceStatus
     purpose: str
     owner: str
     version: int = 1
+    exposure: Fraction = Fraction(1, 2)
     metadata_refs: list[bytes] = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -148,8 +153,13 @@ class AISystemRecord:
             "purpose": self.purpose,
             "owner": self.owner,
             "version": self.version,
+            "exposure": str(self.exposure),
             "metadata_refs": [ref.hex() for ref in self.metadata_refs],
         }
+
+
+# The event kinds that ``DidRegistry.apply`` folds.
+DID_EVENT_KINDS = frozenset({EventKind.DID_REGISTERED, EventKind.DID_UPDATED})
 
 
 class DidRegistry:
@@ -161,17 +171,55 @@ class DidRegistry:
 
     def __init__(
         self,
-        chain: Chain,
-        store: ContentStore,
-        roles: Mapping[str, Role],
+        chain: Optional[Chain],
+        store: Optional[ContentStore] = None,
+        roles: Optional[Mapping[str, Role]] = None,
         policy: Optional[Mapping[tuple[Role, Action], bool]] = None,
     ):
         self.chain = chain
-        self.store = store
-        self.roles = roles
+        self.store = ContentStore() if store is None else store
+        self.roles = {} if roles is None else roles
         self.policy = dict(DEFAULT_POLICY if policy is None else policy)
         self.records: dict[str, AISystemRecord] = {}
         self._keys_seen: set[bytes] = set()
+
+    # --- the transition ---
+
+    def apply(self, kind: EventKind, body: Mapping) -> None:
+        """Apply one event of ``DID_EVENT_KINDS``. ``body`` is trusted: the
+        writers validate before they build it. An update of a DID that was
+        never registered is ignored."""
+        if kind is EventKind.DID_REGISTERED:
+            self.records[body["did"]] = AISystemRecord(
+                did=body["did"], risk_tier=RiskTier(body["risk_tier"]),
+                compliance_status=ComplianceStatus.UNDER_REVIEW, purpose=body["purpose"],
+                owner=body["owner"], version=body["version"],
+                exposure=as_fraction(body.get("exposure", "1/2")),
+                metadata_refs=[bytes.fromhex(ref) for ref in body.get("metadata_refs", [])])
+            return
+        record = self.records.get(body["did"])
+        if record is None:
+            return
+        record.version = body["version"]
+        change = body.get("change", {})
+        if "status" in change:
+            record.compliance_status = ComplianceStatus(change["status"])
+        if "risk_tier" in change:
+            record.risk_tier = RiskTier(change["risk_tier"])
+        if "purpose" in change:
+            record.purpose = change["purpose"]
+        if "metadata_ref" in change:
+            record.metadata_refs.append(bytes.fromhex(change["metadata_ref"]))
+
+    def _record(self, kind: EventKind, body: dict, *, actor: str, epoch: int) -> None:
+        self.apply(kind, body)
+        if self.chain is not None:
+            self.chain.append(kind, body, actor=actor, epoch=epoch)
+
+    def _update(self, record: AISystemRecord, change: dict, actor: str, epoch: int) -> int:
+        body = {"did": record.did, "version": record.version + 1, "change": change}
+        self._record(EventKind.DID_UPDATED, body, actor=actor, epoch=epoch)
+        return record.version
 
     # --- registration ---
 
@@ -183,7 +231,7 @@ class DidRegistry:
         owner: str,
         *,
         epoch: int = 0,
-        exposure: str = "1/2",
+        exposure: Fraction = Fraction(1, 2),
         metadata_blobs: Optional[list[bytes]] = None,
     ) -> str:
         if public_key in self._keys_seen:
@@ -195,32 +243,13 @@ class DidRegistry:
         did = derive_did(public_key)
         if did in self.records:
             raise DuplicateIdentity(f"did collision: {did}")
-        record = AISystemRecord(
-            did=did,
-            public_key=public_key,
-            risk_tier=risk_tier,
-            compliance_status=ComplianceStatus.UNDER_REVIEW,
-            purpose=purpose,
-            owner=owner,
-        )
-        for blob in metadata_blobs or []:
-            record.metadata_refs.append(self.store.store(blob))
-        self.records[did] = record
+        refs = [self.store.store(blob) for blob in metadata_blobs or []]
         self._keys_seen.add(public_key)
-        self.chain.append(
-            EventKind.DID_REGISTERED,
-            {
-                "did": did,
-                "owner": owner,
-                "purpose": purpose,
-                "risk_tier": risk_tier.value,
-                "version": 1,
-                "exposure": exposure,
-                "metadata_refs": [ref.hex() for ref in record.metadata_refs],
-            },
-            actor=owner,
-            epoch=epoch,
-        )
+        self._record(EventKind.DID_REGISTERED, {
+            "did": did, "owner": owner, "purpose": purpose, "risk_tier": risk_tier.value,
+            "version": 1, "exposure": str(exposure),
+            "metadata_refs": [ref.hex() for ref in refs],
+        }, actor=owner, epoch=epoch)
         return did
 
     # --- guarded access ---
@@ -233,6 +262,8 @@ class DidRegistry:
 
     def _log_access(self, did: str, actor: str, role: Role, action: Action,
                     allowed: bool, epoch: int) -> None:
+        if self.chain is None:
+            return
         self.chain.append(
             EventKind.ACCESS_LOGGED,
             {
@@ -287,24 +318,14 @@ class DidRegistry:
             raise InvalidBlob("exactly one of status/metadata_ref/purpose required")
         self._authorize(record, actor, Action.MODIFY, epoch)
         if status is not None:
-            record.compliance_status = status
             change = {"status": status.value}
         elif metadata_ref is not None:
             if metadata_ref not in self.store:
                 raise NotFound("metadata_ref does not resolve in the store")
-            record.metadata_refs.append(metadata_ref)
             change = {"metadata_ref": metadata_ref.hex()}
         else:
-            record.purpose = purpose
             change = {"purpose": purpose}
-        record.version += 1
-        self.chain.append(
-            EventKind.DID_UPDATED,
-            {"did": did, "version": record.version, "change": change},
-            actor=actor,
-            epoch=epoch,
-        )
-        return record.version
+        return self._update(record, change, actor, epoch)
 
     def reclassify(self, did: str, new_tier: RiskTier, actor: str, *, epoch: int = 0) -> int:
         """RBAC-guarded tier change (requires RECLASSIFY)."""
@@ -320,44 +341,12 @@ class DidRegistry:
 
     def _apply_tier(self, record: AISystemRecord, new_tier: RiskTier,
                     actor: str, epoch: int) -> int:
-        record.risk_tier = new_tier
         change: dict = {"risk_tier": new_tier.value}
         if new_tier == RiskTier.UNACCEPTABLE:
-            record.compliance_status = ComplianceStatus.SUSPENDED
             change["status"] = ComplianceStatus.SUSPENDED.value
-        record.version += 1
-        self.chain.append(
-            EventKind.DID_UPDATED,
-            {"did": record.did, "version": record.version, "change": change},
-            actor=actor,
-            epoch=epoch,
-        )
-        return record.version
+        return self._update(record, change, actor, epoch)
 
     def system_set_status(self, did: str, status: ComplianceStatus, *, epoch: int = 0,
                           actor: str = "compliance-engine") -> int:
         """Automated status write (regulation re-checks, audit outcomes)."""
-        record = self.get(did)
-        record.compliance_status = status
-        record.version += 1
-        self.chain.append(
-            EventKind.DID_UPDATED,
-            {"did": record.did, "version": record.version,
-             "change": {"status": status.value}},
-            actor=actor,
-            epoch=epoch,
-        )
-        return record.version
-
-    # --- metadata convenience ---
-
-    def attach_metadata(self, did: str, blob: bytes, actor: str, *, epoch: int = 0) -> bytes:
-        """Store a blob off-chain and record only its address on the record."""
-        address = self.store.store(blob)
-        self.update_did(did, actor, metadata_ref=address, epoch=epoch)
-        return address
-
-
-def metadata_blob(payload: dict) -> bytes:
-    """Canonical bytes for a metadata document."""
-    return canonical_json_bytes(payload)
+        return self._update(self.get(did), {"status": status.value}, actor, epoch)

@@ -33,6 +33,7 @@ from .encoding import (
 )
 from .errors import (
     EncodingError,
+    GovSimError,
     IoError,
     NothingToSeal,
     OrderingViolation,
@@ -389,6 +390,25 @@ def save_chain(chain: Chain, path: str | Path) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
+def _header_chain(raw: bytes) -> Chain:
+    """The empty chain that a file header describes; IoError if it is malformed."""
+    try:
+        header = from_canonical_json(raw)
+        if not isinstance(header, dict) or not isinstance(header.get("authorities"), dict):
+            raise TypeError("the header and its authorities must be objects")
+        quorum, capacity = header.get("quorum"), header.get("capacity")
+        if type(quorum) is not int or type(capacity) is not int:
+            raise TypeError("quorum and capacity must be integers")
+        return Chain(
+            {aid: bytes.fromhex(pub) for aid, pub in header["authorities"].items()},
+            quorum=quorum,
+            capacity=capacity,
+            scheme=header.get("scheme"),
+        )
+    except (TypeError, ValueError, GovSimError) as exc:
+        raise IoError(f"bad chain header: {exc}") from exc
+
+
 def load_chain(path: str | Path) -> Chain:
     try:
         data = Path(path).read_bytes()
@@ -400,13 +420,7 @@ def load_chain(path: str | Path) -> Chain:
     version = reader.raw(1)[0]
     if version != CHAIN_FORMAT_VERSION:
         raise IoError(f"unsupported chain format version {version}")
-    header = from_canonical_json(reader.bytes_())
-    chain = Chain(
-        {aid: bytes.fromhex(pub) for aid, pub in header["authorities"].items()},
-        quorum=header["quorum"],
-        capacity=header["capacity"],
-        scheme=header["scheme"],
-    )
+    chain = _header_chain(reader.bytes_())
     n_blocks = reader.u64()
     for _ in range(n_blocks):
         block_reader = ByteReader(reader.bytes_())
@@ -418,7 +432,3 @@ def load_chain(path: str | Path) -> Chain:
         raise IoError("trailing bytes after final block")
     return chain
 
-
-def verify_chain_file(path: str | Path) -> ChainVerification:
-    chain = load_chain(path)
-    return verify_chain(chain.blocks, chain.authorities, chain.quorum, chain.scheme_name)

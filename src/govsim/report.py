@@ -1,12 +1,13 @@
 """Report building as a pure fold over sealed chain events.
 
-Everything in a run report is reconstructed from event payloads alone: the
-token position is the token events folded through ``TokenLedger.apply``, the
-same transition the live ledger runs; DID records are rebuilt from
-registration/update events, and per-epoch risk scores are recomputed from
-on-chain assessment/audit/incident data plus the config snapshot embedded
-in the genesis event. The simulator itself reports via this fold, and
-``verify`` re-runs it against the emitted report file.
+Everything in a run report is reconstructed from event payloads alone. The
+token position, the DID records and the incidents are the events folded
+through ``TokenLedger.apply``, ``DidRegistry.apply`` and ``IncidentLog.apply``,
+the same transitions the live simulator runs, into a chain-less ledger,
+registry and log. Per-epoch risk scores are recomputed from on-chain
+assessment/audit/incident data plus the config snapshot embedded in the
+genesis event. The simulator itself reports via this fold, and ``verify``
+re-runs it against the emitted report file.
 
 The fold is one pass over the events. The per-(system, epoch) lookups that
 the score series needs read indexes that ``ChainFold`` builds during that
@@ -28,8 +29,9 @@ from typing import Sequence
 
 from .encoding import as_fraction
 from .errors import IoError, UnsupportedFormat
+from .identity import DID_EVENT_KINDS, DidRegistry
 from .ledger import Block, EventKind
-from .risk import RiskWeights, compute_risk_score
+from .risk import INCIDENT_EVENT_KINDS, IncidentLog, RiskWeights, compute_risk_score
 from .tokens import TOKEN_EVENT_KINDS, TokenLedger
 
 
@@ -40,11 +42,13 @@ class ChainFold:
         self.blocks = blocks
         self.genesis_meta: dict = {}
         self.tokens = TokenLedger(0, {})
-        self.dids: dict[str, dict] = {}
+        self.registry = DidRegistry(None)
         self.did_events: dict[str, list[dict]] = defaultdict(list)
         self.assessments: dict[int, dict[str, dict]] = defaultdict(dict)
         self.audits: list[dict] = []
-        self.incidents: dict[str, dict] = {}
+        self.incident_log = IncidentLog(None)
+        # The log's own id -> incident dict, in raise order.
+        self.incidents = self.incident_log.incidents
         # Indexes over audits and incidents, filled as events are applied.
         self._failed_audits: set[tuple[str, int]] = set()
         self._incident_ids: dict[str, set[str]] = defaultdict(set)
@@ -73,31 +77,8 @@ class ChainFold:
             if body.get("op") == "mint_genesis":
                 self.genesis_meta = body
             self.tokens.apply(kind, body)
-        elif kind == EventKind.DID_REGISTERED:
-            self.dids[body["did"]] = {
-                "did": body["did"],
-                "owner": body["owner"],
-                "purpose": body["purpose"],
-                "risk_tier": body["risk_tier"],
-                "compliance_status": "UNDER_REVIEW",
-                "version": body["version"],
-                "exposure": body.get("exposure", "1/2"),
-                "metadata_refs": body.get("metadata_refs", []),
-            }
-            self.did_events[body["did"]].append({"epoch": epoch, **body})
-        elif kind == EventKind.DID_UPDATED:
-            record = self.dids.get(body["did"])
-            if record is not None:
-                record["version"] = body["version"]
-                change = body.get("change", {})
-                if "status" in change:
-                    record["compliance_status"] = change["status"]
-                if "risk_tier" in change:
-                    record["risk_tier"] = change["risk_tier"]
-                if "purpose" in change:
-                    record["purpose"] = change["purpose"]
-                if "metadata_ref" in change:
-                    record["metadata_refs"].append(change["metadata_ref"])
+        elif kind in DID_EVENT_KINDS:
+            self.registry.apply(kind, body)
             self.did_events[body["did"]].append({"epoch": epoch, **body})
         elif kind == EventKind.ACCESS_LOGGED:
             self.access_logged += 1
@@ -114,18 +95,9 @@ class ChainFold:
             self.audits.append(audit)
             if audit["outcome"] in ("FAIL", "INCONCLUSIVE"):
                 self._failed_audits.add((audit["did"], audit["epoch"]))
-        elif kind == EventKind.INCIDENT_RAISED:
-            self._incident_ids[body["did"]].add(body["incident_id"])
-            self.incidents[body["incident_id"]] = {
-                "incident_id": body["incident_id"],
-                "did": body["did"],
-                "severity": body["severity"],
-                "transitions": [["RAISED", epoch]],
-            }
-        elif kind == EventKind.INCIDENT_ADVANCED:
-            self.incidents[body["incident_id"]]["transitions"].append(
-                [body["state"], epoch]
-            )
+        elif kind in INCIDENT_EVENT_KINDS:
+            incident = self.incident_log.apply(kind, body, epoch)
+            self._incident_ids[incident.system_did].add(incident.incident_id)
         elif kind == EventKind.RISK_RECLASSIFIED:
             self.reclassifications.append({"epoch": epoch, **body})
         elif kind == EventKind.PROPOSAL_SUBMITTED:
@@ -169,10 +141,10 @@ class ChainFold:
         open_count = 0
         for incident_id in self._incident_ids.get(did, ()):
             incident = self.incidents[incident_id]
-            if incident["did"] != did:
+            if incident.system_did != did:
                 continue  # the id was raised again for another system
             state = None
-            for name, at_epoch in incident["transitions"]:
+            for name, at_epoch in incident.transitions:
                 if at_epoch <= epoch:
                     state = name
             if state in ("RAISED", "CONTAINED"):
@@ -191,12 +163,12 @@ class ChainFold:
     def score_series(self) -> dict[str, list[list]]:
         """Recompute each system's per-epoch score from on-chain inputs."""
         weights = self.risk_weights()
-        # Scores and exposures repeat: each distinct string is parsed once.
+        # Scores repeat: each distinct string is parsed once.
         fraction = cache(as_fraction)
         series: dict[str, list[list]] = defaultdict(list)
         for epoch in sorted(self.assessments):
             for did in sorted(self.assessments[epoch]):
-                record = self.dids.get(did)
+                record = self.registry.records.get(did)
                 if record is None:
                     continue
                 entry = self.assessments[epoch][did]
@@ -204,7 +176,7 @@ class ChainFold:
                     fraction(entry["score"]),
                     self.audit_failed_at(did, epoch - 1),
                     self.incident_open_at(did, epoch),
-                    fraction(record["exposure"]),
+                    record.exposure,
                     weights,
                 )
                 series[did].append([epoch, str(score)])
@@ -267,7 +239,7 @@ def build_report(blocks: Sequence[Block]) -> dict:
         "risk_metrics": {
             "scores": fold.score_series(),
             "reclassifications": fold.reclassifications,
-            "incidents": [fold.incidents[k] for k in sorted(fold.incidents)],
+            "incidents": [fold.incidents[k].to_json() for k in sorted(fold.incidents)],
         },
         "governance": {
             "proposals": [fold.proposals[k] for k in sorted(fold.proposals)],

@@ -8,6 +8,10 @@ failures, open incidents and a static exposure weight:
 with default weights 0.5/0.2/0.2/0.1. Tier cuts at 0.9/0.6/0.3 map scores
 onto the four-tier taxonomy; the registry stores the authoritative tier,
 written through on every change.
+
+``IncidentLog.apply`` is the one incident transition: ``raise_incident`` and
+``advance_incident`` apply the body they append, and the report fold applies
+the same bodies to a chain-less log.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
-from .encoding import as_fraction
+from .encoding import ONE, as_fraction
 from .errors import InsufficientHistory, InvalidInput, TerminalState
 from .identity import ComplianceStatus, DidRegistry, RiskTier
 from .ledger import Chain, EventKind
@@ -51,7 +55,7 @@ class TierThresholds(_NamedFractions):
     limited: Fraction = Fraction(3, 10)
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
 def compute_risk_score(
@@ -84,7 +88,7 @@ def compute_risk_score(
     if num <= 0:
         return _ZERO
     if num >= den:
-        return _ONE
+        return ONE
     return Fraction(num, den)
 
 
@@ -171,12 +175,22 @@ class Incident:
         """Counts toward the risk score until resolved."""
         return self.state in (IncidentState.RAISED, IncidentState.CONTAINED)
 
+    def to_json(self) -> dict:
+        return {"incident_id": self.incident_id, "did": self.system_did,
+                "severity": self.severity.value,
+                "transitions": [list(step) for step in self.transitions]}
+
+
+# The event kinds that ``IncidentLog.apply`` folds.
+INCIDENT_EVENT_KINDS = frozenset({EventKind.INCIDENT_RAISED, EventKind.INCIDENT_ADVANCED})
+
 
 class IncidentLog:
     def __init__(self, chain: Optional[Chain], registry: Optional[DidRegistry] = None):
         self.chain = chain
         self.registry = registry
-        self.incidents: list[Incident] = []
+        # Every incident by id, in raise order.
+        self.incidents: dict[str, Incident] = {}
         # Incidents not yet at POSTMORTEM_FILED, by id in raise order, and
         # the number of open ones per system: kept as incidents move, so
         # neither the risk phase nor open_count walks the whole log.
@@ -184,27 +198,42 @@ class IncidentLog:
         self._open_counts: dict[str, int] = {}
         self._seq = 0
 
+    # --- the transition ---
+
+    def apply(self, kind: EventKind, body: Mapping, epoch: int) -> Incident:
+        """Apply one event of ``INCIDENT_EVENT_KINDS`` at ``epoch``; returns the
+        incident. ``body`` is trusted: the live methods validate before they
+        build it."""
+        if kind is EventKind.INCIDENT_RAISED:
+            incident = Incident(body["incident_id"], body["did"], Severity(body["severity"]))
+            self.incidents[incident.incident_id] = incident
+            self.active[incident.incident_id] = incident
+            was_open = False
+        else:
+            incident = self.incidents[body["incident_id"]]
+            was_open = incident.open_()
+            incident.state = IncidentState(body["state"])
+            if incident.state is IncidentState.POSTMORTEM_FILED:
+                self.active.pop(incident.incident_id, None)
+        incident.transitions.append((incident.state.value, epoch))
+        did = incident.system_did
+        self._open_counts[did] = self._open_counts.get(did, 0) + incident.open_() - was_open
+        return incident
+
+    def _record(self, kind: EventKind, body: dict, epoch: int) -> Incident:
+        incident = self.apply(kind, body, epoch)
+        if self.chain is not None:
+            self.chain.append(kind, body, actor="incident-response", epoch=epoch)
+        return incident
+
     def raise_incident(self, system_did: str, severity: Severity, *, epoch: int = 0) -> Incident:
         """Open an incident; CRITICAL suspends the system until resolved."""
         if self.registry is not None:
             self.registry.get(system_did)  # existence check
         self._seq += 1
-        incident = Incident(
-            incident_id=f"incident-{self._seq:04d}",
-            system_did=system_did,
-            severity=severity,
-        )
-        incident.transitions.append((IncidentState.RAISED.value, epoch))
-        self.incidents.append(incident)
-        self.active[incident.incident_id] = incident
-        self._open_counts[system_did] = self._open_counts.get(system_did, 0) + 1
-        if self.chain is not None:
-            self.chain.append(
-                EventKind.INCIDENT_RAISED,
-                {"incident_id": incident.incident_id, "did": system_did,
-                 "severity": severity.value, "state": incident.state.value},
-                actor="incident-response", epoch=epoch,
-            )
+        body = {"incident_id": f"incident-{self._seq:04d}", "did": system_did,
+                "severity": severity.value, "state": IncidentState.RAISED.value}
+        incident = self._record(EventKind.INCIDENT_RAISED, body, epoch)
         if severity == Severity.CRITICAL and self.registry is not None:
             self.registry.system_set_status(
                 system_did, ComplianceStatus.SUSPENDED,
@@ -217,20 +246,9 @@ class IncidentLog:
         position = INCIDENT_ORDER.index(incident.state)
         if position == len(INCIDENT_ORDER) - 1:
             raise TerminalState(f"{incident.incident_id} already at POSTMORTEM_FILED")
-        was_open = incident.open_()
-        incident.state = INCIDENT_ORDER[position + 1]
-        incident.transitions.append((incident.state.value, epoch))
-        if was_open and not incident.open_():
-            self._open_counts[incident.system_did] -= 1
-        if incident.state == IncidentState.POSTMORTEM_FILED:
-            del self.active[incident.incident_id]
-        if self.chain is not None:
-            self.chain.append(
-                EventKind.INCIDENT_ADVANCED,
-                {"incident_id": incident.incident_id, "did": incident.system_did,
-                 "state": incident.state.value},
-                actor="incident-response", epoch=epoch,
-            )
+        body = {"incident_id": incident.incident_id, "did": incident.system_did,
+                "state": INCIDENT_ORDER[position + 1].value}
+        self._record(EventKind.INCIDENT_ADVANCED, body, epoch)
         if (incident.state == IncidentState.RESOLVED
                 and incident.severity == Severity.CRITICAL
                 and self.registry is not None):

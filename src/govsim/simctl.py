@@ -207,6 +207,19 @@ def _fail(path: str, message: str) -> None:
     raise ScenarioError(f"{path}: {message}")
 
 
+def _object(value: Any, path: str) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        _fail(path, "must be an object")
+    return value
+
+
+def _integer(value: Any, path: str, low: int) -> int:
+    """A scenario count or amount: a JSON integer (not a bool) of at least ``low``."""
+    if type(value) is not int or value < low:
+        _fail(path, f"must be an integer >= {low}")
+    return value
+
+
 def _at_least(low: int) -> Callable[[Any], int]:
     def parse(value: Any) -> int:
         number = int(value)
@@ -351,7 +364,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
     seen_ids: set[str] = set()
     for i, entry in enumerate(raw.get("stakeholders", [])):
         path = f"stakeholders[{i}]"
-        sid = entry.get("id")
+        sid = _object(entry, path).get("id")
         if not sid or sid in seen_ids:
             _fail(path, "missing or duplicate id")
         seen_ids.add(sid)
@@ -359,18 +372,20 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
             role = Role(entry["role"])
         except (KeyError, ValueError):
             _fail(f"{path}.role", f"unknown role {entry.get('role')!r}")
-        stakes = entry.get("stakes", [])
-        for j, stake in enumerate(stakes):
-            if int(stake.get("amount", 0)) <= 0 or int(stake.get("lock_epochs", 0)) < 1:
-                _fail(f"{path}.stakes[{j}]", "amount must be positive, lock_epochs >= 1")
+        stakes = []
+        for j, stake in enumerate(entry.get("stakes", [])):
+            stake_path = f"{path}.stakes[{j}]"
+            _object(stake, stake_path)
+            stakes.append({"amount": _integer(stake.get("amount"), f"{stake_path}.amount", 1),
+                           "lock_epochs": _integer(stake.get("lock_epochs"),
+                                                   f"{stake_path}.lock_epochs", 1)})
         auditor_spec = entry.get("auditor")
         if auditor_spec is not None and role != Role.AUDITOR:
             _fail(f"{path}.auditor", "auditor block on a non-AUDITOR stakeholder")
         stakeholders.append(StakeholderSpec(
-            id=sid, role=role, balance=int(entry.get("balance", 0)),
-            stakes=[{"amount": int(s["amount"]), "lock_epochs": int(s["lock_epochs"])}
-                    for s in stakes],
-            auditor=auditor_spec,
+            id=sid, role=role,
+            balance=_integer(entry.get("balance", 0), f"{path}.balance", 0),
+            stakes=stakes, auditor=auditor_spec,
         ))
 
     rules = [_parse_rule(r, f"rules[{i}]") for i, r in enumerate(raw.get("rules", []))]
@@ -380,7 +395,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
     system_ids: set[str] = set()
     for i, entry in enumerate(raw.get("ai_systems", [])):
         path = f"ai_systems[{i}]"
-        sid = entry.get("id")
+        sid = _object(entry, path).get("id")
         if not sid or sid in system_ids:
             _fail(path, "missing or duplicate id")
         system_ids.add(sid)
@@ -432,7 +447,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
     regulation_epochs: set[int] = set()
     for i, event in enumerate(raw.get("injected_events", [])):
         path = f"injected_events[{i}]"
-        kind = event.get("kind")
+        kind = _object(event, path).get("kind")
         if kind not in INJECTION_KINDS:
             _fail(f"{path}.kind", f"unknown injection kind {kind!r}")
         epoch = event.get("epoch")
@@ -453,25 +468,41 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
                 _fail(f"{path}.severity", f"unknown severity {event.get('severity')!r}")
         if kind == "COLLUSION":
             pair = event.get("pair", [])
-            if len(pair) != 2 or any(p not in seen_ids for p in pair):
-                _fail(f"{path}.pair", "needs two known stakeholder ids")
-            if int(event.get("proposals", 0)) < 1:
-                _fail(f"{path}.proposals", "needs a positive proposal count")
+            if len(set(pair)) != 2 or any(p not in seen_ids for p in pair):
+                _fail(f"{path}.pair", "needs two distinct known stakeholder ids")
+            _integer(event.get("proposals"), f"{path}.proposals", 1)
         if kind == "PROPOSAL":
-            proposal = event.get("proposal", {})
+            proposal = _object(event.get("proposal", {}), f"{path}.proposal")
             try:
                 governance_mod.ProposalKind(proposal.get("kind"))
             except ValueError:
                 _fail(f"{path}.proposal.kind", f"unknown kind {proposal.get('kind')!r}")
+            try:
+                mode = governance_mod.VoteMode(proposal.get("mode", "LINEAR"))
+            except ValueError:
+                _fail(f"{path}.proposal.mode", f"unknown mode {proposal.get('mode')!r}")
             explicit_id = proposal.get("id")
             if explicit_id is not None:
                 if explicit_id in proposal_ids:
                     _fail(f"{path}.proposal.id", f"duplicate id {explicit_id!r}")
                 proposal_ids.add(explicit_id)
+            voters: set[str] = set()
             for j, vote in enumerate(proposal.get("votes", [])):
-                if vote.get("voter") not in seen_ids:
-                    _fail(f"{path}.proposal.votes[{j}].voter",
-                          f"unknown stakeholder {vote.get('voter')!r}")
+                vote_path = f"{path}.proposal.votes[{j}]"
+                voter = _object(vote, vote_path).get("voter")
+                if voter not in seen_ids:
+                    _fail(f"{vote_path}.voter", f"unknown stakeholder {voter!r}")
+                if voter in voters:
+                    _fail(f"{vote_path}.voter", f"{voter!r} already voted on this proposal")
+                voters.add(voter)
+                try:
+                    governance_mod.VoteDirection(vote.get("direction"))
+                except ValueError:
+                    _fail(f"{vote_path}.direction",
+                          f"unknown direction {vote.get('direction')!r}")
+                magnitude = _integer(vote.get("magnitude", 1), f"{vote_path}.magnitude", 1)
+                if mode is governance_mod.VoteMode.LINEAR and magnitude != 1:
+                    _fail(f"{vote_path}.magnitude", "LINEAR votes carry magnitude 1")
         injected.append(dict(event))
 
     return SimScenario(
@@ -602,7 +633,7 @@ class Simulator:
                 metadata_blobs = [canonical_json_bytes(spec.metadata)]
             did = self.registry.register_did(
                 public_key, spec.purpose, spec.risk_tier, spec.owner,
-                epoch=0, exposure=str(spec.exposure),
+                epoch=0, exposure=spec.exposure,
                 metadata_blobs=metadata_blobs,
             )
             self._system_ids[spec.id] = did
@@ -829,13 +860,13 @@ class Simulator:
                 self.governance.cast_vote(
                     vote["voter"], proposal_id,
                     governance_mod.VoteDirection(vote["direction"]),
-                    magnitude=int(vote.get("magnitude", 1)),
+                    magnitude=vote.get("magnitude", 1),
                     epoch=epoch)
             tallied.append(proposal_id)
 
         for injection in self._injections(epoch, "COLLUSION"):
             pair = list(injection["pair"])
-            for _ in range(int(injection["proposals"])):
+            for _ in range(injection["proposals"]):
                 proposal_id = self._next_proposal_id("collusion", epoch)
                 self.governance.submit_proposal(
                     proposal_id, governance_mod.ProposalKind.ROUTINE,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional
 
-from .encoding import canonical_json_bytes, sha256
+from .encoding import ONE, canonical_json_bytes, sha256
 from .errors import InsufficientTokens, InvalidAllocation, InvalidInput, StillLocked
 from .ledger import Chain, EventKind
 
@@ -322,7 +322,7 @@ class TokenLedger:
         # w / total_weight, so each share is one integer division.
         scaled: list[tuple[str, int, int]] = []
         for holder in sorted(self.stakes):
-            c = factors.get(holder, Fraction(1))
+            c = factors.get(holder, ONE)
             if not 0 <= c <= 1:
                 raise InvalidInput(f"compliance factor out of [0,1] for {holder}")
             sd = sum(e.amount * e.elapsed(epoch) for e in self.stakes[holder])

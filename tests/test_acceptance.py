@@ -323,9 +323,8 @@ def test_c06_cadence_exact_counts_over_64_epochs():
     systems = {}
     for tier in (RiskTier.HIGH, RiskTier.LIMITED, RiskTier.MINIMAL):
         systems[f"sys-{tier.value}"] = AISystemRecord(
-            did=f"sys-{tier.value}", public_key=tier.value.encode(),
-            risk_tier=tier, compliance_status=ComplianceStatus.COMPLIANT,
-            purpose="t", owner="o")
+            did=f"sys-{tier.value}", risk_tier=tier,
+            compliance_status=ComplianceStatus.COMPLIANT, purpose="t", owner="o")
     stream = DeterministicStream(1, "audit")
     counts = {tier: 0 for tier in (RiskTier.HIGH, RiskTier.LIMITED, RiskTier.MINIMAL)}
     for epoch in range(1, 65):
@@ -423,7 +422,7 @@ def test_c08_1000_single_bit_corruptions_all_forged():
     audits = AuditRegistry(None, registry, ["body"])
     audits.accredit_auditor("aud-1", "body", list(RuleDomain), 10 ** 6, epoch=0)
     system = AISystemRecord(
-        did="d", public_key=b"k", risk_tier=RiskTier.HIGH,
+        did="d", risk_tier=RiskTier.HIGH,
         compliance_status=ComplianceStatus.COMPLIANT, purpose="t", owner="o")
     rng = random.Random(808)
     for trial in range(1000):

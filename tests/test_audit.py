@@ -44,9 +44,8 @@ def rules_with_capital():
 
 def system(did_suffix, tier):
     return AISystemRecord(
-        did=f"did:govsim:{did_suffix:0>32}", public_key=did_suffix.encode(),
-        risk_tier=tier, compliance_status=ComplianceStatus.UNDER_REVIEW,
-        purpose="t", owner="bank-1",
+        did=f"did:govsim:{did_suffix:0>32}", risk_tier=tier,
+        compliance_status=ComplianceStatus.UNDER_REVIEW, purpose="t", owner="bank-1",
     )
 
 

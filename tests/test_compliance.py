@@ -49,7 +49,7 @@ def capital_rule(threshold=0.08):
 
 def system(tier=RiskTier.HIGH, did="did:govsim:" + "ab" * 16):
     return AISystemRecord(
-        did=did, public_key=b"\x01" * 32, risk_tier=tier,
+        did=did, risk_tier=tier,
         compliance_status=ComplianceStatus.UNDER_REVIEW,
         purpose="test", owner="bank-1",
     )

@@ -108,10 +108,10 @@ def _audit_failed_scan(fold: ChainFold, did: str, epoch: int) -> bool:
 def _incident_open_scan(fold: ChainFold, did: str, epoch: int) -> int:
     open_count = 0
     for incident in fold.incidents.values():
-        if incident["did"] != did:
+        if incident.system_did != did:
             continue
         state = None
-        for name, at_epoch in incident["transitions"]:
+        for name, at_epoch in incident.transitions:
             if at_epoch <= epoch:
                 state = name
         if state in ("RAISED", "CONTAINED"):
@@ -206,7 +206,7 @@ def test_incident_counts_equal_full_scan(ops):
         if op[0] == "raise":
             log.raise_incident(op[1], op[2], epoch=epoch)
         elif log.incidents:
-            incident = log.incidents[op[1] % len(log.incidents)]
+            incident = list(log.incidents.values())[op[1] % len(log.incidents)]
             if incident.state == IncidentState.POSTMORTEM_FILED:
                 with pytest.raises(TerminalState):
                     log.advance_incident(incident, epoch=epoch)
@@ -214,10 +214,10 @@ def test_incident_counts_equal_full_scan(ops):
                 log.advance_incident(incident, epoch=epoch)
         for did in [*DIDS, "did:unknown"]:
             assert log.open_count(did) == sum(
-                1 for i in log.incidents if i.system_did == did and i.open_())
+                1 for i in log.incidents.values() if i.system_did == did and i.open_())
         # Raise order, which the risk phase advances them in.
         assert list(log.active.values()) == [
-            i for i in log.incidents if i.state != IncidentState.POSTMORTEM_FILED]
+            i for i in log.incidents.values() if i.state != IncidentState.POSTMORTEM_FILED]
 
 
 # --- compliance: per-epoch feed index vs sorted full scan ---

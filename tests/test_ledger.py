@@ -374,6 +374,51 @@ def test_bytes_appended_inside_event_frame_rejected(reference_results, tmp_path)
         load_chain(path)
 
 
+def _with_header(data: bytes, header: bytes) -> bytes:
+    """The chain file with its header JSON replaced by ``header``."""
+    at = 16 + 1  # magic, then the version byte
+    (length,) = struct.unpack_from("<I", data, at)
+    return data[:at] + struct.pack("<I", len(header)) + header + data[at + 4 + length:]
+
+
+def _first_authority(header: dict, value) -> dict:
+    first = sorted(header["authorities"])[0]
+    return {**header, "authorities": {**header["authorities"], first: value}}
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda h: _first_authority(h, "not hex"),
+    lambda h: _first_authority(h, 7),
+    lambda h: {k: v for k, v in h.items() if k != "quorum"},
+    lambda h: {**h, "quorum": 0},
+    lambda h: {**h, "capacity": 0},
+    lambda h: [h],
+    lambda h: {**h, "authorities": list(h["authorities"].values())},
+    lambda h: {**h, "quorum": "2"},
+    lambda h: {**h, "quorum": True},
+    lambda h: {**h, "authorities": {}},
+    lambda h: {**h, "scheme": "rsa"},
+    lambda h: {**h, "scheme": ["seeded"]},
+    lambda h: None,
+], ids=["key-not-hex", "key-not-string", "no-quorum", "quorum-0", "capacity-0",
+        "header-list", "authorities-list", "quorum-string", "quorum-bool",
+        "authorities-empty", "scheme-unknown", "scheme-list", "not-json"])
+def test_malformed_chain_header_rejected(reference_results, tmp_path, mutate):
+    chain = reference_results["credit_scoring"].chain
+    header = {"authorities": {aid: key.hex() for aid, key in chain.authorities.items()},
+              "quorum": chain.quorum, "capacity": chain.capacity,
+              "scheme": chain.scheme_name}
+    path = tmp_path / "chain.db"
+    save_chain(chain, path)
+    data = path.read_bytes()
+    # The header rebuilt here is the one on file, so only ``mutate`` breaks it.
+    assert _with_header(data, canonical_json_bytes(header)) == data
+    bad = mutate(header)
+    path.write_bytes(_with_header(data, b"{" if bad is None else canonical_json_bytes(bad)))
+    with pytest.raises(IoError, match="bad chain header"):
+        load_chain(path)
+
+
 @pytest.mark.parametrize("kind_bytes, message", [
     (b"HEARTBEAX", "unknown event kind 'HEARTBEAX'"),
     (b"HEARTBEA\xff", "invalid UTF-8"),

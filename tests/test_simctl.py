@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from govsim.simctl import (
     run_scenario,
     verify_run,
 )
-from tests.conftest import scenario_path
+from tests.conftest import REFERENCE_SCENARIOS, scenario_path
 
 EMPTY_SCENARIO = {"seed": 3, "epochs": 10}
 
@@ -166,6 +167,21 @@ def test_unknown_export_format(tmp_path, reference_results):
 
 # --- scenario validation ---
 
+def _voting(*votes, mode="LINEAR") -> dict:
+    """A scenario mutation: one proposal with these votes at epoch 1."""
+    return {"injected_events": [{"epoch": 1, "kind": "PROPOSAL", "proposal": {
+        "kind": "ROUTINE", "mode": mode, "votes": list(votes)}}]}
+
+
+def _first_holder(**fields) -> dict:
+    """A scenario mutation: the first stakeholder with these fields changed."""
+    holders = json.loads(scenario_path("credit_scoring").read_text())["stakeholders"]
+    return {"stakeholders": [{**holders[0], **fields}, *holders[1:]]}
+
+
+_FOR = {"voter": "bank-alpha", "direction": "FOR"}
+
+
 @pytest.mark.parametrize("mutation,expected_path", [
     ({"epochs": 0}, "epochs"),
     ({"stakeholders": [{"id": "x", "role": "WIZARD"}]}, "stakeholders[0].role"),
@@ -175,11 +191,40 @@ def test_unknown_export_format(tmp_path, reference_results):
      "injected_events[0].epoch"),
     ({"injected_events": [{"epoch": 1, "kind": "TSUNAMI"}]},
      "injected_events[0].kind"),
+    # Each case below used to load and then crash mid-run, or crash the loader.
+    (_voting({"voter": "bank-alpha", "direction": "MAYBE"}),
+     "injected_events[0].proposal.votes[0].direction"),
+    (_voting(_FOR, {**_FOR, "direction": "AGAINST"}),
+     "injected_events[0].proposal.votes[1].voter"),
+    (_voting({**_FOR, "magnitude": "big"}, mode="QUADRATIC"),
+     "injected_events[0].proposal.votes[0].magnitude"),
+    (_voting({**_FOR, "magnitude": 0}, mode="QUADRATIC"),
+     "injected_events[0].proposal.votes[0].magnitude"),
+    (_voting({**_FOR, "magnitude": 2}), "injected_events[0].proposal.votes[0].magnitude"),
+    (_voting(_FOR, mode="RANKED"), "injected_events[0].proposal.mode"),
+    (_voting("bank-alpha"), "injected_events[0].proposal.votes[0]"),
+    (_first_holder(balance="lots"), "stakeholders[0].balance"),
+    (_first_holder(balance=1.5), "stakeholders[0].balance"),
+    (_first_holder(balance=-1), "stakeholders[0].balance"),
+    (_first_holder(stakes=[{"amount": "10", "lock_epochs": 2}]),
+     "stakeholders[0].stakes[0].amount"),
+    (_first_holder(stakes=[{"amount": 10, "lock_epochs": 2.5}]),
+     "stakeholders[0].stakes[0].lock_epochs"),
+    (_first_holder(stakes=[[10, 2]]), "stakeholders[0].stakes[0]"),
+    ({"stakeholders": ["bank-alpha"]}, "stakeholders[0]"),
+    ({"ai_systems": [7]}, "ai_systems[0]"),
+    ({"injected_events": ["boom"]}, "injected_events[0]"),
+    ({"injected_events": [{"epoch": 1, "kind": "COLLUSION",
+                           "pair": ["bank-alpha", "bank-alpha"], "proposals": 2}]},
+     "injected_events[0].pair"),
+    ({"injected_events": [{"epoch": 1, "kind": "COLLUSION",
+                           "pair": ["bank-alpha", "regulator-eu"], "proposals": "2"}]},
+     "injected_events[0].proposals"),
 ])
 def test_scenario_errors_carry_field_paths(mutation, expected_path):
     base = json.loads(scenario_path("credit_scoring").read_text())
     base.update(mutation)
-    with pytest.raises(ScenarioError, match=expected_path.replace("[", r"\[")):
+    with pytest.raises(ScenarioError, match="^" + re.escape(expected_path) + ":"):
         load_scenario(base)
 
 
@@ -300,15 +345,17 @@ def test_cli_run_reports_a_bad_config_value_without_a_traceback(tmp_path):
 
 # --- fold views ---
 
-def test_fold_rebuilds_did_record(reference_results):
-    result = reference_results["credit_scoring"]
-    fold = ChainFold(result.chain.blocks)
-    for did, live in result.registry.records.items():
-        rebuilt = fold.dids[did]
-        assert rebuilt["compliance_status"] == live.compliance_status.value
-        assert rebuilt["risk_tier"] == live.risk_tier.value
-        assert rebuilt["version"] == live.version
-        assert rebuilt["owner"] == live.owner
+def test_fold_rebuilds_did_record():
+    """The fold's DID records and incidents equal the live run's, every field
+    and in the same order, on each reference scenario."""
+    for name in REFERENCE_SCENARIOS:
+        simulator = Simulator(load_scenario(scenario_path(name)))
+        result = simulator.run()
+        fold = ChainFold(result.chain.blocks)
+        assert list(fold.registry.records.items()) \
+            == list(result.registry.records.items()), name
+        assert list(fold.incidents.items()) \
+            == list(simulator.incidents.incidents.items()), name
 
 
 def test_fold_balances_match_live(reference_results):
@@ -357,7 +404,7 @@ def test_cli_inspect_did(tmp_path, capsys):
     cli_main(["run", str(scenario_path("credit_scoring")), "--out", str(out_dir)])
     chain = load_chain(out_dir / "chain.db")
     fold = ChainFold(chain.blocks)
-    did = next(iter(fold.dids))
+    did = next(iter(fold.registry.records))
     capsys.readouterr()
     assert cli_main(["inspect", str(out_dir / "chain.db"), "--did", did]) == 0
     payload = json.loads(capsys.readouterr().out)

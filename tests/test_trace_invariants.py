@@ -38,8 +38,8 @@ def test_every_fail_audit_is_penalized_same_epoch(reference_results):
         events = all_events(result)
         slashes = {(e.epoch, e.body()["holder"])
                    for e in events if e.kind == EventKind.SLASH_APPLIED}
-        fold_owner = {did: record["owner"]
-                      for did, record in ChainFold(result.chain.blocks).dids.items()}
+        fold_owner = {did: record.owner
+                      for did, record in ChainFold(result.chain.blocks).registry.records.items()}
         for e in events:
             if e.kind == EventKind.AUDIT_RECORDED and e.body()["outcome"] == "FAIL":
                 owner = fold_owner[e.body()["did"]]
