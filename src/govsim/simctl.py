@@ -18,10 +18,11 @@ the scenario seed, one stream per consumer.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Optional
 
 from . import audit as audit_mod
 from . import compliance as compliance_mod
@@ -95,6 +96,11 @@ PHASE_OF_KIND: dict[EventKind, frozenset[int]] = {
 }
 
 INJECTION_KINDS = {"VIOLATION", "COLLUSION", "REGULATION_CHANGE", "INCIDENT", "PROPOSAL"}
+# The values a scenario may name, read once per proposal or vote. Tuples,
+# not sets: the scenario may hold an unhashable value in those fields.
+_PROPOSAL_KINDS = tuple(kind.value for kind in governance_mod.ProposalKind)
+_VOTE_DIRECTIONS = tuple(direction.value for direction in governance_mod.VoteDirection)
+_VOTE_MODES = tuple(mode.value for mode in governance_mod.VoteMode)
 
 # Priority order when one system accrues several audit triggers in an epoch.
 _TRIGGER_PRIORITY = ["collusion", "mitigation", "violation", "forecast"]
@@ -208,7 +214,8 @@ def _fail(path: str, message: str) -> None:
 
 
 def _object(value: Any, path: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
+    # The dict test first: it is the common case, and the Mapping check is slow.
+    if type(value) is not dict and not isinstance(value, Mapping):
         _fail(path, "must be an object")
     return value
 
@@ -473,36 +480,34 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
             _integer(event.get("proposals"), f"{path}.proposals", 1)
         if kind == "PROPOSAL":
             proposal = _object(event.get("proposal", {}), f"{path}.proposal")
-            try:
-                governance_mod.ProposalKind(proposal.get("kind"))
-            except ValueError:
+            if proposal.get("kind") not in _PROPOSAL_KINDS:
                 _fail(f"{path}.proposal.kind", f"unknown kind {proposal.get('kind')!r}")
-            try:
-                mode = governance_mod.VoteMode(proposal.get("mode", "LINEAR"))
-            except ValueError:
-                _fail(f"{path}.proposal.mode", f"unknown mode {proposal.get('mode')!r}")
+            mode = proposal.get("mode", "LINEAR")
+            if mode not in _VOTE_MODES:
+                _fail(f"{path}.proposal.mode", f"unknown mode {mode!r}")
             explicit_id = proposal.get("id")
             if explicit_id is not None:
                 if explicit_id in proposal_ids:
                     _fail(f"{path}.proposal.id", f"duplicate id {explicit_id!r}")
                 proposal_ids.add(explicit_id)
+            # Every stakeholder may vote on every proposal, so these checks
+            # run per vote and build a field path only to report a failure.
             voters: set[str] = set()
             for j, vote in enumerate(proposal.get("votes", [])):
-                vote_path = f"{path}.proposal.votes[{j}]"
-                voter = _object(vote, vote_path).get("voter")
-                if voter not in seen_ids:
-                    _fail(f"{vote_path}.voter", f"unknown stakeholder {voter!r}")
-                if voter in voters:
-                    _fail(f"{vote_path}.voter", f"{voter!r} already voted on this proposal")
+                if type(vote) is not dict and not isinstance(vote, Mapping):
+                    _fail(f"{path}.proposal.votes[{j}]", "must be an object")
+                voter, magnitude = vote.get("voter"), vote.get("magnitude", 1)
+                if voter not in seen_ids or voter in voters:
+                    _fail(f"{path}.proposal.votes[{j}].voter",
+                          f"unknown stakeholder or second vote: {voter!r}")
                 voters.add(voter)
-                try:
-                    governance_mod.VoteDirection(vote.get("direction"))
-                except ValueError:
-                    _fail(f"{vote_path}.direction",
+                if vote.get("direction") not in _VOTE_DIRECTIONS:
+                    _fail(f"{path}.proposal.votes[{j}].direction",
                           f"unknown direction {vote.get('direction')!r}")
-                magnitude = _integer(vote.get("magnitude", 1), f"{vote_path}.magnitude", 1)
-                if mode is governance_mod.VoteMode.LINEAR and magnitude != 1:
-                    _fail(f"{vote_path}.magnitude", "LINEAR votes carry magnitude 1")
+                if (type(magnitude) is not int or magnitude < 1
+                        or (mode == "LINEAR" and magnitude != 1)):
+                    _fail(f"{path}.proposal.votes[{j}].magnitude",
+                          "must be an integer >= 1, and 1 on a LINEAR proposal")
         injected.append(dict(event))
 
     return SimScenario(
