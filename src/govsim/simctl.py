@@ -497,9 +497,12 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
                 if type(vote) is not dict and not isinstance(vote, Mapping):
                     _fail(f"{path}.proposal.votes[{j}]", "must be an object")
                 voter, magnitude = vote.get("voter"), vote.get("magnitude", 1)
-                if voter not in seen_ids or voter in voters:
+                if voter not in seen_ids:
                     _fail(f"{path}.proposal.votes[{j}].voter",
-                          f"unknown stakeholder or second vote: {voter!r}")
+                          f"unknown stakeholder {voter!r}")
+                if voter in voters:
+                    _fail(f"{path}.proposal.votes[{j}].voter",
+                          f"{voter!r} already voted on this proposal")
                 voters.add(voter)
                 if vote.get("direction") not in _VOTE_DIRECTIONS:
                     _fail(f"{path}.proposal.votes[{j}].direction",
