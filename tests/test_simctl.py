@@ -191,7 +191,7 @@ _FOR = {"voter": "bank-alpha", "direction": "FOR"}
      "injected_events[0].epoch"),
     ({"injected_events": [{"epoch": 1, "kind": "TSUNAMI"}]},
      "injected_events[0].kind"),
-    # Each case below used to load and then crash mid-run, or crash the loader.
+    # Each case below used to crash the loader or the run, or was coerced silently.
     (_voting({"voter": "bank-alpha", "direction": "MAYBE"}),
      "injected_events[0].proposal.votes[0].direction"),
     (_voting(_FOR, {**_FOR, "direction": "AGAINST"}),
