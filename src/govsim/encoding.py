@@ -2,9 +2,10 @@
 
 Two encodings live here and nothing else may hash or serialize differently:
 
-* canonical JSON: UTF-8/ASCII, keys sorted, compact separators, NaN/Inf
-  rejected. Used for event payload bodies, content addressing, commitments
-  and message checksums. Same logical value always yields identical bytes.
+* canonical JSON: UTF-8/ASCII, string keys only, keys sorted, compact
+  separators, NaN/Inf rejected. Used for event payload bodies, content
+  addressing, commitments and message checksums. Same logical value always
+  yields identical bytes.
 * binary framing: little-endian fixed-width integers and length-prefixed
   byte strings. Used for event/block hashing and the chain file, where a
   fixed field order is required for cross-implementation hash agreement.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 import struct
 from fractions import Fraction
 from typing import Any
@@ -33,8 +35,41 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+# Where a non-string key can show in canonical output. Sorting refuses an
+# object that mixes string and other keys, so such a key sits in an object
+# whose keys are all numbers, true, false or null; its first key is then
+# written as one of these, right after the opening brace.
+_SUSPECT_KEY = re.compile(r'\{"(?:[-0-9]|true"|false"|null")')
+
+
+def _refuse_non_str_keys(value: Any) -> None:
+    """EncodingError if any object key in this container is not a ``str``.
+
+    ``json.dumps`` writes an int key as a string but sorts it as a number
+    ({2: .., 10: ..} gives "2" before "10"), so such output need not parse
+    back to the same bytes. With only str keys it always does.
+    """
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise EncodingError(f"object key {key!r} is not a string")
+            if isinstance(item, (dict, list, tuple)):
+                _refuse_non_str_keys(item)
+    else:
+        for item in value:
+            if isinstance(item, (dict, list, tuple)):
+                _refuse_non_str_keys(item)
+
+
 def canonical_json_bytes(value: Any) -> bytes:
-    """Serialize to the unique canonical JSON byte form."""
+    """Serialize to the unique canonical JSON byte form.
+
+    Canonical by construction: every object key must be a ``str``, at any
+    depth, so the output is always the canonical form of the value it parses
+    back to and needs no ``is_canonical_json`` recheck. The keys are walked
+    only when the output shows an object whose first key could be another
+    type.
+    """
     try:
         text = json.dumps(
             value,
@@ -45,6 +80,8 @@ def canonical_json_bytes(value: Any) -> bytes:
         )
     except (TypeError, ValueError) as exc:
         raise EncodingError(f"value is not canonically serializable: {exc}") from exc
+    if _SUSPECT_KEY.search(text):
+        _refuse_non_str_keys(value)
     return text.encode("ascii")
 
 

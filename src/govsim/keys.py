@@ -32,12 +32,13 @@ class SeededScheme:
 
     def generate(self, seed: bytes) -> KeyPair:
         private = sha256(b"govsim-seeded-priv" + seed)
-        public = sha256(b"govsim-seeded-pub" + private)
-        return KeyPair(private=private, public=public)
+        return KeyPair(private=private, public=self.public_key(private))
+
+    def public_key(self, private: bytes) -> bytes:
+        return sha256(b"govsim-seeded-pub" + private)
 
     def sign(self, private: bytes, message: bytes) -> bytes:
-        public = sha256(b"govsim-seeded-pub" + private)
-        return sha256(b"govsim-seeded-sig" + public + message)
+        return sha256(b"govsim-seeded-sig" + self.public_key(private) + message)
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         return signature == sha256(b"govsim-seeded-sig" + public + message)
@@ -63,16 +64,20 @@ class Ed25519Scheme:
 
     def generate(self, seed: bytes) -> KeyPair:
         private = sha256(b"govsim-ed25519-seed" + seed)
-        key = self._mod.Ed25519PrivateKey.from_private_bytes(private)
-        public = key.public_key().public_bytes_raw()
-        return KeyPair(private=private, public=public)
+        return KeyPair(private=private, public=self.public_key(private))
 
-    def sign(self, private: bytes, message: bytes) -> bytes:
+    def _signing_key(self, private: bytes):
         key = self._signing_keys.get(private)
         if key is None:
             key = self._mod.Ed25519PrivateKey.from_private_bytes(private)
             self._signing_keys[private] = key
-        return key.sign(message)
+        return key
+
+    def public_key(self, private: bytes) -> bytes:
+        return self._signing_key(private).public_key().public_bytes_raw()
+
+    def sign(self, private: bytes, message: bytes) -> bytes:
+        return self._signing_key(private).sign(message)
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         try:

@@ -6,6 +6,18 @@ authority signatures over the candidate block hash. Verification is total:
 any single-byte mutation of a sealed chain is reported at (or before) the
 mutated height.
 
+Where each guarantee is established on the write path, so that each piece
+of work is done once:
+
+* canonical payloads: ``Chain.append`` encodes each body once with
+  ``canonical_json_bytes``, canonical by construction; only
+  ``append_event``, for events built outside the chain, rechecks the bytes.
+* signer validity: ``seal_all`` checks once per call that every private key
+  derives its authority's registered public key, then hashes and signs each
+  block once without verifying its own signatures. ``seal_block`` verifies
+  every signature passed in from outside, and ``verify_chain`` verifies
+  every sealed block's quorum.
+
 Concurrency: one writer (append/seal) at a time; reads against sealed
 blocks are safe concurrently with each other.
 """
@@ -198,22 +210,33 @@ class Chain:
                 return block.events[-1].event_id
         return 0
 
-    def append_event(self, event: GovernanceEvent) -> PendingPosition:
-        """Queue a fully-formed event; enforces id continuity and canonical payload."""
+    def _queue(self, event: GovernanceEvent) -> PendingPosition:
         expected = self.last_event_id + 1
         if event.event_id != expected:
             raise OrderingViolation(
                 f"event_id {event.event_id} does not follow last id {expected - 1}"
             )
-        if not is_canonical_json(event.payload):
-            raise EncodingError("event payload is not canonical JSON")
         index = len(self.pending)
         self.pending.append(event)
         height = len(self.blocks) + 1 + index // self.capacity
         return PendingPosition(height=height, index=index % self.capacity)
 
+    def append_event(self, event: GovernanceEvent) -> PendingPosition:
+        """Queue an event built outside the chain.
+
+        Enforces id continuity, and rechecks that the payload is canonical
+        JSON: the chain did not build these bytes, so it cannot trust them.
+        """
+        if not is_canonical_json(event.payload):
+            raise EncodingError("event payload is not canonical JSON")
+        return self._queue(event)
+
     def append(self, kind: EventKind, body: dict, *, actor: str, epoch: int) -> GovernanceEvent:
-        """Build the next event from a JSON body and queue it."""
+        """Build the next event from a JSON body and queue it.
+
+        The payload comes from ``canonical_json_bytes``, which is canonical
+        by construction (it refuses non-string keys), so it is not rechecked.
+        """
         if self.phase_provider is not None:
             body = {**body, "phase": self.phase_provider()}
         event = GovernanceEvent(
@@ -223,7 +246,7 @@ class Chain:
             payload=canonical_json_bytes(body),
             actor=actor,
         )
-        self.append_event(event)
+        self._queue(event)
         return event
 
     # --- seal ---
@@ -242,13 +265,27 @@ class Chain:
             len(self.blocks) + 1, self.head_hash, self.candidate_events()
         )
 
+    def _seal(self, candidate: tuple[GovernanceEvent, ...], block_hash: bytes,
+              signatures: tuple[tuple[str, bytes], ...]) -> Block:
+        """Append the block of a candidate that is already hashed and signed."""
+        block = Block(len(self.blocks) + 1, self.head_hash, candidate, signatures, block_hash)
+        self.blocks.append(block)
+        del self.pending[: len(candidate)]
+        return block
+
+    def _check_quorum(self, n_signers: int) -> None:
+        if n_signers < self.quorum:
+            raise QuorumNotMet(f"{n_signers} distinct signers < quorum {self.quorum}")
+
     def seal_block(self, authority_signatures: Iterable[tuple[str, bytes]]) -> Block:
-        """Finalize the oldest pending block under a signature quorum."""
+        """Finalize the oldest pending block under a quorum of outside signatures.
+
+        Hashes the candidate itself and verifies every signature passed in.
+        """
         candidate = self.candidate_events()
         if not candidate:
             raise NothingToSeal("no pending events")
-        height = len(self.blocks) + 1
-        block_hash = compute_block_hash(height, self.head_hash, candidate)
+        block_hash = compute_block_hash(len(self.blocks) + 1, self.head_hash, candidate)
 
         signatures = tuple(authority_signatures)
         valid_signers: set[str] = set()
@@ -259,32 +296,37 @@ class Chain:
             if not self.scheme.verify(public, block_hash, signature):
                 raise SignatureInvalid(f"bad signature from {authority_id}")
             valid_signers.add(authority_id)
-        if len(valid_signers) < self.quorum:
-            raise QuorumNotMet(
-                f"{len(valid_signers)} distinct signers < quorum {self.quorum}"
-            )
-
-        block = Block(
-            height=height,
-            prev_hash=self.head_hash,
-            events=candidate,
-            sealer_signatures=signatures,
-            block_hash=block_hash,
-        )
-        self.blocks.append(block)
-        del self.pending[: len(candidate)]
-        return block
+        self._check_quorum(len(valid_signers))
+        return self._seal(candidate, block_hash, signatures)
 
     def seal_all(self, private_keys: Mapping[str, bytes]) -> list[Block]:
-        """Seal every pending block, signing with the given authority keys."""
+        """Seal every pending block, signing with the given authority keys.
+
+        Signer validity is established once per call, before anything is
+        signed: each authority must be registered, its private key must
+        derive its registered public key, and at least ``quorum`` of them
+        must sign. The signatures made here are then not verified again:
+        a matching key pair signs verifiably, exactly so for ``seeded`` and
+        for ``ed25519`` by RFC 8032's deterministic signing. ``verify_chain``
+        still checks every block's quorum. Each candidate is hashed once.
+        """
+        keys = sorted(private_keys.items())
+        for authority_id, private in keys:
+            public = self.authorities.get(authority_id)
+            if public is None:
+                raise UnknownAuthority(f"unregistered sealer: {authority_id}")
+            if self.scheme.public_key(private) != public:
+                raise SignatureInvalid(f"private key does not match {authority_id}")
+        self._check_quorum(len(keys))
         sealed = []
         while self.pending:
-            digest = self.candidate_hash()
-            signatures = [
+            candidate = self.candidate_events()
+            digest = compute_block_hash(len(self.blocks) + 1, self.head_hash, candidate)
+            signatures = tuple(
                 (authority_id, self.scheme.sign(private, digest))
-                for authority_id, private in sorted(private_keys.items())
-            ]
-            sealed.append(self.seal_block(signatures))
+                for authority_id, private in keys
+            )
+            sealed.append(self._seal(candidate, digest, signatures))
         return sealed
 
 

@@ -18,7 +18,7 @@ the scenario seed, one stream per consumer.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -95,9 +95,9 @@ PHASE_OF_KIND: dict[EventKind, frozenset[int]] = {
     EventKind.DELEGATE_ELECTED: frozenset({PHASE_SETUP, PHASE_ELECTIONS}),
 }
 
-INJECTION_KINDS = {"VIOLATION", "COLLUSION", "REGULATION_CHANGE", "INCIDENT", "PROPOSAL"}
-# The values a scenario may name, read once per proposal or vote. Tuples,
-# not sets: the scenario may hold an unhashable value in those fields.
+# The values a scenario may name, read once per event, proposal or vote.
+# Tuples, not sets: the scenario may hold an unhashable value in those fields.
+INJECTION_KINDS = ("VIOLATION", "COLLUSION", "REGULATION_CHANGE", "INCIDENT", "PROPOSAL")
 _PROPOSAL_KINDS = tuple(kind.value for kind in governance_mod.ProposalKind)
 _VOTE_DIRECTIONS = tuple(direction.value for direction in governance_mod.VoteDirection)
 _VOTE_MODES = tuple(mode.value for mode in governance_mod.VoteMode)
@@ -220,6 +220,19 @@ def _object(value: Any, path: str) -> Mapping[str, Any]:
     return value
 
 
+def _array(value: Any, path: str) -> Sequence[Any]:
+    if not isinstance(value, (list, tuple)):
+        _fail(path, "must be an array")
+    return value
+
+
+def _name(value: Any, path: str) -> str:
+    """A scenario id: a non-empty string, as the run sorts, hashes and encodes it."""
+    if type(value) is not str or not value:
+        _fail(path, "must be a non-empty string")
+    return value
+
+
 def _integer(value: Any, path: str, low: int) -> int:
     """A scenario count or amount: a JSON integer (not a bool) of at least ``low``."""
     if type(value) is not int or value < low:
@@ -323,7 +336,7 @@ def _parse_config(raw: Any) -> SimConfig:
 def _parse_rule(raw: Mapping[str, Any], path: str) -> compliance_mod.ComplianceRuleModule:
     try:
         rule = compliance_mod.ComplianceRuleModule(
-            rule_id=raw["rule_id"],
+            rule_id=_name(raw.get("rule_id"), f"{path}.rule_id"),
             domain=compliance_mod.RuleDomain(raw["domain"]),
             predicate=raw["predicate"],
             metrics=tuple(raw["metrics"]),
@@ -333,7 +346,7 @@ def _parse_rule(raw: Mapping[str, Any], path: str) -> compliance_mod.ComplianceR
                     "applicable_tiers", ["HIGH", "LIMITED", "MINIMAL"])),
             weight=int(raw.get("weight", 1)),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         _fail(path, f"bad rule: {exc}")
     try:
         compliance_mod.validate_predicate(rule.predicate, rule.metrics)
@@ -361,7 +374,8 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
         _fail("epochs", "must be a positive integer")
     config = _parse_config(raw.get("config", {}))
 
-    authorities = list(raw.get("authorities", ["authority-1", "authority-2", "authority-3"]))
+    authorities = [_name(authority, f"authorities[{i}]") for i, authority in enumerate(_array(
+        raw.get("authorities", ["authority-1", "authority-2", "authority-3"]), "authorities"))]
     if not authorities:
         _fail("authorities", "at least one sealing authority required")
     if config.quorum is not None and config.quorum > len(authorities):
@@ -369,44 +383,47 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
 
     stakeholders: list[StakeholderSpec] = []
     seen_ids: set[str] = set()
-    for i, entry in enumerate(raw.get("stakeholders", [])):
+    for i, entry in enumerate(_array(raw.get("stakeholders", []), "stakeholders")):
         path = f"stakeholders[{i}]"
-        sid = _object(entry, path).get("id")
-        if not sid or sid in seen_ids:
-            _fail(path, "missing or duplicate id")
+        sid = _name(_object(entry, path).get("id"), f"{path}.id")
+        if sid in seen_ids:
+            _fail(f"{path}.id", f"duplicate id {sid!r}")
         seen_ids.add(sid)
         try:
             role = Role(entry["role"])
         except (KeyError, ValueError):
             _fail(f"{path}.role", f"unknown role {entry.get('role')!r}")
         stakes = []
-        for j, stake in enumerate(entry.get("stakes", [])):
+        for j, stake in enumerate(_array(entry.get("stakes", []), f"{path}.stakes")):
             stake_path = f"{path}.stakes[{j}]"
             _object(stake, stake_path)
             stakes.append({"amount": _integer(stake.get("amount"), f"{stake_path}.amount", 1),
                            "lock_epochs": _integer(stake.get("lock_epochs"),
                                                    f"{stake_path}.lock_epochs", 1)})
         auditor_spec = entry.get("auditor")
-        if auditor_spec is not None and role != Role.AUDITOR:
-            _fail(f"{path}.auditor", "auditor block on a non-AUDITOR stakeholder")
+        if auditor_spec is not None:
+            _object(auditor_spec, f"{path}.auditor")
+            if role != Role.AUDITOR:
+                _fail(f"{path}.auditor", "auditor block on a non-AUDITOR stakeholder")
         stakeholders.append(StakeholderSpec(
             id=sid, role=role,
             balance=_integer(entry.get("balance", 0), f"{path}.balance", 0),
             stakes=stakes, auditor=auditor_spec,
         ))
 
-    rules = [_parse_rule(r, f"rules[{i}]") for i, r in enumerate(raw.get("rules", []))]
+    rules = [_parse_rule(_object(r, f"rules[{i}]"), f"rules[{i}]")
+             for i, r in enumerate(_array(raw.get("rules", []), "rules"))]
     rule_metrics = {m for rule in rules for m in rule.metrics}
 
     systems: list[SystemSpec] = []
     system_ids: set[str] = set()
-    for i, entry in enumerate(raw.get("ai_systems", [])):
+    for i, entry in enumerate(_array(raw.get("ai_systems", []), "ai_systems")):
         path = f"ai_systems[{i}]"
-        sid = _object(entry, path).get("id")
-        if not sid or sid in system_ids:
-            _fail(path, "missing or duplicate id")
+        sid = _name(_object(entry, path).get("id"), f"{path}.id")
+        if sid in system_ids:
+            _fail(f"{path}.id", f"duplicate id {sid!r}")
         system_ids.add(sid)
-        if entry.get("owner") not in seen_ids:
+        if type(entry.get("owner")) is not str or entry["owner"] not in seen_ids:
             _fail(f"{path}.owner", f"unknown stakeholder {entry.get('owner')!r}")
         try:
             tier = RiskTier(entry["risk_tier"])
@@ -414,7 +431,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
             _fail(f"{path}.risk_tier", f"unknown tier {entry.get('risk_tier')!r}")
         if tier == RiskTier.UNACCEPTABLE:
             _fail(f"{path}.risk_tier", "unacceptable systems may not be registered")
-        base_metrics = dict(entry.get("base_metrics", {}))
+        base_metrics = dict(_object(entry.get("base_metrics", {}), f"{path}.base_metrics"))
         missing = sorted(rule_metrics - base_metrics.keys())
         if missing:
             _fail(f"{path}.base_metrics", f"missing rule metrics: {', '.join(missing)}")
@@ -422,27 +439,31 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
         if "public_key" in entry:
             try:
                 public_key = bytes.fromhex(entry["public_key"])
-            except ValueError:
+            except (TypeError, ValueError):
                 _fail(f"{path}.public_key", "must be hex")
+        try:
+            exposure = as_fraction(entry.get("exposure", "1/2"))
+        except GovSimError as exc:
+            _fail(f"{path}.exposure", str(exc))
         systems.append(SystemSpec(
             id=sid, owner=entry["owner"], purpose=entry.get("purpose", sid),
-            risk_tier=tier, exposure=as_fraction(entry.get("exposure", "1/2")),
+            risk_tier=tier, exposure=exposure,
             base_metrics=base_metrics, metadata=entry.get("metadata"),
             public_key=public_key,
         ))
 
-    oracle_authorities = list(raw.get("oracle_authorities", []))
+    oracle_authorities = list(_array(raw.get("oracle_authorities", []), "oracle_authorities"))
     oracle_feeds = []
-    for i, feed in enumerate(raw.get("oracle_feeds", [])):
+    for i, feed in enumerate(_array(raw.get("oracle_feeds", []), "oracle_feeds")):
         path = f"oracle_feeds[{i}]"
-        if feed.get("signer") not in oracle_authorities:
+        if _object(feed, path).get("signer") not in oracle_authorities:
             _fail(f"{path}.signer", f"unknown oracle authority {feed.get('signer')!r}")
         epoch = feed.get("epoch")
         if not isinstance(epoch, int) or not 1 <= epoch <= epochs:
             _fail(f"{path}.epoch", "must be within 1..epochs")
         oracle_feeds.append(dict(feed))
 
-    accreditors = list(raw.get("accreditors", []))
+    accreditors = list(_array(raw.get("accreditors", []), "accreditors"))
     for i, spec in enumerate(stakeholders):
         if spec.auditor is not None:
             if spec.auditor.get("body") not in accreditors:
@@ -452,7 +473,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
     injected: list[dict] = []
     proposal_ids: set[str] = set()
     regulation_epochs: set[int] = set()
-    for i, event in enumerate(raw.get("injected_events", [])):
+    for i, event in enumerate(_array(raw.get("injected_events", []), "injected_events")):
         path = f"injected_events[{i}]"
         kind = _object(event, path).get("kind")
         if kind not in INJECTION_KINDS:
@@ -464,7 +485,8 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
             if epoch in regulation_epochs:
                 _fail(f"{path}.epoch", "one REGULATION_CHANGE per epoch")
             regulation_epochs.add(epoch)
-        if kind in ("VIOLATION", "INCIDENT") and event.get("system") not in system_ids:
+        if kind in ("VIOLATION", "INCIDENT") and (
+                type(event.get("system")) is not str or event["system"] not in system_ids):
             _fail(f"{path}.system", f"unknown system {event.get('system')!r}")
         if kind == "VIOLATION" and not isinstance(event.get("metrics"), dict):
             _fail(f"{path}.metrics", "VIOLATION needs a metrics override map")
@@ -474,8 +496,9 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
             except ValueError:
                 _fail(f"{path}.severity", f"unknown severity {event.get('severity')!r}")
         if kind == "COLLUSION":
-            pair = event.get("pair", [])
-            if len(set(pair)) != 2 or any(p not in seen_ids for p in pair):
+            pair = _array(event.get("pair", []), f"{path}.pair")
+            if (any(type(p) is not str or p not in seen_ids for p in pair)
+                    or len(set(pair)) != 2):
                 _fail(f"{path}.pair", "needs two distinct known stakeholder ids")
             _integer(event.get("proposals"), f"{path}.proposals", 1)
         if kind == "PROPOSAL":
@@ -487,17 +510,20 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
                 _fail(f"{path}.proposal.mode", f"unknown mode {mode!r}")
             explicit_id = proposal.get("id")
             if explicit_id is not None:
+                if isinstance(explicit_id, (list, dict)):
+                    _fail(f"{path}.proposal.id", "must be a string or a number")
                 if explicit_id in proposal_ids:
                     _fail(f"{path}.proposal.id", f"duplicate id {explicit_id!r}")
                 proposal_ids.add(explicit_id)
             # Every stakeholder may vote on every proposal, so these checks
             # run per vote and build a field path only to report a failure.
             voters: set[str] = set()
-            for j, vote in enumerate(proposal.get("votes", [])):
+            for j, vote in enumerate(
+                    _array(proposal.get("votes", []), f"{path}.proposal.votes")):
                 if type(vote) is not dict and not isinstance(vote, Mapping):
                     _fail(f"{path}.proposal.votes[{j}]", "must be an object")
                 voter, magnitude = vote.get("voter"), vote.get("magnitude", 1)
-                if voter not in seen_ids:
+                if type(voter) is not str or voter not in seen_ids:
                     _fail(f"{path}.proposal.votes[{j}].voter",
                           f"unknown stakeholder {voter!r}")
                 if voter in voters:

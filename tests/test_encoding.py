@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from govsim.encoding import (
     ByteReader,
@@ -48,6 +50,72 @@ def test_is_canonical_json():
 def test_round_trip():
     value = {"k": [1, 2, {"deep": False}]}
     assert from_canonical_json(canonical_json_bytes(value)) == value
+
+
+# canonical_json_bytes is canonical by construction, which is what lets
+# Chain.append skip the is_canonical_json recheck.
+
+@pytest.mark.parametrize("value", [
+    {2: "x", 10: "y"},          # sorted as numbers: "2" before "10"
+    {1: "x"},                   # a single int key would round-trip, but is refused too
+    {"n": {2: 1, 10: 2}},
+    [{"ok": [{"deep": {None: 1}}]}],
+    ({"t": ({1.5: 0},)},),
+    {True: 1},
+])
+def test_non_string_keys_refused_at_any_depth(value):
+    with pytest.raises(EncodingError, match="not a string"):
+        canonical_json_bytes(value)
+
+
+def test_circular_value_refused():
+    value = {"a": []}
+    value["a"].append(value)
+    with pytest.raises(EncodingError):
+        canonical_json_bytes(value)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+            | st.floats(allow_nan=False, allow_infinity=False))
+# String keys that read like numbers or literals, beside keys of other types.
+_STR_KEYS = st.text() | st.sampled_from(["1", "10", "-2", "true", "false", "null", "1.5"])
+_ANY_KEYS = _STR_KEYS | st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False)
+
+
+def _json(keys):
+    return st.recursive(
+        _SCALARS,
+        lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner)
+                       | st.dictionaries(keys, inner, max_size=4)),
+        max_leaves=20,
+    )
+
+
+def _has_non_str_key(value):
+    if isinstance(value, dict):
+        return (any(not isinstance(key, str) for key in value)
+                or any(_has_non_str_key(item) for item in value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(_has_non_str_key(item) for item in value)
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json(_STR_KEYS))
+def test_output_is_always_canonical(value):
+    assert is_canonical_json(canonical_json_bytes(value))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_json(_ANY_KEYS))
+def test_refused_exactly_when_a_key_is_not_a_string(value):
+    try:
+        data = canonical_json_bytes(value)
+    except EncodingError:
+        assert _has_non_str_key(value)
+    else:
+        assert not _has_non_str_key(value)
+        assert is_canonical_json(data)
 
 
 def test_byte_reader_round_trip():

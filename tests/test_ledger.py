@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import random
 import struct
 
@@ -8,6 +9,7 @@ import pytest
 from govsim.encoding import ZERO_DIGEST, canonical_json_bytes
 from govsim.errors import (
     EncodingError,
+    GovSimError,
     IoError,
     NothingToSeal,
     OrderingViolation,
@@ -90,6 +92,26 @@ def test_non_canonical_payload_rejected():
     bad = GovernanceEvent(1, EventKind.HEARTBEAT, 1, b'{"a": 1}', "sim")
     with pytest.raises(EncodingError):
         chain.append_event(bad)
+
+
+def test_payload_sorted_as_numbers_rejected():
+    # json.dumps sorts int keys as numbers, so these bytes are not canonical.
+    payload = json.dumps({2: "x", 10: "y"}, sort_keys=True, separators=(",", ":")).encode()
+    assert payload == b'{"2":"x","10":"y"}'
+    chain = make_chain()
+    with pytest.raises(EncodingError):
+        chain.append_event(GovernanceEvent(1, EventKind.HEARTBEAT, 1, payload, "sim"))
+    assert chain.pending == []
+
+
+@pytest.mark.parametrize("body", [{2: "x", 10: "y"}, {"n": {2: 1, 10: 2}}])
+def test_append_refuses_a_body_with_non_string_keys(body):
+    # append does not recheck its payload: canonical_json_bytes refuses the body.
+    chain = make_chain()
+    with pytest.raises(EncodingError):
+        chain.append(EventKind.HEARTBEAT, body, actor="sim", epoch=1)
+    assert chain.pending == []
+    assert chain.append(EventKind.HEARTBEAT, {"n": 1}, actor="sim", epoch=1).event_id == 1
 
 
 def test_thousand_events_span_ten_pending_blocks():
@@ -175,6 +197,62 @@ def test_seal_takes_only_capacity_events():
     block = seal_pending(chain)[0]
     assert [e.event_id for e in block.events] == [1, 2]
     assert chain.blocks[1].events[0].event_id == 3
+
+
+# --- seal_all ---
+
+@pytest.fixture(params=["seeded", "ed25519"])
+def scheme_name(request):
+    try:
+        get_scheme(request.param)
+    except GovSimError:
+        pytest.skip(f"{request.param} backend unavailable")
+    return request.param
+
+
+def keyed_chain(scheme_name, n_events=5, capacity=2, quorum=3):
+    """A chain with pending events, and the private keys of its 4 authorities."""
+    scheme = get_scheme(scheme_name)
+    keys = {f"auth-{i}": scheme.generate(f"auth-{i}".encode()) for i in range(1, 5)}
+    chain = Chain({aid: kp.public for aid, kp in keys.items()},
+                  quorum=quorum, capacity=capacity, scheme=scheme_name)
+    for i in range(1, n_events + 1):
+        chain.append_event(make_event(i))
+    return chain, {aid: kp.private for aid, kp in keys.items()}
+
+
+def test_seal_all_seals_what_seal_block_would(scheme_name):
+    chain, private = keyed_chain(scheme_name)
+    outside, _ = keyed_chain(scheme_name)
+    while outside.pending:
+        digest = outside.candidate_hash()
+        outside.seal_block([(aid, outside.scheme.sign(key, digest))
+                            for aid, key in sorted(private.items())])
+    sealed = chain.seal_all(private)
+    assert sealed == chain.blocks == outside.blocks
+    assert len(sealed) == 3 and chain.pending == []
+    assert verify_chain(chain.blocks, chain.authorities, chain.quorum, scheme_name).ok
+
+
+def _swap_keys(private):
+    return {**private, "auth-1": private["auth-2"], "auth-2": private["auth-1"]}
+
+
+@pytest.mark.parametrize("keys_for,error", [
+    (_swap_keys, SignatureInvalid),
+    (lambda private: {**private, "ghost": private["auth-1"]}, UnknownAuthority),
+    (lambda private: {aid: private[aid] for aid in ("auth-3", "auth-4")}, QuorumNotMet),
+], ids=["swapped-private-key", "unknown-authority", "below-quorum"])
+def test_seal_all_checks_key_pairs_before_signing(scheme_name, keys_for, error):
+    chain, private = keyed_chain(scheme_name)
+    chain.seal_all(private)
+    chain.append_event(make_event(6))
+    chain.append_event(make_event(7))
+    blocks, pending = list(chain.blocks), list(chain.pending)
+    with pytest.raises(error):
+        chain.seal_all(keys_for(private))
+    assert chain.blocks == blocks
+    assert chain.pending == pending
 
 
 def test_default_quorum_is_two_thirds_ceiling():

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from govsim.cli import main as cli_main
-from govsim.encoding import sha256
+from govsim.encoding import is_canonical_json, sha256
 from govsim.ledger import save_chain
 from govsim.report import report_json_bytes
 from govsim.simctl import run_scenario
@@ -270,3 +270,14 @@ def test_weighted_world_pinned():
     assert max(owners.count(owner) for owner in owners) > 1
     assert result.root_hash == WEIGHTED_ROOT_HASH
     assert _report_digest(report) == WEIGHTED_REPORT_DIGEST
+
+
+def test_every_pinned_payload_is_canonical(reference_results):
+    # Chain.append does not recheck the payloads it builds; this does, for
+    # every event of every pinned world.
+    results = [*reference_results.values(),
+               run_scenario(synthetic_scenario()), run_scenario(weighted_scenario())]
+    payloads = [event.payload for result in results
+                for block in result.chain.blocks for event in block.events]
+    assert len(payloads) > 1000
+    assert all(is_canonical_json(payload) for payload in payloads)

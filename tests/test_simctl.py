@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 import govsim
+import govsim.encoding
+import govsim.keys
+import govsim.ledger
 from govsim.cli import main as cli_main
 from govsim.errors import ScenarioError
 from govsim.ledger import EventKind, load_chain, save_chain
@@ -173,10 +176,22 @@ def _voting(*votes, mode="LINEAR") -> dict:
         "kind": "ROUTINE", "mode": mode, "votes": list(votes)}}]}
 
 
+def _first_entry(section: str, **fields) -> dict:
+    """A scenario mutation: the first entry of a section with these fields changed."""
+    entries = json.loads(scenario_path("credit_scoring").read_text())[section]
+    return {section: [{**entries[0], **fields}, *entries[1:]]}
+
+
 def _first_holder(**fields) -> dict:
-    """A scenario mutation: the first stakeholder with these fields changed."""
-    holders = json.loads(scenario_path("credit_scoring").read_text())["stakeholders"]
-    return {"stakeholders": [{**holders[0], **fields}, *holders[1:]]}
+    return _first_entry("stakeholders", **fields)
+
+
+def _first_rule(**fields) -> dict:
+    return _first_entry("rules", **fields)
+
+
+def _first_system(**fields) -> dict:
+    return _first_entry("ai_systems", **fields)
 
 
 _FOR = {"voter": "bank-alpha", "direction": "FOR"}
@@ -220,6 +235,31 @@ _FOR = {"voter": "bank-alpha", "direction": "FOR"}
     ({"injected_events": [{"epoch": 1, "kind": "COLLUSION",
                            "pair": ["bank-alpha", "regulator-eu"], "proposals": "2"}]},
      "injected_events[0].proposals"),
+    # Each case below used to escape as a TypeError: a number where an array
+    # belongs, or an unhashable id.
+    (_first_holder(stakes=5), "stakeholders[0].stakes"),
+    ({"ai_systems": 3}, "ai_systems"),
+    ({"stakeholders": 3}, "stakeholders"),
+    ({"injected_events": 3}, "injected_events"),
+    ({"rules": 3}, "rules"),
+    ({"oracle_feeds": [3]}, "oracle_feeds[0]"),
+    ({"injected_events": [{"epoch": 1, "kind": "PROPOSAL",
+                           "proposal": {"kind": "ROUTINE", "votes": 3}}]},
+     "injected_events[0].proposal.votes"),
+    (_voting({**_FOR, "voter": ["x"]}), "injected_events[0].proposal.votes[0].voter"),
+    (_first_holder(id=["x"]), "stakeholders[0].id"),
+    (_first_holder(id=5), "stakeholders[0].id"),
+    ({"injected_events": [{"epoch": 1, "kind": ["VIOLATION"]}]}, "injected_events[0].kind"),
+    ({"injected_events": [{"epoch": 1, "kind": "COLLUSION",
+                           "pair": [["bank-alpha"], "regulator-eu"], "proposals": 2}]},
+     "injected_events[0].pair"),
+    (_first_rule(applicable_tiers=5), "rules[0]"),
+    (_first_rule(metrics=5), "rules[0]"),
+    (_first_system(base_metrics=[1]), "ai_systems[0].base_metrics"),
+    (_first_system(public_key=5), "ai_systems[0].public_key"),
+    (_first_system(exposure=[1]), "ai_systems[0].exposure"),
+    (_first_rule(rule_id=["x"]), "rules[0].rule_id"),
+    ({"authorities": [["a"], "b", "c"]}, "authorities[0]"),
 ])
 def test_scenario_errors_carry_field_paths(mutation, expected_path):
     base = json.loads(scenario_path("credit_scoring").read_text())
@@ -485,6 +525,44 @@ def test_ed25519_scheme_selectable_via_config(tmp_path):
     assert verification.ok
     # Ed25519 signing is deterministic, so runs still reproduce exactly.
     assert run_scenario(base).root_hash == result.root_hash
+
+
+# --- work done per event and per block on the write path ---
+
+@pytest.mark.parametrize("scheme_name", ["seeded", "ed25519"])
+def test_run_encodes_hashes_and_signs_each_event_and_block_once(
+        scheme_name, tmp_path, monkeypatch):
+    """Counts the work, never times it, so removed rework cannot creep back."""
+    if scheme_name == "ed25519":
+        pytest.importorskip("cryptography")
+    counts = {"recheck": 0, "block_hash": 0, "verify": 0}
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (govsim.encoding, govsim.ledger):
+        monkeypatch.setattr(module, "is_canonical_json",
+                            counting("recheck", module.is_canonical_json))
+    monkeypatch.setattr(govsim.ledger, "compute_block_hash",
+                        counting("block_hash", govsim.ledger.compute_block_hash))
+    for scheme_class in (govsim.keys.SeededScheme, govsim.keys.Ed25519Scheme):
+        monkeypatch.setattr(scheme_class, "verify", counting("verify", scheme_class.verify))
+
+    base = json.loads(scenario_path("credit_scoring").read_text())
+    # Small blocks, so that each epoch's seal_all seals several.
+    base["config"].update(signature_scheme=scheme_name, block_capacity=2)
+    result = run_scenario(base)
+    blocks = len(result.chain.blocks)
+    assert blocks > 2 * result.report["epochs"]
+    assert counts == {"recheck": 0, "block_hash": blocks, "verify": 0}
+
+    save_chain(result.chain, tmp_path / "chain.db")
+    verification, _ = verify_run(tmp_path / "chain.db")
+    assert verification.ok
+    assert counts["verify"] >= result.chain.quorum * blocks
 
 
 # --- suspension arc ---
