@@ -12,25 +12,39 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any
 
-from .errors import GovSimError
+from .errors import GovSimError, IoError, ScenarioError
 from .interop import LegacyMapping, convert_legacy
 from .ledger import load_chain, save_chain, verify_chain
 from .report import ChainFold, export_report
 from .simctl import run_scenario, verify_run
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {what}: {exc}") from exc
+
+
+def _read_json(path: str, what: str) -> Any:
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise IoError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     source: str | dict = args.scenario
     if args.rules:
-        raw = json.loads(Path(args.scenario).read_text("utf-8"))
-        pack = json.loads(Path(args.rules).read_text("utf-8"))
+        raw = _read_json(args.scenario, "scenario")
+        pack = _read_json(args.rules, "rule pack")
+        if not isinstance(raw, dict) or not isinstance(raw.get("rules", []), list):
+            raise ScenarioError("scenario must be a JSON object whose rules are an array")
         if not isinstance(pack, list):
-            print("error: rule-pack file must be a JSON array of rule modules",
-                  file=sys.stderr)
-            return 1
-        raw.setdefault("rules", []).extend(pack)
-        source = raw
+            raise ScenarioError("rule-pack file must be a JSON array of rule modules")
+        source = {**raw, "rules": [*raw.get("rules", []), *pack]}
     result = run_scenario(source, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -77,7 +91,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             return 1
         out = {"record": record.to_json(), "history": fold.did_events.get(args.did, [])}
     elif args.proposals:
-        out = [fold.proposals[k] for k in sorted(fold.proposals)]
+        out = fold.proposal_entries()
     elif args.balances:
         out = {
             "snapshot": fold.tokens.snapshot(),
@@ -95,8 +109,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    mapping = LegacyMapping.from_json(json.loads(Path(args.map).read_text("utf-8")))
-    rows = Path(args.infile).read_text("utf-8").splitlines()
+    mapping = LegacyMapping.from_json(_read_json(args.map, "mapping"))
+    rows = _read_text(args.infile, "legacy file").splitlines()
     messages = [convert_legacy(row, mapping).to_json() for row in rows if row]
     Path(args.out).write_text(json.dumps(messages, indent=2, sort_keys=True) + "\n", "utf-8")
     print(f"converted {len(messages)} rows -> {args.out}")

@@ -9,7 +9,7 @@ commitment to the metric vector, never the metric values themselves.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -168,16 +168,7 @@ class RuleRegistry:
             raise GovernanceRequired("rule registration requires governance approval")
         validate_predicate(rule.predicate, rule.metrics)
         history = self._versions.setdefault(rule.rule_id, [])
-        versioned = ComplianceRuleModule(
-            rule_id=rule.rule_id,
-            domain=rule.domain,
-            predicate=rule.predicate,
-            metrics=rule.metrics,
-            mandatory=rule.mandatory,
-            applicable_tiers=rule.applicable_tiers,
-            weight=rule.weight,
-            version=len(history) + 1,
-        )
+        versioned = replace(rule, version=len(history) + 1)
         history.append(versioned)
         if self.chain is not None:
             self.chain.append(

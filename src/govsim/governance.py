@@ -4,6 +4,13 @@ All power arithmetic is exact (fractions.Fraction), so threshold decisions
 at boundaries like 2/3 are deterministic. Threshold comparisons are STRICT:
 a proposal at exactly the threshold fails. Election ties break by ascending
 stakeholder id. Zero-participation proposals are rejected.
+
+``GovernanceState.apply`` is the one transition of proposals, votes and
+elections. It takes an event of ``GOVERNANCE_EVENT_KINDS`` (PROPOSAL_SUBMITTED,
+VOTE_CAST, PROPOSAL_RESOLVED, DELEGATE_ELECTED) as it stands on the chain.
+``submit_proposal``, ``cast_vote``, ``tally`` and ``run_election`` validate,
+build the event body, apply it and append it; the report fold applies the
+same bodies to a chain-less state, so this module alone knows their format.
 """
 
 from __future__ import annotations
@@ -99,7 +106,6 @@ class Stakeholder:
     id: str
     role: Role
     stake: int = 0
-    is_delegate: bool = False
     # Temporary multiplicative reduction while under collusion scrutiny.
     weight_penalty: Fraction = ONE
     vote_history: dict[str, VoteDirection] = field(default_factory=dict)
@@ -109,7 +115,7 @@ class Stakeholder:
 class Vote:
     direction: VoteDirection
     magnitude: int
-    mode: VoteMode
+    epoch: int = 0
 
 
 @dataclass
@@ -122,8 +128,47 @@ class Proposal:
     mode: VoteMode = VoteMode.LINEAR
     status: ProposalStatus = ProposalStatus.OPEN
     votes: dict[str, Vote] = field(default_factory=dict)
-    tally_for: Fraction = Fraction(0)
-    tally_against: Fraction = Fraction(0)
+    epoch: int = 0
+    # The PROPOSAL_RESOLVED strings as the event gives them; empty while open.
+    power_for: str = ""
+    power_against: str = ""
+    threshold: str = ""
+
+    @property
+    def tally_for(self) -> Fraction:
+        return Fraction(self.power_for or 0)
+
+    @property
+    def tally_against(self) -> Fraction:
+        return Fraction(self.power_against or 0)
+
+    def to_json(self) -> dict:
+        """The report entry, also printed by ``inspect --proposals``."""
+        entry = {
+            "proposal_id": self.proposal_id, "kind": self.kind.value,
+            "mode": self.mode.value, "epoch": self.epoch,
+            "status": self.status.value, "votes": len(self.votes),
+        }
+        if self.votes:
+            entry["vote_events"] = [
+                {"voter": voter, "direction": vote.direction.value,
+                 "magnitude": vote.magnitude, "epoch": vote.epoch}
+                for voter, vote in self.votes.items()]
+        if self.power_for:
+            entry["power_for"] = self.power_for
+            entry["power_against"] = self.power_against
+            entry["threshold"] = self.threshold
+        return entry
+
+
+# The event kinds that ``GovernanceState.apply`` folds.
+GOVERNANCE_EVENT_KINDS = frozenset({
+    EventKind.PROPOSAL_SUBMITTED, EventKind.VOTE_CAST,
+    EventKind.PROPOSAL_RESOLVED, EventKind.DELEGATE_ELECTED})
+
+# Every vote looks its direction up: a dict lookup is far cheaper than
+# ``VoteDirection(value)``.
+_DIRECTIONS = {direction.value: direction for direction in VoteDirection}
 
 
 # --- pure power math ---
@@ -214,8 +259,8 @@ def detect_collusion(
 class GovernanceState:
     def __init__(
         self,
-        chain: Chain,
-        tokens: TokenLedger,
+        chain: Optional[Chain],
+        tokens: Optional[TokenLedger],
         weights: Optional[VoteWeights] = None,
     ):
         self.chain = chain
@@ -236,6 +281,40 @@ class GovernanceState:
         for stakeholder in self.stakeholders.values():
             stakeholder.stake = self.tokens.staked_total(stakeholder.id)
 
+    # --- the transition ---
+
+    def apply(self, kind: EventKind, body: Mapping, epoch: int) -> None:
+        """Apply one event of ``GOVERNANCE_EVENT_KINDS``; the live writers and
+        the chain fold share it.
+
+        ``body`` is trusted: the writers validate before they build it. A vote
+        or resolution of an unknown proposal is ignored, and so is a second
+        vote by the same voter.
+        """
+        if kind is EventKind.VOTE_CAST:
+            proposal = self.proposals.get(body["proposal_id"])
+            if proposal is not None and body["voter"] not in proposal.votes:
+                proposal.votes[body["voter"]] = Vote(
+                    _DIRECTIONS[body["direction"]], body["magnitude"], epoch)
+        elif kind is EventKind.PROPOSAL_SUBMITTED:
+            self.proposals[body["proposal_id"]] = Proposal(
+                proposal_id=body["proposal_id"], kind=ProposalKind(body["kind"]),
+                payload=body["payload"], mode=VoteMode(body["mode"]), epoch=epoch)
+        elif kind is EventKind.PROPOSAL_RESOLVED:
+            proposal = self.proposals.get(body["proposal_id"])
+            if proposal is not None:
+                proposal.status = ProposalStatus(body["status"])
+                proposal.power_for = body["power_for"]
+                proposal.power_against = body["power_against"]
+                proposal.threshold = body["threshold"]
+        else:  # DELEGATE_ELECTED
+            self.delegates = body["delegates"]
+
+    def _record(self, kind: EventKind, body: dict, *, actor: str, epoch: int) -> None:
+        self.apply(kind, body, epoch)
+        if self.chain is not None:
+            self.chain.append(kind, body, actor=actor, epoch=epoch)
+
     # --- proposals and votes ---
 
     def submit_proposal(self, proposal_id: str, kind: ProposalKind, payload: dict,
@@ -243,16 +322,13 @@ class GovernanceState:
                         actor: str = "governance", epoch: int = 0) -> Proposal:
         if proposal_id in self.proposals:
             raise InvalidInput(f"duplicate proposal id {proposal_id}")
-        proposal = Proposal(proposal_id=proposal_id, kind=kind, payload=payload,
-                            mode=mode)
-        self.proposals[proposal_id] = proposal
-        self.chain.append(
+        self._record(
             EventKind.PROPOSAL_SUBMITTED,
             {"proposal_id": proposal_id, "kind": kind.value,
              "mode": mode.value, "payload": payload},
             actor=actor, epoch=epoch,
         )
-        return proposal
+        return self.proposals[proposal_id]
 
     def cast_vote(
         self,
@@ -287,7 +363,7 @@ class GovernanceState:
                 stakeholder_id, Pool.GOVERNANCE, cost,
                 epoch=epoch, reason="quadratic_vote", ref=proposal_id,
             )
-        vote = Vote(direction=direction, magnitude=magnitude, mode=mode)
+        # Live indexes for collusion scrutiny; they are not chain state.
         for other_id, other in proposal.votes.items():
             pair = ((other_id, stakeholder_id) if other_id < stakeholder_id
                     else (stakeholder_id, other_id))
@@ -295,16 +371,15 @@ class GovernanceState:
             counts[0] += 1
             if other.direction == direction:
                 counts[1] += 1
-        proposal.votes[stakeholder_id] = vote
         stakeholder.vote_history[proposal_id] = direction
-        self.chain.append(
+        self._record(
             EventKind.VOTE_CAST,
             {"proposal_id": proposal_id, "voter": stakeholder_id,
              "direction": direction.value, "magnitude": magnitude,
              "mode": mode.value, "cost": cost},
             actor=stakeholder_id, epoch=epoch,
         )
-        return vote
+        return proposal.votes[stakeholder_id]
 
     def tally(self, proposal_id: str, *, epoch: int = 0) -> ProposalStatus:
         """Resolve once; strict-majority comparison against the kind's threshold."""
@@ -340,10 +415,7 @@ class GovernanceState:
             status = ProposalStatus.PASSED
         else:
             status = ProposalStatus.REJECTED
-        proposal.status = status
-        proposal.tally_for = power_for
-        proposal.tally_against = power_against
-        self.chain.append(
+        self._record(
             EventKind.PROPOSAL_RESOLVED,
             {"proposal_id": proposal_id, "status": status.value,
              "power_for": str(power_for), "power_against": str(power_against),
@@ -357,10 +429,7 @@ class GovernanceState:
 
     def run_election(self, n_seats: int, *, epoch: int = 0) -> list[str]:
         elected = rank_delegates(list(self.stakeholders.values()), self.weights, n_seats)
-        for stakeholder in self.stakeholders.values():
-            stakeholder.is_delegate = stakeholder.id in elected
-        self.delegates = elected
-        self.chain.append(
+        self._record(
             EventKind.DELEGATE_ELECTED,
             {"delegates": elected, "n_seats": n_seats},
             actor="governance", epoch=epoch,

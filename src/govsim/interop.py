@@ -252,14 +252,19 @@ class LegacyMapping:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "LegacyMapping":
-        return cls(
-            msg_type=MsgType(data["msg_type"]),
-            schema_version=int(data["schema_version"]),
-            delimiter=data.get("delimiter", ","),
-            columns=tuple(
-                ColumnSpec(c["column"], c["field"], c["kind"]) for c in data["columns"]
-            ),
-        )
+        try:
+            return cls(
+                msg_type=MsgType(data["msg_type"]),
+                schema_version=int(data["schema_version"]),
+                delimiter=data.get("delimiter", ","),
+                columns=tuple(
+                    ColumnSpec(c["column"], c["field"], c["kind"]) for c in data["columns"]
+                ),
+            )
+        except KeyError as exc:
+            raise ConversionError(f"legacy mapping: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConversionError(f"legacy mapping: {exc}") from exc
 
     def to_json(self) -> dict:
         return {

@@ -1,13 +1,14 @@
 """Report building as a pure fold over sealed chain events.
 
 Everything in a run report is reconstructed from event payloads alone. The
-token position, the DID records and the incidents are the events folded
-through ``TokenLedger.apply``, ``DidRegistry.apply`` and ``IncidentLog.apply``,
+token position, the DID records, the incidents and the proposals, votes and
+elections are the events folded through ``TokenLedger.apply``,
+``DidRegistry.apply``, ``IncidentLog.apply`` and ``GovernanceState.apply``,
 the same transitions the live simulator runs, into a chain-less ledger,
-registry and log. Per-epoch risk scores are recomputed from on-chain
-assessment/audit/incident data plus the config snapshot embedded in the
-genesis event. The simulator itself reports via this fold, and ``verify``
-re-runs it against the emitted report file.
+registry, log and governance state. Per-epoch risk scores are recomputed
+from on-chain assessment/audit/incident data plus the config snapshot
+embedded in the genesis event. The simulator itself reports via this fold,
+and ``verify`` re-runs it against the emitted report file.
 
 The fold is one pass over the events. The per-(system, epoch) lookups that
 the score series needs read indexes that ``ChainFold`` builds during that
@@ -29,6 +30,7 @@ from typing import Sequence
 
 from .encoding import as_fraction
 from .errors import IoError, UnsupportedFormat
+from .governance import GOVERNANCE_EVENT_KINDS, GovernanceState
 from .identity import DID_EVENT_KINDS, DidRegistry
 from .ledger import Block, EventKind
 from .risk import INCIDENT_EVENT_KINDS, IncidentLog, RiskWeights, compute_risk_score
@@ -52,7 +54,7 @@ class ChainFold:
         # Indexes over audits and incidents, filled as events are applied.
         self._failed_audits: set[tuple[str, int]] = set()
         self._incident_ids: dict[str, set[str]] = defaultdict(set)
-        self.proposals: dict[str, dict] = {}
+        self.governance = GovernanceState(None, None)
         self.elections: list[dict] = []
         self.collusion_flags: list[dict] = []
         self.weight_adjustments: list[dict] = []
@@ -77,6 +79,10 @@ class ChainFold:
             if body.get("op") == "mint_genesis":
                 self.genesis_meta = body
             self.tokens.apply(kind, body)
+        elif kind in GOVERNANCE_EVENT_KINDS:
+            self.governance.apply(kind, body, epoch)
+            if kind is EventKind.DELEGATE_ELECTED:
+                self.elections.append({"epoch": epoch, "delegates": body["delegates"]})
         elif kind in DID_EVENT_KINDS:
             self.registry.apply(kind, body)
             self.did_events[body["did"]].append({"epoch": epoch, **body})
@@ -100,41 +106,16 @@ class ChainFold:
             self._incident_ids[incident.system_did].add(incident.incident_id)
         elif kind == EventKind.RISK_RECLASSIFIED:
             self.reclassifications.append({"epoch": epoch, **body})
-        elif kind == EventKind.PROPOSAL_SUBMITTED:
-            self.proposals[body["proposal_id"]] = {
-                "proposal_id": body["proposal_id"],
-                "kind": body["kind"],
-                "mode": body.get("mode", "LINEAR"),
-                "epoch": epoch,
-                "status": "OPEN",
-                "votes": 0,
-            }
-        elif kind == EventKind.VOTE_CAST:
-            proposal = self.proposals.get(body["proposal_id"])
-            if proposal is not None:
-                proposal["votes"] += 1
-                proposal.setdefault("vote_events", []).append({
-                    "voter": body["voter"], "direction": body["direction"],
-                    "magnitude": body["magnitude"], "epoch": epoch,
-                })
-        elif kind == EventKind.PROPOSAL_RESOLVED:
-            proposal = self.proposals.setdefault(
-                body["proposal_id"],
-                {"proposal_id": body["proposal_id"], "kind": body.get("kind", ""),
-                 "epoch": epoch, "votes": 0},
-            )
-            proposal["status"] = body["status"]
-            proposal["power_for"] = body["power_for"]
-            proposal["power_against"] = body["power_against"]
-            proposal["threshold"] = body["threshold"]
-        elif kind == EventKind.DELEGATE_ELECTED:
-            self.elections.append({"epoch": epoch, "delegates": body["delegates"]})
         elif kind == EventKind.COLLUSION_FLAGGED:
             self.collusion_flags.append({"epoch": epoch, **body})
         elif kind == EventKind.WEIGHTS_ADJUSTED:
             self.weight_adjustments.append({"epoch": epoch, **body})
 
     # --- derived views ---
+
+    def proposal_entries(self) -> list[dict]:
+        proposals = self.governance.proposals
+        return [proposals[k].to_json() for k in sorted(proposals)]
 
     def incident_open_at(self, did: str, epoch: int) -> int:
         """Incidents of ``did`` raised or contained as of ``epoch``."""
@@ -242,7 +223,7 @@ def build_report(blocks: Sequence[Block]) -> dict:
             "incidents": [fold.incidents[k].to_json() for k in sorted(fold.incidents)],
         },
         "governance": {
-            "proposals": [fold.proposals[k] for k in sorted(fold.proposals)],
+            "proposals": fold.proposal_entries(),
             "elections": fold.elections,
             "collusion_flags": fold.collusion_flags,
             "weight_adjustments": fold.weight_adjustments,

@@ -31,7 +31,6 @@ from . import risk as risk_mod
 from .encoding import as_fraction, canonical_json_bytes, sha256
 from .errors import (
     GovSimError,
-    InsufficientCandidates,
     InvalidInput,
     InvalidWeights,
     ScenarioError,
@@ -53,6 +52,7 @@ from .tokens import (
     Pool,
     SlashReason,
     TokenLedger,
+    genesis_pools,
     validate_pool_fractions,
 )
 
@@ -179,6 +179,10 @@ class StakeholderSpec:
     balance: int = 0
     stakes: list[dict] = field(default_factory=list)
     auditor: Optional[dict] = None
+
+    def funding(self) -> int:
+        """What set-up grants from the funding pool: the balance plus every stake."""
+        return self.balance + sum(stake["amount"] for stake in self.stakes)
 
 
 @dataclass
@@ -364,6 +368,8 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
             raise ScenarioError(f"cannot read scenario: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ScenarioError("scenario must be a JSON object")
     else:
         raw = dict(source)
 
@@ -378,11 +384,18 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
         raw.get("authorities", ["authority-1", "authority-2", "authority-3"]), "authorities"))]
     if not authorities:
         _fail("authorities", "at least one sealing authority required")
+    for i, authority in enumerate(authorities):
+        if authority in authorities[:i]:
+            _fail(f"authorities[{i}]", f"duplicate id {authority!r}")
     if config.quorum is not None and config.quorum > len(authorities):
         _fail("config.quorum", f"exceeds the {len(authorities)} sealing authorities")
 
     stakeholders: list[StakeholderSpec] = []
     seen_ids: set[str] = set()
+    # Set-up grants each stakeholder's balance and stakes from the funding pool.
+    pool_share = genesis_pools(
+        config.pool_fractions, config.total_supply)[config.funding_pool]
+    granted = 0
     for i, entry in enumerate(_array(raw.get("stakeholders", []), "stakeholders")):
         path = f"stakeholders[{i}]"
         sid = _name(_object(entry, path).get("id"), f"{path}.id")
@@ -410,6 +423,10 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
             balance=_integer(entry.get("balance", 0), f"{path}.balance", 0),
             stakes=stakes, auditor=auditor_spec,
         ))
+        granted += stakeholders[-1].funding()
+        if granted > pool_share:
+            _fail(path, f"grants total {granted}, above the {config.funding_pool.value} "
+                        f"pool's genesis share of {pool_share}")
 
     rules = [_parse_rule(_object(r, f"rules[{i}]"), f"rules[{i}]")
              for i, r in enumerate(_array(raw.get("rules", []), "rules"))]
@@ -626,9 +643,9 @@ class Simulator:
         for spec in self.scenario.stakeholders:
             self.governance.add_stakeholder(
                 governance_mod.Stakeholder(id=spec.id, role=spec.role))
-            total_needed = spec.balance + sum(s["amount"] for s in spec.stakes)
-            if total_needed:
-                self.tokens.grant(config.funding_pool, spec.id, total_needed, epoch=0)
+            funding = spec.funding()
+            if funding:
+                self.tokens.grant(config.funding_pool, spec.id, funding, epoch=0)
             for stake in spec.stakes:
                 self.tokens.stake(spec.id, stake["amount"], stake["lock_epochs"], epoch=0)
         self.governance.sync_stakes()
@@ -704,12 +721,8 @@ class Simulator:
             if governance_mod.raw_power(s, self.governance.weights) > 0
         ]
         seats = min(self.config.n_seats, len(eligible))
-        if seats < 1:
-            return
-        try:
+        if seats >= 1:
             self.governance.run_election(seats, epoch=epoch)
-        except InsufficientCandidates:
-            pass
 
     # --- phase bodies ---
 

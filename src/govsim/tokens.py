@@ -86,6 +86,15 @@ def validate_pool_fractions(fractions: Mapping[Pool, Fraction]) -> dict[Pool, Fr
     return dict(fractions)
 
 
+def genesis_pools(fractions: Mapping[Pool, Fraction], total_supply: int) -> dict[Pool, int]:
+    """The pool balances that ``mint_genesis`` funds from valid ``fractions``."""
+    pools = {pool: int(fractions.get(pool, Fraction(0)) * total_supply)  # floor
+             for pool in Pool}
+    # Flooring dust goes to REWARDS so the supply equation stays exact.
+    pools[Pool.REWARDS] += total_supply - sum(pools.values())
+    return pools
+
+
 class TokenLedger:
     def __init__(
         self,
@@ -179,14 +188,8 @@ class TokenLedger:
         genesis_meta: Optional[dict] = None,
     ) -> "TokenLedger":
         """Fund the pools from nothing; the only supply-creating operation."""
-        fractions = validate_pool_fractions(
-            DEFAULT_POOL_FRACTIONS if fractions is None else fractions)
-        pools: dict[Pool, int] = {}
-        for pool in Pool:
-            share = fractions.get(pool, Fraction(0)) * total_supply
-            pools[pool] = int(share)  # floor
-        # Flooring dust goes to REWARDS so the supply equation stays exact.
-        pools[Pool.REWARDS] += total_supply - sum(pools.values())
+        pools = genesis_pools(validate_pool_fractions(
+            DEFAULT_POOL_FRACTIONS if fractions is None else fractions), total_supply)
         body = {
             "op": "mint_genesis",
             "total_supply": total_supply,

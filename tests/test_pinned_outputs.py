@@ -16,7 +16,7 @@ import pytest
 from govsim.cli import main as cli_main
 from govsim.encoding import is_canonical_json, sha256
 from govsim.ledger import save_chain
-from govsim.report import report_json_bytes
+from govsim.report import ChainFold, report_json_bytes
 from govsim.simctl import run_scenario
 from tests.conftest import REFERENCE_SCENARIOS
 
@@ -220,6 +220,12 @@ def _report_digest(report: dict) -> str:
     return sha256(report_json_bytes(report)).hex()
 
 
+def _assert_fold_equals_live_governance(result) -> None:
+    fold = ChainFold(result.chain.blocks).governance
+    assert fold.proposals == result.governance.proposals
+    assert fold.delegates == result.governance.delegates
+
+
 @pytest.mark.parametrize("name", REFERENCE_SCENARIOS)
 def test_reference_root_hash_pinned(reference_results, name):
     assert reference_results[name].root_hash == PINNED_ROOT_HASHES[name]
@@ -252,6 +258,7 @@ def test_synthetic_world_pinned():
     assert report["blocks"] > report["epochs"]
     assert result.root_hash == SYNTHETIC_ROOT_HASH
     assert _report_digest(report) == SYNTHETIC_REPORT_DIGEST
+    _assert_fold_equals_live_governance(result)
 
 
 def test_weighted_world_pinned():
@@ -270,6 +277,7 @@ def test_weighted_world_pinned():
     assert max(owners.count(owner) for owner in owners) > 1
     assert result.root_hash == WEIGHTED_ROOT_HASH
     assert _report_digest(report) == WEIGHTED_REPORT_DIGEST
+    _assert_fold_equals_live_governance(result)
 
 
 def test_every_pinned_payload_is_canonical(reference_results):

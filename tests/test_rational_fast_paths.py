@@ -184,7 +184,7 @@ def test_tally_matches_reference(specs, weights, mode, kind, votes):
         voter = stakeholders[index % len(stakeholders)].id
         if mode == VoteMode.LINEAR:
             magnitude = 1
-        proposal.votes.setdefault(voter, Vote(direction, magnitude, mode))
+        proposal.votes.setdefault(voter, Vote(direction, magnitude))
     state.proposals[proposal.proposal_id] = proposal
 
     try:

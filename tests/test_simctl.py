@@ -260,6 +260,10 @@ _FOR = {"voter": "bank-alpha", "direction": "FOR"}
     (_first_system(exposure=[1]), "ai_systems[0].exposure"),
     (_first_rule(rule_id=["x"]), "rules[0].rule_id"),
     ({"authorities": [["a"], "b", "c"]}, "authorities[0]"),
+    # Each case below used to load: the run then sealed under one authority,
+    # or set-up stopped on a grant the funding pool could not pay.
+    ({"authorities": ["a", "a", "a"]}, "authorities[1]"),
+    (_first_holder(stakes=[{"amount": 10**30, "lock_epochs": 2}]), "stakeholders[0]"),
 ])
 def test_scenario_errors_carry_field_paths(mutation, expected_path):
     base = json.loads(scenario_path("credit_scoring").read_text())
@@ -510,6 +514,32 @@ def test_cli_convert(tmp_path, capsys):
     messages = json.loads((tmp_path / "messages.json").read_text())
     assert len(messages) == 2
     assert messages[0]["payload"]["report_id"] == "r1"
+
+
+_MAP = json.dumps({"msg_type": "COMPLIANCE_REPORT", "schema_version": 1,
+                   "columns": [{"column": "ID", "field": "report_id", "kind": "str"}]})
+
+
+@pytest.mark.parametrize("files,argv", [
+    # Each case below used to escape as a traceback.
+    ({"s.json": "{}"}, ["run", "s.json", "--rules", "missing.json"]),
+    ({"s.json": "{}", "r.json": "not json"}, ["run", "s.json", "--rules", "r.json"]),
+    ({"r.json": "[]"}, ["run", "missing.json", "--rules", "r.json"]),
+    ({"s.json": "[1]", "r.json": "[]"}, ["run", "s.json", "--rules", "r.json"]),
+    ({"s.json": '{"rules": 5}', "r.json": "[]"}, ["run", "s.json", "--rules", "r.json"]),
+    ({"s.json": "[1]"}, ["run", "s.json"]),
+    ({"m.json": _MAP}, ["convert", "--in", "missing.csv", "--map", "m.json"]),
+    ({"m.json": "not json", "a.csv": "r1"}, ["convert", "--in", "a.csv", "--map", "m.json"]),
+    ({"m.json": "{}", "a.csv": "r1"}, ["convert", "--in", "a.csv", "--map", "m.json"]),
+])
+def test_cli_file_errors_exit_1_without_traceback(tmp_path, monkeypatch, capsys,
+                                                   files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = ["--out", "out.json"] if argv[0] == "convert" else ["--out", "out"]
+    assert cli_main([*argv, *out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # --- signature scheme selection ---
