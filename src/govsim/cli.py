@@ -47,7 +47,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         source = {**raw, "rules": [*raw.get("rules", []), *pack]}
     result = run_scenario(source, seed=args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory: {exc}") from exc
     save_chain(result.chain, out_dir / "chain.db")
     export_report(result.report, out_dir / "report.json", "json")
     if args.csv:
@@ -112,7 +115,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     mapping = LegacyMapping.from_json(_read_json(args.map, "mapping"))
     rows = _read_text(args.infile, "legacy file").splitlines()
     messages = [convert_legacy(row, mapping).to_json() for row in rows if row]
-    Path(args.out).write_text(json.dumps(messages, indent=2, sort_keys=True) + "\n", "utf-8")
+    try:
+        Path(args.out).write_text(json.dumps(messages, indent=2, sort_keys=True) + "\n",
+                                  "utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot write messages: {exc}") from exc
     print(f"converted {len(messages)} rows -> {args.out}")
     return 0
 

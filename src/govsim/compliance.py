@@ -34,7 +34,8 @@ logger = logging.getLogger(__name__)
 
 MAX_PREDICATE_DEPTH = 16
 
-_COMPARISONS = {">=", "<=", ">", "<", "==", "!="}
+_ORDERINGS = {">=", "<=", ">", "<"}
+_COMPARISONS = _ORDERINGS | {"==", "!="}
 _COMBINATORS = {"and", "or"}
 
 
@@ -77,6 +78,20 @@ def validate_predicate(tree: dict, declared_metrics: Sequence[str],
             raise InvalidRule("comparison value must be numeric or boolean")
     else:
         raise InvalidRule(f"unknown predicate op: {op!r}")
+
+
+def ordered_metrics(tree: dict) -> set[str]:
+    """The metrics a validated predicate compares with >=, <=, > or <.
+
+    Only numbers may stand there: a string, null or array fails the
+    comparison with a TypeError when the rule is evaluated.
+    """
+    op = tree["op"]
+    if op in _COMBINATORS:
+        return set().union(*(ordered_metrics(arg) for arg in tree["args"]))
+    if op == "not":
+        return ordered_metrics(tree["arg"])
+    return {tree["metric"]} if op in _ORDERINGS else set()
 
 
 def evaluate_predicate(tree: dict, metrics: Mapping[str, float | bool]) -> bool:

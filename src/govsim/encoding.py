@@ -14,12 +14,11 @@ Two encodings live here and nothing else may hash or serialize differently:
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import re
 import struct
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 from .errors import EncodingError, IoError
 
@@ -124,52 +123,86 @@ def as_fraction(value: Any) -> Fraction:
 
 # --- binary framing ---
 
-def pack_u32(value: int) -> bytes:
-    return struct.pack("<I", value)
-
-
-def pack_u64(value: int) -> bytes:
-    return struct.pack("<Q", value)
+U32 = struct.Struct("<I")
+U64 = struct.Struct("<Q")
 
 
 def pack_bytes(data: bytes) -> bytes:
-    return pack_u32(len(data)) + data
+    return U32.pack(len(data)) + data
 
 
 def pack_str(text: str) -> bytes:
     return pack_bytes(text.encode("utf-8"))
 
 
+def truncated(wanted: int, got: int) -> IoError:
+    return IoError(f"truncated input: wanted {wanted} bytes, got {got}")
+
+
+def strict_utf8(data: bytes) -> str:
+    """Decode a string field; IoError unless it is valid UTF-8.
+
+    Python's strict decoder refuses overlong forms and surrogates, so every
+    string it accepts encodes back to exactly the bytes it was read from.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IoError(f"invalid UTF-8 in string field: {exc}") from exc
+
+
 class ByteReader:
-    """Cursor over a byte buffer; raises IoError on truncation."""
+    """Bounds-checked cursor over the window ``[start, end)`` of one buffer.
 
-    def __init__(self, data: bytes):
-        self._buf = io.BytesIO(data)
-        self._size = len(data)
+    Fields are unpacked where they lie; nothing is copied but the byte
+    strings a caller asks for. Reading past ``end`` raises IoError, also
+    when the buffer itself goes on.
+    """
 
-    def _take(self, n: int) -> bytes:
-        chunk = self._buf.read(n)
-        if len(chunk) != n:
-            raise IoError(f"truncated input: wanted {n} bytes, got {len(chunk)}")
-        return chunk
+    __slots__ = ("data", "pos", "end")
+
+    def __init__(self, data: bytes, start: int = 0, end: Optional[int] = None):
+        self.data = data
+        self.pos = start
+        self.end = len(data) if end is None else end
+
+    def _advance(self, n: int) -> int:
+        """Step over the next ``n`` bytes; return where they start."""
+        at = self.pos
+        if at + n > self.end:
+            raise truncated(n, self.end - at)
+        self.pos = at + n
+        return at
 
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return U32.unpack_from(self.data, self._advance(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        return U64.unpack_from(self.data, self._advance(8))[0]
 
     def raw(self, n: int) -> bytes:
-        return self._take(n)
+        at = self._advance(n)
+        return self.data[at:at + n]
 
     def bytes_(self) -> bytes:
-        return self._take(self.u32())
+        return self.raw(self.u32())
 
     def str_(self) -> str:
-        try:
-            return self.bytes_().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IoError(f"invalid UTF-8 in string field: {exc}") from exc
+        return strict_utf8(self.bytes_())
+
+    def window(self) -> tuple[int, int]:
+        """Step over a length-prefixed field; return its ``(start, end)``.
+
+        Called once per event frame, so the two bounds checks are inline.
+        """
+        at = self.pos + 4
+        if at > self.end:
+            raise truncated(4, self.end - self.pos)
+        stop = at + U32.unpack_from(self.data, self.pos)[0]
+        if stop > self.end:
+            raise truncated(stop - at, self.end - at)
+        self.pos = stop
+        return at, stop
 
     def exhausted(self) -> bool:
-        return self._buf.tell() == self._size
+        return self.pos == self.end

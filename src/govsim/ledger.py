@@ -18,6 +18,18 @@ of work is done once:
   every signature passed in from outside, and ``verify_chain`` verifies
   every sealed block's quorum.
 
+Where frame exactness is established on the read path: ``load_chain``
+reads the file into one buffer and decodes each block and event frame
+where it lies, touching each frame once. Every read is checked against the
+end of its own frame, not of the buffer, so a length that overshoots its
+frame is truncation even where the file goes on; bytes left over inside an
+event frame, a block frame or after the final block are refused; strings
+are strict UTF-8 and event kinds must be known. An accepted frame has then
+exactly one encoding of each field (fixed-width integers, exact lengths,
+UTF-8 that Python's strict codec round-trips), so decode-then-encode is the
+identity on it: ``verify_chain`` re-encoding a loaded event hashes exactly
+the bytes that were read, and ``save_chain`` writes them back unchanged.
+
 Concurrency: one writer (append/seal) at a time; reads against sealed
 blocks are safe concurrently with each other.
 """
@@ -25,6 +37,7 @@ blocks are safe concurrently with each other.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -32,6 +45,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .encoding import (
     DIGEST_SIZE,
+    U32,
+    U64,
     ZERO_DIGEST,
     ByteReader,
     canonical_json_bytes,
@@ -39,9 +54,9 @@ from .encoding import (
     is_canonical_json,
     pack_bytes,
     pack_str,
-    pack_u32,
-    pack_u64,
     sha256,
+    strict_utf8,
+    truncated,
 )
 from .errors import (
     EncodingError,
@@ -88,6 +103,12 @@ class EventKind(str, Enum):
     RULE_REGISTERED = "RULE_REGISTERED"
 
 
+# An event frame: u64 event id | u32 kind length | kind | u64 epoch |
+# u32 payload length | payload | u32 actor length | actor. The id and kind
+# length, and the epoch and payload length, are each one "<QI" record.
+_U64_U32 = struct.Struct("<QI")
+
+
 @dataclass(frozen=True)
 class GovernanceEvent:
     """One state transition. Payload bytes must be canonical JSON."""
@@ -99,41 +120,50 @@ class GovernanceEvent:
     actor: str
 
     def encode(self) -> bytes:
-        return (
-            pack_u64(self.event_id)
-            + pack_str(self.kind.value)
-            + pack_u64(self.epoch)
-            + pack_bytes(self.payload)
-            + pack_str(self.actor)
-        )
+        actor = self.actor.encode("utf-8")
+        return b"".join((
+            U64.pack(self.event_id), _KIND_FRAMES[self.kind],
+            _U64_U32.pack(self.epoch, len(self.payload)), self.payload,
+            U32.pack(len(actor)), actor,
+        ))
 
     def body(self) -> dict:
         """Decode the payload back into its JSON body."""
         return from_canonical_json(self.payload)
 
 
-def decode_event(reader: ByteReader) -> GovernanceEvent:
-    event_id = reader.u64()
-    kind_name = reader.str_()
-    try:
-        kind = EventKind(kind_name)
-    except ValueError as exc:
-        raise IoError(f"unknown event kind {kind_name!r}") from exc
-    return GovernanceEvent(
-        event_id=event_id,
-        kind=kind,
-        epoch=reader.u64(),
-        payload=reader.bytes_(),
-        actor=reader.str_(),
-    )
+# Each kind's length-prefixed name, as encode writes it, and the name's
+# bytes back to the kind, as a decoded frame is looked up.
+_KIND_FRAMES = {kind: pack_bytes(kind.value.encode("ascii")) for kind in EventKind}
+_KIND_BY_NAME = {kind.value.encode("ascii"): kind for kind in EventKind}
 
 
-def _decode_event_frame(frame: bytes) -> GovernanceEvent:
-    reader = ByteReader(frame)
-    event = decode_event(reader)
-    if not reader.exhausted():
+def _decode_event_frame(data: bytes, start: int, end: int) -> GovernanceEvent:
+    """The event whose frame is exactly ``data[start:end]``; IoError otherwise."""
+    kind_at = start + 12
+    if kind_at > end:
+        raise truncated(12, end - start)
+    event_id, kind_len = _U64_U32.unpack_from(data, start)
+    epoch_at = kind_at + kind_len
+    if epoch_at + 12 > end:
+        raise truncated(kind_len + 12, end - kind_at)
+    kind = _KIND_BY_NAME.get(data[kind_at:epoch_at])
+    if kind is None:
+        name = strict_utf8(data[kind_at:epoch_at])
+        raise IoError(f"unknown event kind {name!r}")
+    epoch, payload_len = _U64_U32.unpack_from(data, epoch_at)
+    payload_at = epoch_at + 12
+    actor_len_at = payload_at + payload_len
+    if actor_len_at + 4 > end:
+        raise truncated(payload_len + 4, end - payload_at)
+    actor_at = actor_len_at + 4
+    actor_end = actor_at + U32.unpack_from(data, actor_len_at)[0]
+    if actor_end != end:
+        if actor_end > end:
+            raise truncated(actor_end - actor_at, end - actor_at)
         raise IoError("trailing bytes inside event frame")
-    return event
+    return GovernanceEvent(event_id, kind, epoch, data[payload_at:actor_len_at],
+                           strict_utf8(data[actor_at:end]))
 
 
 @dataclass(frozen=True)
@@ -150,11 +180,17 @@ class PendingPosition(NamedTuple):
     index: int
 
 
+def _event_frames(events: Iterable[GovernanceEvent]) -> list[bytes]:
+    """Each event's frame behind its u32 length prefix, as parts to join."""
+    parts = []
+    for event in events:
+        frame = event.encode()
+        parts += (U32.pack(len(frame)), frame)
+    return parts
+
+
 def compute_block_hash(height: int, prev_hash: bytes, events: Sequence[GovernanceEvent]) -> bytes:
-    return sha256(b"".join([
-        pack_u64(height), prev_hash,
-        *(pack_bytes(event.encode()) for event in events),
-    ]))
+    return sha256(b"".join([U64.pack(height), prev_hash, *_event_frames(events)]))
 
 
 @dataclass(frozen=True)
@@ -394,26 +430,32 @@ def query_events(
 
 
 # --- chain file format ---
-# magic(8) | version(1) | header json (len-prefixed) | u64 block count | blocks
+# magic(16) | version(1) | header json (len-prefixed) | u64 block count |
+# blocks (len-prefixed): u64 height | prev hash | u32 event count |
+# events (len-prefixed) | u32 signature count | (authority, signature)
+# pairs (each len-prefixed) | block hash
 
-def _encode_block(block: Block) -> bytes:
-    parts = [pack_u64(block.height), block.prev_hash, pack_u32(len(block.events))]
-    parts.extend(pack_bytes(event.encode()) for event in block.events)
-    parts.append(pack_u32(len(block.sealer_signatures)))
+def _block_parts(block: Block) -> list[bytes]:
+    parts = [U64.pack(block.height), block.prev_hash, U32.pack(len(block.events)),
+             *_event_frames(block.events), U32.pack(len(block.sealer_signatures))]
     for authority_id, signature in block.sealer_signatures:
         parts += (pack_str(authority_id), pack_bytes(signature))
     parts.append(block.block_hash)
-    return b"".join(parts)
+    return parts
 
 
-def _decode_block(reader: ByteReader) -> Block:
+def _decode_block(data: bytes, start: int, end: int) -> Block:
+    """The block whose frame is exactly ``data[start:end]``; IoError otherwise."""
+    reader = ByteReader(data, start, end)
     height = reader.u64()
     prev_hash = reader.raw(DIGEST_SIZE)
-    events = tuple(_decode_event_frame(reader.bytes_()) for _ in range(reader.u32()))
+    events = tuple(_decode_event_frame(data, *reader.window()) for _ in range(reader.u32()))
     signatures = tuple(
         (reader.str_(), reader.bytes_()) for _ in range(reader.u32())
     )
     block_hash = reader.raw(DIGEST_SIZE)
+    if not reader.exhausted():
+        raise IoError("trailing bytes inside block frame")
     return Block(height, prev_hash, events, signatures, block_hash)
 
 
@@ -426,10 +468,15 @@ def save_chain(chain: Chain, path: str | Path) -> None:
     }
     parts = [
         CHAIN_MAGIC, bytes([CHAIN_FORMAT_VERSION]),
-        pack_bytes(canonical_json_bytes(header)), pack_u64(len(chain.blocks)),
+        pack_bytes(canonical_json_bytes(header)), U64.pack(len(chain.blocks)),
     ]
-    parts.extend(pack_bytes(_encode_block(block)) for block in chain.blocks)
-    Path(path).write_bytes(b"".join(parts))
+    for block in chain.blocks:
+        block_parts = _block_parts(block)
+        parts += (U32.pack(sum(map(len, block_parts))), b"".join(block_parts))
+    try:
+        Path(path).write_bytes(b"".join(parts))
+    except OSError as exc:
+        raise IoError(f"cannot write chain file: {exc}") from exc
 
 
 def _header_chain(raw: bytes) -> Chain:
@@ -465,12 +512,7 @@ def load_chain(path: str | Path) -> Chain:
     chain = _header_chain(reader.bytes_())
     n_blocks = reader.u64()
     for _ in range(n_blocks):
-        block_reader = ByteReader(reader.bytes_())
-        block = _decode_block(block_reader)
-        if not block_reader.exhausted():
-            raise IoError("trailing bytes inside block frame")
-        chain.blocks.append(block)
+        chain.blocks.append(_decode_block(data, *reader.window()))
     if not reader.exhausted():
         raise IoError("trailing bytes after final block")
     return chain
-

@@ -257,11 +257,15 @@ def report_csv_bytes(report: dict) -> bytes:
 def export_report(report: dict, path: str | Path, fmt: str = "json") -> Path:
     path = Path(path)
     if fmt == "json":
-        path.write_bytes(report_json_bytes(report))
+        data = report_json_bytes(report)
     elif fmt == "csv":
-        path.write_bytes(report_csv_bytes(report))
+        data = report_csv_bytes(report)
     else:
         raise UnsupportedFormat(f"unknown export format: {fmt!r}")
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise IoError(f"cannot write report: {exc}") from exc
     return path
 
 

@@ -244,6 +244,23 @@ def _integer(value: Any, path: str, low: int) -> int:
     return value
 
 
+def _numbers(values: Mapping[str, Any], ordered: tuple[str, ...], path: str,
+             field: str) -> None:
+    """Refuse a metric value that a rule orders with >=, <=, > or < unless
+    it is a JSON number (a bool is not one).
+
+    Runs once per oracle feed and metric override, so most calls return at
+    the disjointness test, and ``path.field.metric`` is built only to
+    report a failure.
+    """
+    if values.keys().isdisjoint(ordered):
+        return
+    for metric in ordered:
+        if metric in values and type(values[metric]) not in (int, float):
+            _fail(f"{path}.{field}.{metric}",
+                  "must be a number, as a rule compares it with >=, <=, > or <")
+
+
 def _at_least(low: int) -> Callable[[Any], int]:
     def parse(value: Any) -> int:
         number = int(value)
@@ -431,6 +448,9 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
     rules = [_parse_rule(_object(r, f"rules[{i}]"), f"rules[{i}]")
              for i, r in enumerate(_array(raw.get("rules", []), "rules"))]
     rule_metrics = {m for rule in rules for m in rule.metrics}
+    # Sorted, so that of two bad values the loader always names the same one.
+    ordered = tuple(sorted(set().union(
+        *(compliance_mod.ordered_metrics(r.predicate) for r in rules))))
 
     systems: list[SystemSpec] = []
     system_ids: set[str] = set()
@@ -452,6 +472,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
         missing = sorted(rule_metrics - base_metrics.keys())
         if missing:
             _fail(f"{path}.base_metrics", f"missing rule metrics: {', '.join(missing)}")
+        _numbers(base_metrics, ordered, path, "base_metrics")
         public_key = None
         if "public_key" in entry:
             try:
@@ -478,6 +499,10 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
         epoch = feed.get("epoch")
         if not isinstance(epoch, int) or not 1 <= epoch <= epochs:
             _fail(f"{path}.epoch", "must be within 1..epochs")
+        values = feed.get("values")
+        if type(values) is not dict:
+            _object(values, f"{path}.values")
+        _numbers(values, ordered, path, "values")
         oracle_feeds.append(dict(feed))
 
     accreditors = list(_array(raw.get("accreditors", []), "accreditors"))
@@ -502,11 +527,18 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
             if epoch in regulation_epochs:
                 _fail(f"{path}.epoch", "one REGULATION_CHANGE per epoch")
             regulation_epochs.add(epoch)
+            # The version reaches the rules as the regulation_version metric.
+            if (compliance_mod.REGULATION_VERSION_KEY in ordered
+                    and type(event.get("version", epoch)) not in (int, float)):
+                _fail(f"{path}.version", "must be a number, as a rule compares "
+                      f"{compliance_mod.REGULATION_VERSION_KEY} with >=, <=, > or <")
         if kind in ("VIOLATION", "INCIDENT") and (
                 type(event.get("system")) is not str or event["system"] not in system_ids):
             _fail(f"{path}.system", f"unknown system {event.get('system')!r}")
-        if kind == "VIOLATION" and not isinstance(event.get("metrics"), dict):
-            _fail(f"{path}.metrics", "VIOLATION needs a metrics override map")
+        if kind == "VIOLATION":
+            if not isinstance(event.get("metrics"), dict):
+                _fail(f"{path}.metrics", "VIOLATION needs a metrics override map")
+            _numbers(event["metrics"], ordered, path, "metrics")
         if kind == "INCIDENT":
             try:
                 risk_mod.Severity(event.get("severity"))

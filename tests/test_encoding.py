@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from govsim.encoding import (
+    U32,
+    U64,
     ByteReader,
     as_fraction,
     canonical_json_bytes,
@@ -13,8 +15,6 @@ from govsim.encoding import (
     is_canonical_json,
     pack_bytes,
     pack_str,
-    pack_u32,
-    pack_u64,
 )
 from govsim.errors import EncodingError, IoError
 
@@ -119,7 +119,7 @@ def test_refused_exactly_when_a_key_is_not_a_string(value):
 
 
 def test_byte_reader_round_trip():
-    blob = pack_u64(7) + pack_u32(9) + pack_bytes(b"abc") + pack_str("hej")
+    blob = U64.pack(7) + U32.pack(9) + pack_bytes(b"abc") + pack_str("hej")
     reader = ByteReader(blob)
     assert reader.u64() == 7
     assert reader.u32() == 9
@@ -129,9 +129,27 @@ def test_byte_reader_round_trip():
 
 
 def test_byte_reader_truncation():
-    reader = ByteReader(pack_u32(100) + b"short")
+    reader = ByteReader(U32.pack(100) + b"short")
     with pytest.raises(IoError):
         reader.bytes_()
+
+
+def test_byte_reader_window_ends_where_its_frame_ends():
+    # A frame of 6 bytes inside a longer buffer: its fields are read in
+    # place, and nothing past its end, although the buffer goes on.
+    blob = b"xx" + pack_bytes(U32.pack(7) + b"ab") + U64.pack(9)
+    outer = ByteReader(blob, 2)
+    start, end = outer.window()
+    assert (start, end) == (6, 12)
+    inner = ByteReader(blob, start, end)
+    assert inner.u32() == 7
+    assert inner.raw(2) == b"ab"
+    assert inner.exhausted()
+    with pytest.raises(IoError, match="truncated"):
+        inner.u32()
+    assert outer.u64() == 9 and outer.exhausted()
+    with pytest.raises(IoError, match="truncated"):
+        ByteReader(U32.pack(5) + b"abcd" + b"more", 0, 8).window()
 
 
 @pytest.mark.parametrize("value,expected", [

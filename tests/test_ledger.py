@@ -3,8 +3,12 @@ import hashlib
 import json
 import random
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from govsim.encoding import ZERO_DIGEST, canonical_json_bytes
 from govsim.errors import (
@@ -513,6 +517,129 @@ def test_bad_event_kind_in_frame_rejected(tmp_path, kind_bytes, message):
     path.write_bytes(data.replace(b"HEARTBEAT", kind_bytes, 1))
     with pytest.raises(IoError, match=message):
         load_chain(path)
+
+
+def test_save_chain_to_a_missing_directory_raises_io_error(tmp_path):
+    with pytest.raises(IoError, match="cannot write chain file"):
+        save_chain(build_sealed_chain(1), tmp_path / "missing" / "chain.db")
+
+
+# --- load_chain over arbitrary bytes ---
+
+def _saved(chain) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chain.db"
+        save_chain(chain, path)
+        return path.read_bytes()
+
+
+def _loaded(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chain.db"
+        path.write_bytes(data)
+        return load_chain(path)
+
+
+def _block_count_at(data: bytes) -> int:
+    """Offset of the u64 block count: after the magic, version and header."""
+    return 16 + 1 + 4 + struct.unpack_from("<I", data, 16 + 1)[0]
+
+
+def _small_chain():
+    """Three blocks of two events, a HEARTBEAT and a non-ASCII actor among them."""
+    chain = make_chain(capacity=2)
+    kinds = [EventKind.HEARTBEAT, EventKind.VOTE_CAST, EventKind.DID_REGISTERED,
+             EventKind.SLASH_APPLIED, EventKind.RULE_REGISTERED, EventKind.ORACLE_UPDATE]
+    for event_id, kind in enumerate(kinds, start=1):
+        chain.append_event(make_event(event_id, kind=kind, epoch=event_id // 2,
+                                      actor="régulateur" if event_id % 2 else "sim"))
+    seal_pending(chain)
+    return chain
+
+
+SMALL = _saved(_small_chain())
+
+
+def _add_to_u32(data: bytes, at: int, delta: int) -> list:
+    """Byte flips that add ``delta`` to the u32 at ``at``."""
+    (old,) = struct.unpack_from("<I", data, at)
+    mask = old ^ (old + delta)
+    return [("flip", at + k, (mask >> 8 * k) & 0xFF) for k in range(4) if (mask >> 8 * k) & 0xFF]
+
+
+def _mutated(data: bytes, mutations) -> bytes:
+    out = bytearray(data)
+    for op, at, arg in mutations:
+        if op == "flip" and out:
+            out[at % len(out)] ^= arg
+        elif op == "insert":
+            at %= len(out) + 1
+            out[at:at] = arg
+        elif op == "delete" and out:
+            at %= len(out)
+            del out[at:at + arg]
+        elif op == "truncate":
+            del out[at % (len(out) + 1):]
+    return bytes(out)
+
+
+_BLOCK_AT, _EVENT_AT = _first_event_frame(SMALL)
+(_EVENT_LEN,) = struct.unpack_from("<I", SMALL, _EVENT_AT)
+_SECOND_EVENT_AT = _EVENT_AT + 4 + _EVENT_LEN
+_BLOCK_END = _BLOCK_AT + 4 + struct.unpack_from("<I", SMALL, _BLOCK_AT)[0]
+
+# The HEARTBEAT kind spelled with an invalid UTF-8 byte.
+BAD_UTF8_KIND = [("flip", SMALL.index(b"HEARTBEAT") + 8, ord("T") ^ 0xFF)]
+# Three bytes after block 1's first event, both length prefixes grown to match.
+TRAILING_IN_FRAME = [
+    ("insert", _SECOND_EVENT_AT, b"\x00\x01\x02"),
+    *_add_to_u32(SMALL, _EVENT_AT, 3), *_add_to_u32(SMALL, _BLOCK_AT, 3),
+]
+# Block 1's last event claims a length that ends 10 bytes into block 2's frame.
+OVERSHOOT_INTO_NEXT_BLOCK = _add_to_u32(
+    SMALL, _SECOND_EVENT_AT,
+    _BLOCK_END + 10 - (_SECOND_EVENT_AT + 4) - struct.unpack_from("<I", SMALL, _SECOND_EVENT_AT)[0])
+
+# Half the positions fall in the frames, past the magic and header JSON.
+_AT = st.one_of(st.integers(0, len(SMALL)), st.integers(_block_count_at(SMALL), len(SMALL)))
+_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), _AT, st.integers(1, 255)),
+    st.tuples(st.just("insert"), _AT, st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("delete"), _AT, st.integers(1, 8)),
+    st.tuples(st.just("truncate"), _AT, st.none()),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_MUTATION, min_size=1, max_size=4))
+@example(BAD_UTF8_KIND)
+@example(TRAILING_IN_FRAME)
+@example(OVERSHOOT_INTO_NEXT_BLOCK)
+def test_load_chain_is_total_and_exact_over_mutated_bytes(mutations):
+    """Any bytes load as IoError or as a chain that saves back to them.
+
+    From the block count on the file is frames only, so an accepted chain
+    re-encodes to exactly the bytes read: hashing a decoded event is
+    hashing what was on disk. (The header is parsed JSON and is rebuilt.)
+    """
+    data = _mutated(SMALL, mutations)
+    try:
+        chain = _loaded(data)
+    except IoError:
+        return
+    resaved = _saved(chain)
+    assert resaved[_block_count_at(resaved):] == data[_block_count_at(data):]
+
+
+@pytest.mark.parametrize("mutations,message", [
+    (BAD_UTF8_KIND, "invalid UTF-8"),
+    (TRAILING_IN_FRAME, "trailing bytes inside event frame"),
+    (OVERSHOOT_INTO_NEXT_BLOCK, "truncated input"),
+], ids=["bad-utf8-kind", "trailing-in-frame", "overshoot-into-next-block"])
+def test_small_chain_reproductions_rejected(mutations, message):
+    assert _loaded(SMALL).head_hash == _small_chain().head_hash
+    with pytest.raises(IoError, match=message):
+        _loaded(_mutated(SMALL, mutations))
 
 
 def test_verify_stops_checking_signatures_at_quorum(monkeypatch):

@@ -13,7 +13,7 @@ import govsim.encoding
 import govsim.keys
 import govsim.ledger
 from govsim.cli import main as cli_main
-from govsim.errors import ScenarioError
+from govsim.errors import IoError, ScenarioError
 from govsim.ledger import EventKind, load_chain, save_chain
 from govsim.report import ChainFold, build_report, export_report, report_csv_bytes
 from govsim.simctl import (
@@ -26,7 +26,7 @@ from govsim.simctl import (
     run_scenario,
     verify_run,
 )
-from tests.conftest import REFERENCE_SCENARIOS, scenario_path
+from tests.conftest import REFERENCE_SCENARIOS, SCENARIO_DIR, scenario_path
 
 EMPTY_SCENARIO = {"seed": 3, "epochs": 10}
 
@@ -194,6 +194,22 @@ def _first_system(**fields) -> dict:
     return _first_entry("ai_systems", **fields)
 
 
+def _first_metrics(**metrics) -> dict:
+    """A scenario mutation: the first system with these base metrics changed."""
+    system = json.loads(scenario_path("credit_scoring").read_text())["ai_systems"][0]
+    return _first_system(base_metrics={**system["base_metrics"], **metrics})
+
+
+def _feed(**values) -> dict:
+    return {"oracle_feeds": [{"feed_id": "f", "signer": "ecb-feed", "epoch": 1,
+                              "values": values}]}
+
+
+def _violation(**metrics) -> dict:
+    return {"injected_events": [{"epoch": 1, "kind": "VIOLATION",
+                                 "system": "credit-scorer", "metrics": metrics}]}
+
+
 _FOR = {"voter": "bank-alpha", "direction": "FOR"}
 
 
@@ -264,6 +280,15 @@ _FOR = {"voter": "bank-alpha", "direction": "FOR"}
     # or set-up stopped on a grant the funding pool could not pay.
     ({"authorities": ["a", "a", "a"]}, "authorities[1]"),
     (_first_holder(stakes=[{"amount": 10**30, "lock_epochs": 2}]), "stakeholders[0]"),
+    # Each case below used to load, then stop the run with a TypeError
+    # where a rule compares the metric with >= or <=.
+    (_first_metrics(capital_ratio="high"), "ai_systems[0].base_metrics.capital_ratio"),
+    (_first_metrics(capital_ratio=True), "ai_systems[0].base_metrics.capital_ratio"),
+    (_first_metrics(model_bias_metric=None), "ai_systems[0].base_metrics.model_bias_metric"),
+    (_violation(capital_ratio="low"), "injected_events[0].metrics.capital_ratio"),
+    (_feed(capital_ratio=[0.1]), "oracle_feeds[0].values.capital_ratio"),
+    ({"oracle_feeds": [{"feed_id": "f", "signer": "ecb-feed", "epoch": 1, "values": 3}]},
+     "oracle_feeds[0].values"),
 ])
 def test_scenario_errors_carry_field_paths(mutation, expected_path):
     base = json.loads(scenario_path("credit_scoring").read_text())
@@ -293,6 +318,34 @@ def test_system_missing_rule_metric_rejected():
     del base["ai_systems"][0]["base_metrics"]["capital_ratio"]
     with pytest.raises(ScenarioError, match="capital_ratio"):
         load_scenario(base)
+
+
+@pytest.mark.parametrize("mutation", [
+    # Equality never raises, so a non-number there is a value like any other.
+    _first_metrics(data_privacy_consent="yes"),
+    _violation(data_privacy_consent=None),
+    _feed(capital_ratio_note="high", market_stress=1),
+    _first_metrics(capital_ratio=1),
+])
+def test_non_numbers_where_no_rule_orders_them_load_and_run(mutation):
+    base = json.loads(scenario_path("credit_scoring").read_text())
+    base.update(mutation)
+    assert run_scenario(base).report["epochs"] == base["epochs"]
+
+
+def test_regulation_version_must_be_a_number_when_a_rule_orders_it():
+    base = json.loads(scenario_path("credit_scoring").read_text())
+    base["rules"].append({
+        "rule_id": "current-regulation", "domain": "TRANSPARENCY",
+        "metrics": ["regulation_version"],
+        "predicate": {"op": ">=", "metric": "regulation_version", "value": 1}})
+    for system in base["ai_systems"]:
+        system["base_metrics"]["regulation_version"] = 1
+    base["injected_events"] = [{"epoch": 2, "kind": "REGULATION_CHANGE", "version": "v2"}]
+    with pytest.raises(ScenarioError, match=re.escape("injected_events[0].version:")):
+        load_scenario(base)
+    base["injected_events"][0]["version"] = 2
+    assert run_scenario(base).report["epochs"] == base["epochs"]
 
 
 def test_unknown_owner_rejected():
@@ -542,6 +595,27 @@ def test_cli_file_errors_exit_1_without_traceback(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    # Each case below used to escape as a traceback: FileExistsError from
+    # mkdir on a file where the output directory goes, FileNotFoundError
+    # from writing into a directory that does not exist.
+    ["run", str(scenario_path("credit_scoring")), "--out", "taken"],
+    ["convert", "--in", str(SCENARIO_DIR / "legacy_compliance.csv"),
+     "--map", str(SCENARIO_DIR / "legacy_mapping.json"), "--out", "missing/x.json"],
+], ids=["run-out-is-a-file", "convert-out-dir-missing"])
+def test_cli_output_errors_exit_1_without_traceback(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("a file")
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: cannot ")
+
+
+def test_export_report_to_a_missing_directory_raises_io_error(tmp_path, reference_results):
+    with pytest.raises(IoError, match="cannot write report"):
+        export_report(reference_results["credit_scoring"].report,
+                      tmp_path / "missing" / "report.json")
+
+
 # --- signature scheme selection ---
 
 def test_ed25519_scheme_selectable_via_config(tmp_path):
@@ -565,7 +639,7 @@ def test_run_encodes_hashes_and_signs_each_event_and_block_once(
     """Counts the work, never times it, so removed rework cannot creep back."""
     if scheme_name == "ed25519":
         pytest.importorskip("cryptography")
-    counts = {"recheck": 0, "block_hash": 0, "verify": 0}
+    counts = {"recheck": 0, "block_hash": 0, "verify": 0, "encode": 0, "reader": 0}
 
     def counting(key, real):
         def wrapper(*args, **kwargs):
@@ -580,19 +654,34 @@ def test_run_encodes_hashes_and_signs_each_event_and_block_once(
                         counting("block_hash", govsim.ledger.compute_block_hash))
     for scheme_class in (govsim.keys.SeededScheme, govsim.keys.Ed25519Scheme):
         monkeypatch.setattr(scheme_class, "verify", counting("verify", scheme_class.verify))
+    event_class = govsim.ledger.GovernanceEvent
+    monkeypatch.setattr(event_class, "encode", counting("encode", event_class.encode))
+    monkeypatch.setattr(govsim.ledger, "ByteReader",
+                        counting("reader", govsim.ledger.ByteReader))
 
     base = json.loads(scenario_path("credit_scoring").read_text())
     # Small blocks, so that each epoch's seal_all seals several.
     base["config"].update(signature_scheme=scheme_name, block_capacity=2)
     result = run_scenario(base)
     blocks = len(result.chain.blocks)
+    events = result.report["events_total"]
     assert blocks > 2 * result.report["epochs"]
-    assert counts == {"recheck": 0, "block_hash": blocks, "verify": 0}
+    assert counts == {"recheck": 0, "block_hash": blocks, "verify": 0,
+                      "encode": events, "reader": 0}
 
+    counts.update(block_hash=0, encode=0)
     save_chain(result.chain, tmp_path / "chain.db")
+    assert counts == {"recheck": 0, "block_hash": 0, "verify": 0,
+                      "encode": events, "reader": 0}
+
+    counts["encode"] = 0
     verification, _ = verify_run(tmp_path / "chain.db")
     assert verification.ok
     assert counts["verify"] >= result.chain.quorum * blocks
+    # One reader over the file and one per block frame; event frames are
+    # decoded in place.
+    assert {key: counts[key] for key in ("block_hash", "encode", "reader")} == {
+        "block_hash": blocks, "encode": events, "reader": 1 + blocks}
 
 
 # --- suspension arc ---
