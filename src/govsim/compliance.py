@@ -53,7 +53,7 @@ def validate_predicate(tree: dict, declared_metrics: Sequence[str],
     """Structural check: known ops, declared metrics, bounded depth."""
     if _depth > MAX_PREDICATE_DEPTH:
         raise InvalidRule(f"predicate deeper than {MAX_PREDICATE_DEPTH}")
-    if not isinstance(tree, dict) or "op" not in tree:
+    if not isinstance(tree, dict) or not isinstance(tree.get("op"), str):
         raise InvalidRule("predicate node must be an object with an 'op'")
     op = tree["op"]
     if op in _COMBINATORS:

@@ -26,6 +26,7 @@ from .encoding import ONE, as_fraction
 from .errors import (
     AlreadyResolved,
     AlreadyVoted,
+    EncodingError,
     InsufficientCandidates,
     InvalidInput,
     InvalidWeights,
@@ -78,6 +79,23 @@ class VoteWeights:
                 raise InvalidWeights(f"multiplier for {role.value} must be positive")
         return self
 
+    def adjusted(self, changes: Mapping) -> "VoteWeights":
+        """These weights with a WEIGHT_ADJUSTMENT payload applied: a non-empty
+        ``role_multiplier`` replaces the table, each fraction its own field.
+        Each field is checked on its own, so a payload that one set of weights
+        accepts, every set accepts."""
+        multipliers = isinstance(changes, Mapping) and changes.get("role_multiplier", {})
+        if not isinstance(multipliers, Mapping):
+            raise InvalidWeights("the payload and its role_multiplier must be objects")
+        name, fields = "role_multiplier", {}  # name: the field being read
+        try:
+            roles = {Role(role): as_fraction(value) for role, value in multipliers.items()}
+            for name in ("cap_fraction", "threshold_routine", "threshold_critical"):
+                fields[name] = as_fraction(changes.get(name, getattr(self, name)))
+        except (EncodingError, ValueError) as exc:
+            raise InvalidWeights(f"{name}: {exc}") from None
+        return VoteWeights(role_multiplier=roles or dict(self.role_multiplier), **fields).validate()
+
     def multiplier(self, role: Role) -> Fraction:
         return self.role_multiplier.get(role, ONE)
 
@@ -108,7 +126,6 @@ class Stakeholder:
     stake: int = 0
     # Temporary multiplicative reduction while under collusion scrutiny.
     weight_penalty: Fraction = ONE
-    vote_history: dict[str, VoteDirection] = field(default_factory=dict)
 
 
 @dataclass
@@ -371,7 +388,6 @@ class GovernanceState:
             counts[0] += 1
             if other.direction == direction:
                 counts[1] += 1
-        stakeholder.vote_history[proposal_id] = direction
         self._record(
             EventKind.VOTE_CAST,
             {"proposal_id": proposal_id, "voter": stakeholder_id,
@@ -448,19 +464,7 @@ class GovernanceState:
             raise InvalidInput("not a WEIGHT_ADJUSTMENT proposal")
         if proposal.status != ProposalStatus.PASSED:
             raise InvalidInput("weights change only on a PASSED proposal")
-        payload = proposal.payload
-        new = VoteWeights(
-            role_multiplier={
-                Role(r): as_fraction(m)
-                for r, m in payload.get("role_multiplier", {}).items()
-            } or dict(self.weights.role_multiplier),
-            cap_fraction=as_fraction(
-                payload.get("cap_fraction", self.weights.cap_fraction)),
-            threshold_routine=as_fraction(
-                payload.get("threshold_routine", self.weights.threshold_routine)),
-            threshold_critical=as_fraction(
-                payload.get("threshold_critical", self.weights.threshold_critical)),
-        ).validate()
+        new = self.weights.adjusted(proposal.payload)
         self._staged_weights = new
         self.chain.append(
             EventKind.WEIGHTS_ADJUSTED,
@@ -480,7 +484,12 @@ class GovernanceState:
     # --- collusion scrutiny ---
 
     def vote_histories(self) -> dict[str, dict[str, VoteDirection]]:
-        return {sid: dict(s.vote_history) for sid, s in self.stakeholders.items()}
+        """Each stakeholder's proposal id -> direction, read from the proposals."""
+        histories: dict[str, dict[str, VoteDirection]] = {sid: {} for sid in self.stakeholders}
+        for proposal_id, proposal in self.proposals.items():
+            for voter, vote in proposal.votes.items():
+                histories.setdefault(voter, {})[proposal_id] = vote.direction
+        return histories
 
     def colluding_pairs(self, min_common: int,
                         agreement_threshold: Fraction) -> set[tuple[str, str]]:

@@ -90,14 +90,9 @@ OWNER_SCOPED: dict[Role, frozenset[Action]] = {
 }
 
 
-def check_access(
-    role: Role,
-    action: Action,
-    policy: Optional[Mapping[tuple[Role, Action], bool]] = None,
-) -> bool:
+def check_access(role: Role, action: Action) -> bool:
     """Pure lookup in the total (role, action) policy table."""
-    table = DEFAULT_POLICY if policy is None else policy
-    return table[(role, action)]
+    return DEFAULT_POLICY[(role, action)]
 
 
 def derive_did(public_key: bytes) -> str:
@@ -174,12 +169,10 @@ class DidRegistry:
         chain: Optional[Chain],
         store: Optional[ContentStore] = None,
         roles: Optional[Mapping[str, Role]] = None,
-        policy: Optional[Mapping[tuple[Role, Action], bool]] = None,
     ):
         self.chain = chain
         self.store = ContentStore() if store is None else store
         self.roles = {} if roles is None else roles
-        self.policy = dict(DEFAULT_POLICY if policy is None else policy)
         self.records: dict[str, AISystemRecord] = {}
         self._keys_seen: set[bytes] = set()
 
@@ -281,7 +274,7 @@ class DidRegistry:
                    epoch: int) -> Role:
         """Policy check plus ownership rule; logs the attempt either way."""
         role = self._actor_role(actor)
-        allowed = check_access(role, action, self.policy)
+        allowed = check_access(role, action)
         if allowed and action in OWNER_SCOPED.get(role, frozenset()):
             allowed = record.owner == actor
         self._log_access(record.did, actor, role, action, allowed, epoch)

@@ -18,11 +18,12 @@ the scenario seed, one stream per consumer.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import audit as audit_mod
 from . import compliance as compliance_mod
@@ -30,6 +31,7 @@ from . import governance as governance_mod
 from . import risk as risk_mod
 from .encoding import as_fraction, canonical_json_bytes, sha256
 from .errors import (
+    EncodingError,
     GovSimError,
     InvalidInput,
     InvalidWeights,
@@ -95,12 +97,12 @@ PHASE_OF_KIND: dict[EventKind, frozenset[int]] = {
     EventKind.DELEGATE_ELECTED: frozenset({PHASE_SETUP, PHASE_ELECTIONS}),
 }
 
-# The values a scenario may name, read once per event, proposal or vote.
-# Tuples, not sets: the scenario may hold an unhashable value in those fields.
-INJECTION_KINDS = ("VIOLATION", "COLLUSION", "REGULATION_CHANGE", "INCIDENT", "PROPOSAL")
-_PROPOSAL_KINDS = tuple(kind.value for kind in governance_mod.ProposalKind)
-_VOTE_DIRECTIONS = tuple(direction.value for direction in governance_mod.VoteDirection)
-_VOTE_MODES = tuple(mode.value for mode in governance_mod.VoteMode)
+# Value -> member: the loader reads each enum field once per event, proposal
+# or vote, and a dict lookup is far cheaper than calling the enum.
+_ROLES, _TIERS, _SEVERITIES, _DOMAINS, _PROPOSAL_KINDS, _VOTE_MODES, _VOTE_DIRECTIONS = (
+    {member.value: member for member in enum} for enum in (
+        Role, RiskTier, risk_mod.Severity, compliance_mod.RuleDomain, governance_mod.ProposalKind,
+        governance_mod.VoteMode, governance_mod.VoteDirection))
 
 # Priority order when one system accrues several audit triggers in an epoch.
 _TRIGGER_PRIORITY = ["collusion", "mitigation", "violation", "forecast"]
@@ -177,12 +179,13 @@ class StakeholderSpec:
     id: str
     role: Role
     balance: int = 0
-    stakes: list[dict] = field(default_factory=list)
-    auditor: Optional[dict] = None
+    stakes: list[tuple[int, int]] = field(default_factory=list)  # (amount, lock_epochs)
+    # (accrediting body, scopes, validity_epochs), as accredit_auditor takes them.
+    auditor: Optional[tuple[str, list[compliance_mod.RuleDomain], int]] = None
 
     def funding(self) -> int:
         """What set-up grants from the funding pool: the balance plus every stake."""
-        return self.balance + sum(stake["amount"] for stake in self.stakes)
+        return self.balance + sum(amount for amount, _ in self.stakes)
 
 
 @dataclass
@@ -197,8 +200,19 @@ class SystemSpec:
     public_key: Optional[bytes] = None
 
 
+class ProposalSpec(NamedTuple):
+    id: Optional[str]  # None: the run generates one
+    kind: governance_mod.ProposalKind
+    mode: governance_mod.VoteMode
+    payload: Any
+    votes: dict[str, tuple[governance_mod.VoteDirection, int]]  # voter -> (direction, magnitude)
+    rule: Optional[compliance_mod.ComplianceRuleModule]  # a RULE_UPDATE's rule
+
+
 @dataclass
 class SimScenario:
+    """Every input parsed into the value the run uses; the scripted inputs
+    keyed by the epoch they fire in, each list in scenario order."""
     seed: int
     epochs: int
     config: SimConfig
@@ -208,9 +222,13 @@ class SimScenario:
     stakeholders: list[StakeholderSpec]
     ai_systems: list[SystemSpec]
     rules: list[compliance_mod.ComplianceRuleModule]
-    oracle_feeds: list[dict]
-    injected_events: list[dict]
-    raw: dict
+    digest: str  # hex sha256 of the scenario's canonical JSON
+    feeds: dict[int, list[tuple[str, Mapping[str, Any], str]]]  # (feed_id, values, signer)
+    violations: dict[int, list[tuple[str, Mapping[str, Any]]]]  # (system, metric overrides)
+    incidents: dict[int, list[tuple[str, risk_mod.Severity]]]  # (system, severity)
+    regulation_versions: dict[int, Any]
+    collusions: dict[int, list[tuple[tuple[str, str], int]]]  # (pair, proposals)
+    proposals: dict[int, list[ProposalSpec]]
 
 
 def _fail(path: str, message: str) -> None:
@@ -244,15 +262,41 @@ def _integer(value: Any, path: str, low: int) -> int:
     return value
 
 
+def _epoch(value: Any, epochs: int, path: str) -> int:
+    if type(value) is not int or not 1 <= value <= epochs:
+        _fail(path, "must be within 1..epochs")
+    return value
+
+
+def _member(members: Mapping[str, Any], value: Any, path: str, what: str) -> Any:
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        _fail(path, f"unknown {what} {value!r}")
+
+
+def _digest(raw: Mapping[str, Any]) -> str:
+    """The scenario digest. Only if the encoding fails is the document walked
+    (breadth first), to name the NaN or infinity at fault."""
+    try:
+        return sha256(canonical_json_bytes(raw)).hex()
+    except EncodingError as exc:
+        todo = [(str(key), value) for key, value in raw.items()]
+        for path, value in todo:  # extended while it is walked
+            if isinstance(value, float) and not math.isfinite(value):
+                _fail(path, "must be a finite number")
+            if isinstance(value, Mapping):
+                todo += [(f"{path}.{key}", item) for key, item in value.items()]
+            elif isinstance(value, (list, tuple)):
+                todo += [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+        raise ScenarioError(f"scenario: {exc}") from None
+
+
 def _numbers(values: Mapping[str, Any], ordered: tuple[str, ...], path: str,
              field: str) -> None:
-    """Refuse a metric value that a rule orders with >=, <=, > or < unless
-    it is a JSON number (a bool is not one).
-
-    Runs once per oracle feed and metric override, so most calls return at
-    the disjointness test, and ``path.field.metric`` is built only to
-    report a failure.
-    """
+    """Refuse a metric value that a rule orders with >=, <=, > or < unless it
+    is a JSON number (a bool is not one); ``path.field.metric`` is built only
+    to report a failure."""
     if values.keys().isdisjoint(ordered):
         return
     for metric in ordered:
@@ -270,11 +314,13 @@ def _at_least(low: int) -> Callable[[Any], int]:
     return parse
 
 
-def _open_unit(value: Any) -> float:
-    number = float(value)
-    if not 0 < number < 1:
-        raise InvalidInput("must be in (0, 1)")
-    return number
+def _float_where(test: Callable[[float], bool], bound: str) -> Callable[[Any], float]:
+    def parse(value: Any) -> float:
+        number = float(value)
+        if not test(number):
+            raise InvalidInput(f"must be {bound}")
+        return number
+    return parse
 
 
 def _slash_fraction(value: Any) -> Fraction:
@@ -321,8 +367,8 @@ _CONFIG_PARSERS: dict[str, Callable[[Any], Any]] = {
     "auditor_capacity": int,
     "risk_weights": risk_mod.RiskWeights.from_json,
     "tier_thresholds": risk_mod.TierThresholds.from_json,
-    "ewma_alpha": _open_unit,
-    "forecast_floor": float,
+    "ewma_alpha": _float_where(lambda number: 0 < number < 1, "in (0, 1)"),
+    "forecast_floor": _float_where(math.isfinite, "a finite number"),
     "total_supply": _at_least(0),
     "pool_fractions": lambda value: validate_pool_fractions(
         _table(Pool, as_fraction)(value)),
@@ -358,17 +404,18 @@ def _parse_rule(raw: Mapping[str, Any], path: str) -> compliance_mod.ComplianceR
     try:
         rule = compliance_mod.ComplianceRuleModule(
             rule_id=_name(raw.get("rule_id"), f"{path}.rule_id"),
-            domain=compliance_mod.RuleDomain(raw["domain"]),
+            domain=_DOMAINS[raw["domain"]],
             predicate=raw["predicate"],
             metrics=tuple(raw["metrics"]),
             mandatory=bool(raw.get("mandatory", True)),
             applicable_tiers=frozenset(
-                RiskTier(t) for t in raw.get(
-                    "applicable_tiers", ["HIGH", "LIMITED", "MINIMAL"])),
+                _TIERS[t] for t in raw.get("applicable_tiers", ["HIGH", "LIMITED", "MINIMAL"])),
             weight=int(raw.get("weight", 1)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         _fail(path, f"bad rule: {exc}")
+    if rule.weight < 1 or not all(type(metric) is str for metric in rule.metrics):
+        _fail(path, "bad rule: needs metric names and a weight >= 1")
     try:
         compliance_mod.validate_predicate(rule.predicate, rule.metrics)
     except GovSimError as exc:
@@ -376,8 +423,54 @@ def _parse_rule(raw: Mapping[str, Any], path: str) -> compliance_mod.ComplianceR
     return rule
 
 
+def _parse_proposal(raw: Any, path: str, holders: set[str], ids: set[str],
+                    weights: governance_mod.VoteWeights) -> ProposalSpec:
+    proposal = _object(raw, path)
+    kind = _member(_PROPOSAL_KINDS, proposal.get("kind"), f"{path}.kind", "kind")
+    mode = _member(_VOTE_MODES, proposal.get("mode", "LINEAR"), f"{path}.mode", "mode")
+    explicit_id = proposal.get("id")
+    if explicit_id is not None:
+        if _name(explicit_id, f"{path}.id") in ids:
+            _fail(f"{path}.id", f"duplicate id {explicit_id!r}")
+        ids.add(explicit_id)
+    payload = proposal.get("payload", {})
+    rule = None
+    if kind is governance_mod.ProposalKind.RULE_UPDATE:
+        rule_path = f"{path}.payload.rule"
+        rule = _parse_rule(_object(_object(payload, f"{path}.payload").get("rule"), rule_path),
+                           rule_path)
+    elif kind is governance_mod.ProposalKind.WEIGHT_ADJUSTMENT:
+        try:
+            weights.adjusted(payload)
+        except InvalidWeights as exc:
+            _fail(f"{path}.payload", str(exc))
+    # Every stakeholder may vote on every proposal, so these checks run per
+    # vote and build a field path only to report a failure.
+    votes: dict[str, tuple[governance_mod.VoteDirection, int]] = {}
+    linear = mode is governance_mod.VoteMode.LINEAR
+    for j, vote in enumerate(_array(proposal.get("votes", []), f"{path}.votes")):
+        if type(vote) is not dict and not isinstance(vote, Mapping):
+            _fail(f"{path}.votes[{j}]", "must be an object")
+        voter, magnitude = vote.get("voter"), vote.get("magnitude", 1)
+        if type(voter) is not str or voter not in holders:
+            _fail(f"{path}.votes[{j}].voter", f"unknown stakeholder {voter!r}")
+        if voter in votes:
+            _fail(f"{path}.votes[{j}].voter", f"{voter!r} already voted on this proposal")
+        try:
+            direction = _VOTE_DIRECTIONS[vote.get("direction")]
+        except (KeyError, TypeError):
+            _fail(f"{path}.votes[{j}].direction",
+                  f"unknown direction {vote.get('direction')!r}")
+        if type(magnitude) is not int or magnitude < 1 or (linear and magnitude != 1):
+            _fail(f"{path}.votes[{j}].magnitude",
+                  "must be an integer >= 1, and 1 on a LINEAR proposal")
+        votes[voter] = (direction, magnitude)
+    return ProposalSpec(explicit_id, kind, mode, payload, votes, rule)
+
+
 def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
-    """Parse and validate a scenario; errors carry the offending field path."""
+    """Parse and validate a scenario into all the run reads; errors carry the
+    offending field path."""
     if isinstance(source, (str, Path)):
         try:
             raw = json.loads(Path(source).read_text("utf-8"))
@@ -406,6 +499,8 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
             _fail(f"authorities[{i}]", f"duplicate id {authority!r}")
     if config.quorum is not None and config.quorum > len(authorities):
         _fail("config.quorum", f"exceeds the {len(authorities)} sealing authorities")
+    oracle_authorities = list(_array(raw.get("oracle_authorities", []), "oracle_authorities"))
+    accreditors = list(_array(raw.get("accreditors", []), "accreditors"))
 
     stakeholders: list[StakeholderSpec] = []
     seen_ids: set[str] = set()
@@ -419,26 +514,31 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
         if sid in seen_ids:
             _fail(f"{path}.id", f"duplicate id {sid!r}")
         seen_ids.add(sid)
-        try:
-            role = Role(entry["role"])
-        except (KeyError, ValueError):
-            _fail(f"{path}.role", f"unknown role {entry.get('role')!r}")
+        role = _member(_ROLES, entry.get("role"), f"{path}.role", "role")
         stakes = []
         for j, stake in enumerate(_array(entry.get("stakes", []), f"{path}.stakes")):
             stake_path = f"{path}.stakes[{j}]"
             _object(stake, stake_path)
-            stakes.append({"amount": _integer(stake.get("amount"), f"{stake_path}.amount", 1),
-                           "lock_epochs": _integer(stake.get("lock_epochs"),
-                                                   f"{stake_path}.lock_epochs", 1)})
-        auditor_spec = entry.get("auditor")
-        if auditor_spec is not None:
-            _object(auditor_spec, f"{path}.auditor")
-            if role != Role.AUDITOR:
+            stakes.append((_integer(stake.get("amount"), f"{stake_path}.amount", 1),
+                           _integer(stake.get("lock_epochs"), f"{stake_path}.lock_epochs", 1)))
+        auditor = entry.get("auditor")
+        if auditor is not None:
+            _object(auditor, f"{path}.auditor")
+            if role is not Role.AUDITOR:
                 _fail(f"{path}.auditor", "auditor block on a non-AUDITOR stakeholder")
+            body = auditor.get("body")
+            scopes = _array(auditor.get("scopes"), f"{path}.auditor.scopes")
+            if body not in accreditors:
+                _fail(f"{path}.auditor.body", f"unknown accreditor {body!r}")
+            if not scopes:
+                _fail(f"{path}.auditor.scopes", "needs at least one domain")
+            auditor = (body, [_member(_DOMAINS, scope, f"{path}.auditor.scopes[{k}]", "domain")
+                              for k, scope in enumerate(scopes)], _integer(auditor.get(
+                "validity_epochs", epochs + 1), f"{path}.auditor.validity_epochs", 1))
         stakeholders.append(StakeholderSpec(
             id=sid, role=role,
             balance=_integer(entry.get("balance", 0), f"{path}.balance", 0),
-            stakes=stakes, auditor=auditor_spec,
+            stakes=stakes, auditor=auditor,
         ))
         granted += stakeholders[-1].funding()
         if granted > pool_share:
@@ -447,10 +547,6 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
 
     rules = [_parse_rule(_object(r, f"rules[{i}]"), f"rules[{i}]")
              for i, r in enumerate(_array(raw.get("rules", []), "rules"))]
-    rule_metrics = {m for rule in rules for m in rule.metrics}
-    # Sorted, so that of two bad values the loader always names the same one.
-    ordered = tuple(sorted(set().union(
-        *(compliance_mod.ordered_metrics(r.predicate) for r in rules))))
 
     systems: list[SystemSpec] = []
     system_ids: set[str] = set()
@@ -462,17 +558,9 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
         system_ids.add(sid)
         if type(entry.get("owner")) is not str or entry["owner"] not in seen_ids:
             _fail(f"{path}.owner", f"unknown stakeholder {entry.get('owner')!r}")
-        try:
-            tier = RiskTier(entry["risk_tier"])
-        except (KeyError, ValueError):
-            _fail(f"{path}.risk_tier", f"unknown tier {entry.get('risk_tier')!r}")
-        if tier == RiskTier.UNACCEPTABLE:
+        tier = _member(_TIERS, entry.get("risk_tier"), f"{path}.risk_tier", "tier")
+        if tier is RiskTier.UNACCEPTABLE:
             _fail(f"{path}.risk_tier", "unacceptable systems may not be registered")
-        base_metrics = dict(_object(entry.get("base_metrics", {}), f"{path}.base_metrics"))
-        missing = sorted(rule_metrics - base_metrics.keys())
-        if missing:
-            _fail(f"{path}.base_metrics", f"missing rule metrics: {', '.join(missing)}")
-        _numbers(base_metrics, ordered, path, "base_metrics")
         public_key = None
         if "public_key" in entry:
             try:
@@ -481,127 +569,102 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
                 _fail(f"{path}.public_key", "must be hex")
         try:
             exposure = as_fraction(entry.get("exposure", "1/2"))
-        except GovSimError as exc:
+        except (GovSimError, ValueError) as exc:
             _fail(f"{path}.exposure", str(exc))
+        if not 0 <= exposure <= 1:
+            _fail(f"{path}.exposure", "must be in [0, 1]")
         systems.append(SystemSpec(
             id=sid, owner=entry["owner"], purpose=entry.get("purpose", sid),
             risk_tier=tier, exposure=exposure,
-            base_metrics=base_metrics, metadata=entry.get("metadata"),
-            public_key=public_key,
+            base_metrics=dict(_object(entry.get("base_metrics", {}), f"{path}.base_metrics")),
+            metadata=entry.get("metadata"), public_key=public_key,
         ))
 
-    oracle_authorities = list(_array(raw.get("oracle_authorities", []), "oracle_authorities"))
-    oracle_feeds = []
+    # (values, path, field) to check once every rule, RULE_UPDATE too, is parsed.
+    metric_maps: list[tuple[Mapping[str, Any], str, str]] = []
+    feeds: dict[int, list[tuple[str, Mapping[str, Any], str]]] = {}
+    feed_keys: set[tuple[int, str]] = set()
     for i, feed in enumerate(_array(raw.get("oracle_feeds", []), "oracle_feeds")):
         path = f"oracle_feeds[{i}]"
         if _object(feed, path).get("signer") not in oracle_authorities:
             _fail(f"{path}.signer", f"unknown oracle authority {feed.get('signer')!r}")
-        epoch = feed.get("epoch")
-        if not isinstance(epoch, int) or not 1 <= epoch <= epochs:
-            _fail(f"{path}.epoch", "must be within 1..epochs")
+        epoch = _epoch(feed.get("epoch"), epochs, f"{path}.epoch")
+        feed_id = _name(feed.get("feed_id"), f"{path}.feed_id")
+        if (epoch, feed_id) in feed_keys:
+            _fail(f"{path}.feed_id", f"duplicate feed {feed_id!r} in epoch {epoch}")
+        feed_keys.add((epoch, feed_id))
         values = feed.get("values")
         if type(values) is not dict:
             _object(values, f"{path}.values")
-        _numbers(values, ordered, path, "values")
-        oracle_feeds.append(dict(feed))
+        metric_maps.append((values, path, "values"))
+        feeds.setdefault(epoch, []).append((feed_id, values, feed["signer"]))
 
-    accreditors = list(_array(raw.get("accreditors", []), "accreditors"))
-    for i, spec in enumerate(stakeholders):
-        if spec.auditor is not None:
-            if spec.auditor.get("body") not in accreditors:
-                _fail(f"stakeholders[{i}].auditor.body",
-                      f"unknown accreditor {spec.auditor.get('body')!r}")
-
-    injected: list[dict] = []
+    violations, incidents, regulation_versions, collusions, proposals = {}, {}, {}, {}, {}
+    version_paths: list[str] = []
     proposal_ids: set[str] = set()
-    regulation_epochs: set[int] = set()
+    weights = config.vote_weights()
     for i, event in enumerate(_array(raw.get("injected_events", []), "injected_events")):
         path = f"injected_events[{i}]"
         kind = _object(event, path).get("kind")
-        if kind not in INJECTION_KINDS:
-            _fail(f"{path}.kind", f"unknown injection kind {kind!r}")
-        epoch = event.get("epoch")
-        if not isinstance(epoch, int) or not 1 <= epoch <= epochs:
-            _fail(f"{path}.epoch", "must be within 1..epochs")
-        if kind == "REGULATION_CHANGE":
-            if epoch in regulation_epochs:
-                _fail(f"{path}.epoch", "one REGULATION_CHANGE per epoch")
-            regulation_epochs.add(epoch)
-            # The version reaches the rules as the regulation_version metric.
-            if (compliance_mod.REGULATION_VERSION_KEY in ordered
-                    and type(event.get("version", epoch)) not in (int, float)):
-                _fail(f"{path}.version", "must be a number, as a rule compares "
-                      f"{compliance_mod.REGULATION_VERSION_KEY} with >=, <=, > or <")
+        epoch = _epoch(event.get("epoch"), epochs, f"{path}.epoch")
         if kind in ("VIOLATION", "INCIDENT") and (
                 type(event.get("system")) is not str or event["system"] not in system_ids):
             _fail(f"{path}.system", f"unknown system {event.get('system')!r}")
-        if kind == "VIOLATION":
+        if kind == "PROPOSAL":
+            proposals.setdefault(epoch, []).append(_parse_proposal(
+                event.get("proposal", {}), f"{path}.proposal", seen_ids, proposal_ids, weights))
+        elif kind == "VIOLATION":
             if not isinstance(event.get("metrics"), dict):
                 _fail(f"{path}.metrics", "VIOLATION needs a metrics override map")
-            _numbers(event["metrics"], ordered, path, "metrics")
-        if kind == "INCIDENT":
-            try:
-                risk_mod.Severity(event.get("severity"))
-            except ValueError:
-                _fail(f"{path}.severity", f"unknown severity {event.get('severity')!r}")
-        if kind == "COLLUSION":
+            metric_maps.append((event["metrics"], path, "metrics"))
+            violations.setdefault(epoch, []).append((event["system"], event["metrics"]))
+        elif kind == "INCIDENT":
+            incidents.setdefault(epoch, []).append((event["system"], _member(
+                _SEVERITIES, event.get("severity"), f"{path}.severity", "severity")))
+        elif kind == "REGULATION_CHANGE":
+            if epoch in regulation_versions:
+                _fail(f"{path}.epoch", "one REGULATION_CHANGE per epoch")
+            if (epoch, "regulation") in feed_keys:
+                _fail(f"{path}.epoch", "an oracle feed of this epoch is named 'regulation'")
+            regulation_versions[epoch] = event.get("version", epoch)
+            version_paths.append(f"{path}.version")
+        elif kind == "COLLUSION":
             pair = _array(event.get("pair", []), f"{path}.pair")
             if (any(type(p) is not str or p not in seen_ids for p in pair)
                     or len(set(pair)) != 2):
                 _fail(f"{path}.pair", "needs two distinct known stakeholder ids")
-            _integer(event.get("proposals"), f"{path}.proposals", 1)
-        if kind == "PROPOSAL":
-            proposal = _object(event.get("proposal", {}), f"{path}.proposal")
-            if proposal.get("kind") not in _PROPOSAL_KINDS:
-                _fail(f"{path}.proposal.kind", f"unknown kind {proposal.get('kind')!r}")
-            mode = proposal.get("mode", "LINEAR")
-            if mode not in _VOTE_MODES:
-                _fail(f"{path}.proposal.mode", f"unknown mode {mode!r}")
-            explicit_id = proposal.get("id")
-            if explicit_id is not None:
-                if isinstance(explicit_id, (list, dict)):
-                    _fail(f"{path}.proposal.id", "must be a string or a number")
-                if explicit_id in proposal_ids:
-                    _fail(f"{path}.proposal.id", f"duplicate id {explicit_id!r}")
-                proposal_ids.add(explicit_id)
-            # Every stakeholder may vote on every proposal, so these checks
-            # run per vote and build a field path only to report a failure.
-            voters: set[str] = set()
-            for j, vote in enumerate(
-                    _array(proposal.get("votes", []), f"{path}.proposal.votes")):
-                if type(vote) is not dict and not isinstance(vote, Mapping):
-                    _fail(f"{path}.proposal.votes[{j}]", "must be an object")
-                voter, magnitude = vote.get("voter"), vote.get("magnitude", 1)
-                if type(voter) is not str or voter not in seen_ids:
-                    _fail(f"{path}.proposal.votes[{j}].voter",
-                          f"unknown stakeholder {voter!r}")
-                if voter in voters:
-                    _fail(f"{path}.proposal.votes[{j}].voter",
-                          f"{voter!r} already voted on this proposal")
-                voters.add(voter)
-                if vote.get("direction") not in _VOTE_DIRECTIONS:
-                    _fail(f"{path}.proposal.votes[{j}].direction",
-                          f"unknown direction {vote.get('direction')!r}")
-                if (type(magnitude) is not int or magnitude < 1
-                        or (mode == "LINEAR" and magnitude != 1)):
-                    _fail(f"{path}.proposal.votes[{j}].magnitude",
-                          "must be an integer >= 1, and 1 on a LINEAR proposal")
-        injected.append(dict(event))
+            collusions.setdefault(epoch, []).append(
+                (tuple(pair), _integer(event.get("proposals"), f"{path}.proposals", 1)))
+        else:
+            _fail(f"{path}.kind", f"unknown injection kind {kind!r}")
+
+    every_rule = rules + [spec.rule for specs in proposals.values() for spec in specs
+                          if spec.rule is not None]
+    rule_metrics = {m for rule in every_rule for m in rule.metrics}
+    # Sorted, so that of two bad values the loader always names the same one.
+    ordered = tuple(sorted(set().union(
+        *(compliance_mod.ordered_metrics(r.predicate) for r in every_rule))))
+    for i, system in enumerate(systems):
+        missing = sorted(rule_metrics - system.base_metrics.keys())
+        if missing:
+            _fail(f"ai_systems[{i}].base_metrics", f"missing rule metrics: {', '.join(missing)}")
+        _numbers(system.base_metrics, ordered, f"ai_systems[{i}]", "base_metrics")
+    for values, path, field_name in metric_maps:
+        _numbers(values, ordered, path, field_name)
+    # The version reaches the rules as the regulation_version metric.
+    if compliance_mod.REGULATION_VERSION_KEY in ordered:
+        for version, path in zip(regulation_versions.values(), version_paths):
+            if type(version) not in (int, float):
+                _fail(path, "must be a number, as a rule compares "
+                      f"{compliance_mod.REGULATION_VERSION_KEY} with >=, <=, > or <")
 
     return SimScenario(
-        seed=int(raw.get("seed", 0)),
-        epochs=epochs,
-        config=config,
-        authorities=authorities,
-        oracle_authorities=oracle_authorities,
-        accreditors=accreditors,
-        stakeholders=stakeholders,
-        ai_systems=systems,
-        rules=rules,
-        oracle_feeds=oracle_feeds,
-        injected_events=injected,
-        raw=raw,
-    )
+        seed=int(raw.get("seed", 0)), epochs=epochs, config=config,
+        authorities=authorities, oracle_authorities=oracle_authorities,
+        accreditors=accreditors, stakeholders=stakeholders, ai_systems=systems,
+        rules=rules, digest=_digest(raw), feeds=feeds, violations=violations,
+        incidents=incidents, regulation_versions=regulation_versions,
+        collusions=collusions, proposals=proposals)
 
 
 @dataclass
@@ -651,7 +714,6 @@ class Simulator:
         )
         self.chain.phase_provider = lambda: self._phase
 
-        scenario_digest = sha256(canonical_json_bytes(self.scenario.raw)).hex()
         self.tokens = TokenLedger.mint_genesis(
             config.pool_fractions,
             total_supply=config.total_supply,
@@ -661,7 +723,7 @@ class Simulator:
             genesis_meta={
                 "seed": self.seed,
                 "epochs": self.scenario.epochs,
-                "scenario_digest": scenario_digest,
+                "scenario_digest": self.scenario.digest,
                 "config": config.to_snapshot(),
             },
         )
@@ -678,8 +740,8 @@ class Simulator:
             funding = spec.funding()
             if funding:
                 self.tokens.grant(config.funding_pool, spec.id, funding, epoch=0)
-            for stake in spec.stakes:
-                self.tokens.stake(spec.id, stake["amount"], stake["lock_epochs"], epoch=0)
+            for amount, lock_epochs in spec.stakes:
+                self.tokens.stake(spec.id, amount, lock_epochs, epoch=0)
         self.governance.sync_stakes()
 
         roles = {s.id: s.role for s in self.scenario.stakeholders}
@@ -692,13 +754,7 @@ class Simulator:
         )
         for spec in self.scenario.stakeholders:
             if spec.auditor is not None:
-                self.audits.accredit_auditor(
-                    spec.id,
-                    spec.auditor["body"],
-                    [compliance_mod.RuleDomain(d) for d in spec.auditor["scopes"]],
-                    int(spec.auditor.get("validity_epochs", self.scenario.epochs + 1)),
-                    epoch=0,
-                )
+                self.audits.accredit_auditor(spec.id, *spec.auditor, epoch=0)
 
         self.oracles = compliance_mod.OracleBook(self.chain, self.scenario.oracle_authorities)
         self.risk = risk_mod.RiskEngine(
@@ -724,22 +780,14 @@ class Simulator:
 
         self._run_election(epoch=0)
 
-        # Scripted inputs, indexed once by the epoch they fire in.
-        self._scripted: dict[int, list[dict]] = {}
-        for injection in self.scenario.injected_events:
-            self._scripted.setdefault(injection["epoch"], []).append(injection)
-        self._feeds: dict[int, list[dict]] = {}
-        for feed_spec in self.scenario.oracle_feeds:
-            self._feeds.setdefault(feed_spec["epoch"], []).append(feed_spec)
-
         # Mutable run state.
         self._latest_assessment: dict[str, compliance_mod.Assessment] = {}
         self.assessment_log: list[compliance_mod.Assessment] = []
         # Running EWMA of each system's aggregate compliance score.
         self._forecast: dict[str, float] = {}
         self._audit_failed_prev: dict[str, bool] = {}
+        # Audit triggers since the last audit phase, which consumes them.
         self._pending_triggers: dict[str, set[str]] = {}
-        self._carryover_triggers: dict[str, set[str]] = {}
         self._collusion_expiry: dict[str, int] = {}
         self._flagged_pairs: set[tuple[str, str]] = set()
         self._salt_stream = self._stream("assessment-salt")
@@ -758,33 +806,25 @@ class Simulator:
 
     # --- phase bodies ---
 
-    def _injections(self, epoch: int, kind: str) -> list[dict]:
-        return [e for e in self._scripted.get(epoch, []) if e["kind"] == kind]
-
-    def _add_trigger(self, did: str, reason: str, *, carryover: bool = False) -> None:
-        bucket = self._carryover_triggers if carryover else self._pending_triggers
-        bucket.setdefault(did, set()).add(reason)
+    def _add_trigger(self, did: str, reason: str) -> None:
+        self._pending_triggers.setdefault(did, set()).add(reason)
 
     def _phase_ingest(self, epoch: int) -> dict[str, dict]:
         """Heartbeat, oracle feeds, injected events. Returns metric overrides."""
         self.chain.append(EventKind.HEARTBEAT, {"epoch": epoch},
                           actor="simulator", epoch=epoch)
 
+        scenario = self.scenario
         regulation_changed = False
-        for feed_spec in self._feeds.get(epoch, []):
-            feed = compliance_mod.OracleFeed(
-                feed_id=feed_spec["feed_id"], epoch=epoch,
-                values=dict(feed_spec["values"]), signer=feed_spec["signer"])
+        for feed_id, values, signer in scenario.feeds.get(epoch, ()):
+            feed = compliance_mod.OracleFeed(feed_id, epoch, dict(values), signer)
             regulation_changed |= self.oracles.ingest(feed)
-        for injection in self._injections(epoch, "REGULATION_CHANGE"):
-            signer = (self.scenario.oracle_authorities[0]
-                      if self.scenario.oracle_authorities else "regulator-oracle")
-            if signer not in self.oracles.authorities:
-                self.oracles.authorities.add(signer)
-            feed = compliance_mod.OracleFeed(
-                feed_id="regulation", epoch=epoch,
-                values={compliance_mod.REGULATION_VERSION_KEY: injection.get("version", epoch)},
-                signer=signer)
+        if epoch in scenario.regulation_versions:
+            signer = (scenario.oracle_authorities[0]
+                      if scenario.oracle_authorities else "regulator-oracle")
+            self.oracles.authorities.add(signer)
+            version = {compliance_mod.REGULATION_VERSION_KEY: scenario.regulation_versions[epoch]}
+            feed = compliance_mod.OracleFeed("regulation", epoch, version, signer)
             regulation_changed |= self.oracles.ingest(feed)
         if regulation_changed:
             for did in sorted(self.registry.records):
@@ -795,15 +835,13 @@ class Simulator:
                         did, ComplianceStatus.UNDER_REVIEW,
                         epoch=epoch, actor="compliance-engine")
 
-        for injection in self._injections(epoch, "INCIDENT"):
-            did = self._system_ids[injection["system"]]
-            self.incidents.raise_incident(
-                did, risk_mod.Severity(injection["severity"]), epoch=epoch)
+        for system, severity in scenario.incidents.get(epoch, ()):
+            self.incidents.raise_incident(self._system_ids[system], severity, epoch=epoch)
 
         overrides: dict[str, dict] = {}
-        for injection in self._injections(epoch, "VIOLATION"):
-            did = self._system_ids[injection["system"]]
-            overrides.setdefault(did, {}).update(injection["metrics"])
+        for system, metrics in scenario.violations.get(epoch, ()):
+            did = self._system_ids[system]
+            overrides.setdefault(did, {}).update(metrics)
             self._add_trigger(did, "violation")
         return overrides
 
@@ -860,17 +898,8 @@ class Simulator:
                 self._add_trigger(did, "forecast")
 
     def _phase_audit(self, epoch: int) -> list[audit_mod.AuditRecord]:
-        triggers: dict[str, str] = {}
-        merged: dict[str, set[str]] = {}
-        for source in (self._carryover_triggers, self._pending_triggers):
-            for did, reasons in source.items():
-                merged.setdefault(did, set()).update(reasons)
-        for did, reasons in merged.items():
-            for reason in _TRIGGER_PRIORITY:
-                if reason in reasons:
-                    triggers[did] = reason
-                    break
-        self._carryover_triggers = {}
+        triggers = {did: min(reasons, key=_TRIGGER_PRIORITY.index)
+                    for did, reasons in self._pending_triggers.items()}
         self._pending_triggers = {}
 
         assignments = self.audits.schedule_audits(
@@ -925,27 +954,19 @@ class Simulator:
         return f"{prefix}-{epoch}-{self._proposal_seq:03d}"
 
     def _phase_governance(self, epoch: int) -> None:
-        tallied: list[str] = []
+        tallied = []  # (proposal id, the rule it registers if it passes)
 
-        for injection in self._injections(epoch, "PROPOSAL"):
-            spec = injection["proposal"]
-            proposal_id = spec.get("id") or self._next_proposal_id("prop", epoch)
+        for spec in self.scenario.proposals.get(epoch, ()):
+            proposal_id = spec.id or self._next_proposal_id("prop", epoch)
             self.governance.submit_proposal(
-                proposal_id, governance_mod.ProposalKind(spec["kind"]),
-                spec.get("payload", {}),
-                mode=governance_mod.VoteMode(spec.get("mode", "LINEAR")),
-                epoch=epoch)
-            for vote in spec.get("votes", []):
+                proposal_id, spec.kind, spec.payload, mode=spec.mode, epoch=epoch)
+            for voter, (direction, magnitude) in spec.votes.items():
                 self.governance.cast_vote(
-                    vote["voter"], proposal_id,
-                    governance_mod.VoteDirection(vote["direction"]),
-                    magnitude=vote.get("magnitude", 1),
-                    epoch=epoch)
-            tallied.append(proposal_id)
+                    voter, proposal_id, direction, magnitude=magnitude, epoch=epoch)
+            tallied.append((proposal_id, spec.rule))
 
-        for injection in self._injections(epoch, "COLLUSION"):
-            pair = list(injection["pair"])
-            for _ in range(injection["proposals"]):
+        for pair, count in self.scenario.collusions.get(epoch, ()):
+            for _ in range(count):
                 proposal_id = self._next_proposal_id("collusion", epoch)
                 self.governance.submit_proposal(
                     proposal_id, governance_mod.ProposalKind.ROUTINE,
@@ -955,9 +976,9 @@ class Simulator:
                              else governance_mod.VoteDirection.AGAINST)
                 for voter in pair:
                     self.governance.cast_vote(voter, proposal_id, direction, epoch=epoch)
-                tallied.append(proposal_id)
+                tallied.append((proposal_id, None))
 
-        for proposal_id in tallied:
+        for proposal_id, rule in tallied:
             status = self.governance.tally(proposal_id, epoch=epoch)
             proposal = self.governance.proposals[proposal_id]
             if status != governance_mod.ProposalStatus.PASSED:
@@ -965,7 +986,6 @@ class Simulator:
             if proposal.kind == governance_mod.ProposalKind.WEIGHT_ADJUSTMENT:
                 self.governance.adjust_weights(proposal, epoch=epoch)
             elif proposal.kind == governance_mod.ProposalKind.RULE_UPDATE:
-                rule = _parse_rule(proposal.payload["rule"], f"proposal {proposal_id}")
                 self.rules.register_rule(rule, proposal, epoch=epoch)
 
         flagged = self.governance.colluding_pairs(
@@ -986,7 +1006,7 @@ class Simulator:
                 self._collusion_expiry[member] = epoch + 1
                 for did, spec in sorted(self._system_specs.items()):
                     if spec.owner == member:
-                        self._add_trigger(did, "collusion", carryover=True)
+                        self._add_trigger(did, "collusion")
 
     def _phase_rewards(self, epoch: int) -> None:
         factors: dict[str, Fraction] = {}

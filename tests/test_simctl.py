@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import govsim
 import govsim.encoding
@@ -211,6 +214,30 @@ def _violation(**metrics) -> dict:
 
 
 _FOR = {"voter": "bank-alpha", "direction": "FOR"}
+_AUDITOR = 3  # the index of credit_scoring's one auditor
+
+
+def _auditor(drop: str = "", **fields) -> dict:
+    """A scenario mutation: the auditor's accreditation with these fields
+    changed and ``drop`` left out."""
+    holders = json.loads(scenario_path("credit_scoring").read_text())["stakeholders"]
+    block = {**holders[_AUDITOR]["auditor"], **fields}
+    block.pop(drop, None)
+    holders[_AUDITOR]["auditor"] = block
+    return {"stakeholders": holders}
+
+
+_RULE_UPDATE = {"rule_id": "capital-adequacy-min", "domain": "CAPITAL_ADEQUACY",
+                "metrics": ["capital_ratio"],
+                "predicate": {"op": ">=", "metric": "capital_ratio", "value": 0.1}}
+
+
+def _passing(kind: str, payload) -> dict:
+    """A scenario mutation: a proposal at epoch 1 that every stakeholder votes FOR."""
+    holders = json.loads(scenario_path("credit_scoring").read_text())["stakeholders"]
+    return {"injected_events": [{"epoch": 1, "kind": "PROPOSAL", "proposal": {
+        "kind": kind, "payload": payload,
+        "votes": [{"voter": holder["id"], "direction": "FOR"} for holder in holders]}}]}
 
 
 @pytest.mark.parametrize("mutation,expected_path", [
@@ -289,12 +316,149 @@ _FOR = {"voter": "bank-alpha", "direction": "FOR"}
     (_feed(capital_ratio=[0.1]), "oracle_feeds[0].values.capital_ratio"),
     ({"oracle_feeds": [{"feed_id": "f", "signer": "ecb-feed", "epoch": 1, "values": 3}]},
      "oracle_feeds[0].values"),
+    # Each case below used to load, then stop set-up or the run, mostly with
+    # a traceback (KeyError, ValueError, AttributeError, EncodingError).
+    (_auditor(scopes=["NOPE"]), f"stakeholders[{_AUDITOR}].auditor.scopes[0]"),
+    (_auditor(drop="scopes"), f"stakeholders[{_AUDITOR}].auditor.scopes"),
+    (_auditor(scopes=[]), f"stakeholders[{_AUDITOR}].auditor.scopes"),
+    (_auditor(validity_epochs="x"), f"stakeholders[{_AUDITOR}].auditor.validity_epochs"),
+    (_auditor(validity_epochs=0), f"stakeholders[{_AUDITOR}].auditor.validity_epochs"),
+    ({"oracle_feeds": [{"signer": "ecb-feed", "epoch": 1, "values": {}}]},
+     "oracle_feeds[0].feed_id"),
+    ({"oracle_feeds": [{"feed_id": ["f"], "signer": "ecb-feed", "epoch": 1, "values": {}}]},
+     "oracle_feeds[0].feed_id"),
+    (_passing("WEIGHT_ADJUSTMENT", {"role_multiplier": {"KING": 2}}),
+     "injected_events[0].proposal.payload"),
+    (_passing("WEIGHT_ADJUSTMENT", {"role_multiplier": [1]}),
+     "injected_events[0].proposal.payload"),
+    (_passing("WEIGHT_ADJUSTMENT", [1]), "injected_events[0].proposal.payload"),
+    (_passing("WEIGHT_ADJUSTMENT", {"cap_fraction": "3"}),
+     "injected_events[0].proposal.payload"),
+    (_passing("WEIGHT_ADJUSTMENT", {"cap_fraction": "abc"}),
+     "injected_events[0].proposal.payload"),
+    (_passing("RULE_UPDATE", {}), "injected_events[0].proposal.payload.rule"),
+    (_passing("RULE_UPDATE", []), "injected_events[0].proposal.payload"),
+    (_passing("RULE_UPDATE", {"rule": {**_RULE_UPDATE, "domain": "NOPE"}}),
+     "injected_events[0].proposal.payload.rule"),
+    # A rule reading a metric no system carries used to stop the run with
+    # MissingInput at the first compliance phase after the proposal passed;
+    # every system holds data_privacy_consent as a bool, which >= cannot order.
+    (_passing("RULE_UPDATE", {"rule": {**_RULE_UPDATE, "metrics": ["leverage"], "predicate": {
+        "op": "<=", "metric": "leverage", "value": 10}}}), "ai_systems[0].base_metrics"),
+    (_passing("RULE_UPDATE", {"rule": {**_RULE_UPDATE, "metrics": ["data_privacy_consent"],
+                                       "predicate": {"op": ">=", "value": 1,
+                                                     "metric": "data_privacy_consent"}}}),
+     "ai_systems[0].base_metrics.data_privacy_consent"),
+    (_first_system(metadata={"notes": [1.5, float("nan")]}), "ai_systems[0].metadata.notes[1]"),
+    (_first_system(exposure="3/2"), "ai_systems[0].exposure"),
+    (_first_system(exposure=-1), "ai_systems[0].exposure"),
+    # Each case below used to stop the load or the run too: a second feed of
+    # one id in an epoch, a numeric proposal id beside a generated one, an
+    # unhashable metric name or predicate op. A rule weight must be >= 1, as
+    # rules weighing 0 in sum divide by zero.
+    ({"oracle_feeds": [{"feed_id": "f", "signer": "ecb-feed", "epoch": 1, "values": {}}] * 2},
+     "oracle_feeds[1].feed_id"),
+    ({"oracle_feeds": [{"feed_id": "regulation", "signer": "ecb-feed", "epoch": 2,
+                        "values": {}}],
+      "injected_events": [{"epoch": 2, "kind": "REGULATION_CHANGE", "version": 2}]},
+     "injected_events[0].epoch"),
+    ({"injected_events": [{"epoch": 1, "kind": "PROPOSAL", "proposal": {"kind": "ROUTINE"}},
+                          {"epoch": 1, "kind": "PROPOSAL", "proposal": {"kind": "ROUTINE",
+                                                                        "id": 1}}]},
+     "injected_events[1].proposal.id"),
+    (_first_rule(weight=0), "rules[0]"),
+    (_first_rule(weight=float("inf")), "rules[0]"),
+    (_first_rule(metrics=["capital_ratio", ["x"]]), "rules[0]"),
+    (_first_rule(predicate={"op": [">="], "metric": "capital_ratio", "value": 1}),
+     "rules[0].predicate"),
 ])
 def test_scenario_errors_carry_field_paths(mutation, expected_path):
     base = json.loads(scenario_path("credit_scoring").read_text())
     base.update(mutation)
     with pytest.raises(ScenarioError, match="^" + re.escape(expected_path) + ":"):
         load_scenario(base)
+
+
+def test_the_run_reads_only_what_load_scenario_returns():
+    doc = json.loads(scenario_path("regulation_shift").read_text())
+    expected = run_scenario(copy.deepcopy(doc)).root_hash
+    scenario = load_scenario(doc)
+    for event in doc["injected_events"]:
+        if event["kind"] == "PROPOSAL":
+            event["proposal"]["votes"].clear()
+    doc["injected_events"].clear()
+    doc["oracle_feeds"].clear()
+    assert Simulator(scenario).run().root_hash == expected
+
+
+def _property_base() -> dict:
+    """regulation_shift with one input of every kind the loader parses."""
+    doc = json.loads(scenario_path("regulation_shift").read_text())
+    doc["config"]["forecast_floor"] = 0.7
+    doc["injected_events"] += [
+        {"epoch": 2, "kind": "VIOLATION", "system": "trading-algo",
+         "metrics": {"capital_ratio": 0.05}},
+        {"epoch": 4, "kind": "COLLUSION", "pair": ["bank-alpha", "fintech-beta"],
+         "proposals": 2},
+    ]
+    return doc
+
+
+# The paths this loader parses into typed inputs. Left out on purpose, as
+# their faults stay open: mode, magnitude and balances (a QUADRATIC vote can
+# cost more than the voter holds) and scopes and validity_epochs (no auditor
+# may cover a system); the parametrized cases above cover their refusals.
+_RULE = ("injected_events", 0, "proposal", "payload", "rule")
+_WEIGHTS = ("injected_events", 2, "proposal", "payload")
+_PARSED_PATHS = [
+    ("config", "forecast_floor"), ("ai_systems", 0, "exposure"),
+    ("stakeholders", 3, "auditor", "body"),
+    *[("oracle_feeds", 0, key) for key in ("feed_id", "signer", "epoch", "values")],
+    ("oracle_feeds", 0, "values", "market_stress"),
+    *[("injected_events", i, key) for i in range(6) for key in ("epoch", "kind")],
+    *[("injected_events", i, "proposal", key) for i in (0, 2)
+      for key in ("kind", "payload", "votes", "id")],
+    ("injected_events", 0, "proposal", "votes", 0, "voter"),
+    ("injected_events", 2, "proposal", "votes", 3, "direction"),
+    _RULE, *[_RULE + (key,) for key in (
+        "rule_id", "domain", "metrics", "predicate", "mandatory", "applicable_tiers", "weight")],
+    _RULE + ("predicate", "op"), _RULE + ("predicate", "value"), _RULE + ("metrics", 0),
+    *[_WEIGHTS + (key,) for key in (
+        "role_multiplier", "cap_fraction", "threshold_routine", "threshold_critical")],
+    _WEIGHTS + ("role_multiplier", "REGULATOR"),
+    ("injected_events", 1, "version"),
+    ("injected_events", 3, "system"), ("injected_events", 3, "severity"),
+    ("injected_events", 4, "system"), ("injected_events", 4, "metrics"),
+    ("injected_events", 4, "metrics", "capital_ratio"),
+    ("injected_events", 5, "pair"), ("injected_events", 5, "pair", 1),
+    ("injected_events", 5, "proposals"),
+]
+_NAMES = st.sampled_from([
+    "FOR", "AGAINST", "HIGH", "LIMITED", "MEDIUM", "CRITICAL", "CAPITAL_ADEQUACY",
+    "REGULATOR", "BANK", "KING", "esma", "ecb-feed", "bank-alpha", "fintech-beta",
+    "payments-model", "capital_ratio", "leverage", ">=", "==", "and", "not", "op",
+    "metric", "value", "args", "ROUTINE", "RULE_UPDATE", "WEIGHT_ADJUSTMENT", "PROPOSAL",
+    "VIOLATION", "COLLUSION", "regulation", "1/2", "3/2", "0", "inf", "nan"]) | st.text(max_size=6)
+# Small integers, so that a drawn COLLUSION proposal count keeps the run short.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | _NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_NAMES, inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(_PARSED_PATHS), value=_JSON)
+def test_a_scenario_that_loads_runs_to_completion(path, value):
+    doc = _property_base()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        scenario = load_scenario(doc)
+    except ScenarioError:
+        return
+    assert Simulator(scenario).run().report["epochs"] == doc["epochs"]
 
 
 def test_duplicate_proposal_ids_rejected():
@@ -375,6 +539,9 @@ def test_unknown_owner_rejected():
     ("risk_weights", {"noncompliance": 1, "audit_failure": 0, "incidents": 0}),
     ("tier_thresholds", None), ("role_multiplier", [1]),
     ("slash_fractions", {"X": "1/2"}), ("audit_intervals", {"FOO": 3}),
+    # Each of these used to stop set-up with an EncodingError in the
+    # genesis snapshot.
+    ("forecast_floor", "inf"), ("forecast_floor", float("nan")),
     pytest.param(None, ["block_capacity", 5], id="config-not-an-object"),
 ])
 def test_config_values_the_run_cannot_use_are_rejected(key, value):
