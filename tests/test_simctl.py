@@ -607,6 +607,65 @@ def test_cli_run_reports_a_bad_config_value_without_a_traceback(tmp_path):
     assert "Traceback" not in completed.stderr
 
 
+# Every config key set to a value other than its default.
+_EVERY_KEY = {
+    "block_capacity": 7, "signature_scheme": "ed25519", "quorum": 2, "n_seats": 2,
+    "election_period": 5, "cap_fraction": "1/4", "regulator_multiplier": 2,
+    "role_multiplier": {"BANK": "5/4"}, "threshold_routine": "3/5",
+    "threshold_critical": "3/4", "collusion_min_common": 6, "collusion_agreement": "4/5",
+    "collusion_penalty": "1/2", "audit_intervals": {"HIGH": 3, "MINIMAL": 16},
+    "auditor_capacity": 2,
+    "risk_weights": {"noncompliance": "2/5", "audit_failure": "1/4", "incidents": "1/4",
+                     "exposure": "1/10"},
+    "tier_thresholds": {"unacceptable": "4/5", "high": "1/2", "limited": "1/4"},
+    "ewma_alpha": 0.25, "forecast_floor": 0.5, "total_supply": 5_000_000,
+    "pool_fractions": {"REWARDS": "1/2", "GOVERNANCE": "1/4", "DEVELOPMENT": "1/4"},
+    "emission_divisor": 500, "slash_fractions": {"AUDIT_FAIL": "1/10"},
+    "funding_pool": "REWARDS",
+}
+
+
+@pytest.mark.parametrize("config,expected", [
+    ({}, {
+        "block_capacity": 100, "signature_scheme": "seeded", "n_seats": 3,
+        "election_period": 4, "cap_fraction": "1/5", "threshold_routine": "1/2",
+        "threshold_critical": "2/3",
+        "collusion": {"min_common": 10, "agreement": "9/10", "penalty": "9/10"},
+        "audit_intervals": {"HIGH": 2, "LIMITED": 8, "MINIMAL": 32},
+        "auditor_capacity": 4,
+        "risk_weights": {"noncompliance": "1/2", "audit_failure": "1/5",
+                         "incidents": "1/5", "exposure": "1/10"},
+        "tier_thresholds": {"unacceptable": "9/10", "high": "3/5", "limited": "3/10"},
+        "ewma_alpha": 0.3, "forecast_floor": 0.7, "emission_divisor": 1000,
+        "funding_pool": "DEVELOPMENT"}),
+    (_EVERY_KEY, {
+        "block_capacity": 7, "signature_scheme": "ed25519", "n_seats": 2,
+        "election_period": 5, "cap_fraction": "1/4", "threshold_routine": "3/5",
+        "threshold_critical": "3/4",
+        "collusion": {"min_common": 6, "agreement": "4/5", "penalty": "1/2"},
+        "audit_intervals": {"HIGH": 3, "LIMITED": 8, "MINIMAL": 16},
+        "auditor_capacity": 2,
+        "risk_weights": {"noncompliance": "2/5", "audit_failure": "1/4",
+                         "incidents": "1/4", "exposure": "1/10"},
+        "tier_thresholds": {"unacceptable": "4/5", "high": "1/2", "limited": "1/4"},
+        "ewma_alpha": 0.25, "forecast_floor": 0.5, "emission_divisor": 500,
+        "funding_pool": "REWARDS"}),
+], ids=["defaults", "every-key-set"])
+def test_genesis_config_snapshot_is_pinned(config, expected):
+    snapshot = load_scenario({"epochs": 1, "config": config}).config.to_snapshot()
+    assert snapshot == expected
+    # The bytes too: equal dicts may still differ in 7 against 7.0.
+    assert govsim.encoding.canonical_json_bytes(snapshot) \
+        == govsim.encoding.canonical_json_bytes(expected)
+
+
+def test_every_key_config_sets_every_key_off_its_default():
+    config = load_scenario({"epochs": 1, "config": _EVERY_KEY}).config
+    assert list(_EVERY_KEY) == [f.name for f in dataclasses.fields(SimConfig)]
+    assert all(getattr(config, f.name) != getattr(SimConfig(), f.name)
+               for f in dataclasses.fields(SimConfig))
+
+
 # --- fold views ---
 
 def test_fold_rebuilds_did_record():
