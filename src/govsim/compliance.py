@@ -137,18 +137,6 @@ class ComplianceRuleModule:
     def applies_to(self, tier: RiskTier) -> bool:
         return tier in self.applicable_tiers
 
-    def to_json(self) -> dict:
-        return {
-            "rule_id": self.rule_id,
-            "domain": self.domain.value,
-            "version": self.version,
-            "mandatory": self.mandatory,
-            "applicable_tiers": sorted(t.value for t in self.applicable_tiers),
-            "metrics": list(self.metrics),
-            "weight": self.weight,
-            "predicate": self.predicate,
-        }
-
 
 GENESIS_AUTHORIZATION = "genesis"
 

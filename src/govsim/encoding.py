@@ -17,6 +17,8 @@ import hashlib
 import json
 import re
 import struct
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -119,6 +121,28 @@ def as_fraction(value: Any) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise EncodingError(f"not a rational: {value!r}") from exc
     raise EncodingError(f"cannot read a rational from {type(value).__name__}")
+
+
+def json_value(value: Any) -> Any:
+    """The JSON form of a record: an enum as its value, a Fraction as "a/b",
+    bytes as hex, a tuple as a list, a set as a sorted list, a dict key by
+    key and a dataclass as an object of its fields, at any depth; other
+    values as they are."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [json_value(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(json_value(item) for item in value)
+    if isinstance(value, dict):
+        return {json_value(key): json_value(item) for key, item in value.items()}
+    if is_dataclass(value):
+        return {f.name: json_value(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 # --- binary framing ---

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .encoding import ONE, as_fraction
+from .encoding import ONE, as_fraction, json_value
 from .errors import (
     AlreadyResolved,
     AlreadyVoted,
@@ -106,17 +106,16 @@ class VoteWeights:
         return self.threshold_critical
 
     def to_json(self) -> dict:
-        return {
-            "role_multiplier": {r.value: str(m) for r, m in sorted(
-                self.role_multiplier.items(), key=lambda kv: kv[0].value)},
-            "cap_fraction": str(self.cap_fraction),
-            "threshold_routine": str(self.threshold_routine),
-            "threshold_critical": str(self.threshold_critical),
-        }
+        return json_value(self)
+
+
+DEFAULT_REGULATOR_MULTIPLIER = Fraction(3, 2)
+# The weight multiplier of a stakeholder under collusion scrutiny.
+DEFAULT_COLLUSION_PENALTY = Fraction(9, 10)
 
 
 def default_weights() -> VoteWeights:
-    return VoteWeights(role_multiplier={Role.REGULATOR: Fraction(3, 2)})
+    return VoteWeights(role_multiplier={Role.REGULATOR: DEFAULT_REGULATOR_MULTIPLIER})
 
 
 @dataclass
@@ -508,7 +507,7 @@ class GovernanceState:
         }
 
     def apply_collusion_penalty(self, stakeholder_id: str,
-                                penalty: Fraction = Fraction(9, 10)) -> None:
+                                penalty: Fraction = DEFAULT_COLLUSION_PENALTY) -> None:
         self.stakeholders[stakeholder_id].weight_penalty = penalty
 
     def clear_collusion_penalty(self, stakeholder_id: str) -> None:

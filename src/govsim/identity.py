@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .encoding import as_fraction, sha256
+from .encoding import as_fraction, json_value, sha256
 from .errors import (
     AccessDenied,
     DuplicateIdentity,
@@ -141,16 +141,7 @@ class AISystemRecord:
     metadata_refs: list[bytes] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "did": self.did,
-            "risk_tier": self.risk_tier.value,
-            "compliance_status": self.compliance_status.value,
-            "purpose": self.purpose,
-            "owner": self.owner,
-            "version": self.version,
-            "exposure": str(self.exposure),
-            "metadata_refs": [ref.hex() for ref in self.metadata_refs],
-        }
+        return json_value(self)
 
 
 # The event kinds that ``DidRegistry.apply`` folds.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Optional
 
-from .encoding import canonical_json_bytes, sha256
+from .encoding import canonical_json_bytes, json_value, sha256
 from .errors import (
     ConversionError,
     MalformedRecord,
@@ -267,15 +267,7 @@ class LegacyMapping:
             raise ConversionError(f"legacy mapping: {exc}") from exc
 
     def to_json(self) -> dict:
-        return {
-            "msg_type": self.msg_type.value,
-            "schema_version": self.schema_version,
-            "delimiter": self.delimiter,
-            "columns": [
-                {"column": c.column, "field": c.field, "kind": c.kind}
-                for c in self.columns
-            ],
-        }
+        return json_value(self)
 
 
 def _parse_cell(text: str, kind: str, column: str) -> Any:

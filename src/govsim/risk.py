@@ -28,16 +28,13 @@ from .ledger import Chain, EventKind
 
 
 class _NamedFractions:
-    """JSON form of a record of named fractions: one "a/b" string per field."""
+    """A record of named fractions, read from one JSON value per field."""
 
     @classmethod
     def from_json(cls, raw: Mapping[str, Any]):
         if not isinstance(raw, Mapping):
             raise InvalidInput("must be an object")
         return cls(**{f.name: as_fraction(raw[f.name]) for f in fields(cls)})
-
-    def to_json(self) -> dict[str, str]:
-        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)

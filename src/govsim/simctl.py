@@ -17,19 +17,20 @@ the scenario seed, one stream per consumer.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Optional
 
 from . import audit as audit_mod
 from . import compliance as compliance_mod
 from . import governance as governance_mod
 from . import risk as risk_mod
-from .encoding import as_fraction, canonical_json_bytes, sha256
+from .encoding import as_fraction, canonical_json_bytes, json_value, sha256
 from .errors import (
     EncodingError,
     GovSimError,
@@ -44,13 +45,15 @@ from .identity import (
     RiskTier,
     Role,
 )
-from .keys import get_scheme
-from .ledger import Chain, EventKind, verify_chain
+from .keys import SeededScheme, get_scheme
+from .ledger import DEFAULT_BLOCK_CAPACITY, Chain, EventKind, verify_chain
 from .report import build_report, load_report
 from .rng import DeterministicStream
 from .tokens import (
+    DEFAULT_EMISSION_DIVISOR,
     DEFAULT_POOL_FRACTIONS,
     DEFAULT_SLASH_FRACTIONS,
+    DEFAULT_TOTAL_SUPPLY,
     Pool,
     SlashReason,
     TokenLedger,
@@ -108,35 +111,99 @@ _ROLES, _TIERS, _SEVERITIES, _DOMAINS, _PROPOSAL_KINDS, _VOTE_MODES, _VOTE_DIREC
 _TRIGGER_PRIORITY = ["collusion", "mitigation", "violation", "forecast"]
 
 
+def _at_least(low: int) -> Callable[[Any], int]:
+    """The one integer reader of config keys and scenario fields: a JSON
+    integer (not a bool, not a float) of at least ``low``."""
+    def parse(value: Any) -> int:
+        if type(value) is not int or value < low:
+            raise InvalidInput(f"must be an integer >= {low}")
+        return value
+    return parse
+
+
+def _float_where(test: Callable[[float], bool], bound: str) -> Callable[[Any], float]:
+    def parse(value: Any) -> float:
+        number = float(value)
+        if not test(number):
+            raise InvalidInput(f"must be {bound}")
+        return number
+    return parse
+
+
+def _slash_fraction(value: Any) -> Fraction:
+    fraction = as_fraction(value)
+    if not 0 < fraction <= 1:
+        raise InvalidInput("slash fractions must be in (0, 1]")
+    return fraction
+
+
+def _table(key: Callable[[Any], Any], value: Callable[[Any], Any],
+           defaults: Optional[Mapping] = None) -> Callable[[Any], dict]:
+    """A table whose left-out entries keep their ``defaults``."""
+    def parse(raw: Any) -> dict:
+        if not isinstance(raw, Mapping):
+            raise InvalidInput("must be an object")
+        return {**(defaults or {}), **{key(k): value(v) for k, v in raw.items()}}
+    return parse
+
+
+def _key(default: Any, parse: Callable[[Any], Any], snapshot: Optional[str] = "") -> Any:
+    """Declare a config key: its default (a dict is copied per config), the
+    parser of its JSON value, with the bounds the run relies on, and where
+    the genesis snapshot records it: under the field's name (""), at a
+    dotted path, or not at all (None)."""
+    metadata = {"parse": parse, "snapshot": snapshot}
+    if isinstance(default, dict):
+        return field(default_factory=lambda: dict(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+# The genesis snapshot leaves out quorum, the vote multipliers and the token
+# tables, so that the genesis bytes of existing runs stay as they are.
 @dataclass
 class SimConfig:
-    block_capacity: int = 100
-    signature_scheme: str = "seeded"
-    quorum: Optional[int] = None
-    n_seats: int = 3
-    election_period: int = 4
-    cap_fraction: Fraction = Fraction(1, 5)
-    regulator_multiplier: Fraction = Fraction(3, 2)
-    role_multiplier: dict[Role, Fraction] = field(default_factory=dict)
-    threshold_routine: Fraction = Fraction(1, 2)
-    threshold_critical: Fraction = Fraction(2, 3)
-    collusion_min_common: int = 10
-    collusion_agreement: Fraction = Fraction(9, 10)
-    collusion_penalty: Fraction = Fraction(9, 10)
-    audit_intervals: dict[RiskTier, int] = field(
-        default_factory=lambda: dict(audit_mod.DEFAULT_AUDIT_INTERVALS))
-    auditor_capacity: int = 4
-    risk_weights: risk_mod.RiskWeights = field(default_factory=risk_mod.RiskWeights)
-    tier_thresholds: risk_mod.TierThresholds = field(default_factory=risk_mod.TierThresholds)
-    ewma_alpha: float = 0.3
-    forecast_floor: float = 0.7
-    total_supply: int = 1_000_000_000
-    pool_fractions: dict[Pool, Fraction] = field(
-        default_factory=lambda: dict(DEFAULT_POOL_FRACTIONS))
-    emission_divisor: int = 1000
-    slash_fractions: dict[SlashReason, Fraction] = field(
-        default_factory=lambda: dict(DEFAULT_SLASH_FRACTIONS))
-    funding_pool: Pool = Pool.DEVELOPMENT
+    """The run's settings: each field is one scenario config key."""
+    block_capacity: int = _key(DEFAULT_BLOCK_CAPACITY, _at_least(1))
+    signature_scheme: str = _key(SeededScheme.name, lambda value: get_scheme(value).name)
+    quorum: Optional[int] = _key(
+        None, lambda value: None if value is None else _at_least(1)(value), snapshot=None)
+    n_seats: int = _key(3, _at_least(1))
+    election_period: int = _key(4, _at_least(1))
+    cap_fraction: Fraction = _key(governance_mod.VoteWeights.cap_fraction, as_fraction)
+    regulator_multiplier: Fraction = _key(
+        governance_mod.DEFAULT_REGULATOR_MULTIPLIER, as_fraction, snapshot=None)
+    role_multiplier: dict[Role, Fraction] = _key(
+        {}, _table(Role, as_fraction), snapshot=None)
+    threshold_routine: Fraction = _key(
+        governance_mod.VoteWeights.threshold_routine, as_fraction)
+    threshold_critical: Fraction = _key(
+        governance_mod.VoteWeights.threshold_critical, as_fraction)
+    collusion_min_common: int = _key(10, _at_least(1), snapshot="collusion.min_common")
+    collusion_agreement: Fraction = _key(
+        Fraction(9, 10), as_fraction, snapshot="collusion.agreement")
+    collusion_penalty: Fraction = _key(
+        governance_mod.DEFAULT_COLLUSION_PENALTY, as_fraction, snapshot="collusion.penalty")
+    audit_intervals: dict[RiskTier, int] = _key(
+        audit_mod.DEFAULT_AUDIT_INTERVALS,
+        _table(RiskTier, _at_least(1), audit_mod.DEFAULT_AUDIT_INTERVALS))
+    auditor_capacity: int = _key(audit_mod.DEFAULT_AUDITOR_CAPACITY, _at_least(1))
+    risk_weights: risk_mod.RiskWeights = _key(
+        risk_mod.RiskWeights(), risk_mod.RiskWeights.from_json)
+    tier_thresholds: risk_mod.TierThresholds = _key(
+        risk_mod.TierThresholds(), risk_mod.TierThresholds.from_json)
+    ewma_alpha: float = _key(
+        risk_mod.DEFAULT_EWMA_ALPHA, _float_where(lambda number: 0 < number < 1, "in (0, 1)"))
+    forecast_floor: float = _key(
+        risk_mod.DEFAULT_FORECAST_FLOOR, _float_where(math.isfinite, "a finite number"))
+    total_supply: int = _key(DEFAULT_TOTAL_SUPPLY, _at_least(0), snapshot=None)
+    pool_fractions: dict[Pool, Fraction] = _key(
+        DEFAULT_POOL_FRACTIONS,
+        lambda value: validate_pool_fractions(_table(Pool, as_fraction)(value)), snapshot=None)
+    emission_divisor: int = _key(DEFAULT_EMISSION_DIVISOR, _at_least(1))
+    slash_fractions: dict[SlashReason, Fraction] = _key(
+        DEFAULT_SLASH_FRACTIONS,
+        _table(SlashReason, _slash_fraction, DEFAULT_SLASH_FRACTIONS), snapshot=None)
+    funding_pool: Pool = _key(Pool.DEVELOPMENT, Pool)
 
     def vote_weights(self) -> governance_mod.VoteWeights:
         return governance_mod.VoteWeights(
@@ -149,29 +216,19 @@ class SimConfig:
 
     def to_snapshot(self) -> dict:
         """JSON-able effective config, embedded in the genesis event."""
-        return {
-            "block_capacity": self.block_capacity,
-            "signature_scheme": self.signature_scheme,
-            "n_seats": self.n_seats,
-            "election_period": self.election_period,
-            "cap_fraction": str(self.cap_fraction),
-            "threshold_routine": str(self.threshold_routine),
-            "threshold_critical": str(self.threshold_critical),
-            "collusion": {
-                "min_common": self.collusion_min_common,
-                "agreement": str(self.collusion_agreement),
-                "penalty": str(self.collusion_penalty),
-            },
-            "audit_intervals": {t.value: i for t, i in sorted(
-                self.audit_intervals.items(), key=lambda kv: kv[0].value)},
-            "auditor_capacity": self.auditor_capacity,
-            "risk_weights": self.risk_weights.to_json(),
-            "tier_thresholds": self.tier_thresholds.to_json(),
-            "ewma_alpha": self.ewma_alpha,
-            "forecast_floor": self.forecast_floor,
-            "emission_divisor": self.emission_divisor,
-            "funding_pool": self.funding_pool.value,
-        }
+        snapshot: dict = {}
+        for f in fields(self):
+            where = f.metadata["snapshot"]
+            if where is not None:
+                group, _, name = (where or f.name).rpartition(".")
+                target = snapshot.setdefault(group, {}) if group else snapshot
+                target[name] = json_value(getattr(self, f.name))
+        return snapshot
+
+
+# Config key -> parser of its JSON value into the SimConfig field.
+_CONFIG_PARSERS: dict[str, Callable[[Any], Any]] = {
+    f.name: f.metadata["parse"] for f in fields(SimConfig)}
 
 
 @dataclass
@@ -200,8 +257,9 @@ class SystemSpec:
     public_key: Optional[bytes] = None
 
 
-class ProposalSpec(NamedTuple):
-    id: Optional[str]  # None: the run generates one
+@dataclass(slots=True)
+class ProposalSpec:
+    id: str  # as given, or the one load_scenario generates
     kind: governance_mod.ProposalKind
     mode: governance_mod.VoteMode
     payload: Any
@@ -227,7 +285,7 @@ class SimScenario:
     violations: dict[int, list[tuple[str, Mapping[str, Any]]]]  # (system, metric overrides)
     incidents: dict[int, list[tuple[str, risk_mod.Severity]]]  # (system, severity)
     regulation_versions: dict[int, Any]
-    collusions: dict[int, list[tuple[tuple[str, str], int]]]  # (pair, proposals)
+    collusions: dict[int, list[tuple[tuple[str, str], list[str]]]]  # (pair, proposal ids)
     proposals: dict[int, list[ProposalSpec]]
 
 
@@ -256,10 +314,11 @@ def _name(value: Any, path: str) -> str:
 
 
 def _integer(value: Any, path: str, low: int) -> int:
-    """A scenario count or amount: a JSON integer (not a bool) of at least ``low``."""
-    if type(value) is not int or value < low:
-        _fail(path, f"must be an integer >= {low}")
-    return value
+    """A scenario count or amount, read as a config integer is."""
+    try:
+        return _at_least(low)(value)
+    except InvalidInput as exc:
+        _fail(path, str(exc))
 
 
 def _epoch(value: Any, epochs: int, path: str) -> int:
@@ -303,80 +362,6 @@ def _numbers(values: Mapping[str, Any], ordered: tuple[str, ...], path: str,
         if metric in values and type(values[metric]) not in (int, float):
             _fail(f"{path}.{field}.{metric}",
                   "must be a number, as a rule compares it with >=, <=, > or <")
-
-
-def _at_least(low: int) -> Callable[[Any], int]:
-    def parse(value: Any) -> int:
-        number = int(value)
-        if number < low:
-            raise InvalidInput(f"must be an integer >= {low}")
-        return number
-    return parse
-
-
-def _float_where(test: Callable[[float], bool], bound: str) -> Callable[[Any], float]:
-    def parse(value: Any) -> float:
-        number = float(value)
-        if not test(number):
-            raise InvalidInput(f"must be {bound}")
-        return number
-    return parse
-
-
-def _slash_fraction(value: Any) -> Fraction:
-    fraction = as_fraction(value)
-    if not 0 < fraction <= 1:
-        raise InvalidInput("slash fractions must be in (0, 1]")
-    return fraction
-
-
-def _table(key: Callable[[Any], Any], value: Callable[[Any], Any]) -> Callable[[Any], dict]:
-    def parse(raw: Any) -> dict:
-        if not isinstance(raw, Mapping):
-            raise InvalidInput("must be an object")
-        return {key(k): value(v) for k, v in raw.items()}
-    return parse
-
-
-def _over_defaults(defaults: Mapping, key: Callable[[Any], Any],
-                   value: Callable[[Any], Any]) -> Callable[[Any], dict]:
-    """A table whose left-out entries keep their defaults."""
-    parse = _table(key, value)
-    return lambda raw: {**defaults, **parse(raw)}
-
-
-# Config key -> parser of its JSON value into the SimConfig field. Bounds
-# sit here, because the run reads these values through state that does no
-# checks of its own: a bad value is refused at load, not met mid-run.
-_CONFIG_PARSERS: dict[str, Callable[[Any], Any]] = {
-    "block_capacity": _at_least(1),
-    "signature_scheme": lambda value: get_scheme(value).name,
-    "quorum": lambda value: None if value is None else _at_least(1)(value),
-    "n_seats": int,
-    "election_period": _at_least(1),
-    "cap_fraction": as_fraction,
-    "regulator_multiplier": as_fraction,
-    "role_multiplier": _table(Role, as_fraction),
-    "threshold_routine": as_fraction,
-    "threshold_critical": as_fraction,
-    "collusion_min_common": _at_least(1),
-    "collusion_agreement": as_fraction,
-    "collusion_penalty": as_fraction,
-    "audit_intervals": _over_defaults(
-        audit_mod.DEFAULT_AUDIT_INTERVALS, RiskTier, _at_least(1)),
-    "auditor_capacity": int,
-    "risk_weights": risk_mod.RiskWeights.from_json,
-    "tier_thresholds": risk_mod.TierThresholds.from_json,
-    "ewma_alpha": _float_where(lambda number: 0 < number < 1, "in (0, 1)"),
-    "forecast_floor": _float_where(math.isfinite, "a finite number"),
-    "total_supply": _at_least(0),
-    "pool_fractions": lambda value: validate_pool_fractions(
-        _table(Pool, as_fraction)(value)),
-    "emission_divisor": _at_least(1),
-    "slash_fractions": _over_defaults(
-        DEFAULT_SLASH_FRACTIONS, SlashReason, _slash_fraction),
-    "funding_pool": Pool,
-}
 
 
 def _parse_config(raw: Any) -> SimConfig:
@@ -423,8 +408,10 @@ def _parse_rule(raw: Mapping[str, Any], path: str) -> compliance_mod.ComplianceR
     return rule
 
 
-def _parse_proposal(raw: Any, path: str, holders: set[str], ids: set[str],
+def _parse_proposal(raw: Any, path: str, holders: set[str], ids: dict[str, str],
                     weights: governance_mod.VoteWeights) -> ProposalSpec:
+    """The proposal, its id None if the scenario gives none; ``ids`` maps
+    each explicit id to its field path."""
     proposal = _object(raw, path)
     kind = _member(_PROPOSAL_KINDS, proposal.get("kind"), f"{path}.kind", "kind")
     mode = _member(_VOTE_MODES, proposal.get("mode", "LINEAR"), f"{path}.mode", "mode")
@@ -432,7 +419,7 @@ def _parse_proposal(raw: Any, path: str, holders: set[str], ids: set[str],
     if explicit_id is not None:
         if _name(explicit_id, f"{path}.id") in ids:
             _fail(f"{path}.id", f"duplicate id {explicit_id!r}")
-        ids.add(explicit_id)
+        ids[explicit_id] = f"{path}.id"
     payload = proposal.get("payload", {})
     rule = None
     if kind is governance_mod.ProposalKind.RULE_UPDATE:
@@ -485,9 +472,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
 
     if not isinstance(raw.get("seed", 0), int):
         _fail("seed", "must be an integer")
-    epochs = raw.get("epochs")
-    if not isinstance(epochs, int) or epochs < 1:
-        _fail("epochs", "must be a positive integer")
+    epochs = _integer(raw.get("epochs"), "epochs", 1)
     config = _parse_config(raw.get("config", {}))
 
     authorities = [_name(authority, f"authorities[{i}]") for i, authority in enumerate(_array(
@@ -601,7 +586,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
 
     violations, incidents, regulation_versions, collusions, proposals = {}, {}, {}, {}, {}
     version_paths: list[str] = []
-    proposal_ids: set[str] = set()
+    proposal_ids: dict[str, str] = {}
     weights = config.vote_weights()
     for i, event in enumerate(_array(raw.get("injected_events", []), "injected_events")):
         path = f"injected_events[{i}]"
@@ -637,6 +622,24 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
                 (tuple(pair), _integer(event.get("proposals"), f"{path}.proposals", 1)))
         else:
             _fail(f"{path}.kind", f"unknown injection kind {kind!r}")
+
+    # The ids of proposals the scenario leaves unnamed and of collusion
+    # proposals: one counter over the epochs in order, each epoch's scripted
+    # proposals first, then its collusions'.
+    sequence = itertools.count(1)
+
+    def generated(prefix: str, epoch: int) -> str:
+        proposal_id = f"{prefix}-{epoch}-{next(sequence):03d}"
+        if proposal_id in proposal_ids:
+            _fail(proposal_ids[proposal_id], f"{proposal_id!r} clashes with a generated id")
+        return proposal_id
+
+    for epoch in sorted(proposals.keys() | collusions.keys()):
+        for spec in proposals.get(epoch, ()):
+            if spec.id is None:
+                spec.id = generated("prop", epoch)
+        collusions[epoch] = [(pair, [generated("collusion", epoch) for _ in range(count)])
+                             for pair, count in collusions.get(epoch, ())]
 
     every_rule = rules + [spec.rule for specs in proposals.values() for spec in specs
                           if spec.rule is not None]
@@ -793,7 +796,6 @@ class Simulator:
         self._salt_stream = self._stream("assessment-salt")
         self._audit_stream = self._stream("audit-assign")
         self._vote_stream = self._stream("collusion-votes")
-        self._proposal_seq = 0
 
     def _run_election(self, *, epoch: int) -> None:
         eligible = [
@@ -949,25 +951,19 @@ class Simulator:
         self.governance.sync_stakes()
         self._audit_failed_prev = failed_now
 
-    def _next_proposal_id(self, prefix: str, epoch: int) -> str:
-        self._proposal_seq += 1
-        return f"{prefix}-{epoch}-{self._proposal_seq:03d}"
-
     def _phase_governance(self, epoch: int) -> None:
         tallied = []  # (proposal id, the rule it registers if it passes)
 
         for spec in self.scenario.proposals.get(epoch, ()):
-            proposal_id = spec.id or self._next_proposal_id("prop", epoch)
             self.governance.submit_proposal(
-                proposal_id, spec.kind, spec.payload, mode=spec.mode, epoch=epoch)
+                spec.id, spec.kind, spec.payload, mode=spec.mode, epoch=epoch)
             for voter, (direction, magnitude) in spec.votes.items():
                 self.governance.cast_vote(
-                    voter, proposal_id, direction, magnitude=magnitude, epoch=epoch)
-            tallied.append((proposal_id, spec.rule))
+                    voter, spec.id, direction, magnitude=magnitude, epoch=epoch)
+            tallied.append((spec.id, spec.rule))
 
-        for pair, count in self.scenario.collusions.get(epoch, ()):
-            for _ in range(count):
-                proposal_id = self._next_proposal_id("collusion", epoch)
+        for pair, proposal_ids in self.scenario.collusions.get(epoch, ()):
+            for proposal_id in proposal_ids:
                 self.governance.submit_proposal(
                     proposal_id, governance_mod.ProposalKind.ROUTINE,
                     {"scripted": "coordinated-voting"}, epoch=epoch)

@@ -1,4 +1,6 @@
 import json
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from govsim.encoding import (
     canonical_json_bytes,
     from_canonical_json,
     is_canonical_json,
+    json_value,
     pack_bytes,
     pack_str,
 )
@@ -22,6 +25,42 @@ from govsim.errors import EncodingError, IoError
 def test_canonical_json_sorts_keys_and_strips_spaces():
     data = canonical_json_bytes({"b": 1, "a": [True, None, "x"]})
     assert data == b'{"a":[true,null,"x"],"b":1}'
+
+
+class _Color(str, Enum):
+    RED = "RED"
+    BLUE = "BLUE"
+
+
+@dataclass
+class _Inner:
+    share: Fraction
+    key: bytes
+
+
+@dataclass(frozen=True)
+class _Record:
+    color: _Color
+    inners: tuple[_Inner, ...]
+    tags: frozenset[_Color]
+    table: dict[_Color, Fraction]
+    count: int = 3
+    label: str = "x"
+    ratio: float = 0.25
+    flag: bool = True
+    note: None = None
+
+
+def test_json_value_writes_each_kind_and_records_at_any_depth():
+    record = _Record(_Color.BLUE, (_Inner(Fraction(3, 2), b"\x00\xff"), _Inner(Fraction(2), b"")),
+                     frozenset({_Color.RED, _Color.BLUE}), {_Color.RED: Fraction(1, 5)})
+    assert json_value(record) == {
+        "color": "BLUE",
+        "inners": [{"share": "3/2", "key": "00ff"}, {"share": "2", "key": ""}],
+        "tags": ["BLUE", "RED"], "table": {"RED": "1/5"},
+        "count": 3, "label": "x", "ratio": 0.25, "flag": True, "note": None,
+    }
+    assert json.loads(canonical_json_bytes(json_value(record))) == json_value(record)
 
 
 def test_same_logical_value_same_bytes():

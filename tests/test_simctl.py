@@ -371,6 +371,13 @@ def _passing(kind: str, payload) -> dict:
     (_first_rule(metrics=["capital_ratio", ["x"]]), "rules[0]"),
     (_first_rule(predicate={"op": [">="], "metric": "capital_ratio", "value": 1}),
      "rules[0].predicate"),
+    # An explicit id equal to one the run generates used to stop the run
+    # with a duplicate proposal id.
+    ({"injected_events": [
+        {"epoch": 1, "kind": "PROPOSAL", "proposal": {"kind": "ROUTINE"}},
+        {"epoch": 2, "kind": "PROPOSAL", "proposal": {"kind": "ROUTINE", "id": "prop-2-002"}},
+        {"epoch": 2, "kind": "PROPOSAL", "proposal": {"kind": "ROUTINE"}}]},
+     "injected_events[1].proposal.id"),
 ])
 def test_scenario_errors_carry_field_paths(mutation, expected_path):
     base = json.loads(scenario_path("credit_scoring").read_text())
@@ -470,6 +477,25 @@ def test_duplicate_proposal_ids_rejected():
         load_scenario(base)
 
 
+def test_load_numbers_unnamed_and_collusion_proposals_with_one_counter():
+    base = json.loads(scenario_path("credit_scoring").read_text())
+    routine = {"kind": "ROUTINE"}
+    base["injected_events"] = [
+        {"epoch": 3, "kind": "PROPOSAL", "proposal": routine},
+        {"epoch": 1, "kind": "COLLUSION", "pair": ["bank-alpha", "regulator-eu"],
+         "proposals": 2},
+        {"epoch": 1, "kind": "PROPOSAL", "proposal": {**routine, "id": "prop-1-002"}},
+        {"epoch": 1, "kind": "PROPOSAL", "proposal": routine},
+    ]
+    scenario = load_scenario(base)
+    assert [spec.id for spec in scenario.proposals[1]] == ["prop-1-002", "prop-1-001"]
+    assert scenario.collusions[1] == [
+        (("bank-alpha", "regulator-eu"), ["collusion-1-002", "collusion-1-003"])]
+    assert [spec.id for spec in scenario.proposals[3]] == ["prop-3-004"]
+    assert sorted(run_scenario(base).governance.proposals) == [
+        "collusion-1-002", "collusion-1-003", "prop-1-001", "prop-1-002", "prop-3-004"]
+
+
 def test_two_regulation_changes_same_epoch_rejected():
     base = json.loads(scenario_path("regulation_shift").read_text())
     base["injected_events"].append({"epoch": 5, "kind": "REGULATION_CHANGE", "version": 3})
@@ -542,6 +568,11 @@ def test_unknown_owner_rejected():
     # Each of these used to stop set-up with an EncodingError in the
     # genesis snapshot.
     ("forecast_floor", "inf"), ("forecast_floor", float("nan")),
+    # Each of these used to load: a float, a bool or a string read with
+    # int(), or a count below 1.
+    ("block_capacity", 2.9), ("block_capacity", True), ("block_capacity", "7"),
+    ("election_period", 4.9), ("total_supply", 1e9), ("n_seats", -3),
+    ("auditor_capacity", -1),
     pytest.param(None, ["block_capacity", 5], id="config-not-an-object"),
 ])
 def test_config_values_the_run_cannot_use_are_rejected(key, value):
@@ -731,7 +762,11 @@ def test_cli_inspect_did(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["inspect", str(out_dir / "chain.db"), "--did", did]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["record"]["did"] == did
+    assert payload["record"] == {
+        "did": did, "risk_tier": "MINIMAL", "compliance_status": "NONCOMPLIANT",
+        "purpose": "retail credit scoring", "owner": "bank-alpha", "version": 6,
+        "exposure": "3/5",
+        "metadata_refs": ["a078665657d8a05dfe395097ac786f946892eafacbae721675994c79ff2ad64f"]}
     assert payload["history"]
 
 
