@@ -62,35 +62,52 @@ def _refuse_non_str_keys(value: Any) -> None:
                 _refuse_non_str_keys(item)
 
 
+# The encoder that json.dumps(value, sort_keys=True, separators=(",", ":"),
+# ensure_ascii=True, allow_nan=False) builds on every call, built once. It
+# marks each container it enters in _MARKERS to catch cycles and unmarks it
+# on the way out, so a failed encode must empty the dict. Python code runs
+# inside an encode only in ``default``, which refuses the value, so encodes
+# on several threads see each other's marks only when one of them fails.
+_MARKERS: dict = {}
+_ENCODE = json.encoder.c_make_encoder(
+    _MARKERS, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ":", ",", True, False, False)  # indent, separators, sort_keys, skipkeys, allow_nan
+_DECODER = json.JSONDecoder()
+
+
 def canonical_json_bytes(value: Any) -> bytes:
     """Serialize to the unique canonical JSON byte form.
 
-    Canonical by construction: every object key must be a ``str``, at any
-    depth, so the output is always the canonical form of the value it parses
-    back to and needs no ``is_canonical_json`` recheck. The keys are walked
-    only when the output shows an object whose first key could be another
-    type.
+    The bytes are those of ``json.dumps`` with sorted keys, compact
+    separators, ASCII output and NaN refused, from one encoder built at
+    import. Canonical by construction: every object key must be a ``str``,
+    at any depth, so the output is always the canonical form of the value it
+    parses back to and needs no ``is_canonical_json`` recheck. The keys are
+    walked only when the output shows an object whose first key could be
+    another type.
     """
     try:
-        text = json.dumps(
-            value,
-            sort_keys=True,
-            separators=(",", ":"),
-            ensure_ascii=True,
-            allow_nan=False,
-        )
+        text = "".join(_ENCODE(value, 0))
     except (TypeError, ValueError) as exc:
         raise EncodingError(f"value is not canonically serializable: {exc}") from exc
+    finally:
+        if _MARKERS:
+            _MARKERS.clear()
     if _SUSPECT_KEY.search(text):
         _refuse_non_str_keys(value)
     return text.encode("ascii")
 
 
 def from_canonical_json(data: bytes) -> Any:
+    """The value of one JSON document, with nothing before or after it."""
     try:
-        return json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        value, end = _DECODER.raw_decode(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise EncodingError(f"payload is not valid JSON: {exc}") from exc
+    if end != len(text):
+        raise EncodingError(f"payload is not valid JSON: extra data at {end}")
+    return value
 
 
 def is_canonical_json(data: bytes) -> bool:

@@ -10,8 +10,10 @@ Where each guarantee is established on the write path, so that each piece
 of work is done once:
 
 * canonical payloads: ``Chain.append`` encodes each body once with
-  ``canonical_json_bytes``, canonical by construction; only
-  ``append_event``, for events built outside the chain, rechecks the bytes.
+  ``canonical_json_bytes``, canonical by construction, builds the event
+  once through ``_new_event`` and pushes it onto ``pending``; only
+  ``append_event``, for events built outside the chain, rechecks the bytes
+  and the id continuity.
 * signer validity: ``seal_all`` checks once per call that every private key
   derives its authority's registered public key, then hashes and signs each
   block once without verifying its own signatures. ``seal_block`` verifies
@@ -109,7 +111,7 @@ class EventKind(str, Enum):
 _U64_U32 = struct.Struct("<QI")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GovernanceEvent:
     """One state transition. Payload bytes must be canonical JSON."""
 
@@ -130,6 +132,25 @@ class GovernanceEvent:
     def body(self) -> dict:
         """Decode the payload back into its JSON body."""
         return from_canonical_json(self.payload)
+
+
+# The five slot setters, which the frozen __init__ reaches through one
+# object.__setattr__ call per field.
+_SET_EVENT_ID, _SET_KIND, _SET_EPOCH, _SET_PAYLOAD, _SET_ACTOR = (
+    getattr(GovernanceEvent, name).__set__ for name in GovernanceEvent.__slots__)
+
+
+def _new_event(event_id: int, kind: EventKind, epoch: int, payload: bytes,
+               actor: str) -> GovernanceEvent:
+    """``GovernanceEvent(...)``, filled slot by slot: how the chain builds
+    every event it appends or loads."""
+    event = object.__new__(GovernanceEvent)
+    _SET_EVENT_ID(event, event_id)
+    _SET_KIND(event, kind)
+    _SET_EPOCH(event, epoch)
+    _SET_PAYLOAD(event, payload)
+    _SET_ACTOR(event, actor)
+    return event
 
 
 # Each kind's length-prefixed name, as encode writes it, and the name's
@@ -162,8 +183,8 @@ def _decode_event_frame(data: bytes, start: int, end: int) -> GovernanceEvent:
         if actor_end > end:
             raise truncated(actor_end - actor_at, end - actor_at)
         raise IoError("trailing bytes inside event frame")
-    return GovernanceEvent(event_id, kind, epoch, data[payload_at:actor_len_at],
-                           strict_utf8(data[actor_at:end]))
+    return _new_event(event_id, kind, epoch, data[payload_at:actor_len_at],
+                      strict_utf8(data[actor_at:end]))
 
 
 @dataclass(frozen=True)
@@ -246,7 +267,14 @@ class Chain:
                 return block.events[-1].event_id
         return 0
 
-    def _queue(self, event: GovernanceEvent) -> PendingPosition:
+    def append_event(self, event: GovernanceEvent) -> PendingPosition:
+        """Queue an event built outside the chain; return where it will seal.
+
+        Enforces id continuity, and rechecks that the payload is canonical
+        JSON: the chain did not build these bytes, so it cannot trust them.
+        """
+        if not is_canonical_json(event.payload):
+            raise EncodingError("event payload is not canonical JSON")
         expected = self.last_event_id + 1
         if event.event_id != expected:
             raise OrderingViolation(
@@ -257,32 +285,18 @@ class Chain:
         height = len(self.blocks) + 1 + index // self.capacity
         return PendingPosition(height=height, index=index % self.capacity)
 
-    def append_event(self, event: GovernanceEvent) -> PendingPosition:
-        """Queue an event built outside the chain.
-
-        Enforces id continuity, and rechecks that the payload is canonical
-        JSON: the chain did not build these bytes, so it cannot trust them.
-        """
-        if not is_canonical_json(event.payload):
-            raise EncodingError("event payload is not canonical JSON")
-        return self._queue(event)
-
     def append(self, kind: EventKind, body: dict, *, actor: str, epoch: int) -> GovernanceEvent:
         """Build the next event from a JSON body and queue it.
 
         The payload comes from ``canonical_json_bytes``, which is canonical
-        by construction (it refuses non-string keys), so it is not rechecked.
+        by construction (it refuses non-string keys), and the id is the next
+        one, so neither is rechecked.
         """
         if self.phase_provider is not None:
             body = {**body, "phase": self.phase_provider()}
-        event = GovernanceEvent(
-            event_id=self.last_event_id + 1,
-            kind=kind,
-            epoch=epoch,
-            payload=canonical_json_bytes(body),
-            actor=actor,
-        )
-        self._queue(event)
+        event = _new_event(self.last_event_id + 1, kind, epoch,
+                           canonical_json_bytes(body), actor)
+        self.pending.append(event)
         return event
 
     # --- seal ---

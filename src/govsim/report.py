@@ -61,7 +61,8 @@ class ChainFold:
         self.reclassifications: list[dict] = []
         self.access_logged = 0
         self.access_denied = 0
-        self.per_epoch: dict[int, dict[str, int]] = defaultdict(dict)
+        # Events by kind per epoch; build_report writes each kind as its name.
+        self.per_epoch: dict[int, dict[EventKind, int]] = defaultdict(dict)
         self.max_epoch = 0
         self._replay()
 
@@ -72,7 +73,7 @@ class ChainFold:
 
     def _apply(self, kind: EventKind, epoch: int, body: dict) -> None:
         counts = self.per_epoch[epoch]
-        counts[kind.value] = counts.get(kind.value, 0) + 1
+        counts[kind] = counts.get(kind, 0) + 1
         self.max_epoch = max(self.max_epoch, epoch)
 
         if kind in TOKEN_EVENT_KINDS:
@@ -175,7 +176,7 @@ def build_report(blocks: Sequence[Block]) -> dict:
         per_epoch.append({
             "epoch": epoch,
             "events": sum(counts.values()),
-            "by_kind": dict(sorted(counts.items())),
+            "by_kind": {kind.value: n for kind, n in sorted(counts.items())},
         })
 
     by_tier: dict[str, dict[str, int]] = defaultdict(lambda: {"assessments": 0, "compliant": 0})

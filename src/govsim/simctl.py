@@ -122,11 +122,12 @@ def _at_least(low: int) -> Callable[[Any], int]:
 
 
 def _float_where(test: Callable[[float], bool], bound: str) -> Callable[[Any], float]:
+    """A JSON number (not a bool, not a string) that passes ``test``, which
+    refuses NaN and the infinities."""
     def parse(value: Any) -> float:
-        number = float(value)
-        if not test(number):
+        if type(value) not in (int, float) or not test(value):
             raise InvalidInput(f"must be {bound}")
-        return number
+        return float(value)
     return parse
 
 
@@ -191,8 +192,8 @@ class SimConfig:
         risk_mod.RiskWeights(), risk_mod.RiskWeights.from_json)
     tier_thresholds: risk_mod.TierThresholds = _key(
         risk_mod.TierThresholds(), risk_mod.TierThresholds.from_json)
-    ewma_alpha: float = _key(
-        risk_mod.DEFAULT_EWMA_ALPHA, _float_where(lambda number: 0 < number < 1, "in (0, 1)"))
+    ewma_alpha: float = _key(risk_mod.DEFAULT_EWMA_ALPHA, _float_where(
+        lambda number: 0 < number < 1, "a number in (0, 1)"))
     forecast_floor: float = _key(
         risk_mod.DEFAULT_FORECAST_FLOOR, _float_where(math.isfinite, "a finite number"))
     total_supply: int = _key(DEFAULT_TOTAL_SUPPLY, _at_least(0), snapshot=None)
@@ -386,21 +387,24 @@ def _parse_config(raw: Any) -> SimConfig:
 
 
 def _parse_rule(raw: Mapping[str, Any], path: str) -> compliance_mod.ComplianceRuleModule:
+    mandatory = raw.get("mandatory", True)
+    if type(mandatory) is not bool:
+        _fail(f"{path}.mandatory", "must be true or false")
     try:
         rule = compliance_mod.ComplianceRuleModule(
             rule_id=_name(raw.get("rule_id"), f"{path}.rule_id"),
             domain=_DOMAINS[raw["domain"]],
             predicate=raw["predicate"],
             metrics=tuple(raw["metrics"]),
-            mandatory=bool(raw.get("mandatory", True)),
+            mandatory=mandatory,
             applicable_tiers=frozenset(
                 _TIERS[t] for t in raw.get("applicable_tiers", ["HIGH", "LIMITED", "MINIMAL"])),
-            weight=int(raw.get("weight", 1)),
+            weight=_integer(raw.get("weight", 1), f"{path}.weight", 1),
         )
     except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         _fail(path, f"bad rule: {exc}")
-    if rule.weight < 1 or not all(type(metric) is str for metric in rule.metrics):
-        _fail(path, "bad rule: needs metric names and a weight >= 1")
+    if not all(type(metric) is str for metric in rule.metrics):
+        _fail(path, "bad rule: needs metric names")
     try:
         compliance_mod.validate_predicate(rule.predicate, rule.metrics)
     except GovSimError as exc:
@@ -470,7 +474,8 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
     else:
         raw = dict(source)
 
-    if not isinstance(raw.get("seed", 0), int):
+    seed = raw.get("seed", 0)
+    if type(seed) is not int:
         _fail("seed", "must be an integer")
     epochs = _integer(raw.get("epochs"), "epochs", 1)
     config = _parse_config(raw.get("config", {}))
@@ -662,7 +667,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
                       f"{compliance_mod.REGULATION_VERSION_KEY} with >=, <=, > or <")
 
     return SimScenario(
-        seed=int(raw.get("seed", 0)), epochs=epochs, config=config,
+        seed=seed, epochs=epochs, config=config,
         authorities=authorities, oracle_authorities=oracle_authorities,
         accreditors=accreditors, stakeholders=stakeholders, ai_systems=systems,
         rules=rules, digest=_digest(raw), feeds=feeds, violations=violations,

@@ -157,6 +157,57 @@ def test_refused_exactly_when_a_key_is_not_a_string(value):
         assert is_canonical_json(data)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_json(_STR_KEYS))
+def test_bytes_are_those_of_json_dumps(value):
+    """The encoder built once at import writes what json.dumps writes."""
+    expected = json.dumps(value, sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=True, allow_nan=False).encode()
+    assert canonical_json_bytes(value) == expected
+
+
+def _cyclic():
+    value = {"a": [1, {"b": 2}]}
+    value["a"].append(value)
+    return value, lambda: value["a"].pop()
+
+
+def _with_object():
+    value = {"a": [1, {"b": object()}]}
+    return value, lambda: value["a"][1].update(b=2)
+
+
+def _with_nan():
+    value = {"a": [1, {"b": float("nan")}]}
+    return value, lambda: value["a"][1].update(b=2)
+
+
+@pytest.mark.parametrize("make", [_cyclic, _with_object, _with_nan],
+                         ids=["circular", "object", "nan"])
+def test_a_failed_encode_leaves_no_stale_markers(make):
+    """A failure deep inside a value leaves its open containers marked in
+    the shared cycle check; the next encode, also of the same containers,
+    must not see them."""
+    value, repair = make()
+    with pytest.raises(EncodingError):
+        canonical_json_bytes(value)
+    assert canonical_json_bytes({"x": [True]}) == b'{"x":[true]}'
+    repair()
+    assert canonical_json_bytes(value) == b'{"a":[1,{"b":2}]}'
+
+
+@pytest.mark.parametrize("data", [
+    b'{"a":1}{"b":2}', b'{"a":1}x', b"[1]]", b"1 2",
+    b' {"a":1}', b'{"a":1} ', b'\n{"a":1}', b'{"a":1}\n', b"\t1",
+    b'{"a":"\xff"}', b'"\xc3"', b'{"a":"\xed\xa0\x80"}',
+], ids=["two-documents", "trailing-junk", "extra-bracket", "two-numbers",
+        "leading-space", "trailing-space", "leading-newline", "trailing-newline",
+        "leading-tab", "invalid-byte", "cut-sequence", "encoded-surrogate"])
+def test_decoding_refuses_anything_but_one_document(data):
+    with pytest.raises(EncodingError):
+        from_canonical_json(data)
+
+
 def test_byte_reader_round_trip():
     blob = U64.pack(7) + U32.pack(9) + pack_bytes(b"abc") + pack_str("hej")
     reader = ByteReader(blob)

@@ -26,6 +26,7 @@ from govsim.ledger import (
     Chain,
     EventKind,
     GovernanceEvent,
+    _new_event,
     compute_block_hash,
     default_quorum,
     load_chain,
@@ -414,6 +415,29 @@ def test_chain_file_round_trip(tmp_path):
     assert loaded.authorities == chain.authorities
     assert [b.block_hash for b in loaded.blocks] == [b.block_hash for b in chain.blocks]
     assert verify_chain(loaded.blocks, loaded.authorities, loaded.quorum).ok
+
+
+def test_chain_built_events_are_plain_events(tmp_path):
+    """Events built slot by slot, on append and on load, are the dataclass's
+    own: equal, hashed and shown alike, frozen, without a __dict__."""
+    fields = (7, EventKind.VOTE_CAST, 3, b'{"a":1}', "régulateur")
+    built, plain = _new_event(*fields), GovernanceEvent(*fields)
+    assert built == plain
+    assert hash(built) == hash(plain)
+    assert repr(built) == repr(plain)
+    assert not hasattr(built, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.epoch = 4
+    assert dataclasses.replace(built, epoch=4) == GovernanceEvent(
+        7, EventKind.VOTE_CAST, 4, b'{"a":1}', "régulateur")
+
+    chain = make_chain(capacity=3)
+    appended = [chain.append(kind, {"n": n}, actor=f"actor-{n % 2}", epoch=n // 3)
+                for n, kind in enumerate(EventKind)]
+    chain.seal_all(PRIVATE)
+    save_chain(chain, tmp_path / "chain.db")
+    loaded = load_chain(tmp_path / "chain.db")
+    assert [event for block in loaded.blocks for event in block.events] == appended
 
 
 def test_truncated_chain_file_fails(tmp_path):

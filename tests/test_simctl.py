@@ -366,8 +366,8 @@ def _passing(kind: str, payload) -> dict:
                           {"epoch": 1, "kind": "PROPOSAL", "proposal": {"kind": "ROUTINE",
                                                                         "id": 1}}]},
      "injected_events[1].proposal.id"),
-    (_first_rule(weight=0), "rules[0]"),
-    (_first_rule(weight=float("inf")), "rules[0]"),
+    (_first_rule(weight=0), "rules[0].weight"),
+    (_first_rule(weight=float("inf")), "rules[0].weight"),
     (_first_rule(metrics=["capital_ratio", ["x"]]), "rules[0]"),
     (_first_rule(predicate={"op": [">="], "metric": "capital_ratio", "value": 1}),
      "rules[0].predicate"),
@@ -590,6 +590,34 @@ def test_config_values_the_run_cannot_use_are_rejected(key, value):
     }.get(key, rf"^config(\.|: ){key}")
     with pytest.raises(ScenarioError, match=expected):
         load_scenario(base)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("rules", 0, "weight"), 2.9), (("rules", 0, "weight"), "3"),
+    (("rules", 0, "weight"), True), (("rules", 0, "mandatory"), "no"),
+    (("rules", 0, "mandatory"), 1), (("rules", 0, "mandatory"), None),
+    (("seed",), True), (("seed",), 4.0), (("seed",), "42"),
+    (("config", "ewma_alpha"), "0.5"), (("config", "ewma_alpha"), True),
+    (("config", "forecast_floor"), True), (("config", "forecast_floor"), "0.7"),
+    (("config", "forecast_floor"), float("inf")),
+], ids=["weight-float", "weight-string", "weight-bool", "mandatory-string",
+        "mandatory-int", "mandatory-null", "seed-bool", "seed-float", "seed-string",
+        "ewma-string", "ewma-bool", "floor-bool", "floor-string", "floor-inf"])
+def test_scalars_are_read_without_coercion(path, value):
+    """A rule's weight and mandatory flag, the seed and the float config keys
+    are read as the JSON types the schema gives them. Ten of these cases
+    used to load, coerced by int(), bool() or float()."""
+    doc = json.loads(scenario_path("credit_scoring").read_text())
+    doc.setdefault("config", {})
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    expected = path[0] + "".join(f"[{step}]" if type(step) is int else f".{step}"
+                                 for step in path[1:])
+    with pytest.raises(ScenarioError, match="^" + re.escape(expected) + ":"):
+        load_scenario(doc)
 
 
 @pytest.mark.parametrize("key,value", [
