@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping, Optional
+from typing import Any, NoReturn, Optional
 
 from .encoding import canonical_json_bytes, json_value, sha256
 from .errors import (
@@ -104,6 +105,21 @@ SCHEMAS: dict[tuple[MsgType, int], tuple[FieldSpec, ...]] = {
 
 CURRENT_VERSION = 2
 
+_MSG_TYPES = {msg_type.value: msg_type for msg_type in MsgType}
+# Per (type, version): each field's (name, kind) in schema order, and the declared names.
+_FIELDS = {
+    key: (tuple((f.name, f.kind) for f in schema), frozenset(f.name for f in schema))
+    for key, schema in SCHEMAS.items()
+}
+
+
+def _msg_type(raw: Any) -> Any:
+    """The MsgType whose value is ``raw``, else ``raw`` itself."""
+    try:
+        return _MSG_TYPES.get(raw, raw)
+    except TypeError:  # unhashable
+        return raw
+
 
 def schema_for(msg_type: MsgType, version: int) -> Optional[tuple[FieldSpec, ...]]:
     return SCHEMAS.get((msg_type, version))
@@ -126,20 +142,18 @@ class CanonicalMessage:
 
 
 def payload_checksum(payload: Mapping[str, Any]) -> bytes:
-    return sha256(canonical_json_bytes(dict(payload)))
+    return sha256(canonical_json_bytes(payload if type(payload) is dict else dict(payload)))
 
 
 def make_message(msg_type: MsgType, schema_version: int, payload: Mapping[str, Any]) -> CanonicalMessage:
-    message = CanonicalMessage(
-        msg_type=msg_type,
-        schema_version=schema_version,
-        payload=dict(payload),
-        checksum=payload_checksum(payload),
-    )
-    problems = validate_message(message)
+    payload = dict(payload)
+    # Hashed first, so that an EncodingError wins over a ConversionError.
+    checksum = payload_checksum(payload)
+    problems: list[Violation] = []
+    _check(msg_type, schema_version, payload, problems)
     if problems:
         raise ConversionError("; ".join(v.detail for v in problems))
-    return message
+    return CanonicalMessage(msg_type, schema_version, payload, checksum)
 
 
 # --- validation ---
@@ -153,70 +167,71 @@ class Violation:
 
 
 def _type_ok(value: Any, kind: type) -> bool:
-    if kind is bool:
-        return isinstance(value, bool)
-    if kind is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if kind is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    return isinstance(value, kind)
+    if type(value) is kind:
+        return True
+    if kind is bool or isinstance(value, bool):  # a bool is never an int or a float
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check(msg_type: Any, version: Any, payload: Any, out: list[Violation]) -> bool:
+    """Append the violations of the envelope, then of the fields, to ``out``;
+    False, after one violation and without reading fields, on a bad envelope."""
+    if type(msg_type) is not MsgType:  # an Enum with members has no subclasses
+        out.append(Violation("unknown_type", f"unknown msg_type: {msg_type!r}"))
+        return False
+    if type(version) is not int and (not isinstance(version, int) or isinstance(version, bool)):
+        out.append(Violation("unknown_version", f"schema_version must be an integer, got {version!r}"))
+        return False
+    fields = _FIELDS.get((msg_type, version))
+    if fields is None:
+        out.append(Violation("unknown_version", f"no schema for {msg_type.value} v{version}"))
+        return False
+    if type(payload) is not dict and not isinstance(payload, Mapping):
+        out.append(Violation("bad_envelope", "payload must be an object"))
+        return False
+    kinds, declared = fields
+    for name, kind in kinds:
+        if name not in payload:
+            out.append(Violation("missing_field", f"missing field: {name}", name))
+        elif type(value := payload[name]) is not kind and not _type_ok(value, kind):
+            out.append(Violation(
+                "type_mismatch",
+                f"field {name} expects {kind.__name__}, got {type(value).__name__}",
+                name,
+            ))
+    for name in payload:
+        if name not in declared:
+            out.append(Violation("unexpected_field", f"undeclared field: {name}", name))
+    return True
 
 
 def validate_message(message: CanonicalMessage | Mapping[str, Any]) -> list[Violation]:
     """All violations found; empty list means the message is valid."""
     if isinstance(message, CanonicalMessage):
-        data: dict[str, Any] = message.to_json()
+        msg_type, version, payload = message.msg_type, message.schema_version, message.payload
+        checksum = message.checksum
     elif isinstance(message, Mapping):
-        data = dict(message)
+        msg_type, version = _msg_type(message.get("msg_type")), message.get("schema_version")
+        payload, checksum = message.get("payload"), message.get("checksum")
+        try:
+            checksum = bytes.fromhex(checksum) if isinstance(checksum, str) else None
+        except ValueError:
+            checksum = None
     else:
         return [Violation("bad_envelope", f"not a message object: {type(message).__name__}")]
 
     out: list[Violation] = []
-    raw_type = data.get("msg_type")
-    try:
-        msg_type = MsgType(raw_type)
-    except (ValueError, TypeError):
-        return [Violation("unknown_type", f"unknown msg_type: {raw_type!r}")]
-    version = data.get("schema_version")
-    if not isinstance(version, int) or isinstance(version, bool):
-        return [Violation("unknown_version", f"schema_version must be an integer, got {version!r}")]
-    schema = schema_for(msg_type, version)
-    if schema is None:
-        return [Violation("unknown_version", f"no schema for {msg_type.value} v{version}")]
-    payload = data.get("payload")
-    if not isinstance(payload, Mapping):
-        return [Violation("bad_envelope", "payload must be an object")]
-
-    declared = {f.name: f for f in schema}
-    for spec in schema:
-        if spec.name not in payload:
-            out.append(Violation("missing_field", f"missing field: {spec.name}", spec.name))
-        elif not _type_ok(payload[spec.name], spec.kind):
-            out.append(Violation(
-                "type_mismatch",
-                f"field {spec.name} expects {spec.kind.__name__}, "
-                f"got {type(payload[spec.name]).__name__}",
-                spec.name,
-            ))
-    for name in payload:
-        if name not in declared:
-            out.append(Violation("unexpected_field", f"undeclared field: {name}", name))
-
-    checksum = data.get("checksum")
-    try:
-        checksum_bytes = bytes.fromhex(checksum) if isinstance(checksum, str) else None
-    except ValueError:
-        checksum_bytes = None
-    if checksum_bytes is None:
+    if not _check(msg_type, version, payload, out):
+        return out
+    if not isinstance(checksum, (bytes, bytearray)):
         out.append(Violation("checksum_mismatch", "checksum missing or not hex"))
     else:
-        try:
-            expected = payload_checksum(payload)
+        try:  # recomputed on every call: the payload is a mutable dict
+            if checksum != payload_checksum(payload):
+                out.append(Violation("checksum_mismatch", "checksum does not match payload"))
         except Exception:
             out.append(Violation("checksum_mismatch", "payload not canonically hashable"))
-        else:
-            if checksum_bytes != expected:
-                out.append(Violation("checksum_mismatch", "checksum does not match payload"))
     return out
 
 
@@ -250,12 +265,38 @@ class LegacyMapping:
     delimiter: str
     columns: tuple[ColumnSpec, ...]
 
+    def __post_init__(self) -> None:
+        """ConversionError naming the first key that no schema allows."""
+        def refuse(key: str, problem: str) -> NoReturn:
+            raise ConversionError(f"legacy mapping: {key}: {problem}")
+
+        msg_type, version = self.msg_type, self.schema_version
+        if not isinstance(msg_type, MsgType):
+            refuse("msg_type", f"unknown message type {msg_type!r}")
+        if type(version) is not int:
+            refuse("schema_version", f"must be an integer, got {version!r}")
+        if (msg_type, version) not in _FIELDS:
+            refuse("schema_version", f"no schema for {msg_type.value} v{version}")
+        if type(self.delimiter) is not str or not self.delimiter:
+            refuse("delimiter", f"must be a non-empty string, got {self.delimiter!r}")
+        declared, seen = _FIELDS[msg_type, version][1], set()
+        for i, spec in enumerate(self.columns):
+            for key in ("column", "field"):
+                if type(getattr(spec, key)) is not str:
+                    refuse(f"columns[{i}].{key}", f"must be a string, got {getattr(spec, key)!r}")
+            if spec.kind not in ("str", "int", "float", "bool"):
+                refuse(f"columns[{i}].kind", f"must be str, int, float or bool, got {spec.kind!r}")
+            if spec.field not in declared or spec.field in seen:
+                refuse(f"columns[{i}].field", f"{spec.field!r} appears twice" if spec.field in seen
+                       else f"{spec.field!r} is not declared by {msg_type.value} v{version}")
+            seen.add(spec.field)
+
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "LegacyMapping":
         try:
             return cls(
-                msg_type=MsgType(data["msg_type"]),
-                schema_version=int(data["schema_version"]),
+                msg_type=_msg_type(data["msg_type"]),
+                schema_version=data["schema_version"],
                 delimiter=data.get("delimiter", ","),
                 columns=tuple(
                     ColumnSpec(c["column"], c["field"], c["kind"]) for c in data["columns"]
@@ -263,7 +304,7 @@ class LegacyMapping:
             )
         except KeyError as exc:
             raise ConversionError(f"legacy mapping: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise ConversionError(f"legacy mapping: {exc}") from exc
 
     def to_json(self) -> dict:
@@ -278,13 +319,11 @@ def _parse_cell(text: str, kind: str, column: str) -> Any:
             return int(text)
         if kind == "float":
             return float(text)
-        if kind == "bool":
-            if text in ("true", "false"):
-                return text == "true"
-            raise ValueError(f"bool cell must be true/false, got {text!r}")
+        if text in ("true", "false"):  # kind == "bool": LegacyMapping admits no other
+            return text == "true"
+        raise ValueError(f"bool cell must be true/false, got {text!r}")
     except ValueError as exc:
         raise ConversionError(f"column {column}: {exc}") from exc
-    raise ConversionError(f"column {column}: unknown kind {kind!r}")
 
 
 def _render_cell(value: Any, kind: str) -> str:

@@ -1,25 +1,32 @@
 import hashlib
 import json
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from govsim.errors import ConversionError, MalformedRecord, UnsupportedDowngrade
+from govsim.cli import main as cli_main
+from govsim.encoding import canonical_json_bytes, sha256
+from govsim.errors import ConversionError, GovSimError, MalformedRecord, UnsupportedDowngrade
 from govsim.interop import (
+    SCHEMAS,
     CanonicalMessage,
     ColumnSpec,
     LegacyMapping,
     MsgType,
+    Violation,
     convert_legacy,
     make_message,
     payload_checksum,
     reverse_legacy,
+    schema_for,
     upgrade_message,
     validate_bytes,
     validate_message,
 )
+from tests.conftest import SCENARIO_DIR
 
 V1_REPORT_PAYLOAD = {
     "report_id": "rep-001",
@@ -239,3 +246,232 @@ def test_reverse_legacy_missing_field_is_conversion_error():
         "request_id": "r", "system_did": "d", "reason": "x", "priority": 1})
     with pytest.raises(ConversionError):
         reverse_legacy(message, COMPLIANCE_MAPPING)
+
+
+# --- validation is total on CanonicalMessage ---
+
+def test_message_with_a_plain_string_type_is_unknown_type():
+    message = CanonicalMessage("AUDIT_REQUEST", 1, {}, b"")
+    assert [v.code for v in validate_message(message)] == ["unknown_type"]
+
+
+@pytest.mark.parametrize("checksum", [payload_checksum(V1_REPORT_PAYLOAD).hex(), None],
+                         ids=["hex-string", "none"])
+def test_message_whose_checksum_is_not_bytes_is_a_checksum_mismatch(checksum):
+    message = CanonicalMessage(MsgType.COMPLIANCE_REPORT, 1, dict(V1_REPORT_PAYLOAD), checksum)
+    assert validate_message(message) == [
+        Violation("checksum_mismatch", "checksum missing or not hex")]
+
+
+# --- strict legacy mapping ---
+
+def _legacy_mapping(**changes):
+    data = json.loads((SCENARIO_DIR / "legacy_mapping.json").read_text("utf-8"))
+    for key, value in changes.items():
+        if key.startswith("columns."):
+            index, name = key.split(".")[1:]
+            data["columns"][int(index)][name] = value
+        else:
+            data[key] = value
+    return data
+
+
+@pytest.mark.parametrize("changes, key", [
+    ({"delimiter": ""}, "delimiter"),
+    ({"delimiter": 5}, "delimiter"),
+    ({"schema_version": "1"}, "schema_version"),
+    ({"schema_version": 1.9}, "schema_version"),
+    ({"schema_version": True}, "schema_version"),
+    ({"schema_version": 9}, "schema_version"),
+    ({"msg_type": "TELEGRAM"}, "msg_type"),
+    ({"columns.0.column": 5}, "columns[0].column"),
+    ({"columns.1.field": None}, "columns[1].field"),
+    ({"columns.2.kind": "decimal"}, "columns[2].kind"),
+    ({"columns.3.field": "stray"}, "columns[3].field"),
+    ({"columns.4.field": "epoch"}, "columns[4].field"),
+])
+def test_convert_refuses_a_malformed_mapping_naming_the_key(tmp_path, capsys, changes, key):
+    mapping_path = tmp_path / "mapping.json"
+    mapping_path.write_text(json.dumps(_legacy_mapping(**changes)), "utf-8")
+    code = cli_main(["convert", "--in", str(SCENARIO_DIR / "legacy_compliance.csv"),
+                     "--map", str(mapping_path), "--out", str(tmp_path / "out.json")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: legacy mapping: {key}: ")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_round_trip_is_byte_exact_only_for_canonical_numerals():
+    canonical = "rep-042,did:govsim:ffff,12,1.5,false"
+    assert reverse_legacy(convert_legacy(canonical, COMPLIANCE_MAPPING),
+                          COMPLIANCE_MAPPING) == canonical
+    # +12, 1.50 and 1e2 convert, but render back as str(int) and repr(float).
+    loose = "rep-042,did:govsim:ffff,+12,1.50,false"
+    assert reverse_legacy(convert_legacy(loose, COMPLIANCE_MAPPING),
+                          COMPLIANCE_MAPPING) == canonical
+    assert convert_legacy("rep-042,did:govsim:ffff,+12,1e2,false",
+                          COMPLIANCE_MAPPING).payload["aggregate_score"] == 100.0
+
+
+# --- differential: the validator against the one it replaced ---
+#
+# _ref_* are validate_message, make_message and payload_checksum as they
+# stood before the shared checker: validate_message went through to_json()
+# and bytes.fromhex, and make_message validated (and hashed) its own message
+# a second time.
+
+def _ref_payload_checksum(payload):
+    return sha256(canonical_json_bytes(dict(payload)))
+
+
+def _ref_type_ok(value, kind):
+    if kind is bool:
+        return isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
+def _ref_validate_message(message):
+    if isinstance(message, CanonicalMessage):
+        data = message.to_json()
+    elif isinstance(message, typing.Mapping):
+        data = dict(message)
+    else:
+        return [Violation("bad_envelope", f"not a message object: {type(message).__name__}")]
+
+    out = []
+    raw_type = data.get("msg_type")
+    try:
+        msg_type = MsgType(raw_type)
+    except (ValueError, TypeError):
+        return [Violation("unknown_type", f"unknown msg_type: {raw_type!r}")]
+    version = data.get("schema_version")
+    if not isinstance(version, int) or isinstance(version, bool):
+        return [Violation("unknown_version", f"schema_version must be an integer, got {version!r}")]
+    schema = schema_for(msg_type, version)
+    if schema is None:
+        return [Violation("unknown_version", f"no schema for {msg_type.value} v{version}")]
+    payload = data.get("payload")
+    if not isinstance(payload, typing.Mapping):
+        return [Violation("bad_envelope", "payload must be an object")]
+
+    declared = {f.name: f for f in schema}
+    for spec in schema:
+        if spec.name not in payload:
+            out.append(Violation("missing_field", f"missing field: {spec.name}", spec.name))
+        elif not _ref_type_ok(payload[spec.name], spec.kind):
+            out.append(Violation(
+                "type_mismatch",
+                f"field {spec.name} expects {spec.kind.__name__}, "
+                f"got {type(payload[spec.name]).__name__}",
+                spec.name,
+            ))
+    for name in payload:
+        if name not in declared:
+            out.append(Violation("unexpected_field", f"undeclared field: {name}", name))
+
+    checksum = data.get("checksum")
+    try:
+        checksum_bytes = bytes.fromhex(checksum) if isinstance(checksum, str) else None
+    except ValueError:
+        checksum_bytes = None
+    if checksum_bytes is None:
+        out.append(Violation("checksum_mismatch", "checksum missing or not hex"))
+    else:
+        try:
+            expected = _ref_payload_checksum(payload)
+        except Exception:
+            out.append(Violation("checksum_mismatch", "payload not canonically hashable"))
+        else:
+            if checksum_bytes != expected:
+                out.append(Violation("checksum_mismatch", "checksum does not match payload"))
+    return out
+
+
+def _ref_make_message(msg_type, schema_version, payload):
+    message = CanonicalMessage(
+        msg_type=msg_type,
+        schema_version=schema_version,
+        payload=dict(payload),
+        checksum=_ref_payload_checksum(payload),
+    )
+    problems = _ref_validate_message(message)
+    if problems:
+        raise ConversionError("; ".join(v.detail for v in problems))
+    return message
+
+
+_VALUES = {
+    str: st.text(max_size=6),
+    int: st.integers(-10**6, 10**6),
+    float: st.floats(allow_nan=False, allow_infinity=False) | st.integers(-9, 9),
+    bool: st.booleans(),
+}
+# A bool for an int, an int for a float, NaN, a dict with an int key, and more.
+_RETYPED = st.sampled_from([True, False, 7, 2.5, float("nan"), {1: "x"}, "s", None, [1]])
+_NOT_A_MAPPING = st.sampled_from([None, 3, "payload", ["x"], [("report_id", "r")]])
+
+
+@st.composite
+def _envelopes(draw):
+    """(envelope, (msg_type, version, payload)): a dict or a CanonicalMessage
+    of any schema, valid or broken at any of the places validation reads."""
+    msg_type, version = draw(st.sampled_from(sorted(SCHEMAS, key=lambda k: (k[0].value, k[1]))))
+    fields = SCHEMAS[msg_type, version]
+    payload = {spec.name: draw(_VALUES[spec.kind]) for spec in fields}
+    for spec in draw(st.lists(st.sampled_from(fields), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            del payload[spec.name]
+        else:
+            payload[spec.name] = draw(_RETYPED)
+    payload.update(draw(st.dictionaries(st.text(max_size=4), _RETYPED | st.integers(),
+                                        max_size=2)))
+    payload = draw(st.just(payload) | _NOT_A_MAPPING)
+    raw_type = draw(st.sampled_from([msg_type, msg_type, msg_type.value,
+                                     "TELEGRAM", None, 5, ["x"]]))
+    raw_version = draw(st.sampled_from([version, version, 0, 3, -1, True, False, 1.0, "1"]))
+    try:
+        right = _ref_payload_checksum(payload)
+    except Exception:
+        right = b"\0" * 32
+    checksum = draw(st.sampled_from([right, right, sha256(b"other"), "zz", "", None]))
+
+    if draw(st.booleans()):
+        envelope = CanonicalMessage(raw_type, raw_version, payload, checksum)
+    else:
+        envelope = {
+            "msg_type": raw_type,
+            "schema_version": raw_version,
+            "payload": payload,
+            "checksum": checksum.hex() if isinstance(checksum, bytes) else checksum,
+        }
+        for key in draw(st.lists(st.sampled_from(sorted(envelope)), max_size=1)):
+            del envelope[key]
+    return envelope, (raw_type, raw_version, payload)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_envelopes())
+def test_validate_and_make_message_match_the_reference(case):
+    envelope, (msg_type, version, payload) = case
+    violations = validate_message(envelope)  # never raises
+    try:
+        expected = _ref_validate_message(envelope)
+    except Exception:  # the reference was not total; nothing to compare
+        pass
+    else:
+        assert violations == expected
+
+    try:
+        reference = _ref_make_message(msg_type, version, payload)
+    except AttributeError:  # the reference read .value of a type that is no MsgType
+        with pytest.raises(ConversionError, match="unknown msg_type"):
+            make_message(msg_type, version, payload)
+    except (GovSimError, TypeError, ValueError) as exc:  # TypeError, ValueError: dict(payload)
+        with pytest.raises(type(exc)) as raised:
+            make_message(msg_type, version, payload)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+    else:
+        assert make_message(msg_type, version, payload) == reference
