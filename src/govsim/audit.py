@@ -246,7 +246,7 @@ class AuditRegistry:
                 epoch=epoch, findings={}, outcome=AuditOutcome.INCONCLUSIVE,
                 evidence_commitment=commitment, trigger=trigger,
             )
-            self._record(record)
+            self._keep(record)
             raise EvidenceForged(
                 f"disclosure for {system.did} does not match commitment "
                 f"(audit {audit_id} recorded INCONCLUSIVE)"
@@ -259,10 +259,10 @@ class AuditRegistry:
             outcome=AuditOutcome.PASS if compliant else AuditOutcome.FAIL,
             evidence_commitment=commitment, trigger=trigger,
         )
-        self._record(record)
+        self._keep(record)
         return record
 
-    def _record(self, record: AuditRecord) -> None:
+    def _keep(self, record: AuditRecord) -> None:
         self.records.append(record)
         if self.chain is not None:
             self.chain.append(EventKind.AUDIT_RECORDED, record.to_body(),

@@ -16,8 +16,8 @@ from typing import Any
 
 from .errors import GovSimError, IoError, ScenarioError
 from .interop import LegacyMapping, convert_legacy
-from .ledger import load_chain, save_chain, verify_chain
-from .report import ChainFold, export_report
+from .ledger import load_chain, save_chain
+from .report import export_report, verified_fold
 from .simctl import run_scenario, verify_run
 
 
@@ -75,13 +75,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     chain = load_chain(args.chain)
-    verification = verify_chain(
-        chain.blocks, chain.authorities, chain.quorum, chain.scheme_name)
-    if not verification.ok:
-        print(f"refusing to inspect a broken chain: height "
-              f"{verification.failed_height} ({verification.reason})", file=sys.stderr)
+    verification, fold = verified_fold(chain)
+    if fold is None:
+        print(f"FAIL at height {verification.failed_height}: {verification.reason}",
+              file=sys.stderr)
         return 1
-    fold = ChainFold(chain.blocks)
     if args.audits:
         audits = fold.audits
         if args.did:

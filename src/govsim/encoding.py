@@ -103,7 +103,9 @@ def from_canonical_json(data: bytes) -> Any:
     try:
         text = data.decode("utf-8")
         value, end = _DECODER.raw_decode(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # Bad UTF-8 or JSON, an integer past the interpreter's digit limit, or
+        # nesting past its recursion limit: an error, never a traceback.
         raise EncodingError(f"payload is not valid JSON: {exc}") from exc
     if end != len(text):
         raise EncodingError(f"payload is not valid JSON: extra data at {end}")
@@ -138,6 +140,16 @@ def as_fraction(value: Any) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise EncodingError(f"not a rational: {value!r}") from exc
     raise EncodingError(f"cannot read a rational from {type(value).__name__}")
+
+
+def unit_fraction(value: Any, name: str) -> Fraction:
+    """``as_fraction(value)`` if it lies in [0, 1]; else EncodingError naming ``name``."""
+    try:
+        if 0 <= (fraction := as_fraction(value)) <= 1:
+            return fraction
+    except EncodingError:
+        pass
+    raise EncodingError(f"field {name}: {value!r} is not a rational in [0, 1]")
 
 
 def json_value(value: Any) -> Any:

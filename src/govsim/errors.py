@@ -29,6 +29,13 @@ class SignatureInvalid(GovSimError):
 class NothingToSeal(GovSimError):
     """seal_block called with an empty pending queue."""
 
+class EventInvalid(GovSimError):
+    """A sealed event's body is not what its kind declares, or cannot be folded."""
+
+    def __init__(self, height: int, reason: str):
+        super().__init__(f"at height {height}: {reason}")
+        self.height, self.reason = height, reason
+
 
 # --- identity ---
 

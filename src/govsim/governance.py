@@ -6,8 +6,8 @@ a proposal at exactly the threshold fails. Election ties break by ascending
 stakeholder id. Zero-participation proposals are rejected.
 
 ``GovernanceState.apply`` is the one transition of proposals, votes and
-elections. It takes an event of ``GOVERNANCE_EVENT_KINDS`` (PROPOSAL_SUBMITTED,
-VOTE_CAST, PROPOSAL_RESOLVED, DELEGATE_ELECTED) as it stands on the chain.
+elections. It takes a PROPOSAL_SUBMITTED, VOTE_CAST, PROPOSAL_RESOLVED or
+DELEGATE_ELECTED event as it stands on the chain.
 ``submit_proposal``, ``cast_vote``, ``tally`` and ``run_election`` validate,
 build the event body, apply it and append it; the report fold applies the
 same bodies to a chain-less state, so this module alone knows their format.
@@ -34,7 +34,7 @@ from .errors import (
     ProposalClosed,
 )
 from .identity import Role
-from .ledger import Chain, EventKind
+from .ledger import Chain, EventKind, Store
 from .tokens import Pool, TokenLedger
 
 
@@ -177,11 +177,6 @@ class Proposal:
         return entry
 
 
-# The event kinds that ``GovernanceState.apply`` folds.
-GOVERNANCE_EVENT_KINDS = frozenset({
-    EventKind.PROPOSAL_SUBMITTED, EventKind.VOTE_CAST,
-    EventKind.PROPOSAL_RESOLVED, EventKind.DELEGATE_ELECTED})
-
 # Every vote looks its direction up: a dict lookup is far cheaper than
 # ``VoteDirection(value)``.
 _DIRECTIONS = {direction.value: direction for direction in VoteDirection}
@@ -272,7 +267,7 @@ def detect_collusion(
 
 # --- stateful governance ---
 
-class GovernanceState:
+class GovernanceState(Store):
     def __init__(
         self,
         chain: Optional[Chain],
@@ -300,12 +295,12 @@ class GovernanceState:
     # --- the transition ---
 
     def apply(self, kind: EventKind, body: Mapping, epoch: int) -> None:
-        """Apply one event of ``GOVERNANCE_EVENT_KINDS``; the live writers and
+        """Apply one proposal, vote or election event; the live writers and
         the chain fold share it.
 
-        ``body`` is trusted: the writers validate before they build it. A vote
-        or resolution of an unknown proposal is ignored, and so is a second
-        vote by the same voter.
+        ``body`` is what its kind declares: the writers build it so, and the
+        fold checks it first. A vote or resolution of an unknown proposal is
+        ignored, and so is a second vote by the same voter.
         """
         if kind is EventKind.VOTE_CAST:
             proposal = self.proposals.get(body["proposal_id"])
@@ -325,11 +320,6 @@ class GovernanceState:
                 proposal.threshold = body["threshold"]
         else:  # DELEGATE_ELECTED
             self.delegates = body["delegates"]
-
-    def _record(self, kind: EventKind, body: dict, *, actor: str, epoch: int) -> None:
-        self.apply(kind, body, epoch)
-        if self.chain is not None:
-            self.chain.append(kind, body, actor=actor, epoch=epoch)
 
     # --- proposals and votes ---
 

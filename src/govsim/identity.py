@@ -18,18 +18,19 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .encoding import as_fraction, json_value, sha256
+from .encoding import json_value, sha256, unit_fraction
 from .errors import (
     AccessDenied,
     DuplicateIdentity,
     InvalidBlob,
+    InvalidInput,
     NotFound,
     ProhibitedSystem,
     TooLarge,
     UnknownIdentity,
     UnknownStakeholder,
 )
-from .ledger import Chain, EventKind
+from .ledger import Chain, EventKind, Store
 
 DID_PREFIX = "did:govsim:"
 DID_HEX_CHARS = 32
@@ -144,11 +145,14 @@ class AISystemRecord:
         return json_value(self)
 
 
-# The event kinds that ``DidRegistry.apply`` folds.
-DID_EVENT_KINDS = frozenset({EventKind.DID_REGISTERED, EventKind.DID_UPDATED})
+def _ref(value: str, name: str) -> bytes:
+    try:
+        return bytes.fromhex(value)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"field {name}: {value!r} is not hex") from None
 
 
-class DidRegistry:
+class DidRegistry(Store):
     """Registry of AI-system records keyed by DID.
 
     ``roles`` is a live view mapping stakeholder id to role, used both for
@@ -169,17 +173,18 @@ class DidRegistry:
 
     # --- the transition ---
 
-    def apply(self, kind: EventKind, body: Mapping) -> None:
-        """Apply one event of ``DID_EVENT_KINDS``. ``body`` is trusted: the
-        writers validate before they build it. An update of a DID that was
-        never registered is ignored."""
+    def apply(self, kind: EventKind, body: Mapping, epoch: int) -> None:
+        """Apply one DID_REGISTERED or DID_UPDATED event, its ``body`` what
+        the kind declares. A bad exposure or metadata ref raises; an update
+        of a DID that was never registered is ignored."""
         if kind is EventKind.DID_REGISTERED:
             self.records[body["did"]] = AISystemRecord(
                 did=body["did"], risk_tier=RiskTier(body["risk_tier"]),
                 compliance_status=ComplianceStatus.UNDER_REVIEW, purpose=body["purpose"],
                 owner=body["owner"], version=body["version"],
-                exposure=as_fraction(body.get("exposure", "1/2")),
-                metadata_refs=[bytes.fromhex(ref) for ref in body.get("metadata_refs", [])])
+                exposure=unit_fraction(body.get("exposure", "1/2"), "exposure"),
+                metadata_refs=[_ref(ref, "metadata_refs")
+                               for ref in body.get("metadata_refs", [])])
             return
         record = self.records.get(body["did"])
         if record is None:
@@ -193,12 +198,7 @@ class DidRegistry:
         if "purpose" in change:
             record.purpose = change["purpose"]
         if "metadata_ref" in change:
-            record.metadata_refs.append(bytes.fromhex(change["metadata_ref"]))
-
-    def _record(self, kind: EventKind, body: dict, *, actor: str, epoch: int) -> None:
-        self.apply(kind, body)
-        if self.chain is not None:
-            self.chain.append(kind, body, actor=actor, epoch=epoch)
+            record.metadata_refs.append(_ref(change["metadata_ref"], "change.metadata_ref"))
 
     def _update(self, record: AISystemRecord, change: dict, actor: str, epoch: int) -> int:
         body = {"did": record.did, "version": record.version + 1, "change": change}

@@ -294,12 +294,20 @@ class LegacyMapping:
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "LegacyMapping":
         try:
+            columns = data["columns"]
+            if not isinstance(columns, list):
+                raise ConversionError(f"legacy mapping: columns: not an array: {columns!r}")
+            for i, c in enumerate(columns):
+                for key in ("column", "field", "kind"):
+                    if not isinstance(c, Mapping) or key not in c:
+                        raise ConversionError(
+                            f"legacy mapping: columns[{i}].{key}: missing from {c!r}")
             return cls(
                 msg_type=_msg_type(data["msg_type"]),
                 schema_version=data["schema_version"],
                 delimiter=data.get("delimiter", ","),
                 columns=tuple(
-                    ColumnSpec(c["column"], c["field"], c["kind"]) for c in data["columns"]
+                    ColumnSpec(c["column"], c["field"], c["kind"]) for c in columns
                 ),
             )
         except KeyError as exc:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -103,6 +103,11 @@ class EventKind(str, Enum):
     HEARTBEAT = "HEARTBEAT"
     COLLUSION_FLAGGED = "COLLUSION_FLAGGED"
     RULE_REGISTERED = "RULE_REGISTERED"
+
+
+# The epoch phases in run order, set-up first; each event carries its index.
+Phase = IntEnum("Phase", ["SETUP", "INGEST", "COMPLIANCE", "RISK", "AUDIT", "PENALTIES",
+                          "GOVERNANCE", "ELECTIONS", "REWARDS", "SEALING"], start=0)
 
 
 # An event frame: u64 event id | u32 kind length | kind | u64 epoch |
@@ -252,9 +257,9 @@ class Chain:
         self.scheme = get_scheme(scheme)
         self.blocks: list[Block] = []
         self.pending: list[GovernanceEvent] = []
-        # When set (by the simulator), a "phase" key is stamped into every
-        # body built through append().
-        self.phase_provider: Optional[Callable[[], int]] = None
+        # When set (by the simulator), stamped as "phase" into every body
+        # built through append().
+        self.phase: Optional[Phase] = None
 
     # --- append ---
 
@@ -292,8 +297,8 @@ class Chain:
         by construction (it refuses non-string keys), and the id is the next
         one, so neither is rechecked.
         """
-        if self.phase_provider is not None:
-            body = {**body, "phase": self.phase_provider()}
+        if self.phase is not None:
+            body = {**body, "phase": self.phase}
         event = _new_event(self.last_event_id + 1, kind, epoch,
                            canonical_json_bytes(body), actor)
         self.pending.append(event)
@@ -378,6 +383,19 @@ class Chain:
             )
             sealed.append(self._seal(candidate, digest, signatures))
         return sealed
+
+
+class Store:
+    """A state whose one transition is ``apply(kind, body, epoch)``: the live
+    writers record through it, and the report fold applies sealed bodies."""
+    chain: Optional[Chain]
+
+    def _record(self, kind: EventKind, body: dict, *, actor: str, epoch: int):
+        """Apply the event, then append it when the store has a chain."""
+        applied = self.apply(kind, body, epoch)
+        if self.chain is not None:
+            self.chain.append(kind, body, actor=actor, epoch=epoch)
+        return applied
 
 
 def verify_chain(

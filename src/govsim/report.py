@@ -10,6 +10,12 @@ from on-chain assessment/audit/incident data plus the config snapshot
 embedded in the genesis event. The simulator itself reports via this fold,
 and ``verify`` re-runs it against the emitted report file.
 
+``EVENT_SPECS`` declares each event kind once: the phases it may be
+appended in, the store whose ``apply`` folds it, and the body fields that
+the fold and the report read. The fold checks every body against it as it
+decodes it, so a sealed body that is not what its kind says stops the fold
+with ``EventInvalid`` naming the event and the field, never a traceback.
+
 The fold is one pass over the events. The per-(system, epoch) lookups that
 the score series needs read indexes that ``ChainFold`` builds during that
 pass: failed audits by (DID, epoch) and incident ids by DID. The tests hold
@@ -23,26 +29,30 @@ import csv
 import io
 import json
 from collections import defaultdict
+from enum import Enum
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .encoding import as_fraction
-from .errors import IoError, UnsupportedFormat
-from .governance import GOVERNANCE_EVENT_KINDS, GovernanceState
-from .identity import DID_EVENT_KINDS, DidRegistry
-from .ledger import Block, EventKind
-from .risk import INCIDENT_EVENT_KINDS, IncidentLog, RiskWeights, compute_risk_score
-from .tokens import TOKEN_EVENT_KINDS, TokenLedger
+from .audit import AuditOutcome
+from .encoding import from_canonical_json, unit_fraction
+from .errors import EventInvalid, GovSimError, InvalidInput, IoError, UnsupportedFormat
+from .governance import GovernanceState, ProposalKind, ProposalStatus, VoteDirection, VoteMode
+from .identity import ComplianceStatus, DidRegistry, RiskTier
+from .ledger import Block, Chain, ChainVerification, EventKind, Phase, verify_chain
+from .risk import IncidentLog, IncidentState, RiskWeights, Severity, compute_risk_score
+from .tokens import Pool, TokenLedger
 
 
 class ChainFold:
-    """Replays every event into queryable state."""
+    """Replays every event into queryable state, checking each body against
+    its kind's declaration in ``EVENT_SPECS`` first."""
 
     def __init__(self, blocks: Sequence[Block]):
         self.blocks = blocks
         self.genesis_meta: dict = {}
+        self.weights = RiskWeights()
         self.tokens = TokenLedger(0, {})
         self.registry = DidRegistry(None)
         self.did_events: dict[str, list[dict]] = defaultdict(list)
@@ -64,53 +74,74 @@ class ChainFold:
         # Events by kind per epoch; build_report writes each kind as its name.
         self.per_epoch: dict[int, dict[EventKind, int]] = defaultdict(dict)
         self.max_epoch = 0
+        # (height, reason) of the first event stamped with no phase or one its
+        # kind does not allow: not raised, as hand-built chains carry no stamps.
+        self.phase_fault: Optional[tuple[int, str]] = None
+        # Scores repeat: each distinct string is parsed once.
+        self._score = cache(lambda text: unit_fraction(text, "score"))
         self._replay()
 
     def _replay(self) -> None:
+        # Each kind's declaration, its store's apply bound once per fold.
+        plan = {kind: (spec.phases, spec.fields,
+                       spec.store and getattr(self, spec.store).apply, spec.fold)
+                for kind, spec in EVENT_SPECS.items()}
+        per_epoch = self.per_epoch
         for block in self.blocks:
             for event in block.events:
-                self._apply(event.kind, event.epoch, event.body())
+                kind, epoch = event.kind, event.epoch
+                phases, fields, apply, fold = plan[kind]
+                try:
+                    body = from_canonical_json(event.payload)
+                    fault = (_field_fault(body, fields) if type(body) is dict
+                             else "body is not a JSON object")
+                    if fault:
+                        raise InvalidInput(fault)
+                    if apply:
+                        apply(kind, body, epoch)
+                    if fold:
+                        fold(self, body, epoch)
+                except GovSimError as exc:
+                    raise EventInvalid(
+                        block.height, f"event {event.event_id} ({kind.value}): {exc}") from exc
+                phase = body.get("phase")
+                if (type(phase) is not int or phase not in phases) and self.phase_fault is None:
+                    self.phase_fault = (block.height, f"event {event.event_id} ({kind.value}): "
+                                        f"phase {phase}, allowed {sorted(map(int, phases))}")
+                counts = per_epoch[epoch]
+                counts[kind] = counts.get(kind, 0) + 1
+                if epoch > self.max_epoch:
+                    self.max_epoch = epoch
 
-    def _apply(self, kind: EventKind, epoch: int, body: dict) -> None:
-        counts = self.per_epoch[epoch]
-        counts[kind] = counts.get(kind, 0) + 1
-        self.max_epoch = max(self.max_epoch, epoch)
+    # --- the fold's own bookkeeping, named per kind in EVENT_SPECS ---
 
-        if kind in TOKEN_EVENT_KINDS:
-            if body.get("op") == "mint_genesis":
-                self.genesis_meta = body
-            self.tokens.apply(kind, body)
-        elif kind in GOVERNANCE_EVENT_KINDS:
-            self.governance.apply(kind, body, epoch)
-            if kind is EventKind.DELEGATE_ELECTED:
-                self.elections.append({"epoch": epoch, "delegates": body["delegates"]})
-        elif kind in DID_EVENT_KINDS:
-            self.registry.apply(kind, body)
-            self.did_events[body["did"]].append({"epoch": epoch, **body})
-        elif kind == EventKind.ACCESS_LOGGED:
-            self.access_logged += 1
-            if not body.get("allowed", True):
-                self.access_denied += 1
-        elif kind == EventKind.ASSESSMENT_RECORDED:
-            self.assessments[epoch][body["did"]] = {
-                "score": body["score"],
-                "tier": body["tier"],
-                "compliant": body["compliant"],
-            }
-        elif kind == EventKind.AUDIT_RECORDED:
-            audit = {"epoch": epoch, **body}
-            self.audits.append(audit)
-            if audit["outcome"] in ("FAIL", "INCONCLUSIVE"):
-                self._failed_audits.add((audit["did"], audit["epoch"]))
-        elif kind in INCIDENT_EVENT_KINDS:
-            incident = self.incident_log.apply(kind, body, epoch)
-            self._incident_ids[incident.system_did].add(incident.incident_id)
-        elif kind == EventKind.RISK_RECLASSIFIED:
-            self.reclassifications.append({"epoch": epoch, **body})
-        elif kind == EventKind.COLLUSION_FLAGGED:
-            self.collusion_flags.append({"epoch": epoch, **body})
-        elif kind == EventKind.WEIGHTS_ADJUSTED:
-            self.weight_adjustments.append({"epoch": epoch, **body})
+    def _genesis(self, body: dict, epoch: int) -> None:
+        if body["op"] != "mint_genesis":
+            return
+        self.genesis_meta = body
+        raw = body.get("config", {}).get("risk_weights")
+        try:
+            self.weights = RiskWeights.from_json(raw) if raw else RiskWeights()
+        except GovSimError as exc:
+            raise InvalidInput(f"field config.risk_weights: {exc}") from exc
+
+    def _access(self, body: dict, epoch: int) -> None:
+        self.access_logged += 1
+        if not body.get("allowed", True):
+            self.access_denied += 1
+
+    def _assessment(self, body: dict, epoch: int) -> None:
+        self.assessments[epoch][body["did"]] = {
+            "score": self._score(body["score"]),
+            "tier": body["tier"],
+            "compliant": body["compliant"],
+        }
+
+    def _audit(self, body: dict, epoch: int) -> None:
+        audit = {"epoch": epoch, **body}
+        self.audits.append(audit)
+        if audit["outcome"] in ("FAIL", "INCONCLUSIVE"):
+            self._failed_audits.add((audit["did"], audit["epoch"]))
 
     # --- derived views ---
 
@@ -137,100 +168,251 @@ class ChainFold:
         """Whether an audit of ``did`` at ``epoch`` was FAIL or INCONCLUSIVE."""
         return (did, epoch) in self._failed_audits
 
-    def risk_weights(self) -> RiskWeights:
-        config = self.genesis_meta.get("config", {})
-        raw = config.get("risk_weights")
-        return RiskWeights.from_json(raw) if raw else RiskWeights()
-
     def score_series(self) -> dict[str, list[list]]:
         """Recompute each system's per-epoch score from on-chain inputs."""
-        weights = self.risk_weights()
-        # Scores repeat: each distinct string is parsed once.
-        fraction = cache(as_fraction)
         series: dict[str, list[list]] = defaultdict(list)
         for epoch in sorted(self.assessments):
             for did in sorted(self.assessments[epoch]):
                 record = self.registry.records.get(did)
                 if record is None:
                     continue
-                entry = self.assessments[epoch][did]
                 score = compute_risk_score(
-                    fraction(entry["score"]),
+                    self.assessments[epoch][did]["score"],
                     self.audit_failed_at(did, epoch - 1),
                     self.incident_open_at(did, epoch),
                     record.exposure,
-                    weights,
+                    self.weights,
                 )
                 series[did].append([epoch, str(score)])
         return dict(series)
 
+    def report(self) -> dict:
+        """The full run report as a deterministic JSON-able dict."""
+        blocks = self.blocks
+        epochs = self.genesis_meta.get("epochs", self.max_epoch)
+        per_epoch = []
+        for epoch in range(0, self.max_epoch + 1):
+            counts = self.per_epoch.get(epoch, {})
+            per_epoch.append({
+                "epoch": epoch,
+                "events": sum(counts.values()),
+                "by_kind": {kind.value: n for kind, n in sorted(counts.items())},
+            })
+
+        by_tier: dict[str, dict[str, int]] = defaultdict(
+            lambda: {"assessments": 0, "compliant": 0})
+        for epoch_map in self.assessments.values():
+            for entry in epoch_map.values():
+                bucket = by_tier[entry["tier"]]
+                bucket["assessments"] += 1
+                bucket["compliant"] += 1 if entry["compliant"] else 0
+        compliance_rates = {
+            tier: {
+                "assessments": bucket["assessments"],
+                "compliant": bucket["compliant"],
+                "rate": str(Fraction(bucket["compliant"], bucket["assessments"]))
+                if bucket["assessments"] else "0",
+            }
+            for tier, bucket in sorted(by_tier.items())
+        }
+
+        audit_outcomes = {"PASS": 0, "FAIL": 0, "INCONCLUSIVE": 0}
+        audits_by_trigger: dict[str, int] = defaultdict(int)
+        for audit in self.audits:
+            audit_outcomes[audit["outcome"]] += 1
+            audits_by_trigger[audit["trigger"]] += 1
+
+        return {
+            "root_hash": blocks[-1].block_hash.hex() if blocks else "",
+            "blocks": len(blocks),
+            "epochs": epochs,
+            "events_total": sum(len(b.events) for b in blocks),
+            "per_epoch": per_epoch,
+            "compliance": {"by_tier": compliance_rates},
+            "audits": {
+                "total": len(self.audits),
+                "by_outcome": audit_outcomes,
+                "by_trigger": dict(sorted(audits_by_trigger.items())),
+            },
+            "tokens": {
+                "snapshot": self.tokens.snapshot(),
+                "conserved": self.tokens.conserved(),
+                "checksum": self.tokens.conservation_checksum(),
+            },
+            "risk_metrics": {
+                "scores": self.score_series(),
+                "reclassifications": self.reclassifications,
+                "incidents": [self.incidents[k].to_json() for k in sorted(self.incidents)],
+            },
+            "governance": {
+                "proposals": self.proposal_entries(),
+                "elections": self.elections,
+                "collusion_flags": self.collusion_flags,
+                "weight_adjustments": self.weight_adjustments,
+            },
+            "access": {"logged": self.access_logged, "denied": self.access_denied},
+        }
+
+
+# --- the declaration of each event kind ---
+
+_MISSING = object()  # how a left-out field reads
+
+
+class _Variants(dict):
+    """A string field whose value selects the fields that go with it."""
+
+
+def _fields(spec: dict) -> tuple:
+    """Compile a body declaration into one ``(name, types, extra)`` per field.
+
+    A field is a JSON type, ``object`` (any value), an enum or tuple of the
+    strings allowed, a dict of a nested object's fields, or ``_Variants``; a
+    name ending in "?" may be left out. ``types`` is the one type allowed or
+    a frozenset of them, with ``object`` standing for "left out". ``extra``
+    is None, the strings allowed, the nested fields, or each variant's fields.
+    """
+    compiled = []
+    for key, kind in spec.items():
+        extra = None
+        if isinstance(kind, _Variants):
+            kind, extra = str, {value: _fields(sub) for value, sub in kind.items()}
+        elif isinstance(kind, dict):
+            kind, extra = dict, _fields(kind)
+        elif isinstance(kind, tuple) or issubclass(kind, Enum):
+            # _MISSING is allowed too, for a field that may be left out.
+            kind, extra = str, frozenset(getattr(v, "value", v) for v in kind) | {_MISSING}
+        types = {str, int, float, bool, list, dict, type(None)} if kind is object else {kind}
+        if key.endswith("?"):
+            types.add(object)
+        compiled.append((key.rstrip("?"), kind if len(types) == 1 else frozenset(types), extra))
+    return tuple(compiled)
+
+
+def _field_fault(body: dict, fields: tuple, prefix: str = "") -> Optional[str]:
+    """What is wrong with the first field of ``body`` that is not what
+    ``fields`` declares, or None."""
+    get = body.get
+    for name, types, extra in fields:
+        value = get(name, _MISSING)
+        if (type(value) is types or type(types) is frozenset and type(value) in types) and (
+                extra is None or type(extra) is frozenset and value in extra):
+            continue  # the common case: a flat field as declared
+        if type(value) is not types and (type(types) is type or type(value) not in types):
+            wanted = (types.__name__ if type(types) is type
+                      else "/".join(sorted(t.__name__ for t in types - {object})))
+            return f"field {prefix}{name}: " + (
+                "missing" if value is _MISSING else f"{value!r} is not {wanted}")
+        if type(extra) is tuple:
+            fault = value is not _MISSING and _field_fault(value, extra, f"{prefix}{name}.")
+        elif value not in extra:
+            return f"field {prefix}{name}: unknown value {value!r}"
+        else:
+            fault = _field_fault(body, extra[value], prefix)
+        if fault:
+            return fault
+    return None
+
+
+class EventSpec(NamedTuple):
+    """One kind: the phases it may be appended in, the ChainFold store whose
+    ``apply`` folds it, the fold's own bookkeeping, its compiled fields."""
+    phases: frozenset[Phase]
+    store: Optional[str]
+    fold: Optional[Callable[[ChainFold, dict, int], None]]
+    fields: tuple
+
+
+def _spec(phases, store=None, fold=None, fields=None) -> EventSpec:
+    return EventSpec(frozenset(phases), store, fold, _fields(fields or {}))
+
+
+def _logged(name: str) -> Callable[[ChainFold, dict, int], None]:
+    return lambda fold, body, epoch: getattr(fold, name).append({"epoch": epoch, **body})
+
+
+def _did_history(fold: ChainFold, body: dict, epoch: int) -> None:
+    fold.did_events[body["did"]].append({"epoch": epoch, **body})
+
+
+# The phases in which a system's record is written during an epoch.
+_RECORD_PHASES = {Phase.INGEST, Phase.COMPLIANCE, Phase.RISK, Phase.PENALTIES}
+
+EVENT_SPECS: dict[EventKind, EventSpec] = {
+    EventKind.DID_REGISTERED: _spec({Phase.SETUP}, "registry", _did_history, {
+        "did": str, "owner": str, "purpose": str, "risk_tier": RiskTier, "version": int,
+        "exposure?": str, "metadata_refs?": list}),
+    EventKind.DID_UPDATED: _spec(_RECORD_PHASES, "registry", _did_history, {
+        "did": str, "version": int, "change?": {
+            "status?": ComplianceStatus, "risk_tier?": RiskTier, "purpose?": str,
+            "metadata_ref?": str}}),
+    EventKind.DELEGATE_ELECTED: _spec(
+        {Phase.SETUP, Phase.ELECTIONS}, "governance",
+        lambda fold, body, epoch: fold.elections.append(
+            {"epoch": epoch, "delegates": body["delegates"]}),
+        {"delegates": list}),
+    EventKind.PROPOSAL_SUBMITTED: _spec({Phase.GOVERNANCE}, "governance", None, {
+        "proposal_id": str, "kind": ProposalKind, "mode": VoteMode, "payload": object}),
+    EventKind.VOTE_CAST: _spec({Phase.GOVERNANCE}, "governance", None, {
+        "proposal_id": str, "voter": str, "direction": VoteDirection, "magnitude": int}),
+    EventKind.PROPOSAL_RESOLVED: _spec({Phase.GOVERNANCE}, "governance", None, {
+        "proposal_id": str, "status": ProposalStatus, "power_for": str,
+        "power_against": str, "threshold": str}),
+    EventKind.ASSESSMENT_RECORDED: _spec({Phase.COMPLIANCE}, None, ChainFold._assessment, {
+        "did": str, "score": str, "tier": RiskTier, "compliant": bool}),
+    EventKind.AUDIT_RECORDED: _spec({Phase.AUDIT}, None, ChainFold._audit, {
+        "did": str, "outcome": AuditOutcome, "trigger": str, "epoch?": int}),
+    EventKind.AUDITOR_ACCREDITED: _spec({Phase.SETUP}),
+    EventKind.TOKENS_TRANSFERRED: _spec(
+        {Phase.SETUP, Phase.GOVERNANCE, Phase.REWARDS}, "tokens", ChainFold._genesis,
+        {"op": _Variants(
+            mint_genesis={"total_supply": int, "emission": int,
+                          "pools": {pool.value: int for pool in Pool},
+                          "config?": {"risk_weights?": dict}},
+            grant={"pool": Pool, "to": str, "amount": int},
+            transfer={"from": str, "to": str, "amount": int},
+            pool_charge={"from": str, "pool": Pool, "amount": int},
+            reward={"to": str, "amount": int})}),
+    EventKind.STAKE_CHANGED: _spec({Phase.SETUP}, "tokens", None, {
+        "holder": str, "op": ("stake", "unstake"), "amount": int,
+        "lock_start_epoch": int, "lock_epochs": int}),
+    EventKind.SLASH_APPLIED: _spec({Phase.PENALTIES}, "tokens", None,
+                                   {"holder": str, "burned": int}),
+    EventKind.INCIDENT_RAISED: _spec(
+        {Phase.INGEST}, "incident_log",
+        lambda fold, body, epoch: fold._incident_ids[body["did"]].add(body["incident_id"]),
+        {"incident_id": str, "did": str, "severity": Severity}),
+    EventKind.INCIDENT_ADVANCED: _spec({Phase.RISK}, "incident_log", None,
+                                       {"incident_id": str, "state": IncidentState}),
+    EventKind.RISK_RECLASSIFIED: _spec({Phase.RISK}, None, _logged("reclassifications")),
+    EventKind.ORACLE_UPDATE: _spec({Phase.INGEST}),
+    EventKind.ACCESS_LOGGED: _spec(_RECORD_PHASES, None, ChainFold._access, {"allowed?": bool}),
+    EventKind.WEIGHTS_ADJUSTED: _spec({Phase.GOVERNANCE}, None, _logged("weight_adjustments")),
+    EventKind.HEARTBEAT: _spec({Phase.INGEST}),
+    EventKind.COLLUSION_FLAGGED: _spec({Phase.GOVERNANCE}, None, _logged("collusion_flags")),
+    EventKind.RULE_REGISTERED: _spec({Phase.SETUP, Phase.GOVERNANCE}),
+}
+
 
 def build_report(blocks: Sequence[Block]) -> dict:
     """The full run report as a deterministic JSON-able dict."""
-    fold = ChainFold(blocks)
+    return ChainFold(blocks).report()
 
-    epochs = fold.genesis_meta.get("epochs", fold.max_epoch)
-    per_epoch = []
-    for epoch in range(0, fold.max_epoch + 1):
-        counts = fold.per_epoch.get(epoch, {})
-        per_epoch.append({
-            "epoch": epoch,
-            "events": sum(counts.values()),
-            "by_kind": {kind.value: n for kind, n in sorted(counts.items())},
-        })
 
-    by_tier: dict[str, dict[str, int]] = defaultdict(lambda: {"assessments": 0, "compliant": 0})
-    for epoch_map in fold.assessments.values():
-        for entry in epoch_map.values():
-            bucket = by_tier[entry["tier"]]
-            bucket["assessments"] += 1
-            bucket["compliant"] += 1 if entry["compliant"] else 0
-    compliance_rates = {
-        tier: {
-            "assessments": bucket["assessments"],
-            "compliant": bucket["compliant"],
-            "rate": str(Fraction(bucket["compliant"], bucket["assessments"]))
-            if bucket["assessments"] else "0",
-        }
-        for tier, bucket in sorted(by_tier.items())
-    }
-
-    audit_outcomes = {"PASS": 0, "FAIL": 0, "INCONCLUSIVE": 0}
-    audits_by_trigger: dict[str, int] = defaultdict(int)
-    for audit in fold.audits:
-        audit_outcomes[audit["outcome"]] += 1
-        audits_by_trigger[audit["trigger"]] += 1
-
-    return {
-        "root_hash": blocks[-1].block_hash.hex() if blocks else "",
-        "blocks": len(blocks),
-        "epochs": epochs,
-        "events_total": sum(len(b.events) for b in blocks),
-        "per_epoch": per_epoch,
-        "compliance": {"by_tier": compliance_rates},
-        "audits": {
-            "total": len(fold.audits),
-            "by_outcome": audit_outcomes,
-            "by_trigger": dict(sorted(audits_by_trigger.items())),
-        },
-        "tokens": {
-            "snapshot": fold.tokens.snapshot(),
-            "conserved": fold.tokens.conserved(),
-            "checksum": fold.tokens.conservation_checksum(),
-        },
-        "risk_metrics": {
-            "scores": fold.score_series(),
-            "reclassifications": fold.reclassifications,
-            "incidents": [fold.incidents[k].to_json() for k in sorted(fold.incidents)],
-        },
-        "governance": {
-            "proposals": fold.proposal_entries(),
-            "elections": fold.elections,
-            "collusion_flags": fold.collusion_flags,
-            "weight_adjustments": fold.weight_adjustments,
-        },
-        "access": {"logged": fold.access_logged, "denied": fold.access_denied},
-    }
+def verified_fold(chain: Chain) -> tuple[ChainVerification, Optional[ChainFold]]:
+    """``verify_chain``, then the fold with its body and phase checks: the
+    first fault as a failed verification naming the event, or the fold."""
+    verification = verify_chain(
+        chain.blocks, chain.authorities, chain.quorum, chain.scheme_name)
+    if not verification.ok:
+        return verification, None
+    try:
+        fold = ChainFold(chain.blocks)
+    except EventInvalid as exc:
+        return ChainVerification(False, exc.height, exc.reason), None
+    if fold.phase_fault is not None:
+        return ChainVerification(False, *fold.phase_fault), None
+    return verification, fold
 
 
 # --- export ---
@@ -275,5 +457,5 @@ def load_report(path: str | Path) -> dict:
         return json.loads(Path(path).read_text("utf-8"))
     except OSError as exc:
         raise IoError(f"cannot read report: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep or long
         raise IoError(f"report is not valid JSON: {exc}") from exc

@@ -24,7 +24,7 @@ from typing import Any, Mapping, Optional, Sequence
 from .encoding import ONE, as_fraction
 from .errors import InsufficientHistory, InvalidInput, TerminalState
 from .identity import ComplianceStatus, DidRegistry, RiskTier
-from .ledger import Chain, EventKind
+from .ledger import Chain, EventKind, Store
 
 
 class _NamedFractions:
@@ -34,6 +34,9 @@ class _NamedFractions:
     def from_json(cls, raw: Mapping[str, Any]):
         if not isinstance(raw, Mapping):
             raise InvalidInput("must be an object")
+        for f in fields(cls):
+            if f.name not in raw:
+                raise InvalidInput(f"missing key {f.name!r}")
         return cls(**{f.name: as_fraction(raw[f.name]) for f in fields(cls)})
 
 
@@ -178,11 +181,7 @@ class Incident:
                 "transitions": [list(step) for step in self.transitions]}
 
 
-# The event kinds that ``IncidentLog.apply`` folds.
-INCIDENT_EVENT_KINDS = frozenset({EventKind.INCIDENT_RAISED, EventKind.INCIDENT_ADVANCED})
-
-
-class IncidentLog:
+class IncidentLog(Store):
     def __init__(self, chain: Optional[Chain], registry: Optional[DidRegistry] = None):
         self.chain = chain
         self.registry = registry
@@ -198,16 +197,18 @@ class IncidentLog:
     # --- the transition ---
 
     def apply(self, kind: EventKind, body: Mapping, epoch: int) -> Incident:
-        """Apply one event of ``INCIDENT_EVENT_KINDS`` at ``epoch``; returns the
-        incident. ``body`` is trusted: the live methods validate before they
-        build it."""
+        """Apply one INCIDENT_RAISED or INCIDENT_ADVANCED event at ``epoch``,
+        its ``body`` what the kind declares; returns the incident. Advancing
+        an incident that was never raised raises."""
         if kind is EventKind.INCIDENT_RAISED:
             incident = Incident(body["incident_id"], body["did"], Severity(body["severity"]))
             self.incidents[incident.incident_id] = incident
             self.active[incident.incident_id] = incident
             was_open = False
         else:
-            incident = self.incidents[body["incident_id"]]
+            incident = self.incidents.get(body["incident_id"])
+            if incident is None:
+                raise InvalidInput(f"field incident_id: {body['incident_id']!r} was never raised")
             was_open = incident.open_()
             incident.state = IncidentState(body["state"])
             if incident.state is IncidentState.POSTMORTEM_FILED:
@@ -217,12 +218,6 @@ class IncidentLog:
         self._open_counts[did] = self._open_counts.get(did, 0) + incident.open_() - was_open
         return incident
 
-    def _record(self, kind: EventKind, body: dict, epoch: int) -> Incident:
-        incident = self.apply(kind, body, epoch)
-        if self.chain is not None:
-            self.chain.append(kind, body, actor="incident-response", epoch=epoch)
-        return incident
-
     def raise_incident(self, system_did: str, severity: Severity, *, epoch: int = 0) -> Incident:
         """Open an incident; CRITICAL suspends the system until resolved."""
         if self.registry is not None:
@@ -230,7 +225,8 @@ class IncidentLog:
         self._seq += 1
         body = {"incident_id": f"incident-{self._seq:04d}", "did": system_did,
                 "severity": severity.value, "state": IncidentState.RAISED.value}
-        incident = self._record(EventKind.INCIDENT_RAISED, body, epoch)
+        incident = self._record(EventKind.INCIDENT_RAISED, body,
+                                actor="incident-response", epoch=epoch)
         if severity == Severity.CRITICAL and self.registry is not None:
             self.registry.system_set_status(
                 system_did, ComplianceStatus.SUSPENDED,
@@ -245,7 +241,7 @@ class IncidentLog:
             raise TerminalState(f"{incident.incident_id} already at POSTMORTEM_FILED")
         body = {"incident_id": incident.incident_id, "did": incident.system_did,
                 "state": INCIDENT_ORDER[position + 1].value}
-        self._record(EventKind.INCIDENT_ADVANCED, body, epoch)
+        self._record(EventKind.INCIDENT_ADVANCED, body, actor="incident-response", epoch=epoch)
         if (incident.state == IncidentState.RESOLVED
                 and incident.severity == Severity.CRITICAL
                 and self.registry is not None):

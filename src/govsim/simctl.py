@@ -46,8 +46,8 @@ from .identity import (
     Role,
 )
 from .keys import SeededScheme, get_scheme
-from .ledger import DEFAULT_BLOCK_CAPACITY, Chain, EventKind, verify_chain
-from .report import build_report, load_report
+from .ledger import DEFAULT_BLOCK_CAPACITY, Chain, EventKind, Phase, load_chain
+from .report import build_report, load_report, verified_fold
 from .rng import DeterministicStream
 from .tokens import (
     DEFAULT_EMISSION_DIVISOR,
@@ -60,45 +60,6 @@ from .tokens import (
     genesis_pools,
     validate_pool_fractions,
 )
-
-# Phase indices; phase 0 is scenario setup.
-PHASE_SETUP = 0
-PHASE_INGEST = 1
-PHASE_COMPLIANCE = 2
-PHASE_RISK = 3
-PHASE_AUDIT = 4
-PHASE_PENALTIES = 5
-PHASE_GOVERNANCE = 6
-PHASE_ELECTIONS = 7
-PHASE_REWARDS = 8
-PHASE_SEALING = 9
-
-# Designated phases per event kind; the scan test holds every trace to this.
-PHASE_OF_KIND: dict[EventKind, frozenset[int]] = {
-    EventKind.HEARTBEAT: frozenset({PHASE_INGEST}),
-    EventKind.ORACLE_UPDATE: frozenset({PHASE_INGEST}),
-    EventKind.INCIDENT_RAISED: frozenset({PHASE_INGEST}),
-    EventKind.DID_REGISTERED: frozenset({PHASE_SETUP}),
-    EventKind.AUDITOR_ACCREDITED: frozenset({PHASE_SETUP}),
-    EventKind.RULE_REGISTERED: frozenset({PHASE_SETUP, PHASE_GOVERNANCE}),
-    EventKind.TOKENS_TRANSFERRED: frozenset({PHASE_SETUP, PHASE_GOVERNANCE, PHASE_REWARDS}),
-    EventKind.STAKE_CHANGED: frozenset({PHASE_SETUP}),
-    EventKind.DID_UPDATED: frozenset(
-        {PHASE_INGEST, PHASE_COMPLIANCE, PHASE_RISK, PHASE_PENALTIES}),
-    EventKind.ACCESS_LOGGED: frozenset(
-        {PHASE_INGEST, PHASE_COMPLIANCE, PHASE_RISK, PHASE_PENALTIES}),
-    EventKind.ASSESSMENT_RECORDED: frozenset({PHASE_COMPLIANCE}),
-    EventKind.RISK_RECLASSIFIED: frozenset({PHASE_RISK}),
-    EventKind.INCIDENT_ADVANCED: frozenset({PHASE_RISK}),
-    EventKind.AUDIT_RECORDED: frozenset({PHASE_AUDIT}),
-    EventKind.SLASH_APPLIED: frozenset({PHASE_PENALTIES}),
-    EventKind.PROPOSAL_SUBMITTED: frozenset({PHASE_GOVERNANCE}),
-    EventKind.VOTE_CAST: frozenset({PHASE_GOVERNANCE}),
-    EventKind.PROPOSAL_RESOLVED: frozenset({PHASE_GOVERNANCE}),
-    EventKind.WEIGHTS_ADJUSTED: frozenset({PHASE_GOVERNANCE}),
-    EventKind.COLLUSION_FLAGGED: frozenset({PHASE_GOVERNANCE}),
-    EventKind.DELEGATE_ELECTED: frozenset({PHASE_SETUP, PHASE_ELECTIONS}),
-}
 
 # Value -> member: the loader reads each enum field once per event, proposal
 # or vote, and a dict lookup is far cheaper than calling the enum.
@@ -697,7 +658,6 @@ class Simulator:
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
         self.config = scenario.config
-        self._phase = PHASE_SETUP
 
     # --- streams ---
 
@@ -720,7 +680,7 @@ class Simulator:
             capacity=config.block_capacity,
             scheme=config.signature_scheme,
         )
-        self.chain.phase_provider = lambda: self._phase
+        self.chain.phase = Phase.SETUP
 
         self.tokens = TokenLedger.mint_genesis(
             config.pool_fractions,
@@ -1022,38 +982,37 @@ class Simulator:
     # --- main loop ---
 
     def run(self) -> SimResult:
-        self._phase = PHASE_SETUP
         self._setup()
 
         for epoch in range(1, self.scenario.epochs + 1):
             self.governance.apply_staged_weights()
 
-            self._phase = PHASE_INGEST
+            self.chain.phase = Phase.INGEST
             overrides = self._phase_ingest(epoch)
 
-            self._phase = PHASE_COMPLIANCE
+            self.chain.phase = Phase.COMPLIANCE
             self._phase_compliance(epoch, overrides)
 
-            self._phase = PHASE_RISK
+            self.chain.phase = Phase.RISK
             self._phase_risk(epoch)
 
-            self._phase = PHASE_AUDIT
+            self.chain.phase = Phase.AUDIT
             audit_records = self._phase_audit(epoch)
 
-            self._phase = PHASE_PENALTIES
+            self.chain.phase = Phase.PENALTIES
             self._phase_penalties(epoch, audit_records)
 
-            self._phase = PHASE_GOVERNANCE
+            self.chain.phase = Phase.GOVERNANCE
             self._phase_governance(epoch)
 
-            self._phase = PHASE_ELECTIONS
+            self.chain.phase = Phase.ELECTIONS
             if epoch % self.config.election_period == 0:
                 self._run_election(epoch=epoch)
 
-            self._phase = PHASE_REWARDS
+            self.chain.phase = Phase.REWARDS
             self._phase_rewards(epoch)
 
-            self._phase = PHASE_SEALING
+            self.chain.phase = Phase.SEALING
             self.chain.seal_all(
                 {aid: kp.private for aid, kp in self._authority_keys.items()})
 
@@ -1079,38 +1038,18 @@ def run_scenario(
     return Simulator(scenario, seed=seed).run()
 
 
-def check_phase_discipline(blocks) -> list[str]:
-    """Scan a sealed chain for events outside their designated phases."""
-    problems = []
-    for block in blocks:
-        for event in block.events:
-            phase = event.body().get("phase")
-            allowed = PHASE_OF_KIND.get(event.kind)
-            if phase is None or allowed is None:
-                problems.append(f"event {event.event_id}: missing phase stamp")
-            elif phase not in allowed:
-                problems.append(
-                    f"event {event.event_id} ({event.kind.value}) in phase {phase}, "
-                    f"allowed {sorted(allowed)}")
-    return problems
-
-
 def verify_run(chain_path: str | Path, report_path: Optional[str | Path] = None):
-    """Chain integrity plus report/chain consistency.
+    """Chain integrity, every body and phase stamp against its kind's
+    declaration, and report/chain consistency, all from one fold.
 
     Returns (verification, report_matches) where report_matches is None when
-    no report was supplied or found next to the chain file.
+    the chain fails or no report was supplied or found next to the chain file.
     """
-    from .ledger import load_chain
-
-    chain = load_chain(chain_path)
-    verification = verify_chain(
-        chain.blocks, chain.authorities, chain.quorum, chain.scheme_name)
+    verification, fold = verified_fold(load_chain(chain_path))
     report_matches: Optional[bool] = None
     if report_path is None:
         sibling = Path(chain_path).parent / "report.json"
         report_path = sibling if sibling.exists() else None
-    if report_path is not None and verification.ok:
-        stored = load_report(report_path)
-        report_matches = stored == build_report(chain.blocks)
+    if report_path is not None and fold is not None:
+        report_matches = load_report(report_path) == fold.report()
     return verification, report_matches

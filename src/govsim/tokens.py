@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 
 from .encoding import ONE, canonical_json_bytes, sha256
 from .errors import InsufficientTokens, InvalidAllocation, InvalidInput, StillLocked
-from .ledger import Chain, EventKind
+from .ledger import Chain, EventKind, Store
 
 DEFAULT_TOTAL_SUPPLY = 1_000_000_000
 DEFAULT_EMISSION_DIVISOR = 1000
@@ -72,11 +72,6 @@ class StakeEntry:
         return max(1, epoch - self.lock_start_epoch)
 
 
-# The event kinds that ``TokenLedger.apply`` folds.
-TOKEN_EVENT_KINDS = frozenset(
-    {EventKind.TOKENS_TRANSFERRED, EventKind.STAKE_CHANGED, EventKind.SLASH_APPLIED})
-
-
 def validate_pool_fractions(fractions: Mapping[Pool, Fraction]) -> dict[Pool, Fraction]:
     """The genesis split, refused unless each share is in [0, 1] and they sum to 1."""
     if any(not 0 <= share <= 1 for share in fractions.values()):
@@ -95,7 +90,7 @@ def genesis_pools(fractions: Mapping[Pool, Fraction], total_supply: int) -> dict
     return pools
 
 
-class TokenLedger:
+class TokenLedger(Store):
     def __init__(
         self,
         total_supply: int,
@@ -116,12 +111,12 @@ class TokenLedger:
 
     # --- the transition ---
 
-    def apply(self, kind: EventKind, body: Mapping) -> None:
-        """Apply one event of ``TOKEN_EVENT_KINDS``; the live methods and the
-        chain fold share it.
+    def apply(self, kind: EventKind, body: Mapping, epoch: int) -> None:
+        """Apply one token event; the live methods and the chain fold share it.
 
-        ``body`` is trusted: the live methods validate before they build it,
-        and the fold reads bodies that those methods wrote.
+        ``body`` is what its kind declares (``report.EVENT_SPECS``): the live
+        methods build it so, and the fold checks it first. A debit from a
+        holder with no balance, or the unstake of an entry not held, raises.
         """
         if kind is EventKind.TOKENS_TRANSFERRED:
             op = body["op"]
@@ -129,27 +124,27 @@ class TokenLedger:
                 self.pools[Pool.REWARDS] -= body["amount"]
                 self._credit(body["to"], body["amount"])
             elif op == "pool_charge":
-                self.balances[body["from"]] -= body["amount"]
+                self._debit(body["from"], body["amount"])
                 self.pools[Pool(body["pool"])] += body["amount"]
             elif op == "transfer":
-                self.balances[body["from"]] -= body["amount"]
+                self._debit(body["from"], body["amount"])
                 self._credit(body["to"], body["amount"])
             elif op == "grant":
                 self.pools[Pool(body["pool"])] -= body["amount"]
                 self._credit(body["to"], body["amount"])
-            elif op == "mint_genesis":
+            else:  # mint_genesis
                 self.total_supply = body["total_supply"]
                 self.pools = {p: body["pools"][p.value] for p in Pool}
                 self.emission = body["emission"]
-            else:
-                raise InvalidInput(f"unknown token op {op!r}")
         elif kind is EventKind.STAKE_CHANGED:
             holder = body["holder"]
             entry = StakeEntry(body["amount"], body["lock_start_epoch"], body["lock_epochs"])
             if body["op"] == "stake":
-                self.balances[holder] -= entry.amount
+                self._debit(holder, entry.amount)
                 self.stakes.setdefault(holder, []).append(entry)
             else:  # unstake: the first entry equal in value leaves
+                if entry not in self.stakes.get(holder, ()):
+                    raise InvalidInput(f"{holder!r} holds no such stake entry")
                 self.stakes[holder].remove(entry)
                 self._credit(holder, entry.amount)
         else:  # SLASH_APPLIED
@@ -168,11 +163,10 @@ class TokenLedger:
     def _credit(self, holder: str, amount: int) -> None:
         self.balances[holder] = self.balances.get(holder, 0) + amount
 
-    def _record(self, kind: EventKind, body: dict, *, epoch: int,
-                actor: str = "token-ledger") -> None:
-        self.apply(kind, body)
-        if self.chain is not None:
-            self.chain.append(kind, body, actor=actor, epoch=epoch)
+    def _debit(self, holder: str, amount: int) -> None:
+        if holder not in self.balances:
+            raise InvalidInput(f"{holder!r} holds no balance")
+        self.balances[holder] -= amount
 
     # --- genesis ---
 
@@ -248,7 +242,7 @@ class TokenLedger:
             raise InsufficientTokens(f"{pool.value} pool below {amount}")
         self._record(EventKind.TOKENS_TRANSFERRED,
                      {"op": "grant", "pool": pool.value, "to": to, "amount": amount},
-                     epoch=epoch)
+                     actor="token-ledger", epoch=epoch)
 
     def transfer(self, frm: str, to: str, amount: int, *, epoch: int = 0) -> None:
         if amount <= 0:
@@ -344,7 +338,8 @@ class TokenLedger:
                 continue
             payouts[holder] = share
             self._record(EventKind.TOKENS_TRANSFERRED,
-                         {"op": "reward", "to": holder, "amount": share}, epoch=epoch)
+                         {"op": "reward", "to": holder, "amount": share},
+                         actor="token-ledger", epoch=epoch)
         return payouts
 
     # --- slashing ---
@@ -367,5 +362,6 @@ class TokenLedger:
         self._record(EventKind.SLASH_APPLIED,
                      {"holder": stakeholder, "reason": reason.value,
                       "fraction": str(frac), "burned": to_burn,
-                      "remaining_stake": staked - to_burn}, epoch=epoch)
+                      "remaining_stake": staked - to_burn},
+                     actor="token-ledger", epoch=epoch)
         return to_burn

@@ -1,0 +1,268 @@
+"""``verify`` vouches for what sealed events say, not only for their hashes.
+
+``report.EVENT_SPECS`` declares each event kind once, and the one fold pass
+checks every body and phase stamp against it. A chain sealed by anyone who
+holds the keys (under the ``seeded`` scheme, anyone: the keys derive from
+the public authority ids) either verifies or fails naming the height, the
+event, its kind and the field; ``inspect`` then refuses it the same way and
+never shows a traceback.
+"""
+
+import json
+from functools import cache
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from govsim.cli import main as cli_main
+from govsim.encoding import sha256
+from govsim.keys import get_scheme
+from govsim.ledger import Chain, EventKind, GovernanceEvent, load_chain, save_chain
+from govsim.report import _MISSING, EVENT_SPECS
+from govsim.simctl import Simulator, load_scenario, verify_run
+from tests.conftest import scenario_path
+
+SCHEME = get_scheme("seeded")
+AUTHORITY = SCHEME.generate(sha256(b"authority" + b"a1"))
+INSPECT_FLAGS = ([], ["--audits"], ["--balances"], ["--proposals"], ["--did", "did:x"],
+                 ["--audits", "--did", "did:x"])
+
+
+def _walk(fields):
+    """Every name and allowed string that ``fields`` declares, at any depth."""
+    for name, _, extra in fields:
+        yield name
+        if isinstance(extra, tuple):
+            yield from _walk(extra)
+        elif extra is not None:
+            yield from (value for value in extra if value is not _MISSING)
+            if isinstance(extra, dict):
+                for variant in extra.values():
+                    yield from _walk(variant)
+
+
+DECLARED = sorted({word for spec in EVENT_SPECS.values() for word in _walk(spec.fields)})
+SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+           | st.sampled_from(DECLARED) | st.sampled_from(["1/2", "2", "zz", "00ff"]))
+JSON = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.sampled_from(DECLARED) | st.text(max_size=2),
+                                      inner, max_size=5), max_leaves=12)
+STRINGS = st.sampled_from(["a", "b", "1/2", "0", "00ff", "zz"])
+BY_TYPE = {str: STRINGS, int: st.integers(-1, 3), bool: st.booleans(),
+           list: st.lists(STRINGS, max_size=2), dict: st.dictionaries(STRINGS, JSON, max_size=2)}
+
+
+def _mostly(shaped, odd):
+    return st.integers(0, 9).flatmap(lambda n: odd if n == 0 else shaped)
+
+
+def _declared_value(types, extra):
+    """A value of the declared shape (the fields of a nested object, one of
+    the strings allowed), or now and then any JSON value."""
+    if isinstance(extra, tuple):
+        shaped = _declared_object(extra)
+    elif extra is not None:
+        shaped = st.sampled_from(sorted(value for value in extra if value is not _MISSING))
+    else:
+        shaped = st.one_of([BY_TYPE.get(t, JSON) for t in
+                            (types - {object} if isinstance(types, frozenset) else [types])])
+    return _mostly(shaped, JSON)
+
+
+@st.composite
+def _declared_object(draw, fields):
+    """A body close to what ``fields`` declares: a field may be left out,
+    any value may be off, and a variant's own fields follow its value."""
+    body = {}
+    for name, types, extra in fields:
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        value = body[name] = draw(_declared_value(types, extra))
+        if isinstance(extra, dict) and isinstance(value, str) and value in extra:
+            body.update(draw(_declared_object(extra[value])))
+    return body
+
+
+def _event(kind):
+    phases = sorted(map(int, EVENT_SPECS[kind].phases))
+    body = _declared_object(EVENT_SPECS[kind].fields).flatmap(
+        lambda body: st.fixed_dictionaries({}, optional={"phase": st.sampled_from(phases)})
+        .map(lambda stamp: {**body, **stamp}))
+    # Epochs stay small: the report writes one row for every epoch up to the
+    # largest, and nothing bounds a sealed event's epoch.
+    return st.tuples(st.just(kind), st.integers(0, 4), _mostly(body, JSON))
+
+
+EVENTS = st.lists(st.sampled_from(list(EventKind)).flatmap(_event), min_size=1, max_size=8)
+
+
+def _seal(events, path) -> None:
+    chain = Chain({"a1": AUTHORITY.public}, quorum=1)
+    for kind, epoch, body in events:
+        chain.append(kind, body, actor="anyone", epoch=epoch)
+    chain.seal_all({"a1": AUTHORITY.private})
+    save_chain(chain, path)
+
+
+def _refused(verification) -> bool:
+    """A failed verification that names a height, an event and its kind."""
+    return (not verification.ok and verification.failed_height >= 1
+            and verification.reason.startswith("event ") and " (" in verification.reason)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(events=EVENTS)
+@example(events=[(EventKind.AUDIT_RECORDED, 1, {"x": 1})])
+@example(events=[(EventKind.VOTE_CAST, 1, {"x": 1})])
+@example(events=[(EventKind.TOKENS_TRANSFERRED, 1, {"op": "grant"})])
+@example(events=[(EventKind.INCIDENT_ADVANCED, 1, {"incident_id": "nope"})])
+@example(events=[(EventKind.INCIDENT_ADVANCED, 1,
+                  {"incident_id": "nope", "state": "CONTAINED"})])
+@example(events=[(EventKind.STAKE_CHANGED, 1,
+                  {"holder": "h", "op": "unstake", "amount": 5,
+                   "lock_start_epoch": 0, "lock_epochs": 1})])
+@example(events=[(EventKind.TOKENS_TRANSFERRED, 1,
+                  {"op": "transfer", "from": "h", "to": "g", "amount": 5})])
+@example(events=[(EventKind.ASSESSMENT_RECORDED, 1,
+                  {"did": "d", "score": "zz", "tier": "HIGH", "compliant": True})])
+@example(events=[(EventKind.TOKENS_TRANSFERRED, 0,
+                  {"op": "mint_genesis", "total_supply": 1, "emission": 0,
+                   "pools": {"REWARDS": 1, "GOVERNANCE": 0, "DEVELOPMENT": 0},
+                   "config": {"risk_weights": {"noncompliance": "x"}}})])
+@example(events=[(EventKind.AUDIT_RECORDED, 1,
+                  {"did": "d", "outcome": "MAYBE", "trigger": "cadence"})])
+def test_any_sealed_chain_verifies_or_names_its_fault(tmp_path_factory, events):
+    tmp = tmp_path_factory.mktemp("chain")
+    _seal(events, tmp / "chain.db")
+    verification, report_matches = verify_run(tmp / "chain.db")
+    assert verification.ok or _refused(verification), verification
+    assert report_matches is None
+    for flags in INSPECT_FLAGS:
+        # A traceback would escape cli_main as an exception and fail here.
+        assert cli_main(["inspect", str(tmp / "chain.db"), *flags]) in (0, 1)
+    assert cli_main(["verify", str(tmp / "chain.db")]) == (0 if verification.ok else 1)
+
+
+def test_the_reproductions_are_refused_naming_the_field(tmp_path, capsys):
+    cases = {
+        EventKind.AUDIT_RECORDED: ({"x": 1}, "field did: missing"),
+        EventKind.VOTE_CAST: ({"x": 1}, "field proposal_id: missing"),
+        EventKind.TOKENS_TRANSFERRED: ({"op": "grant"}, "field pool: missing"),
+        EventKind.INCIDENT_ADVANCED: ({"incident_id": "nope", "state": "RESOLVED"},
+                                      "field incident_id: 'nope' was never raised"),
+    }
+    for kind, (body, fault) in cases.items():
+        _seal([(kind, 1, body)], tmp_path / "chain.db")
+        expected = f"FAIL at height 1: event 1 ({kind.value}): {fault}"
+        capsys.readouterr()
+        assert cli_main(["verify", str(tmp_path / "chain.db")]) == 1
+        assert capsys.readouterr().out.strip() == expected
+        assert cli_main(["inspect", str(tmp_path / "chain.db"), "--audits"]) == 1
+        assert capsys.readouterr().err.strip() == expected
+
+
+@pytest.mark.parametrize("payload, fault", [
+    (b"[" * 1000 + b"]" * 1000, "maximum recursion depth exceeded"),
+    (b'{"x":1' + b"0" * 5000 + b"}", "Exceeds the limit"),
+    (b"\xff", "invalid start byte"),
+], ids=["deep", "long-int", "not-utf8"])
+def test_a_payload_json_cannot_read_is_refused_naming_the_event(tmp_path, payload, fault):
+    # Chain.append only writes canonical JSON, so such a payload is sealed by hand.
+    chain = Chain({"a1": AUTHORITY.public}, quorum=1)
+    chain.pending.append(GovernanceEvent(1, EventKind.HEARTBEAT, 1, payload, "anyone"))
+    chain.seal_all({"a1": AUTHORITY.private})
+    save_chain(chain, tmp_path / "chain.db")
+    verification, _ = verify_run(tmp_path / "chain.db")
+    assert verification.reason.startswith("event 1 (HEARTBEAT): payload is not valid JSON: ")
+    assert fault in verification.reason
+    assert cli_main(["inspect", str(tmp_path / "chain.db")]) == 1
+    # A stored report that JSON cannot read is an error too, not a traceback.
+    _reseal("credit_scoring", tmp_path / "good.db")
+    (tmp_path / "report.json").write_bytes(payload)
+    assert cli_main(["verify", str(tmp_path / "good.db"),
+                     "--report", str(tmp_path / "report.json")]) == 1
+
+
+# --- real runs, resealed after one change ---
+
+@cache
+def _run(name: str):
+    simulator = Simulator(load_scenario(scenario_path(name)))
+    result = simulator.run()
+    keys = {aid: pair.private for aid, pair in simulator._authority_keys.items()}
+    events = [(event.kind, event.epoch, event.body(), event.actor, block.height)
+              for block in result.chain.blocks for event in block.events]
+    return result.chain, keys, events
+
+
+def _reseal(name: str, path, index=None, body=None) -> None:
+    """Seal the run's events again into the same blocks, event ``index`` (if
+    any) given ``body``."""
+    original, keys, events = _run(name)
+    chain = Chain(original.authorities, quorum=original.quorum,
+                  capacity=original.capacity, scheme=original.scheme_name)
+    for i, (kind, epoch, old_body, actor, height) in enumerate(events):
+        if height > len(chain.blocks) + 1:
+            chain.seal_all(keys)
+        chain.append(kind, body if i == index else old_body, actor=actor, epoch=epoch)
+    chain.seal_all(keys)
+    save_chain(chain, path)
+
+
+def test_resealing_unchanged_reproduces_the_chain(tmp_path):
+    _reseal("credit_scoring", tmp_path / "chain.db")
+    assert load_chain(tmp_path / "chain.db").head_hash == _run("credit_scoring")[0].head_hash
+    assert verify_run(tmp_path / "chain.db")[0].ok
+
+
+def _mutations():
+    """(event index, field, mutation) for every required declared field of
+    every event of the credit_scoring run, and each way it can be broken."""
+    out = []
+    for index, (kind, _, body, *_) in enumerate(_run("credit_scoring")[2]):
+        fields = EVENT_SPECS[kind].fields
+        for name, types, extra in fields:
+            out += _field_mutations(index, name, types, extra)
+            if isinstance(extra, dict):  # the fields of this body's variant
+                for sub in extra[body[name]]:
+                    out += _field_mutations(index, *sub)
+    return out
+
+
+def _field_mutations(index, name, types, extra):
+    if isinstance(types, frozenset) and object in types:
+        return []  # may be left out
+    kinds = ["drop"] + (["retype"] if isinstance(types, type) else [])
+    if isinstance(extra, (frozenset, dict)):
+        kinds.append("unknown")
+    return [(index, name, kind) for kind in kinds]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutating_a_declared_field_of_a_real_run_fails_verify(tmp_path_factory, data):
+    index, name, mutation = data.draw(st.sampled_from(_mutations()))
+    kind, _, body, *_ = _run("credit_scoring")[2][index]
+    body = json.loads(json.dumps(body))
+    if mutation == "drop":
+        del body[name]
+    elif mutation == "retype":
+        body[name] = "text" if type(body[name]) is not str else 12345
+    else:
+        body[name] = "NOT-A-VALUE"
+    tmp = tmp_path_factory.mktemp("reseal")
+    _reseal("credit_scoring", tmp / "chain.db", index, body)
+    verification, _ = verify_run(tmp / "chain.db")
+    assert not verification.ok
+    assert verification.reason.startswith(f"event {index + 1} ({kind.value}): field {name}: ")
+
+
+def test_a_vote_stamped_outside_governance_fails_verify(tmp_path):
+    _, _, events = _run("collusion_attack")
+    index = next(i for i, event in enumerate(events) if event[0] is EventKind.VOTE_CAST)
+    _reseal("collusion_attack", tmp_path / "chain.db", index, {**events[index][2], "phase": 2})
+    verification, report_matches = verify_run(tmp_path / "chain.db")
+    assert not verification.ok and report_matches is None
+    assert verification.reason == f"event {index + 1} (VOTE_CAST): phase 2, allowed [6]"

@@ -16,8 +16,8 @@ import pytest
 from govsim.cli import main as cli_main
 from govsim.encoding import is_canonical_json, sha256
 from govsim.ledger import save_chain
-from govsim.report import ChainFold, report_json_bytes
-from govsim.simctl import run_scenario
+from govsim.report import ChainFold, export_report, report_json_bytes
+from govsim.simctl import run_scenario, verify_run
 from tests.conftest import REFERENCE_SCENARIOS
 
 PINNED_ROOT_HASHES = {
@@ -289,3 +289,16 @@ def test_every_pinned_payload_is_canonical(reference_results):
                 for block in result.chain.blocks for event in block.events]
     assert len(payloads) > 1000
     assert all(is_canonical_json(payload) for payload in payloads)
+
+
+@pytest.mark.parametrize("world", [*REFERENCE_SCENARIOS, "synthetic", "weighted"])
+def test_every_pinned_world_verifies(reference_results, tmp_path, world):
+    # verify checks every body and phase stamp against its kind's
+    # declaration, and the stored report against the same fold.
+    worlds = {"synthetic": synthetic_scenario, "weighted": weighted_scenario}
+    result = reference_results.get(world) or run_scenario(worlds[world]())
+    save_chain(result.chain, tmp_path / "chain.db")
+    export_report(result.report, tmp_path / "report.json")
+    verification, report_matches = verify_run(tmp_path / "chain.db")
+    assert verification.ok, verification
+    assert report_matches is True

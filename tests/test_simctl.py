@@ -18,13 +18,11 @@ import govsim.ledger
 from govsim.cli import main as cli_main
 from govsim.errors import IoError, ScenarioError
 from govsim.ledger import EventKind, load_chain, save_chain
-from govsim.report import ChainFold, build_report, export_report, report_csv_bytes
+from govsim.report import EVENT_SPECS, ChainFold, build_report, export_report, report_csv_bytes
 from govsim.simctl import (
     _CONFIG_PARSERS,
-    PHASE_OF_KIND,
     SimConfig,
     Simulator,
-    check_phase_discipline,
     load_scenario,
     run_scenario,
     verify_run,
@@ -90,11 +88,16 @@ def test_risk_reclassifications_match_recomputed_series(reference_results):
 
 def test_phase_discipline_on_reference_runs(reference_results):
     for name, result in reference_results.items():
-        assert check_phase_discipline(result.chain.blocks) == [], name
+        outside = [(event.event_id, event.kind, event.body().get("phase"))
+                   for block in result.chain.blocks for event in block.events
+                   if event.body().get("phase") not in EVENT_SPECS[event.kind].phases]
+        assert outside == [], name
+        assert ChainFold(result.chain.blocks).phase_fault is None, name
 
 
 def test_phase_map_covers_every_kind():
-    assert set(PHASE_OF_KIND) == set(EventKind)
+    assert set(EVENT_SPECS) == set(EventKind)
+    assert all(spec.phases for spec in EVENT_SPECS.values())
 
 
 def test_per_epoch_counts_match_query(reference_results):

@@ -368,6 +368,6 @@ def test_fold_of_chain_token_events_equals_live_ledger(steps):
             pass
         fold = TokenLedger(0, {})
         for event in chain.pending:
-            fold.apply(event.kind, event.body())
+            fold.apply(event.kind, event.body(), event.epoch)
         assert fold.snapshot() == ledger.snapshot()
         assert fold.conserved() and ledger.conserved()
