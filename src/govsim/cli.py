@@ -12,40 +12,25 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
 
+from .encoding import read_bytes, read_json, write_bytes
 from .errors import GovSimError, IoError, ScenarioError
 from .interop import LegacyMapping, convert_legacy
 from .ledger import load_chain, save_chain
-from .report import export_report, verified_fold
+from .report import export_report, report_json_bytes, verified_fold
 from .simctl import run_scenario, verify_run
 
 
-def _read_text(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {what}: {exc}") from exc
-
-
-def _read_json(path: str, what: str) -> Any:
-    try:
-        return json.loads(_read_text(path, what))
-    except json.JSONDecodeError as exc:
-        raise IoError(f"{what} is not valid JSON: {exc}") from exc
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    source: str | dict = args.scenario
+    raw = read_json(args.scenario, "scenario")
     if args.rules:
-        raw = _read_json(args.scenario, "scenario")
-        pack = _read_json(args.rules, "rule pack")
+        pack = read_json(args.rules, "rule pack")
         if not isinstance(raw, dict) or not isinstance(raw.get("rules", []), list):
             raise ScenarioError("scenario must be a JSON object whose rules are an array")
         if not isinstance(pack, list):
             raise ScenarioError("rule-pack file must be a JSON array of rule modules")
-        source = {**raw, "rules": [*raw.get("rules", []), *pack]}
-    result = run_scenario(source, seed=args.seed)
+        raw = {**raw, "rules": [*raw.get("rules", []), *pack]}
+    result = run_scenario(raw, seed=args.seed)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -110,14 +95,13 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    mapping = LegacyMapping.from_json(_read_json(args.map, "mapping"))
-    rows = _read_text(args.infile, "legacy file").splitlines()
-    messages = [convert_legacy(row, mapping).to_json() for row in rows if row]
+    mapping = LegacyMapping.from_json(read_json(args.map, "mapping"))
     try:
-        Path(args.out).write_text(json.dumps(messages, indent=2, sort_keys=True) + "\n",
-                                  "utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write messages: {exc}") from exc
+        rows = read_bytes(args.infile, "legacy file").decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise IoError(f"cannot read legacy file: {exc}") from exc
+    messages = [convert_legacy(row, mapping).to_json() for row in rows if row]
+    write_bytes(args.out, report_json_bytes(messages), "messages")
     print(f"converted {len(messages)} rows -> {args.out}")
     return 0
 

@@ -9,6 +9,8 @@ Two encodings live here and nothing else may hash or serialize differently:
 * binary framing: little-endian fixed-width integers and length-prefixed
   byte strings. Used for event/block hashing and the chain file, where a
   fixed field order is required for cross-implementation hash agreement.
+
+Files are read and written here too, so that every failure is named alike.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import struct
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
+from pathlib import Path
 from typing import Any, Optional
 
 from .errors import EncodingError, IoError
@@ -112,6 +115,31 @@ def from_canonical_json(data: bytes) -> Any:
     return value
 
 
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The bytes of the file at ``path``; IoError naming ``what`` if it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {what}: {exc}") from exc
+
+
+def read_json(path: str | Path, what: str) -> Any:
+    """The JSON value of a strict UTF-8 file; IoError naming ``what`` otherwise,
+    also for JSON nested past the recursion limit or an integer past the digit limit."""
+    try:
+        return json.loads(read_bytes(path, what).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise IoError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def write_bytes(path: str | Path, data: bytes, what: str) -> None:
+    """Write ``data`` to ``path``; IoError naming ``what`` if it cannot be written."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise IoError(f"cannot write {what}: {exc}") from exc
+
+
 def is_canonical_json(data: bytes) -> bool:
     """True iff data is the canonical serialization of the value it encodes."""
     try:
@@ -120,11 +148,17 @@ def is_canonical_json(data: bytes) -> bool:
         return False
 
 
+# The size of a decimal string's exponent. Fraction expands the exponent into
+# an integer, so it is bounded first: every float's lies within 324.
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
+
+
 def as_fraction(value: Any) -> Fraction:
     """Exact rational from config scalars.
 
     Floats are read through their decimal literal (0.2 -> 1/5), never their
-    binary expansion; strings accept both "a/b" and decimal forms.
+    binary expansion; strings accept both "a/b" and decimal forms, the latter
+    with an exponent of at most 400 in size.
     """
     if isinstance(value, Fraction):
         return value
@@ -136,6 +170,8 @@ def as_fraction(value: Any) -> Fraction:
         return Fraction(str(value))
     if isinstance(value, str):
         try:
+            if (exponent := _EXPONENT.search(value)) and int(exponent[1]) > 400:
+                raise ValueError("exponent out of range")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise EncodingError(f"not a rational: {value!r}") from exc

@@ -14,7 +14,7 @@ import logging
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, NoReturn, Optional
+from typing import Any, Callable, NoReturn, Optional
 
 from .encoding import canonical_json_bytes, json_value, sha256
 from .errors import (
@@ -251,11 +251,33 @@ def validate_bytes(raw: bytes) -> list[Violation]:
 
 # --- legacy conversion ---
 
+def _parse_bool(text: str) -> bool:
+    if text in ("true", "false"):
+        return text == "true"
+    raise ValueError(f"bool cell must be true/false, got {text!r}")
+
+
+# Each legacy cell kind: how a cell's text is read, and how a value is written back.
+_CELL_KINDS: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, lambda value: repr(float(value))),
+    "bool": (_parse_bool, lambda value: "true" if value else "false"),
+}
+
+
+def _parse_cell(text: str, spec: ColumnSpec) -> Any:
+    try:
+        return _CELL_KINDS[spec.kind][0](text)
+    except ValueError as exc:
+        raise ConversionError(f"column {spec.column}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     column: str  # legacy column name (documentation only)
     field: str   # canonical payload field
-    kind: str    # "str" | "int" | "float" | "bool"
+    kind: str    # a key of _CELL_KINDS
 
 
 @dataclass(frozen=True)
@@ -284,8 +306,10 @@ class LegacyMapping:
             for key in ("column", "field"):
                 if type(getattr(spec, key)) is not str:
                     refuse(f"columns[{i}].{key}", f"must be a string, got {getattr(spec, key)!r}")
-            if spec.kind not in ("str", "int", "float", "bool"):
-                refuse(f"columns[{i}].kind", f"must be str, int, float or bool, got {spec.kind!r}")
+            if type(spec.kind) is not str or spec.kind not in _CELL_KINDS:
+                *others, last = _CELL_KINDS
+                refuse(f"columns[{i}].kind",
+                       f"must be {', '.join(others)} or {last}, got {spec.kind!r}")
             if spec.field not in declared or spec.field in seen:
                 refuse(f"columns[{i}].field", f"{spec.field!r} appears twice" if spec.field in seen
                        else f"{spec.field!r} is not declared by {msg_type.value} v{version}")
@@ -319,29 +343,6 @@ class LegacyMapping:
         return json_value(self)
 
 
-def _parse_cell(text: str, kind: str, column: str) -> Any:
-    try:
-        if kind == "str":
-            return text
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        if text in ("true", "false"):  # kind == "bool": LegacyMapping admits no other
-            return text == "true"
-        raise ValueError(f"bool cell must be true/false, got {text!r}")
-    except ValueError as exc:
-        raise ConversionError(f"column {column}: {exc}") from exc
-
-
-def _render_cell(value: Any, kind: str) -> str:
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "float":
-        return repr(float(value))
-    return str(value)
-
-
 def convert_legacy(row: str, mapping: LegacyMapping) -> CanonicalMessage:
     """One delimited legacy row into a checksummed canonical message."""
     cells = row.split(mapping.delimiter)
@@ -350,7 +351,7 @@ def convert_legacy(row: str, mapping: LegacyMapping) -> CanonicalMessage:
             f"expected {len(mapping.columns)} columns, got {len(cells)}"
         )
     payload = {
-        spec.field: _parse_cell(cell, spec.kind, spec.column)
+        spec.field: _parse_cell(cell, spec)
         for spec, cell in zip(mapping.columns, cells)
     }
     return make_message(mapping.msg_type, mapping.schema_version, payload)
@@ -360,7 +361,7 @@ def reverse_legacy(message: CanonicalMessage, mapping: LegacyMapping) -> str:
     """Render the covered columns back into the legacy row form."""
     try:
         return mapping.delimiter.join(
-            _render_cell(message.payload[spec.field], spec.kind)
+            _CELL_KINDS[spec.kind][1](message.payload[spec.field])
             for spec in mapping.columns
         )
     except KeyError as exc:

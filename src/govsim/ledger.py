@@ -56,9 +56,11 @@ from .encoding import (
     is_canonical_json,
     pack_bytes,
     pack_str,
+    read_bytes,
     sha256,
     strict_utf8,
     truncated,
+    write_bytes,
 )
 from .errors import (
     EncodingError,
@@ -505,10 +507,7 @@ def save_chain(chain: Chain, path: str | Path) -> None:
     for block in chain.blocks:
         block_parts = _block_parts(block)
         parts += (U32.pack(sum(map(len, block_parts))), b"".join(block_parts))
-    try:
-        Path(path).write_bytes(b"".join(parts))
-    except OSError as exc:
-        raise IoError(f"cannot write chain file: {exc}") from exc
+    write_bytes(path, b"".join(parts), "chain file")
 
 
 def _header_chain(raw: bytes) -> Chain:
@@ -531,10 +530,7 @@ def _header_chain(raw: bytes) -> Chain:
 
 
 def load_chain(path: str | Path) -> Chain:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read chain file: {exc}") from exc
+    data = read_bytes(path, "chain file")
     reader = ByteReader(data)
     if reader.raw(len(CHAIN_MAGIC)) != CHAIN_MAGIC:
         raise IoError("not a chain file (bad magic)")

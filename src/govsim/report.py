@@ -36,8 +36,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .audit import AuditOutcome
-from .encoding import from_canonical_json, unit_fraction
-from .errors import EventInvalid, GovSimError, InvalidInput, IoError, UnsupportedFormat
+from .encoding import from_canonical_json, read_json, unit_fraction, write_bytes
+from .errors import EventInvalid, GovSimError, InvalidInput, UnsupportedFormat
 from .governance import GovernanceState, ProposalKind, ProposalStatus, VoteDirection, VoteMode
 from .identity import ComplianceStatus, DidRegistry, RiskTier
 from .ledger import Block, Chain, ChainVerification, EventKind, Phase, verify_chain
@@ -73,7 +73,6 @@ class ChainFold:
         self.access_denied = 0
         # Events by kind per epoch; build_report writes each kind as its name.
         self.per_epoch: dict[int, dict[EventKind, int]] = defaultdict(dict)
-        self.max_epoch = 0
         # (height, reason) of the first event stamped with no phase or one its
         # kind does not allow: not raised, as hand-built chains carry no stamps.
         self.phase_fault: Optional[tuple[int, str]] = None
@@ -110,8 +109,6 @@ class ChainFold:
                                         f"phase {phase}, allowed {sorted(map(int, phases))}")
                 counts = per_epoch[epoch]
                 counts[kind] = counts.get(kind, 0) + 1
-                if epoch > self.max_epoch:
-                    self.max_epoch = epoch
 
     # --- the fold's own bookkeeping, named per kind in EVENT_SPECS ---
 
@@ -189,15 +186,13 @@ class ChainFold:
     def report(self) -> dict:
         """The full run report as a deterministic JSON-able dict."""
         blocks = self.blocks
-        epochs = self.genesis_meta.get("epochs", self.max_epoch)
-        per_epoch = []
-        for epoch in range(0, self.max_epoch + 1):
-            counts = self.per_epoch.get(epoch, {})
-            per_epoch.append({
-                "epoch": epoch,
-                "events": sum(counts.values()),
-                "by_kind": {kind.value: n for kind, n in sorted(counts.items())},
-            })
+        epochs = self.genesis_meta.get("epochs", max(self.per_epoch, default=0))
+        # A row per epoch with events (each simulated epoch has a HEARTBEAT).
+        per_epoch = [{
+            "epoch": epoch,
+            "events": sum(counts.values()),
+            "by_kind": {kind.value: n for kind, n in sorted(counts.items())},
+        } for epoch, counts in sorted(self.per_epoch.items())]
 
         by_tier: dict[str, dict[str, int]] = defaultdict(
             lambda: {"assessments": 0, "compliant": 0})
@@ -417,7 +412,8 @@ def verified_fold(chain: Chain) -> tuple[ChainVerification, Optional[ChainFold]]
 
 # --- export ---
 
-def report_json_bytes(report: dict) -> bytes:
+def report_json_bytes(report: dict | list) -> bytes:
+    """Indented JSON with sorted keys and a final newline: the report file's form."""
     return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -438,24 +434,12 @@ def report_csv_bytes(report: dict) -> bytes:
 
 
 def export_report(report: dict, path: str | Path, fmt: str = "json") -> Path:
-    path = Path(path)
-    if fmt == "json":
-        data = report_json_bytes(report)
-    elif fmt == "csv":
-        data = report_csv_bytes(report)
-    else:
+    render = {"json": report_json_bytes, "csv": report_csv_bytes}.get(fmt)
+    if render is None:
         raise UnsupportedFormat(f"unknown export format: {fmt!r}")
-    try:
-        path.write_bytes(data)
-    except OSError as exc:
-        raise IoError(f"cannot write report: {exc}") from exc
-    return path
+    write_bytes(path, render(report), "report")
+    return Path(path)
 
 
 def load_report(path: str | Path) -> dict:
-    try:
-        return json.loads(Path(path).read_text("utf-8"))
-    except OSError as exc:
-        raise IoError(f"cannot read report: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep or long
-        raise IoError(f"report is not valid JSON: {exc}") from exc
+    return read_json(path, "report")

@@ -18,7 +18,6 @@ the scenario seed, one stream per consumer.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
@@ -30,12 +29,13 @@ from . import audit as audit_mod
 from . import compliance as compliance_mod
 from . import governance as governance_mod
 from . import risk as risk_mod
-from .encoding import as_fraction, canonical_json_bytes, json_value, sha256
+from .encoding import as_fraction, canonical_json_bytes, json_value, read_json, sha256
 from .errors import (
     EncodingError,
     GovSimError,
     InvalidInput,
     InvalidWeights,
+    IoError,
     ScenarioError,
 )
 from .identity import (
@@ -213,10 +213,10 @@ class SystemSpec:
     owner: str
     purpose: str
     risk_tier: RiskTier
+    public_key: bytes  # as given, or derived from the id
     exposure: Fraction = Fraction(1, 2)
     base_metrics: dict[str, Any] = field(default_factory=dict)
     metadata: Optional[dict] = None
-    public_key: Optional[bytes] = None
 
 
 @dataclass(slots=True)
@@ -425,15 +425,12 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
     offending field path."""
     if isinstance(source, (str, Path)):
         try:
-            raw = json.loads(Path(source).read_text("utf-8"))
-        except OSError as exc:
-            raise ScenarioError(f"cannot read scenario: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ScenarioError("scenario must be a JSON object")
-    else:
-        raw = dict(source)
+            source = read_json(source, "scenario")
+        except IoError as exc:
+            raise ScenarioError(str(exc)) from exc
+    if not isinstance(source, Mapping):
+        raise ScenarioError("scenario must be a JSON object")
+    raw = dict(source)
 
     seed = raw.get("seed", 0)
     if type(seed) is not int:
@@ -501,6 +498,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
 
     systems: list[SystemSpec] = []
     system_ids: set[str] = set()
+    system_keys: dict[bytes, str] = {}  # effective public key -> its system's path
     for i, entry in enumerate(_array(raw.get("ai_systems", []), "ai_systems")):
         path = f"ai_systems[{i}]"
         sid = _name(_object(entry, path).get("id"), f"{path}.id")
@@ -512,12 +510,14 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
         tier = _member(_TIERS, entry.get("risk_tier"), f"{path}.risk_tier", "tier")
         if tier is RiskTier.UNACCEPTABLE:
             _fail(f"{path}.risk_tier", "unacceptable systems may not be registered")
-        public_key = None
-        if "public_key" in entry:
-            try:
-                public_key = bytes.fromhex(entry["public_key"])
-            except (TypeError, ValueError):
-                _fail(f"{path}.public_key", "must be hex")
+        try:
+            public_key = bytes.fromhex(entry.get("public_key", ""))
+        except (TypeError, ValueError):
+            _fail(f"{path}.public_key", "must be hex")
+        # No key, or an empty one, stands for the key derived from the id.
+        public_key = public_key or sha256(b"system-key" + sid.encode("utf-8"))
+        if (first := system_keys.setdefault(public_key, path)) != path:
+            _fail(f"{path}.public_key", f"same key as {first}")
         try:
             exposure = as_fraction(entry.get("exposure", "1/2"))
         except (GovSimError, ValueError) as exc:
@@ -733,13 +733,11 @@ class Simulator:
         self._system_ids: dict[str, str] = {}  # scenario id -> did
         self._system_specs: dict[str, SystemSpec] = {}
         for spec in self.scenario.ai_systems:
-            public_key = spec.public_key or sha256(
-                b"system-key" + spec.id.encode("utf-8"))
             metadata_blobs = None
             if spec.metadata is not None:
                 metadata_blobs = [canonical_json_bytes(spec.metadata)]
             did = self.registry.register_did(
-                public_key, spec.purpose, spec.risk_tier, spec.owner,
+                spec.public_key, spec.purpose, spec.risk_tier, spec.owner,
                 epoch=0, exposure=spec.exposure,
                 metadata_blobs=metadata_blobs,
             )

@@ -257,5 +257,17 @@ def test_as_fraction(value, expected):
 def test_as_fraction_rejects_junk():
     with pytest.raises(EncodingError):
         as_fraction("not-a-number")
+    # Fraction would expand the exponent into an integer of a billion digits.
+    with pytest.raises(EncodingError):
+        as_fraction("1e999999999")
     with pytest.raises(EncodingError):
         as_fraction(True)
+
+
+def test_as_fraction_bounds_the_decimal_exponent():
+    assert as_fraction("1e400") == 10**400
+    assert as_fraction("25E-400") == Fraction(1, 4 * 10**398)
+    assert as_fraction("1e0_400") == 10**400
+    for text in ("1e401", "1E-401", "2.5e+1_000", "1e" + "9" * 5000):
+        with pytest.raises(EncodingError):
+            as_fraction(text)

@@ -19,7 +19,7 @@ from govsim.cli import main as cli_main
 from govsim.encoding import sha256
 from govsim.keys import get_scheme
 from govsim.ledger import Chain, EventKind, GovernanceEvent, load_chain, save_chain
-from govsim.report import _MISSING, EVENT_SPECS
+from govsim.report import _MISSING, EVENT_SPECS, build_report, export_report
 from govsim.simctl import Simulator, load_scenario, verify_run
 from tests.conftest import scenario_path
 
@@ -89,9 +89,9 @@ def _event(kind):
     body = _declared_object(EVENT_SPECS[kind].fields).flatmap(
         lambda body: st.fixed_dictionaries({}, optional={"phase": st.sampled_from(phases)})
         .map(lambda stamp: {**body, **stamp}))
-    # Epochs stay small: the report writes one row for every epoch up to the
-    # largest, and nothing bounds a sealed event's epoch.
-    return st.tuples(st.just(kind), st.integers(0, 4), _mostly(body, JSON))
+    # Mostly small epochs, so that events share them; a sealed epoch may be any u64.
+    epoch = _mostly(st.integers(0, 4), st.integers(0, 2**64 - 1))
+    return st.tuples(st.just(kind), epoch, _mostly(body, JSON))
 
 
 EVENTS = st.lists(st.sampled_from(list(EventKind)).flatmap(_event), min_size=1, max_size=8)
@@ -115,6 +115,7 @@ def _refused(verification) -> bool:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(events=EVENTS)
 @example(events=[(EventKind.AUDIT_RECORDED, 1, {"x": 1})])
+@example(events=[(EventKind.HEARTBEAT, 2**63, {"epoch": 2**63, "phase": 1})])
 @example(events=[(EventKind.VOTE_CAST, 1, {"x": 1})])
 @example(events=[(EventKind.TOKENS_TRANSFERRED, 1, {"op": "grant"})])
 @example(events=[(EventKind.INCIDENT_ADVANCED, 1, {"incident_id": "nope"})])
@@ -143,6 +144,10 @@ def test_any_sealed_chain_verifies_or_names_its_fault(tmp_path_factory, events):
         # A traceback would escape cli_main as an exception and fail here.
         assert cli_main(["inspect", str(tmp / "chain.db"), *flags]) in (0, 1)
     assert cli_main(["verify", str(tmp / "chain.db")]) == (0 if verification.ok else 1)
+    if verification.ok:
+        # The report has a row per epoch with events, whatever the epochs.
+        export_report(build_report(load_chain(tmp / "chain.db").blocks), tmp / "report.json")
+        assert verify_run(tmp / "chain.db") == (verification, True)
 
 
 def test_the_reproductions_are_refused_naming_the_field(tmp_path, capsys):

@@ -200,6 +200,17 @@ def _first_system(**fields) -> dict:
     return _first_entry("ai_systems", **fields)
 
 
+# The key credit_scoring's system stands for: it gives none.
+_DEFAULT_KEY = govsim.encoding.sha256(b"system-key" + b"credit-scorer")
+
+
+def _two_systems(first: dict, second: dict) -> dict:
+    """A scenario mutation: the first system with ``first`` changed, then a
+    copy of it under a new id with ``second`` changed."""
+    system = json.loads(scenario_path("credit_scoring").read_text())["ai_systems"][0]
+    return {"ai_systems": [{**system, **first}, {**system, "id": "twin", **second}]}
+
+
 def _first_metrics(**metrics) -> dict:
     """A scenario mutation: the first system with these base metrics changed."""
     system = json.loads(scenario_path("credit_scoring").read_text())["ai_systems"][0]
@@ -381,12 +392,29 @@ def _passing(kind: str, payload) -> dict:
         {"epoch": 2, "kind": "PROPOSAL", "proposal": {"kind": "ROUTINE", "id": "prop-2-002"}},
         {"epoch": 2, "kind": "PROPOSAL", "proposal": {"kind": "ROUTINE"}}]},
      "injected_events[1].proposal.id"),
+    # Two systems with one effective public key used to load, then set-up
+    # stopped with DuplicateIdentity: the same hex, or one system's hex equal
+    # to the key the other's id stands for.
+    (_two_systems({"public_key": "11" * 32}, {"public_key": "11" * 32}),
+     "ai_systems[1].public_key"),
+    (_two_systems({}, {"public_key": _DEFAULT_KEY.hex()}), "ai_systems[1].public_key"),
 ])
 def test_scenario_errors_carry_field_paths(mutation, expected_path):
     base = json.loads(scenario_path("credit_scoring").read_text())
     base.update(mutation)
     with pytest.raises(ScenarioError, match="^" + re.escape(expected_path) + ":"):
         load_scenario(base)
+
+
+def test_an_absent_or_empty_public_key_stands_for_the_id_key(reference_results):
+    base = json.loads(scenario_path("credit_scoring").read_text())
+    systems = load_scenario({**base, **_two_systems({"public_key": ""}, {})}).ai_systems
+    assert [spec.public_key for spec in systems] == [
+        _DEFAULT_KEY, govsim.encoding.sha256(b"system-key" + b"twin")]
+    # The same DID as the reference run's; the root differs by the scenario digest.
+    empty = run_scenario({**base, **_first_system(public_key="")})
+    reference = reference_results["credit_scoring"]
+    assert empty.registry.records.keys() == reference.registry.records.keys()
 
 
 def test_the_run_reads_only_what_load_scenario_returns():
@@ -876,12 +904,22 @@ _MAP = json.dumps({"msg_type": "COMPLIANCE_REPORT", "schema_version": 1,
     ({"m.json": _MAP}, ["convert", "--in", "missing.csv", "--map", "m.json"]),
     ({"m.json": "not json", "a.csv": "r1"}, ["convert", "--in", "a.csv", "--map", "m.json"]),
     ({"m.json": "{}", "a.csv": "r1"}, ["convert", "--in", "a.csv", "--map", "m.json"]),
+    # Each case below used to escape as a traceback too: nesting past the
+    # recursion limit, an integer past the digit limit, bytes not UTF-8.
+    *(case for bad in (b"[" * 3000 + b"]" * 3000, b'{"x": 1' + b"0" * 5000 + b"}",
+                       b'{"x": "\xff"}') for case in (
+        ({"s.json": bad}, ["run", "s.json"]),
+        ({"s.json": bad, "r.json": "[]"}, ["run", "s.json", "--rules", "r.json"]),
+        ({"s.json": "{}", "r.json": bad}, ["run", "s.json", "--rules", "r.json"]),
+        ({"m.json": bad, "a.csv": "r1"}, ["convert", "--in", "a.csv", "--map", "m.json"]))),
+    ({"m.json": _MAP, "a.csv": b"r\xff"}, ["convert", "--in", "a.csv", "--map", "m.json"]),
 ])
 def test_cli_file_errors_exit_1_without_traceback(tmp_path, monkeypatch, capsys,
                                                    files, argv):
     monkeypatch.chdir(tmp_path)
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
     out = ["--out", "out.json"] if argv[0] == "convert" else ["--out", "out"]
     assert cli_main([*argv, *out]) == 1
     assert capsys.readouterr().err.startswith("error: ")

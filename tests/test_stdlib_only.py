@@ -2,6 +2,9 @@
 
 The one exception is the lazy ``cryptography`` import on the Ed25519 path of
 ``keys.py``, which only runs when a scenario selects that scheme.
+
+Only ``encoding.py`` opens, reads or writes files, so every file error is
+named the same way.
 """
 
 import ast
@@ -41,3 +44,29 @@ def test_core_package_is_stdlib_only():
     offenders = {path.name: imports for path in sources
                  if (imports := _third_party_imports(path))}
     assert offenders == {}
+
+
+# Calls that read or write a file: ``open(...)`` or ``x.open(...)`` and the
+# ``Path`` methods below.
+FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def _file_calls(path: Path) -> list[tuple[str, int]]:
+    tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in FILE_CALLS:
+                found.append((func.attr, node.lineno))
+            elif isinstance(func, ast.Name) and func.id == "open":
+                found.append(("open", node.lineno))
+    return found
+
+
+def test_only_encoding_touches_files():
+    offenders = {path.name: calls for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "encoding.py" and (calls := _file_calls(path))}
+    assert offenders == {}
+    assert {name for name, _ in _file_calls(PACKAGE / "encoding.py")} == {
+        "read_bytes", "write_bytes"}
