@@ -280,18 +280,10 @@ class ByteReader:
         return strict_utf8(self.bytes_())
 
     def window(self) -> tuple[int, int]:
-        """Step over a length-prefixed field; return its ``(start, end)``.
-
-        Called once per event frame, so the two bounds checks are inline.
-        """
-        at = self.pos + 4
-        if at > self.end:
-            raise truncated(4, self.end - self.pos)
-        stop = at + U32.unpack_from(self.data, self.pos)[0]
-        if stop > self.end:
-            raise truncated(stop - at, self.end - at)
-        self.pos = stop
-        return at, stop
+        """Step over a length-prefixed field; return its ``(start, end)``."""
+        n = self.u32()
+        at = self._advance(n)
+        return at, at + n
 
     def exhausted(self) -> bool:
         return self.pos == self.end

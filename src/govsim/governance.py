@@ -399,9 +399,9 @@ class GovernanceState(Store):
                 terms[1] = terms.get(1, 0) + vote.magnitude
         elif proposal.votes:
             # effective_power per voter, with the total and cap taken once.
+            # With no power at all every vote weighs 0 under a cap of 0, and
+            # the proposal is rejected at zero turnout.
             total = total_raw_power(list(self.stakeholders.values()), self.weights)
-            if total <= 0:
-                raise NoVotingPower("total raw weighted power is zero")
             cap = self.weights.cap_fraction * total
             cap_num, cap_den = cap.numerator, cap.denominator
             for voter_id, vote in proposal.votes.items():

@@ -59,8 +59,10 @@ class Ed25519Scheme:
             ) from exc
         self._mod = ed25519
         # One key object per private key: rebuilding it re-derives the
-        # public key on every signature.
+        # public key on every signature. Likewise one per public key, which
+        # is decoded and checked as it is built.
         self._signing_keys: dict[bytes, object] = {}
+        self._verifying_keys: dict[bytes, object] = {}
 
     def generate(self, seed: bytes) -> KeyPair:
         private = sha256(b"govsim-ed25519-seed" + seed)
@@ -81,8 +83,11 @@ class Ed25519Scheme:
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         try:
-            pub = self._mod.Ed25519PublicKey.from_public_bytes(public)
-            pub.verify(signature, message)
+            key = self._verifying_keys.get(public)
+            if key is None:
+                key = self._mod.Ed25519PublicKey.from_public_bytes(public)
+                self._verifying_keys[public] = key
+            key.verify(signature, message)
             return True
         except Exception:
             return False

@@ -22,15 +22,19 @@ of work is done once:
 
 Where frame exactness is established on the read path: ``load_chain``
 reads the file into one buffer and decodes each block and event frame
-where it lies, touching each frame once. Every read is checked against the
-end of its own frame, not of the buffer, so a length that overshoots its
-frame is truncation even where the file goes on; bytes left over inside an
-event frame, a block frame or after the final block are refused; strings
-are strict UTF-8 and event kinds must be known. An accepted frame has then
-exactly one encoding of each field (fixed-width integers, exact lengths,
-UTF-8 that Python's strict codec round-trips), so decode-then-encode is the
-identity on it: ``verify_chain`` re-encoding a loaded event hashes exactly
-the bytes that were read, and ``save_chain`` writes them back unchanged.
+where it lies, in one loop per block, touching each frame once. Every read
+is checked against the end of its own frame, not of the buffer, so a
+length that overshoots its frame is truncation even where the file goes
+on; bytes left over inside an event frame, a block frame or after the final
+block are refused; strings are strict UTF-8 and event kinds must be known.
+An accepted frame has then exactly one encoding of each field (fixed-width
+integers, exact lengths, UTF-8 that Python's strict codec round-trips), so
+decode-then-encode is the identity on it, and ``save_chain`` writes the
+bytes back unchanged. A loaded block also carries the hash of the bytes it
+was decoded from (``Block.read_hash``, taken from the buffer without a
+copy), and ``verify_chain`` checks it against that hash; only a block built
+in memory, which has none, is re-encoded and hashed from its events. By
+exactness the two hashes are equal.
 
 Concurrency: one writer (append/seal) at a time; reads against sealed
 blocks are safe concurrently with each other.
@@ -38,9 +42,10 @@ blocks are safe concurrently with each other.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -166,34 +171,6 @@ _KIND_FRAMES = {kind: pack_bytes(kind.value.encode("ascii")) for kind in EventKi
 _KIND_BY_NAME = {kind.value.encode("ascii"): kind for kind in EventKind}
 
 
-def _decode_event_frame(data: bytes, start: int, end: int) -> GovernanceEvent:
-    """The event whose frame is exactly ``data[start:end]``; IoError otherwise."""
-    kind_at = start + 12
-    if kind_at > end:
-        raise truncated(12, end - start)
-    event_id, kind_len = _U64_U32.unpack_from(data, start)
-    epoch_at = kind_at + kind_len
-    if epoch_at + 12 > end:
-        raise truncated(kind_len + 12, end - kind_at)
-    kind = _KIND_BY_NAME.get(data[kind_at:epoch_at])
-    if kind is None:
-        name = strict_utf8(data[kind_at:epoch_at])
-        raise IoError(f"unknown event kind {name!r}")
-    epoch, payload_len = _U64_U32.unpack_from(data, epoch_at)
-    payload_at = epoch_at + 12
-    actor_len_at = payload_at + payload_len
-    if actor_len_at + 4 > end:
-        raise truncated(payload_len + 4, end - payload_at)
-    actor_at = actor_len_at + 4
-    actor_end = actor_at + U32.unpack_from(data, actor_len_at)[0]
-    if actor_end != end:
-        if actor_end > end:
-            raise truncated(actor_end - actor_at, end - actor_at)
-        raise IoError("trailing bytes inside event frame")
-    return _new_event(event_id, kind, epoch, data[payload_at:actor_len_at],
-                      strict_utf8(data[actor_at:end]))
-
-
 @dataclass(frozen=True)
 class Block:
     height: int
@@ -201,6 +178,9 @@ class Block:
     events: tuple[GovernanceEvent, ...]
     sealer_signatures: tuple[tuple[str, bytes], ...]
     block_hash: bytes
+    # The hash of the bytes this block was loaded from; set only by
+    # load_chain, so a block built in memory or by replace() has none.
+    read_hash: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
 
 class PendingPosition(NamedTuple):
@@ -416,7 +396,8 @@ def verify_chain(
     for position, block in enumerate(blocks, start=1):
         if block.height != position:
             return ChainVerification(False, position, "height mismatch")
-        recomputed = compute_block_hash(block.height, block.prev_hash, block.events)
+        recomputed = block.read_hash or compute_block_hash(
+            block.height, block.prev_hash, block.events)
         if recomputed != block.block_hash:
             return ChainVerification(False, position, "block hash mismatch")
         if block.prev_hash != prev_hash:
@@ -478,19 +459,66 @@ def _block_parts(block: Block) -> list[bytes]:
     return parts
 
 
-def _decode_block(data: bytes, start: int, end: int) -> Block:
-    """The block whose frame is exactly ``data[start:end]``; IoError otherwise."""
+def _decode_block(data: bytes, view: memoryview, start: int, end: int,
+                  actors: dict[bytes, str]) -> Block:
+    """The block whose frame is exactly ``view[start:end]``, carrying the hash
+    of the bytes it was decoded from; IoError otherwise. ``actors`` maps each
+    actor's bytes to its string, shared across the blocks of one file."""
     reader = ByteReader(data, start, end)
     height = reader.u64()
     prev_hash = reader.raw(DIGEST_SIZE)
-    events = tuple(_decode_event_frame(data, *reader.window()) for _ in range(reader.u32()))
+    n_events = reader.u32()
+    frames_at = pos = reader.pos
+    events = []
+    for _ in range(n_events):
+        # The frame's length prefix, checked as ByteReader.window checks it.
+        at = pos + 4
+        if at > end:
+            raise truncated(4, end - pos)
+        pos = at + U32.unpack_from(data, pos)[0]
+        if pos > end:
+            raise truncated(pos - at, end - at)
+        # The event frame data[at:pos], field by field.
+        kind_at = at + 12
+        if kind_at > pos:
+            raise truncated(12, pos - at)
+        event_id, kind_len = _U64_U32.unpack_from(data, at)
+        epoch_at = kind_at + kind_len
+        if epoch_at + 12 > pos:
+            raise truncated(kind_len + 12, pos - kind_at)
+        kind = _KIND_BY_NAME.get(data[kind_at:epoch_at])
+        if kind is None:
+            raise IoError(f"unknown event kind {strict_utf8(data[kind_at:epoch_at])!r}")
+        epoch, payload_len = _U64_U32.unpack_from(data, epoch_at)
+        payload_at = epoch_at + 12
+        actor_len_at = payload_at + payload_len
+        if actor_len_at + 4 > pos:
+            raise truncated(payload_len + 4, pos - payload_at)
+        actor_at = actor_len_at + 4
+        actor_end = actor_at + U32.unpack_from(data, actor_len_at)[0]
+        if actor_end != pos:
+            if actor_end > pos:
+                raise truncated(actor_end - actor_at, pos - actor_at)
+            raise IoError("trailing bytes inside event frame")
+        raw_actor = data[actor_at:pos]
+        actor = actors.get(raw_actor)
+        if actor is None:
+            actor = actors[raw_actor] = strict_utf8(raw_actor)
+        events.append(_new_event(event_id, kind, epoch, data[payload_at:actor_len_at], actor))
+    reader.pos = pos
     signatures = tuple(
         (reader.str_(), reader.bytes_()) for _ in range(reader.u32())
     )
     block_hash = reader.raw(DIGEST_SIZE)
     if not reader.exhausted():
         raise IoError("trailing bytes inside block frame")
-    return Block(height, prev_hash, events, signatures, block_hash)
+    block = Block(height, prev_hash, tuple(events), signatures, block_hash)
+    # u64 height | prev hash | the event frames, as compute_block_hash frames
+    # them: the bytes read, less the event count between them.
+    digest = hashlib.sha256(view[start:frames_at - 4])
+    digest.update(view[frames_at:pos])
+    object.__setattr__(block, "read_hash", digest.digest())
+    return block
 
 
 def save_chain(chain: Chain, path: str | Path) -> None:
@@ -539,8 +567,9 @@ def load_chain(path: str | Path) -> Chain:
         raise IoError(f"unsupported chain format version {version}")
     chain = _header_chain(reader.bytes_())
     n_blocks = reader.u64()
+    view, actors = memoryview(data), {}
     for _ in range(n_blocks):
-        chain.blocks.append(_decode_block(data, *reader.window()))
+        chain.blocks.append(_decode_block(data, view, *reader.window(), actors))
     if not reader.exhausted():
         raise IoError("trailing bytes after final block")
     return chain

@@ -128,8 +128,9 @@ class ChainFold:
             self.access_denied += 1
 
     def _assessment(self, body: dict, epoch: int) -> None:
+        self._score(body["score"])  # refuses a score outside [0, 1] at its event
         self.assessments[epoch][body["did"]] = {
-            "score": self._score(body["score"]),
+            "score": body["score"],
             "tier": body["tier"],
             "compliant": body["compliant"],
         }
@@ -166,21 +167,28 @@ class ChainFold:
         return (did, epoch) in self._failed_audits
 
     def score_series(self) -> dict[str, list[list]]:
-        """Recompute each system's per-epoch score from on-chain inputs."""
+        """Recompute each system's per-epoch score from on-chain inputs.
+
+        The inputs take few distinct values, so each distinct (score text,
+        audit failed, open incidents, DID) is scored once per call; the DID
+        stands for the exposure, which is read from its final record.
+        """
         series: dict[str, list[list]] = defaultdict(list)
+        scores: dict[tuple[str, bool, int, str], str] = {}
+        records = self.registry.records
         for epoch in sorted(self.assessments):
-            for did in sorted(self.assessments[epoch]):
-                record = self.registry.records.get(did)
+            assessed = self.assessments[epoch]
+            for did in sorted(assessed):
+                record = records.get(did)
                 if record is None:
                     continue
-                score = compute_risk_score(
-                    self.assessments[epoch][did]["score"],
-                    self.audit_failed_at(did, epoch - 1),
-                    self.incident_open_at(did, epoch),
-                    record.exposure,
-                    self.weights,
-                )
-                series[did].append([epoch, str(score)])
+                key = (assessed[did]["score"], self.audit_failed_at(did, epoch - 1),
+                       self.incident_open_at(did, epoch), did)
+                score = scores.get(key)
+                if score is None:
+                    score = scores[key] = str(compute_risk_score(
+                        self._score(key[0]), key[1], key[2], record.exposure, self.weights))
+                series[did].append([epoch, score])
         return dict(series)
 
     def report(self) -> dict:

@@ -269,9 +269,14 @@ def _array(value: Any, path: str) -> Sequence[Any]:
 
 
 def _name(value: Any, path: str) -> str:
-    """A scenario id: a non-empty string, as the run sorts, hashes and encodes it."""
+    """A scenario id: a non-empty string that encodes as UTF-8 (no lone
+    surrogate), as the run sorts, hashes and encodes it."""
     if type(value) is not str or not value:
         _fail(path, "must be a non-empty string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        _fail(path, "must encode as UTF-8 (it holds a lone surrogate)")
     return value
 
 

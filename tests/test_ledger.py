@@ -24,6 +24,7 @@ from govsim.errors import (
 from govsim.keys import SeededScheme, get_scheme
 from govsim.ledger import (
     Chain,
+    ChainVerification,
     EventKind,
     GovernanceEvent,
     _new_event,
@@ -653,6 +654,13 @@ def test_load_chain_is_total_and_exact_over_mutated_bytes(mutations):
         return
     resaved = _saved(chain)
     assert resaved[_block_count_at(resaved):] == data[_block_count_at(data):]
+    # Each loaded block is checked against the hash of the bytes read; a copy
+    # made by replace() has none and is re-hashed from its events. Alike.
+    copies = [dataclasses.replace(block) for block in chain.blocks]
+    assert all(block.read_hash for block in chain.blocks)
+    assert not any(copy.read_hash for copy in copies)
+    args = chain.authorities, chain.quorum, chain.scheme_name
+    assert verify_chain(chain.blocks, *args) == verify_chain(copies, *args)
 
 
 @pytest.mark.parametrize("mutations,message", [
@@ -664,6 +672,54 @@ def test_small_chain_reproductions_rejected(mutations, message):
     assert _loaded(SMALL).head_hash == _small_chain().head_hash
     with pytest.raises(IoError, match=message):
         _loaded(_mutated(SMALL, mutations))
+
+
+def test_a_loaded_block_carries_the_hash_of_its_bytes():
+    chain = _loaded(SMALL)
+    assert verify_chain(chain.blocks, chain.authorities, chain.quorum).ok
+    for block in chain.blocks:
+        assert block.read_hash == compute_block_hash(block.height, block.prev_hash, block.events)
+    # The hash read is no field of the block as compared, shown or copied.
+    built = _small_chain().blocks
+    assert chain.blocks == built
+    assert [repr(block) for block in chain.blocks] == [repr(block) for block in built]
+    assert all(block.read_hash is None for block in built)
+
+
+def test_a_loaded_block_replaced_with_new_contents_fails_its_hash():
+    chain = _loaded(SMALL)
+    block = chain.blocks[1]
+    event = block.events[0]
+    tampered = (dataclasses.replace(event, payload=b'{"n":0}'), *block.events[1:])
+    for forged in (dataclasses.replace(block, events=tampered),
+                   dataclasses.replace(block, prev_hash=ZERO_DIGEST)):
+        blocks = list(chain.blocks)
+        blocks[1] = forged
+        assert verify_chain(blocks, chain.authorities, chain.quorum) == ChainVerification(
+            False, 2, "block hash mismatch")
+
+
+def test_ed25519_builds_one_public_key_per_authority(monkeypatch):
+    try:
+        scheme = get_scheme("ed25519")
+    except GovSimError:
+        pytest.skip("ed25519 backend unavailable")
+    chain, private = keyed_chain("ed25519", n_events=12, capacity=2, quorum=4)
+    chain.seal_all(private)
+    public_key_class = scheme._mod.Ed25519PublicKey
+    real = public_key_class.from_public_bytes
+    built = []
+
+    def counting(public):
+        built.append(public)
+        return real(public)
+
+    monkeypatch.setattr(public_key_class, "from_public_bytes", counting)
+    assert len(chain.blocks) == 6
+    assert verify_chain(chain.blocks, chain.authorities, chain.quorum, "ed25519").ok
+    assert sorted(built) == sorted(chain.authorities.values())
+    # A malformed key is refused, not kept.
+    assert not scheme.verify(b"\x01" * 5, b"m", b"\x00" * 64)
 
 
 def test_verify_stops_checking_signatures_at_quorum(monkeypatch):

@@ -10,13 +10,15 @@ moves them on purpose must say why and re-pin.
 """
 
 import random
+from collections import defaultdict
 
 import pytest
 
 from govsim.cli import main as cli_main
-from govsim.encoding import is_canonical_json, sha256
+from govsim.encoding import as_fraction, is_canonical_json, sha256
 from govsim.ledger import save_chain
 from govsim.report import ChainFold, export_report, report_json_bytes
+from govsim.risk import compute_risk_score
 from govsim.simctl import run_scenario, verify_run
 from tests.conftest import REFERENCE_SCENARIOS
 
@@ -302,3 +304,30 @@ def test_every_pinned_world_verifies(reference_results, tmp_path, world):
     verification, report_matches = verify_run(tmp_path / "chain.db")
     assert verification.ok, verification
     assert report_matches is True
+
+
+def _score_series_loop(fold: ChainFold) -> dict:
+    """The score of every (system, epoch), computed afresh each time: the
+    reference that ``ChainFold.score_series`` memoizes."""
+    series = defaultdict(list)
+    for epoch in sorted(fold.assessments):
+        for did in sorted(fold.assessments[epoch]):
+            record = fold.registry.records.get(did)
+            if record is None:
+                continue
+            score = compute_risk_score(
+                as_fraction(fold.assessments[epoch][did]["score"]),
+                fold.audit_failed_at(did, epoch - 1), fold.incident_open_at(did, epoch),
+                record.exposure, fold.weights)
+            series[did].append([epoch, str(score)])
+    return dict(series)
+
+
+@pytest.mark.parametrize("world", [*REFERENCE_SCENARIOS, "synthetic", "weighted"])
+def test_score_series_equals_the_unmemoized_loop(reference_results, world):
+    worlds = {"synthetic": synthetic_scenario, "weighted": weighted_scenario}
+    result = reference_results.get(world) or run_scenario(worlds[world]())
+    fold = ChainFold(result.chain.blocks)
+    expected = _score_series_loop(fold)
+    assert sum(map(len, expected.values())) >= result.report["epochs"]
+    assert fold.score_series() == expected

@@ -398,12 +398,36 @@ def _passing(kind: str, payload) -> dict:
     (_two_systems({"public_key": "11" * 32}, {"public_key": "11" * 32}),
      "ai_systems[1].public_key"),
     (_two_systems({}, {"public_key": _DEFAULT_KEY.hex()}), "ai_systems[1].public_key"),
+    # An id holding a lone surrogate (JSON "\ud800") used to stop the run
+    # with a UnicodeEncodeError where it was first hashed or encoded.
+    (_first_system(id="\ud800"), "ai_systems[0].id"),
+    ({"authorities": ["authority-1", "x\ud800"]}, "authorities[1]"),
+    (_first_holder(id="\ud800"), "stakeholders[0].id"),
 ])
 def test_scenario_errors_carry_field_paths(mutation, expected_path):
     base = json.loads(scenario_path("credit_scoring").read_text())
     base.update(mutation)
     with pytest.raises(ScenarioError, match="^" + re.escape(expected_path) + ":"):
         load_scenario(base)
+
+
+def test_a_linear_vote_with_no_stake_anywhere_is_rejected_at_zero_turnout(tmp_path):
+    """No one holds stake, so no vote has power: the proposal is rejected at
+    zero turnout (it used to stop the run with NoVotingPower)."""
+    base = json.loads(scenario_path("credit_scoring").read_text())
+    for holder in base["stakeholders"]:
+        holder["stakes"] = []
+    base.update(_voting(_FOR))
+    result = run_scenario(base)
+    assert result.report["epochs"] == base["epochs"]
+    [proposal] = result.report["governance"]["proposals"]
+    assert {key: proposal[key] for key in ("mode", "status", "power_for", "power_against")} \
+        == {"mode": "LINEAR", "status": "REJECTED", "power_for": "0", "power_against": "0"}
+    save_chain(result.chain, tmp_path / "chain.db")
+    export_report(result.report, tmp_path / "report.json")
+    verification, report_matches = verify_run(tmp_path / "chain.db")
+    assert verification.ok, verification
+    assert report_matches is True
 
 
 def test_an_absent_or_empty_public_key_stands_for_the_id_key(reference_results):
@@ -1009,9 +1033,10 @@ def test_run_encodes_hashes_and_signs_each_event_and_block_once(
     assert verification.ok
     assert counts["verify"] >= result.chain.quorum * blocks
     # One reader over the file and one per block frame; event frames are
-    # decoded in place.
+    # decoded in place, and each loaded block is checked against the hash of
+    # the bytes it was read from, so nothing is re-encoded or re-hashed.
     assert {key: counts[key] for key in ("block_hash", "encode", "reader")} == {
-        "block_hash": blocks, "encode": events, "reader": 1 + blocks}
+        "block_hash": 0, "encode": 0, "reader": 1 + blocks}
 
 
 # --- suspension arc ---
