@@ -17,7 +17,8 @@ from .encoding import read_bytes, read_json, write_bytes
 from .errors import GovSimError, IoError, ScenarioError
 from .interop import LegacyMapping, convert_legacy
 from .ledger import load_chain, save_chain
-from .report import export_report, report_json_bytes, verified_fold
+from .report import (build_report, export_report, first_difference, load_report,
+                     report_json_bytes, verified_fold)
 from .simctl import run_scenario, verify_run
 
 
@@ -51,7 +52,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"FAIL at height {verification.failed_height}: {verification.reason}")
         return 1
     if report_matches is False:
-        print("FAIL: report does not match the chain fold")
+        stored = load_report(args.report or Path(args.chain).parent / "report.json")
+        at = first_difference(stored, build_report(load_chain(args.chain).blocks))
+        print(f"FAIL: report does not match the chain fold at {at}")
         return 1
     extra = "" if report_matches is None else " (report consistent)"
     print(f"OK{extra}")
@@ -77,7 +80,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             return 1
         out = {"record": record.to_json(), "history": fold.did_events.get(args.did, [])}
     elif args.proposals:
-        out = fold.proposal_entries()
+        out = [proposal.to_json() for _, proposal in sorted(fold.governance.proposals.items())]
     elif args.balances:
         out = {
             "snapshot": fold.tokens.snapshot(),

@@ -1,14 +1,14 @@
-"""Report building as a pure fold over sealed chain events.
+"""The run report, and the pure fold over sealed chain events that proves it.
 
-Everything in a run report is reconstructed from event payloads alone. The
-token position, the DID records, the incidents and the proposals, votes and
-elections are the events folded through ``TokenLedger.apply``,
+Everything in a run report can be reconstructed from event payloads alone:
+``ChainFold`` folds the events through ``TokenLedger.apply``,
 ``DidRegistry.apply``, ``IncidentLog.apply`` and ``GovernanceState.apply``,
 the same transitions the live simulator runs, into a chain-less ledger,
-registry, log and governance state. Per-epoch risk scores are recomputed
+registry, log and governance state, and recomputes per-epoch risk scores
 from on-chain assessment/audit/incident data plus the config snapshot
-embedded in the genesis event. The simulator itself reports via this fold,
-and ``verify`` re-runs it against the emitted report file.
+embedded in the genesis event. The simulator reports from its live stores
+instead (``tally_events``); both lay the report out through
+``ReportTally.layout``, and ``verify`` proves the report equals the fold.
 
 ``EVENT_SPECS`` declares each event kind once: the phases it may be
 appended in, the store whose ``apply`` folds it, and the body fields that
@@ -16,11 +16,9 @@ the fold and the report read. The fold checks every body against it as it
 decodes it, so a sealed body that is not what its kind says stops the fold
 with ``EventInvalid`` naming the event and the field, never a traceback.
 
-The fold is one pass over the events. The per-(system, epoch) lookups that
-the score series needs read indexes that ``ChainFold`` builds during that
-pass: failed audits by (DID, epoch) and incident ids by DID. The tests hold
-them equal to the plain scans over ``ChainFold.audits`` and
-``ChainFold.incidents``, which stay as the reference definition.
+The score series looks up failed audits by (DID, epoch) and open incidents
+per DID by epoch in indexes built from the fold's one pass; the tests hold
+them to the plain scans over ``ChainFold.audits`` and ``.incidents``.
 """
 
 from __future__ import annotations
@@ -28,12 +26,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_right
 from collections import defaultdict
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, zip_longest
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .audit import AuditOutcome
 from .encoding import from_canonical_json, read_json, unit_fraction, write_bytes
@@ -45,12 +45,78 @@ from .risk import IncidentLog, IncidentState, RiskWeights, Severity, compute_ris
 from .tokens import Pool, TokenLedger
 
 
-class ChainFold:
+class ReportTally:
+    """The report's events by kind per epoch and its logs of the rare kinds,
+    and ``layout``, which writes the report from them and the stores given."""
+
+    def __init__(self, blocks: Sequence[Block]):
+        self.blocks = blocks
+        # Events by kind per epoch; the layout writes each kind as its name.
+        self.per_epoch: dict[int, dict[EventKind, int]] = defaultdict(dict)
+        self.elections: list[dict] = []
+        self.collusion_flags: list[dict] = []
+        self.weight_adjustments: list[dict] = []
+        self.reclassifications: list[dict] = []
+        self.access_logged = self.access_denied = 0
+
+    def _access(self, body: dict, epoch: int) -> None:
+        self.access_logged += 1
+        if not body.get("allowed", True):
+            self.access_denied += 1
+
+    def layout(self, epochs: int, assessed: Iterable[tuple[str, bool]],
+               audits: Iterable[tuple[str, str]], tokens: TokenLedger,
+               scores: dict[str, list[list]], incidents: dict, proposals: dict) -> dict:
+        """The full run report as a deterministic JSON-able dict: ``assessed`` is
+        (tier, compliant) per (epoch, DID), ``audits`` (outcome, trigger)."""
+        blocks = self.blocks
+        # A row per epoch with events (each simulated epoch has a HEARTBEAT).
+        per_epoch = [{"epoch": epoch, "events": sum(counts.values()),
+                      "by_kind": {kind.value: n for kind, n in sorted(counts.items())}}
+                     for epoch, counts in sorted(self.per_epoch.items())]
+
+        by_tier: dict[str, list[int]] = defaultdict(lambda: [0, 0])
+        for tier, compliant in assessed:
+            by_tier[tier][0] += 1
+            by_tier[tier][1] += 1 if compliant else 0
+        compliance_rates = {
+            tier: {"assessments": total, "compliant": passed, "rate": str(Fraction(passed, total))}
+            for tier, (total, passed) in sorted(by_tier.items())}
+
+        audit_outcomes = {"PASS": 0, "FAIL": 0, "INCONCLUSIVE": 0}
+        audits_by_trigger: dict[str, int] = defaultdict(int)
+        for outcome, trigger in audits:
+            audit_outcomes[outcome] += 1
+            audits_by_trigger[trigger] += 1
+
+        return {
+            "root_hash": blocks[-1].block_hash.hex() if blocks else "",
+            "blocks": len(blocks),
+            "epochs": epochs,
+            "events_total": sum(len(b.events) for b in blocks),
+            "per_epoch": per_epoch,
+            "compliance": {"by_tier": compliance_rates},
+            "audits": {"total": sum(audit_outcomes.values()), "by_outcome": audit_outcomes,
+                       "by_trigger": dict(sorted(audits_by_trigger.items()))},
+            "tokens": {"snapshot": tokens.snapshot(), "conserved": tokens.conserved(),
+                       "checksum": tokens.conservation_checksum()},
+            "risk_metrics": {
+                "scores": scores, "reclassifications": self.reclassifications,
+                "incidents": [incidents[k].to_json() for k in sorted(incidents)]},
+            "governance": {
+                "proposals": [proposals[k].to_json() for k in sorted(proposals)],
+                "elections": self.elections, "collusion_flags": self.collusion_flags,
+                "weight_adjustments": self.weight_adjustments},
+            "access": {"logged": self.access_logged, "denied": self.access_denied},
+        }
+
+
+class ChainFold(ReportTally):
     """Replays every event into queryable state, checking each body against
     its kind's declaration in ``EVENT_SPECS`` first."""
 
     def __init__(self, blocks: Sequence[Block]):
-        self.blocks = blocks
+        super().__init__(blocks)
         self.genesis_meta: dict = {}
         self.weights = RiskWeights()
         self.tokens = TokenLedger(0, {})
@@ -61,24 +127,17 @@ class ChainFold:
         self.incident_log = IncidentLog(None)
         # The log's own id -> incident dict, in raise order.
         self.incidents = self.incident_log.incidents
-        # Indexes over audits and incidents, filled as events are applied.
+        # Indexes over audits and incidents, filled from the replay.
         self._failed_audits: set[tuple[str, int]] = set()
-        self._incident_ids: dict[str, set[str]] = defaultdict(set)
+        self._open_steps: dict[str, tuple[list[int], list[int]]] = {}
         self.governance = GovernanceState(None, None)
-        self.elections: list[dict] = []
-        self.collusion_flags: list[dict] = []
-        self.weight_adjustments: list[dict] = []
-        self.reclassifications: list[dict] = []
-        self.access_logged = 0
-        self.access_denied = 0
-        # Events by kind per epoch; build_report writes each kind as its name.
-        self.per_epoch: dict[int, dict[EventKind, int]] = defaultdict(dict)
         # (height, reason) of the first event stamped with no phase or one its
         # kind does not allow: not raised, as hand-built chains carry no stamps.
         self.phase_fault: Optional[tuple[int, str]] = None
         # Scores repeat: each distinct string is parsed once.
         self._score = cache(lambda text: unit_fraction(text, "score"))
         self._replay()
+        self._index_incidents()
 
     def _replay(self) -> None:
         # Each kind's declaration, its store's apply bound once per fold.
@@ -122,11 +181,6 @@ class ChainFold:
         except GovSimError as exc:
             raise InvalidInput(f"field config.risk_weights: {exc}") from exc
 
-    def _access(self, body: dict, epoch: int) -> None:
-        self.access_logged += 1
-        if not body.get("allowed", True):
-            self.access_denied += 1
-
     def _assessment(self, body: dict, epoch: int) -> None:
         self._score(body["score"])  # refuses a score outside [0, 1] at its event
         self.assessments[epoch][body["did"]] = {
@@ -143,24 +197,28 @@ class ChainFold:
 
     # --- derived views ---
 
-    def proposal_entries(self) -> list[dict]:
-        proposals = self.governance.proposals
-        return [proposals[k].to_json() for k in sorted(proposals)]
+    def _index_incidents(self) -> None:
+        """Each DID's open-incident count as a step function of the epoch:
+        the epochs where it changes, sorted, and the count from each on."""
+        steps: dict[str, dict[int, int]] = defaultdict(lambda: defaultdict(int))
+        for incident in self.incidents.values():
+            delta, until = steps[incident.system_did], 1 << 64  # past every epoch
+            # As of an epoch, the state is that of the last transition at or
+            # before it: each holds until the least epoch of those after it.
+            for name, at_epoch in reversed(incident.transitions):
+                if at_epoch < until and name in ("RAISED", "CONTAINED"):
+                    delta[at_epoch] += 1
+                    delta[until] -= 1
+                until = min(until, at_epoch)
+        for did, delta in steps.items():
+            epochs = sorted(delta)
+            self._open_steps[did] = (epochs, list(accumulate(delta[e] for e in epochs)))
 
     def incident_open_at(self, did: str, epoch: int) -> int:
         """Incidents of ``did`` raised or contained as of ``epoch``."""
-        open_count = 0
-        for incident_id in self._incident_ids.get(did, ()):
-            incident = self.incidents[incident_id]
-            if incident.system_did != did:
-                continue  # the id was raised again for another system
-            state = None
-            for name, at_epoch in incident.transitions:
-                if at_epoch <= epoch:
-                    state = name
-            if state in ("RAISED", "CONTAINED"):
-                open_count += 1
-        return open_count
+        epochs, counts = self._open_steps.get(did, ((), ()))
+        at = bisect_right(epochs, epoch)
+        return counts[at - 1] if at else 0
 
     def audit_failed_at(self, did: str, epoch: int) -> bool:
         """Whether an audit of ``did`` at ``epoch`` was FAIL or INCONCLUSIVE."""
@@ -193,68 +251,11 @@ class ChainFold:
 
     def report(self) -> dict:
         """The full run report as a deterministic JSON-able dict."""
-        blocks = self.blocks
-        epochs = self.genesis_meta.get("epochs", max(self.per_epoch, default=0))
-        # A row per epoch with events (each simulated epoch has a HEARTBEAT).
-        per_epoch = [{
-            "epoch": epoch,
-            "events": sum(counts.values()),
-            "by_kind": {kind.value: n for kind, n in sorted(counts.items())},
-        } for epoch, counts in sorted(self.per_epoch.items())]
-
-        by_tier: dict[str, dict[str, int]] = defaultdict(
-            lambda: {"assessments": 0, "compliant": 0})
-        for epoch_map in self.assessments.values():
-            for entry in epoch_map.values():
-                bucket = by_tier[entry["tier"]]
-                bucket["assessments"] += 1
-                bucket["compliant"] += 1 if entry["compliant"] else 0
-        compliance_rates = {
-            tier: {
-                "assessments": bucket["assessments"],
-                "compliant": bucket["compliant"],
-                "rate": str(Fraction(bucket["compliant"], bucket["assessments"]))
-                if bucket["assessments"] else "0",
-            }
-            for tier, bucket in sorted(by_tier.items())
-        }
-
-        audit_outcomes = {"PASS": 0, "FAIL": 0, "INCONCLUSIVE": 0}
-        audits_by_trigger: dict[str, int] = defaultdict(int)
-        for audit in self.audits:
-            audit_outcomes[audit["outcome"]] += 1
-            audits_by_trigger[audit["trigger"]] += 1
-
-        return {
-            "root_hash": blocks[-1].block_hash.hex() if blocks else "",
-            "blocks": len(blocks),
-            "epochs": epochs,
-            "events_total": sum(len(b.events) for b in blocks),
-            "per_epoch": per_epoch,
-            "compliance": {"by_tier": compliance_rates},
-            "audits": {
-                "total": len(self.audits),
-                "by_outcome": audit_outcomes,
-                "by_trigger": dict(sorted(audits_by_trigger.items())),
-            },
-            "tokens": {
-                "snapshot": self.tokens.snapshot(),
-                "conserved": self.tokens.conserved(),
-                "checksum": self.tokens.conservation_checksum(),
-            },
-            "risk_metrics": {
-                "scores": self.score_series(),
-                "reclassifications": self.reclassifications,
-                "incidents": [self.incidents[k].to_json() for k in sorted(self.incidents)],
-            },
-            "governance": {
-                "proposals": self.proposal_entries(),
-                "elections": self.elections,
-                "collusion_flags": self.collusion_flags,
-                "weight_adjustments": self.weight_adjustments,
-            },
-            "access": {"logged": self.access_logged, "denied": self.access_denied},
-        }
+        return self.layout(
+            self.genesis_meta.get("epochs", max(self.per_epoch, default=0)),
+            [(e["tier"], e["compliant"]) for m in self.assessments.values() for e in m.values()],
+            [(audit["outcome"], audit["trigger"]) for audit in self.audits],
+            self.tokens, self.score_series(), self.incidents, self.governance.proposals)
 
 
 # --- the declaration of each event kind ---
@@ -330,7 +331,7 @@ def _spec(phases, store=None, fold=None, fields=None) -> EventSpec:
     return EventSpec(frozenset(phases), store, fold, _fields(fields or {}))
 
 
-def _logged(name: str) -> Callable[[ChainFold, dict, int], None]:
+def _logged(name: str) -> Callable[[ReportTally, dict, int], None]:
     return lambda fold, body, epoch: getattr(fold, name).append({"epoch": epoch, **body})
 
 
@@ -381,15 +382,13 @@ EVENT_SPECS: dict[EventKind, EventSpec] = {
         "lock_start_epoch": int, "lock_epochs": int}),
     EventKind.SLASH_APPLIED: _spec({Phase.PENALTIES}, "tokens", None,
                                    {"holder": str, "burned": int}),
-    EventKind.INCIDENT_RAISED: _spec(
-        {Phase.INGEST}, "incident_log",
-        lambda fold, body, epoch: fold._incident_ids[body["did"]].add(body["incident_id"]),
-        {"incident_id": str, "did": str, "severity": Severity}),
+    EventKind.INCIDENT_RAISED: _spec({Phase.INGEST}, "incident_log", None, {
+        "incident_id": str, "did": str, "severity": Severity}),
     EventKind.INCIDENT_ADVANCED: _spec({Phase.RISK}, "incident_log", None,
                                        {"incident_id": str, "state": IncidentState}),
     EventKind.RISK_RECLASSIFIED: _spec({Phase.RISK}, None, _logged("reclassifications")),
     EventKind.ORACLE_UPDATE: _spec({Phase.INGEST}),
-    EventKind.ACCESS_LOGGED: _spec(_RECORD_PHASES, None, ChainFold._access, {"allowed?": bool}),
+    EventKind.ACCESS_LOGGED: _spec(_RECORD_PHASES, None, ReportTally._access, {"allowed?": bool}),
     EventKind.WEIGHTS_ADJUSTED: _spec({Phase.GOVERNANCE}, None, _logged("weight_adjustments")),
     EventKind.HEARTBEAT: _spec({Phase.INGEST}),
     EventKind.COLLUSION_FLAGGED: _spec({Phase.GOVERNANCE}, None, _logged("collusion_flags")),
@@ -397,9 +396,42 @@ EVENT_SPECS: dict[EventKind, EventSpec] = {
 }
 
 
+# The kinds whose bodies the report reads beyond their stores: few per run.
+_RARE_FOLDS = {kind: EVENT_SPECS[kind].fold for kind in (
+    EventKind.DELEGATE_ELECTED, EventKind.COLLUSION_FLAGGED, EventKind.WEIGHTS_ADJUSTED,
+    EventKind.RISK_RECLASSIFIED, EventKind.ACCESS_LOGGED)}
+
+
 def build_report(blocks: Sequence[Block]) -> dict:
     """The full run report as a deterministic JSON-able dict."""
     return ChainFold(blocks).report()
+
+
+def tally_events(blocks: Sequence[Block]) -> ReportTally:
+    """The run's own tally, which ``layout`` completes from its live stores:
+    one pass counts the events and decodes only the rare kinds."""
+    tally = ReportTally(blocks)
+    for block in blocks:
+        for event in block.events:
+            kind, counts = event.kind, tally.per_epoch[event.epoch]
+            counts[kind] = counts.get(kind, 0) + 1
+            if kind in _RARE_FOLDS:
+                _RARE_FOLDS[kind](tally, event.body(), event.epoch)
+    return tally
+
+
+def first_difference(a: Any, b: Any, path: str = "") -> Optional[str]:
+    """The JSON path (``key.key[index]``) of the first place where ``a`` and
+    ``b`` differ, or None if they are equal."""
+    if type(a) is type(b) is dict:
+        pairs = ((f"{path}.{key}" if path else key, a.get(key, _MISSING), b.get(key, _MISSING))
+                 for key in sorted(a.keys() | b.keys()))
+    elif type(a) is type(b) is list:
+        pairs = ((f"{path}[{index}]", x, y)
+                 for index, (x, y) in enumerate(zip_longest(a, b, fillvalue=_MISSING)))
+    else:
+        return None if a == b else path or "(top level)"
+    return next(filter(None, (first_difference(x, y, at) for at, x, y in pairs)), None)
 
 
 def verified_fold(chain: Chain) -> tuple[ChainVerification, Optional[ChainFold]]:

@@ -47,7 +47,7 @@ from .identity import (
 )
 from .keys import SeededScheme, get_scheme
 from .ledger import DEFAULT_BLOCK_CAPACITY, Chain, EventKind, Phase, load_chain
-from .report import build_report, load_report, verified_fold
+from .report import load_report, tally_events, verified_fold
 from .rng import DeterministicStream
 from .tokens import (
     DEFAULT_EMISSION_DIVISOR,
@@ -857,12 +857,11 @@ class Simulator:
             assessment = self._latest_assessment.get(did)
             if assessment is None or assessment.epoch != epoch:
                 continue
-            spec = self._system_specs[did]
             self.risk.update(
                 did, epoch, assessment.aggregate_score,
                 audit_failed=self._audit_failed_prev.get(did, False),
                 incident_count=self.incidents.open_count(did),
-                exposure=spec.exposure,
+                exposure=self.registry.records[did].exposure,
             )
             if self._forecast[did] < self.config.forecast_floor:
                 self._add_trigger(did, "forecast")
@@ -1024,7 +1023,13 @@ class Simulator:
                     self.governance.clear_collusion_penalty(member)
                     del self._collusion_expiry[member]
 
-        report = build_report(self.chain.blocks)
+        # The report from the live stores; verify_run proves it equals the fold.
+        report = tally_events(self.chain.blocks).layout(
+            self.scenario.epochs, [(a.tier.value, a.compliant) for a in self.assessment_log],
+            [(record.outcome.value, record.trigger) for record in self.audits.records], self.tokens,
+            {did: [[epoch, str(score)] for epoch, score, _ in profile.history]
+             for did, profile in self.risk.profiles.items()},
+            self.incidents.incidents, self.governance.proposals)
         return SimResult(
             chain=self.chain, report=report, registry=self.registry,
             tokens=self.tokens, governance=self.governance,

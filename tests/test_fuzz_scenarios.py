@@ -4,7 +4,10 @@ arbitrary (valid) worlds, not just the hand-written reference ones."""
 import json
 import random
 
-from govsim.report import ChainFold, build_report
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from govsim.report import ChainFold, build_report, report_json_bytes
 from govsim.simctl import run_scenario
 from govsim.ledger import verify_chain
 
@@ -153,17 +156,29 @@ def test_random_worlds_are_deterministic_and_sound():
         # Every phase stamp is one its kind's declaration allows.
         assert ChainFold(chain.blocks).phase_fault is None, f"sample {sample}"
         assert first.report["tokens"]["conserved"] is True, f"sample {sample}"
-        assert build_report(chain.blocks) == first.report, f"sample {sample}"
+        assert report_json_bytes(build_report(chain.blocks)) == report_json_bytes(
+            first.report), f"sample {sample}"
     assert multi_block_epochs > 0  # small capacities actually split blocks
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=8)  # a world whose chain flags two colluding pairs
+def test_live_report_is_the_fold_of_the_chain(seed):
+    # The run reports from its live stores; the fold of its chain, which
+    # verify recomputes, must give the same bytes.
+    result = run_scenario(random_scenario(random.Random(seed)))
+    assert report_json_bytes(result.report) == report_json_bytes(
+        build_report(result.chain.blocks))
+
+
 def test_fold_scores_match_engine_profiles_exactly():
-    # The report's recomputed score series must equal, epoch by epoch, what
+    # The fold's recomputed score series must equal, epoch by epoch, what
     # the live risk engine produced during the run.
     for sample in range(5):
         rng = random.Random(9_500 + sample)
         result = run_scenario(random_scenario(rng))
-        folded = result.report["risk_metrics"]["scores"]
+        folded = build_report(result.chain.blocks)["risk_metrics"]["scores"]
         for did, profile in result.risk_profiles.items():
             live = [[epoch, str(score)] for epoch, score, _ in profile.history]
             assert folded.get(did, []) == live, (sample, did)

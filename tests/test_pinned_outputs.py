@@ -21,6 +21,7 @@ from govsim.report import ChainFold, export_report, report_json_bytes
 from govsim.risk import compute_risk_score
 from govsim.simctl import run_scenario, verify_run
 from tests.conftest import REFERENCE_SCENARIOS
+from tests.test_incremental_state import _incident_open_scan
 
 PINNED_ROOT_HASHES = {
     "collusion_attack": "98ec7633d4ef0e855622daf029489719add266c15484193074fc1bdf1024c0f8",
@@ -331,3 +332,18 @@ def test_score_series_equals_the_unmemoized_loop(reference_results, world):
     expected = _score_series_loop(fold)
     assert sum(map(len, expected.values())) >= result.report["epochs"]
     assert fold.score_series() == expected
+
+
+@pytest.mark.parametrize("world", [*REFERENCE_SCENARIOS, "synthetic", "weighted"])
+def test_incident_open_at_equals_the_walk_of_every_transition(reference_results, world):
+    # incident_open_at answers from per-DID steps built once per fold; the
+    # walk over every transition of every incident is the reference.
+    worlds = {"synthetic": synthetic_scenario, "weighted": weighted_scenario}
+    result = reference_results.get(world) or run_scenario(worlds[world]())
+    fold = ChainFold(result.chain.blocks)
+    answers = [(fold.incident_open_at(did, epoch), _incident_open_scan(fold, did, epoch))
+               for did in [*fold.registry.records, "did:unknown"]
+               for epoch in range(-1, result.report["epochs"] + 2)]
+    assert [fast for fast, _ in answers] == [walk for _, walk in answers]
+    if fold.incidents:
+        assert any(fast for fast, _ in answers)

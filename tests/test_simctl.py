@@ -15,10 +15,18 @@ import govsim
 import govsim.encoding
 import govsim.keys
 import govsim.ledger
+import govsim.report
 from govsim.cli import main as cli_main
 from govsim.errors import IoError, ScenarioError
 from govsim.ledger import EventKind, load_chain, save_chain
-from govsim.report import EVENT_SPECS, ChainFold, build_report, export_report, report_csv_bytes
+from govsim.report import (
+    EVENT_SPECS,
+    ChainFold,
+    build_report,
+    export_report,
+    first_difference,
+    report_csv_bytes,
+)
 from govsim.simctl import (
     _CONFIG_PARSERS,
     SimConfig,
@@ -127,6 +135,39 @@ def test_verify_detects_tampered_report(tmp_path, reference_results):
     verification, report_matches = verify_run(tmp_path / "chain.db")
     assert verification.ok
     assert report_matches is False
+
+
+def test_first_difference_names_the_first_differing_path():
+    report = {"a": [1, {"b": [2, 3]}], "c": {"d": 4}}
+    assert first_difference(report, json.loads(json.dumps(report))) is None
+    assert first_difference(report, {**report, "a": [1, {"b": [2, 5]}]}) == "a[1].b[1]"
+    assert first_difference(report, {**report, "a": [1]}) == "a[1]"
+    assert first_difference(report, {"a": report["a"]}) == "c"
+    assert first_difference({**report, "e": 0}, report) == "e"
+    assert first_difference(report, {**report, "c": [4]}) == "c"
+    assert first_difference(report, [report]) == "(top level)"
+
+
+def test_cli_verify_names_where_the_report_differs(tmp_path, capsys, reference_results):
+    result = reference_results["credit_scoring"]
+    save_chain(result.chain, tmp_path / "chain.db")
+    doctored = json.loads(json.dumps(result.report))
+    did = sorted(doctored["risk_metrics"]["scores"])[0]
+    doctored["risk_metrics"]["scores"][did][3][1] = "1"
+    doctored["tokens"]["checksum"] = "00" * 32  # later in key order
+    (tmp_path / "report.json").write_text(json.dumps(doctored))
+    capsys.readouterr()
+    assert cli_main(["verify", str(tmp_path / "chain.db")]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL: report does not match the chain fold at risk_metrics.scores.{did}[3][1]\n")
+
+    del doctored["per_epoch"][-1]
+    (tmp_path / "elsewhere.json").write_text(json.dumps(doctored))
+    assert cli_main(["verify", str(tmp_path / "chain.db"),
+                     "--report", str(tmp_path / "elsewhere.json")]) == 1
+    last = len(doctored["per_epoch"])
+    assert capsys.readouterr().out == (
+        f"FAIL: report does not match the chain fold at per_epoch[{last}]\n")
 
 
 def test_verify_names_tampered_height(tmp_path):
@@ -1037,6 +1078,33 @@ def test_run_encodes_hashes_and_signs_each_event_and_block_once(
     # the bytes it was read from, so nothing is re-encoded or re-hashed.
     assert {key: counts[key] for key in ("block_hash", "encode", "reader")} == {
         "block_hash": 0, "encode": 0, "reader": 1 + blocks}
+
+
+def test_run_reports_without_folding_its_chain(monkeypatch):
+    """The run's report comes from its live stores: no ChainFold, and only
+    the rare kinds' bodies are decoded, each once."""
+    counts = {"fold": 0, "decode": 0}
+    real_init, real_decode = ChainFold.__init__, govsim.encoding.from_canonical_json
+
+    def counting_init(*args, **kwargs):
+        counts["fold"] += 1
+        return real_init(*args, **kwargs)
+
+    def counting_decode(data):
+        counts["decode"] += 1
+        return real_decode(data)
+
+    monkeypatch.setattr(ChainFold, "__init__", counting_init)
+    for module in (govsim.encoding, govsim.ledger, govsim.report):
+        monkeypatch.setattr(module, "from_canonical_json", counting_decode)
+    result = run_scenario(scenario_path("collusion_attack"))
+    rare = {EventKind.DELEGATE_ELECTED, EventKind.COLLUSION_FLAGGED, EventKind.WEIGHTS_ADJUSTED,
+            EventKind.RISK_RECLASSIFIED, EventKind.ACCESS_LOGGED}
+    rare_events = sum(event.kind in rare for block in result.chain.blocks
+                      for event in block.events)
+    assert result.report["governance"]["collusion_flags"]
+    assert counts == {"fold": 0, "decode": rare_events}
+    assert rare_events < result.report["events_total"] / 10
 
 
 # --- suspension arc ---
