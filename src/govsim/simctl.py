@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import MISSING, Field, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -33,7 +33,6 @@ from .encoding import as_fraction, canonical_json_bytes, json_value, read_json, 
 from .errors import (
     EncodingError,
     GovSimError,
-    InvalidInput,
     InvalidWeights,
     IoError,
     ScenarioError,
@@ -72,52 +71,146 @@ _ROLES, _TIERS, _SEVERITIES, _DOMAINS, _PROPOSAL_KINDS, _VOTE_MODES, _VOTE_DIREC
 _TRIGGER_PRIORITY = ["collusion", "mitigation", "violation", "forecast"]
 
 
-def _at_least(low: int) -> Callable[[Any], int]:
-    """The one integer reader of config keys and scenario fields: a JSON
-    integer (not a bool, not a float) of at least ``low``."""
-    def parse(value: Any) -> int:
-        if type(value) is not int or value < low:
-            raise InvalidInput(f"must be an integer >= {low}")
-        return value
-    return parse
+def _fail(path: str, message: str) -> None:
+    raise ScenarioError(f"{path}: {message}")
 
 
-def _float_where(test: Callable[[float], bool], bound: str) -> Callable[[Any], float]:
-    """A JSON number (not a bool, not a string) that passes ``test``, which
-    refuses NaN and the infinities."""
-    def parse(value: Any) -> float:
-        if type(value) not in (int, float) or not test(value):
-            raise InvalidInput(f"must be {bound}")
-        return float(value)
-    return parse
+# --- parsers: (JSON value, its field path) -> the value the run uses ---
+
+def _checked(test: Callable[[Any], bool], must: str) -> Callable[[Any, str], Any]:
+    """A value as given, refused unless it passes ``test``."""
+    return lambda value, path: value if test(value) else _fail(path, f"must be {must}")
 
 
-def _slash_fraction(value: Any) -> Fraction:
-    fraction = as_fraction(value)
-    if not 0 < fraction <= 1:
-        raise InvalidInput("slash fractions must be in (0, 1]")
-    return fraction
+def _plain(convert: Callable[[Any], Any]) -> Callable[[Any, str], Any]:
+    """A parser that needs no path: if ``convert`` raises, the reader names the field."""
+    return lambda value, path: convert(value)
 
 
-def _table(key: Callable[[Any], Any], value: Callable[[Any], Any],
-           defaults: Optional[Mapping] = None) -> Callable[[Any], dict]:
-    """A table whose left-out entries keep their ``defaults``."""
-    def parse(raw: Any) -> dict:
-        if not isinstance(raw, Mapping):
-            raise InvalidInput("must be an object")
-        return {**(defaults or {}), **{key(k): value(v) for k, v in raw.items()}}
-    return parse
+_FRACTION = _plain(as_fraction)
+# The dict test first: it is the common case, and the Mapping check is slow.
+_object = _checked(lambda value: type(value) is dict or isinstance(value, Mapping), "an object")
+_array = _checked(lambda value: isinstance(value, (list, tuple)), "an array")
+_integer = _checked(lambda value: type(value) is int, "an integer")
+_text = _checked(lambda value: type(value) is str, "a string")
+_flag = _checked(lambda value: type(value) is bool, "true or false")
+# A value of the type a parser maps to here passes it as it is: the reader makes no call.
+_PASSES = ((_object, dict), (_array, list), (_integer, int), (_text, str), (_flag, bool))
 
 
-def _key(default: Any, parse: Callable[[Any], Any], snapshot: Optional[str] = "") -> Any:
-    """Declare a config key: its default (a dict is copied per config), the
-    parser of its JSON value, with the bounds the run relies on, and where
-    the genesis snapshot records it: under the field's name (""), at a
-    dotted path, or not at all (None)."""
+def _at_least(low: int) -> Callable[[Any, str], int]:
+    """The one integer reader, config keys included: a JSON integer >= ``low``."""
+    return lambda value, path: (value if type(value) is int and value >= low
+                                else _fail(path, f"must be an integer >= {low}"))
+
+
+def _float_where(test: Callable[[float], bool], bound: str) -> Callable[[Any, str], float]:
+    """A JSON number (not a bool) that passes ``test``, which refuses NaN and infinities."""
+    check = _checked(lambda value: type(value) in (int, float) and test(value), bound)
+    return lambda value, path: float(check(value, path))
+
+
+def _fraction_in(test: Callable[[Fraction], bool], bound: str) -> Callable[[Any, str], Fraction]:
+    check = _checked(test, f"in {bound}")
+    return lambda value, path: check(as_fraction(value), path)
+
+
+def _or_null(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    return lambda value, path: None if value is None else parse(value, path)
+
+
+def _name(value: Any, path: str) -> str:
+    """A scenario id: a non-empty string that encodes as UTF-8 (no lone
+    surrogate), as the run sorts, hashes and encodes it."""
+    if type(value) is not str or not value:
+        _fail(path, "must be a non-empty string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        _fail(path, "must encode as UTF-8 (it holds a lone surrogate)")
+    return value
+
+
+def _as_is(value: Any, path: str) -> Any:  # free-form, or read by its object's own checks
+    return value
+
+
+def _one_of(members: Mapping[str, Any], what: str) -> Callable[[Any, str], Any]:
+    return lambda value, path: (members[value] if type(value) is str and value in members
+                                else _fail(path, f"unknown {what} {value!r}"))
+
+
+def _list_of(item: Callable[[Any, str], Any]) -> Callable[[Any, str], list]:
+    return lambda value, path: [
+        item(entry, f"{path}[{i}]") for i, entry in enumerate(_array(value, path))]
+
+
+def _table(key: Callable[[Any], Any], value: Callable[[Any, str], Any],
+           defaults: Optional[Mapping] = None) -> Callable[[Any, str], dict]:
+    """A table, each value read at its entry's path; left-out entries keep their ``defaults``."""
+    return lambda raw, path: {**(defaults or {}), **{
+        key(k): value(v, f"{path}.{k}") for k, v in _object(raw, path).items()}}
+
+
+# --- the declaration of each scenario object's keys, and its one reader ---
+_REQUIRED = MISSING  # the default of a key that its object must give
+
+
+def _key(default: Any, parse: Callable[[Any, str], Any], snapshot: Optional[str] = "") -> Any:
+    """Declare a key of a scenario object: its default (a dict or list is
+    copied per read), the parser of its JSON value, called with the field's
+    path, and for a config key where the genesis snapshot records it: under
+    the field's name (""), at a dotted path, or not at all (None)."""
     metadata = {"parse": parse, "snapshot": snapshot}
-    if isinstance(default, dict):
-        return field(default_factory=lambda: dict(default), metadata=metadata)
+    if isinstance(default, (dict, list)):
+        return field(default_factory=default.copy, metadata=metadata)
     return field(default=default, metadata=metadata)
+
+
+class _Keys(dict):
+    """One scenario object's declaration, key -> its _key field in the schema's order, and
+    the one reader of such objects: ``read`` (or a call) refuses all but an object of
+    declared keys, parses each value with its field's path, and defaults each key left out."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, keys: Any = (), **more: Field):
+        super().__init__(keys, **more)
+        # key -> (its parser, None if free-form; the type of values that pass it unread)
+        self.table = {key: (None if (parse := f.metadata["parse"]) is _as_is else parse,
+                            next((kind for p, kind in _PASSES if p is parse), None))
+                      for key, f in self.items()}
+
+    def read(self, raw: Any, path: str) -> dict[str, Any]:
+        obj = raw if type(raw) is dict else _object(raw, path)
+        prefix = path + "." if path else ""
+        table, out = self.table, {}
+        for key, value in obj.items():
+            parse, passes = table.get(key) or _fail(f"{prefix}{key}", "unknown key")
+            if parse is None or type(value) is passes:
+                out[key] = value
+                continue
+            try:
+                out[key] = parse(value, prefix + key)
+            except ScenarioError:
+                raise
+            except (GovSimError, ArithmeticError, KeyError, TypeError, ValueError) as exc:
+                _fail(prefix + key, str(exc))
+        if len(out) < len(table):
+            for key, declared in self.items():
+                if key not in out:
+                    if declared.default is _REQUIRED and declared.default_factory is MISSING:
+                        _fail(prefix + key, "required")
+                    out[key] = (declared.default if declared.default_factory is MISSING
+                                else declared.default_factory())
+        return out
+
+    __call__ = read  # a declaration is the parser of a nested object
+
+
+def _declared(spec: type) -> _Keys:
+    """The keys of a dataclass, from its fields declared with _key."""
+    return _Keys((f.name, f) for f in fields(spec) if "parse" in f.metadata)
 
 
 # The genesis snapshot leaves out quorum, the vote multipliers and the token
@@ -126,46 +219,45 @@ def _key(default: Any, parse: Callable[[Any], Any], snapshot: Optional[str] = ""
 class SimConfig:
     """The run's settings: each field is one scenario config key."""
     block_capacity: int = _key(DEFAULT_BLOCK_CAPACITY, _at_least(1))
-    signature_scheme: str = _key(SeededScheme.name, lambda value: get_scheme(value).name)
-    quorum: Optional[int] = _key(
-        None, lambda value: None if value is None else _at_least(1)(value), snapshot=None)
+    signature_scheme: str = _key(
+        SeededScheme.name, _plain(lambda value: get_scheme(value).name))
+    quorum: Optional[int] = _key(None, _or_null(_at_least(1)), snapshot=None)
     n_seats: int = _key(3, _at_least(1))
     election_period: int = _key(4, _at_least(1))
-    cap_fraction: Fraction = _key(governance_mod.VoteWeights.cap_fraction, as_fraction)
+    cap_fraction: Fraction = _key(governance_mod.VoteWeights.cap_fraction, _FRACTION)
     regulator_multiplier: Fraction = _key(
-        governance_mod.DEFAULT_REGULATOR_MULTIPLIER, as_fraction, snapshot=None)
-    role_multiplier: dict[Role, Fraction] = _key(
-        {}, _table(Role, as_fraction), snapshot=None)
-    threshold_routine: Fraction = _key(
-        governance_mod.VoteWeights.threshold_routine, as_fraction)
-    threshold_critical: Fraction = _key(
-        governance_mod.VoteWeights.threshold_critical, as_fraction)
+        governance_mod.DEFAULT_REGULATOR_MULTIPLIER, _FRACTION, snapshot=None)
+    role_multiplier: dict[Role, Fraction] = _key({}, _table(Role, _FRACTION), snapshot=None)
+    threshold_routine: Fraction = _key(governance_mod.VoteWeights.threshold_routine, _FRACTION)
+    threshold_critical: Fraction = _key(governance_mod.VoteWeights.threshold_critical, _FRACTION)
     collusion_min_common: int = _key(10, _at_least(1), snapshot="collusion.min_common")
-    collusion_agreement: Fraction = _key(
-        Fraction(9, 10), as_fraction, snapshot="collusion.agreement")
+    collusion_agreement: Fraction = _key(Fraction(9, 10), _FRACTION, snapshot="collusion.agreement")
     collusion_penalty: Fraction = _key(
-        governance_mod.DEFAULT_COLLUSION_PENALTY, as_fraction, snapshot="collusion.penalty")
+        governance_mod.DEFAULT_COLLUSION_PENALTY, _FRACTION, snapshot="collusion.penalty")
     audit_intervals: dict[RiskTier, int] = _key(
         audit_mod.DEFAULT_AUDIT_INTERVALS,
         _table(RiskTier, _at_least(1), audit_mod.DEFAULT_AUDIT_INTERVALS))
     auditor_capacity: int = _key(audit_mod.DEFAULT_AUDITOR_CAPACITY, _at_least(1))
     risk_weights: risk_mod.RiskWeights = _key(
-        risk_mod.RiskWeights(), risk_mod.RiskWeights.from_json)
+        risk_mod.RiskWeights(), _plain(risk_mod.RiskWeights.from_json))
     tier_thresholds: risk_mod.TierThresholds = _key(
-        risk_mod.TierThresholds(), risk_mod.TierThresholds.from_json)
+        risk_mod.TierThresholds(), _plain(risk_mod.TierThresholds.from_json))
     ewma_alpha: float = _key(risk_mod.DEFAULT_EWMA_ALPHA, _float_where(
         lambda number: 0 < number < 1, "a number in (0, 1)"))
     forecast_floor: float = _key(
         risk_mod.DEFAULT_FORECAST_FLOOR, _float_where(math.isfinite, "a finite number"))
     total_supply: int = _key(DEFAULT_TOTAL_SUPPLY, _at_least(0), snapshot=None)
     pool_fractions: dict[Pool, Fraction] = _key(
-        DEFAULT_POOL_FRACTIONS,
-        lambda value: validate_pool_fractions(_table(Pool, as_fraction)(value)), snapshot=None)
+        DEFAULT_POOL_FRACTIONS, lambda value, path: validate_pool_fractions(
+            _table(Pool, _FRACTION)(value, path)), snapshot=None)
     emission_divisor: int = _key(DEFAULT_EMISSION_DIVISOR, _at_least(1))
-    slash_fractions: dict[SlashReason, Fraction] = _key(
-        DEFAULT_SLASH_FRACTIONS,
-        _table(SlashReason, _slash_fraction, DEFAULT_SLASH_FRACTIONS), snapshot=None)
-    funding_pool: Pool = _key(Pool.DEVELOPMENT, Pool)
+    slash_fractions: dict[SlashReason, Fraction] = _key(DEFAULT_SLASH_FRACTIONS, _table(
+        SlashReason, _fraction_in(lambda f: 0 < f <= 1, "(0, 1]"), DEFAULT_SLASH_FRACTIONS),
+        snapshot=None)
+    funding_pool: Pool = _key(Pool.DEVELOPMENT, _plain(Pool))
+
+    def __post_init__(self) -> None:
+        self.vote_weights()  # refuses weights that do not validate
 
     def vote_weights(self) -> governance_mod.VoteWeights:
         return governance_mod.VoteWeights(
@@ -188,60 +280,121 @@ class SimConfig:
         return snapshot
 
 
-# Config key -> parser of its JSON value into the SimConfig field.
-_CONFIG_PARSERS: dict[str, Callable[[Any], Any]] = {
-    f.name: f.metadata["parse"] for f in fields(SimConfig)}
+_CONFIG = _declared(SimConfig)
+_STAKE = _Keys(amount=_key(_REQUIRED, _at_least(1)), lock_epochs=_key(_REQUIRED, _at_least(1)))
+_AUDITOR = _Keys(body=_key(_REQUIRED, _text),
+                 scopes=_key(_REQUIRED, _list_of(_one_of(_DOMAINS, "domain"))),
+                 validity_epochs=_key(None, _at_least(1)))  # None: epochs + 1
 
 
-@dataclass
+# A spec holds what the run reads of one object; load_scenario finishes its
+# stakes, auditor, purpose and public key once its cross-object checks pass.
+@dataclass(kw_only=True)
 class StakeholderSpec:
-    id: str
-    role: Role
-    balance: int = 0
-    stakes: list[tuple[int, int]] = field(default_factory=list)  # (amount, lock_epochs)
+    """One stakeholder: each field is one of its scenario keys."""
+    id: str = _key(_REQUIRED, _name)
+    role: Role = _key(_REQUIRED, _one_of(_ROLES, "role"))
+    balance: int = _key(0, _at_least(0))
+    stakes: list[tuple[int, int]] = _key([], _list_of(_STAKE))  # (amount, lock_epochs)
     # (accrediting body, scopes, validity_epochs), as accredit_auditor takes them.
-    auditor: Optional[tuple[str, list[compliance_mod.RuleDomain], int]] = None
+    auditor: Optional[tuple[str, list[compliance_mod.RuleDomain], int]] = _key(
+        None, _or_null(_AUDITOR))
 
     def funding(self) -> int:
         """What set-up grants from the funding pool: the balance plus every stake."""
         return self.balance + sum(amount for amount, _ in self.stakes)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SystemSpec:
-    id: str
-    owner: str
-    purpose: str
-    risk_tier: RiskTier
-    public_key: bytes  # as given, or derived from the id
-    exposure: Fraction = Fraction(1, 2)
-    base_metrics: dict[str, Any] = field(default_factory=dict)
-    metadata: Optional[dict] = None
+    """One AI system: each field is one of its scenario keys."""
+    id: str = _key(_REQUIRED, _name)
+    owner: str = _key(_REQUIRED, _text)  # a stakeholder id
+    purpose: str = _key(None, _text)  # None: the id
+    risk_tier: RiskTier = _key(_REQUIRED, _one_of(_TIERS, "tier"))
+    exposure: Fraction = _key(Fraction(1, 2), _fraction_in(lambda f: 0 <= f <= 1, "[0, 1]"))
+    base_metrics: dict[str, Any] = _key({}, _object)
+    metadata: Optional[dict] = _key(None, _as_is)
+    public_key: bytes = _key(b"", _plain(bytes.fromhex))  # empty: the key derived from the id
 
 
 @dataclass(slots=True)
 class ProposalSpec:
-    id: str  # as given, or the one load_scenario generates
-    kind: governance_mod.ProposalKind
-    mode: governance_mod.VoteMode
-    payload: Any
-    votes: dict[str, tuple[governance_mod.VoteDirection, int]]  # voter -> (direction, magnitude)
-    rule: Optional[compliance_mod.ComplianceRuleModule]  # a RULE_UPDATE's rule
+    """One proposal: each field but the rule is one of its scenario keys."""
+    kind: governance_mod.ProposalKind = _key(_REQUIRED, _one_of(_PROPOSAL_KINDS, "kind"))
+    id: Optional[str] = _key(None, _or_null(_name))  # as given, or the one load_scenario generates
+    mode: governance_mod.VoteMode = _key(
+        governance_mod.VoteMode.LINEAR, _one_of(_VOTE_MODES, "mode"))
+    payload: Any = _key({}, _as_is)  # ROUTINE and CRITICAL payloads are free-form
+    # voter -> (direction, magnitude), as _proposal reads the votes
+    votes: dict[str, tuple[governance_mod.VoteDirection, int]] = _key([], _array)
+    rule: Optional[compliance_mod.ComplianceRuleModule] = None  # a RULE_UPDATE's rule
 
 
-@dataclass
+_PROPOSAL = _declared(ProposalSpec)
+# _proposal checks each vote inline against these keys and bounds, for its speed.
+_VOTE = _Keys(voter=_key(_REQUIRED, _text),
+              direction=_key(_REQUIRED, _one_of(_VOTE_DIRECTIONS, "direction")),
+              magnitude=_key(1, _at_least(1)))
+# A fault in a rule's domain, tiers or metrics names the rule, as they are
+# checked while the rule is built.
+_RULE = _Keys(
+    rule_id=_key(_REQUIRED, _name), domain=_key(_REQUIRED, _as_is),
+    mandatory=_key(True, _flag), applicable_tiers=_key(["HIGH", "LIMITED", "MINIMAL"], _as_is),
+    metrics=_key(_REQUIRED, _as_is), weight=_key(1, _at_least(1)),
+    predicate=_key(_REQUIRED, _as_is))  # validate_predicate reads it
+
+
+def _parse_rule(raw: Any, path: str) -> compliance_mod.ComplianceRuleModule:
+    given = _RULE(raw, path)
+    try:
+        rule = compliance_mod.ComplianceRuleModule(**{
+            **given, "domain": _DOMAINS[given["domain"]], "metrics": tuple(given["metrics"]),
+            "applicable_tiers": frozenset(_TIERS[tier] for tier in given["applicable_tiers"])})
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+        _fail(path, f"bad rule: {exc}")
+    if not all(type(metric) is str for metric in rule.metrics):
+        _fail(path, "bad rule: needs metric names")
+    try:
+        compliance_mod.validate_predicate(rule.predicate, rule.metrics)
+    except GovSimError as exc:
+        _fail(f"{path}.predicate", str(exc))
+    return rule
+
+
+_RULE_UPDATE = _Keys(rule=_key(_REQUIRED, _parse_rule))
+_THE_EPOCH = object()  # a REGULATION_CHANGE's default version: its epoch
+_INJECTIONS = {
+    kind: _Keys(epoch=_key(_REQUIRED, _at_least(1)), kind=_key(_REQUIRED, _as_is), **keys)
+    for kind, keys in {
+        "VIOLATION": dict(system=_key(_REQUIRED, _text), metrics=_key(_REQUIRED, _object)),
+        "INCIDENT": dict(system=_key(_REQUIRED, _text),
+                         severity=_key(_REQUIRED, _one_of(_SEVERITIES, "severity"))),
+        "REGULATION_CHANGE": dict(version=_key(_THE_EPOCH, _as_is)),
+        "COLLUSION": dict(pair=_key(_REQUIRED, _array), proposals=_key(_REQUIRED, _at_least(1))),
+        "PROPOSAL": dict(proposal=_key(_REQUIRED, _PROPOSAL)),
+    }.items()}
+
+
+_FEED = _Keys(feed_id=_key(_REQUIRED, _name), signer=_key(_REQUIRED, _text),
+              epoch=_key(_REQUIRED, _at_least(1)), values=_key(_REQUIRED, _object))
+_STAKEHOLDER, _SYSTEM, _IDS = _declared(StakeholderSpec), _declared(SystemSpec), _list_of(_name)
+
+
+@dataclass(kw_only=True)
 class SimScenario:
-    """Every input parsed into the value the run uses; the scripted inputs
-    keyed by the epoch they fire in, each list in scenario order."""
-    seed: int
-    epochs: int
-    config: SimConfig
-    authorities: list[str]
-    oracle_authorities: list[str]
-    accreditors: list[str]
-    stakeholders: list[StakeholderSpec]
-    ai_systems: list[SystemSpec]
-    rules: list[compliance_mod.ComplianceRuleModule]
+    """Every input parsed into the value the run uses: the document's keys but two, and
+    the scripted inputs keyed by the epoch they fire in, each list in scenario order."""
+    seed: int = _key(0, _integer)
+    epochs: int = _key(_REQUIRED, _at_least(1))
+    # None: every default
+    config: SimConfig = _key(None, lambda raw, path: SimConfig(**_CONFIG(raw, path)))
+    authorities: list[str] = _key(["authority-1", "authority-2", "authority-3"], _IDS)
+    oracle_authorities: list[str] = _key([], _IDS)
+    accreditors: list[str] = _key([], _IDS)
+    stakeholders: list[StakeholderSpec] = _key([], _array)
+    ai_systems: list[SystemSpec] = _key([], _array)
+    rules: list[compliance_mod.ComplianceRuleModule] = _key([], _list_of(_parse_rule))
     digest: str  # hex sha256 of the scenario's canonical JSON
     feeds: dict[int, list[tuple[str, Mapping[str, Any], str]]]  # (feed_id, values, signer)
     violations: dict[int, list[tuple[str, Mapping[str, Any]]]]  # (system, metric overrides)
@@ -251,54 +404,17 @@ class SimScenario:
     proposals: dict[int, list[ProposalSpec]]
 
 
-def _fail(path: str, message: str) -> None:
-    raise ScenarioError(f"{path}: {message}")
+# load_scenario reads each entry of stakeholders, ai_systems, oracle_feeds and
+# injected_events in the loop that checks it.
+_SCENARIO = _Keys(_declared(SimScenario), oracle_feeds=_key([], _array),
+                  injected_events=_key([], _array))
 
-
-def _object(value: Any, path: str) -> Mapping[str, Any]:
-    # The dict test first: it is the common case, and the Mapping check is slow.
-    if type(value) is not dict and not isinstance(value, Mapping):
-        _fail(path, "must be an object")
-    return value
-
-
-def _array(value: Any, path: str) -> Sequence[Any]:
-    if not isinstance(value, (list, tuple)):
-        _fail(path, "must be an array")
-    return value
-
-
-def _name(value: Any, path: str) -> str:
-    """A scenario id: a non-empty string that encodes as UTF-8 (no lone
-    surrogate), as the run sorts, hashes and encodes it."""
-    if type(value) is not str or not value:
-        _fail(path, "must be a non-empty string")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        _fail(path, "must encode as UTF-8 (it holds a lone surrogate)")
-    return value
-
-
-def _integer(value: Any, path: str, low: int) -> int:
-    """A scenario count or amount, read as a config integer is."""
-    try:
-        return _at_least(low)(value)
-    except InvalidInput as exc:
-        _fail(path, str(exc))
-
-
-def _epoch(value: Any, epochs: int, path: str) -> int:
-    if type(value) is not int or not 1 <= value <= epochs:
-        _fail(path, "must be within 1..epochs")
-    return value
-
-
-def _member(members: Mapping[str, Any], value: Any, path: str, what: str) -> Any:
-    try:
-        return members[value]
-    except (KeyError, TypeError):
-        _fail(path, f"unknown {what} {value!r}")
+# Each object of the scenario format, under the name of its definition in
+# scenarios/scenario.schema.json ("scenario" is the document itself).
+SCENARIO_OBJECTS: dict[str, _Keys] = {
+    "scenario": _SCENARIO, "config": _CONFIG, "stakeholder": _STAKEHOLDER, "stake": _STAKE,
+    "auditor": _AUDITOR, "rule": _RULE, "ai_system": _SYSTEM, "oracle_feed": _FEED,
+    **_INJECTIONS, "proposal": _PROPOSAL, "rule_update_payload": _RULE_UPDATE, "vote": _VOTE}
 
 
 def _digest(raw: Mapping[str, Any]) -> str:
@@ -318,94 +434,27 @@ def _digest(raw: Mapping[str, Any]) -> str:
         raise ScenarioError(f"scenario: {exc}") from None
 
 
-def _numbers(values: Mapping[str, Any], ordered: tuple[str, ...], path: str,
-             field: str) -> None:
-    """Refuse a metric value that a rule orders with >=, <=, > or < unless it
-    is a JSON number (a bool is not one); ``path.field.metric`` is built only
-    to report a failure."""
-    if values.keys().isdisjoint(ordered):
-        return
-    for metric in ordered:
-        if metric in values and type(values[metric]) not in (int, float):
-            _fail(f"{path}.{field}.{metric}",
-                  "must be a number, as a rule compares it with >=, <=, > or <")
-
-
-def _parse_config(raw: Any) -> SimConfig:
-    if not isinstance(raw, Mapping):
-        _fail("config", "must be an object")
-    config = SimConfig()
-    for key, value in raw.items():
-        parse = _CONFIG_PARSERS.get(key)
-        if parse is None:
-            _fail(f"config.{key}", "unknown config key")
-        try:
-            setattr(config, key, parse(value))
-        except KeyError as exc:
-            _fail(f"config.{key}", f"missing key {exc}")
-        except (GovSimError, ArithmeticError, TypeError, ValueError) as exc:
-            _fail(f"config.{key}", str(exc))
-    try:
-        config.vote_weights()
-    except InvalidWeights as exc:
-        _fail("config", str(exc))
-    return config
-
-
-def _parse_rule(raw: Mapping[str, Any], path: str) -> compliance_mod.ComplianceRuleModule:
-    mandatory = raw.get("mandatory", True)
-    if type(mandatory) is not bool:
-        _fail(f"{path}.mandatory", "must be true or false")
-    try:
-        rule = compliance_mod.ComplianceRuleModule(
-            rule_id=_name(raw.get("rule_id"), f"{path}.rule_id"),
-            domain=_DOMAINS[raw["domain"]],
-            predicate=raw["predicate"],
-            metrics=tuple(raw["metrics"]),
-            mandatory=mandatory,
-            applicable_tiers=frozenset(
-                _TIERS[t] for t in raw.get("applicable_tiers", ["HIGH", "LIMITED", "MINIMAL"])),
-            weight=_integer(raw.get("weight", 1), f"{path}.weight", 1),
-        )
-    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
-        _fail(path, f"bad rule: {exc}")
-    if not all(type(metric) is str for metric in rule.metrics):
-        _fail(path, "bad rule: needs metric names")
-    try:
-        compliance_mod.validate_predicate(rule.predicate, rule.metrics)
-    except GovSimError as exc:
-        _fail(f"{path}.predicate", str(exc))
-    return rule
-
-
-def _parse_proposal(raw: Any, path: str, holders: set[str], ids: dict[str, str],
-                    weights: governance_mod.VoteWeights) -> ProposalSpec:
-    """The proposal, its id None if the scenario gives none; ``ids`` maps
-    each explicit id to its field path."""
-    proposal = _object(raw, path)
-    kind = _member(_PROPOSAL_KINDS, proposal.get("kind"), f"{path}.kind", "kind")
-    mode = _member(_VOTE_MODES, proposal.get("mode", "LINEAR"), f"{path}.mode", "mode")
-    explicit_id = proposal.get("id")
-    if explicit_id is not None:
-        if _name(explicit_id, f"{path}.id") in ids:
+def _proposal(proposal: Mapping[str, Any], path: str, holders: set[str], ids: dict[str, str],
+              weights: governance_mod.VoteWeights) -> ProposalSpec:
+    """The read proposal, its payload checked for its kind and its votes read;
+    ``ids`` maps each explicit id to its field path."""
+    if (explicit_id := proposal["id"]) is not None:
+        if explicit_id in ids:
             _fail(f"{path}.id", f"duplicate id {explicit_id!r}")
         ids[explicit_id] = f"{path}.id"
-    payload = proposal.get("payload", {})
     rule = None
-    if kind is governance_mod.ProposalKind.RULE_UPDATE:
-        rule_path = f"{path}.payload.rule"
-        rule = _parse_rule(_object(_object(payload, f"{path}.payload").get("rule"), rule_path),
-                           rule_path)
-    elif kind is governance_mod.ProposalKind.WEIGHT_ADJUSTMENT:
+    if proposal["kind"] is governance_mod.ProposalKind.RULE_UPDATE:
+        rule = _RULE_UPDATE(proposal["payload"], f"{path}.payload")["rule"]
+    elif proposal["kind"] is governance_mod.ProposalKind.WEIGHT_ADJUSTMENT:
         try:
-            weights.adjusted(payload)
+            weights.adjusted(proposal["payload"])
         except InvalidWeights as exc:
             _fail(f"{path}.payload", str(exc))
     # Every stakeholder may vote on every proposal, so these checks run per
     # vote and build a field path only to report a failure.
     votes: dict[str, tuple[governance_mod.VoteDirection, int]] = {}
-    linear = mode is governance_mod.VoteMode.LINEAR
-    for j, vote in enumerate(_array(proposal.get("votes", []), f"{path}.votes")):
+    linear = proposal["mode"] is governance_mod.VoteMode.LINEAR
+    for j, vote in enumerate(proposal["votes"]):
         if type(vote) is not dict and not isinstance(vote, Mapping):
             _fail(f"{path}.votes[{j}]", "must be an object")
         voter, magnitude = vote.get("voter"), vote.get("magnitude", 1)
@@ -418,16 +467,21 @@ def _parse_proposal(raw: Any, path: str, holders: set[str], ids: dict[str, str],
         except (KeyError, TypeError):
             _fail(f"{path}.votes[{j}].direction",
                   f"unknown direction {vote.get('direction')!r}")
+        # voter and direction are given, so a key beyond them and magnitude is undeclared.
+        if len(vote) > 2 + ("magnitude" in vote):
+            _fail(f"{path}.votes[{j}].{next(key for key in vote if key not in _VOTE)}",
+                  "unknown key")
         if type(magnitude) is not int or magnitude < 1 or (linear and magnitude != 1):
             _fail(f"{path}.votes[{j}].magnitude",
                   "must be an integer >= 1, and 1 on a LINEAR proposal")
         votes[voter] = (direction, magnitude)
-    return ProposalSpec(explicit_id, kind, mode, payload, votes, rule)
+    return ProposalSpec(
+        proposal["kind"], explicit_id, proposal["mode"], proposal["payload"], votes, rule)
 
 
 def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
-    """Parse and validate a scenario into all the run reads; errors carry the
-    offending field path."""
+    """Read a scenario through the declaration of each of its objects, check what ties one
+    object to another, and return all the run reads; errors carry the field path at fault."""
     if isinstance(source, (str, Path)):
         try:
             source = read_json(source, "scenario")
@@ -436,15 +490,8 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
     if not isinstance(source, Mapping):
         raise ScenarioError("scenario must be a JSON object")
     raw = dict(source)
-
-    seed = raw.get("seed", 0)
-    if type(seed) is not int:
-        _fail("seed", "must be an integer")
-    epochs = _integer(raw.get("epochs"), "epochs", 1)
-    config = _parse_config(raw.get("config", {}))
-
-    authorities = [_name(authority, f"authorities[{i}]") for i, authority in enumerate(_array(
-        raw.get("authorities", ["authority-1", "authority-2", "authority-3"]), "authorities"))]
+    doc = _SCENARIO(raw, "")
+    epochs, authorities, config = doc["epochs"], doc["authorities"], doc["config"] or SimConfig()
     if not authorities:
         _fail("authorities", "at least one sealing authority required")
     for i, authority in enumerate(authorities):
@@ -452,147 +499,104 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
             _fail(f"authorities[{i}]", f"duplicate id {authority!r}")
     if config.quorum is not None and config.quorum > len(authorities):
         _fail("config.quorum", f"exceeds the {len(authorities)} sealing authorities")
-    oracle_authorities = list(_array(raw.get("oracle_authorities", []), "oracle_authorities"))
-    accreditors = list(_array(raw.get("accreditors", []), "accreditors"))
 
-    stakeholders: list[StakeholderSpec] = []
-    seen_ids: set[str] = set()
+    stakeholders: dict[str, StakeholderSpec] = {}
     # Set-up grants each stakeholder's balance and stakes from the funding pool.
-    pool_share = genesis_pools(
-        config.pool_fractions, config.total_supply)[config.funding_pool]
+    pool_share = genesis_pools(config.pool_fractions, config.total_supply)[config.funding_pool]
     granted = 0
-    for i, entry in enumerate(_array(raw.get("stakeholders", []), "stakeholders")):
-        path = f"stakeholders[{i}]"
-        sid = _name(_object(entry, path).get("id"), f"{path}.id")
-        if sid in seen_ids:
-            _fail(f"{path}.id", f"duplicate id {sid!r}")
-        seen_ids.add(sid)
-        role = _member(_ROLES, entry.get("role"), f"{path}.role", "role")
-        stakes = []
-        for j, stake in enumerate(_array(entry.get("stakes", []), f"{path}.stakes")):
-            stake_path = f"{path}.stakes[{j}]"
-            _object(stake, stake_path)
-            stakes.append((_integer(stake.get("amount"), f"{stake_path}.amount", 1),
-                           _integer(stake.get("lock_epochs"), f"{stake_path}.lock_epochs", 1)))
-        auditor = entry.get("auditor")
-        if auditor is not None:
-            _object(auditor, f"{path}.auditor")
-            if role is not Role.AUDITOR:
+    for i, entry in enumerate(doc["stakeholders"]):
+        entry = _STAKEHOLDER(entry, path := f"stakeholders[{i}]")
+        if entry["id"] in stakeholders:
+            _fail(f"{path}.id", f"duplicate id {entry['id']!r}")
+        if (auditor := entry["auditor"]) is not None:
+            if entry["role"] is not Role.AUDITOR:
                 _fail(f"{path}.auditor", "auditor block on a non-AUDITOR stakeholder")
-            body = auditor.get("body")
-            scopes = _array(auditor.get("scopes"), f"{path}.auditor.scopes")
-            if body not in accreditors:
-                _fail(f"{path}.auditor.body", f"unknown accreditor {body!r}")
-            if not scopes:
+            if auditor["body"] not in doc["accreditors"]:
+                _fail(f"{path}.auditor.body", f"unknown accreditor {auditor['body']!r}")
+            if not auditor["scopes"]:
                 _fail(f"{path}.auditor.scopes", "needs at least one domain")
-            auditor = (body, [_member(_DOMAINS, scope, f"{path}.auditor.scopes[{k}]", "domain")
-                              for k, scope in enumerate(scopes)], _integer(auditor.get(
-                "validity_epochs", epochs + 1), f"{path}.auditor.validity_epochs", 1))
-        stakeholders.append(StakeholderSpec(
-            id=sid, role=role,
-            balance=_integer(entry.get("balance", 0), f"{path}.balance", 0),
-            stakes=stakes, auditor=auditor,
-        ))
-        granted += stakeholders[-1].funding()
+            auditor = (auditor["body"], auditor["scopes"], auditor["validity_epochs"] or epochs + 1)
+        spec = stakeholders[entry["id"]] = StakeholderSpec(**{
+            **entry, "auditor": auditor,
+            "stakes": [(stake["amount"], stake["lock_epochs"]) for stake in entry["stakes"]]})
+        granted += spec.funding()
         if granted > pool_share:
             _fail(path, f"grants total {granted}, above the {config.funding_pool.value} "
                         f"pool's genesis share of {pool_share}")
 
-    rules = [_parse_rule(_object(r, f"rules[{i}]"), f"rules[{i}]")
-             for i, r in enumerate(_array(raw.get("rules", []), "rules"))]
-
-    systems: list[SystemSpec] = []
-    system_ids: set[str] = set()
+    systems: dict[str, SystemSpec] = {}
     system_keys: dict[bytes, str] = {}  # effective public key -> its system's path
-    for i, entry in enumerate(_array(raw.get("ai_systems", []), "ai_systems")):
-        path = f"ai_systems[{i}]"
-        sid = _name(_object(entry, path).get("id"), f"{path}.id")
-        if sid in system_ids:
-            _fail(f"{path}.id", f"duplicate id {sid!r}")
-        system_ids.add(sid)
-        if type(entry.get("owner")) is not str or entry["owner"] not in seen_ids:
-            _fail(f"{path}.owner", f"unknown stakeholder {entry.get('owner')!r}")
-        tier = _member(_TIERS, entry.get("risk_tier"), f"{path}.risk_tier", "tier")
-        if tier is RiskTier.UNACCEPTABLE:
-            _fail(f"{path}.risk_tier", "unacceptable systems may not be registered")
-        try:
-            public_key = bytes.fromhex(entry.get("public_key", ""))
-        except (TypeError, ValueError):
-            _fail(f"{path}.public_key", "must be hex")
-        # No key, or an empty one, stands for the key derived from the id.
-        public_key = public_key or sha256(b"system-key" + sid.encode("utf-8"))
-        if (first := system_keys.setdefault(public_key, path)) != path:
-            _fail(f"{path}.public_key", f"same key as {first}")
-        try:
-            exposure = as_fraction(entry.get("exposure", "1/2"))
-        except (GovSimError, ValueError) as exc:
-            _fail(f"{path}.exposure", str(exc))
-        if not 0 <= exposure <= 1:
-            _fail(f"{path}.exposure", "must be in [0, 1]")
-        systems.append(SystemSpec(
-            id=sid, owner=entry["owner"], purpose=entry.get("purpose", sid),
-            risk_tier=tier, exposure=exposure,
-            base_metrics=dict(_object(entry.get("base_metrics", {}), f"{path}.base_metrics")),
-            metadata=entry.get("metadata"), public_key=public_key,
-        ))
-
     # (values, path, field) to check once every rule, RULE_UPDATE too, is parsed.
     metric_maps: list[tuple[Mapping[str, Any], str, str]] = []
+    for i, entry in enumerate(doc["ai_systems"]):
+        entry = _SYSTEM(entry, path := f"ai_systems[{i}]")
+        if (sid := entry["id"]) in systems:
+            _fail(f"{path}.id", f"duplicate id {sid!r}")
+        if entry["owner"] not in stakeholders:
+            _fail(f"{path}.owner", f"unknown stakeholder {entry['owner']!r}")
+        if entry["risk_tier"] is RiskTier.UNACCEPTABLE:
+            _fail(f"{path}.risk_tier", "unacceptable systems may not be registered")
+        public_key = entry["public_key"] or sha256(b"system-key" + sid.encode("utf-8"))
+        if (first := system_keys.setdefault(public_key, path)) != path:
+            _fail(f"{path}.public_key", f"same key as {first}")
+        systems[sid] = SystemSpec(**{
+            **entry, "public_key": public_key, "base_metrics": dict(entry["base_metrics"]),
+            "purpose": sid if entry["purpose"] is None else entry["purpose"]})
+        metric_maps.append((systems[sid].base_metrics, path, "base_metrics"))
+
     feeds: dict[int, list[tuple[str, Mapping[str, Any], str]]] = {}
     feed_keys: set[tuple[int, str]] = set()
-    for i, feed in enumerate(_array(raw.get("oracle_feeds", []), "oracle_feeds")):
-        path = f"oracle_feeds[{i}]"
-        if _object(feed, path).get("signer") not in oracle_authorities:
-            _fail(f"{path}.signer", f"unknown oracle authority {feed.get('signer')!r}")
-        epoch = _epoch(feed.get("epoch"), epochs, f"{path}.epoch")
-        feed_id = _name(feed.get("feed_id"), f"{path}.feed_id")
+    for i, feed in enumerate(doc.pop("oracle_feeds")):
+        feed = _FEED(feed, path := f"oracle_feeds[{i}]")
+        epoch, feed_id = feed["epoch"], feed["feed_id"]
+        if feed["signer"] not in doc["oracle_authorities"]:
+            _fail(f"{path}.signer", f"unknown oracle authority {feed['signer']!r}")
+        if epoch > epochs:
+            _fail(f"{path}.epoch", "must be within 1..epochs")
         if (epoch, feed_id) in feed_keys:
             _fail(f"{path}.feed_id", f"duplicate feed {feed_id!r} in epoch {epoch}")
         feed_keys.add((epoch, feed_id))
-        values = feed.get("values")
-        if type(values) is not dict:
-            _object(values, f"{path}.values")
-        metric_maps.append((values, path, "values"))
-        feeds.setdefault(epoch, []).append((feed_id, values, feed["signer"]))
+        metric_maps.append((feed["values"], path, "values"))
+        feeds.setdefault(epoch, []).append((feed_id, feed["values"], feed["signer"]))
 
     violations, incidents, regulation_versions, collusions, proposals = {}, {}, {}, {}, {}
     version_paths: list[str] = []
     proposal_ids: dict[str, str] = {}
     weights = config.vote_weights()
-    for i, event in enumerate(_array(raw.get("injected_events", []), "injected_events")):
+    for i, event in enumerate(doc.pop("injected_events")):
         path = f"injected_events[{i}]"
-        kind = _object(event, path).get("kind")
-        epoch = _epoch(event.get("epoch"), epochs, f"{path}.epoch")
-        if kind in ("VIOLATION", "INCIDENT") and (
-                type(event.get("system")) is not str or event["system"] not in system_ids):
-            _fail(f"{path}.system", f"unknown system {event.get('system')!r}")
+        # An injected event is read through the declaration of its kind.
+        kind = (event if type(event) is dict else _object(event, path)).get("kind")
+        if type(kind) is not str or kind not in _INJECTIONS:
+            _fail(f"{path}.kind", f"unknown injection kind {kind!r}")
+        event = _INJECTIONS[kind](event, path)
+        if (epoch := event["epoch"]) > epochs:
+            _fail(f"{path}.epoch", "must be within 1..epochs")
+        if kind in ("VIOLATION", "INCIDENT") and event["system"] not in systems:
+            _fail(f"{path}.system", f"unknown system {event['system']!r}")
         if kind == "PROPOSAL":
-            proposals.setdefault(epoch, []).append(_parse_proposal(
-                event.get("proposal", {}), f"{path}.proposal", seen_ids, proposal_ids, weights))
+            proposals.setdefault(epoch, []).append(_proposal(
+                event["proposal"], f"{path}.proposal", stakeholders.keys(), proposal_ids,
+                weights))
         elif kind == "VIOLATION":
-            if not isinstance(event.get("metrics"), dict):
-                _fail(f"{path}.metrics", "VIOLATION needs a metrics override map")
             metric_maps.append((event["metrics"], path, "metrics"))
             violations.setdefault(epoch, []).append((event["system"], event["metrics"]))
         elif kind == "INCIDENT":
-            incidents.setdefault(epoch, []).append((event["system"], _member(
-                _SEVERITIES, event.get("severity"), f"{path}.severity", "severity")))
+            incidents.setdefault(epoch, []).append((event["system"], event["severity"]))
         elif kind == "REGULATION_CHANGE":
             if epoch in regulation_versions:
                 _fail(f"{path}.epoch", "one REGULATION_CHANGE per epoch")
             if (epoch, "regulation") in feed_keys:
                 _fail(f"{path}.epoch", "an oracle feed of this epoch is named 'regulation'")
-            regulation_versions[epoch] = event.get("version", epoch)
+            version = event["version"]
+            regulation_versions[epoch] = epoch if version is _THE_EPOCH else version
             version_paths.append(f"{path}.version")
-        elif kind == "COLLUSION":
-            pair = _array(event.get("pair", []), f"{path}.pair")
-            if (any(type(p) is not str or p not in seen_ids for p in pair)
+        else:  # COLLUSION
+            pair = event["pair"]
+            if (any(type(p) is not str or p not in stakeholders for p in pair)
                     or len(set(pair)) != 2):
                 _fail(f"{path}.pair", "needs two distinct known stakeholder ids")
-            collusions.setdefault(epoch, []).append(
-                (tuple(pair), _integer(event.get("proposals"), f"{path}.proposals", 1)))
-        else:
-            _fail(f"{path}.kind", f"unknown injection kind {kind!r}")
+            collusions.setdefault(epoch, []).append((tuple(pair), event["proposals"]))
 
     # The ids of proposals the scenario leaves unnamed and of collusion
     # proposals: one counter over the epochs in order, each epoch's scripted
@@ -612,19 +616,21 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
         collusions[epoch] = [(pair, [generated("collusion", epoch) for _ in range(count)])
                              for pair, count in collusions.get(epoch, ())]
 
-    every_rule = rules + [spec.rule for specs in proposals.values() for spec in specs
-                          if spec.rule is not None]
+    every_rule = doc["rules"] + [spec.rule for specs in proposals.values() for spec in specs
+                                 if spec.rule is not None]
     rule_metrics = {m for rule in every_rule for m in rule.metrics}
     # Sorted, so that of two bad values the loader always names the same one.
     ordered = tuple(sorted(set().union(
         *(compliance_mod.ordered_metrics(r.predicate) for r in every_rule))))
-    for i, system in enumerate(systems):
-        missing = sorted(rule_metrics - system.base_metrics.keys())
-        if missing:
+    for i, system in enumerate(systems.values()):
+        if missing := sorted(rule_metrics - system.base_metrics.keys()):
             _fail(f"ai_systems[{i}].base_metrics", f"missing rule metrics: {', '.join(missing)}")
-        _numbers(system.base_metrics, ordered, f"ai_systems[{i}]", "base_metrics")
+    # A value that a rule orders must be a JSON number (a bool is not one).
     for values, path, field_name in metric_maps:
-        _numbers(values, ordered, path, field_name)
+        for metric in ordered:
+            if metric in values and type(values[metric]) not in (int, float):
+                _fail(f"{path}.{field_name}.{metric}",
+                      "must be a number, as a rule compares it with >=, <=, > or <")
     # The version reaches the rules as the regulation_version metric.
     if compliance_mod.REGULATION_VERSION_KEY in ordered:
         for version, path in zip(regulation_versions.values(), version_paths):
@@ -632,13 +638,11 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
                 _fail(path, "must be a number, as a rule compares "
                       f"{compliance_mod.REGULATION_VERSION_KEY} with >=, <=, > or <")
 
-    return SimScenario(
-        seed=seed, epochs=epochs, config=config,
-        authorities=authorities, oracle_authorities=oracle_authorities,
-        accreditors=accreditors, stakeholders=stakeholders, ai_systems=systems,
-        rules=rules, digest=_digest(raw), feeds=feeds, violations=violations,
-        incidents=incidents, regulation_versions=regulation_versions,
-        collusions=collusions, proposals=proposals)
+    return SimScenario(**{**doc, "config": config, "stakeholders": list(stakeholders.values()),
+                          "ai_systems": list(systems.values())}, digest=_digest(raw),
+                       feeds=feeds, violations=violations, incidents=incidents,
+                       regulation_versions=regulation_versions, collusions=collusions,
+                       proposals=proposals)
 
 
 @dataclass
@@ -906,15 +910,10 @@ class Simulator:
                         did, ComplianceStatus.NONCOMPLIANT,
                         epoch=epoch, actor="audit-engine")
                 failed_now[did] = True
-            elif record.outcome == audit_mod.AuditOutcome.INCONCLUSIVE:
-                self.tokens.slash(owner, SlashReason.EVIDENCE_FORGED, epoch=epoch)
-                failed_now[did] = True
-            else:
-                if self.registry.records[did].compliance_status in (
-                        ComplianceStatus.UNDER_REVIEW, ComplianceStatus.NONCOMPLIANT):
-                    self.registry.system_set_status(
-                        did, ComplianceStatus.COMPLIANT,
-                        epoch=epoch, actor="audit-engine")
+            elif self.registry.records[did].compliance_status in (
+                    ComplianceStatus.UNDER_REVIEW, ComplianceStatus.NONCOMPLIANT):
+                self.registry.system_set_status(
+                    did, ComplianceStatus.COMPLIANT, epoch=epoch, actor="audit-engine")
         self.governance.sync_stakes()
         self._audit_failed_prev = failed_now
 

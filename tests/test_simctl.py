@@ -28,7 +28,7 @@ from govsim.report import (
     report_csv_bytes,
 )
 from govsim.simctl import (
-    _CONFIG_PARSERS,
+    SCENARIO_OBJECTS,
     SimConfig,
     Simulator,
     load_scenario,
@@ -444,6 +444,44 @@ def _passing(kind: str, payload) -> dict:
     (_first_system(id="\ud800"), "ai_systems[0].id"),
     ({"authorities": ["authority-1", "x\ud800"]}, "authorities[1]"),
     (_first_holder(id="\ud800"), "stakeholders[0].id"),
+    # A system's purpose is recorded in its DID; a number used to load and
+    # then fail the run's own verify.
+    (_first_system(purpose=5), "ai_systems[0].purpose"),
+    # An unhashable accreditor or oracle authority id used to stop the run
+    # with a TypeError.
+    ({"accreditors": [["x"]]}, "accreditors[0]"),
+    ({"oracle_authorities": [["x"]]}, "oracle_authorities[0]"),
+    # An undeclared key, in each declared object, used to load and be
+    # ignored: the vote below recorded magnitude 1.
+    ({"bogus": 1}, "bogus"),
+    (_first_holder(bogus=1), "stakeholders[0].bogus"),
+    (_first_holder(stakes=[{"amount": 10, "lock_epochs": 2, "bogus": 1}]),
+     "stakeholders[0].stakes[0].bogus"),
+    (_auditor(bogus=1), f"stakeholders[{_AUDITOR}].auditor.bogus"),
+    (_first_rule(bogus=1), "rules[0].bogus"),
+    (_passing("RULE_UPDATE", {"rule": {**_RULE_UPDATE, "bogus": 1}}),
+     "injected_events[0].proposal.payload.rule.bogus"),
+    (_passing("RULE_UPDATE", {"rule": _RULE_UPDATE, "bogus": 1}),
+     "injected_events[0].proposal.payload.bogus"),
+    (_first_system(bogus=1), "ai_systems[0].bogus"),
+    ({"oracle_feeds": [{"feed_id": "f", "signer": "ecb-feed", "epoch": 1, "values": {},
+                        "bogus": 1}]}, "oracle_feeds[0].bogus"),
+    # Each injection kind declares its own keys: another kind's is refused.
+    ({"injected_events": [{"epoch": 1, "kind": "VIOLATION", "system": "credit-scorer",
+                           "metrics": {}, "severity": "LOW"}]}, "injected_events[0].severity"),
+    ({"injected_events": [{"epoch": 1, "kind": "INCIDENT", "system": "credit-scorer",
+                           "severity": "LOW", "metrics": {}}]}, "injected_events[0].metrics"),
+    ({"injected_events": [{"epoch": 1, "kind": "REGULATION_CHANGE", "version": 2,
+                           "system": "credit-scorer"}]}, "injected_events[0].system"),
+    ({"injected_events": [{"epoch": 1, "kind": "COLLUSION", "pair": [
+        "bank-alpha", "regulator-eu"], "proposals": 2, "proposal": {}}]},
+     "injected_events[0].proposal"),
+    ({"injected_events": [{"epoch": 1, "kind": "PROPOSAL", "proposal": {"kind": "ROUTINE"},
+                           "proposals": 2}]}, "injected_events[0].proposals"),
+    ({"injected_events": [{"epoch": 1, "kind": "PROPOSAL", "proposal": {
+        "kind": "ROUTINE", "bogus": 1}}]}, "injected_events[0].proposal.bogus"),
+    (_voting({**_FOR, "magnitdue": 5}, mode="QUADRATIC"),
+     "injected_events[0].proposal.votes[0].magnitdue"),
 ])
 def test_scenario_errors_carry_field_paths(mutation, expected_path):
     base = json.loads(scenario_path("credit_scoring").read_text())
@@ -535,6 +573,9 @@ _PARSED_PATHS = [
     ("injected_events", 4, "metrics", "capital_ratio"),
     ("injected_events", 5, "pair"), ("injected_events", 5, "pair", 1),
     ("injected_events", 5, "proposals"),
+    # Undeclared keys, which are always refused.
+    ("bogus",), ("ai_systems", 0, "bogus"), ("stakeholders", 3, "auditor", "bogus"),
+    _RULE + ("bogus",), ("injected_events", 2, "proposal", "votes", 3, "bogus"),
 ]
 _NAMES = st.sampled_from([
     "FOR", "AGAINST", "HIGH", "LIMITED", "MEDIUM", "CRITICAL", "CAPITAL_ADEQUACY",
@@ -731,7 +772,9 @@ def test_config_values_at_the_edges_run(key, value):
 
 
 def test_every_config_field_has_one_parser():
-    assert list(_CONFIG_PARSERS) == [f.name for f in dataclasses.fields(SimConfig)]
+    config = SCENARIO_OBJECTS["config"]
+    assert list(config) == [f.name for f in dataclasses.fields(SimConfig)]
+    assert all(callable(f.metadata["parse"]) for f in config.values())
 
 
 def test_partial_slash_table_keeps_the_default_fractions():
