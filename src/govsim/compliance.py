@@ -147,6 +147,8 @@ class RuleRegistry:
     def __init__(self, chain: Optional[Chain] = None):
         self.chain = chain
         self._versions: dict[str, list[ComplianceRuleModule]] = {}
+        # Each tier's applicable rules, until the next registration.
+        self._applicable: dict[RiskTier, tuple[ComplianceRuleModule, ...]] = {}
 
     def register_rule(
         self,
@@ -173,6 +175,7 @@ class RuleRegistry:
         history = self._versions.setdefault(rule.rule_id, [])
         versioned = replace(rule, version=len(history) + 1)
         history.append(versioned)
+        self._applicable.clear()
         if self.chain is not None:
             self.chain.append(
                 EventKind.RULE_REGISTERED,
@@ -191,8 +194,12 @@ class RuleRegistry:
     def active_rules(self) -> list[ComplianceRuleModule]:
         return [history[-1] for _, history in sorted(self._versions.items())]
 
-    def applicable(self, tier: RiskTier) -> list[ComplianceRuleModule]:
-        return [r for r in self.active_rules() if r.applies_to(tier)]
+    def applicable(self, tier: RiskTier) -> tuple[ComplianceRuleModule, ...]:
+        rules = self._applicable.get(tier)
+        if rules is None:
+            rules = self._applicable[tier] = tuple(
+                r for r in self.active_rules() if r.applies_to(tier))
+        return rules
 
 
 # --- assessment ---

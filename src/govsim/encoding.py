@@ -66,14 +66,12 @@ def _refuse_non_str_keys(value: Any) -> None:
 
 
 # The encoder that json.dumps(value, sort_keys=True, separators=(",", ":"),
-# ensure_ascii=True, allow_nan=False) builds on every call, built once. It
-# marks each container it enters in _MARKERS to catch cycles and unmarks it
-# on the way out, so a failed encode must empty the dict. Python code runs
-# inside an encode only in ``default``, which refuses the value, so encodes
-# on several threads see each other's marks only when one of them fails.
-_MARKERS: dict = {}
+# ensure_ascii=True, allow_nan=False) builds on every call, built once and
+# without its cycle check (markers None, as check_circular=False gives): a
+# circular value recurses until RecursionError, which is refused like nesting
+# too deep to encode. The encoder holds no state between calls.
 _ENCODE = json.encoder.c_make_encoder(
-    _MARKERS, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
     None, ":", ",", True, False, False)  # indent, separators, sort_keys, skipkeys, allow_nan
 _DECODER = json.JSONDecoder()
 
@@ -87,15 +85,13 @@ def canonical_json_bytes(value: Any) -> bytes:
     at any depth, so the output is always the canonical form of the value it
     parses back to and needs no ``is_canonical_json`` recheck. The keys are
     walked only when the output shows an object whose first key could be
-    another type.
+    another type. A circular value, or one nested past the recursion limit,
+    is refused like any other that cannot be encoded.
     """
     try:
         text = "".join(_ENCODE(value, 0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise EncodingError(f"value is not canonically serializable: {exc}") from exc
-    finally:
-        if _MARKERS:
-            _MARKERS.clear()
     if _SUSPECT_KEY.search(text):
         _refuse_non_str_keys(value)
     return text.encode("ascii")

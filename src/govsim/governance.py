@@ -81,12 +81,15 @@ class VoteWeights:
 
     def adjusted(self, changes: Mapping) -> "VoteWeights":
         """These weights with a WEIGHT_ADJUSTMENT payload applied: a non-empty
-        ``role_multiplier`` replaces the table, each fraction its own field.
-        Each field is checked on its own, so a payload that one set of weights
-        accepts, every set accepts."""
+        ``role_multiplier`` replaces the table, each fraction its own field,
+        and a key that names no field is refused. Each field is checked on its
+        own, so a payload that one set of weights accepts, every set accepts."""
         multipliers = isinstance(changes, Mapping) and changes.get("role_multiplier", {})
         if not isinstance(multipliers, Mapping):
             raise InvalidWeights("the payload and its role_multiplier must be objects")
+        for key in changes:
+            if key not in self.__dataclass_fields__:
+                raise InvalidWeights(f"unknown key {key!r}")
         name, fields = "role_multiplier", {}  # name: the field being read
         try:
             roles = {Role(role): as_fraction(value) for role, value in multipliers.items()}

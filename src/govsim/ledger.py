@@ -19,6 +19,9 @@ of work is done once:
   block once without verifying its own signatures. ``seal_block`` verifies
   every signature passed in from outside, and ``verify_chain`` verifies
   every sealed block's quorum.
+* event frames: ``_event_frames`` frames events for the block hash at seal
+  and for the chain file on save alike, with one ``struct`` pack per event
+  for all that precedes the payload. No frame is kept from seal to save.
 
 Where frame exactness is established on the read path: ``load_chain``
 reads the file into one buffer and decodes each block and event frame
@@ -117,12 +120,6 @@ Phase = IntEnum("Phase", ["SETUP", "INGEST", "COMPLIANCE", "RISK", "AUDIT", "PEN
                           "GOVERNANCE", "ELECTIONS", "REWARDS", "SEALING"], start=0)
 
 
-# An event frame: u64 event id | u32 kind length | kind | u64 epoch |
-# u32 payload length | payload | u32 actor length | actor. The id and kind
-# length, and the epoch and payload length, are each one "<QI" record.
-_U64_U32 = struct.Struct("<QI")
-
-
 @dataclass(frozen=True, slots=True)
 class GovernanceEvent:
     """One state transition. Payload bytes must be canonical JSON."""
@@ -132,14 +129,6 @@ class GovernanceEvent:
     epoch: int
     payload: bytes
     actor: str
-
-    def encode(self) -> bytes:
-        actor = self.actor.encode("utf-8")
-        return b"".join((
-            U64.pack(self.event_id), _KIND_FRAMES[self.kind],
-            _U64_U32.pack(self.epoch, len(self.payload)), self.payload,
-            U32.pack(len(actor)), actor,
-        ))
 
     def body(self) -> dict:
         """Decode the payload back into its JSON body."""
@@ -165,10 +154,16 @@ def _new_event(event_id: int, kind: EventKind, epoch: int, payload: bytes,
     return event
 
 
-# Each kind's length-prefixed name, as encode writes it, and the name's
-# bytes back to the kind, as a decoded frame is looked up.
-_KIND_FRAMES = {kind: pack_bytes(kind.value.encode("ascii")) for kind in EventKind}
+# An event frame: u64 event id | u32 kind length | kind | u64 epoch |
+# u32 payload length | payload | u32 actor length | actor. A frame is written
+# behind its u32 length with one pack of its kind's head, all that precedes
+# the payload: (pack, the head's size less the length, name length, name).
+# It is read by name (_KIND_BY_NAME) and two "<QI" records: id and kind
+# length, epoch and payload length.
 _KIND_BY_NAME = {kind.value.encode("ascii"): kind for kind in EventKind}
+_HEADS = {kind: (struct.Struct(f"<IQI{len(name)}sQI").pack, 24 + len(name), len(name), name)
+          for name, kind in _KIND_BY_NAME.items()}
+_U64_U32 = struct.Struct("<QI")
 
 
 @dataclass(frozen=True)
@@ -188,12 +183,18 @@ class PendingPosition(NamedTuple):
     index: int
 
 
-def _event_frames(events: Iterable[GovernanceEvent]) -> list[bytes]:
+def _event_frames(events: Sequence[GovernanceEvent]) -> list[bytes]:
     """Each event's frame behind its u32 length prefix, as parts to join."""
-    parts = []
+    parts: list[bytes] = []
+    actors: dict[str, bytes] = {}
     for event in events:
-        frame = event.encode()
-        parts += (U32.pack(len(frame)), frame)
+        pack, size, name_len, name = _HEADS[event.kind]
+        payload = event.payload
+        actor = actors.get(event.actor)
+        if actor is None:
+            actor = actors[event.actor] = pack_str(event.actor)
+        parts += (pack(size + len(payload) + len(actor), event.event_id, name_len, name,
+                       event.epoch, len(payload)), payload, actor)
     return parts
 
 
@@ -450,13 +451,18 @@ def query_events(
 # events (len-prefixed) | u32 signature count | (authority, signature)
 # pairs (each len-prefixed) | block hash
 
-def _block_parts(block: Block) -> list[bytes]:
+def _block_bytes(block: Block, signers: dict[str, bytes]) -> bytes:
+    """The block's frame; ``signers`` maps each authority id to its framed
+    bytes, shared across the blocks of one save."""
     parts = [U64.pack(block.height), block.prev_hash, U32.pack(len(block.events)),
              *_event_frames(block.events), U32.pack(len(block.sealer_signatures))]
     for authority_id, signature in block.sealer_signatures:
-        parts += (pack_str(authority_id), pack_bytes(signature))
+        signer = signers.get(authority_id)
+        if signer is None:
+            signer = signers[authority_id] = pack_str(authority_id)
+        parts += (signer, pack_bytes(signature))
     parts.append(block.block_hash)
-    return parts
+    return b"".join(parts)
 
 
 def _decode_block(data: bytes, view: memoryview, start: int, end: int,
@@ -532,9 +538,10 @@ def save_chain(chain: Chain, path: str | Path) -> None:
         CHAIN_MAGIC, bytes([CHAIN_FORMAT_VERSION]),
         pack_bytes(canonical_json_bytes(header)), U64.pack(len(chain.blocks)),
     ]
+    signers: dict[str, bytes] = {}
     for block in chain.blocks:
-        block_parts = _block_parts(block)
-        parts += (U32.pack(sum(map(len, block_parts))), b"".join(block_parts))
+        frame = _block_bytes(block, signers)
+        parts += (U32.pack(len(frame)), frame)
     write_bytes(path, b"".join(parts), "chain file")
 
 

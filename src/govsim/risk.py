@@ -34,10 +34,14 @@ class _NamedFractions:
     def from_json(cls, raw: Mapping[str, Any]):
         if not isinstance(raw, Mapping):
             raise InvalidInput("must be an object")
-        for f in fields(cls):
-            if f.name not in raw:
-                raise InvalidInput(f"missing key {f.name!r}")
-        return cls(**{f.name: as_fraction(raw[f.name]) for f in fields(cls)})
+        names = [f.name for f in fields(cls)]
+        for name in names:
+            if name not in raw:
+                raise InvalidInput(f"missing key {name!r}")
+        for key in raw:
+            if key not in names:
+                raise InvalidInput(f"unknown key {key!r}")
+        return cls(**{name: as_fraction(raw[name]) for name in names})
 
 
 @dataclass(frozen=True)

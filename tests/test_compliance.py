@@ -189,6 +189,30 @@ def test_version_isolation():
         registry.get("capital-adequacy-min").predicate, {"capital_ratio": 0.09})
 
 
+def test_applicable_rules_follow_each_registration():
+    """applicable(tier) is computed once per tier and registration: a rule
+    registered mid-run, as a passed RULE_UPDATE registers it, shows in the
+    next call, and so does a new version of a rule already there."""
+    registry = RuleRegistry()
+    registry.register_rule(capital_rule(0.08), GENESIS_AUTHORIZATION)
+    assert registry.applicable(RiskTier.HIGH) == (registry.get("capital-adequacy-min"),)
+    assert registry.applicable(RiskTier.MINIMAL) == ()
+    assert registry.applicable(RiskTier.HIGH) is registry.applicable(RiskTier.HIGH)
+
+    everywhere = ComplianceRuleModule(
+        rule_id="a-transparency", domain=RuleDomain.TRANSPARENCY,
+        predicate={"op": ">=", "metric": "t", "value": 1}, metrics=("t",))
+    registry.register_rule(everywhere, passed_rule_update(), epoch=3)
+    registry.register_rule(capital_rule(0.10), passed_rule_update(), epoch=3)
+    latest = registry.get("capital-adequacy-min")
+    assert latest.version == 2
+    assert registry.applicable(RiskTier.HIGH) == (registry.get("a-transparency"), latest)
+    assert registry.applicable(RiskTier.MINIMAL) == (registry.get("a-transparency"),)
+    for tier in RiskTier:
+        assert registry.applicable(tier) == tuple(
+            rule for rule in registry.active_rules() if rule.applies_to(tier))
+
+
 def test_mandatory_semantics_match_brute_force():
     rng = random.Random(88)
     for _ in range(60):

@@ -114,6 +114,18 @@ def test_circular_value_refused():
         canonical_json_bytes(value)
 
 
+@pytest.mark.parametrize("wrap", [lambda v: [v], lambda v: {"k": v}], ids=["list", "object"])
+def test_value_nested_past_the_recursion_limit_refused(wrap):
+    """Nesting too deep to encode is an EncodingError, not a RecursionError;
+    the next encode is unaffected."""
+    value = 1
+    for _ in range(5000):
+        value = wrap(value)
+    with pytest.raises(EncodingError, match="recursion"):
+        canonical_json_bytes(value)
+    assert canonical_json_bytes({"x": [True]}) == b'{"x":[true]}'
+
+
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
             | st.floats(allow_nan=False, allow_infinity=False))
 # String keys that read like numbers or literals, beside keys of other types.

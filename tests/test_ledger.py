@@ -23,10 +23,12 @@ from govsim.errors import (
 )
 from govsim.keys import SeededScheme, get_scheme
 from govsim.ledger import (
+    Block,
     Chain,
     ChainVerification,
     EventKind,
     GovernanceEvent,
+    _event_frames,
     _new_event,
     compute_block_hash,
     default_quorum,
@@ -672,6 +674,55 @@ def test_small_chain_reproductions_rejected(mutations, message):
     assert _loaded(SMALL).head_hash == _small_chain().head_hash
     with pytest.raises(IoError, match=message):
         _loaded(_mutated(SMALL, mutations))
+
+
+def _reference_frame(event) -> bytes:
+    """An event's frame behind its u32 length prefix, field by field: u64
+    event id | u32 kind length | kind | u64 epoch | u32 payload length |
+    payload | u32 actor length | actor."""
+    kind, actor = event.kind.value.encode("ascii"), event.actor.encode("utf-8")
+    frame = b"".join((
+        struct.pack("<Q", event.event_id), struct.pack("<I", len(kind)), kind,
+        struct.pack("<Q", event.epoch), struct.pack("<I", len(event.payload)), event.payload,
+        struct.pack("<I", len(actor)), actor))
+    return struct.pack("<I", len(frame)) + frame
+
+
+_U64_MAX = 2**64 - 1
+# Short payloads, empty among them, and long ones whose length needs three bytes.
+_PAYLOAD = st.one_of(st.binary(max_size=24),
+                     st.integers(2**16, 2**16 + 300).map(lambda n: b"p" * n))
+# Any string that encodes as UTF-8: no lone surrogates.
+_ACTOR = st.text(st.characters(codec="utf-8"), max_size=12)
+_EVENT = st.builds(GovernanceEvent, st.integers(0, _U64_MAX), st.sampled_from(EventKind),
+                   st.integers(0, _U64_MAX), _PAYLOAD, st.one_of(_ACTOR, st.sampled_from(
+                       ["sim", "régulateur", "監査", ""])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_EVENT, max_size=12), st.integers(1, 4),
+       st.lists(st.tuples(st.sampled_from(list(AUTHORITIES) + ["réviseur"]),
+                          st.binary(max_size=70)), max_size=3))
+@example([GovernanceEvent(_U64_MAX, kind, _U64_MAX, b"", "监管") for kind in EventKind], 5, [])
+def test_event_frames_are_the_reference_layout(events, capacity, signatures):
+    """The seal and the save frame every event in the one layout, and a saved
+    chain loads and saves back to the same bytes."""
+    assert b"".join(_event_frames(events)) == b"".join(map(_reference_frame, events))
+    assert compute_block_hash(9, ZERO_DIGEST, events) == hashlib.sha256(
+        struct.pack("<Q", 9) + ZERO_DIGEST + b"".join(map(_reference_frame, events))).digest()
+
+    chain, prev = make_chain(), ZERO_DIGEST
+    for height, at in enumerate(range(0, len(events), capacity), start=1):
+        block_events = tuple(events[at:at + capacity])
+        block_hash = compute_block_hash(height, prev, block_events)
+        chain.blocks.append(Block(height, prev, block_events, tuple(signatures), block_hash))
+        prev = block_hash
+    data = _saved(chain)
+    loaded = _loaded(data)
+    assert _saved(loaded) == data
+    assert [block.events for block in loaded.blocks] == [block.events for block in chain.blocks]
+    assert [block.read_hash for block in loaded.blocks] == [
+        block.block_hash for block in chain.blocks]
 
 
 def test_a_loaded_block_carries_the_hash_of_its_bytes():

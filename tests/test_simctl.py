@@ -287,6 +287,12 @@ _RULE_UPDATE = {"rule_id": "capital-adequacy-min", "domain": "CAPITAL_ADEQUACY",
                 "predicate": {"op": ">=", "metric": "capital_ratio", "value": 0.1}}
 
 
+def _config(**keys) -> dict:
+    """A scenario mutation: credit_scoring's config with ``keys`` set."""
+    config = json.loads(scenario_path("credit_scoring").read_text())["config"]
+    return {"config": {**config, **keys}}
+
+
 def _passing(kind: str, payload) -> dict:
     """A scenario mutation: a proposal at epoch 1 that every stakeholder votes FOR."""
     holders = json.loads(scenario_path("credit_scoring").read_text())["stakeholders"]
@@ -391,6 +397,15 @@ def _passing(kind: str, payload) -> dict:
      "injected_events[0].proposal.payload"),
     (_passing("WEIGHT_ADJUSTMENT", {"cap_fraction": "abc"}),
      "injected_events[0].proposal.payload"),
+    # Each case below used to load, the misspelt key dropped unread.
+    (_passing("WEIGHT_ADJUSTMENT", {"cap_fracton": "1/3"}),
+     "injected_events[0].proposal.payload"),
+    (_config(risk_weights={"noncompliance": "1/2", "audit_failure": "1/5",
+                           "incidents": "1/5", "exposure": "1/10", "exposre": 1}),
+     "config.risk_weights"),
+    (_config(tier_thresholds={"unacceptable": "9/10", "high": "3/5", "limited": "3/10",
+                              "limted": "1/4"}),
+     "config.tier_thresholds"),
     (_passing("RULE_UPDATE", {}), "injected_events[0].proposal.payload.rule"),
     (_passing("RULE_UPDATE", []), "injected_events[0].proposal.payload"),
     (_passing("RULE_UPDATE", {"rule": {**_RULE_UPDATE, "domain": "NOPE"}}),
@@ -1085,6 +1100,10 @@ def test_run_encodes_hashes_and_signs_each_event_and_block_once(
             return real(*args, **kwargs)
         return wrapper
 
+    def framing(events):  # "encode" counts the events framed, over all calls
+        counts["encode"] += len(events)
+        return real_frames(events)
+
     for module in (govsim.encoding, govsim.ledger):
         monkeypatch.setattr(module, "is_canonical_json",
                             counting("recheck", module.is_canonical_json))
@@ -1092,8 +1111,8 @@ def test_run_encodes_hashes_and_signs_each_event_and_block_once(
                         counting("block_hash", govsim.ledger.compute_block_hash))
     for scheme_class in (govsim.keys.SeededScheme, govsim.keys.Ed25519Scheme):
         monkeypatch.setattr(scheme_class, "verify", counting("verify", scheme_class.verify))
-    event_class = govsim.ledger.GovernanceEvent
-    monkeypatch.setattr(event_class, "encode", counting("encode", event_class.encode))
+    real_frames = govsim.ledger._event_frames
+    monkeypatch.setattr(govsim.ledger, "_event_frames", framing)
     monkeypatch.setattr(govsim.ledger, "ByteReader",
                         counting("reader", govsim.ledger.ByteReader))
 
