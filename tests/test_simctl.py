@@ -397,15 +397,6 @@ def _passing(kind: str, payload) -> dict:
      "injected_events[0].proposal.payload"),
     (_passing("WEIGHT_ADJUSTMENT", {"cap_fraction": "abc"}),
      "injected_events[0].proposal.payload"),
-    # Each case below used to load, the misspelt key dropped unread.
-    (_passing("WEIGHT_ADJUSTMENT", {"cap_fracton": "1/3"}),
-     "injected_events[0].proposal.payload"),
-    (_config(risk_weights={"noncompliance": "1/2", "audit_failure": "1/5",
-                           "incidents": "1/5", "exposure": "1/10", "exposre": 1}),
-     "config.risk_weights"),
-    (_config(tier_thresholds={"unacceptable": "9/10", "high": "3/5", "limited": "3/10",
-                              "limted": "1/4"}),
-     "config.tier_thresholds"),
     (_passing("RULE_UPDATE", {}), "injected_events[0].proposal.payload.rule"),
     (_passing("RULE_UPDATE", []), "injected_events[0].proposal.payload"),
     (_passing("RULE_UPDATE", {"rule": {**_RULE_UPDATE, "domain": "NOPE"}}),
@@ -497,6 +488,16 @@ def _passing(kind: str, payload) -> dict:
         "kind": "ROUTINE", "bogus": 1}}]}, "injected_events[0].proposal.bogus"),
     (_voting({**_FOR, "magnitdue": 5}, mode="QUADRATIC"),
      "injected_events[0].proposal.votes[0].magnitdue"),
+    # Each case below used to load, the misspelt key dropped unread:
+    # a WEIGHT_ADJUSTMENT payload, risk_weights and tier_thresholds.
+    (_passing("WEIGHT_ADJUSTMENT", {"cap_fracton": "1/3"}),
+     "injected_events[0].proposal.payload"),
+    (_config(risk_weights={"noncompliance": "1/2", "audit_failure": "1/5",
+                           "incidents": "1/5", "exposure": "1/10", "exposre": 1}),
+     "config.risk_weights"),
+    (_config(tier_thresholds={"unacceptable": "9/10", "high": "3/5", "limited": "3/10",
+                              "limted": "1/4"}),
+     "config.tier_thresholds"),
 ])
 def test_scenario_errors_carry_field_paths(mutation, expected_path):
     base = json.loads(scenario_path("credit_scoring").read_text())
