@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
-from .compliance import RuleRegistry, evaluate_rules, metrics_commitment
+from .compliance import RuleDomain, RuleRegistry, evaluate_rules, metrics_commitment
 from .errors import (
     EvidenceForged,
     InvalidScope,
@@ -20,7 +20,6 @@ from .errors import (
     UnassignableAudit,
     UnknownAccreditor,
 )
-from .compliance import RuleDomain
 from .identity import AISystemRecord, ComplianceStatus, RiskTier
 from .ledger import Chain, EventKind
 from .rng import DeterministicStream
@@ -49,9 +48,6 @@ class AuditorCertification:
 
     def valid_at(self, epoch: int) -> bool:
         return self.issued_epoch <= epoch <= self.expiry_epoch
-
-    def covers(self, domains: Sequence[RuleDomain]) -> bool:
-        return all(d in self.scopes for d in domains)
 
 
 @dataclass(frozen=True)
@@ -99,6 +95,7 @@ class AuditRegistry:
         self.accreditors = set(accreditors)
         self.intervals = dict(intervals or DEFAULT_AUDIT_INTERVALS)
         self.auditor_capacity = auditor_capacity
+        # By auditor id, kept in id order: the order eligible_auditors lists them in.
         self.certifications: dict[str, AuditorCertification] = {}
         self.records: list[AuditRecord] = []
         self._audit_seq = 0
@@ -127,7 +124,8 @@ class AuditRegistry:
             expiry_epoch=epoch + validity_epochs,
             scopes=frozenset(scopes),
         )
-        self.certifications[auditor_id] = certification
+        self.certifications = dict(sorted({**self.certifications,
+                                           auditor_id: certification}.items()))
         if self.chain is not None:
             self.chain.append(
                 EventKind.AUDITOR_ACCREDITED,
@@ -141,20 +139,11 @@ class AuditRegistry:
 
     # --- scheduling ---
 
-    def _system_domains(self, system: AISystemRecord) -> list[RuleDomain]:
-        return sorted({r.domain for r in self.rules.applicable(system.risk_tier)},
-                      key=lambda d: d.value)
-
     def eligible_auditors(self, system: AISystemRecord, epoch: int) -> list[str]:
-        domains = self._system_domains(system)
-        out = []
-        for auditor_id, certification in sorted(self.certifications.items()):
-            if not certification.valid_at(epoch):
-                continue
-            if domains and not certification.covers(domains):
-                continue
-            out.append(auditor_id)
-        return out
+        """Auditors, in id order, certified at ``epoch`` for every domain of the tier's rules."""
+        domains = self.rules.domains(system.risk_tier)
+        return [auditor_id for auditor_id, certification in self.certifications.items()
+                if certification.valid_at(epoch) and domains <= certification.scopes]
 
     def due_by_cadence(self, system: AISystemRecord, epoch: int) -> bool:
         if epoch < 1:
@@ -234,7 +223,7 @@ class AuditRegistry:
         certification = self.certifications.get(auditor_id)
         if certification is None or not certification.valid_at(epoch):
             raise ScopeViolation(f"{auditor_id} holds no valid certification at {epoch}")
-        if not certification.covers(self._system_domains(system)):
+        if not self.rules.domains(system.risk_tier) <= certification.scopes:
             raise ScopeViolation(f"{auditor_id} lacks scope for {system.did}")
 
         self._audit_seq += 1

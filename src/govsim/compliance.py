@@ -147,8 +147,9 @@ class RuleRegistry:
     def __init__(self, chain: Optional[Chain] = None):
         self.chain = chain
         self._versions: dict[str, list[ComplianceRuleModule]] = {}
-        # Each tier's applicable rules, until the next registration.
+        # Each tier's applicable rules and their domains, until the next registration.
         self._applicable: dict[RiskTier, tuple[ComplianceRuleModule, ...]] = {}
+        self._domains: dict[RiskTier, frozenset[RuleDomain]] = {}
 
     def register_rule(
         self,
@@ -176,6 +177,7 @@ class RuleRegistry:
         versioned = replace(rule, version=len(history) + 1)
         history.append(versioned)
         self._applicable.clear()
+        self._domains.clear()
         if self.chain is not None:
             self.chain.append(
                 EventKind.RULE_REGISTERED,
@@ -200,6 +202,13 @@ class RuleRegistry:
             rules = self._applicable[tier] = tuple(
                 r for r in self.active_rules() if r.applies_to(tier))
         return rules
+
+    def domains(self, tier: RiskTier) -> frozenset[RuleDomain]:
+        """The domains of ``applicable(tier)``: an auditor of the tier holds every one."""
+        domains = self._domains.get(tier)
+        if domains is None:
+            domains = self._domains[tier] = frozenset(r.domain for r in self.applicable(tier))
+        return domains
 
 
 # --- assessment ---

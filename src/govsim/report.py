@@ -41,7 +41,8 @@ from .errors import EventInvalid, GovSimError, InvalidInput, UnsupportedFormat
 from .governance import GovernanceState, ProposalKind, ProposalStatus, VoteDirection, VoteMode
 from .identity import ComplianceStatus, DidRegistry, RiskTier
 from .ledger import Block, Chain, ChainVerification, EventKind, Phase, verify_chain
-from .risk import IncidentLog, IncidentState, RiskWeights, Severity, compute_risk_score
+from .risk import (
+    OPEN_INCIDENT_STATES, IncidentLog, IncidentState, RiskWeights, Severity, compute_risk_score)
 from .tokens import Pool, TokenLedger
 
 
@@ -206,7 +207,7 @@ class ChainFold(ReportTally):
             # As of an epoch, the state is that of the last transition at or
             # before it: each holds until the least epoch of those after it.
             for name, at_epoch in reversed(incident.transitions):
-                if at_epoch < until and name in ("RAISED", "CONTAINED"):
+                if at_epoch < until and name in OPEN_INCIDENT_STATES:
                     delta[at_epoch] += 1
                     delta[until] -= 1
                 until = min(until, at_epoch)

@@ -165,6 +165,8 @@ INCIDENT_ORDER = [
     IncidentState.RESOLVED,
     IncidentState.POSTMORTEM_FILED,
 ]
+# The open states, read by the live log and by the chain fold.
+OPEN_INCIDENT_STATES = (IncidentState.RAISED, IncidentState.CONTAINED)
 
 
 @dataclass
@@ -177,7 +179,7 @@ class Incident:
 
     def open_(self) -> bool:
         """Counts toward the risk score until resolved."""
-        return self.state in (IncidentState.RAISED, IncidentState.CONTAINED)
+        return self.state in OPEN_INCIDENT_STATES
 
     def to_json(self) -> dict:
         return {"incident_id": self.incident_id, "did": self.system_did,

@@ -1,18 +1,12 @@
 """Deterministic discrete-event scenario runner.
 
-Each epoch executes a fixed phase order:
-
-    1 oracle ingest + injected events     6 proposals, votes, tallies,
-    2 compliance evaluation                 weight staging, collusion scan
-    3 incident advance, risk scoring,     7 delegate elections (period epochs)
-      reclassification, forecasting       8 reward distribution
-    4 audit scheduling + execution        9 block sealing
-    5 penalties and slashes
-
-Setup (registries, genesis mint, funding, accreditation, registration,
-initial election) runs as phase 0 of epoch 0 and seals together with the
-first epoch. All randomness flows from counter-based streams derived from
-the scenario seed, one stream per consumer.
+Each epoch runs the members of ``govsim.ledger.Phase`` after SETUP in order,
+one ``Simulator._phase_<name>`` each: ingest, compliance, risk, audit,
+penalties, governance, elections, rewards, sealing. Setup (registries,
+genesis mint, funding, accreditation, registration, initial election) runs
+as phase SETUP of epoch 0 and seals together with the first epoch. All
+randomness flows from counter-based streams derived from the scenario seed,
+one stream per consumer.
 """
 
 from __future__ import annotations
@@ -231,9 +225,10 @@ class SimConfig:
     threshold_routine: Fraction = _key(governance_mod.VoteWeights.threshold_routine, _FRACTION)
     threshold_critical: Fraction = _key(governance_mod.VoteWeights.threshold_critical, _FRACTION)
     collusion_min_common: int = _key(10, _at_least(1), snapshot="collusion.min_common")
-    collusion_agreement: Fraction = _key(Fraction(9, 10), _FRACTION, snapshot="collusion.agreement")
-    collusion_penalty: Fraction = _key(
-        governance_mod.DEFAULT_COLLUSION_PENALTY, _FRACTION, snapshot="collusion.penalty")
+    collusion_agreement: Fraction = _key(Fraction(9, 10), _fraction_in(
+        lambda f: 0 < f <= 1, "(0, 1]"), snapshot="collusion.agreement")
+    collusion_penalty: Fraction = _key(governance_mod.DEFAULT_COLLUSION_PENALTY, _fraction_in(
+        lambda f: 0 <= f <= 1, "[0, 1]"), snapshot="collusion.penalty")
     audit_intervals: dict[RiskTier, int] = _key(
         audit_mod.DEFAULT_AUDIT_INTERVALS,
         _table(RiskTier, _at_least(1), audit_mod.DEFAULT_AUDIT_INTERVALS))
@@ -753,7 +748,7 @@ class Simulator:
             self._system_ids[spec.id] = did
             self._system_specs[did] = spec
 
-        self._run_election(epoch=0)
+        self._phase_elections(0)
 
         # Mutable run state.
         self._latest_assessment: dict[str, compliance_mod.Assessment] = {}
@@ -761,6 +756,10 @@ class Simulator:
         # Running EWMA of each system's aggregate compliance score.
         self._forecast: dict[str, float] = {}
         self._audit_failed_prev: dict[str, bool] = {}
+        # Hand-offs within an epoch: ingest's metric overrides for compliance,
+        # and the audit phase's records for penalties.
+        self._overrides: dict[str, dict] = {}
+        self._audit_records: list[audit_mod.AuditRecord] = []
         # Audit triggers since the last audit phase, which consumes them.
         self._pending_triggers: dict[str, set[str]] = {}
         self._collusion_expiry: dict[str, int] = {}
@@ -769,22 +768,13 @@ class Simulator:
         self._audit_stream = self._stream("audit-assign")
         self._vote_stream = self._stream("collusion-votes")
 
-    def _run_election(self, *, epoch: int) -> None:
-        eligible = [
-            s for s in self.governance.stakeholders.values()
-            if governance_mod.raw_power(s, self.governance.weights) > 0
-        ]
-        seats = min(self.config.n_seats, len(eligible))
-        if seats >= 1:
-            self.governance.run_election(seats, epoch=epoch)
-
-    # --- phase bodies ---
+    # --- phase bodies: one per member of Phase after SETUP, in its order ---
 
     def _add_trigger(self, did: str, reason: str) -> None:
         self._pending_triggers.setdefault(did, set()).add(reason)
 
-    def _phase_ingest(self, epoch: int) -> dict[str, dict]:
-        """Heartbeat, oracle feeds, injected events. Returns metric overrides."""
+    def _phase_ingest(self, epoch: int) -> None:
+        """Heartbeat, oracle feeds, injected events; keeps the metric overrides."""
         self.chain.append(EventKind.HEARTBEAT, {"epoch": epoch},
                           actor="simulator", epoch=epoch)
 
@@ -812,29 +802,27 @@ class Simulator:
         for system, severity in scenario.incidents.get(epoch, ()):
             self.incidents.raise_incident(self._system_ids[system], severity, epoch=epoch)
 
-        overrides: dict[str, dict] = {}
+        self._overrides = {}
         for system, metrics in scenario.violations.get(epoch, ()):
             did = self._system_ids[system]
-            overrides.setdefault(did, {}).update(metrics)
+            self._overrides.setdefault(did, {}).update(metrics)
             self._add_trigger(did, "violation")
-        return overrides
 
     def _active_systems(self) -> list[str]:
         return [did for did in sorted(self.registry.records)
                 if self.registry.records[did].compliance_status
                 != ComplianceStatus.SUSPENDED]
 
-    def _phase_compliance(self, epoch: int, overrides: Mapping[str, dict]) -> None:
+    def _phase_compliance(self, epoch: int) -> None:
         oracle_values = self.oracles.values_for(epoch)
         for did in self._active_systems():
             record = self.registry.records[did]
-            spec = self._system_specs[did]
-            metrics = dict(spec.base_metrics)
-            metrics.update(oracle_values)
-            metrics.update(overrides.get(did, {}))
-            # Oracle feeds may carry market values outside the rule metric
-            # set; assessments commit to the rule-relevant vector only.
-            metrics = {k: v for k, v in metrics.items() if k in spec.base_metrics}
+            override = self._overrides.get(did, {})
+            # Each base metric: the override, else the oracle's value, else
+            # the base. Oracle feeds may carry market values outside the rule
+            # metric set; assessments commit to the rule-relevant vector only.
+            metrics = {k: override.get(k, oracle_values.get(k, v))
+                       for k, v in self._system_specs[did].base_metrics.items()}
             salt = self._salt_stream.bytes_(32)
             assessment = compliance_mod.evaluate(
                 record, metrics, epoch, self.rules, self.chain, salt=salt)
@@ -870,7 +858,7 @@ class Simulator:
             if self._forecast[did] < self.config.forecast_floor:
                 self._add_trigger(did, "forecast")
 
-    def _phase_audit(self, epoch: int) -> list[audit_mod.AuditRecord]:
+    def _phase_audit(self, epoch: int) -> None:
         triggers = {did: min(reasons, key=_TRIGGER_PRIORITY.index)
                     for did, reasons in self._pending_triggers.items()}
         self._pending_triggers = {}
@@ -878,12 +866,12 @@ class Simulator:
         assignments = self.audits.schedule_audits(
             epoch, self.registry.records,
             triggers=triggers, stream=self._audit_stream)
-        records = []
+        self._audit_records = []
         for assignment in assignments:
             assessment = self._latest_assessment.get(assignment.system_did)
             if assessment is None:
                 continue
-            record = self.audits.perform_audit(
+            self._audit_records.append(self.audits.perform_audit(
                 assignment.auditor_id,
                 self.registry.records[assignment.system_did],
                 assessment.metric_values,
@@ -891,13 +879,11 @@ class Simulator:
                 assessment.commitment,
                 epoch=epoch,
                 trigger=assignment.trigger,
-            )
-            records.append(record)
-        return records
+            ))
 
-    def _phase_penalties(self, epoch: int, audit_records: list[audit_mod.AuditRecord]) -> None:
+    def _phase_penalties(self, epoch: int) -> None:
         failed_now: dict[str, bool] = {}
-        for record in audit_records:
+        for record in self._audit_records:
             did = record.system_did
             owner = self.registry.records[did].owner
             if record.outcome == audit_mod.AuditOutcome.FAIL:
@@ -970,6 +956,18 @@ class Simulator:
                     if spec.owner == member:
                         self._add_trigger(did, "collusion")
 
+    def _phase_elections(self, epoch: int) -> None:
+        """Every election_period epochs, and once at set-up (epoch 0)."""
+        if epoch % self.config.election_period:
+            return
+        eligible = [
+            s for s in self.governance.stakeholders.values()
+            if governance_mod.raw_power(s, self.governance.weights) > 0
+        ]
+        seats = min(self.config.n_seats, len(eligible))
+        if seats >= 1:
+            self.governance.run_election(seats, epoch=epoch)
+
     def _phase_rewards(self, epoch: int) -> None:
         factors: dict[str, Fraction] = {}
         owned: dict[str, list[Fraction]] = {}
@@ -980,47 +978,26 @@ class Simulator:
             factors[owner] = sum(scores, Fraction(0)) / len(scores)
         self.tokens.distribute_rewards(epoch, factors)
 
+    def _phase_sealing(self, epoch: int) -> None:
+        """Seal the epoch's events, then lift the collusion penalties that expire."""
+        self.chain.seal_all({aid: kp.private for aid, kp in self._authority_keys.items()})
+        for member, expiry in list(self._collusion_expiry.items()):
+            if expiry <= epoch:
+                self.governance.clear_collusion_penalty(member)
+                del self._collusion_expiry[member]
+
     # --- main loop ---
 
     def run(self) -> SimResult:
         self._setup()
-
+        # Phase is the one statement of the epoch order.
+        phases = [(phase, getattr(self, f"_phase_{phase.name.lower()}"))
+                  for phase in Phase if phase is not Phase.SETUP]
         for epoch in range(1, self.scenario.epochs + 1):
             self.governance.apply_staged_weights()
-
-            self.chain.phase = Phase.INGEST
-            overrides = self._phase_ingest(epoch)
-
-            self.chain.phase = Phase.COMPLIANCE
-            self._phase_compliance(epoch, overrides)
-
-            self.chain.phase = Phase.RISK
-            self._phase_risk(epoch)
-
-            self.chain.phase = Phase.AUDIT
-            audit_records = self._phase_audit(epoch)
-
-            self.chain.phase = Phase.PENALTIES
-            self._phase_penalties(epoch, audit_records)
-
-            self.chain.phase = Phase.GOVERNANCE
-            self._phase_governance(epoch)
-
-            self.chain.phase = Phase.ELECTIONS
-            if epoch % self.config.election_period == 0:
-                self._run_election(epoch=epoch)
-
-            self.chain.phase = Phase.REWARDS
-            self._phase_rewards(epoch)
-
-            self.chain.phase = Phase.SEALING
-            self.chain.seal_all(
-                {aid: kp.private for aid, kp in self._authority_keys.items()})
-
-            for member, expiry in list(self._collusion_expiry.items()):
-                if expiry <= epoch:
-                    self.governance.clear_collusion_penalty(member)
-                    del self._collusion_expiry[member]
+            for phase, run_phase in phases:
+                self.chain.phase = phase
+                run_phase(epoch)
 
         # The report from the live stores; verify_run proves it equals the fold.
         report = tally_events(self.chain.blocks).layout(

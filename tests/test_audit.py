@@ -257,6 +257,48 @@ def test_out_of_scope_auditor_rejected():
                              metrics, salt, commitment, epoch=2)
 
 
+def test_a_tier_without_rules_admits_every_valid_auditor():
+    # No rule applies to MINIMAL, so any scope will do; only validity counts.
+    rules = RuleRegistry()
+    rules.register_rule(ComplianceRuleModule(
+        rule_id="bias-ceiling", domain=RuleDomain.RISK_ASSESSMENT,
+        predicate={"op": "<=", "metric": "model_bias_metric", "value": 0.2},
+        metrics=("model_bias_metric",), applicable_tiers=frozenset({RiskTier.HIGH}),
+    ), GENESIS_AUTHORIZATION)
+    audits = AuditRegistry(None, rules, ["accreditor-1"])
+    audits.accredit_auditor("aud-2", "accreditor-1", [RuleDomain.TRANSPARENCY], 100, epoch=0)
+    audits.accredit_auditor("aud-1", "accreditor-1", [RuleDomain.DATA_PRIVACY], 100, epoch=0)
+    audits.accredit_auditor("aud-3", "accreditor-1", ALL_DOMAINS, 1, epoch=0)
+    target = system("a", RiskTier.MINIMAL)
+    assert rules.domains(RiskTier.MINIMAL) == frozenset()
+    assert audits.eligible_auditors(target, 1) == ["aud-1", "aud-2", "aud-3"]
+    assert audits.eligible_auditors(target, 2) == ["aud-1", "aud-2"]
+    assert audits.eligible_auditors(system("b", RiskTier.HIGH), 1) == ["aud-3"]
+    metrics, salt, commitment = disclosure({"capital_ratio": 0.01})
+    record = audits.perform_audit("aud-2", target, metrics, salt, commitment, epoch=2)
+    assert record.outcome == AuditOutcome.PASS and record.findings == {}
+
+
+def test_a_registered_domain_drops_the_auditors_without_it():
+    audits = AuditRegistry(None, rules_with_capital(), ["accreditor-1"])
+    audits.accredit_auditor("aud-1", "accreditor-1", [RuleDomain.CAPITAL_ADEQUACY], 100)
+    audits.accredit_auditor("aud-2", "accreditor-1", ALL_DOMAINS, 100)
+    target = system("a", RiskTier.HIGH)
+    assert audits.eligible_auditors(target, 2) == ["aud-1", "aud-2"]
+    audits.rules.register_rule(ComplianceRuleModule(
+        rule_id="privacy-consent", domain=RuleDomain.DATA_PRIVACY,
+        predicate={"op": "==", "metric": "data_privacy_consent", "value": True},
+        metrics=("data_privacy_consent",),
+    ), GENESIS_AUTHORIZATION, epoch=2)
+    assert audits.eligible_auditors(target, 2) == ["aud-2"]
+    metrics, salt, commitment = disclosure(
+        {"capital_ratio": 0.09, "data_privacy_consent": True})
+    with pytest.raises(ScopeViolation):
+        audits.perform_audit("aud-1", target, metrics, salt, commitment, epoch=2)
+    assert audits.perform_audit(
+        "aud-2", target, metrics, salt, commitment, epoch=2).outcome == AuditOutcome.PASS
+
+
 def test_audit_record_body_contains_commitment_not_metrics():
     audits = registry_with_auditors(n=1)
     metrics, salt, commitment = disclosure({"capital_ratio": 0.123456})

@@ -194,15 +194,21 @@ def test_applicable_rules_follow_each_registration():
     registered mid-run, as a passed RULE_UPDATE registers it, shows in the
     next call, and so does a new version of a rule already there."""
     registry = RuleRegistry()
+    assert registry.domains(RiskTier.HIGH) == frozenset()
     registry.register_rule(capital_rule(0.08), GENESIS_AUTHORIZATION)
     assert registry.applicable(RiskTier.HIGH) == (registry.get("capital-adequacy-min"),)
     assert registry.applicable(RiskTier.MINIMAL) == ()
     assert registry.applicable(RiskTier.HIGH) is registry.applicable(RiskTier.HIGH)
+    assert registry.domains(RiskTier.HIGH) == {RuleDomain.CAPITAL_ADEQUACY}
+    assert registry.domains(RiskTier.MINIMAL) == frozenset()
 
     everywhere = ComplianceRuleModule(
         rule_id="a-transparency", domain=RuleDomain.TRANSPARENCY,
         predicate={"op": ">=", "metric": "t", "value": 1}, metrics=("t",))
     registry.register_rule(everywhere, passed_rule_update(), epoch=3)
+    assert registry.domains(RiskTier.HIGH) == {
+        RuleDomain.CAPITAL_ADEQUACY, RuleDomain.TRANSPARENCY}
+    assert registry.domains(RiskTier.MINIMAL) == {RuleDomain.TRANSPARENCY}
     registry.register_rule(capital_rule(0.10), passed_rule_update(), epoch=3)
     latest = registry.get("capital-adequacy-min")
     assert latest.version == 2
@@ -211,6 +217,7 @@ def test_applicable_rules_follow_each_registration():
     for tier in RiskTier:
         assert registry.applicable(tier) == tuple(
             rule for rule in registry.active_rules() if rule.applies_to(tier))
+        assert registry.domains(tier) == {rule.domain for rule in registry.applicable(tier)}
 
 
 def test_mandatory_semantics_match_brute_force():

@@ -9,6 +9,7 @@ re-weighted paths of the rational arithmetic, fails here. A change that
 moves them on purpose must say why and re-pin.
 """
 
+import importlib
 import random
 from collections import defaultdict
 
@@ -20,7 +21,7 @@ from govsim.ledger import save_chain
 from govsim.report import ChainFold, export_report, report_json_bytes
 from govsim.risk import compute_risk_score
 from govsim.simctl import run_scenario, verify_run
-from tests.conftest import REFERENCE_SCENARIOS
+from tests.conftest import REFERENCE_SCENARIOS, REPO_ROOT
 from tests.test_incremental_state import _incident_open_scan
 
 PINNED_ROOT_HASHES = {
@@ -53,6 +54,15 @@ PINNED_INSPECT_DID_DIGESTS = {
         "did:govsim:3871bc867dbd036277284f10c4b5f347":
             "06541d151e6b8bb70b5e23a588bb31f60d1da04f6a21b102d3e51edb6778b974",
     },
+}
+
+# The benchmark's traffic: the root hash of each shape of
+# perfbench/workloads.py at seed 23, so a change that moves what the benchmark
+# measures fails here before it reaches a benchmark run.
+PINNED_WORKLOAD_ROOTS = {
+    "vote-storm": "a3054d05d88041848eb578e21ecc737692238583d6d2c780c75384f48e775d2a",
+    "audit-sweep": "7cc71125fcac361d16038c5c8a69c79972c443b8b0f833ffed5968df21e39749",
+    "sealed-replay": "613d6a51260270135e88acacd93d92c964d5d665f4e1e63833693d45fa79fe32",
 }
 
 SYNTHETIC_ROOT_HASH = "e82545f112583fa699d2fc4fdf20155dd35393d1720e56ee17f830af46810d08"
@@ -281,6 +291,15 @@ def test_weighted_world_pinned():
     assert result.root_hash == WEIGHTED_ROOT_HASH
     assert _report_digest(report) == WEIGHTED_REPORT_DIGEST
     _assert_fold_equals_live_governance(result)
+
+
+@pytest.mark.parametrize("shape", PINNED_WORKLOAD_ROOTS)
+def test_benchmark_workload_root_pinned(monkeypatch, shape):
+    # Imported from the benchmark's own directory, as the benchmark imports it.
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    assert tuple(PINNED_WORKLOAD_ROOTS) == workloads.SHAPES
+    assert run_scenario(workloads.synthetic(shape, 23)).root_hash == PINNED_WORKLOAD_ROOTS[shape]
 
 
 def test_every_pinned_payload_is_canonical(reference_results):

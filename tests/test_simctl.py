@@ -18,7 +18,7 @@ import govsim.ledger
 import govsim.report
 from govsim.cli import main as cli_main
 from govsim.errors import IoError, ScenarioError
-from govsim.ledger import EventKind, load_chain, save_chain
+from govsim.ledger import EventKind, Phase, load_chain, save_chain
 from govsim.report import (
     EVENT_SPECS,
     ChainFold,
@@ -36,6 +36,7 @@ from govsim.simctl import (
     verify_run,
 )
 from tests.conftest import REFERENCE_SCENARIOS, SCENARIO_DIR, scenario_path
+from tests.test_pinned_outputs import synthetic_scenario, weighted_scenario
 
 EMPTY_SCENARIO = {"seed": 3, "epochs": 10}
 
@@ -101,6 +102,23 @@ def test_phase_discipline_on_reference_runs(reference_results):
                    if event.body().get("phase") not in EVENT_SPECS[event.kind].phases]
         assert outside == [], name
         assert ChainFold(result.chain.blocks).phase_fault is None, name
+
+
+@pytest.mark.parametrize("world", [*REFERENCE_SCENARIOS, "synthetic", "weighted"])
+def test_phase_stamps_follow_the_epoch_order(reference_results, world):
+    """Within each epoch, phase stamps never fall in event-id order: the run
+    appends in the order of Phase, which verify's per-kind check does not see."""
+    worlds = {"synthetic": synthetic_scenario, "weighted": weighted_scenario}
+    result = reference_results.get(world) or run_scenario(worlds[world]())
+    events = [event for block in result.chain.blocks for event in block.events]
+    assert [event.event_id for event in events] == sorted(event.event_id for event in events)
+    latest: dict[int, int] = {}  # epoch -> the phase of its latest event so far
+    for event in events:
+        phase = event.body()["phase"]
+        assert phase >= latest.get(event.epoch, Phase.SETUP), (event.event_id, event.kind)
+        latest[event.epoch] = phase
+    # Many phases append, so the order is tested across them.
+    assert len({event.body()["phase"] for event in events}) >= 5
 
 
 def test_phase_map_covers_every_kind():
@@ -498,6 +516,10 @@ def _passing(kind: str, payload) -> dict:
     (_config(tier_thresholds={"unacceptable": "9/10", "high": "3/5", "limited": "3/10",
                               "limted": "1/4"}),
      "config.tier_thresholds"),
+    # A collusion penalty or agreement outside its range used to load: under
+    # a penalty of -1 a flagged member's FOR vote counted against the motion.
+    (_config(collusion_penalty="-1"), "config.collusion_penalty"),
+    (_config(collusion_agreement="0"), "config.collusion_agreement"),
 ])
 def test_scenario_errors_carry_field_paths(mutation, expected_path):
     base = json.loads(scenario_path("credit_scoring").read_text())
