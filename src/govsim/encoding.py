@@ -22,8 +22,9 @@ import struct
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .errors import EncodingError, IoError
 
@@ -33,6 +34,16 @@ ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 # The rational 1, built once: a Fraction is immutable, so one object serves
 # every default multiplier, factor and score that is exactly 1.
 ONE = Fraction(1)
+
+
+def sum_terms(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """The sum of n/d over ``terms``, (n, d) pairs with d > 0, built as one
+    Fraction: the numerators are summed per denominator on integers."""
+    sums: dict[int, int] = {}
+    for num, den in terms:
+        sums[den] = sums.get(den, 0) + num
+    common = lcm(*sums)
+    return Fraction(sum(num * (common // den) for den, num in sums.items()), common)
 
 
 def sha256(data: bytes) -> bytes:

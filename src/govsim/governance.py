@@ -1,9 +1,15 @@
 """DPoS stakeholder governance.
 
-All power arithmetic is exact (fractions.Fraction), so threshold decisions
-at boundaries like 2/3 are deterministic. Threshold comparisons are STRICT:
-a proposal at exactly the threshold fails. Election ties break by ascending
-stakeholder id. Zero-participation proposals are rejected.
+All power arithmetic is exact: each power is an integer numerator over a
+positive denominator, and sums and rankings scale the numerators to a common
+denominator, so threshold decisions at boundaries like 2/3 are
+deterministic. Threshold comparisons are STRICT: a proposal at exactly the
+threshold fails. Election ties break by ascending stakeholder id.
+Zero-participation proposals are rejected.
+
+``GovernanceState`` keeps each stakeholder's raw power and the cap in one
+table. Only the methods that change stake, weights or a penalty rebuild it,
+and tallies and elections read it.
 
 ``GovernanceState.apply`` is the one transition of proposals, votes and
 elections. It takes a PROPOSAL_SUBMITTED, VOTE_CAST, PROPOSAL_RESOLVED or
@@ -20,9 +26,9 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .encoding import ONE, as_fraction, json_value
+from .encoding import ONE, as_fraction, json_value, sum_terms
 from .errors import (
     AlreadyResolved,
     AlreadyVoted,
@@ -199,18 +205,8 @@ def raw_power(stakeholder: Stakeholder, weights: VoteWeights) -> Fraction:
     return Fraction(*_raw_power_terms(stakeholder, weights))
 
 
-def _sum_terms(terms: Mapping[int, int]) -> Fraction:
-    """The sum of n/d over ``terms`` ({d: summed n}), built as one Fraction."""
-    den = lcm(*terms)
-    return Fraction(sum(num * (den // d) for d, num in terms.items()), den)
-
-
 def total_raw_power(stakeholders: Sequence[Stakeholder], weights: VoteWeights) -> Fraction:
-    terms: dict[int, int] = {}
-    for stakeholder in stakeholders:
-        num, den = _raw_power_terms(stakeholder, weights)
-        terms[den] = terms.get(den, 0) + num
-    return _sum_terms(terms)
+    return sum_terms(_raw_power_terms(s, weights) for s in stakeholders)
 
 
 def effective_power(
@@ -222,26 +218,39 @@ def effective_power(
     return min(raw_power(stakeholder, weights), weights.cap_fraction * total_raw)
 
 
-def rank_delegates(
-    stakeholders: Sequence[Stakeholder], weights: VoteWeights, n_seats: int
-) -> list[str]:
-    """Top n_seats ids by effective power, ties by ascending id. Pure."""
+def _rank(power: Sequence[tuple[str, tuple[int, int]]], total: Fraction,
+          cap: tuple[int, int], n_seats: int) -> list[str]:
+    """Top n_seats ids by min(raw power, cap), ties by ascending id: each
+    (id, raw power terms) is ranked on its numerator scaled to one common
+    denominator."""
     if n_seats < 1:
         raise InvalidInput("n_seats must be positive")
-    total = total_raw_power(stakeholders, weights)
     if total <= 0:
         raise InsufficientCandidates("no stakeholder has positive power")
-    powered = [
-        (effective_power(s, weights, total), s.id)
-        for s in stakeholders
-    ]
-    eligible = [(p, sid) for p, sid in powered if p > 0]
+    cap_num, cap_den = cap
+    common = lcm(cap_den, *(den for _, (_, den) in power))
+    cap_key = cap_num * (common // cap_den)
+    eligible = []
+    for sid, (num, den) in power:
+        key = min(num * (common // den), cap_key)
+        if key > 0:
+            eligible.append((-key, sid))
     if len(eligible) < n_seats:
         raise InsufficientCandidates(
             f"{len(eligible)} eligible stakeholders < {n_seats} seats"
         )
-    eligible.sort(key=lambda t: (-t[0], t[1]))
+    eligible.sort()
     return [sid for _, sid in eligible[:n_seats]]
+
+
+def rank_delegates(
+    stakeholders: Sequence[Stakeholder], weights: VoteWeights, n_seats: int
+) -> list[str]:
+    """Top n_seats ids by effective power, ties by ascending id. Pure."""
+    power = [(s.id, _raw_power_terms(s, weights)) for s in stakeholders]
+    total = sum_terms(terms for _, terms in power)
+    cap = weights.cap_fraction * total
+    return _rank(power, total, (cap.numerator, cap.denominator), n_seats)
 
 
 def detect_collusion(
@@ -286,14 +295,43 @@ class GovernanceState(Store):
         self._staged_weights: Optional[VoteWeights] = None
         # Lexicographically ordered pair -> [shared proposals, identical votes].
         self.pair_votes: dict[tuple[str, str], list[int]] = {}
+        # The power table: each stakeholder's raw power terms, their total,
+        # and the cap on one voter's power as (numerator, denominator).
+        self._power: dict[str, tuple[int, int]] = {}
+        self._total = Fraction(0)
+        self._cap = (0, 1)
+
+    def _repower(self, ids: Iterable[str]) -> None:
+        """Recompute the raw power of ``ids``, then the total and the cap.
+
+        Stake, weights and penalties change only through the methods that
+        call this, so between calls the table is exact.
+        """
+        for sid in ids:
+            self._power[sid] = _raw_power_terms(self.stakeholders[sid], self.weights)
+        self._total = sum_terms(self._power.values())
+        cap = self.weights.cap_fraction * self._total
+        self._cap = (cap.numerator, cap.denominator)
 
     def add_stakeholder(self, stakeholder: Stakeholder) -> None:
         self.stakeholders[stakeholder.id] = stakeholder
+        self._repower((stakeholder.id,))
 
     def sync_stakes(self) -> None:
         """Mirror staked totals from the token ledger (single source of truth)."""
+        moved = []
         for stakeholder in self.stakeholders.values():
-            stakeholder.stake = self.tokens.staked_total(stakeholder.id)
+            stake = self.tokens.staked_total(stakeholder.id)
+            if stake != stakeholder.stake:
+                stakeholder.stake = stake
+                moved.append(stakeholder.id)
+        if moved:
+            self._repower(moved)
+
+    def powered_count(self) -> int:
+        """How many stakeholders hold positive raw power: the election's
+        candidates."""
+        return sum(1 for num, _ in self._power.values() if num > 0)
 
     # --- the transition ---
 
@@ -394,27 +432,23 @@ class GovernanceState(Store):
         proposal = self.proposals[proposal_id]
         if proposal.status != ProposalStatus.OPEN:
             raise AlreadyResolved(f"{proposal_id} already {proposal.status.value}")
-        # Each side sums integers as {denominator: numerator}.
-        sides: dict[VoteDirection, dict[int, int]] = {d: {} for d in VoteDirection}
+        # Each side's powers as (numerator, denominator) terms.
+        sides: dict[VoteDirection, list[tuple[int, int]]] = {d: [] for d in VoteDirection}
         if proposal.mode == VoteMode.QUADRATIC:
             for vote in proposal.votes.values():
-                terms = sides[vote.direction]
-                terms[1] = terms.get(1, 0) + vote.magnitude
-        elif proposal.votes:
-            # effective_power per voter, with the total and cap taken once.
-            # With no power at all every vote weighs 0 under a cap of 0, and
-            # the proposal is rejected at zero turnout.
-            total = total_raw_power(list(self.stakeholders.values()), self.weights)
-            cap = self.weights.cap_fraction * total
-            cap_num, cap_den = cap.numerator, cap.denominator
+                sides[vote.direction].append((vote.magnitude, 1))
+        else:
+            # effective_power per voter, read from the power table. With no
+            # power at all every vote weighs 0 under a cap of 0, and the
+            # proposal is rejected at zero turnout.
+            cap_num, cap_den = self._cap
             for voter_id, vote in proposal.votes.items():
-                num, den = _raw_power_terms(self.stakeholders[voter_id], self.weights)
+                num, den = self._power[voter_id]
                 if num * cap_den > cap_num * den:
                     num, den = cap_num, cap_den
-                terms = sides[vote.direction]
-                terms[den] = terms.get(den, 0) + num
-        power_for = _sum_terms(sides[VoteDirection.FOR])
-        power_against = _sum_terms(sides[VoteDirection.AGAINST])
+                sides[vote.direction].append((num, den))
+        power_for = sum_terms(sides[VoteDirection.FOR])
+        power_against = sum_terms(sides[VoteDirection.AGAINST])
         turnout = power_for + power_against
         threshold = self.weights.threshold(proposal.kind)
         if turnout == 0:
@@ -436,7 +470,7 @@ class GovernanceState(Store):
     # --- elections ---
 
     def run_election(self, n_seats: int, *, epoch: int = 0) -> list[str]:
-        elected = rank_delegates(list(self.stakeholders.values()), self.weights, n_seats)
+        elected = _rank(list(self._power.items()), self._total, self._cap, n_seats)
         self._record(
             EventKind.DELEGATE_ELECTED,
             {"delegates": elected, "n_seats": n_seats},
@@ -471,6 +505,7 @@ class GovernanceState(Store):
             return False
         self.weights = self._staged_weights
         self._staged_weights = None
+        self._repower(self.stakeholders)
         return True
 
     # --- collusion scrutiny ---
@@ -502,6 +537,8 @@ class GovernanceState(Store):
     def apply_collusion_penalty(self, stakeholder_id: str,
                                 penalty: Fraction = DEFAULT_COLLUSION_PENALTY) -> None:
         self.stakeholders[stakeholder_id].weight_penalty = penalty
+        self._repower((stakeholder_id,))
 
     def clear_collusion_penalty(self, stakeholder_id: str) -> None:
         self.stakeholders[stakeholder_id].weight_penalty = ONE
+        self._repower((stakeholder_id,))

@@ -296,13 +296,6 @@ class Chain:
     def candidate_events(self) -> tuple[GovernanceEvent, ...]:
         return tuple(self.pending[: self.capacity])
 
-    def candidate_hash(self) -> bytes:
-        if not self.pending:
-            raise NothingToSeal("no pending events")
-        return compute_block_hash(
-            len(self.blocks) + 1, self.head_hash, self.candidate_events()
-        )
-
     def _seal(self, candidate: tuple[GovernanceEvent, ...], block_hash: bytes,
               signatures: tuple[tuple[str, bytes], ...]) -> Block:
         """Append the block of a candidate that is already hashed and signed."""

@@ -78,8 +78,3 @@ class DeterministicStream:
         for _ in range(k):
             out.append(pool.pop(self.randbelow(len(pool))))
         return out
-
-    def shuffle(self, seq: list[T]) -> None:
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]

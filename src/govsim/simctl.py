@@ -23,7 +23,8 @@ from . import audit as audit_mod
 from . import compliance as compliance_mod
 from . import governance as governance_mod
 from . import risk as risk_mod
-from .encoding import as_fraction, canonical_json_bytes, json_value, read_json, sha256
+from .encoding import (
+    as_fraction, canonical_json_bytes, json_value, read_json, sha256, sum_terms)
 from .errors import (
     EncodingError,
     GovSimError,
@@ -960,22 +961,18 @@ class Simulator:
         """Every election_period epochs, and once at set-up (epoch 0)."""
         if epoch % self.config.election_period:
             return
-        eligible = [
-            s for s in self.governance.stakeholders.values()
-            if governance_mod.raw_power(s, self.governance.weights) > 0
-        ]
-        seats = min(self.config.n_seats, len(eligible))
+        seats = min(self.config.n_seats, self.governance.powered_count())
         if seats >= 1:
             self.governance.run_election(seats, epoch=epoch)
 
     def _phase_rewards(self, epoch: int) -> None:
-        factors: dict[str, Fraction] = {}
         owned: dict[str, list[Fraction]] = {}
         for did, assessment in self._latest_assessment.items():
             owner = self.registry.records[did].owner
             owned.setdefault(owner, []).append(assessment.aggregate_score)
-        for owner, scores in owned.items():
-            factors[owner] = sum(scores, Fraction(0)) / len(scores)
+        # Each owner's factor is the mean of its scores, summed on integers.
+        factors = {owner: sum_terms((s.numerator, s.denominator * len(scores)) for s in scores)
+                   for owner, scores in owned.items()}
         self.tokens.distribute_rewards(epoch, factors)
 
     def _phase_sealing(self, epoch: int) -> None:

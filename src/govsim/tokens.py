@@ -320,7 +320,8 @@ class TokenLedger(Store):
         scaled: list[tuple[str, int, int]] = []
         for holder in sorted(self.stakes):
             c = factors.get(holder, ONE)
-            if not 0 <= c <= 1:
+            # 0 <= c <= 1 on the terms; a Fraction's denominator is positive.
+            if not 0 <= c.numerator <= c.denominator:
                 raise InvalidInput(f"compliance factor out of [0,1] for {holder}")
             sd = sum(e.amount * e.elapsed(epoch) for e in self.stakes[holder])
             weight = sd * c.numerator

@@ -54,10 +54,17 @@ def make_event(event_id, kind=EventKind.HEARTBEAT, epoch=1, body=None, actor="si
                            payload=payload, actor=actor)
 
 
+def candidate_hash(chain):
+    """The hash that authorities sign to seal the chain's next block."""
+    if not chain.pending:
+        raise NothingToSeal("no pending events")
+    return compute_block_hash(len(chain.blocks) + 1, chain.head_hash, chain.candidate_events())
+
+
 def seal_pending(chain):
     blocks = []
     while chain.pending:
-        digest = chain.candidate_hash()
+        digest = candidate_hash(chain)
         sigs = [(aid, SCHEME.sign(priv, digest)) for aid, priv in PRIVATE.items()]
         blocks.append(chain.seal_block(sigs))
     return blocks
@@ -75,7 +82,7 @@ def build_sealed_chain(n_blocks, events_per_block=3, capacity=None):
                 body={"n": next_id, "r": rng.randint(0, 10 ** 6)},
                 actor=f"actor-{rng.randint(0, 4)}"))
             next_id += 1
-        digest = chain.candidate_hash()
+        digest = candidate_hash(chain)
         chain.seal_block([(aid, SCHEME.sign(priv, digest)) for aid, priv in PRIVATE.items()])
     return chain
 
@@ -142,7 +149,7 @@ def sigs_from(authority_ids, digest):
 def test_exact_quorum_seals():
     chain = make_chain(quorum=3)
     chain.append_event(make_event(1))
-    digest = chain.candidate_hash()
+    digest = candidate_hash(chain)
     block = chain.seal_block(sigs_from(["auth-1", "auth-2", "auth-3"], digest))
     assert block.height == 1
     assert block.prev_hash == ZERO_DIGEST
@@ -152,7 +159,7 @@ def test_exact_quorum_seals():
 def test_below_quorum_rejected():
     chain = make_chain(quorum=3)
     chain.append_event(make_event(1))
-    digest = chain.candidate_hash()
+    digest = candidate_hash(chain)
     with pytest.raises(QuorumNotMet):
         chain.seal_block(sigs_from(["auth-1", "auth-2"], digest))
 
@@ -162,7 +169,7 @@ def test_duplicate_signer_counts_once():
     # count: {auth-1, auth-2, auth-3}) which meets quorum 3.
     chain = make_chain(quorum=3)
     chain.append_event(make_event(1))
-    digest = chain.candidate_hash()
+    digest = candidate_hash(chain)
     sigs = sigs_from(["auth-1", "auth-2", "auth-3", "auth-1"], digest)
     assert len({aid for aid, _ in sigs}) == 3
     block = chain.seal_block(sigs)
@@ -172,7 +179,7 @@ def test_duplicate_signer_counts_once():
 def test_duplicate_signers_below_quorum_rejected():
     chain = make_chain(quorum=3)
     chain.append_event(make_event(1))
-    digest = chain.candidate_hash()
+    digest = candidate_hash(chain)
     with pytest.raises(QuorumNotMet):
         chain.seal_block(sigs_from(["auth-1", "auth-2", "auth-1", "auth-2"], digest))
 
@@ -180,7 +187,7 @@ def test_duplicate_signers_below_quorum_rejected():
 def test_unknown_signer_rejected():
     chain = make_chain(quorum=1)
     chain.append_event(make_event(1))
-    digest = chain.candidate_hash()
+    digest = candidate_hash(chain)
     ghost = SCHEME.generate(b"ghost")
     with pytest.raises(UnknownAuthority):
         chain.seal_block([("ghost", SCHEME.sign(ghost.private, digest))])
@@ -233,7 +240,7 @@ def test_seal_all_seals_what_seal_block_would(scheme_name):
     chain, private = keyed_chain(scheme_name)
     outside, _ = keyed_chain(scheme_name)
     while outside.pending:
-        digest = outside.candidate_hash()
+        digest = candidate_hash(outside)
         outside.seal_block([(aid, outside.scheme.sign(key, digest))
                             for aid, key in sorted(private.items())])
     sealed = chain.seal_all(private)

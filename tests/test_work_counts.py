@@ -1,0 +1,53 @@
+"""Work counts that must not grow with the number of operations: a guard for
+linear scaling that times nothing.
+
+Voting power changes only when a stake, the weights or a penalty changes, so
+a run computes each stakeholder's raw power once at set-up and again only in
+an epoch where one of those moved, however many tallies and elections it
+holds.
+"""
+
+import importlib
+
+from govsim import governance
+from govsim.ledger import EventKind
+from govsim.simctl import run_scenario
+from tests.conftest import REPO_ROOT
+
+
+def _power_epochs(result) -> set[int]:
+    """The epochs in which a stake, the weights or a penalty changed, read
+    from the chain: stakes move with STAKE_CHANGED and SLASH_APPLIED, staged
+    weights take effect at their ``effective_epoch``, and a collusion penalty
+    is set at its flag's epoch and lifted at its ``expiry_epoch``."""
+    epochs = set()
+    for block in result.chain.blocks:
+        for event in block.events:
+            if event.kind in (EventKind.STAKE_CHANGED, EventKind.SLASH_APPLIED):
+                epochs.add(event.epoch)
+            elif event.kind is EventKind.WEIGHTS_ADJUSTED:
+                epochs.add(event.body()["effective_epoch"])
+            elif event.kind is EventKind.COLLUSION_FLAGGED:
+                epochs.update((event.epoch, event.body()["expiry_epoch"]))
+    return epochs
+
+
+def test_raw_power_is_computed_per_change_not_per_tally(monkeypatch):
+    # Imported from the benchmark's own directory, as the benchmark imports it.
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    scenario = importlib.import_module("workloads").synthetic("vote-storm", 23)
+    calls = 0
+    raw_power_terms = governance._raw_power_terms
+
+    def counted(stakeholder, weights):
+        nonlocal calls
+        calls += 1
+        return raw_power_terms(stakeholder, weights)
+
+    monkeypatch.setattr(governance, "_raw_power_terms", counted)
+    result = run_scenario(scenario)
+    tallies = sum(1 for block in result.chain.blocks for event in block.events
+                  if event.kind is EventKind.PROPOSAL_RESOLVED)
+    assert tallies >= 1000  # the workload is the storm of votes it claims to be
+    bound = len(result.governance.stakeholders) * (1 + len(_power_epochs(result)))
+    assert calls <= bound
