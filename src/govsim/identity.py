@@ -9,6 +9,7 @@ would, so it can be swapped without touching the registry.
 ``DidRegistry.apply`` is the one record transition: every writer validates,
 builds the DID_REGISTERED or DID_UPDATED body, applies it and appends it, and
 the report fold applies the same bodies to a chain-less registry.
+``STATUS_RULES`` is the compliance-status lifecycle; ``move_status`` applies it.
 """
 
 from __future__ import annotations
@@ -88,6 +89,20 @@ OWNER_SCOPED: dict[Role, frozenset[Action]] = {
     Role.BANK: frozenset({Action.MODIFY}),
     Role.FINTECH: frozenset({Action.MODIFY}),
     Role.DEVELOPER: frozenset({Action.VIEW}),
+}
+
+# The compliance-status lifecycle: cause -> (the statuses it moves a system out
+# of, the status it sets, its actor). NONCOMPLIANT clears only on a passing audit
+# (any outcome but FAIL). Reclassified UNACCEPTABLE, any status is SUSPENDED in
+# the tier's own DID_UPDATED: that rule stays in DidRegistry._apply_tier.
+_COMPLIANT, _NONCOMPLIANT, _UNDER_REVIEW, _SUSPENDED = ComplianceStatus
+STATUS_RULES: dict[str, tuple[tuple[ComplianceStatus, ...], ComplianceStatus, str]] = {
+    "regulation-change": ((_COMPLIANT, _NONCOMPLIANT), _UNDER_REVIEW, "compliance-engine"),
+    "clean-assessment": ((_UNDER_REVIEW,), _COMPLIANT, "compliance-engine"),
+    "failed-audit": ((_COMPLIANT, _NONCOMPLIANT, _UNDER_REVIEW), _NONCOMPLIANT, "audit-engine"),
+    "passed-audit": ((_UNDER_REVIEW, _NONCOMPLIANT), _COMPLIANT, "audit-engine"),
+    "critical-incident": (tuple(ComplianceStatus), _SUSPENDED, "incident-response"),
+    "critical-resolved": ((_SUSPENDED,), _UNDER_REVIEW, "incident-response"),
 }
 
 
@@ -326,11 +341,17 @@ class DidRegistry(Store):
     def _apply_tier(self, record: AISystemRecord, new_tier: RiskTier,
                     actor: str, epoch: int) -> int:
         change: dict = {"risk_tier": new_tier.value}
-        if new_tier == RiskTier.UNACCEPTABLE:
+        if new_tier == RiskTier.UNACCEPTABLE:  # the one rule outside STATUS_RULES
             change["status"] = ComplianceStatus.SUSPENDED.value
         return self._update(record, change, actor, epoch)
 
+    def move_status(self, did: str, cause: str, *, epoch: int) -> None:
+        """Write the ``STATUS_RULES`` row of ``cause`` if it moves the record's status."""
+        sources, status, actor = STATUS_RULES[cause]
+        if self.get(did).compliance_status in sources:
+            self.system_set_status(did, status, epoch=epoch, actor=actor)
+
     def system_set_status(self, did: str, status: ComplianceStatus, *, epoch: int = 0,
                           actor: str = "compliance-engine") -> int:
-        """Automated status write (regulation re-checks, audit outcomes)."""
+        """Automated status write, unchecked: the run writes through ``move_status``."""
         return self._update(self.get(did), {"status": status.value}, actor, epoch)

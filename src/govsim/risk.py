@@ -23,7 +23,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 from .encoding import ONE, as_fraction
 from .errors import InsufficientHistory, InvalidInput, TerminalState
-from .identity import ComplianceStatus, DidRegistry, RiskTier
+from .identity import DidRegistry, RiskTier
 from .ledger import Chain, EventKind, Store
 
 
@@ -234,10 +234,7 @@ class IncidentLog(Store):
         incident = self._record(EventKind.INCIDENT_RAISED, body,
                                 actor="incident-response", epoch=epoch)
         if severity == Severity.CRITICAL and self.registry is not None:
-            self.registry.system_set_status(
-                system_did, ComplianceStatus.SUSPENDED,
-                epoch=epoch, actor="incident-response",
-            )
+            self.registry.move_status(system_did, "critical-incident", epoch=epoch)
         return incident
 
     def advance_incident(self, incident: Incident, *, epoch: int = 0) -> IncidentState:
@@ -248,15 +245,9 @@ class IncidentLog(Store):
         body = {"incident_id": incident.incident_id, "did": incident.system_did,
                 "state": INCIDENT_ORDER[position + 1].value}
         self._record(EventKind.INCIDENT_ADVANCED, body, actor="incident-response", epoch=epoch)
-        if (incident.state == IncidentState.RESOLVED
-                and incident.severity == Severity.CRITICAL
+        if (incident.state == IncidentState.RESOLVED and incident.severity == Severity.CRITICAL
                 and self.registry is not None):
-            record = self.registry.get(incident.system_did)
-            if record.compliance_status == ComplianceStatus.SUSPENDED:
-                self.registry.system_set_status(
-                    incident.system_did, ComplianceStatus.UNDER_REVIEW,
-                    epoch=epoch, actor="incident-response",
-                )
+            self.registry.move_status(incident.system_did, "critical-resolved", epoch=epoch)
         return incident.state
 
     def open_count(self, system_did: str) -> int:

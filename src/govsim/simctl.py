@@ -414,19 +414,23 @@ SCENARIO_OBJECTS: dict[str, _Keys] = {
 
 
 def _digest(raw: Mapping[str, Any]) -> str:
-    """The scenario digest. Only if the encoding fails is the document walked
-    (breadth first), to name the NaN or infinity at fault."""
+    """The scenario digest. Only if the encoding fails is the document walked (breadth
+    first), to name the non-string key, NaN, infinity or non-JSON value at fault."""
     try:
         return sha256(canonical_json_bytes(raw)).hex()
     except EncodingError as exc:
         todo = [(str(key), value) for key, value in raw.items()]
         for path, value in todo:  # extended while it is walked
-            if isinstance(value, float) and not math.isfinite(value):
-                _fail(path, "must be a finite number")
-            if isinstance(value, Mapping):
+            if isinstance(value, dict):
+                if bad := [key for key in value if not isinstance(key, str)]:
+                    _fail(path, f"object key {bad[0]!r} is not a string")
                 todo += [(f"{path}.{key}", item) for key, item in value.items()]
             elif isinstance(value, (list, tuple)):
                 todo += [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+            elif isinstance(value, float) and not math.isfinite(value):
+                _fail(path, "must be a finite number")
+            elif value is not None and not isinstance(value, (str, int, float)):
+                _fail(path, f"a {type(value).__name__} is not a JSON value")
         raise ScenarioError(f"scenario: {exc}") from None
 
 
@@ -793,12 +797,7 @@ class Simulator:
             regulation_changed |= self.oracles.ingest(feed)
         if regulation_changed:
             for did in sorted(self.registry.records):
-                record = self.registry.records[did]
-                if record.compliance_status in (
-                        ComplianceStatus.COMPLIANT, ComplianceStatus.NONCOMPLIANT):
-                    self.registry.system_set_status(
-                        did, ComplianceStatus.UNDER_REVIEW,
-                        epoch=epoch, actor="compliance-engine")
+                self.registry.move_status(did, "regulation-change", epoch=epoch)
 
         for system, severity in scenario.incidents.get(epoch, ()):
             self.incidents.raise_incident(self._system_ids[system], severity, epoch=epoch)
@@ -834,12 +833,8 @@ class Simulator:
                 self.config.ewma_alpha)
             if not assessment.compliant:
                 self._add_trigger(did, "mitigation")
-            elif record.compliance_status == ComplianceStatus.UNDER_REVIEW:
-                # A clean conformity assessment clears the review state;
-                # NONCOMPLIANT needs a passing audit, not just a self-check.
-                self.registry.system_set_status(
-                    did, ComplianceStatus.COMPLIANT,
-                    epoch=epoch, actor="compliance-engine")
+            else:
+                self.registry.move_status(did, "clean-assessment", epoch=epoch)
 
     def _phase_risk(self, epoch: int) -> None:
         for incident in list(self.incidents.active.values()):
@@ -886,21 +881,14 @@ class Simulator:
         failed_now: dict[str, bool] = {}
         for record in self._audit_records:
             did = record.system_did
-            owner = self.registry.records[did].owner
             if record.outcome == audit_mod.AuditOutcome.FAIL:
                 reason = (SlashReason.COLLUSION_CONFIRMED
                           if record.trigger == "collusion" else SlashReason.AUDIT_FAIL)
-                self.tokens.slash(owner, reason, epoch=epoch)
-                if (self.registry.records[did].compliance_status
-                        != ComplianceStatus.SUSPENDED):
-                    self.registry.system_set_status(
-                        did, ComplianceStatus.NONCOMPLIANT,
-                        epoch=epoch, actor="audit-engine")
+                self.tokens.slash(self.registry.records[did].owner, reason, epoch=epoch)
+                self.registry.move_status(did, "failed-audit", epoch=epoch)
                 failed_now[did] = True
-            elif self.registry.records[did].compliance_status in (
-                    ComplianceStatus.UNDER_REVIEW, ComplianceStatus.NONCOMPLIANT):
-                self.registry.system_set_status(
-                    did, ComplianceStatus.COMPLIANT, epoch=epoch, actor="audit-engine")
+            else:
+                self.registry.move_status(did, "passed-audit", epoch=epoch)
         self.governance.sync_stakes()
         self._audit_failed_prev = failed_now
 

@@ -126,6 +126,16 @@ def test_predicate_combinators():
     assert not evaluate_predicate(tree, {"a": 0, "b": 0.1, "c": False})
 
 
+@pytest.mark.parametrize("op,below,equal,above", [
+    (">=", False, True, True), ("<=", True, True, False), (">", False, False, True),
+    ("<", True, False, False), ("==", False, True, False), ("!=", True, False, True),
+])
+def test_every_comparison_operator(op, below, equal, above):
+    tree = {"op": op, "metric": "m", "value": 2}
+    validate_predicate(tree, ["m"])
+    assert [evaluate_predicate(tree, {"m": m}) for m in (1, 2, 3)] == [below, equal, above]
+
+
 # --- evaluation ---
 
 def test_high_tier_system_passes_at_009():

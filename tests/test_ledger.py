@@ -322,6 +322,27 @@ def test_zeroed_prev_hash_detected_at_height_7():
     assert result.reason == "broken prev_hash linkage"
 
 
+def test_missing_block_detected_as_height_mismatch():
+    chain = build_sealed_chain(5)
+    blocks = [block for block in chain.blocks if block.height != 3]
+    assert verify_chain(blocks, AUTHORITIES, chain.quorum) == ChainVerification(
+        False, 3, "height mismatch")
+
+
+def test_skipped_event_id_detected_in_a_resealed_block():
+    chain = build_sealed_chain(5)
+    last = chain.blocks[-1]
+    # The last block's events renumbered one past where they belong, then
+    # hashed and signed again: every check before the event ids passes.
+    events = tuple(dataclasses.replace(event, event_id=event.event_id + 1)
+                   for event in last.events)
+    digest = compute_block_hash(last.height, last.prev_hash, events)
+    blocks = [*chain.blocks[:-1], dataclasses.replace(
+        last, events=events, block_hash=digest, sealer_signatures=sigs_from(PRIVATE, digest))]
+    assert verify_chain(blocks, AUTHORITIES, chain.quorum) == ChainVerification(
+        False, 5, "event id discontinuity")
+
+
 def test_dropped_signatures_detected_as_quorum_failure():
     chain = build_sealed_chain(5)
     stripped = dataclasses.replace(chain.blocks[3], sealer_signatures=())
@@ -634,6 +655,13 @@ OVERSHOOT_INTO_NEXT_BLOCK = _add_to_u32(
     SMALL, _SECOND_EVENT_AT,
     _BLOCK_END + 10 - (_SECOND_EVENT_AT + 4) - struct.unpack_from("<I", SMALL, _SECOND_EVENT_AT)[0])
 
+# Block 1's frame ends two bytes into its first event's length prefix.
+CUT_IN_EVENT_PREFIX = _add_to_u32(SMALL, _BLOCK_AT, _EVENT_AT + 2 - _BLOCK_END)
+# Two bytes after block 1's hash, its length prefix grown to match.
+TRAILING_IN_BLOCK = [("insert", _BLOCK_END, b"\x00\x01"), *_add_to_u32(SMALL, _BLOCK_AT, 2)]
+# The format version byte, after the 16-byte magic, set to 3.
+VERSION_3 = [("flip", 16, SMALL[16] ^ 3)]
+
 # Half the positions fall in the frames, past the magic and header JSON.
 _AT = st.one_of(st.integers(0, len(SMALL)), st.integers(_block_count_at(SMALL), len(SMALL)))
 _MUTATION = st.one_of(
@@ -676,7 +704,11 @@ def test_load_chain_is_total_and_exact_over_mutated_bytes(mutations):
     (BAD_UTF8_KIND, "invalid UTF-8"),
     (TRAILING_IN_FRAME, "trailing bytes inside event frame"),
     (OVERSHOOT_INTO_NEXT_BLOCK, "truncated input"),
-], ids=["bad-utf8-kind", "trailing-in-frame", "overshoot-into-next-block"])
+    (CUT_IN_EVENT_PREFIX, "truncated input: wanted 4 bytes, got 2"),
+    (TRAILING_IN_BLOCK, "trailing bytes inside block frame"),
+    (VERSION_3, "unsupported chain format version 3"),
+], ids=["bad-utf8-kind", "trailing-in-frame", "overshoot-into-next-block",
+        "cut-in-event-prefix", "trailing-in-block", "version-3"])
 def test_small_chain_reproductions_rejected(mutations, message):
     assert _loaded(SMALL).head_hash == _small_chain().head_hash
     with pytest.raises(IoError, match=message):

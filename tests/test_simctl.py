@@ -251,6 +251,20 @@ def _first_holder(**fields) -> dict:
     return _first_entry("stakeholders", **fields)
 
 
+def _section(section: str) -> list:
+    return json.loads(scenario_path("credit_scoring").read_text())[section]
+
+
+def _appended(section: str, entry) -> dict:
+    """A scenario mutation: a section with ``entry`` after its entries."""
+    return {section: [*_section(section), entry]}
+
+
+def _extra_rule(**fields) -> dict:
+    """A scenario mutation: a fifth rule, the first under a new id with these fields changed."""
+    return _appended("rules", {**_section("rules")[0], "rule_id": "extra", **fields})
+
+
 def _first_rule(**fields) -> dict:
     return _first_entry("rules", **fields)
 
@@ -520,12 +534,53 @@ def _passing(kind: str, payload) -> dict:
     # a penalty of -1 a flagged member's FOR vote counted against the motion.
     (_config(collusion_penalty="-1"), "config.collusion_penalty"),
     (_config(collusion_agreement="0"), "config.collusion_agreement"),
+    # A key that is not a string, or a value of no JSON type, in a free-form
+    # value used to be refused without a field path.
+    (_first_system(metadata={1: "x"}), "ai_systems[0].metadata"),
+    (_passing("ROUTINE", {2: "y"}), "injected_events[0].proposal.payload"),
+    (_first_system(metadata={"a": {1, 2}}), "ai_systems[0].metadata.a"),
+    # Each refusal below was reached by no other test.
+    ({"authorities": []}, "authorities"),
+    (_appended("stakeholders", _section("stakeholders")[1]), "stakeholders[5].id"),
+    (_first_holder(auditor=_section("stakeholders")[_AUDITOR]["auditor"]),
+     "stakeholders[0].auditor"),
+    (_auditor(body="nobody"), f"stakeholders[{_AUDITOR}].auditor.body"),
+    (_appended("ai_systems", _section("ai_systems")[0]), "ai_systems[1].id"),
+    (_first_system(risk_tier="UNACCEPTABLE"), "ai_systems[0].risk_tier"),
+    ({"oracle_feeds": [{"feed_id": "f", "signer": "nobody", "epoch": 1, "values": {}}]},
+     "oracle_feeds[0].signer"),
+    ({"oracle_feeds": [{"feed_id": "f", "signer": "ecb-feed", "epoch": 99, "values": {}}]},
+     "oracle_feeds[0].epoch"),
+    (_appended("injected_events", {"epoch": 1, "kind": "INCIDENT", "system": "nowhere",
+                                   "severity": "LOW"}), "injected_events[1].system"),
+    *[(_extra_rule(predicate=predicate), "rules[4].predicate") for predicate in [
+        {"op": "and", "args": []},
+        {"op": "not"},
+        {"op": ">=", "value": 1},
+        {"op": ">=", "metric": "capital_ratio"},
+        {"op": ">=", "metric": "capital_ratio", "value": "high"},
+        {"op": "xor", "args": [{"op": ">=", "metric": "capital_ratio", "value": 1}]},
+    ]],
+    # A metric that a rule orders only under a combinator must be a number too.
+    *[({**_first_metrics(leverage="high"), **_extra_rule(metrics=["leverage"], predicate=tree)},
+       "ai_systems[0].base_metrics.leverage") for tree in [
+        {"op": "and", "args": [{"op": "<=", "metric": "leverage", "value": 10}]},
+        {"op": "or", "args": [{"op": "==", "metric": "leverage", "value": 1},
+                              {"op": "<", "metric": "leverage", "value": 10}]},
+        {"op": "not", "arg": {"op": ">", "metric": "leverage", "value": 10}},
+    ]],
 ])
 def test_scenario_errors_carry_field_paths(mutation, expected_path):
     base = json.loads(scenario_path("credit_scoring").read_text())
     base.update(mutation)
     with pytest.raises(ScenarioError, match="^" + re.escape(expected_path) + ":"):
         load_scenario(base)
+
+
+def test_an_unreadable_scenario_path_is_a_scenario_error(tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(ScenarioError):
+            load_scenario(path)
 
 
 def test_a_linear_vote_with_no_stake_anywhere_is_rejected_at_zero_turnout(tmp_path):
