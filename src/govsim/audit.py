@@ -1,9 +1,10 @@
 """Auditor accreditation, risk-tiered scheduling, commitment-checked audits.
 
-A system is due at epoch e when e is a multiple of its tier's interval
-(HIGH every 2 epochs, LIMITED 8, MINIMAL 32) or when it carries a pending
-trigger (failed assessment, forecast flag, collusion scrutiny). Auditors
-see the disclosed metric vector; the ledger sees only the commitment.
+A system is due at epoch e when it carries a pending trigger or when e is a
+multiple of its tier's interval (HIGH every 2 epochs, LIMITED 8, MINIMAL
+32). ``AuditTrigger`` is the one statement of the triggers, their priority
+and the slash that a failed audit under each takes. Auditors see the
+disclosed metric vector; the ledger sees only the commitment.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
 from .identity import AISystemRecord, ComplianceStatus, RiskTier
 from .ledger import Chain, EventKind
 from .rng import DeterministicStream
+from .tokens import SlashReason
 
 DEFAULT_AUDIT_INTERVALS: dict[RiskTier, int] = {
     RiskTier.HIGH: 2,
@@ -36,6 +38,25 @@ class AuditOutcome(str, Enum):
     PASS = "PASS"
     FAIL = "FAIL"
     INCONCLUSIVE = "INCONCLUSIVE"
+
+
+class AuditTrigger(str, Enum):
+    """Why a system is audited, in priority order: of the triggers pending for
+    a system in an epoch, the first declared is the one audited. Each member
+    carries the slash reason that a FAIL audit under it takes."""
+
+    slash_reason: SlashReason
+
+    def __new__(cls, value: str, slash_reason: SlashReason) -> AuditTrigger:
+        member = str.__new__(cls, value)
+        member._value_, member.slash_reason = value, slash_reason
+        return member
+
+    COLLUSION = "collusion", SlashReason.COLLUSION_CONFIRMED  # governance: a flagged pair
+    MITIGATION = "mitigation", SlashReason.AUDIT_FAIL  # compliance: a failed assessment
+    VIOLATION = "violation", SlashReason.AUDIT_FAIL  # ingest: an injected violation
+    FORECAST = "forecast", SlashReason.AUDIT_FAIL  # risk: a forecast below the floor
+    CADENCE = "cadence", SlashReason.AUDIT_FAIL  # audit: the tier's interval, nothing pending
 
 
 @dataclass(frozen=True)
@@ -59,7 +80,7 @@ class AuditRecord:
     findings: dict[str, bool]
     outcome: AuditOutcome
     evidence_commitment: bytes
-    trigger: str
+    trigger: AuditTrigger
 
     def to_body(self) -> dict:
         return {
@@ -77,7 +98,7 @@ class AuditRecord:
 class AuditAssignment:
     system_did: str
     auditor_id: str
-    trigger: str  # "cadence" | "mitigation" | "forecast" | "collusion"
+    trigger: AuditTrigger
 
 
 class AuditRegistry:
@@ -165,17 +186,11 @@ class AuditRegistry:
         """
         triggers = dict(triggers or {})
         stream = stream or DeterministicStream(0, "audit")
-        queue: list[tuple[str, str]] = []
-        for did in sorted(triggers):
-            system = systems.get(did)
-            if system is not None and system.compliance_status != ComplianceStatus.SUSPENDED:
-                queue.append((did, triggers[did]))
-        for did in sorted(systems):
-            system = systems[did]
-            if system.compliance_status == ComplianceStatus.SUSPENDED:
-                continue
-            if did not in triggers and self.due_by_cadence(system, epoch):
-                queue.append((did, "cadence"))
+        active = {did for did, system in systems.items()
+                  if system.compliance_status != ComplianceStatus.SUSPENDED}
+        queue = [(did, triggers[did]) for did in sorted(triggers) if did in active]
+        queue += [(did, AuditTrigger.CADENCE) for did in sorted(active - triggers.keys())
+                  if self.due_by_cadence(systems[did], epoch)]
         if not queue:
             return []
 
@@ -213,7 +228,7 @@ class AuditRegistry:
         commitment: bytes,
         *,
         epoch: int,
-        trigger: str = "cadence",
+        trigger: AuditTrigger = AuditTrigger.CADENCE,
     ) -> AuditRecord:
         """Verify the disclosure against the commitment, then re-run the rules.
 
@@ -229,30 +244,20 @@ class AuditRegistry:
         self._audit_seq += 1
         audit_id = f"audit-{self._audit_seq:06d}"
 
-        if metrics_commitment(metrics, salt) != commitment:
-            record = AuditRecord(
-                audit_id=audit_id, system_did=system.did, auditor_id=auditor_id,
-                epoch=epoch, findings={}, outcome=AuditOutcome.INCONCLUSIVE,
-                evidence_commitment=commitment, trigger=trigger,
-            )
-            self._keep(record)
-            raise EvidenceForged(
-                f"disclosure for {system.did} does not match commitment "
-                f"(audit {audit_id} recorded INCONCLUSIVE)"
-            )
-
-        findings, _score, compliant = evaluate_rules(system.risk_tier, metrics, self.rules)
+        # A disclosure that does not match the commitment is not assessed.
+        forged = metrics_commitment(metrics, salt) != commitment
+        findings, outcome = {}, AuditOutcome.INCONCLUSIVE
+        if not forged:
+            findings, _score, compliant = evaluate_rules(system.risk_tier, metrics, self.rules)
+            outcome = AuditOutcome.PASS if compliant else AuditOutcome.FAIL
         record = AuditRecord(
-            audit_id=audit_id, system_did=system.did, auditor_id=auditor_id,
-            epoch=epoch, findings=findings,
-            outcome=AuditOutcome.PASS if compliant else AuditOutcome.FAIL,
-            evidence_commitment=commitment, trigger=trigger,
-        )
-        self._keep(record)
-        return record
-
-    def _keep(self, record: AuditRecord) -> None:
+            audit_id=audit_id, system_did=system.did, auditor_id=auditor_id, epoch=epoch,
+            findings=findings, outcome=outcome, evidence_commitment=commitment, trigger=trigger)
         self.records.append(record)
         if self.chain is not None:
             self.chain.append(EventKind.AUDIT_RECORDED, record.to_body(),
-                              actor=record.auditor_id, epoch=record.epoch)
+                              actor=auditor_id, epoch=epoch)
+        if forged:
+            raise EvidenceForged(f"disclosure for {system.did} does not match commitment "
+                                 f"(audit {audit_id} recorded INCONCLUSIVE)")
+        return record

@@ -17,9 +17,8 @@ from .encoding import read_bytes, read_json, write_bytes
 from .errors import GovSimError, IoError, ScenarioError
 from .interop import LegacyMapping, convert_legacy
 from .ledger import load_chain, save_chain
-from .report import (build_report, export_report, first_difference, load_report,
-                     report_json_bytes, verified_fold)
-from .simctl import run_scenario, verify_run
+from .report import export_report, first_difference, report_json_bytes, verified_fold
+from .simctl import fold_run, run_scenario
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -47,16 +46,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    verification, report_matches = verify_run(args.chain, args.report)
+    verification, fold, stored = fold_run(args.chain, args.report)
     if not verification.ok:
         print(f"FAIL at height {verification.failed_height}: {verification.reason}")
         return 1
-    if report_matches is False:
-        stored = load_report(args.report or Path(args.chain).parent / "report.json")
-        at = first_difference(stored, build_report(load_chain(args.chain).blocks))
+    if stored is not None and (at := first_difference(stored, fold.report())):
         print(f"FAIL: report does not match the chain fold at {at}")
         return 1
-    extra = "" if report_matches is None else " (report consistent)"
+    extra = "" if stored is None else " (report consistent)"
     print(f"OK{extra}")
     return 0
 

@@ -35,7 +35,7 @@ from itertools import accumulate, zip_longest
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .audit import AuditOutcome
+from .audit import AuditOutcome, AuditTrigger
 from .encoding import from_canonical_json, read_json, unit_fraction, write_bytes
 from .errors import EventInvalid, GovSimError, InvalidInput, UnsupportedFormat
 from .governance import GovernanceState, ProposalKind, ProposalStatus, VoteDirection, VoteMode
@@ -84,7 +84,7 @@ class ReportTally:
             tier: {"assessments": total, "compliant": passed, "rate": str(Fraction(passed, total))}
             for tier, (total, passed) in sorted(by_tier.items())}
 
-        audit_outcomes = {"PASS": 0, "FAIL": 0, "INCONCLUSIVE": 0}
+        audit_outcomes = {outcome.value: 0 for outcome in AuditOutcome}
         audits_by_trigger: dict[str, int] = defaultdict(int)
         for outcome, trigger in audits:
             audit_outcomes[outcome] += 1
@@ -191,10 +191,9 @@ class ChainFold(ReportTally):
         }
 
     def _audit(self, body: dict, epoch: int) -> None:
-        audit = {"epoch": epoch, **body}
-        self.audits.append(audit)
-        if audit["outcome"] in ("FAIL", "INCONCLUSIVE"):
-            self._failed_audits.add((audit["did"], audit["epoch"]))
+        self.audits.append({**body, "epoch": epoch})
+        if body["outcome"] in ("FAIL", "INCONCLUSIVE"):
+            self._failed_audits.add((body["did"], epoch))
 
     # --- derived views ---
 
@@ -333,11 +332,11 @@ def _spec(phases, store=None, fold=None, fields=None) -> EventSpec:
 
 
 def _logged(name: str) -> Callable[[ReportTally, dict, int], None]:
-    return lambda fold, body, epoch: getattr(fold, name).append({"epoch": epoch, **body})
+    return lambda fold, body, epoch: getattr(fold, name).append({**body, "epoch": epoch})
 
 
 def _did_history(fold: ChainFold, body: dict, epoch: int) -> None:
-    fold.did_events[body["did"]].append({"epoch": epoch, **body})
+    fold.did_events[body["did"]].append({**body, "epoch": epoch})
 
 
 # The phases in which a system's record is written during an epoch.
@@ -366,7 +365,7 @@ EVENT_SPECS: dict[EventKind, EventSpec] = {
     EventKind.ASSESSMENT_RECORDED: _spec({Phase.COMPLIANCE}, None, ChainFold._assessment, {
         "did": str, "score": str, "tier": RiskTier, "compliant": bool}),
     EventKind.AUDIT_RECORDED: _spec({Phase.AUDIT}, None, ChainFold._audit, {
-        "did": str, "outcome": AuditOutcome, "trigger": str, "epoch?": int}),
+        "did": str, "outcome": AuditOutcome, "trigger": AuditTrigger, "epoch?": int}),
     EventKind.AUDITOR_ACCREDITED: _spec({Phase.SETUP}),
     EventKind.TOKENS_TRANSFERRED: _spec(
         {Phase.SETUP, Phase.GOVERNANCE, Phase.REWARDS}, "tokens", ChainFold._genesis,

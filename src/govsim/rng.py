@@ -56,19 +56,6 @@ class DeterministicStream:
             if v < limit:
                 return v % n
 
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] inclusive."""
-        return lo + self.randbelow(hi - lo + 1)
-
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 bits of precision."""
-        return (self.u64() >> 11) / float(1 << 53)
-
-    def choice(self, seq: Sequence[T]) -> T:
-        if not seq:
-            raise ValueError("empty sequence")
-        return seq[self.randbelow(len(seq))]
-
     def sample(self, seq: Sequence[T], k: int) -> list[T]:
         """k distinct elements, order determined by the stream."""
         if k > len(seq):

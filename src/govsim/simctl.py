@@ -62,9 +62,6 @@ _ROLES, _TIERS, _SEVERITIES, _DOMAINS, _PROPOSAL_KINDS, _VOTE_MODES, _VOTE_DIREC
         Role, RiskTier, risk_mod.Severity, compliance_mod.RuleDomain, governance_mod.ProposalKind,
         governance_mod.VoteMode, governance_mod.VoteDirection))
 
-# Priority order when one system accrues several audit triggers in an epoch.
-_TRIGGER_PRIORITY = ["collusion", "mitigation", "violation", "forecast"]
-
 
 def _fail(path: str, message: str) -> None:
     raise ScenarioError(f"{path}: {message}")
@@ -419,8 +416,11 @@ def _digest(raw: Mapping[str, Any]) -> str:
     try:
         return sha256(canonical_json_bytes(raw)).hex()
     except EncodingError as exc:
-        todo = [(str(key), value) for key, value in raw.items()]
-        for path, value in todo:  # extended while it is walked
+        todo, walked = [(str(key), value) for key, value in raw.items()], set()
+        for path, value in todo:  # extended while it is walked, each object once
+            if id(value) in walked:
+                continue  # checked already: a shared or circular value
+            walked.add(id(value))
             if isinstance(value, dict):
                 if bad := [key for key in value if not isinstance(key, str)]:
                     _fail(path, f"object key {bad[0]!r} is not a string")
@@ -766,7 +766,7 @@ class Simulator:
         self._overrides: dict[str, dict] = {}
         self._audit_records: list[audit_mod.AuditRecord] = []
         # Audit triggers since the last audit phase, which consumes them.
-        self._pending_triggers: dict[str, set[str]] = {}
+        self._pending_triggers: dict[str, set[audit_mod.AuditTrigger]] = {}
         self._collusion_expiry: dict[str, int] = {}
         self._flagged_pairs: set[tuple[str, str]] = set()
         self._salt_stream = self._stream("assessment-salt")
@@ -775,8 +775,8 @@ class Simulator:
 
     # --- phase bodies: one per member of Phase after SETUP, in its order ---
 
-    def _add_trigger(self, did: str, reason: str) -> None:
-        self._pending_triggers.setdefault(did, set()).add(reason)
+    def _add_trigger(self, did: str, trigger: audit_mod.AuditTrigger) -> None:
+        self._pending_triggers.setdefault(did, set()).add(trigger)
 
     def _phase_ingest(self, epoch: int) -> None:
         """Heartbeat, oracle feeds, injected events; keeps the metric overrides."""
@@ -806,7 +806,7 @@ class Simulator:
         for system, metrics in scenario.violations.get(epoch, ()):
             did = self._system_ids[system]
             self._overrides.setdefault(did, {}).update(metrics)
-            self._add_trigger(did, "violation")
+            self._add_trigger(did, audit_mod.AuditTrigger.VIOLATION)
 
     def _active_systems(self) -> list[str]:
         return [did for did in sorted(self.registry.records)
@@ -832,7 +832,7 @@ class Simulator:
                 self._forecast.get(did), assessment.aggregate_score,
                 self.config.ewma_alpha)
             if not assessment.compliant:
-                self._add_trigger(did, "mitigation")
+                self._add_trigger(did, audit_mod.AuditTrigger.MITIGATION)
             else:
                 self.registry.move_status(did, "clean-assessment", epoch=epoch)
 
@@ -852,11 +852,12 @@ class Simulator:
                 exposure=self.registry.records[did].exposure,
             )
             if self._forecast[did] < self.config.forecast_floor:
-                self._add_trigger(did, "forecast")
+                self._add_trigger(did, audit_mod.AuditTrigger.FORECAST)
 
     def _phase_audit(self, epoch: int) -> None:
-        triggers = {did: min(reasons, key=_TRIGGER_PRIORITY.index)
-                    for did, reasons in self._pending_triggers.items()}
+        # Each system is audited under the first of its triggers in declaration order.
+        triggers = {did: next(t for t in audit_mod.AuditTrigger if t in pending)
+                    for did, pending in self._pending_triggers.items()}
         self._pending_triggers = {}
 
         assignments = self.audits.schedule_audits(
@@ -882,9 +883,8 @@ class Simulator:
         for record in self._audit_records:
             did = record.system_did
             if record.outcome == audit_mod.AuditOutcome.FAIL:
-                reason = (SlashReason.COLLUSION_CONFIRMED
-                          if record.trigger == "collusion" else SlashReason.AUDIT_FAIL)
-                self.tokens.slash(self.registry.records[did].owner, reason, epoch=epoch)
+                self.tokens.slash(self.registry.records[did].owner,
+                                  record.trigger.slash_reason, epoch=epoch)
                 self.registry.move_status(did, "failed-audit", epoch=epoch)
                 failed_now[did] = True
             else:
@@ -943,7 +943,7 @@ class Simulator:
                 self._collusion_expiry[member] = epoch + 1
                 for did, spec in sorted(self._system_specs.items()):
                     if spec.owner == member:
-                        self._add_trigger(did, "collusion")
+                        self._add_trigger(did, audit_mod.AuditTrigger.COLLUSION)
 
     def _phase_elections(self, epoch: int) -> None:
         """Every election_period epochs, and once at set-up (epoch 0)."""
@@ -987,7 +987,8 @@ class Simulator:
         # The report from the live stores; verify_run proves it equals the fold.
         report = tally_events(self.chain.blocks).layout(
             self.scenario.epochs, [(a.tier.value, a.compliant) for a in self.assessment_log],
-            [(record.outcome.value, record.trigger) for record in self.audits.records], self.tokens,
+            [(record.outcome.value, record.trigger.value) for record in self.audits.records],
+            self.tokens,
             {did: [[epoch, str(score)] for epoch, score, _ in profile.history]
              for did, profile in self.risk.profiles.items()},
             self.incidents.incidents, self.governance.proposals)
@@ -1007,6 +1008,17 @@ def run_scenario(
     return Simulator(scenario, seed=seed).run()
 
 
+def fold_run(chain_path: str | Path, report_path: Optional[str | Path] = None):
+    """(verification, fold, stored report) of a chain file: its ``verified_fold``, and the
+    report at ``report_path``, else beside the chain; None if the chain fails or there is none."""
+    verification, fold = verified_fold(load_chain(chain_path))
+    if report_path is None:
+        sibling = Path(chain_path).parent / "report.json"
+        report_path = sibling if sibling.exists() else None
+    stored = load_report(report_path) if report_path is not None and fold is not None else None
+    return verification, fold, stored
+
+
 def verify_run(chain_path: str | Path, report_path: Optional[str | Path] = None):
     """Chain integrity, every body and phase stamp against its kind's
     declaration, and report/chain consistency, all from one fold.
@@ -1014,11 +1026,5 @@ def verify_run(chain_path: str | Path, report_path: Optional[str | Path] = None)
     Returns (verification, report_matches) where report_matches is None when
     the chain fails or no report was supplied or found next to the chain file.
     """
-    verification, fold = verified_fold(load_chain(chain_path))
-    report_matches: Optional[bool] = None
-    if report_path is None:
-        sibling = Path(chain_path).parent / "report.json"
-        report_path = sibling if sibling.exists() else None
-    if report_path is not None and fold is not None:
-        report_matches = load_report(report_path) == fold.report()
-    return verification, report_matches
+    verification, fold, stored = fold_run(chain_path, report_path)
+    return verification, None if stored is None else stored == fold.report()

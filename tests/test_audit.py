@@ -7,6 +7,7 @@ import pytest
 from govsim.audit import (
     AuditOutcome,
     AuditRegistry,
+    AuditTrigger,
     DEFAULT_AUDIT_INTERVALS,
     AuditorCertification,
 )
@@ -25,7 +26,11 @@ from govsim.errors import (
     UnknownAccreditor,
 )
 from govsim.identity import AISystemRecord, ComplianceStatus, RiskTier
+from govsim.ledger import EventKind
 from govsim.rng import DeterministicStream
+from govsim.simctl import run_scenario
+from govsim.tokens import SlashReason
+from tests.conftest import scenario_path
 
 ALL_DOMAINS = list(RuleDomain)
 
@@ -307,3 +312,41 @@ def test_audit_record_body_contains_commitment_not_metrics():
     body = json.dumps(record.to_body())
     assert "0.123456" not in body
     assert commitment.hex() in body
+
+
+def test_the_trigger_table_states_priority_and_slash_reason():
+    # The values are the chain's trigger strings; the order is the priority.
+    assert [(t.value, t.slash_reason) for t in AuditTrigger] == [
+        ("collusion", SlashReason.COLLUSION_CONFIRMED),
+        ("mitigation", SlashReason.AUDIT_FAIL),
+        ("violation", SlashReason.AUDIT_FAIL),
+        ("forecast", SlashReason.AUDIT_FAIL),
+        ("cadence", SlashReason.AUDIT_FAIL),
+    ]
+    audits = registry_with_auditors()
+    systems = {"s": system("a", RiskTier.HIGH)}
+    [assignment] = audits.schedule_audits(2, systems, stream=DeterministicStream(1, "audit"))
+    assert assignment.trigger is AuditTrigger.CADENCE
+
+
+@pytest.mark.parametrize("violation", [False, True], ids=["pass", "fail"])
+def test_a_system_with_forecast_and_collusion_pending_is_audited_for_collusion(violation):
+    # A forecast floor above every score flags the one system each epoch; its
+    # owner is flagged for collusion at epoch 2, so epoch 3 has both pending.
+    # With a violation at epoch 3, mitigation and violation are pending too,
+    # and the FAIL audit slashes for confirmed collusion.
+    scenario = json.loads(scenario_path("collusion_attack").read_text())
+    scenario["config"]["forecast_floor"] = 2
+    if violation:
+        scenario["injected_events"].append({
+            "epoch": 3, "kind": "VIOLATION", "system": "robo-advisor",
+            "metrics": {"data_privacy_consent": False}})
+    events = [e for b in run_scenario(scenario).chain.blocks for e in b.events]
+    audits = [(e.epoch, e.body()["trigger"], e.body()["outcome"])
+              for e in events if e.kind == EventKind.AUDIT_RECORDED]
+    outcome = "FAIL" if violation else "PASS"
+    assert audits == [(epoch, "forecast", "PASS") for epoch in (1, 2)] + [
+        (3, "collusion", outcome)] + [(epoch, "forecast", "PASS") for epoch in (4, 5, 6)]
+    slashes = [(e.epoch, e.body()["holder"], e.body()["reason"])
+               for e in events if e.kind == EventKind.SLASH_APPLIED]
+    assert slashes == ([(3, "fintech-a", "COLLUSION_CONFIRMED")] if violation else [])

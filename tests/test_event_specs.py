@@ -19,7 +19,7 @@ from govsim.cli import main as cli_main
 from govsim.encoding import sha256
 from govsim.keys import get_scheme
 from govsim.ledger import Chain, EventKind, GovernanceEvent, load_chain, save_chain
-from govsim.report import _MISSING, EVENT_SPECS, build_report, export_report
+from govsim.report import _MISSING, EVENT_SPECS, build_report, export_report, verified_fold
 from govsim.simctl import Simulator, load_scenario, verify_run
 from tests.conftest import scenario_path
 
@@ -202,16 +202,16 @@ def _run(name: str):
     return result.chain, keys, events
 
 
-def _reseal(name: str, path, index=None, body=None) -> None:
-    """Seal the run's events again into the same blocks, event ``index`` (if
-    any) given ``body``."""
+def _reseal(name: str, path, bodies=None) -> None:
+    """Seal the run's events again into the same blocks, each event whose
+    index ``bodies`` holds given the body it maps that index to."""
     original, keys, events = _run(name)
     chain = Chain(original.authorities, quorum=original.quorum,
                   capacity=original.capacity, scheme=original.scheme_name)
     for i, (kind, epoch, old_body, actor, height) in enumerate(events):
         if height > len(chain.blocks) + 1:
             chain.seal_all(keys)
-        chain.append(kind, body if i == index else old_body, actor=actor, epoch=epoch)
+        chain.append(kind, (bodies or {}).get(i, old_body), actor=actor, epoch=epoch)
     chain.seal_all(keys)
     save_chain(chain, path)
 
@@ -258,7 +258,7 @@ def test_mutating_a_declared_field_of_a_real_run_fails_verify(tmp_path_factory, 
     else:
         body[name] = "NOT-A-VALUE"
     tmp = tmp_path_factory.mktemp("reseal")
-    _reseal("credit_scoring", tmp / "chain.db", index, body)
+    _reseal("credit_scoring", tmp / "chain.db", {index: body})
     verification, _ = verify_run(tmp / "chain.db")
     assert not verification.ok
     assert verification.reason.startswith(f"event {index + 1} ({kind.value}): field {name}: ")
@@ -267,7 +267,37 @@ def test_mutating_a_declared_field_of_a_real_run_fails_verify(tmp_path_factory, 
 def test_a_vote_stamped_outside_governance_fails_verify(tmp_path):
     _, _, events = _run("collusion_attack")
     index = next(i for i, event in enumerate(events) if event[0] is EventKind.VOTE_CAST)
-    _reseal("collusion_attack", tmp_path / "chain.db", index, {**events[index][2], "phase": 2})
+    _reseal("collusion_attack", tmp_path / "chain.db", {index: {**events[index][2], "phase": 2}})
     verification, report_matches = verify_run(tmp_path / "chain.db")
     assert not verification.ok and report_matches is None
     assert verification.reason == f"event {index + 1} (VOTE_CAST): phase 2, allowed [6]"
+
+
+def test_an_undeclared_audit_trigger_fails_verify(tmp_path, capsys):
+    _, _, events = _run("credit_scoring")
+    index = next(i for i, event in enumerate(events) if event[0] is EventKind.AUDIT_RECORDED)
+    _reseal("credit_scoring", tmp_path / "chain.db",
+            {index: {**events[index][2], "trigger": "BOGUS"}})
+    capsys.readouterr()
+    assert cli_main(["verify", str(tmp_path / "chain.db")]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL at height {events[index][4]}: event {index + 1} (AUDIT_RECORDED): "
+        "field trigger: unknown value 'BOGUS'\n")
+
+
+def test_the_fold_takes_each_epoch_from_the_event_frame(tmp_path):
+    # A body key named epoch, which no writer emits, does not move the event.
+    _, _, events = _run("collusion_attack")
+    kinds = (EventKind.AUDIT_RECORDED, EventKind.RISK_RECLASSIFIED, EventKind.DID_UPDATED)
+    picked = [next(i for i, event in enumerate(events) if event[0] is kind) for kind in kinds]
+    _reseal("collusion_attack", tmp_path / "chain.db",
+            {i: {**events[i][2], "epoch": 99} for i in picked})
+    verification, fold = verified_fold(load_chain(tmp_path / "chain.db"))
+    assert verification.ok
+    audit, reclassification = fold.audits[0], fold.reclassifications[0]
+    update = events[picked[2]][2]
+    did_update = next(e for e in fold.did_events[update["did"]]
+                      if e["version"] == update["version"])
+    frames = [events[i][1] for i in picked]
+    assert [audit["epoch"], reclassification["epoch"], did_update["epoch"]] == frames
+    assert 99 not in frames

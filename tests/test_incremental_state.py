@@ -127,7 +127,8 @@ FOLD_EVENTS = st.lists(
                       {"did": st.sampled_from(DIDS),
                        "outcome": st.sampled_from(["PASS", "FAIL", "INCONCLUSIVE"]),
                        "trigger": st.sampled_from(["cadence", "violation"])},
-                      # A body's own epoch wins over the event's in the fold.
+                      # A body's own epoch key is ignored: the fold keys
+                      # each audit by its event's epoch.
                       optional={"epoch": st.integers(0, 6)})),
         st.tuples(st.just(EventKind.INCIDENT_RAISED), st.integers(0, 6),
                   st.fixed_dictionaries(

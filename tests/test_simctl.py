@@ -16,6 +16,7 @@ import govsim.encoding
 import govsim.keys
 import govsim.ledger
 import govsim.report
+import govsim.simctl
 from govsim.cli import main as cli_main
 from govsim.errors import IoError, ScenarioError
 from govsim.ledger import EventKind, Phase, load_chain, save_chain
@@ -186,6 +187,27 @@ def test_cli_verify_names_where_the_report_differs(tmp_path, capsys, reference_r
     last = len(doctored["per_epoch"])
     assert capsys.readouterr().out == (
         f"FAIL: report does not match the chain fold at per_epoch[{last}]\n")
+
+
+def test_cli_verify_loads_and_folds_the_chain_once(tmp_path, capsys, monkeypatch,
+                                                  reference_results):
+    result = reference_results["credit_scoring"]
+    save_chain(result.chain, tmp_path / "chain.db")
+    doctored = json.loads(json.dumps(result.report))
+    doctored["tokens"]["checksum"] = "00" * 32
+    (tmp_path / "report.json").write_text(json.dumps(doctored))
+    calls = []
+
+    def counted(name, function):
+        return lambda *args: calls.append(name) or function(*args)
+
+    for module in (govsim.cli, govsim.simctl):
+        monkeypatch.setattr(module, "load_chain", counted("load", module.load_chain))
+    monkeypatch.setattr(ChainFold, "_replay", counted("fold", ChainFold._replay))
+    capsys.readouterr()
+    assert cli_main(["verify", str(tmp_path / "chain.db")]) == 1
+    assert capsys.readouterr().out == "FAIL: report does not match the chain fold at tokens.checksum\n"
+    assert calls == ["load", "fold"]
 
 
 def test_verify_names_tampered_height(tmp_path):
@@ -896,6 +918,35 @@ def test_cli_run_reports_a_bad_config_value_without_a_traceback(tmp_path):
     assert completed.returncode == 1
     assert completed.stderr.startswith("error: config.election_period")
     assert "Traceback" not in completed.stderr
+
+
+def test_a_circular_value_is_a_scenario_error(tmp_path):
+    # The loader walks a value it cannot encode to name the fault, each object
+    # once. The child process has 400 MB of address space, so a walk that never
+    # ends stops there with MemoryError instead of taking the host's memory.
+    code = """if True:
+        import json, resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+        from govsim.errors import ScenarioError
+        from govsim.simctl import load_scenario
+        with open(sys.argv[1]) as f:
+            doc = json.load(f)
+        loop = []
+        loop.append(loop)
+        doc["ai_systems"][0]["metadata"] = {"loop": loop}
+        try:
+            load_scenario(doc)
+        except ScenarioError as exc:
+            print(exc)
+    """
+    src = Path(govsim.__file__).resolve().parent.parent
+    completed = subprocess.run(
+        [sys.executable, "-c", code, str(scenario_path("credit_scoring"))],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert completed.returncode == 0, completed.stderr[-300:]
+    assert completed.stdout.startswith("scenario: value is not canonically serializable")
 
 
 # Every config key set to a value other than its default.
