@@ -40,6 +40,10 @@ class AuditOutcome(str, Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
+# The outcomes the next epoch's risk score counts as failed (slash and status read FAIL).
+RISK_FAILED_OUTCOMES = frozenset({AuditOutcome.FAIL, AuditOutcome.INCONCLUSIVE})
+
+
 class AuditTrigger(str, Enum):
     """Why a system is audited, in priority order: of the triggers pending for
     a system in an epoch, the first declared is the one audited. Each member

@@ -492,12 +492,10 @@ class GovernanceState(Store):
             raise InvalidInput("weights change only on a PASSED proposal")
         new = self.weights.adjusted(proposal.payload)
         self._staged_weights = new
-        self.chain.append(
-            EventKind.WEIGHTS_ADJUSTED,
-            {"proposal_id": proposal.proposal_id, "weights": new.to_json(),
-             "effective_epoch": epoch + 1},
-            actor="governance", epoch=epoch,
-        )
+        if self.chain is not None:
+            self.chain.append(EventKind.WEIGHTS_ADJUSTED, {
+                "proposal_id": proposal.proposal_id, "weights": new.to_json(),
+                "effective_epoch": epoch + 1}, actor="governance", epoch=epoch)
         return new
 
     def apply_staged_weights(self) -> bool:

@@ -8,7 +8,9 @@ would, so it can be swapped without touching the registry.
 
 ``DidRegistry.apply`` is the one record transition: every writer validates,
 builds the DID_REGISTERED or DID_UPDATED body, applies it and appends it, and
-the report fold applies the same bodies to a chain-less registry.
+the report fold applies the same bodies to a chain-less registry. It refuses
+a second registration of a DID and an update of one never registered.
+``ACCESS_POLICY`` is the role/action table that ``_authorize`` reads.
 ``STATUS_RULES`` is the compliance-status lifecycle; ``move_status`` applies it.
 """
 
@@ -67,29 +69,19 @@ class Action(str, Enum):
     RECLASSIFY = "RECLASSIFY"
 
 
-# Default role/action policy. Total: every (role, action) pair present.
-# Ownership is a second gate on top of this table: BANK and FINTECH may
-# MODIFY only records they own, DEVELOPER may VIEW only records they own.
-DEFAULT_POLICY: dict[tuple[Role, Action], bool] = {}
-for _role in Role:
-    for _action in Action:
-        DEFAULT_POLICY[(_role, _action)] = False
-for _action in Action:
-    DEFAULT_POLICY[(Role.REGULATOR, _action)] = True
-DEFAULT_POLICY[(Role.AUDITOR, Action.VIEW)] = True
-DEFAULT_POLICY[(Role.AUDITOR, Action.AUDIT)] = True
-DEFAULT_POLICY[(Role.BANK, Action.VIEW)] = True
-DEFAULT_POLICY[(Role.BANK, Action.MODIFY)] = True
-DEFAULT_POLICY[(Role.FINTECH, Action.VIEW)] = True
-DEFAULT_POLICY[(Role.FINTECH, Action.MODIFY)] = True
-DEFAULT_POLICY[(Role.DEVELOPER, Action.VIEW)] = True
-
-# Roles whose VIEW/MODIFY rights are limited to records they own.
-OWNER_SCOPED: dict[Role, frozenset[Action]] = {
-    Role.BANK: frozenset({Action.MODIFY}),
-    Role.FINTECH: frozenset({Action.MODIFY}),
-    Role.DEVELOPER: frozenset({Action.VIEW}),
-}
+# The access policy: per role, a grant for each action in ``Action`` order
+# (VIEW, MODIFY, AUDIT, RECLASSIFY). "own" allows the action only on records
+# the actor owns.
+ACCESS_POLICY: dict[tuple[Role, Action], str] = {
+    (role, action): grant for role, row in {
+        Role.REGULATOR: ("yes", "yes", "yes", "yes"),
+        Role.AUDITOR: ("yes", "no", "yes", "no"),
+        Role.BANK: ("yes", "own", "no", "no"),
+        Role.FINTECH: ("yes", "own", "no", "no"),
+        Role.DEVELOPER: ("own", "no", "no", "no"),
+    }.items() for action, grant in zip(Action, row, strict=True)}
+# The policy as a total boolean table, before the ownership check.
+DEFAULT_POLICY = {pair: grant != "no" for pair, grant in ACCESS_POLICY.items()}
 
 # The compliance-status lifecycle: cause -> (the statuses it moves a system out
 # of, the status it sets, its actor). NONCOMPLIANT clears only on a passing audit
@@ -190,9 +182,11 @@ class DidRegistry(Store):
 
     def apply(self, kind: EventKind, body: Mapping, epoch: int) -> None:
         """Apply one DID_REGISTERED or DID_UPDATED event, its ``body`` what
-        the kind declares. A bad exposure or metadata ref raises; an update
-        of a DID that was never registered is ignored."""
+        the kind declares. A bad exposure or metadata ref, a second
+        registration of a DID, or an update of one never registered raises."""
         if kind is EventKind.DID_REGISTERED:
+            if body["did"] in self.records:
+                raise DuplicateIdentity(f"did collision: {body['did']}")
             self.records[body["did"]] = AISystemRecord(
                 did=body["did"], risk_tier=RiskTier(body["risk_tier"]),
                 compliance_status=ComplianceStatus.UNDER_REVIEW, purpose=body["purpose"],
@@ -203,7 +197,7 @@ class DidRegistry(Store):
             return
         record = self.records.get(body["did"])
         if record is None:
-            return
+            raise UnknownIdentity(f"field did: {body['did']!r} was never registered")
         record.version = body["version"]
         change = body.get("change", {})
         if "status" in change:
@@ -240,15 +234,13 @@ class DidRegistry(Store):
         if owner not in self.roles:
             raise UnknownStakeholder(f"unknown owner: {owner}")
         did = derive_did(public_key)
-        if did in self.records:
-            raise DuplicateIdentity(f"did collision: {did}")
         refs = [self.store.store(blob) for blob in metadata_blobs or []]
-        self._keys_seen.add(public_key)
         self._record(EventKind.DID_REGISTERED, {
             "did": did, "owner": owner, "purpose": purpose, "risk_tier": risk_tier.value,
             "version": 1, "exposure": str(exposure),
             "metadata_refs": [ref.hex() for ref in refs],
         }, actor=owner, epoch=epoch)
+        self._keys_seen.add(public_key)  # once registered: a refused key stays free
         return did
 
     # --- guarded access ---
@@ -263,26 +255,16 @@ class DidRegistry(Store):
                     allowed: bool, epoch: int) -> None:
         if self.chain is None:
             return
-        self.chain.append(
-            EventKind.ACCESS_LOGGED,
-            {
-                "did": did,
-                "actor": actor,
-                "role": role.value,
-                "action": action.value,
-                "allowed": allowed,
-            },
-            actor=actor,
-            epoch=epoch,
-        )
+        self.chain.append(EventKind.ACCESS_LOGGED, {
+            "did": did, "actor": actor, "role": role.value, "action": action.value,
+            "allowed": allowed}, actor=actor, epoch=epoch)
 
     def _authorize(self, record: AISystemRecord, actor: str, action: Action,
                    epoch: int) -> Role:
         """Policy check plus ownership rule; logs the attempt either way."""
         role = self._actor_role(actor)
-        allowed = check_access(role, action)
-        if allowed and action in OWNER_SCOPED.get(role, frozenset()):
-            allowed = record.owner == actor
+        grant = ACCESS_POLICY[(role, action)]
+        allowed = grant == "yes" or grant == "own" and record.owner == actor
         self._log_access(record.did, actor, role, action, allowed, epoch)
         if not allowed:
             raise AccessDenied(f"{role.value} may not {action.value} {record.did}")

@@ -35,7 +35,7 @@ from itertools import accumulate, zip_longest
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .audit import AuditOutcome, AuditTrigger
+from .audit import RISK_FAILED_OUTCOMES, AuditOutcome, AuditTrigger
 from .encoding import from_canonical_json, read_json, unit_fraction, write_bytes
 from .errors import EventInvalid, GovSimError, InvalidInput, UnsupportedFormat
 from .governance import GovernanceState, ProposalKind, ProposalStatus, VoteDirection, VoteMode
@@ -192,7 +192,7 @@ class ChainFold(ReportTally):
 
     def _audit(self, body: dict, epoch: int) -> None:
         self.audits.append({**body, "epoch": epoch})
-        if body["outcome"] in ("FAIL", "INCONCLUSIVE"):
+        if body["outcome"] in RISK_FAILED_OUTCOMES:
             self._failed_audits.add((body["did"], epoch))
 
     # --- derived views ---
@@ -221,7 +221,8 @@ class ChainFold(ReportTally):
         return counts[at - 1] if at else 0
 
     def audit_failed_at(self, did: str, epoch: int) -> bool:
-        """Whether an audit of ``did`` at ``epoch`` was FAIL or INCONCLUSIVE."""
+        """Whether an audit of ``did`` at ``epoch`` had an outcome of
+        ``audit.RISK_FAILED_OUTCOMES``."""
         return (did, epoch) in self._failed_audits
 
     def score_series(self) -> dict[str, list[list]]:

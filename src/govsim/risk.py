@@ -11,7 +11,8 @@ written through on every change.
 
 ``IncidentLog.apply`` is the one incident transition: ``raise_incident`` and
 ``advance_incident`` apply the body they append, and the report fold applies
-the same bodies to a chain-less log.
+the same bodies to a chain-less log. It raises each id once and steps it only
+to the next state, so ``verify`` refuses a second raise or a step out of order.
 """
 
 from __future__ import annotations
@@ -153,18 +154,14 @@ class Severity(str, Enum):
 
 
 class IncidentState(str, Enum):
+    """An incident's states, in the one order it steps through them."""
     RAISED = "RAISED"
     CONTAINED = "CONTAINED"
     RESOLVED = "RESOLVED"
     POSTMORTEM_FILED = "POSTMORTEM_FILED"
 
 
-INCIDENT_ORDER = [
-    IncidentState.RAISED,
-    IncidentState.CONTAINED,
-    IncidentState.RESOLVED,
-    IncidentState.POSTMORTEM_FILED,
-]
+_NEXT_STATE = dict(zip(IncidentState, list(IncidentState)[1:]))
 # The open states, read by the live log and by the chain fold.
 OPEN_INCIDENT_STATES = (IncidentState.RAISED, IncidentState.CONTAINED)
 
@@ -204,21 +201,31 @@ class IncidentLog(Store):
 
     def apply(self, kind: EventKind, body: Mapping, epoch: int) -> Incident:
         """Apply one INCIDENT_RAISED or INCIDENT_ADVANCED event at ``epoch``,
-        its ``body`` what the kind declares; returns the incident. Advancing
-        an incident that was never raised raises."""
+        its ``body`` what the kind declares; returns the incident. Raising an
+        id twice, advancing an incident that was never raised or is at its
+        last state, or a step to any state but the next raises."""
+        incident_id = body["incident_id"]
         if kind is EventKind.INCIDENT_RAISED:
-            incident = Incident(body["incident_id"], body["did"], Severity(body["severity"]))
-            self.incidents[incident.incident_id] = incident
-            self.active[incident.incident_id] = incident
+            if incident_id in self.incidents:
+                raise InvalidInput(f"field incident_id: {incident_id!r} was raised already")
+            incident = Incident(incident_id, body["did"], Severity(body["severity"]))
+            self.incidents[incident_id] = incident
+            self.active[incident_id] = incident
             was_open = False
         else:
-            incident = self.incidents.get(body["incident_id"])
+            incident = self.incidents.get(incident_id)
             if incident is None:
-                raise InvalidInput(f"field incident_id: {body['incident_id']!r} was never raised")
+                raise InvalidInput(f"field incident_id: {incident_id!r} was never raised")
+            state = _NEXT_STATE.get(incident.state)
+            if state is None:
+                raise TerminalState(f"{incident_id} already at {incident.state.value}")
+            if body["state"] != state.value:
+                raise InvalidInput(f"field state: {body['state']!r} does not follow "
+                                   f"{incident.state.value}: the next state is {state.value}")
             was_open = incident.open_()
-            incident.state = IncidentState(body["state"])
-            if incident.state is IncidentState.POSTMORTEM_FILED:
-                self.active.pop(incident.incident_id, None)
+            incident.state = state
+            if state not in _NEXT_STATE:
+                del self.active[incident_id]
         incident.transitions.append((incident.state.value, epoch))
         did = incident.system_did
         self._open_counts[did] = self._open_counts.get(did, 0) + incident.open_() - was_open
@@ -228,22 +235,20 @@ class IncidentLog(Store):
         """Open an incident; CRITICAL suspends the system until resolved."""
         if self.registry is not None:
             self.registry.get(system_did)  # existence check
-        self._seq += 1
-        body = {"incident_id": f"incident-{self._seq:04d}", "did": system_did,
+        body = {"incident_id": f"incident-{self._seq + 1:04d}", "did": system_did,
                 "severity": severity.value, "state": IncidentState.RAISED.value}
         incident = self._record(EventKind.INCIDENT_RAISED, body,
                                 actor="incident-response", epoch=epoch)
+        self._seq += 1
         if severity == Severity.CRITICAL and self.registry is not None:
             self.registry.move_status(system_did, "critical-incident", epoch=epoch)
         return incident
 
     def advance_incident(self, incident: Incident, *, epoch: int = 0) -> IncidentState:
         """Step one state forward; restores a suspended system on RESOLVED."""
-        position = INCIDENT_ORDER.index(incident.state)
-        if position == len(INCIDENT_ORDER) - 1:
-            raise TerminalState(f"{incident.incident_id} already at POSTMORTEM_FILED")
         body = {"incident_id": incident.incident_id, "did": incident.system_did,
-                "state": INCIDENT_ORDER[position + 1].value}
+                # At the last state the body names it again, and apply refuses it.
+                "state": _NEXT_STATE.get(incident.state, incident.state).value}
         self._record(EventKind.INCIDENT_ADVANCED, body, actor="incident-response", epoch=epoch)
         if (incident.state == IncidentState.RESOLVED and incident.severity == Severity.CRITICAL
                 and self.registry is not None):

@@ -411,22 +411,34 @@ SCENARIO_OBJECTS: dict[str, _Keys] = {
 
 
 def _digest(raw: Mapping[str, Any]) -> str:
-    """The scenario digest. Only if the encoding fails is the document walked (breadth
-    first), to name the non-string key, NaN, infinity or non-JSON value at fault."""
+    """The scenario digest. Only if the encoding fails is the document walked (depth
+    first, in document order), to name the non-string key, NaN, infinity, non-JSON
+    value or circular value at fault."""
     try:
         return sha256(canonical_json_bytes(raw)).hex()
     except EncodingError as exc:
-        todo, walked = [(str(key), value) for key, value in raw.items()], set()
-        for path, value in todo:  # extended while it is walked, each object once
-            if id(value) in walked:
-                continue  # checked already: a shared or circular value
-            walked.add(id(value))
-            if isinstance(value, dict):
-                if bad := [key for key in value if not isinstance(key, str)]:
-                    _fail(path, f"object key {bad[0]!r} is not a string")
-                todo += [(f"{path}.{key}", item) for key, item in value.items()]
-            elif isinstance(value, (list, tuple)):
-                todo += [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+        # Each container is walked once; ``open_`` holds those whose items are
+        # being walked, so meeting one of them again means it holds itself.
+        todo = [(str(key), value) for key, value in reversed(raw.items())]
+        walked, open_ = set(), set()
+        while todo:
+            path, value = todo.pop()
+            if path is None:  # every item of ``value`` is walked
+                open_.remove(id(value))
+            elif id(value) in open_:
+                _fail(path, "value is circular: it holds itself")
+            elif id(value) in walked:
+                pass  # a shared value, checked already
+            elif isinstance(value, (dict, list, tuple)):
+                walked.add(id(value))
+                open_.add(id(value))
+                if isinstance(value, dict):
+                    if bad := [key for key in value if not isinstance(key, str)]:
+                        _fail(path, f"object key {bad[0]!r} is not a string")
+                    items = [(f"{path}.{key}", item) for key, item in value.items()]
+                else:
+                    items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+                todo += [(None, value), *reversed(items)]
             elif isinstance(value, float) and not math.isfinite(value):
                 _fail(path, "must be a finite number")
             elif value is not None and not isinstance(value, (str, int, float)):
@@ -760,7 +772,7 @@ class Simulator:
         self.assessment_log: list[compliance_mod.Assessment] = []
         # Running EWMA of each system's aggregate compliance score.
         self._forecast: dict[str, float] = {}
-        self._audit_failed_prev: dict[str, bool] = {}
+        self._audit_failed_prev: set[str] = set()
         # Hand-offs within an epoch: ingest's metric overrides for compliance,
         # and the audit phase's records for penalties.
         self._overrides: dict[str, dict] = {}
@@ -847,7 +859,7 @@ class Simulator:
                 continue
             self.risk.update(
                 did, epoch, assessment.aggregate_score,
-                audit_failed=self._audit_failed_prev.get(did, False),
+                audit_failed=did in self._audit_failed_prev,
                 incident_count=self.incidents.open_count(did),
                 exposure=self.registry.records[did].exposure,
             )
@@ -879,18 +891,17 @@ class Simulator:
             ))
 
     def _phase_penalties(self, epoch: int) -> None:
-        failed_now: dict[str, bool] = {}
         for record in self._audit_records:
             did = record.system_did
             if record.outcome == audit_mod.AuditOutcome.FAIL:
                 self.tokens.slash(self.registry.records[did].owner,
                                   record.trigger.slash_reason, epoch=epoch)
                 self.registry.move_status(did, "failed-audit", epoch=epoch)
-                failed_now[did] = True
             else:
                 self.registry.move_status(did, "passed-audit", epoch=epoch)
         self.governance.sync_stakes()
-        self._audit_failed_prev = failed_now
+        self._audit_failed_prev = {record.system_did for record in self._audit_records
+                                   if record.outcome in audit_mod.RISK_FAILED_OUTCOMES}
 
     def _phase_governance(self, epoch: int) -> None:
         tallied = []  # (proposal id, the rule it registers if it passes)

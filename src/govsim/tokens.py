@@ -115,22 +115,24 @@ class TokenLedger(Store):
         """Apply one token event; the live methods and the chain fold share it.
 
         ``body`` is what its kind declares (``report.EVENT_SPECS``): the live
-        methods build it so, and the fold checks it first. A debit from a
-        holder with no balance, or the unstake of an entry not held, raises.
+        methods build it so, and the fold checks it first. A debit above the
+        holder's balance, a draw above the pool's, or the unstake of an entry
+        not held raises before anything changes.
         """
         if kind is EventKind.TOKENS_TRANSFERRED:
             op = body["op"]
-            if op == "reward":
-                self.pools[Pool.REWARDS] -= body["amount"]
-                self._credit(body["to"], body["amount"])
+            if op == "reward" or op == "grant":  # the one draw from a pool
+                pool = Pool.REWARDS if op == "reward" else Pool(body["pool"])
+                amount = body["amount"]
+                if self.pools[pool] < amount:
+                    raise InsufficientTokens(f"{pool.value} pool below {amount}")
+                self.pools[pool] -= amount
+                self._credit(body["to"], amount)
             elif op == "pool_charge":
                 self._debit(body["from"], body["amount"])
                 self.pools[Pool(body["pool"])] += body["amount"]
             elif op == "transfer":
                 self._debit(body["from"], body["amount"])
-                self._credit(body["to"], body["amount"])
-            elif op == "grant":
-                self.pools[Pool(body["pool"])] -= body["amount"]
                 self._credit(body["to"], body["amount"])
             else:  # mint_genesis
                 self.total_supply = body["total_supply"]
@@ -164,9 +166,10 @@ class TokenLedger(Store):
         self.balances[holder] = self.balances.get(holder, 0) + amount
 
     def _debit(self, holder: str, amount: int) -> None:
-        if holder not in self.balances:
-            raise InvalidInput(f"{holder!r} holds no balance")
-        self.balances[holder] -= amount
+        balance = self.balances.get(holder)
+        if balance is None or balance < amount:
+            raise InsufficientTokens(f"{holder} balance below {amount}")
+        self.balances[holder] = balance - amount
 
     # --- genesis ---
 
@@ -238,8 +241,6 @@ class TokenLedger(Store):
         """Pool-to-stakeholder distribution (initial funding paths)."""
         if amount < 0:
             raise InvalidInput("negative grant")
-        if self.pools[pool] < amount:
-            raise InsufficientTokens(f"{pool.value} pool below {amount}")
         self._record(EventKind.TOKENS_TRANSFERRED,
                      {"op": "grant", "pool": pool.value, "to": to, "amount": amount},
                      actor="token-ledger", epoch=epoch)
@@ -247,8 +248,6 @@ class TokenLedger(Store):
     def transfer(self, frm: str, to: str, amount: int, *, epoch: int = 0) -> None:
         if amount <= 0:
             raise InvalidInput("transfer amount must be positive")
-        if self.balances.get(frm, 0) < amount:
-            raise InsufficientTokens(f"{frm} balance below {amount}")
         self._record(EventKind.TOKENS_TRANSFERRED,
                      {"op": "transfer", "from": frm, "to": to, "amount": amount},
                      actor=frm, epoch=epoch)
@@ -258,8 +257,6 @@ class TokenLedger(Store):
         """Debit a stakeholder into a pool (quadratic-vote costs land here)."""
         if amount <= 0:
             raise InvalidInput("charge amount must be positive")
-        if self.balances.get(frm, 0) < amount:
-            raise InsufficientTokens(f"{frm} balance below {amount}")
         body = {"op": "pool_charge", "from": frm, "pool": pool.value, "amount": amount}
         if reason:
             body["reason"] = reason
@@ -274,8 +271,6 @@ class TokenLedger(Store):
             raise InvalidInput("stake amount must be positive")
         if lock_epochs < 1:
             raise InvalidInput("lock must be at least one epoch")
-        if self.balances.get(stakeholder, 0) < amount:
-            raise InsufficientTokens(f"{stakeholder} balance below {amount}")
         self._record(EventKind.STAKE_CHANGED,
                      {"holder": stakeholder, "op": "stake", "amount": amount,
                       "lock_start_epoch": epoch, "lock_epochs": lock_epochs},

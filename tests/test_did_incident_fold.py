@@ -4,7 +4,8 @@
 those two stores: the live writers apply the body they append, and
 ``ChainFold`` applies the same bodies read back from the chain. This
 property drives a chain-backed registry and log with random steps and, after
-each one, folds the chain into fresh ones and compares the full state.
+each one, folds the chain into fresh ones and compares the full state. A
+refused step must leave both stores and the chain as they were.
 """
 
 from fractions import Fraction
@@ -23,7 +24,7 @@ from govsim.errors import (
 )
 from govsim.identity import ComplianceStatus, ContentStore, DidRegistry, RiskTier, Role
 from govsim.keys import get_scheme
-from govsim.ledger import Block, Chain
+from govsim.ledger import Block, Chain, EventKind
 from govsim.report import ChainFold
 from govsim.risk import IncidentLog, Severity
 
@@ -48,38 +49,57 @@ _STEP = st.one_of(
 )
 
 
+REFUSALS = (AccessDenied, DuplicateIdentity, NotFound, ProhibitedSystem, TerminalState,
+            UnknownStakeholder)
+
+
+def _call(registry: DidRegistry, log: IncidentLog, method, *args, **kwargs) -> None:
+    """Call a writer of the registry or the log; a refused call leaves both
+    as they were and appends no event but the access log of its attempt."""
+    chain = registry.chain
+    before, pending = _state(registry, log), len(chain.pending)
+    try:
+        method(*args, **kwargs)
+    except REFUSALS:
+        assert _state(registry, log) == before, method.__name__
+        assert all(event.kind is EventKind.ACCESS_LOGGED
+                   for event in chain.pending[pending:]), method.__name__
+        raise
+
+
 def _run_step(registry: DidRegistry, log: IncidentLog, step: tuple, epoch: int) -> int:
     op, *args = step
     dids = list(registry.records)
     if op == "register":
         key, tier, owner, exposure, blobs = args
-        registry.register_did(
-            bytes([key]) * 32, f"system {key}", tier, owner, epoch=epoch,
-            exposure=exposure, metadata_blobs=[bytes([key, i]) for i in range(blobs)])
+        _call(registry, log, registry.register_did,
+              bytes([key]) * 32, f"system {key}", tier, owner, epoch=epoch,
+              exposure=exposure, metadata_blobs=[bytes([key, i]) for i in range(blobs)])
     elif op == "tick":
         epoch += 1
     elif op == "advance":
         if log.incidents:
             incident = list(log.incidents.values())[args[0] % len(log.incidents)]
             for _ in range(args[1]):
-                log.advance_incident(incident, epoch=epoch)
+                _call(registry, log, log.advance_incident, incident, epoch=epoch)
     elif dids:
         did = dids[args[0] % len(dids)]
         if op == "status":
-            registry.update_did(did, args[1], status=args[2], epoch=epoch)
+            _call(registry, log, registry.update_did, did, args[1], status=args[2], epoch=epoch)
         elif op == "purpose":
-            registry.update_did(did, args[1], purpose=args[2], epoch=epoch)
+            _call(registry, log, registry.update_did, did, args[1], purpose=args[2], epoch=epoch)
         elif op == "metadata":
             ref = registry.store.store(did.encode()) if args[2] else bytes(32)
-            registry.update_did(did, args[1], metadata_ref=ref, epoch=epoch)
+            _call(registry, log, registry.update_did, did, args[1], metadata_ref=ref,
+                  epoch=epoch)
         elif op == "reclassify":
-            registry.reclassify(did, args[2], args[1], epoch=epoch)
+            _call(registry, log, registry.reclassify, did, args[2], args[1], epoch=epoch)
         elif op == "system_reclassify":
-            registry.system_reclassify(did, args[1], epoch=epoch)
+            _call(registry, log, registry.system_reclassify, did, args[1], epoch=epoch)
         elif op == "set_status":
-            registry.system_set_status(did, args[1], epoch=epoch)
+            _call(registry, log, registry.system_set_status, did, args[1], epoch=epoch)
         else:  # raise
-            log.raise_incident(did, args[1], epoch=epoch)
+            _call(registry, log, log.raise_incident, did, args[1], epoch=epoch)
     return epoch
 
 
@@ -110,8 +130,7 @@ def test_fold_of_chain_equals_live_registry_and_log(steps):
     for step in steps:
         try:
             epoch = _run_step(registry, log, step, epoch)
-        except (AccessDenied, DuplicateIdentity, NotFound, ProhibitedSystem,
-                TerminalState, UnknownStakeholder):
+        except REFUSALS:
             pass
         fold = _fold(chain)
         assert _state(fold.registry, fold.incident_log) == _state(registry, log)

@@ -285,6 +285,38 @@ def test_an_undeclared_audit_trigger_fails_verify(tmp_path, capsys):
         "field trigger: unknown value 'BOGUS'\n")
 
 
+# Each store's apply holds its rules, so the fold refuses a body that breaks one.
+_NO_DID = "did:govsim:" + "0" * 32
+_FIRST_DID, _SECOND_DID = ("did:govsim:2ba77b70b001b4dd1b9d8dcee660d8b7",
+                           "did:govsim:3871bc867dbd036277284f10c4b5f347")
+
+
+@pytest.mark.parametrize("name, kind, match, change, fault", [
+    ("credit_scoring", EventKind.TOKENS_TRANSFERRED, {"op": "grant"}, {"amount": 10**12},
+     "DEVELOPMENT pool below 1000000000000"),
+    ("credit_scoring", EventKind.STAKE_CHANGED, {"op": "stake"}, {"amount": 10**12},
+     "regulator-eu balance below 1000000000000"),
+    ("regulation_shift", EventKind.INCIDENT_ADVANCED, {}, {"state": "POSTMORTEM_FILED"},
+     "field state: 'POSTMORTEM_FILED' does not follow RAISED: the next state is CONTAINED"),
+    ("regulation_shift", EventKind.INCIDENT_ADVANCED, {}, {"state": "RAISED"},
+     "field state: 'RAISED' does not follow RAISED: the next state is CONTAINED"),
+    ("credit_scoring", EventKind.DID_UPDATED, {}, {"did": _NO_DID},
+     f"field did: {_NO_DID!r} was never registered"),
+    ("regulation_shift", EventKind.DID_REGISTERED, {"did": _SECOND_DID}, {"did": _FIRST_DID},
+     f"did collision: {_FIRST_DID}"),
+], ids=["pool-overdraft", "balance-overdraft", "incident-step-skipped",
+        "incident-step-in-place", "update-of-no-did", "second-registration"])
+def test_a_broken_store_rule_fails_verify(tmp_path, capsys, name, kind, match, change, fault):
+    _, _, events = _run(name)
+    index = next(i for i, event in enumerate(events)
+                 if event[0] is kind and match.items() <= event[2].items())
+    _reseal(name, tmp_path / "chain.db", {index: {**events[index][2], **change}})
+    capsys.readouterr()
+    assert cli_main(["verify", str(tmp_path / "chain.db")]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL at height {events[index][4]}: event {index + 1} ({kind.value}): {fault}\n")
+
+
 def test_the_fold_takes_each_epoch_from_the_event_frame(tmp_path):
     # A body key named epoch, which no writer emits, does not move the event.
     _, _, events = _run("collusion_attack")

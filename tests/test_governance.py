@@ -414,6 +414,22 @@ def test_staged_weights_apply_at_next_boundary():
     assert state.weights.multiplier(Role.REGULATOR) == Fraction(2)
 
 
+def test_a_chainless_state_adjusts_weights():
+    tokens = TokenLedger(100, {})
+    tokens.balances["A"] = 100
+    tokens.stake("A", 100, 8, epoch=0)
+    state = GovernanceState(None, tokens)
+    state.add_stakeholder(sh("A", Role.BANK, 0))
+    state.sync_stakes()
+    state.submit_proposal("w1", ProposalKind.WEIGHT_ADJUSTMENT, {"cap_fraction": "1/4"},
+                          mode=VoteMode.LINEAR)
+    state.cast_vote("A", "w1", FOR)
+    assert state.tally("w1") == ProposalStatus.PASSED
+    state.adjust_weights(state.proposals["w1"], epoch=2)
+    assert state.apply_staged_weights()
+    assert state.weights.cap_fraction == Fraction(1, 4)
+
+
 def test_zero_cap_fraction_rejected():
     state = make_state(abc_stakeholders())
     with pytest.raises(InvalidWeights):

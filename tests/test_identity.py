@@ -89,6 +89,25 @@ def test_same_key_twice_rejected(registry):
         registry.register_did(b"\x02" * 32, "y", RiskTier.LIMITED, "bank-1")
 
 
+def test_a_did_collision_is_refused_and_marks_no_key_seen(registry):
+    # A record of the key's DID that no register_did call made, as a fold may hold one.
+    key = b"\x07" * 32
+    did = derive_did(key)
+    registry.apply(EventKind.DID_REGISTERED, {"did": did, "owner": "bank-1", "purpose": "x",
+                                              "risk_tier": "HIGH", "version": 1}, 0)
+    with pytest.raises(DuplicateIdentity, match=f"^did collision: {did}$"):
+        registry.register_did(key, "y", RiskTier.LIMITED, "bank-1")
+    assert key not in registry._keys_seen
+    assert not registry.chain.pending
+    assert registry.records[did].purpose == "x"
+
+
+def test_an_update_of_a_did_never_registered_is_refused(registry):
+    with pytest.raises(UnknownIdentity, match="'did:govsim:none' was never registered"):
+        registry.apply(EventKind.DID_UPDATED, {"did": "did:govsim:none", "version": 2}, 0)
+    assert not registry.records
+
+
 def test_unacceptable_tier_rejected(registry):
     with pytest.raises(ProhibitedSystem):
         registry.register_did(b"\x03" * 32, "x", RiskTier.UNACCEPTABLE, "bank-1")

@@ -161,8 +161,30 @@ def test_linear_state_machine():
         states.append(log.advance_incident(incident, epoch=epoch))
     assert states == [IncidentState.RAISED, IncidentState.CONTAINED,
                       IncidentState.RESOLVED, IncidentState.POSTMORTEM_FILED]
+    pending = len(chain.pending)
     with pytest.raises(TerminalState):
         log.advance_incident(incident, epoch=5)
+    assert len(chain.pending) == pending and incident.state == IncidentState.POSTMORTEM_FILED
+
+
+def test_the_log_refuses_a_second_raise_and_a_step_out_of_order():
+    log = IncidentLog(None)
+    log.apply(EventKind.INCIDENT_RAISED, {"incident_id": "i1", "did": "d", "severity": "LOW"}, 1)
+    with pytest.raises(InvalidInput, match="'i1' was raised already"):
+        log.apply(EventKind.INCIDENT_RAISED,
+                  {"incident_id": "i1", "did": "e", "severity": "CRITICAL"}, 1)
+    for state in ("RAISED", "RESOLVED", "POSTMORTEM_FILED"):
+        with pytest.raises(InvalidInput, match=f"'{state}' does not follow RAISED"):
+            log.apply(EventKind.INCIDENT_ADVANCED, {"incident_id": "i1", "state": state}, 2)
+    for epoch, state in enumerate(("CONTAINED", "RESOLVED", "POSTMORTEM_FILED"), start=2):
+        log.apply(EventKind.INCIDENT_ADVANCED, {"incident_id": "i1", "state": state}, epoch)
+    with pytest.raises(TerminalState, match="i1 already at POSTMORTEM_FILED"):
+        log.apply(EventKind.INCIDENT_ADVANCED, {"incident_id": "i1", "state": "RAISED"}, 5)
+    assert log.incidents["i1"].to_json() == {
+        "incident_id": "i1", "did": "d", "severity": "LOW",
+        "transitions": [["RAISED", 1], ["CONTAINED", 2], ["RESOLVED", 3],
+                        ["POSTMORTEM_FILED", 4]]}
+    assert not log.active and log.open_count("d") == 0
 
 
 def test_resolution_restores_suspended_system():

@@ -922,8 +922,9 @@ def test_cli_run_reports_a_bad_config_value_without_a_traceback(tmp_path):
 
 def test_a_circular_value_is_a_scenario_error(tmp_path):
     # The loader walks a value it cannot encode to name the fault, each object
-    # once. The child process has 400 MB of address space, so a walk that never
-    # ends stops there with MemoryError instead of taking the host's memory.
+    # once, and names the path at which a container holds itself. The child
+    # process has 400 MB of address space, so a walk that never ends stops
+    # there with MemoryError instead of taking the host's memory.
     code = """if True:
         import json, resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
@@ -946,7 +947,20 @@ def test_a_circular_value_is_a_scenario_error(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert completed.returncode == 0, completed.stderr[-300:]
-    assert completed.stdout.startswith("scenario: value is not canonically serializable")
+    assert completed.stdout == (
+        "ai_systems[0].metadata.loop[0]: value is circular: it holds itself\n")
+
+
+def test_a_shared_value_is_not_circular():
+    doc = json.loads(scenario_path("credit_scoring").read_text())
+    shared = {"k": [1, 2]}
+    doc["ai_systems"][0]["metadata"] = {"a": shared, "b": [shared, shared]}
+    load_scenario(doc)
+    # The walk that names a fault passes a shared value without calling it circular.
+    doc["ai_systems"][0]["metadata"]["c"] = float("nan")
+    with pytest.raises(ScenarioError, match=re.escape(
+            "ai_systems[0].metadata.c: must be a finite number")):
+        load_scenario(doc)
 
 
 # Every config key set to a value other than its default.

@@ -315,28 +315,41 @@ _STEP = st.one_of(
 )
 
 
+REFUSALS = (InsufficientTokens, InvalidInput, StillLocked)
+
+
+def _call(ledger: TokenLedger, method: str, *args, **kwargs) -> None:
+    """Call a ledger method; a refused call leaves the ledger and its chain as they were."""
+    before = ledger.snapshot(), len(ledger.chain.pending)
+    try:
+        getattr(ledger, method)(*args, **kwargs)
+    except REFUSALS:
+        assert (ledger.snapshot(), len(ledger.chain.pending)) == before, method
+        raise
+
+
 def _run_step(ledger: TokenLedger, step: tuple, epoch: int) -> int:
     op, *args = step
     if op == "grant":
-        ledger.grant(*args, epoch=epoch)
+        _call(ledger, "grant", *args, epoch=epoch)
     elif op == "transfer":
-        ledger.transfer(*args, epoch=epoch)
+        _call(ledger, "transfer", *args, epoch=epoch)
     elif op == "charge":
-        ledger.charge_to_pool(*args, epoch=epoch)
+        _call(ledger, "charge_to_pool", *args, epoch=epoch)
     elif op == "stake":
         holder, amount, lock_epochs, copies = args
         for _ in range(copies):
-            ledger.stake(holder, amount, lock_epochs, epoch=epoch)
+            _call(ledger, "stake", holder, amount, lock_epochs, epoch=epoch)
     elif op == "unstake":
         holder, index = args
         entries = ledger.stakes.get(holder, [])
         if entries:
-            ledger.unstake(holder, index % len(entries), epoch=epoch)
+            _call(ledger, "unstake", holder, index % len(entries), epoch=epoch)
     elif op == "rewards":
-        ledger.distribute_rewards(epoch, dict(zip(HOLDERS, args[0])))
+        _call(ledger, "distribute_rewards", epoch, dict(zip(HOLDERS, args[0])))
     elif op == "slash":
         holder, reason, fraction = args
-        ledger.slash(holder, reason, fraction=fraction, epoch=epoch)
+        _call(ledger, "slash", holder, reason, fraction=fraction, epoch=epoch)
     else:  # tick
         epoch += 1
     return epoch
@@ -364,7 +377,7 @@ def test_fold_of_chain_token_events_equals_live_ledger(steps):
     for step in steps:
         try:
             epoch = _run_step(ledger, step, epoch)
-        except (InsufficientTokens, InvalidInput, StillLocked):
+        except REFUSALS:
             pass
         fold = TokenLedger(0, {})
         for event in chain.pending:
