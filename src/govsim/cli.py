@@ -13,10 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-from .encoding import read_bytes, read_json, write_bytes
-from .errors import GovSimError, IoError, ScenarioError
+from .encoding import _array, _object, read_bytes, read_json, write_bytes
+from .errors import GovSimError, IoError
 from .interop import LegacyMapping, convert_legacy
-from .ledger import load_chain, save_chain
+from .ledger import EventKind, load_chain, query_events, save_chain
 from .report import export_report, first_difference, report_json_bytes, verified_fold
 from .simctl import fold_run, run_scenario
 
@@ -24,12 +24,9 @@ from .simctl import fold_run, run_scenario
 def _cmd_run(args: argparse.Namespace) -> int:
     raw = read_json(args.scenario, "scenario")
     if args.rules:
-        pack = read_json(args.rules, "rule pack")
-        if not isinstance(raw, dict) or not isinstance(raw.get("rules", []), list):
-            raise ScenarioError("scenario must be a JSON object whose rules are an array")
-        if not isinstance(pack, list):
-            raise ScenarioError("rule-pack file must be a JSON array of rule modules")
-        raw = {**raw, "rules": [*raw.get("rules", []), *pack]}
+        pack = _array(read_json(args.rules, "rule pack"), "rule pack")
+        rules = _array(_object(raw, "scenario").get("rules", []), "rules")
+        raw = {**raw, "rules": [*rules, *pack]}
     result = run_scenario(raw, seed=args.seed)
     out_dir = Path(args.out)
     try:
@@ -75,7 +72,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         if record is None:
             print(f"unknown did: {args.did}", file=sys.stderr)
             return 1
-        out = {"record": record.to_json(), "history": fold.did_events.get(args.did, [])}
+        history = query_events(chain.blocks, predicate=lambda event: event.kind in (
+            EventKind.DID_REGISTERED, EventKind.DID_UPDATED) and event.body()["did"] == args.did)
+        out = {"record": record.to_json(),
+               "history": [{**event.body(), "epoch": event.epoch} for event in history]}
     elif args.proposals:
         out = [proposal.to_json() for _, proposal in sorted(fold.governance.proposals.items())]
     elif args.balances:

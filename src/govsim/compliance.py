@@ -14,7 +14,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .encoding import ONE, canonical_json_bytes, sha256
+from .encoding import (
+    _REQUIRED, ONE, _as_is, _at_least, _flag, _key, _list_of, _name, _one_of, _text,
+    canonical_json_bytes, sha256)
 from .errors import (
     AlreadyDisputed,
     DuplicateFeed,
@@ -121,17 +123,23 @@ def evaluate_predicate(tree: dict, metrics: Mapping[str, float | bool]) -> bool:
 
 # --- rules ---
 
+# A rule's metric names and tiers, each read from a JSON array.
+_METRICS, _TIERS = _list_of(_text), _list_of(_one_of(RiskTier, "tier"))
+
+
 @dataclass(frozen=True)
 class ComplianceRuleModule:
-    rule_id: str
-    domain: RuleDomain
-    predicate: dict
-    metrics: tuple[str, ...]
-    mandatory: bool = True
-    applicable_tiers: frozenset[RiskTier] = frozenset(
-        {RiskTier.HIGH, RiskTier.LIMITED, RiskTier.MINIMAL}
-    )
-    weight: int = 1
+    """One rule: each field but the version is one of its scenario keys."""
+    rule_id: str = _key(_REQUIRED, _name)
+    domain: RuleDomain = _key(_REQUIRED, _one_of(RuleDomain, "domain"))
+    predicate: dict = _key(_REQUIRED, _as_is)  # validate_predicate reads it
+    metrics: tuple[str, ...] = _key(
+        _REQUIRED, lambda value, path: tuple(_METRICS(value, path)))
+    mandatory: bool = _key(True, _flag)
+    applicable_tiers: frozenset[RiskTier] = _key(
+        frozenset({RiskTier.HIGH, RiskTier.LIMITED, RiskTier.MINIMAL}),
+        lambda value, path: frozenset(_TIERS(value, path)))
+    weight: int = _key(1, _at_least(1))
     version: int = 1
 
     def applies_to(self, tier: RiskTier) -> bool:

@@ -10,7 +10,9 @@ Two encodings live here and nothing else may hash or serialize differently:
   byte strings. Used for event/block hashing and the chain file, where a
   fixed field order is required for cross-implementation hash agreement.
 
-Files are read and written here too, so that every failure is named alike.
+Files are read and written here too, so that every failure is named alike,
+and so is every JSON object read by its declared keys: ``_Keys`` is the one
+reader of scenarios, rules, weight payloads, legacy mappings and chain headers.
 """
 
 from __future__ import annotations
@@ -19,14 +21,15 @@ import hashlib
 import json
 import re
 import struct
-from dataclasses import fields, is_dataclass
+from collections.abc import Mapping
+from dataclasses import MISSING, Field, field, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
-from .errors import EncodingError, IoError
+from .errors import EncodingError, GovSimError, IoError, ScenarioError
 
 DIGEST_SIZE = 32
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
@@ -215,6 +218,143 @@ def json_value(value: Any) -> Any:
     if is_dataclass(value):
         return {f.name: json_value(getattr(value, f.name)) for f in fields(value)}
     return value
+
+
+# --- the one reader of JSON objects by their declared keys, and its parsers:
+# (JSON value, its field path) -> the value the program uses ---
+
+def _fail(path: str, message: str) -> None:
+    raise ScenarioError(f"{path}: {message}" if path else message)
+
+
+def _checked(test: Callable[[Any], bool], must: str) -> Callable[[Any, str], Any]:
+    """A value as given, refused unless it passes ``test``."""
+    return lambda value, path: value if test(value) else _fail(path, f"must be {must}")
+
+
+def _plain(convert: Callable[[Any], Any]) -> Callable[[Any, str], Any]:
+    """A parser that needs no path: if ``convert`` raises, the reader names the field."""
+    return lambda value, path: convert(value)
+
+
+_FRACTION = _plain(as_fraction)
+# The dict test first: it is the common case, and the Mapping check is slow.
+_object = _checked(lambda value: type(value) is dict or isinstance(value, Mapping), "an object")
+_array = _checked(lambda value: isinstance(value, (list, tuple)), "an array")
+_integer = _checked(lambda value: type(value) is int, "an integer")
+_text = _checked(lambda value: type(value) is str, "a string")
+_flag = _checked(lambda value: type(value) is bool, "true or false")
+# A value of the type a parser maps to here passes it as it is: the reader makes no call.
+_PASSES = ((_object, dict), (_array, list), (_integer, int), (_text, str), (_flag, bool))
+
+
+def _at_least(low: int) -> Callable[[Any, str], int]:
+    """The one integer reader, config keys included: a JSON integer >= ``low``."""
+    return lambda value, path: (value if type(value) is int and value >= low
+                                else _fail(path, f"must be an integer >= {low}"))
+
+
+def _or_null(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    return lambda value, path: None if value is None else parse(value, path)
+
+
+def _name(value: Any, path: str) -> str:
+    """An id: a non-empty string that encodes as UTF-8 (no lone surrogate),
+    as the run sorts, hashes and encodes it."""
+    if type(value) is not str or not value:
+        _fail(path, "must be a non-empty string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        _fail(path, "must encode as UTF-8 (it holds a lone surrogate)")
+    return value
+
+
+def _as_is(value: Any, path: str) -> Any:  # free-form, or read by its object's own checks
+    return value
+
+
+def _one_of(enum: type[Enum], what: str) -> Callable[[Any, str], Any]:
+    """The parser of an enum's values; ``.members`` is its value -> member table."""
+    members = {member.value: member for member in enum}
+    def parse(value: Any, path: str) -> Any:
+        return (members[value] if type(value) is str and value in members
+                else _fail(path, f"unknown {what} {value!r}"))
+    parse.members = members
+    return parse
+
+
+def _list_of(item: Callable[[Any, str], Any]) -> Callable[[Any, str], list]:
+    return lambda value, path: [
+        item(entry, f"{path}[{i}]") for i, entry in enumerate(_array(value, path))]
+
+
+def _table(key: Callable[[Any], Any], value: Callable[[Any, str], Any],
+           defaults: Optional[Mapping] = None) -> Callable[[Any, str], dict]:
+    """A table, each value read at its entry's path; left-out entries keep their ``defaults``."""
+    return lambda raw, path: {**(defaults or {}), **{
+        key(k): value(v, f"{path}.{k}") for k, v in _object(raw, path).items()}}
+
+
+_REQUIRED = MISSING  # the default of a key that its object must give
+
+
+def _key(default: Any, parse: Callable[[Any, str], Any], snapshot: Optional[str] = "") -> Any:
+    """Declare a key of a JSON object: its default (a dict or list is copied
+    per read), the parser of its JSON value, called with the field's path,
+    and for a scenario config key where the genesis snapshot records it:
+    under the field's name (""), at a dotted path, or not at all (None)."""
+    metadata = {"parse": parse, "snapshot": snapshot}
+    if isinstance(default, (dict, list)):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+class _Keys(dict):
+    """One object's declaration, key -> its _key field in declaration order, and
+    the one reader of such objects: ``read`` (or a call) refuses all but an object of
+    declared keys, parses each value with its field's path, and defaults each key left
+    out. It raises ScenarioError; a reader of another document re-raises its text."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, keys: Any = (), **more: Field):
+        super().__init__(keys, **more)
+        # key -> (its parser, None if free-form; the type of values that pass it unread)
+        self.table = {key: (None if (parse := f.metadata["parse"]) is _as_is else parse,
+                            next((kind for p, kind in _PASSES if p is parse), None))
+                      for key, f in self.items()}
+
+    def read(self, raw: Any, path: str) -> dict[str, Any]:
+        obj = raw if type(raw) is dict else _object(raw, path)
+        prefix = path + "." if path else ""
+        table, out = self.table, {}
+        for key, value in obj.items():
+            parse, passes = table.get(key) or _fail(f"{prefix}{key}", "unknown key")
+            if parse is None or type(value) is passes:
+                out[key] = value
+                continue
+            try:
+                out[key] = parse(value, prefix + key)
+            except ScenarioError:
+                raise
+            except (GovSimError, ArithmeticError, KeyError, TypeError, ValueError) as exc:
+                _fail(prefix + key, str(exc))
+        if len(out) < len(table):
+            for key, declared in self.items():
+                if key not in out:
+                    if declared.default is _REQUIRED and declared.default_factory is MISSING:
+                        _fail(prefix + key, "required")
+                    out[key] = (declared.default if declared.default_factory is MISSING
+                                else declared.default_factory())
+        return out
+
+    __call__ = read  # a declaration is the parser of a nested object
+
+
+def _declared(spec: type) -> _Keys:
+    """The keys of a dataclass, from its fields declared with _key."""
+    return _Keys((f.name, f) for f in fields(spec) if "parse" in f.metadata)
 
 
 # --- binary framing ---

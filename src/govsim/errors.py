@@ -169,7 +169,8 @@ class UnsupportedFormat(GovSimError):
 # --- simctl ---
 
 class ScenarioError(GovSimError):
-    """Scenario file fails validation; message carries the offending path."""
+    """A scenario, or another document read by ``encoding._Keys``, fails
+    validation; message carries the offending path."""
 
 class IoError(GovSimError):
     """Chain or report file missing, truncated, or unreadable."""

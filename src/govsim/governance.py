@@ -21,23 +21,23 @@ same bodies to a chain-less state, so this module alone knows their format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .encoding import ONE, as_fraction, json_value, sum_terms
+from .encoding import _FRACTION, ONE, _key, _Keys, _table, json_value, sum_terms
 from .errors import (
     AlreadyResolved,
     AlreadyVoted,
-    EncodingError,
     InsufficientCandidates,
     InvalidInput,
     InvalidWeights,
     NoVotingPower,
     ProposalClosed,
+    ScenarioError,
 )
 from .identity import Role
 from .ledger import Chain, EventKind, Store
@@ -67,6 +67,12 @@ class VoteMode(str, Enum):
     QUADRATIC = "QUADRATIC"
 
 
+# A WEIGHT_ADJUSTMENT payload: each key optional (None: unchanged), read as config reads it.
+_WEIGHT_CHANGES = _Keys(role_multiplier=_key(None, _table(Role, _FRACTION)), **{
+    name: _key(None, _FRACTION)
+    for name in ("cap_fraction", "threshold_routine", "threshold_critical")})
+
+
 @dataclass
 class VoteWeights:
     role_multiplier: dict[Role, Fraction]
@@ -90,20 +96,12 @@ class VoteWeights:
         ``role_multiplier`` replaces the table, each fraction its own field,
         and a key that names no field is refused. Each field is checked on its
         own, so a payload that one set of weights accepts, every set accepts."""
-        multipliers = isinstance(changes, Mapping) and changes.get("role_multiplier", {})
-        if not isinstance(multipliers, Mapping):
-            raise InvalidWeights("the payload and its role_multiplier must be objects")
-        for key in changes:
-            if key not in self.__dataclass_fields__:
-                raise InvalidWeights(f"unknown key {key!r}")
-        name, fields = "role_multiplier", {}  # name: the field being read
         try:
-            roles = {Role(role): as_fraction(value) for role, value in multipliers.items()}
-            for name in ("cap_fraction", "threshold_routine", "threshold_critical"):
-                fields[name] = as_fraction(changes.get(name, getattr(self, name)))
-        except (EncodingError, ValueError) as exc:
-            raise InvalidWeights(f"{name}: {exc}") from None
-        return VoteWeights(role_multiplier=roles or dict(self.role_multiplier), **fields).validate()
+            given = _WEIGHT_CHANGES(changes, "")
+        except ScenarioError as exc:
+            raise InvalidWeights(str(exc)) from None
+        return replace(self, **{key: value for key, value in given.items()
+                                if value not in (None, {})}).validate()
 
     def multiplier(self, role: Role) -> Fraction:
         return self.role_multiplier.get(role, ONE)

@@ -16,10 +16,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, NoReturn, Optional
 
-from .encoding import canonical_json_bytes, json_value, sha256
+from .encoding import (
+    _REQUIRED, _as_is, _declared, _key, _list_of, _plain, canonical_json_bytes, json_value,
+    sha256)
 from .errors import (
     ConversionError,
     MalformedRecord,
+    ScenarioError,
     UnsupportedDowngrade,
 )
 
@@ -273,19 +276,26 @@ def _parse_cell(text: str, spec: ColumnSpec) -> Any:
         raise ConversionError(f"column {spec.column}: {exc}") from exc
 
 
+# A mapping file's keys are declared on the records below; __post_init__
+# checks their values, so that a mapping built in code is held to the same rules.
 @dataclass(frozen=True)
 class ColumnSpec:
-    column: str  # legacy column name (documentation only)
-    field: str   # canonical payload field
-    kind: str    # a key of _CELL_KINDS
+    column: str = _key(_REQUIRED, _as_is)  # legacy column name (documentation only)
+    field: str = _key(_REQUIRED, _as_is)  # canonical payload field
+    kind: str = _key(_REQUIRED, _as_is)  # a key of _CELL_KINDS
 
 
-@dataclass(frozen=True)
+_COLUMN = _declared(ColumnSpec)
+_COLUMNS = _list_of(lambda raw, path: ColumnSpec(**_COLUMN(raw, path)))
+
+
+@dataclass(frozen=True, kw_only=True)
 class LegacyMapping:
-    msg_type: MsgType
-    schema_version: int
-    delimiter: str
-    columns: tuple[ColumnSpec, ...]
+    msg_type: MsgType = _key(_REQUIRED, _plain(_msg_type))
+    schema_version: int = _key(_REQUIRED, _as_is)
+    delimiter: str = _key(",", _as_is)
+    columns: tuple[ColumnSpec, ...] = _key(
+        _REQUIRED, lambda value, path: tuple(_COLUMNS(value, path)))
 
     def __post_init__(self) -> None:
         """ConversionError naming the first key that no schema allows."""
@@ -318,29 +328,15 @@ class LegacyMapping:
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "LegacyMapping":
         try:
-            columns = data["columns"]
-            if not isinstance(columns, list):
-                raise ConversionError(f"legacy mapping: columns: not an array: {columns!r}")
-            for i, c in enumerate(columns):
-                for key in ("column", "field", "kind"):
-                    if not isinstance(c, Mapping) or key not in c:
-                        raise ConversionError(
-                            f"legacy mapping: columns[{i}].{key}: missing from {c!r}")
-            return cls(
-                msg_type=_msg_type(data["msg_type"]),
-                schema_version=data["schema_version"],
-                delimiter=data.get("delimiter", ","),
-                columns=tuple(
-                    ColumnSpec(c["column"], c["field"], c["kind"]) for c in columns
-                ),
-            )
-        except KeyError as exc:
-            raise ConversionError(f"legacy mapping: missing key {exc}") from exc
-        except TypeError as exc:
-            raise ConversionError(f"legacy mapping: {exc}") from exc
+            return cls(**_MAPPING(data, ""))
+        except ScenarioError as exc:
+            raise ConversionError(f"legacy mapping: {exc}") from None
 
     def to_json(self) -> dict:
         return json_value(self)
+
+
+_MAPPING = _declared(LegacyMapping)
 
 
 def convert_legacy(row: str, mapping: LegacyMapping) -> CanonicalMessage:

@@ -54,22 +54,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .encoding import (
-    DIGEST_SIZE,
-    U32,
-    U64,
-    ZERO_DIGEST,
-    ByteReader,
-    canonical_json_bytes,
-    from_canonical_json,
-    is_canonical_json,
-    pack_bytes,
-    pack_str,
-    read_bytes,
-    sha256,
-    strict_utf8,
-    truncated,
-    write_bytes,
-)
+    _REQUIRED, DIGEST_SIZE, U32, U64, ZERO_DIGEST, ByteReader, _integer, _key, _Keys, _plain,
+    _table, _text, canonical_json_bytes, from_canonical_json, is_canonical_json, pack_bytes,
+    pack_str, read_bytes, sha256, strict_utf8, truncated, write_bytes)
 from .errors import (
     EncodingError,
     GovSimError,
@@ -538,21 +525,16 @@ def save_chain(chain: Chain, path: str | Path) -> None:
     write_bytes(path, b"".join(parts), "chain file")
 
 
+# A chain file's header: Chain's arguments as save_chain writes them; Chain checks their ranges.
+_HEADER = _Keys(authorities=_key(_REQUIRED, _table(str, _plain(bytes.fromhex))),
+                quorum=_key(_REQUIRED, _integer), capacity=_key(_REQUIRED, _integer),
+                scheme=_key(_REQUIRED, _text))
+
+
 def _header_chain(raw: bytes) -> Chain:
     """The empty chain that a file header describes; IoError if it is malformed."""
     try:
-        header = from_canonical_json(raw)
-        if not isinstance(header, dict) or not isinstance(header.get("authorities"), dict):
-            raise TypeError("the header and its authorities must be objects")
-        quorum, capacity = header.get("quorum"), header.get("capacity")
-        if type(quorum) is not int or type(capacity) is not int:
-            raise TypeError("quorum and capacity must be integers")
-        return Chain(
-            {aid: bytes.fromhex(pub) for aid, pub in header["authorities"].items()},
-            quorum=quorum,
-            capacity=capacity,
-            scheme=header.get("scheme"),
-        )
+        return Chain(**_HEADER(from_canonical_json(raw), ""))
     except (TypeError, ValueError, GovSimError) as exc:
         raise IoError(f"bad chain header: {exc}") from exc
 

@@ -42,7 +42,8 @@ from .governance import GovernanceState, ProposalKind, ProposalStatus, VoteDirec
 from .identity import ComplianceStatus, DidRegistry, RiskTier
 from .ledger import Block, Chain, ChainVerification, EventKind, Phase, verify_chain
 from .risk import (
-    OPEN_INCIDENT_STATES, IncidentLog, IncidentState, RiskWeights, Severity, compute_risk_score)
+    OPEN_INCIDENT_STATES, IncidentLog, IncidentState, RiskWeights, Severity, compute_risk_score,
+    read_risk_weights)
 from .tokens import Pool, TokenLedger
 
 
@@ -122,7 +123,6 @@ class ChainFold(ReportTally):
         self.weights = RiskWeights()
         self.tokens = TokenLedger(0, {})
         self.registry = DidRegistry(None)
-        self.did_events: dict[str, list[dict]] = defaultdict(list)
         self.assessments: dict[int, dict[str, dict]] = defaultdict(dict)
         self.audits: list[dict] = []
         self.incident_log = IncidentLog(None)
@@ -178,9 +178,9 @@ class ChainFold(ReportTally):
         self.genesis_meta = body
         raw = body.get("config", {}).get("risk_weights")
         try:
-            self.weights = RiskWeights.from_json(raw) if raw else RiskWeights()
+            self.weights = read_risk_weights(raw, "config.risk_weights") if raw else RiskWeights()
         except GovSimError as exc:
-            raise InvalidInput(f"field config.risk_weights: {exc}") from exc
+            raise InvalidInput(f"field {exc}") from exc
 
     def _assessment(self, body: dict, epoch: int) -> None:
         self._score(body["score"])  # refuses a score outside [0, 1] at its event
@@ -336,18 +336,14 @@ def _logged(name: str) -> Callable[[ReportTally, dict, int], None]:
     return lambda fold, body, epoch: getattr(fold, name).append({**body, "epoch": epoch})
 
 
-def _did_history(fold: ChainFold, body: dict, epoch: int) -> None:
-    fold.did_events[body["did"]].append({**body, "epoch": epoch})
-
-
 # The phases in which a system's record is written during an epoch.
 _RECORD_PHASES = {Phase.INGEST, Phase.COMPLIANCE, Phase.RISK, Phase.PENALTIES}
 
 EVENT_SPECS: dict[EventKind, EventSpec] = {
-    EventKind.DID_REGISTERED: _spec({Phase.SETUP}, "registry", _did_history, {
+    EventKind.DID_REGISTERED: _spec({Phase.SETUP}, "registry", None, {
         "did": str, "owner": str, "purpose": str, "risk_tier": RiskTier, "version": int,
         "exposure?": str, "metadata_refs?": list}),
-    EventKind.DID_UPDATED: _spec(_RECORD_PHASES, "registry", _did_history, {
+    EventKind.DID_UPDATED: _spec(_RECORD_PHASES, "registry", None, {
         "did": str, "version": int, "change?": {
             "status?": ComplianceStatus, "risk_tier?": RiskTier, "purpose?": str,
             "metadata_ref?": str}}),

@@ -20,33 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
-from .encoding import ONE, as_fraction
+from .encoding import _FRACTION, _REQUIRED, ONE, _key, _Keys
 from .errors import InsufficientHistory, InvalidInput, TerminalState
 from .identity import DidRegistry, RiskTier
 from .ledger import Chain, EventKind, Store
 
 
-class _NamedFractions:
-    """A record of named fractions, read from one JSON value per field."""
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, Any]):
-        if not isinstance(raw, Mapping):
-            raise InvalidInput("must be an object")
-        names = [f.name for f in fields(cls)]
-        for name in names:
-            if name not in raw:
-                raise InvalidInput(f"missing key {name!r}")
-        for key in raw:
-            if key not in names:
-                raise InvalidInput(f"unknown key {key!r}")
-        return cls(**{name: as_fraction(raw[name]) for name in names})
-
-
 @dataclass(frozen=True)
-class RiskWeights(_NamedFractions):
+class RiskWeights:
     noncompliance: Fraction = Fraction(1, 2)
     audit_failure: Fraction = Fraction(1, 5)
     incidents: Fraction = Fraction(1, 5)
@@ -54,10 +37,19 @@ class RiskWeights(_NamedFractions):
 
 
 @dataclass(frozen=True)
-class TierThresholds(_NamedFractions):
+class TierThresholds:
     unacceptable: Fraction = Fraction(9, 10)
     high: Fraction = Fraction(3, 5)
     limited: Fraction = Fraction(3, 10)
+
+
+def _rationals(record: type) -> Callable[[Any, str], Any]:
+    """The reader of ``record`` from an object that gives every field as a rational."""
+    keys = _Keys((f.name, _key(_REQUIRED, _FRACTION)) for f in fields(record))
+    return lambda raw, path: record(**keys(raw, path))
+
+
+read_risk_weights, read_tier_thresholds = _rationals(RiskWeights), _rationals(TierThresholds)
 
 
 _ZERO = Fraction(0)

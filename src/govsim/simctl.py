@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import MISSING, Field, dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -24,6 +24,8 @@ from . import compliance as compliance_mod
 from . import governance as governance_mod
 from . import risk as risk_mod
 from .encoding import (
+    _FRACTION, _REQUIRED, _array, _as_is, _at_least, _checked, _declared, _fail, _integer,
+    _key, _Keys, _list_of, _name, _object, _one_of, _or_null, _plain, _table, _text,
     as_fraction, canonical_json_bytes, json_value, read_json, sha256, sum_terms)
 from .errors import (
     EncodingError,
@@ -55,47 +57,6 @@ from .tokens import (
     validate_pool_fractions,
 )
 
-# Value -> member: the loader reads each enum field once per event, proposal
-# or vote, and a dict lookup is far cheaper than calling the enum.
-_ROLES, _TIERS, _SEVERITIES, _DOMAINS, _PROPOSAL_KINDS, _VOTE_MODES, _VOTE_DIRECTIONS = (
-    {member.value: member for member in enum} for enum in (
-        Role, RiskTier, risk_mod.Severity, compliance_mod.RuleDomain, governance_mod.ProposalKind,
-        governance_mod.VoteMode, governance_mod.VoteDirection))
-
-
-def _fail(path: str, message: str) -> None:
-    raise ScenarioError(f"{path}: {message}")
-
-
-# --- parsers: (JSON value, its field path) -> the value the run uses ---
-
-def _checked(test: Callable[[Any], bool], must: str) -> Callable[[Any, str], Any]:
-    """A value as given, refused unless it passes ``test``."""
-    return lambda value, path: value if test(value) else _fail(path, f"must be {must}")
-
-
-def _plain(convert: Callable[[Any], Any]) -> Callable[[Any, str], Any]:
-    """A parser that needs no path: if ``convert`` raises, the reader names the field."""
-    return lambda value, path: convert(value)
-
-
-_FRACTION = _plain(as_fraction)
-# The dict test first: it is the common case, and the Mapping check is slow.
-_object = _checked(lambda value: type(value) is dict or isinstance(value, Mapping), "an object")
-_array = _checked(lambda value: isinstance(value, (list, tuple)), "an array")
-_integer = _checked(lambda value: type(value) is int, "an integer")
-_text = _checked(lambda value: type(value) is str, "a string")
-_flag = _checked(lambda value: type(value) is bool, "true or false")
-# A value of the type a parser maps to here passes it as it is: the reader makes no call.
-_PASSES = ((_object, dict), (_array, list), (_integer, int), (_text, str), (_flag, bool))
-
-
-def _at_least(low: int) -> Callable[[Any, str], int]:
-    """The one integer reader, config keys included: a JSON integer >= ``low``."""
-    return lambda value, path: (value if type(value) is int and value >= low
-                                else _fail(path, f"must be an integer >= {low}"))
-
-
 def _float_where(test: Callable[[float], bool], bound: str) -> Callable[[Any, str], float]:
     """A JSON number (not a bool) that passes ``test``, which refuses NaN and infinities."""
     check = _checked(lambda value: type(value) in (int, float) and test(value), bound)
@@ -105,104 +66,6 @@ def _float_where(test: Callable[[float], bool], bound: str) -> Callable[[Any, st
 def _fraction_in(test: Callable[[Fraction], bool], bound: str) -> Callable[[Any, str], Fraction]:
     check = _checked(test, f"in {bound}")
     return lambda value, path: check(as_fraction(value), path)
-
-
-def _or_null(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
-    return lambda value, path: None if value is None else parse(value, path)
-
-
-def _name(value: Any, path: str) -> str:
-    """A scenario id: a non-empty string that encodes as UTF-8 (no lone
-    surrogate), as the run sorts, hashes and encodes it."""
-    if type(value) is not str or not value:
-        _fail(path, "must be a non-empty string")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        _fail(path, "must encode as UTF-8 (it holds a lone surrogate)")
-    return value
-
-
-def _as_is(value: Any, path: str) -> Any:  # free-form, or read by its object's own checks
-    return value
-
-
-def _one_of(members: Mapping[str, Any], what: str) -> Callable[[Any, str], Any]:
-    return lambda value, path: (members[value] if type(value) is str and value in members
-                                else _fail(path, f"unknown {what} {value!r}"))
-
-
-def _list_of(item: Callable[[Any, str], Any]) -> Callable[[Any, str], list]:
-    return lambda value, path: [
-        item(entry, f"{path}[{i}]") for i, entry in enumerate(_array(value, path))]
-
-
-def _table(key: Callable[[Any], Any], value: Callable[[Any, str], Any],
-           defaults: Optional[Mapping] = None) -> Callable[[Any, str], dict]:
-    """A table, each value read at its entry's path; left-out entries keep their ``defaults``."""
-    return lambda raw, path: {**(defaults or {}), **{
-        key(k): value(v, f"{path}.{k}") for k, v in _object(raw, path).items()}}
-
-
-# --- the declaration of each scenario object's keys, and its one reader ---
-_REQUIRED = MISSING  # the default of a key that its object must give
-
-
-def _key(default: Any, parse: Callable[[Any, str], Any], snapshot: Optional[str] = "") -> Any:
-    """Declare a key of a scenario object: its default (a dict or list is
-    copied per read), the parser of its JSON value, called with the field's
-    path, and for a config key where the genesis snapshot records it: under
-    the field's name (""), at a dotted path, or not at all (None)."""
-    metadata = {"parse": parse, "snapshot": snapshot}
-    if isinstance(default, (dict, list)):
-        return field(default_factory=default.copy, metadata=metadata)
-    return field(default=default, metadata=metadata)
-
-
-class _Keys(dict):
-    """One scenario object's declaration, key -> its _key field in the schema's order, and
-    the one reader of such objects: ``read`` (or a call) refuses all but an object of
-    declared keys, parses each value with its field's path, and defaults each key left out."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, keys: Any = (), **more: Field):
-        super().__init__(keys, **more)
-        # key -> (its parser, None if free-form; the type of values that pass it unread)
-        self.table = {key: (None if (parse := f.metadata["parse"]) is _as_is else parse,
-                            next((kind for p, kind in _PASSES if p is parse), None))
-                      for key, f in self.items()}
-
-    def read(self, raw: Any, path: str) -> dict[str, Any]:
-        obj = raw if type(raw) is dict else _object(raw, path)
-        prefix = path + "." if path else ""
-        table, out = self.table, {}
-        for key, value in obj.items():
-            parse, passes = table.get(key) or _fail(f"{prefix}{key}", "unknown key")
-            if parse is None or type(value) is passes:
-                out[key] = value
-                continue
-            try:
-                out[key] = parse(value, prefix + key)
-            except ScenarioError:
-                raise
-            except (GovSimError, ArithmeticError, KeyError, TypeError, ValueError) as exc:
-                _fail(prefix + key, str(exc))
-        if len(out) < len(table):
-            for key, declared in self.items():
-                if key not in out:
-                    if declared.default is _REQUIRED and declared.default_factory is MISSING:
-                        _fail(prefix + key, "required")
-                    out[key] = (declared.default if declared.default_factory is MISSING
-                                else declared.default_factory())
-        return out
-
-    __call__ = read  # a declaration is the parser of a nested object
-
-
-def _declared(spec: type) -> _Keys:
-    """The keys of a dataclass, from its fields declared with _key."""
-    return _Keys((f.name, f) for f in fields(spec) if "parse" in f.metadata)
 
 
 # The genesis snapshot leaves out quorum, the vote multipliers and the token
@@ -231,10 +94,9 @@ class SimConfig:
         audit_mod.DEFAULT_AUDIT_INTERVALS,
         _table(RiskTier, _at_least(1), audit_mod.DEFAULT_AUDIT_INTERVALS))
     auditor_capacity: int = _key(audit_mod.DEFAULT_AUDITOR_CAPACITY, _at_least(1))
-    risk_weights: risk_mod.RiskWeights = _key(
-        risk_mod.RiskWeights(), _plain(risk_mod.RiskWeights.from_json))
+    risk_weights: risk_mod.RiskWeights = _key(risk_mod.RiskWeights(), risk_mod.read_risk_weights)
     tier_thresholds: risk_mod.TierThresholds = _key(
-        risk_mod.TierThresholds(), _plain(risk_mod.TierThresholds.from_json))
+        risk_mod.TierThresholds(), risk_mod.read_tier_thresholds)
     ewma_alpha: float = _key(risk_mod.DEFAULT_EWMA_ALPHA, _float_where(
         lambda number: 0 < number < 1, "a number in (0, 1)"))
     forecast_floor: float = _key(
@@ -276,7 +138,7 @@ class SimConfig:
 _CONFIG = _declared(SimConfig)
 _STAKE = _Keys(amount=_key(_REQUIRED, _at_least(1)), lock_epochs=_key(_REQUIRED, _at_least(1)))
 _AUDITOR = _Keys(body=_key(_REQUIRED, _text),
-                 scopes=_key(_REQUIRED, _list_of(_one_of(_DOMAINS, "domain"))),
+                 scopes=_key(_REQUIRED, _list_of(_one_of(compliance_mod.RuleDomain, "domain"))),
                  validity_epochs=_key(None, _at_least(1)))  # None: epochs + 1
 
 
@@ -286,7 +148,7 @@ _AUDITOR = _Keys(body=_key(_REQUIRED, _text),
 class StakeholderSpec:
     """One stakeholder: each field is one of its scenario keys."""
     id: str = _key(_REQUIRED, _name)
-    role: Role = _key(_REQUIRED, _one_of(_ROLES, "role"))
+    role: Role = _key(_REQUIRED, _one_of(Role, "role"))
     balance: int = _key(0, _at_least(0))
     stakes: list[tuple[int, int]] = _key([], _list_of(_STAKE))  # (amount, lock_epochs)
     # (accrediting body, scopes, validity_epochs), as accredit_auditor takes them.
@@ -304,7 +166,7 @@ class SystemSpec:
     id: str = _key(_REQUIRED, _name)
     owner: str = _key(_REQUIRED, _text)  # a stakeholder id
     purpose: str = _key(None, _text)  # None: the id
-    risk_tier: RiskTier = _key(_REQUIRED, _one_of(_TIERS, "tier"))
+    risk_tier: RiskTier = _key(_REQUIRED, _one_of(RiskTier, "tier"))
     exposure: Fraction = _key(Fraction(1, 2), _fraction_in(lambda f: 0 <= f <= 1, "[0, 1]"))
     base_metrics: dict[str, Any] = _key({}, _object)
     metadata: Optional[dict] = _key(None, _as_is)
@@ -314,10 +176,11 @@ class SystemSpec:
 @dataclass(slots=True)
 class ProposalSpec:
     """One proposal: each field but the rule is one of its scenario keys."""
-    kind: governance_mod.ProposalKind = _key(_REQUIRED, _one_of(_PROPOSAL_KINDS, "kind"))
+    kind: governance_mod.ProposalKind = _key(
+        _REQUIRED, _one_of(governance_mod.ProposalKind, "kind"))
     id: Optional[str] = _key(None, _or_null(_name))  # as given, or the one load_scenario generates
     mode: governance_mod.VoteMode = _key(
-        governance_mod.VoteMode.LINEAR, _one_of(_VOTE_MODES, "mode"))
+        governance_mod.VoteMode.LINEAR, _one_of(governance_mod.VoteMode, "mode"))
     payload: Any = _key({}, _as_is)  # ROUTINE and CRITICAL payloads are free-form
     # voter -> (direction, magnitude), as _proposal reads the votes
     votes: dict[str, tuple[governance_mod.VoteDirection, int]] = _key([], _array)
@@ -325,29 +188,15 @@ class ProposalSpec:
 
 
 _PROPOSAL = _declared(ProposalSpec)
-# _proposal checks each vote inline against these keys and bounds, for its speed.
-_VOTE = _Keys(voter=_key(_REQUIRED, _text),
-              direction=_key(_REQUIRED, _one_of(_VOTE_DIRECTIONS, "direction")),
+# _proposal checks each vote inline against these keys, bounds and members, for its speed.
+_DIRECTION = _one_of(governance_mod.VoteDirection, "direction")
+_VOTE = _Keys(voter=_key(_REQUIRED, _text), direction=_key(_REQUIRED, _DIRECTION),
               magnitude=_key(1, _at_least(1)))
-# A fault in a rule's domain, tiers or metrics names the rule, as they are
-# checked while the rule is built.
-_RULE = _Keys(
-    rule_id=_key(_REQUIRED, _name), domain=_key(_REQUIRED, _as_is),
-    mandatory=_key(True, _flag), applicable_tiers=_key(["HIGH", "LIMITED", "MINIMAL"], _as_is),
-    metrics=_key(_REQUIRED, _as_is), weight=_key(1, _at_least(1)),
-    predicate=_key(_REQUIRED, _as_is))  # validate_predicate reads it
+_RULE = _declared(compliance_mod.ComplianceRuleModule)
 
 
 def _parse_rule(raw: Any, path: str) -> compliance_mod.ComplianceRuleModule:
-    given = _RULE(raw, path)
-    try:
-        rule = compliance_mod.ComplianceRuleModule(**{
-            **given, "domain": _DOMAINS[given["domain"]], "metrics": tuple(given["metrics"]),
-            "applicable_tiers": frozenset(_TIERS[tier] for tier in given["applicable_tiers"])})
-    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
-        _fail(path, f"bad rule: {exc}")
-    if not all(type(metric) is str for metric in rule.metrics):
-        _fail(path, "bad rule: needs metric names")
+    rule = compliance_mod.ComplianceRuleModule(**_RULE(raw, path))
     try:
         compliance_mod.validate_predicate(rule.predicate, rule.metrics)
     except GovSimError as exc:
@@ -362,7 +211,7 @@ _INJECTIONS = {
     for kind, keys in {
         "VIOLATION": dict(system=_key(_REQUIRED, _text), metrics=_key(_REQUIRED, _object)),
         "INCIDENT": dict(system=_key(_REQUIRED, _text),
-                         severity=_key(_REQUIRED, _one_of(_SEVERITIES, "severity"))),
+                         severity=_key(_REQUIRED, _one_of(risk_mod.Severity, "severity"))),
         "REGULATION_CHANGE": dict(version=_key(_THE_EPOCH, _as_is)),
         "COLLUSION": dict(pair=_key(_REQUIRED, _array), proposals=_key(_REQUIRED, _at_least(1))),
         "PROPOSAL": dict(proposal=_key(_REQUIRED, _PROPOSAL)),
@@ -465,7 +314,7 @@ def _proposal(proposal: Mapping[str, Any], path: str, holders: set[str], ids: di
     # Every stakeholder may vote on every proposal, so these checks run per
     # vote and build a field path only to report a failure.
     votes: dict[str, tuple[governance_mod.VoteDirection, int]] = {}
-    linear = proposal["mode"] is governance_mod.VoteMode.LINEAR
+    linear, directions = proposal["mode"] is governance_mod.VoteMode.LINEAR, _DIRECTION.members
     for j, vote in enumerate(proposal["votes"]):
         if type(vote) is not dict and not isinstance(vote, Mapping):
             _fail(f"{path}.votes[{j}]", "must be an object")
@@ -475,7 +324,7 @@ def _proposal(proposal: Mapping[str, Any], path: str, holders: set[str], ids: di
         if voter in votes:
             _fail(f"{path}.votes[{j}].voter", f"{voter!r} already voted on this proposal")
         try:
-            direction = _VOTE_DIRECTIONS[vote.get("direction")]
+            direction = directions[vote.get("direction")]
         except (KeyError, TypeError):
             _fail(f"{path}.votes[{j}].direction",
                   f"unknown direction {vote.get('direction')!r}")

@@ -90,6 +90,14 @@ def genesis_pools(fractions: Mapping[Pool, Fraction], total_supply: int) -> dict
     return pools
 
 
+# op -> (the least amount its body may move, the refusal of one below it). A
+# grant may be 0, as may a slash's burn; an unstake moves a stake entry held.
+_LEAST_AMOUNT = {
+    "grant": (0, "negative grant"), "transfer": (1, "transfer amount must be positive"),
+    "pool_charge": (1, "charge amount must be positive"),
+    "reward": (1, "reward amount must be positive"), "stake": (1, "stake amount must be positive")}
+
+
 class TokenLedger(Store):
     def __init__(
         self,
@@ -115,12 +123,15 @@ class TokenLedger(Store):
         """Apply one token event; the live methods and the chain fold share it.
 
         ``body`` is what its kind declares (``report.EVENT_SPECS``): the live
-        methods build it so, and the fold checks it first. A debit above the
-        holder's balance, a draw above the pool's, or the unstake of an entry
-        not held raises before anything changes.
+        methods build it so, and the fold checks it first. An amount below its
+        op's least (``_LEAST_AMOUNT``), a debit above the holder's balance, a
+        draw above the pool's, or the unstake of an entry not held raises
+        before anything changes.
         """
+        op = None if kind is EventKind.SLASH_APPLIED else body["op"]
+        if op in _LEAST_AMOUNT and body["amount"] < _LEAST_AMOUNT[op][0]:
+            raise InvalidInput(_LEAST_AMOUNT[op][1])
         if kind is EventKind.TOKENS_TRANSFERRED:
-            op = body["op"]
             if op == "reward" or op == "grant":  # the one draw from a pool
                 pool = Pool.REWARDS if op == "reward" else Pool(body["pool"])
                 amount = body["amount"]
@@ -141,7 +152,7 @@ class TokenLedger(Store):
         elif kind is EventKind.STAKE_CHANGED:
             holder = body["holder"]
             entry = StakeEntry(body["amount"], body["lock_start_epoch"], body["lock_epochs"])
-            if body["op"] == "stake":
+            if op == "stake":
                 self._debit(holder, entry.amount)
                 self.stakes.setdefault(holder, []).append(entry)
             else:  # unstake: the first entry equal in value leaves
@@ -151,6 +162,8 @@ class TokenLedger(Store):
                 self._credit(holder, entry.amount)
         else:  # SLASH_APPLIED
             remaining = body["burned"]
+            if remaining < 0:
+                raise InvalidInput("burned amount must not be negative")
             entries = self.stakes.get(body["holder"], [])
             entries.sort(key=lambda e: (e.lock_start_epoch, e.lock_epochs))
             while remaining > 0 and entries:
@@ -239,15 +252,11 @@ class TokenLedger(Store):
 
     def grant(self, pool: Pool, to: str, amount: int, *, epoch: int = 0) -> None:
         """Pool-to-stakeholder distribution (initial funding paths)."""
-        if amount < 0:
-            raise InvalidInput("negative grant")
         self._record(EventKind.TOKENS_TRANSFERRED,
                      {"op": "grant", "pool": pool.value, "to": to, "amount": amount},
                      actor="token-ledger", epoch=epoch)
 
     def transfer(self, frm: str, to: str, amount: int, *, epoch: int = 0) -> None:
-        if amount <= 0:
-            raise InvalidInput("transfer amount must be positive")
         self._record(EventKind.TOKENS_TRANSFERRED,
                      {"op": "transfer", "from": frm, "to": to, "amount": amount},
                      actor=frm, epoch=epoch)
@@ -255,8 +264,6 @@ class TokenLedger(Store):
     def charge_to_pool(self, frm: str, pool: Pool, amount: int, *, epoch: int = 0,
                        reason: str = "", ref: str = "") -> None:
         """Debit a stakeholder into a pool (quadratic-vote costs land here)."""
-        if amount <= 0:
-            raise InvalidInput("charge amount must be positive")
         body = {"op": "pool_charge", "from": frm, "pool": pool.value, "amount": amount}
         if reason:
             body["reason"] = reason
@@ -267,8 +274,6 @@ class TokenLedger(Store):
     # --- staking ---
 
     def stake(self, stakeholder: str, amount: int, lock_epochs: int, *, epoch: int = 0) -> StakeEntry:
-        if amount <= 0:
-            raise InvalidInput("stake amount must be positive")
         if lock_epochs < 1:
             raise InvalidInput("lock must be at least one epoch")
         self._record(EventKind.STAKE_CHANGED,

@@ -304,8 +304,14 @@ _FIRST_DID, _SECOND_DID = ("did:govsim:2ba77b70b001b4dd1b9d8dcee660d8b7",
      f"field did: {_NO_DID!r} was never registered"),
     ("regulation_shift", EventKind.DID_REGISTERED, {"did": _SECOND_DID}, {"did": _FIRST_DID},
      f"did collision: {_FIRST_DID}"),
+    # Each below used to verify: the writers refused a negative amount, apply did not.
+    ("credit_scoring", EventKind.TOKENS_TRANSFERRED, {"op": "reward"}, {"amount": -10**12},
+     "reward amount must be positive"),
+    ("credit_scoring", EventKind.STAKE_CHANGED, {"op": "stake"}, {"amount": -5},
+     "stake amount must be positive"),
 ], ids=["pool-overdraft", "balance-overdraft", "incident-step-skipped",
-        "incident-step-in-place", "update-of-no-did", "second-registration"])
+        "incident-step-in-place", "update-of-no-did", "second-registration",
+        "negative-reward", "negative-stake"])
 def test_a_broken_store_rule_fails_verify(tmp_path, capsys, name, kind, match, change, fault):
     _, _, events = _run(name)
     index = next(i for i, event in enumerate(events)
@@ -317,8 +323,9 @@ def test_a_broken_store_rule_fails_verify(tmp_path, capsys, name, kind, match, c
         f"FAIL at height {events[index][4]}: event {index + 1} ({kind.value}): {fault}\n")
 
 
-def test_the_fold_takes_each_epoch_from_the_event_frame(tmp_path):
-    # A body key named epoch, which no writer emits, does not move the event.
+def test_the_fold_takes_each_epoch_from_the_event_frame(tmp_path, capsys):
+    # A body key named epoch, which no writer emits, does not move the event,
+    # in the fold or in the history that ``inspect --did`` prints.
     _, _, events = _run("collusion_attack")
     kinds = (EventKind.AUDIT_RECORDED, EventKind.RISK_RECLASSIFIED, EventKind.DID_UPDATED)
     picked = [next(i for i, event in enumerate(events) if event[0] is kind) for kind in kinds]
@@ -328,7 +335,9 @@ def test_the_fold_takes_each_epoch_from_the_event_frame(tmp_path):
     assert verification.ok
     audit, reclassification = fold.audits[0], fold.reclassifications[0]
     update = events[picked[2]][2]
-    did_update = next(e for e in fold.did_events[update["did"]]
+    capsys.readouterr()
+    assert cli_main(["inspect", str(tmp_path / "chain.db"), "--did", update["did"]]) == 0
+    did_update = next(e for e in json.loads(capsys.readouterr().out)["history"]
                       if e["version"] == update["version"])
     frames = [events[i][1] for i in picked]
     assert [audit["epoch"], reclassification["epoch"], did_update["epoch"]] == frames

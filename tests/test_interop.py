@@ -289,9 +289,13 @@ def _legacy_mapping(**changes):
     ({"columns.2.kind": "decimal"}, "columns[2].kind"),
     ({"columns.3.field": "stray"}, "columns[3].field"),
     ({"columns.4.field": "epoch"}, "columns[4].field"),
-    ({"columns": [5]}, "columns[0].column"),
+    ({"columns": [5]}, "columns[0]"),
     ({"columns": [{"column": "rep", "field": "report_id"}]}, "columns[0].kind"),
     ({"columns": "abc"}, "columns"),
+    # Each key below used to be read and ignored: a misspelt delimiter
+    # converted with ",".
+    ({"delimeter": ";"}, "delimeter"),
+    ({"columns.0.width": 8}, "columns[0].width"),
 ])
 def test_convert_refuses_a_malformed_mapping_naming_the_key(tmp_path, capsys, changes, key):
     mapping_path = tmp_path / "mapping.json"

@@ -556,6 +556,19 @@ def test_malformed_chain_header_rejected(reference_results, tmp_path, mutate):
         load_chain(path)
 
 
+def test_chain_header_refuses_an_undeclared_key(reference_results, tmp_path):
+    # A misspelt key used to load: the header was read key by key.
+    chain = reference_results["credit_scoring"].chain
+    path = tmp_path / "chain.db"
+    save_chain(chain, path)
+    header = {"authorities": {aid: key.hex() for aid, key in chain.authorities.items()},
+              "quorum": chain.quorum, "capacity": chain.capacity,
+              "scheme": chain.scheme_name, "quorom": 9}
+    path.write_bytes(_with_header(path.read_bytes(), canonical_json_bytes(header)))
+    with pytest.raises(IoError, match="^bad chain header: quorom: unknown key$"):
+        load_chain(path)
+
+
 @pytest.mark.parametrize("kind_bytes, message", [
     (b"HEARTBEAX", "unknown event kind 'HEARTBEAX'"),
     (b"HEARTBEA\xff", "invalid UTF-8"),

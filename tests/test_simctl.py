@@ -356,6 +356,7 @@ def _passing(kind: str, payload) -> dict:
 
 
 @pytest.mark.parametrize("mutation,expected_path", [
+    # A case whose path got deeper keeps the id that its shorter path gave it.
     ({"epochs": 0}, "epochs"),
     ({"stakeholders": [{"id": "x", "role": "WIZARD"}]}, "stakeholders[0].role"),
     ({"config": {"not_a_knob": 1}}, "config.not_a_knob"),
@@ -411,8 +412,9 @@ def _passing(kind: str, payload) -> dict:
     ({"injected_events": [{"epoch": 1, "kind": "COLLUSION",
                            "pair": [["bank-alpha"], "regulator-eu"], "proposals": 2}]},
      "injected_events[0].pair"),
-    (_first_rule(applicable_tiers=5), "rules[0]"),
-    (_first_rule(metrics=5), "rules[0]"),
+    pytest.param(_first_rule(applicable_tiers=5), "rules[0].applicable_tiers",
+                 id="mutation35-rules[0]"),
+    pytest.param(_first_rule(metrics=5), "rules[0].metrics", id="mutation36-rules[0]"),
     (_first_system(base_metrics=[1]), "ai_systems[0].base_metrics"),
     (_first_system(public_key=5), "ai_systems[0].public_key"),
     (_first_system(exposure=[1]), "ai_systems[0].exposure"),
@@ -454,7 +456,7 @@ def _passing(kind: str, payload) -> dict:
     (_passing("RULE_UPDATE", {}), "injected_events[0].proposal.payload.rule"),
     (_passing("RULE_UPDATE", []), "injected_events[0].proposal.payload"),
     (_passing("RULE_UPDATE", {"rule": {**_RULE_UPDATE, "domain": "NOPE"}}),
-     "injected_events[0].proposal.payload.rule"),
+     "injected_events[0].proposal.payload.rule.domain"),
     # A rule reading a metric no system carries used to stop the run with
     # MissingInput at the first compliance phase after the proposal passed;
     # every system holds data_privacy_consent as a bool, which >= cannot order.
@@ -483,7 +485,8 @@ def _passing(kind: str, payload) -> dict:
      "injected_events[1].proposal.id"),
     (_first_rule(weight=0), "rules[0].weight"),
     (_first_rule(weight=float("inf")), "rules[0].weight"),
-    (_first_rule(metrics=["capital_ratio", ["x"]]), "rules[0]"),
+    pytest.param(_first_rule(metrics=["capital_ratio", ["x"]]), "rules[0].metrics[1]",
+                 id="mutation75-rules[0]"),
     (_first_rule(predicate={"op": [">="], "metric": "capital_ratio", "value": 1}),
      "rules[0].predicate"),
     # An explicit id equal to one the run generates used to stop the run
@@ -546,12 +549,12 @@ def _passing(kind: str, payload) -> dict:
     # a WEIGHT_ADJUSTMENT payload, risk_weights and tier_thresholds.
     (_passing("WEIGHT_ADJUSTMENT", {"cap_fracton": "1/3"}),
      "injected_events[0].proposal.payload"),
-    (_config(risk_weights={"noncompliance": "1/2", "audit_failure": "1/5",
-                           "incidents": "1/5", "exposure": "1/10", "exposre": 1}),
-     "config.risk_weights"),
-    (_config(tier_thresholds={"unacceptable": "9/10", "high": "3/5", "limited": "3/10",
-                              "limted": "1/4"}),
-     "config.tier_thresholds"),
+    pytest.param(_config(risk_weights={"noncompliance": "1/2", "audit_failure": "1/5",
+                                       "incidents": "1/5", "exposure": "1/10", "exposre": 1}),
+                 "config.risk_weights.exposre", id="mutation103-config.risk_weights"),
+    pytest.param(_config(tier_thresholds={"unacceptable": "9/10", "high": "3/5",
+                                          "limited": "3/10", "limted": "1/4"}),
+                 "config.tier_thresholds.limted", id="mutation104-config.tier_thresholds"),
     # A collusion penalty or agreement outside its range used to load: under
     # a penalty of -1 a flagged member's FOR vote counted against the motion.
     (_config(collusion_penalty="-1"), "config.collusion_penalty"),

@@ -4,7 +4,9 @@ The one exception is the lazy ``cryptography`` import on the Ed25519 path of
 ``keys.py``, which only runs when a scenario selects that scheme.
 
 Only ``encoding.py`` opens, reads or writes files, so every file error is
-named the same way.
+named the same way. It imports nothing of the package but ``errors``, so the
+declared-key reader that every module shares pulls in no domain module and
+closes no import cycle.
 """
 
 import ast
@@ -70,3 +72,15 @@ def test_only_encoding_touches_files():
     assert offenders == {}
     assert {name for name, _ in _file_calls(PACKAGE / "encoding.py")} == {
         "read_bytes", "write_bytes"}
+
+
+def test_encoding_imports_only_errors_from_the_package():
+    tree = ast.parse((PACKAGE / "encoding.py").read_text("utf-8"))
+    relative = {(node.level, node.module) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0}
+    absolute = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names} | {
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert relative == {(1, "errors")}
+    assert not any(name.split(".")[0] == "govsim" for name in absolute)
