@@ -92,7 +92,7 @@ class AuditRecord:
             "did": self.system_did,
             "auditor": self.auditor_id,
             "outcome": self.outcome.value,
-            "findings": dict(sorted(self.findings.items())),
+            "findings": self.findings,
             "commitment": self.evidence_commitment.hex(),
             "trigger": self.trigger,
         }

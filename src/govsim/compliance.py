@@ -9,10 +9,11 @@ commitment to the metric vector, never the metric values themselves.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .encoding import (
     _REQUIRED, ONE, _as_is, _at_least, _flag, _key, _list_of, _name, _one_of, _text,
@@ -36,8 +37,9 @@ logger = logging.getLogger(__name__)
 
 MAX_PREDICATE_DEPTH = 16
 
+_OPERATORS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt,
+              "==": operator.eq, "!=": operator.ne}
 _ORDERINGS = {">=", "<=", ">", "<"}
-_COMPARISONS = _ORDERINGS | {"==", "!="}
 _COMBINATORS = {"and", "or"}
 
 
@@ -68,7 +70,7 @@ def validate_predicate(tree: dict, declared_metrics: Sequence[str],
         if "arg" not in tree:
             raise InvalidRule("'not' needs an 'arg'")
         validate_predicate(tree["arg"], declared_metrics, _depth + 1)
-    elif op in _COMPARISONS:
+    elif op in _OPERATORS:
         metric = tree.get("metric")
         if not isinstance(metric, str):
             raise InvalidRule(f"comparison '{op}' needs a 'metric' name")
@@ -96,29 +98,34 @@ def ordered_metrics(tree: dict) -> set[str]:
     return {tree["metric"]} if op in _ORDERINGS else set()
 
 
-def evaluate_predicate(tree: dict, metrics: Mapping[str, float | bool]) -> bool:
+def compile_predicate(tree: dict) -> Callable[[Mapping[str, float | bool]], bool]:
+    """A validated predicate as one closure over metric maps.
+
+    Each comparison holds its metric, bound and ``operator`` function;
+    ``and``/``or`` stop at the first argument that decides them, in
+    argument order, so a metric that is never reached is never required.
+    """
     op = tree["op"]
-    if op == "and":
-        return all(evaluate_predicate(a, metrics) for a in tree["args"])
-    if op == "or":
-        return any(evaluate_predicate(a, metrics) for a in tree["args"])
+    if op in _COMBINATORS:
+        parts = tuple(compile_predicate(arg) for arg in tree["args"])
+        decide = all if op == "and" else any
+        return lambda metrics: decide(part(metrics) for part in parts)
     if op == "not":
-        return not evaluate_predicate(tree["arg"], metrics)
-    metric = tree["metric"]
-    if metric not in metrics:
-        raise MissingInput(f"metric not supplied: {metric}")
-    left, right = metrics[metric], tree["value"]
-    if op == ">=":
-        return left >= right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == "<":
-        return left < right
-    if op == "==":
-        return left == right
-    return left != right
+        inner = compile_predicate(tree["arg"])
+        return lambda metrics: not inner(metrics)
+    metric, bound, compare = tree["metric"], tree["value"], _OPERATORS[op]
+
+    def comparison(metrics):
+        try:
+            value = metrics[metric]
+        except KeyError:
+            raise MissingInput(f"metric not supplied: {metric}") from None
+        return compare(value, bound)
+    return comparison
+
+
+def evaluate_predicate(tree: dict, metrics: Mapping[str, float | bool]) -> bool:
+    return compile_predicate(tree)(metrics)
 
 
 # --- rules ---
@@ -149,15 +156,56 @@ class ComplianceRuleModule:
 GENESIS_AUTHORIZATION = "genesis"
 
 
+class CompiledTier:
+    """One tier's applicable rules, their domains and their evaluation, built
+    once per registration.
+
+    The rules stand in rule-id order, each compiled to ``(rule_id,
+    predicate, weight, mandatory)``. Scores are kept by passed weight, so
+    each distinct score is one shared ``Fraction``.
+    """
+
+    __slots__ = ("tier", "rules", "domains", "_checks", "_total_weight", "_scores")
+
+    def __init__(self, tier: RiskTier, rules: tuple[ComplianceRuleModule, ...]):
+        self.tier = tier
+        self.rules = rules
+        self.domains = frozenset(rule.domain for rule in rules)
+        self._checks = tuple((rule.rule_id, compile_predicate(rule.predicate),
+                              rule.weight, rule.mandatory) for rule in rules)
+        self._total_weight = sum(rule.weight for rule in rules)
+        self._scores: dict[int, Fraction] = {}
+
+    def evaluate(self, metrics: Mapping[str, float | bool]
+                 ) -> tuple[dict[str, bool], Fraction, bool]:
+        """Per-rule verdicts, aggregate score, compliant flag."""
+        if not self._checks:
+            logger.warning("no applicable rules for tier %s: vacuously compliant",
+                           self.tier.value)
+            return {}, ONE, True
+        results: dict[str, bool] = {}
+        passed_weight = 0
+        compliant = True
+        for rule_id, predicate, weight, mandatory in self._checks:
+            outcome = results[rule_id] = predicate(metrics)
+            if outcome:
+                passed_weight += weight
+            elif mandatory:
+                compliant = False
+        score = self._scores.get(passed_weight)
+        if score is None:
+            score = self._scores[passed_weight] = Fraction(passed_weight, self._total_weight)
+        return results, score, compliant
+
+
 class RuleRegistry:
     """Versioned rule store; updates never mutate prior versions."""
 
     def __init__(self, chain: Optional[Chain] = None):
         self.chain = chain
         self._versions: dict[str, list[ComplianceRuleModule]] = {}
-        # Each tier's applicable rules and their domains, until the next registration.
-        self._applicable: dict[RiskTier, tuple[ComplianceRuleModule, ...]] = {}
-        self._domains: dict[RiskTier, frozenset[RuleDomain]] = {}
+        # Each tier's compiled rules, until the next registration.
+        self._compiled: dict[RiskTier, CompiledTier] = {}
 
     def register_rule(
         self,
@@ -184,8 +232,7 @@ class RuleRegistry:
         history = self._versions.setdefault(rule.rule_id, [])
         versioned = replace(rule, version=len(history) + 1)
         history.append(versioned)
-        self._applicable.clear()
-        self._domains.clear()
+        self._compiled.clear()
         if self.chain is not None:
             self.chain.append(
                 EventKind.RULE_REGISTERED,
@@ -204,19 +251,20 @@ class RuleRegistry:
     def active_rules(self) -> list[ComplianceRuleModule]:
         return [history[-1] for _, history in sorted(self._versions.items())]
 
+    def compiled(self, tier: RiskTier) -> CompiledTier:
+        """The tier's active rules, compiled once until the next registration."""
+        entry = self._compiled.get(tier)
+        if entry is None:
+            entry = self._compiled[tier] = CompiledTier(tier, tuple(
+                r for r in self.active_rules() if r.applies_to(tier)))
+        return entry
+
     def applicable(self, tier: RiskTier) -> tuple[ComplianceRuleModule, ...]:
-        rules = self._applicable.get(tier)
-        if rules is None:
-            rules = self._applicable[tier] = tuple(
-                r for r in self.active_rules() if r.applies_to(tier))
-        return rules
+        return self.compiled(tier).rules
 
     def domains(self, tier: RiskTier) -> frozenset[RuleDomain]:
         """The domains of ``applicable(tier)``: an auditor of the tier holds every one."""
-        domains = self._domains.get(tier)
-        if domains is None:
-            domains = self._domains[tier] = frozenset(r.domain for r in self.applicable(tier))
-        return domains
+        return self.compiled(tier).domains
 
 
 # --- assessment ---
@@ -239,7 +287,7 @@ class Assessment:
             "did": self.system_did,
             "epoch": self.epoch,
             "tier": self.tier.value,
-            "results": dict(sorted(self.results.items())),
+            "results": self.results,
             "score": str(self.aggregate_score),
             "compliant": self.compliant,
             "commitment": self.commitment.hex(),
@@ -248,7 +296,8 @@ class Assessment:
 
 def metrics_commitment(metrics: Mapping[str, float | bool], salt: bytes) -> bytes:
     """Hash binding of the metric vector: sha256(canonical bytes || salt)."""
-    return sha256(canonical_json_bytes(dict(metrics)) + salt)
+    return sha256(canonical_json_bytes(
+        metrics if type(metrics) is dict else dict(metrics)) + salt)
 
 
 def evaluate_rules(
@@ -257,22 +306,7 @@ def evaluate_rules(
     registry: RuleRegistry,
 ) -> tuple[dict[str, bool], Fraction, bool]:
     """Pure core: per-rule verdicts, aggregate score, compliant flag."""
-    rules = registry.applicable(tier)
-    if not rules:
-        logger.warning("no applicable rules for tier %s: vacuously compliant",
-                       tier.value)
-        return {}, ONE, True
-    results: dict[str, bool] = {}
-    passed_weight = 0
-    total_weight = 0
-    for rule in rules:
-        outcome = evaluate_predicate(rule.predicate, metrics)
-        results[rule.rule_id] = outcome
-        total_weight += rule.weight
-        if outcome:
-            passed_weight += rule.weight
-    compliant = all(results[r.rule_id] for r in rules if r.mandatory)
-    return results, Fraction(passed_weight, total_weight), compliant
+    return registry.compiled(tier).evaluate(metrics)
 
 
 def evaluate(

@@ -232,9 +232,19 @@ def _checked(test: Callable[[Any], bool], must: str) -> Callable[[Any, str], Any
     return lambda value, path: value if test(value) else _fail(path, f"must be {must}")
 
 
+# What a parser's converter may raise: the reader names the field at fault.
+_PARSE_ERRORS = (GovSimError, ArithmeticError, KeyError, TypeError, ValueError)
+
+
 def _plain(convert: Callable[[Any], Any]) -> Callable[[Any, str], Any]:
-    """A parser that needs no path: if ``convert`` raises, the reader names the field."""
-    return lambda value, path: convert(value)
+    """A parser that needs no path: if ``convert`` raises, it names the field,
+    also when that field is an entry of a table."""
+    def parse(value: Any, path: str) -> Any:
+        try:
+            return convert(value)
+        except _PARSE_ERRORS as exc:
+            _fail(path, str(exc))
+    return parse
 
 
 _FRACTION = _plain(as_fraction)
@@ -338,7 +348,7 @@ class _Keys(dict):
                 out[key] = parse(value, prefix + key)
             except ScenarioError:
                 raise
-            except (GovSimError, ArithmeticError, KeyError, TypeError, ValueError) as exc:
+            except _PARSE_ERRORS as exc:
                 _fail(prefix + key, str(exc))
         if len(out) < len(table):
             for key, declared in self.items():

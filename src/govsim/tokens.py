@@ -124,9 +124,10 @@ class TokenLedger(Store):
 
         ``body`` is what its kind declares (``report.EVENT_SPECS``): the live
         methods build it so, and the fold checks it first. An amount below its
-        op's least (``_LEAST_AMOUNT``), a debit above the holder's balance, a
-        draw above the pool's, or the unstake of an entry not held raises
-        before anything changes.
+        op's least (``_LEAST_AMOUNT``), a stake locked for less than one epoch
+        or from before epoch 0, a debit above the holder's balance, a draw
+        above the pool's, or the unstake of an entry not held raises before
+        anything changes.
         """
         op = None if kind is EventKind.SLASH_APPLIED else body["op"]
         if op in _LEAST_AMOUNT and body["amount"] < _LEAST_AMOUNT[op][0]:
@@ -150,6 +151,10 @@ class TokenLedger(Store):
                 self.pools = {p: body["pools"][p.value] for p in Pool}
                 self.emission = body["emission"]
         elif kind is EventKind.STAKE_CHANGED:
+            if body["lock_epochs"] < 1:
+                raise InvalidInput("field lock_epochs: lock must be at least one epoch")
+            if body["lock_start_epoch"] < 0:
+                raise InvalidInput("field lock_start_epoch: must not be negative")
             holder = body["holder"]
             entry = StakeEntry(body["amount"], body["lock_start_epoch"], body["lock_epochs"])
             if op == "stake":
@@ -274,8 +279,6 @@ class TokenLedger(Store):
     # --- staking ---
 
     def stake(self, stakeholder: str, amount: int, lock_epochs: int, *, epoch: int = 0) -> StakeEntry:
-        if lock_epochs < 1:
-            raise InvalidInput("lock must be at least one epoch")
         self._record(EventKind.STAKE_CHANGED,
                      {"holder": stakeholder, "op": "stake", "amount": amount,
                       "lock_start_epoch": epoch, "lock_epochs": lock_epochs},

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from govsim.compliance import (
     Assessment,
@@ -14,6 +15,7 @@ from govsim.compliance import (
     OracleFeed,
     RuleDomain,
     RuleRegistry,
+    compile_predicate,
     evaluate,
     evaluate_predicate,
     evaluate_rules,
@@ -367,3 +369,128 @@ def test_panel_selection_is_seeded_and_reproducible():
         fresh_assessment(), "c", system_owner="o", eligible_auditors=AUDITORS).panel
     assert panel_a == panel_b
     assert len(set(panel_a)) == 3
+
+
+# --- the compiled evaluator against the tree walk ---
+
+def reference_predicate(tree: dict, metrics) -> bool:
+    """The tree walk that ``compile_predicate`` replaced, kept as the reference."""
+    op = tree["op"]
+    if op == "and":
+        return all(reference_predicate(a, metrics) for a in tree["args"])
+    if op == "or":
+        return any(reference_predicate(a, metrics) for a in tree["args"])
+    if op == "not":
+        return not reference_predicate(tree["arg"], metrics)
+    metric = tree["metric"]
+    if metric not in metrics:
+        raise MissingInput(f"metric not supplied: {metric}")
+    left, right = metrics[metric], tree["value"]
+    if op == ">=":
+        return left >= right
+    if op == "<=":
+        return left <= right
+    if op == ">":
+        return left > right
+    if op == "<":
+        return left < right
+    if op == "==":
+        return left == right
+    return left != right
+
+
+def reference_rules(rules, tier, metrics):
+    """Verdicts, score and compliant flag of the latest version of each rule id."""
+    latest = {rule.rule_id: rule for rule in rules}
+    applicable = [latest[rule_id] for rule_id in sorted(latest)
+                  if tier in latest[rule_id].applicable_tiers]
+    if not applicable:
+        return {}, Fraction(1), True
+    results = {rule.rule_id: reference_predicate(rule.predicate, metrics)
+               for rule in applicable}
+    passed = sum(rule.weight for rule in applicable if results[rule.rule_id])
+    total = sum(rule.weight for rule in applicable)
+    compliant = all(results[rule.rule_id] for rule in applicable if rule.mandatory)
+    return results, Fraction(passed, total), compliant
+
+
+def _outcome(evaluate, *args):
+    """What an evaluation returns, or the metric whose absence stopped it."""
+    try:
+        return evaluate(*args)
+    except MissingInput as exc:
+        return ("MissingInput", str(exc))
+
+
+_METRIC_NAMES = ("m0", "m1", "m2", "m3")
+# Ties at a bound (1 and 1.0, 0 and False), booleans against integers, and
+# integers past 2**53 beside the float they round to.
+_EDGES = [0, 1, 1.0, 0.0, -1, True, False, 0.5, 2**53, 2**53 + 1, float(2**53), -(2**53 + 1)]
+_BOUNDS = st.one_of(st.sampled_from(_EDGES), st.integers(-3, 3), st.booleans(),
+                    st.floats(allow_nan=False, allow_infinity=False, width=16))
+_VALUES = st.one_of(_BOUNDS, st.integers(), st.floats(allow_nan=True))
+_COMPARISON = st.builds(lambda op, metric, value: {"op": op, "metric": metric, "value": value},
+                        st.sampled_from([">=", "<=", ">", "<", "==", "!="]),
+                        st.sampled_from(_METRIC_NAMES), _BOUNDS)
+
+
+def _trees(depth: int):
+    """Predicate trees at most ``depth`` nodes deep."""
+    if depth == 1:
+        return _COMPARISON
+    below = _trees(depth - 1)
+    return st.one_of(
+        _COMPARISON,
+        st.builds(lambda op, args: {"op": op, "args": args},
+                  st.sampled_from(["and", "or"]), st.lists(below, min_size=1, max_size=3)),
+        st.builds(lambda arg: {"op": "not", "arg": arg}, below))
+
+
+_TREES = _trees(4)
+# Any metric may be left out, so that a missing one is met in every position.
+_METRICS = st.dictionaries(st.sampled_from(_METRIC_NAMES), _VALUES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=_TREES, metrics=_METRICS)
+@example(tree={"op": ">=", "metric": "m0", "value": 1}, metrics={"m0": 1.0})
+@example(tree={"op": "==", "metric": "m0", "value": True}, metrics={"m0": 1})
+@example(tree={"op": "!=", "metric": "m0", "value": False}, metrics={"m0": 0.0})
+@example(tree={"op": ">", "metric": "m0", "value": float(2**53)}, metrics={"m0": 2**53 + 1})
+@example(tree={"op": "or", "args": [{"op": "<", "metric": "m0", "value": 1},
+                                    {"op": "==", "metric": "m1", "value": 1}]},
+         metrics={"m0": 0})
+@example(tree={"op": "and", "args": [{"op": "<", "metric": "m0", "value": 1},
+                                     {"op": "==", "metric": "m1", "value": 1}]},
+         metrics={"m0": 0})
+def test_compiled_predicate_is_the_tree_walk(tree, metrics):
+    validate_predicate(tree, _METRIC_NAMES)
+    expected = _outcome(reference_predicate, tree, metrics)
+    assert _outcome(compile_predicate(tree), metrics) == expected
+    assert _outcome(evaluate_predicate, tree, metrics) == expected
+
+
+_RULES = st.lists(st.builds(
+    lambda rule_id, tree, mandatory, tiers, weight: ComplianceRuleModule(
+        rule_id=rule_id, domain=RuleDomain.TRANSPARENCY, predicate=tree,
+        metrics=_METRIC_NAMES, mandatory=mandatory, applicable_tiers=tiers, weight=weight),
+    st.sampled_from(["r0", "r1", "r2", "r3", "r4"]), _TREES, st.booleans(),
+    st.frozensets(st.sampled_from([RiskTier.HIGH, RiskTier.LIMITED, RiskTier.MINIMAL])),
+    st.integers(1, 4)), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rules=_RULES, metrics=st.lists(_METRICS, min_size=1, max_size=4))
+def test_compiled_rules_are_the_reference_after_each_registration(rules, metrics):
+    # The same rule id registered again is its next version; each
+    # registration is followed by evaluations of every tier.
+    registry = RuleRegistry()
+    for count, rule in enumerate(rules, start=1):
+        registry.register_rule(rule, GENESIS_AUTHORIZATION)
+        for tier in RiskTier:
+            for vector in metrics:
+                expected = _outcome(reference_rules, rules[:count], tier, vector)
+                got = _outcome(evaluate_rules, tier, vector, registry)
+                assert got == expected
+                if isinstance(got[0], dict):
+                    assert list(got[0]) == sorted(got[0])  # rule-id order

@@ -309,9 +309,18 @@ _FIRST_DID, _SECOND_DID = ("did:govsim:2ba77b70b001b4dd1b9d8dcee660d8b7",
      "reward amount must be positive"),
     ("credit_scoring", EventKind.STAKE_CHANGED, {"op": "stake"}, {"amount": -5},
      "stake amount must be positive"),
+    # Each below used to verify: stake() refused a lock it could not make, apply did not.
+    ("credit_scoring", EventKind.STAKE_CHANGED, {"op": "stake"}, {"lock_epochs": 0},
+     "field lock_epochs: lock must be at least one epoch"),
+    ("credit_scoring", EventKind.STAKE_CHANGED, {"op": "stake"},
+     {"lock_epochs": -3, "lock_start_epoch": -100},
+     "field lock_epochs: lock must be at least one epoch"),
+    ("credit_scoring", EventKind.STAKE_CHANGED, {"op": "stake"}, {"lock_start_epoch": -100},
+     "field lock_start_epoch: must not be negative"),
 ], ids=["pool-overdraft", "balance-overdraft", "incident-step-skipped",
         "incident-step-in-place", "update-of-no-did", "second-registration",
-        "negative-reward", "negative-stake"])
+        "negative-reward", "negative-stake", "stake-locked-for-no-epoch",
+        "stake-locked-for-negative-epochs", "stake-locked-before-genesis"])
 def test_a_broken_store_rule_fails_verify(tmp_path, capsys, name, kind, match, change, fault):
     _, _, events = _run(name)
     index = next(i for i, event in enumerate(events)

@@ -556,6 +556,23 @@ def test_malformed_chain_header_rejected(reference_results, tmp_path, mutate):
         load_chain(path)
 
 
+def test_chain_header_names_the_authority_whose_key_is_bad(reference_results, tmp_path):
+    # The key's entry is named, not only its table.
+    chain = reference_results["credit_scoring"].chain
+    path = tmp_path / "chain.db"
+    save_chain(chain, path)
+    data = path.read_bytes()
+    header = {"authorities": {aid: key.hex() for aid, key in chain.authorities.items()},
+              "quorum": chain.quorum, "capacity": chain.capacity,
+              "scheme": chain.scheme_name}
+    first = sorted(header["authorities"])[0]
+    path.write_bytes(_with_header(data, canonical_json_bytes(_first_authority(header, "zz"))))
+    with pytest.raises(IoError) as refused:
+        load_chain(path)
+    assert str(refused.value) == (f"bad chain header: authorities.{first}: "
+                                  "non-hexadecimal number found in fromhex() arg at position 0")
+
+
 def test_chain_header_refuses_an_undeclared_key(reference_results, tmp_path):
     # A misspelt key used to load: the header was read key by key.
     chain = reference_results["credit_scoring"].chain

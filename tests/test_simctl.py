@@ -594,6 +594,8 @@ def _passing(kind: str, payload) -> dict:
                               {"op": "<", "metric": "leverage", "value": 10}]},
         {"op": "not", "arg": {"op": ">", "metric": "leverage", "value": 10}},
     ]],
+    # A table entry that its value parser refuses used to be named by its table.
+    (_config(role_multiplier={"BANK": True}), "config.role_multiplier.BANK"),
 ])
 def test_scenario_errors_carry_field_paths(mutation, expected_path):
     base = json.loads(scenario_path("credit_scoring").read_text())

@@ -5,14 +5,17 @@ Voting power changes only when a stake, the weights or a penalty changes, so
 a run computes each stakeholder's raw power once at set-up and again only in
 an epoch where one of those moved, however many tallies and elections it
 holds.
+
+Likewise each tier's rules are compiled once per registration, and each
+distinct score is built once, however many assessments and audits read them.
 """
 
 import importlib
 
-from govsim import governance
+from govsim import compliance, governance
 from govsim.ledger import EventKind
 from govsim.simctl import run_scenario
-from tests.conftest import REPO_ROOT
+from tests.conftest import REPO_ROOT, scenario_path
 
 
 def _power_epochs(result) -> set[int]:
@@ -51,3 +54,47 @@ def test_raw_power_is_computed_per_change_not_per_tally(monkeypatch):
     assert tallies >= 1000  # the workload is the storm of votes it claims to be
     bound = len(result.governance.stakeholders) * (1 + len(_power_epochs(result)))
     assert calls <= bound
+
+
+def test_rules_compile_once_per_tier_and_registration(monkeypatch):
+    registrations = 0
+    compiled = []  # (tier, registrations before it) of each compilation
+    scores = set()  # (compilation, score) of each evaluation
+    evaluations = fractions = 0
+    register_rule, fraction = compliance.RuleRegistry.register_rule, compliance.Fraction
+
+    def counted_registration(*args, **kwargs):
+        nonlocal registrations
+        registrations += 1
+        return register_rule(*args, **kwargs)
+
+    class CountedTier(compliance.CompiledTier):
+        __slots__ = ()
+
+        def __init__(self, tier, rules):
+            super().__init__(tier, rules)
+            compiled.append((tier, registrations))
+
+        def evaluate(self, metrics):
+            nonlocal evaluations
+            evaluations += 1
+            verdicts = super().evaluate(metrics)
+            if self.rules:  # a tier without rules scores the shared ONE
+                scores.add((self, verdicts[1]))
+            return verdicts
+
+    def counted_fraction(*args):
+        nonlocal fractions
+        fractions += 1
+        return fraction(*args)
+
+    monkeypatch.setattr(compliance.RuleRegistry, "register_rule", counted_registration)
+    monkeypatch.setattr(compliance, "CompiledTier", CountedTier)
+    monkeypatch.setattr(compliance, "Fraction", counted_fraction)
+    result = run_scenario(scenario_path("regulation_shift"))
+    registered = [event.epoch for block in result.chain.blocks for event in block.events
+                  if event.kind is EventKind.RULE_REGISTERED]
+    assert registered[-1] > 0  # a RULE_UPDATE passed mid-run
+    assert len(compiled) == len(set(compiled))
+    assert max(seen for _, seen in compiled) == registrations == len(registered)
+    assert fractions <= len(scores) < evaluations
