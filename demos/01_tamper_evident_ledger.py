@@ -16,9 +16,7 @@ chain = Chain({name: kp.public for name, kp in keys.items()}, capacity=4)
 print(f"authorities: {sorted(keys)}  quorum: {chain.quorum} of {len(keys)}")
 
 for n in range(1, 9):
-    position = chain.append(
-        EventKind.HEARTBEAT, {"note": f"activity {n}"}, actor="demo", epoch=1
-    )
+    chain.append(EventKind.HEARTBEAT, {"note": f"activity {n}"}, actor="demo", epoch=1)
 print(f"appended 8 events; pending spans blocks with capacity {chain.capacity}")
 
 blocks = chain.seal_all({name: kp.private for name, kp in keys.items()})

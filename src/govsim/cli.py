@@ -2,7 +2,7 @@
 
     govsim run <scenario.json> [--seed N] --out <dir>
     govsim verify <chain.db> [--report report.json]
-    govsim inspect <chain.db> (--did X | --proposals | --audits | --balances)
+    govsim inspect <chain.db> [--proposals | --balances | --audits [--did X] | --did X]
     govsim convert --in legacy.csv --map mapping.json --out messages.json
 """
 
@@ -56,6 +56,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    # --did filters --audits; with --proposals or --balances it would be ignored.
+    if args.did and (args.proposals or args.balances):
+        other = "--proposals" if args.proposals else "--balances"
+        args.parser.error(f"argument --did: not allowed with argument {other}")
     chain = load_chain(args.chain)
     verification, fold = verified_fold(chain)
     if fold is None:
@@ -135,10 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     inspect_p.add_argument("--did",
                            help="one system record and its history; with "
                                 "--audits, filters the audit list")
-    inspect_p.add_argument("--proposals", action="store_true")
-    inspect_p.add_argument("--audits", action="store_true")
-    inspect_p.add_argument("--balances", action="store_true")
-    inspect_p.set_defaults(func=_cmd_inspect)
+    query = inspect_p.add_mutually_exclusive_group()
+    query.add_argument("--proposals", action="store_true")
+    query.add_argument("--audits", action="store_true")
+    query.add_argument("--balances", action="store_true")
+    inspect_p.set_defaults(func=_cmd_inspect, parser=inspect_p)
 
     convert_p = sub.add_parser("convert", help="legacy CSV -> canonical messages")
     convert_p.add_argument("--in", dest="infile", required=True)

@@ -11,23 +11,17 @@ class GovSimError(Exception):
 
 # --- ledger ---
 
-class OrderingViolation(GovSimError):
-    """Event id is not exactly last id + 1."""
-
 class EncodingError(GovSimError):
     """Payload bytes are not in canonical form."""
 
 class QuorumNotMet(GovSimError):
-    """Fewer distinct valid sealer signatures than the configured quorum."""
+    """``seal_all`` was given fewer authority keys than the chain's quorum."""
 
 class UnknownAuthority(GovSimError):
-    """Signature from an id that is not a registered sealing authority."""
+    """``seal_all`` was given a key for an id that is not a registered sealing authority."""
 
 class SignatureInvalid(GovSimError):
-    """Signature does not verify over the candidate block hash."""
-
-class NothingToSeal(GovSimError):
-    """seal_block called with an empty pending queue."""
+    """``seal_all`` was given a private key that does not derive its authority's public key."""
 
 class EventInvalid(GovSimError):
     """A sealed event's body is not what its kind declares, or cannot be folded."""

@@ -9,16 +9,15 @@ mutated height.
 Where each guarantee is established on the write path, so that each piece
 of work is done once:
 
-* canonical payloads: ``Chain.append`` encodes each body once with
-  ``canonical_json_bytes``, canonical by construction, builds the event
-  once through ``_new_event`` and pushes it onto ``pending``; only
-  ``append_event``, for events built outside the chain, rechecks the bytes
-  and the id continuity.
-* signer validity: ``seal_all`` checks once per call that every private key
-  derives its authority's registered public key, then hashes and signs each
-  block once without verifying its own signatures. ``seal_block`` verifies
-  every signature passed in from outside, and ``verify_chain`` verifies
-  every sealed block's quorum.
+* canonical payloads: ``Chain.append``, the one way an event is queued,
+  encodes each body once with ``canonical_json_bytes``, canonical by
+  construction, numbers it one past the last id, builds the event once
+  through ``_new_event`` and pushes it onto ``pending``. Neither the bytes
+  nor the id are rechecked.
+* signer validity: ``seal_all``, the one way a block is sealed, checks once
+  per call that every private key derives its authority's registered public
+  key, then hashes and signs each block once without verifying its own
+  signatures. ``verify_chain`` verifies every sealed block's quorum.
 * event frames: ``_event_frames`` frames events for the block hash at seal
   and for the chain file on save alike, with one ``struct`` pack per event
   for all that precedes the payload. No frame is kept from seal to save.
@@ -51,22 +50,13 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .encoding import (
     _REQUIRED, DIGEST_SIZE, U32, U64, ZERO_DIGEST, ByteReader, _integer, _key, _Keys, _plain,
-    _table, _text, canonical_json_bytes, from_canonical_json, is_canonical_json, pack_bytes,
-    pack_str, read_bytes, sha256, strict_utf8, truncated, write_bytes)
-from .errors import (
-    EncodingError,
-    GovSimError,
-    IoError,
-    NothingToSeal,
-    OrderingViolation,
-    QuorumNotMet,
-    SignatureInvalid,
-    UnknownAuthority,
-)
+    _table, _text, canonical_json_bytes, from_canonical_json, pack_bytes, pack_str, read_bytes,
+    sha256, strict_utf8, truncated, write_bytes)
+from .errors import GovSimError, IoError, QuorumNotMet, SignatureInvalid, UnknownAuthority
 from .keys import get_scheme
 
 # 16-byte magic header (the GOVCHAIN tag, zero padded), then a version byte.
@@ -165,11 +155,6 @@ class Block:
     read_hash: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
 
-class PendingPosition(NamedTuple):
-    height: int
-    index: int
-
-
 def _event_frames(events: Sequence[GovernanceEvent]) -> list[bytes]:
     """Each event's frame behind its u32 length prefix, as parts to join."""
     parts: list[bytes] = []
@@ -222,6 +207,9 @@ class Chain:
         self.quorum = default_quorum(len(self.authorities)) if quorum is None else quorum
         if self.quorum < 1:
             raise ValueError("sealing quorum must be >= 1")
+        if self.quorum > len(self.authorities):
+            raise ValueError(f"sealing quorum {self.quorum} exceeds the "
+                             f"{len(self.authorities)} sealing authorities")
         self.capacity = capacity
         self.scheme_name = scheme
         self.scheme = get_scheme(scheme)
@@ -241,24 +229,6 @@ class Chain:
             if block.events:
                 return block.events[-1].event_id
         return 0
-
-    def append_event(self, event: GovernanceEvent) -> PendingPosition:
-        """Queue an event built outside the chain; return where it will seal.
-
-        Enforces id continuity, and rechecks that the payload is canonical
-        JSON: the chain did not build these bytes, so it cannot trust them.
-        """
-        if not is_canonical_json(event.payload):
-            raise EncodingError("event payload is not canonical JSON")
-        expected = self.last_event_id + 1
-        if event.event_id != expected:
-            raise OrderingViolation(
-                f"event_id {event.event_id} does not follow last id {expected - 1}"
-            )
-        index = len(self.pending)
-        self.pending.append(event)
-        height = len(self.blocks) + 1 + index // self.capacity
-        return PendingPosition(height=height, index=index % self.capacity)
 
     def append(self, kind: EventKind, body: dict, *, actor: str, epoch: int) -> GovernanceEvent:
         """Build the next event from a JSON body and queue it.
@@ -280,43 +250,6 @@ class Chain:
     def head_hash(self) -> bytes:
         return self.blocks[-1].block_hash if self.blocks else ZERO_DIGEST
 
-    def candidate_events(self) -> tuple[GovernanceEvent, ...]:
-        return tuple(self.pending[: self.capacity])
-
-    def _seal(self, candidate: tuple[GovernanceEvent, ...], block_hash: bytes,
-              signatures: tuple[tuple[str, bytes], ...]) -> Block:
-        """Append the block of a candidate that is already hashed and signed."""
-        block = Block(len(self.blocks) + 1, self.head_hash, candidate, signatures, block_hash)
-        self.blocks.append(block)
-        del self.pending[: len(candidate)]
-        return block
-
-    def _check_quorum(self, n_signers: int) -> None:
-        if n_signers < self.quorum:
-            raise QuorumNotMet(f"{n_signers} distinct signers < quorum {self.quorum}")
-
-    def seal_block(self, authority_signatures: Iterable[tuple[str, bytes]]) -> Block:
-        """Finalize the oldest pending block under a quorum of outside signatures.
-
-        Hashes the candidate itself and verifies every signature passed in.
-        """
-        candidate = self.candidate_events()
-        if not candidate:
-            raise NothingToSeal("no pending events")
-        block_hash = compute_block_hash(len(self.blocks) + 1, self.head_hash, candidate)
-
-        signatures = tuple(authority_signatures)
-        valid_signers: set[str] = set()
-        for authority_id, signature in signatures:
-            public = self.authorities.get(authority_id)
-            if public is None:
-                raise UnknownAuthority(f"unregistered sealer: {authority_id}")
-            if not self.scheme.verify(public, block_hash, signature):
-                raise SignatureInvalid(f"bad signature from {authority_id}")
-            valid_signers.add(authority_id)
-        self._check_quorum(len(valid_signers))
-        return self._seal(candidate, block_hash, signatures)
-
     def seal_all(self, private_keys: Mapping[str, bytes]) -> list[Block]:
         """Seal every pending block, signing with the given authority keys.
 
@@ -335,16 +268,21 @@ class Chain:
                 raise UnknownAuthority(f"unregistered sealer: {authority_id}")
             if self.scheme.public_key(private) != public:
                 raise SignatureInvalid(f"private key does not match {authority_id}")
-        self._check_quorum(len(keys))
+        if len(keys) < self.quorum:
+            raise QuorumNotMet(f"{len(keys)} distinct signers < quorum {self.quorum}")
         sealed = []
         while self.pending:
-            candidate = self.candidate_events()
-            digest = compute_block_hash(len(self.blocks) + 1, self.head_hash, candidate)
+            height, prev_hash = len(self.blocks) + 1, self.head_hash
+            candidate = tuple(self.pending[: self.capacity])
+            digest = compute_block_hash(height, prev_hash, candidate)
             signatures = tuple(
                 (authority_id, self.scheme.sign(private, digest))
                 for authority_id, private in keys
             )
-            sealed.append(self._seal(candidate, digest, signatures))
+            block = Block(height, prev_hash, candidate, signatures, digest)
+            self.blocks.append(block)
+            del self.pending[: len(candidate)]
+            sealed.append(block)
         return sealed
 
 

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ def test_demo_runs_clean(demo):
     proc = subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True, text=True, timeout=120, cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import json
 import random
 import struct
 import tempfile
@@ -10,13 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from govsim.cli import main as cli_main
 from govsim.encoding import ZERO_DIGEST, canonical_json_bytes
 from govsim.errors import (
     EncodingError,
     GovSimError,
     IoError,
-    NothingToSeal,
-    OrderingViolation,
     QuorumNotMet,
     SignatureInvalid,
     UnknownAuthority,
@@ -54,69 +52,35 @@ def make_event(event_id, kind=EventKind.HEARTBEAT, epoch=1, body=None, actor="si
                            payload=payload, actor=actor)
 
 
-def candidate_hash(chain):
-    """The hash that authorities sign to seal the chain's next block."""
-    if not chain.pending:
-        raise NothingToSeal("no pending events")
-    return compute_block_hash(len(chain.blocks) + 1, chain.head_hash, chain.candidate_events())
-
-
-def seal_pending(chain):
-    blocks = []
-    while chain.pending:
-        digest = candidate_hash(chain)
-        sigs = [(aid, SCHEME.sign(priv, digest)) for aid, priv in PRIVATE.items()]
-        blocks.append(chain.seal_block(sigs))
-    return blocks
+def append_events(chain, count):
+    """Append ``count`` heartbeats, each body naming its own event id."""
+    return [chain.append(EventKind.HEARTBEAT, {"n": chain.last_event_id + 1},
+                         actor="sim", epoch=1) for _ in range(count)]
 
 
 def build_sealed_chain(n_blocks, events_per_block=3, capacity=None):
     chain = make_chain(capacity=capacity or events_per_block)
     rng = random.Random(99)
     kinds = list(EventKind)
-    next_id = 1
     for _ in range(n_blocks):
         for _ in range(events_per_block):
-            chain.append_event(make_event(
-                next_id, kind=rng.choice(kinds), epoch=rng.randint(0, 9),
-                body={"n": next_id, "r": rng.randint(0, 10 ** 6)},
-                actor=f"actor-{rng.randint(0, 4)}"))
-            next_id += 1
-        digest = candidate_hash(chain)
-        chain.seal_block([(aid, SCHEME.sign(priv, digest)) for aid, priv in PRIVATE.items()])
+            # Drawn kind, epoch, body, actor: the order the pinned head hashes need.
+            kind, epoch = rng.choice(kinds), rng.randint(0, 9)
+            body = {"n": chain.last_event_id + 1, "r": rng.randint(0, 10 ** 6)}
+            chain.append(kind, body, actor=f"actor-{rng.randint(0, 4)}", epoch=epoch)
+        chain.seal_all(PRIVATE)
     return chain
 
 
-# --- append_event ---
+# --- append ---
 
 def test_first_event_lands_at_height_1_index_0():
     chain = make_chain()
-    assert chain.append_event(make_event(1)) == (1, 0)
-
-
-def test_gap_in_event_ids_rejected():
-    chain = make_chain()
-    for i in (1, 2, 3):
-        chain.append_event(make_event(i))
-    with pytest.raises(OrderingViolation):
-        chain.append_event(make_event(5))
-
-
-def test_non_canonical_payload_rejected():
-    chain = make_chain()
-    bad = GovernanceEvent(1, EventKind.HEARTBEAT, 1, b'{"a": 1}', "sim")
-    with pytest.raises(EncodingError):
-        chain.append_event(bad)
-
-
-def test_payload_sorted_as_numbers_rejected():
-    # json.dumps sorts int keys as numbers, so these bytes are not canonical.
-    payload = json.dumps({2: "x", 10: "y"}, sort_keys=True, separators=(",", ":")).encode()
-    assert payload == b'{"2":"x","10":"y"}'
-    chain = make_chain()
-    with pytest.raises(EncodingError):
-        chain.append_event(GovernanceEvent(1, EventKind.HEARTBEAT, 1, payload, "sim"))
-    assert chain.pending == []
+    (event,) = append_events(chain, 1)
+    assert event.event_id == 1
+    chain.seal_all(PRIVATE)
+    assert chain.blocks[0].height == 1
+    assert chain.blocks[0].events[0] is event
 
 
 @pytest.mark.parametrize("body", [{2: "x", 10: "y"}, {"n": {2: 1, 10: 2}}])
@@ -130,91 +94,28 @@ def test_append_refuses_a_body_with_non_string_keys(body):
 
 
 def test_thousand_events_span_ten_pending_blocks():
-    # Oracle: replay the append sequence independently, counting positions
-    # from capacity arithmetic alone.
+    # Oracle: where each event seals, from capacity arithmetic alone.
     capacity = 100
     chain = make_chain(capacity=capacity)
-    got = [chain.append_event(make_event(i)) for i in range(1, 1001)]
-    expected = [(1 + k // capacity, k % capacity) for k in range(1000)]
-    assert [tuple(p) for p in got] == expected
-    assert {p.height for p in got} == set(range(1, 11))
-
-
-# --- seal_block ---
-
-def sigs_from(authority_ids, digest):
-    return [(aid, SCHEME.sign(PRIVATE[aid], digest)) for aid in authority_ids]
-
-
-def test_exact_quorum_seals():
-    chain = make_chain(quorum=3)
-    chain.append_event(make_event(1))
-    digest = candidate_hash(chain)
-    block = chain.seal_block(sigs_from(["auth-1", "auth-2", "auth-3"], digest))
-    assert block.height == 1
-    assert block.prev_hash == ZERO_DIGEST
-    assert chain.pending == []
-
-
-def test_below_quorum_rejected():
-    chain = make_chain(quorum=3)
-    chain.append_event(make_event(1))
-    digest = candidate_hash(chain)
-    with pytest.raises(QuorumNotMet):
-        chain.seal_block(sigs_from(["auth-1", "auth-2"], digest))
-
-
-def test_duplicate_signer_counts_once():
-    # Four signatures, one authority duplicated: 3 distinct (brute-force
-    # count: {auth-1, auth-2, auth-3}) which meets quorum 3.
-    chain = make_chain(quorum=3)
-    chain.append_event(make_event(1))
-    digest = candidate_hash(chain)
-    sigs = sigs_from(["auth-1", "auth-2", "auth-3", "auth-1"], digest)
-    assert len({aid for aid, _ in sigs}) == 3
-    block = chain.seal_block(sigs)
-    assert block.height == 1
-
-
-def test_duplicate_signers_below_quorum_rejected():
-    chain = make_chain(quorum=3)
-    chain.append_event(make_event(1))
-    digest = candidate_hash(chain)
-    with pytest.raises(QuorumNotMet):
-        chain.seal_block(sigs_from(["auth-1", "auth-2", "auth-1", "auth-2"], digest))
-
-
-def test_unknown_signer_rejected():
-    chain = make_chain(quorum=1)
-    chain.append_event(make_event(1))
-    digest = candidate_hash(chain)
-    ghost = SCHEME.generate(b"ghost")
-    with pytest.raises(UnknownAuthority):
-        chain.seal_block([("ghost", SCHEME.sign(ghost.private, digest))])
-
-
-def test_invalid_signature_rejected():
-    chain = make_chain(quorum=1)
-    chain.append_event(make_event(1))
-    with pytest.raises(SignatureInvalid):
-        chain.seal_block([("auth-1", b"\x00" * 32)])
-
-
-def test_seal_empty_pending_rejected():
-    with pytest.raises(NothingToSeal):
-        make_chain().seal_block([])
-
-
-def test_seal_takes_only_capacity_events():
-    chain = make_chain(capacity=2)
-    for i in (1, 2, 3):
-        chain.append_event(make_event(i))
-    block = seal_pending(chain)[0]
-    assert [e.event_id for e in block.events] == [1, 2]
-    assert chain.blocks[1].events[0].event_id == 3
+    appended = append_events(chain, 1000)
+    assert [event.event_id for event in appended] == list(range(1, 1001))
+    chain.seal_all(PRIVATE)
+    got = [(block.height, index) for block in chain.blocks for index in range(len(block.events))]
+    assert got == [(1 + k // capacity, k % capacity) for k in range(1000)]
+    assert [event for block in chain.blocks for event in block.events] == appended
 
 
 # --- seal_all ---
+
+def test_seal_takes_only_capacity_events():
+    chain = make_chain(capacity=2)
+    append_events(chain, 3)
+    block = chain.seal_all(PRIVATE)[0]
+    assert [e.event_id for e in block.events] == [1, 2]
+    assert chain.blocks[1].events[0].event_id == 3
+    # With nothing pending, there is nothing to seal.
+    assert chain.seal_all(PRIVATE) == [] and len(chain.blocks) == 2
+
 
 @pytest.fixture(params=["seeded", "ed25519"])
 def scheme_name(request):
@@ -231,20 +132,22 @@ def keyed_chain(scheme_name, n_events=5, capacity=2, quorum=3):
     keys = {f"auth-{i}": scheme.generate(f"auth-{i}".encode()) for i in range(1, 5)}
     chain = Chain({aid: kp.public for aid, kp in keys.items()},
                   quorum=quorum, capacity=capacity, scheme=scheme_name)
-    for i in range(1, n_events + 1):
-        chain.append_event(make_event(i))
+    append_events(chain, n_events)
     return chain, {aid: kp.private for aid, kp in keys.items()}
 
 
-def test_seal_all_seals_what_seal_block_would(scheme_name):
+def test_seal_all_seals_capacity_slices_as_hashed_and_signed_by_hand(scheme_name):
     chain, private = keyed_chain(scheme_name)
-    outside, _ = keyed_chain(scheme_name)
-    while outside.pending:
-        digest = candidate_hash(outside)
-        outside.seal_block([(aid, outside.scheme.sign(key, digest))
-                            for aid, key in sorted(private.items())])
+    events, expected, prev = tuple(chain.pending), [], ZERO_DIGEST
+    for height, at in enumerate(range(0, len(events), chain.capacity), start=1):
+        block_events = events[at:at + chain.capacity]
+        digest = compute_block_hash(height, prev, block_events)
+        signatures = tuple((aid, chain.scheme.sign(private[aid], digest))
+                           for aid in sorted(private))
+        expected.append(Block(height, prev, block_events, signatures, digest))
+        prev = digest
     sealed = chain.seal_all(private)
-    assert sealed == chain.blocks == outside.blocks
+    assert sealed == chain.blocks == expected
     assert len(sealed) == 3 and chain.pending == []
     assert verify_chain(chain.blocks, chain.authorities, chain.quorum, scheme_name).ok
 
@@ -261,8 +164,7 @@ def _swap_keys(private):
 def test_seal_all_checks_key_pairs_before_signing(scheme_name, keys_for, error):
     chain, private = keyed_chain(scheme_name)
     chain.seal_all(private)
-    chain.append_event(make_event(6))
-    chain.append_event(make_event(7))
+    append_events(chain, 2)
     blocks, pending = list(chain.blocks), list(chain.pending)
     with pytest.raises(error):
         chain.seal_all(keys_for(private))
@@ -278,6 +180,61 @@ def test_default_quorum_is_two_thirds_ceiling():
 
 
 # --- verify_chain ---
+
+def sigs_from(authority_ids, digest):
+    return [(aid, SCHEME.sign(PRIVATE[aid], digest)) for aid in authority_ids]
+
+
+def verify_signed(quorum, sign):
+    """Verify a one-block chain whose hash is taken here and whose
+    signatures are ``sign(block_hash)``."""
+    events = (make_event(1),)
+    digest = compute_block_hash(1, ZERO_DIGEST, events)
+    return verify_chain([Block(1, ZERO_DIGEST, events, tuple(sign(digest)), digest)],
+                        AUTHORITIES, quorum)
+
+
+QUORUM_NOT_MET = ChainVerification(False, 1, "sealer quorum not met")
+
+
+def test_exact_quorum_verifies():
+    assert verify_signed(3, lambda digest: sigs_from(["auth-1", "auth-2", "auth-3"], digest)).ok
+
+
+def test_below_quorum_rejected():
+    assert verify_signed(
+        3, lambda digest: sigs_from(["auth-1", "auth-2"], digest)) == QUORUM_NOT_MET
+
+
+def test_duplicate_signer_counts_once():
+    # Four signatures, one authority duplicated before quorum is reached:
+    # 3 distinct ({auth-1, auth-2, auth-3}), which meets quorum 3.
+    signers = ["auth-1", "auth-1", "auth-2", "auth-3"]
+    assert len(set(signers)) == 3
+    assert verify_signed(3, lambda digest: sigs_from(signers, digest)).ok
+
+
+def test_duplicate_signers_below_quorum_rejected():
+    # Four valid signatures, but only 2 distinct signers.
+    assert verify_signed(3, lambda digest: sigs_from(
+        ["auth-1", "auth-2", "auth-1", "auth-2"], digest)) == QUORUM_NOT_MET
+
+
+def test_unknown_signer_rejected():
+    # A valid signature under an unregistered id counts for nothing, whoever's key made it.
+    ghost = SCHEME.generate(b"ghost")
+    assert verify_signed(1, lambda digest: [
+        ("ghost", SCHEME.sign(ghost.private, digest))]) == QUORUM_NOT_MET
+    assert verify_signed(3, lambda digest: [
+        *sigs_from(["auth-1", "auth-2"], digest),
+        ("ghost", SCHEME.sign(PRIVATE["auth-3"], digest))]) == QUORUM_NOT_MET
+
+
+def test_invalid_signature_rejected():
+    assert verify_signed(1, lambda digest: [("auth-1", b"\x00" * 32)]) == QUORUM_NOT_MET
+    assert verify_signed(3, lambda digest: [
+        *sigs_from(["auth-1", "auth-2"], digest), ("auth-3", b"\x00" * 32)]) == QUORUM_NOT_MET
+
 
 def test_valid_chain_verifies_ok():
     chain = build_sealed_chain(100)
@@ -393,6 +350,18 @@ def test_exhaustive_payload_byte_flips_on_small_chain():
                     assert result.failed_height <= height
 
 
+@pytest.mark.parametrize("args, head", [
+    ((100,), "bab55f37676e8945aa64b8d6ab8e430f582c9d08c9cbd9ebbae743452f15581e"),
+    ((12,), "6a0defdfa08aa49ab55d6744a3bf1270100b643eeb8a8a38733516711c04e100"),
+    ((3, 2), "4a21649a77847ac6de07a10bb896a044a614bee4f26f24b2dc121c0af056a279"),
+    ((20, 5), "b9dd44481dc18fc9ccccf421d819022107071aa5a65e81803d0e159bdc0c0a05"),
+])
+def test_sealed_chain_head_hashes_pinned(args, head):
+    # Pins the bytes that append and seal_all write: canonical payloads,
+    # event and block framing, and signatures in sorted authority order.
+    assert build_sealed_chain(*args).head_hash.hex() == head
+
+
 def test_replay_determinism_identical_chain_bytes():
     a = build_sealed_chain(8)
     b = build_sealed_chain(8)
@@ -404,8 +373,8 @@ def test_replay_determinism_identical_chain_bytes():
 
 def test_query_no_matches_is_empty():
     chain = make_chain(capacity=5)
-    chain.append_event(make_event(1, kind=EventKind.HEARTBEAT))
-    seal_pending(chain)
+    append_events(chain, 1)
+    chain.seal_all(PRIVATE)
     assert query_events(chain.blocks, kind=EventKind.VOTE_CAST) == []
 
 
@@ -586,15 +555,39 @@ def test_chain_header_refuses_an_undeclared_key(reference_results, tmp_path):
         load_chain(path)
 
 
+@pytest.mark.parametrize("empty, quorum", [(False, 4), (True, 5)],
+                         ids=["credit-scoring", "no-blocks"])
+def test_verify_refuses_a_header_quorum_above_its_authorities(
+        reference_results, tmp_path, capsys, empty, quorum):
+    # The header is refused, not block 1 for a quorum no block could meet; a
+    # chain with no blocks to fail used to verify OK.
+    chain = reference_results["credit_scoring"].chain
+    assert len(chain.authorities) == 3
+    if empty:
+        chain = Chain(chain.authorities, quorum=chain.quorum, capacity=chain.capacity,
+                      scheme=chain.scheme_name)
+    path = tmp_path / "chain.db"
+    save_chain(chain, path)
+    header = {"authorities": {aid: key.hex() for aid, key in chain.authorities.items()},
+              "quorum": quorum, "capacity": chain.capacity,
+              "scheme": chain.scheme_name}
+    path.write_bytes(_with_header(path.read_bytes(), canonical_json_bytes(header)))
+    capsys.readouterr()
+    assert cli_main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: bad chain header: sealing quorum {quorum} "
+                   "exceeds the 3 sealing authorities\n")
+
+
 @pytest.mark.parametrize("kind_bytes, message", [
     (b"HEARTBEAX", "unknown event kind 'HEARTBEAX'"),
     (b"HEARTBEA\xff", "invalid UTF-8"),
 ])
 def test_bad_event_kind_in_frame_rejected(tmp_path, kind_bytes, message):
     chain = make_chain(capacity=2)
-    chain.append_event(make_event(1))
-    chain.append_event(make_event(2))
-    seal_pending(chain)
+    append_events(chain, 2)
+    chain.seal_all(PRIVATE)
     path = tmp_path / "chain.db"
     save_chain(chain, path)
     data = path.read_bytes()
@@ -636,9 +629,9 @@ def _small_chain():
     kinds = [EventKind.HEARTBEAT, EventKind.VOTE_CAST, EventKind.DID_REGISTERED,
              EventKind.SLASH_APPLIED, EventKind.RULE_REGISTERED, EventKind.ORACLE_UPDATE]
     for event_id, kind in enumerate(kinds, start=1):
-        chain.append_event(make_event(event_id, kind=kind, epoch=event_id // 2,
-                                      actor="régulateur" if event_id % 2 else "sim"))
-    seal_pending(chain)
+        chain.append(kind, {"n": event_id}, epoch=event_id // 2,
+                     actor="régulateur" if event_id % 2 else "sim")
+    chain.seal_all(PRIVATE)
     return chain
 
 
@@ -873,3 +866,9 @@ def test_empty_authority_set_rejected():
         Chain({})
     with pytest.raises(ValueError):
         Chain(AUTHORITIES, quorum=0)
+
+
+def test_quorum_above_the_authority_count_rejected():
+    assert Chain(AUTHORITIES, quorum=len(AUTHORITIES)).quorum == 4
+    with pytest.raises(ValueError, match="sealing quorum 5 exceeds the 4 sealing authorities"):
+        Chain(AUTHORITIES, quorum=5)

@@ -1083,6 +1083,20 @@ def test_cli_run_verify_inspect(tmp_path, capsys):
     assert filtered and all(a["did"] == did for a in filtered)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--audits", "--balances"], "argument --balances: not allowed with argument --audits"),
+    (["--proposals", "--audits"], "argument --audits: not allowed with argument --proposals"),
+    (["--did", "did:x", "--proposals"], "argument --did: not allowed with argument --proposals"),
+    (["--balances", "--did", "did:x"], "argument --did: not allowed with argument --balances"),
+], ids=["audits-balances", "proposals-audits", "did-proposals", "did-balances"])
+def test_cli_inspect_refuses_conflicting_flags(tmp_path, capsys, flags, message):
+    # Refused as a usage error before the chain is read: none is written here.
+    with pytest.raises(SystemExit) as refused:
+        cli_main(["inspect", str(tmp_path / "chain.db"), *flags])
+    assert refused.value.code == 2
+    assert capsys.readouterr().err.endswith(f"govsim inspect: error: {message}\n")
+
+
 def test_cli_inspect_did(tmp_path, capsys):
     out_dir = tmp_path / "out"
     cli_main(["run", str(scenario_path("credit_scoring")), "--out", str(out_dir)])
@@ -1252,9 +1266,8 @@ def test_run_encodes_hashes_and_signs_each_event_and_block_once(
         counts["encode"] += len(events)
         return real_frames(events)
 
-    for module in (govsim.encoding, govsim.ledger):
-        monkeypatch.setattr(module, "is_canonical_json",
-                            counting("recheck", module.is_canonical_json))
+    monkeypatch.setattr(govsim.encoding, "is_canonical_json",
+                        counting("recheck", govsim.encoding.is_canonical_json))
     monkeypatch.setattr(govsim.ledger, "compute_block_hash",
                         counting("block_hash", govsim.ledger.compute_block_hash))
     for scheme_class in (govsim.keys.SeededScheme, govsim.keys.Ed25519Scheme):
