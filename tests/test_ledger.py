@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import random
 import struct
 import tempfile
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from govsim.cli import main as cli_main
-from govsim.encoding import ZERO_DIGEST, canonical_json_bytes
+from govsim.encoding import ZERO_DIGEST, canonical_json_bytes, is_canonical_json
 from govsim.errors import (
     EncodingError,
     GovSimError,
@@ -81,6 +82,18 @@ def test_first_event_lands_at_height_1_index_0():
     chain.seal_all(PRIVATE)
     assert chain.blocks[0].height == 1
     assert chain.blocks[0].events[0] is event
+
+
+def test_payload_sorted_as_numbers_rejected():
+    # json.dumps sorts int keys as numbers, so these bytes are not canonical,
+    # and append refuses the body that would give them.
+    payload = json.dumps({2: "x", 10: "y"}, sort_keys=True, separators=(",", ":")).encode()
+    assert payload == b'{"2":"x","10":"y"}'
+    assert not is_canonical_json(payload)
+    chain = make_chain()
+    with pytest.raises(EncodingError):
+        chain.append(EventKind.HEARTBEAT, {2: "x", 10: "y"}, actor="sim", epoch=1)
+    assert chain.pending == []
 
 
 @pytest.mark.parametrize("body", [{2: "x", 10: "y"}, {"n": {2: 1, 10: 2}}])
