@@ -66,16 +66,13 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         print(f"FAIL at height {verification.failed_height}: {verification.reason}",
               file=sys.stderr)
         return 1
+    record = fold.registry.records.get(args.did) if args.did else None
+    if args.did and record is None:
+        print(f"unknown did: {args.did}", file=sys.stderr)
+        return 1
     if args.audits:
-        audits = fold.audits
-        if args.did:
-            audits = [a for a in audits if a["did"] == args.did]
-        out = audits
+        out = [a for a in fold.audits if a["did"] == args.did] if args.did else fold.audits
     elif args.did:
-        record = fold.registry.records.get(args.did)
-        if record is None:
-            print(f"unknown did: {args.did}", file=sys.stderr)
-            return 1
         history = query_events(chain.blocks, predicate=lambda event: event.kind in (
             EventKind.DID_REGISTERED, EventKind.DID_UPDATED) and event.body()["did"] == args.did)
         out = {"record": record.to_json(),

@@ -286,7 +286,7 @@ class Assessment:
         return {
             "did": self.system_did,
             "epoch": self.epoch,
-            "tier": self.tier.value,
+            "tier": self.tier,
             "results": self.results,
             "score": str(self.aggregate_score),
             "compliant": self.compliant,

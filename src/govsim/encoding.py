@@ -111,6 +111,55 @@ def canonical_json_bytes(value: Any) -> bytes:
     return text.encode("ascii")
 
 
+# A declared JSON type -> (the exact test its value must pass, the expression
+# that fills its %s). The escaper refuses all but a str (a str-enum member as its
+# value); an exact int is written as int.__repr__ writes it, never a bool as 1.
+_WRITES = {str: ("", "_esc({})"), int: ("type({}) is int", "{}"),
+           bool: ("type({}) is bool", '("true" if {} else "false")'),
+           dict: ("", "canonical_json_bytes({}).decode()")}
+_esc, _int = json.encoder.encode_basestring_ascii, int.__repr__
+
+
+def body_writer(shapes: Iterable[Mapping[str, Any]], stamp: str) -> Callable[[Mapping, Any], bytes]:
+    """``write(body, value)``: the ``canonical_json_bytes`` of ``body`` with
+    ``stamp`` set to ``value`` (left out if None), from one ``%`` template per
+    shape, generated here once. A shape maps each key to its JSON type
+    (``str``, ``int``, ``bool``, or ``dict`` for any nested value) or to the
+    one string it holds, which tells a kind's shapes apart. A body that fits
+    a shape exactly, with an int ``value``, is written by its template; any
+    other, or one a template cannot write, is encoded whole. So the bytes and
+    the errors are always those of ``canonical_json_bytes``."""
+    lines = ["def write(body, value):"]
+    for shape in shapes:
+        names = {key: f"v{i}" for i, key in enumerate(sorted(shape))}
+        tests, slots, args = ["type(value) is not bool"], [], []  # _int refuses None
+        for key in sorted([*shape, stamp]):
+            declared, name = shape.get(key), names.get(key)
+            label = _esc(key).replace("%", "%%") + ":"
+            if key == stamp:  # an int, or an IntEnum member as its value
+                slots.append(label + "%s")
+                args.append("_int(value)")
+            elif isinstance(declared, str):
+                tests.append(f"type({name}) is str and {name} == {declared!r}")
+                slots.append(label + _esc(declared).replace("%", "%%"))
+            else:
+                test, write = _WRITES[declared]
+                tests += [test.format(name)] if test else []
+                slots.append(label + "%s")
+                args.append(write.format(name))
+        reads = f"{', '.join(names.values())}, = {', '.join(map('body[{!r}]'.format, names))},"
+        template = "{" + ",".join(slots) + "}"
+        lines += ["    try:", f"        if len(body) == {len(shape)}:", f"            {reads}",
+                  f"            if {' and '.join(tests)}:",
+                  f"                return ({template!r} % ({', '.join(args)},)).encode()",
+                  "    except (KeyError, TypeError, ValueError, EncodingError):",
+                  "        pass  # off the shape, or past what a template writes"]
+    stamped = f"{{**body, {stamp!r}: value}}"
+    lines.append(f"    return canonical_json_bytes(body if value is None else {stamped})")
+    exec("\n".join(lines), globals(), namespace := {})
+    return namespace["write"]
+
+
 def from_canonical_json(data: bytes) -> Any:
     """The value of one JSON document, with nothing before or after it."""
     try:

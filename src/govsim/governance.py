@@ -369,8 +369,8 @@ class GovernanceState(Store):
             raise InvalidInput(f"duplicate proposal id {proposal_id}")
         self._record(
             EventKind.PROPOSAL_SUBMITTED,
-            {"proposal_id": proposal_id, "kind": kind.value,
-             "mode": mode.value, "payload": payload},
+            {"proposal_id": proposal_id, "kind": kind,
+             "mode": mode, "payload": payload},
             actor=actor, epoch=epoch,
         )
         return self.proposals[proposal_id]
@@ -419,8 +419,8 @@ class GovernanceState(Store):
         self._record(
             EventKind.VOTE_CAST,
             {"proposal_id": proposal_id, "voter": stakeholder_id,
-             "direction": direction.value, "magnitude": magnitude,
-             "mode": mode.value, "cost": cost},
+             "direction": direction, "magnitude": magnitude,
+             "mode": mode, "cost": cost},
             actor=stakeholder_id, epoch=epoch,
         )
         return proposal.votes[stakeholder_id]
@@ -457,10 +457,10 @@ class GovernanceState(Store):
             status = ProposalStatus.REJECTED
         self._record(
             EventKind.PROPOSAL_RESOLVED,
-            {"proposal_id": proposal_id, "status": status.value,
+            {"proposal_id": proposal_id, "status": status,
              "power_for": str(power_for), "power_against": str(power_against),
-             "threshold": str(threshold), "kind": proposal.kind.value,
-             "mode": proposal.mode.value},
+             "threshold": str(threshold), "kind": proposal.kind,
+             "mode": proposal.mode},
             actor="governance", epoch=epoch,
         )
         return status

@@ -10,10 +10,10 @@ Where each guarantee is established on the write path, so that each piece
 of work is done once:
 
 * canonical payloads: ``Chain.append``, the one way an event is queued,
-  encodes each body once with ``canonical_json_bytes``, canonical by
-  construction, numbers it one past the last id, builds the event once
-  through ``_new_event`` and pushes it onto ``pending``. Neither the bytes
-  nor the id are rechecked.
+  encodes each body once with its kind's writer, which writes what
+  ``canonical_json_bytes`` writes, canonical by construction, numbers it one
+  past the last id, builds the event once through ``_new_event`` and pushes
+  it onto ``pending``. Neither the bytes nor the id are rechecked.
 * signer validity: ``seal_all``, the one way a block is sealed, checks once
   per call that every private key derives its authority's registered public
   key, then hashes and signs each block once without verifying its own
@@ -54,8 +54,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .encoding import (
     _REQUIRED, DIGEST_SIZE, U32, U64, ZERO_DIGEST, ByteReader, _integer, _key, _Keys, _plain,
-    _table, _text, canonical_json_bytes, from_canonical_json, pack_bytes, pack_str, read_bytes,
-    sha256, strict_utf8, truncated, write_bytes)
+    _table, _text, body_writer, canonical_json_bytes, from_canonical_json, pack_bytes, pack_str,
+    read_bytes, sha256, strict_utf8, truncated, write_bytes)
 from .errors import GovSimError, IoError, QuorumNotMet, SignatureInvalid, UnknownAuthority
 from .keys import get_scheme
 
@@ -184,6 +184,18 @@ class ChainVerification:
         return self.ok
 
 
+# The shapes of the hot bodies (TOKENS_TRANSFERRED's by op), from which each
+# kind's writer is generated at import; a kind with none encodes every body whole.
+BODY_SHAPES = {
+    EventKind.VOTE_CAST: [{"proposal_id": str, "voter": str, "direction": str, "magnitude": int,
+                           "mode": str, "cost": int}],
+    EventKind.TOKENS_TRANSFERRED: [{"op": "reward", "to": str, "amount": int}, {
+        "op": "pool_charge", "from": str, "pool": str, "amount": int, "reason": str, "ref": str}],
+    EventKind.ASSESSMENT_RECORDED: [{"did": str, "epoch": int, "tier": str, "results": dict,
+                                     "score": str, "compliant": bool, "commitment": str}]}
+_WRITERS = {kind: body_writer(BODY_SHAPES.get(kind, ()), "phase") for kind in EventKind}
+
+
 def default_quorum(n_authorities: int) -> int:
     return math.ceil(2 * n_authorities / 3)
 
@@ -233,14 +245,13 @@ class Chain:
     def append(self, kind: EventKind, body: dict, *, actor: str, epoch: int) -> GovernanceEvent:
         """Build the next event from a JSON body and queue it.
 
-        The payload comes from ``canonical_json_bytes``, which is canonical
-        by construction (it refuses non-string keys), and the id is the next
-        one, so neither is rechecked.
+        The payload is the canonical bytes of the body, with ``"phase"`` when
+        the chain has one, from the kind's writer: canonical by construction
+        (non-string keys are refused). The id is the next one, so neither is
+        rechecked.
         """
-        if self.phase is not None:
-            body = {**body, "phase": self.phase}
         event = _new_event(self.last_event_id + 1, kind, epoch,
-                           canonical_json_bytes(body), actor)
+                           _WRITERS[kind](body, self.phase), actor)
         self.pending.append(event)
         return event
 

@@ -269,7 +269,7 @@ class TokenLedger(Store):
     def charge_to_pool(self, frm: str, pool: Pool, amount: int, *, epoch: int = 0,
                        reason: str = "", ref: str = "") -> None:
         """Debit a stakeholder into a pool (quadratic-vote costs land here)."""
-        body = {"op": "pool_charge", "from": frm, "pool": pool.value, "amount": amount}
+        body = {"op": "pool_charge", "from": frm, "pool": pool, "amount": amount}
         if reason:
             body["reason"] = reason
         if ref:

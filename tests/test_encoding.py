@@ -20,6 +20,7 @@ from govsim.encoding import (
     pack_str,
 )
 from govsim.errors import EncodingError, IoError
+from govsim.ledger import _WRITERS, BODY_SHAPES, Phase
 
 
 def test_canonical_json_sorts_keys_and_strips_spaces():
@@ -176,6 +177,46 @@ def test_bytes_are_those_of_json_dumps(value):
     expected = json.dumps(value, sort_keys=True, separators=(",", ":"),
                           ensure_ascii=True, allow_nan=False).encode()
     assert canonical_json_bytes(value) == expected
+
+
+# Values of each declared type, with the awkward ones drawn often: strings
+# that need escapes or hold a "%", str-enum members, ints past 2**64 and past
+# the digit limit, and nested values with a key that is not a string.
+_TEXT = (st.text(max_size=6) | st.sampled_from(list(_Color))
+         | st.sampled_from(['"', "\\", " ", "é", "\ud800", "\u2028", "\x00", "%s", "%%"]))
+_DECLARED = {str: _TEXT, bool: st.booleans(), dict: _json(_ANY_KEYS),
+             int: st.integers() | st.sampled_from([2**64, -2**64 - 1, 10**4300])}
+_OFF_TYPE = (st.booleans() | st.integers() | st.floats() | st.none() | st.text(max_size=3)
+             | st.lists(st.integers(), max_size=2))
+_PHASES = st.sampled_from([None, True, 0, *Phase]) | st.integers()
+_SHAPES = [(kind, shape) for kind, shapes in BODY_SHAPES.items() for shape in shapes]
+_SHAPE_IDS = ["-".join([kind.value, *(v for v in shape.values() if isinstance(v, str))])
+              for kind, shape in _SHAPES]
+
+
+def _outcome(write):
+    try:
+        return write()
+    except EncodingError:
+        return EncodingError
+
+
+@pytest.mark.parametrize("kind, shape", _SHAPES, ids=_SHAPE_IDS)
+@settings(max_examples=250, deadline=None)
+@given(_PHASES, _OFF_TYPE, st.text(max_size=3), st.data())
+def test_body_writers_write_what_canonical_json_bytes_writes(kind, shape, phase, off, extra, data):
+    """Each kind's generated writer gives the bytes, or the EncodingError, of
+    the general encode of its body with "phase" set: for a body of each shape,
+    and for that body with a key of another type, a key missing, a key more or
+    a "phase" of its own."""
+    body = {key: declared if isinstance(declared, str) else data.draw(_DECLARED[declared])
+            for key, declared in shape.items()}
+    for variant in [body, {**body, "phase": off}, {extra: 1, **body},
+                    *({**body, key: off} for key in shape),
+                    *({k: v for k, v in body.items() if k != key} for key in shape)]:
+        expected = _outcome(lambda: canonical_json_bytes(
+            variant if phase is None else {**variant, "phase": phase}))
+        assert _outcome(lambda: _WRITERS[kind](variant, phase)) == expected
 
 
 def _cyclic():

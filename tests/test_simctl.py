@@ -1114,6 +1114,18 @@ def test_cli_inspect_did(tmp_path, capsys):
     assert payload["history"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--audits"]], ids=["alone", "with-audits"])
+def test_cli_inspect_unknown_did_refused(tmp_path, capsys, flags):
+    """An unregistered DID is refused alike whether or not --audits filters by it."""
+    out_dir = tmp_path / "out"
+    cli_main(["run", str(scenario_path("credit_scoring")), "--out", str(out_dir)])
+    capsys.readouterr()
+    assert cli_main(["inspect", str(out_dir / "chain.db"), "--did", "did:x", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "unknown did: did:x\n"
+
+
 def test_cli_verify_truncated_file_nonzero(tmp_path, capsys):
     out_dir = tmp_path / "out"
     cli_main(["run", str(scenario_path("collusion_attack")), "--out", str(out_dir)])

@@ -8,12 +8,14 @@ holds.
 
 Likewise each tier's rules are compiled once per registration, and each
 distinct score is built once, however many assessments and audits read them.
+And a body of a shape that its kind declares is written by that kind's
+template, never by the general encode.
 """
 
 import importlib
 
-from govsim import compliance, governance
-from govsim.ledger import EventKind
+from govsim import compliance, encoding, governance
+from govsim.ledger import BODY_SHAPES, EventKind
 from govsim.simctl import run_scenario
 from tests.conftest import REPO_ROOT, scenario_path
 
@@ -54,6 +56,34 @@ def test_raw_power_is_computed_per_change_not_per_tally(monkeypatch):
     assert tallies >= 1000  # the workload is the storm of votes it claims to be
     bound = len(result.governance.stakeholders) * (1 + len(_power_epochs(result)))
     assert calls <= bound
+
+
+def _has_writer(event) -> bool:
+    """Whether the event's body, less its phase, is of a shape its kind declares."""
+    body = event.body()
+    body.pop("phase")
+    return any(body.keys() == shape.keys() and all(
+        body[key] == declared for key, declared in shape.items() if isinstance(declared, str))
+        for shape in BODY_SHAPES.get(event.kind, ()))
+
+
+def test_hot_bodies_skip_the_general_encode(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    scenario = importlib.import_module("workloads").synthetic("vote-storm", 23)
+    calls = 0
+    canonical_json_bytes = encoding.canonical_json_bytes
+
+    def counted(value):
+        nonlocal calls
+        calls += isinstance(value, dict) and "phase" in value  # a whole body
+        return canonical_json_bytes(value)
+
+    # The writers that Chain.append calls reach it through encoding.
+    monkeypatch.setattr(encoding, "canonical_json_bytes", counted)
+    events = [event for block in run_scenario(scenario).chain.blocks for event in block.events]
+    without_writer = sum(1 for event in events if not _has_writer(event))
+    assert without_writer * 5 < len(events)  # votes, rewards, charges and assessments dominate
+    assert 0 < calls <= without_writer
 
 
 def test_rules_compile_once_per_tier_and_registration(monkeypatch):
