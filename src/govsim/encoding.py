@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import EncodingError, GovSimError, IoError, ScenarioError
 
@@ -120,15 +120,16 @@ _WRITES = {str: ("", "_esc({})"), int: ("type({}) is int", "{}"),
 _esc, _int = json.encoder.encode_basestring_ascii, int.__repr__
 
 
-def body_writer(shapes: Iterable[Mapping[str, Any]], stamp: str) -> Callable[[Mapping, Any], bytes]:
+def body_writer(shapes: Sequence[Mapping[str, Any]], stamp: str) -> Callable[[Mapping, Any], bytes]:
     """``write(body, value)``: the ``canonical_json_bytes`` of ``body`` with
     ``stamp`` set to ``value`` (left out if None), from one ``%`` template per
     shape, generated here once. A shape maps each key to its JSON type
     (``str``, ``int``, ``bool``, or ``dict`` for any nested value) or to the
-    one string it holds, which tells a kind's shapes apart. A body that fits
-    a shape exactly, with an int ``value``, is written by its template; any
-    other, or one a template cannot write, is encoded whole. So the bytes and
-    the errors are always those of ``canonical_json_bytes``."""
+    one string it holds, which tells a kind's shapes apart; it may have no
+    key. A body that fits a shape exactly, with an int ``value``, is written
+    by its template; any other, or one a template cannot write, is encoded
+    whole. So the bytes and the errors are always those of
+    ``canonical_json_bytes``. ``write.shapes`` are the shapes given."""
     lines = ["def write(body, value):"]
     for shape in shapes:
         names = {key: f"v{i}" for i, key in enumerate(sorted(shape))}
@@ -147,7 +148,7 @@ def body_writer(shapes: Iterable[Mapping[str, Any]], stamp: str) -> Callable[[Ma
                 tests += [test.format(name)] if test else []
                 slots.append(label + "%s")
                 args.append(write.format(name))
-        reads = f"{', '.join(names.values())}, = {', '.join(map('body[{!r}]'.format, names))},"
+        reads = f"({', '.join(names.values())}) = ({', '.join(map('body[{!r}]'.format, names))})"
         template = "{" + ",".join(slots) + "}"
         lines += ["    try:", f"        if len(body) == {len(shape)}:", f"            {reads}",
                   f"            if {' and '.join(tests)}:",
@@ -157,6 +158,7 @@ def body_writer(shapes: Iterable[Mapping[str, Any]], stamp: str) -> Callable[[Ma
     stamped = f"{{**body, {stamp!r}: value}}"
     lines.append(f"    return canonical_json_bytes(body if value is None else {stamped})")
     exec("\n".join(lines), globals(), namespace := {})
+    namespace["write"].shapes = shapes
     return namespace["write"]
 
 

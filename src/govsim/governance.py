@@ -168,13 +168,13 @@ class Proposal:
     def to_json(self) -> dict:
         """The report entry, also printed by ``inspect --proposals``."""
         entry = {
-            "proposal_id": self.proposal_id, "kind": self.kind.value,
-            "mode": self.mode.value, "epoch": self.epoch,
-            "status": self.status.value, "votes": len(self.votes),
+            "proposal_id": self.proposal_id, "kind": self.kind,
+            "mode": self.mode, "epoch": self.epoch,
+            "status": self.status, "votes": len(self.votes),
         }
         if self.votes:
             entry["vote_events"] = [
-                {"voter": voter, "direction": vote.direction.value,
+                {"voter": voter, "direction": vote.direction,
                  "magnitude": vote.magnitude, "epoch": vote.epoch}
                 for voter, vote in self.votes.items()]
         if self.power_for:

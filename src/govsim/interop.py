@@ -1,10 +1,11 @@
 """Canonical message layer.
 
 Wire form is canonical JSON (sorted keys, UTF-8) with a SHA-256 checksum
-over the payload bytes. Two schema versions ship per message type; upgrades
-apply one step at a time, filling added fields with declared defaults and
-dropping removed ones. validate() is total: it returns violation lists and
-never raises, whatever bytes it is fed.
+over the payload bytes. Two schema versions ship per message type, declared
+once as v1's fields and v2's change to them; upgrades apply one step at a
+time, filling added fields with declared defaults and dropping removed ones.
+validate() is total: it returns violation lists and never raises, whatever
+bytes it is fed.
 """
 
 from __future__ import annotations
@@ -43,68 +44,36 @@ class FieldSpec:
     default: Any = None  # present => field was added with this default
 
 
-# Field sets per (type, version). v2 deltas: COMPLIANCE_REPORT gains
-# auditor_id, RISK_ASSESSMENT gains forecast, TRANSACTION_DATA drops the
-# free-text memo and gains currency, AUDIT_REQUEST gains requested_epoch.
-SCHEMAS: dict[tuple[MsgType, int], tuple[FieldSpec, ...]] = {
-    (MsgType.COMPLIANCE_REPORT, 1): (
-        FieldSpec("report_id", str),
-        FieldSpec("system_did", str),
-        FieldSpec("epoch", int),
-        FieldSpec("aggregate_score", float),
-        FieldSpec("compliant", bool),
-    ),
-    (MsgType.COMPLIANCE_REPORT, 2): (
-        FieldSpec("report_id", str),
-        FieldSpec("system_did", str),
-        FieldSpec("epoch", int),
-        FieldSpec("aggregate_score", float),
-        FieldSpec("compliant", bool),
-        FieldSpec("auditor_id", str, default=""),
-    ),
-    (MsgType.RISK_ASSESSMENT, 1): (
-        FieldSpec("assessment_id", str),
-        FieldSpec("system_did", str),
-        FieldSpec("epoch", int),
-        FieldSpec("score", float),
-        FieldSpec("tier", str),
-    ),
-    (MsgType.RISK_ASSESSMENT, 2): (
-        FieldSpec("assessment_id", str),
-        FieldSpec("system_did", str),
-        FieldSpec("epoch", int),
-        FieldSpec("score", float),
-        FieldSpec("tier", str),
-        FieldSpec("forecast", float, default=0.0),
-    ),
-    (MsgType.TRANSACTION_DATA, 1): (
-        FieldSpec("tx_id", str),
-        FieldSpec("sender", str),
-        FieldSpec("receiver", str),
-        FieldSpec("amount", int),
-        FieldSpec("memo", str),
-    ),
-    (MsgType.TRANSACTION_DATA, 2): (
-        FieldSpec("tx_id", str),
-        FieldSpec("sender", str),
-        FieldSpec("receiver", str),
-        FieldSpec("amount", int),
-        FieldSpec("currency", str, default="EUR"),
-    ),
-    (MsgType.AUDIT_REQUEST, 1): (
-        FieldSpec("request_id", str),
-        FieldSpec("system_did", str),
-        FieldSpec("reason", str),
-        FieldSpec("priority", int),
-    ),
-    (MsgType.AUDIT_REQUEST, 2): (
-        FieldSpec("request_id", str),
-        FieldSpec("system_did", str),
-        FieldSpec("reason", str),
-        FieldSpec("priority", int),
-        FieldSpec("requested_epoch", int, default=0),
-    ),
+# Per message type: its v1 fields, then v2's change, the v1 fields it drops
+# and the field it adds at the end with its default.
+_VERSIONS = {
+    MsgType.COMPLIANCE_REPORT: (
+        (("report_id", str), ("system_did", str), ("epoch", int), ("aggregate_score", float),
+         ("compliant", bool)),
+        (), FieldSpec("auditor_id", str, default="")),
+    MsgType.RISK_ASSESSMENT: (
+        (("assessment_id", str), ("system_did", str), ("epoch", int), ("score", float),
+         ("tier", str)),
+        (), FieldSpec("forecast", float, default=0.0)),
+    MsgType.TRANSACTION_DATA: (
+        (("tx_id", str), ("sender", str), ("receiver", str), ("amount", int), ("memo", str)),
+        ("memo",), FieldSpec("currency", str, default="EUR")),
+    MsgType.AUDIT_REQUEST: (
+        (("request_id", str), ("system_did", str), ("reason", str), ("priority", int)),
+        (), FieldSpec("requested_epoch", int, default=0)),
 }
+
+
+def _v1_and_v2(v1: tuple, dropped: tuple, added: FieldSpec) -> tuple[tuple[FieldSpec, ...], ...]:
+    """A type's v1 field set, and its v2 one: v1 less ``dropped``, then ``added``."""
+    fields = tuple(FieldSpec(name, kind) for name, kind in v1)
+    return fields, (*(f for f in fields if f.name not in dropped), added)
+
+
+# The field set per (type, version).
+SCHEMAS: dict[tuple[MsgType, int], tuple[FieldSpec, ...]] = {
+    (msg_type, version): fields for msg_type, change in _VERSIONS.items()
+    for version, fields in enumerate(_v1_and_v2(*change), start=1)}
 
 CURRENT_VERSION = 2
 

@@ -10,7 +10,8 @@ Where each guarantee is established on the write path, so that each piece
 of work is done once:
 
 * canonical payloads: ``Chain.append``, the one way an event is queued,
-  encodes each body once with its kind's writer, which writes what
+  encodes each body once with its kind's writer, generated from the fields
+  that ``report.EVENT_SPECS`` declares, which writes what
   ``canonical_json_bytes`` writes, canonical by construction, numbers it one
   past the last id, builds the event once through ``_new_event`` and pushes
   it onto ``pending``. Neither the bytes nor the id are rechecked.
@@ -184,16 +185,9 @@ class ChainVerification:
         return self.ok
 
 
-# The shapes of the hot bodies (TOKENS_TRANSFERRED's by op), from which each
-# kind's writer is generated at import; a kind with none encodes every body whole.
-BODY_SHAPES = {
-    EventKind.VOTE_CAST: [{"proposal_id": str, "voter": str, "direction": str, "magnitude": int,
-                           "mode": str, "cost": int}],
-    EventKind.TOKENS_TRANSFERRED: [{"op": "reward", "to": str, "amount": int}, {
-        "op": "pool_charge", "from": str, "pool": str, "amount": int, "reason": str, "ref": str}],
-    EventKind.ASSESSMENT_RECORDED: [{"did": str, "epoch": int, "tier": str, "results": dict,
-                                     "score": str, "compliant": bool, "commitment": str}]}
-_WRITERS = {kind: body_writer(BODY_SHAPES.get(kind, ()), "phase") for kind in EventKind}
+# Each kind's body writer: the whole-body encode here, which report replaces
+# at import with the writer of the shapes that EVENT_SPECS declares.
+_WRITERS = dict.fromkeys(EventKind, body_writer((), "phase"))
 
 
 def default_quorum(n_authorities: int) -> int:

@@ -11,10 +11,11 @@ instead (``tally_events``); both lay the report out through
 ``ReportTally.layout``, and ``verify`` proves the report equals the fold.
 
 ``EVENT_SPECS`` declares each event kind once: the phases it may be
-appended in, the store whose ``apply`` folds it, and the body fields that
-the fold and the report read. The fold checks every body against it as it
-decodes it, so a sealed body that is not what its kind says stops the fold
-with ``EventInvalid`` naming the event and the field, never a traceback.
+appended in, the store whose ``apply`` folds it, and its body fields. Each
+kind's body writer in ``ledger._WRITERS`` is generated from those fields at
+import. The fold checks every body against them as it decodes it, so a
+sealed body that is not what its kind says stops the fold with
+``EventInvalid`` naming the event and the field, never a traceback.
 
 The score series looks up failed audits by (DID, epoch) and open incidents
 per DID by epoch in indexes built from the fold's one pass; the tests hold
@@ -36,15 +37,18 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .audit import RISK_FAILED_OUTCOMES, AuditOutcome, AuditTrigger
-from .encoding import from_canonical_json, read_json, unit_fraction, write_bytes
+from .encoding import body_writer, from_canonical_json, read_json, unit_fraction, write_bytes
 from .errors import EventInvalid, GovSimError, InvalidInput, UnsupportedFormat
 from .governance import GovernanceState, ProposalKind, ProposalStatus, VoteDirection, VoteMode
 from .identity import ComplianceStatus, DidRegistry, RiskTier
-from .ledger import Block, Chain, ChainVerification, EventKind, Phase, verify_chain
+from .ledger import _WRITERS, Block, Chain, ChainVerification, EventKind, Phase, verify_chain
 from .risk import (
     OPEN_INCIDENT_STATES, IncidentLog, IncidentState, RiskWeights, Severity, compute_risk_score,
     read_risk_weights)
 from .tokens import Pool, TokenLedger
+
+# Each kind's value, a plain str: the report's by_kind keys.
+_KIND_VALUES = {kind: kind.value for kind in EventKind}
 
 
 class ReportTally:
@@ -74,7 +78,7 @@ class ReportTally:
         blocks = self.blocks
         # A row per epoch with events (each simulated epoch has a HEARTBEAT).
         per_epoch = [{"epoch": epoch, "events": sum(counts.values()),
-                      "by_kind": {kind.value: n for kind, n in sorted(counts.items())}}
+                      "by_kind": {_KIND_VALUES[kind]: n for kind, n in sorted(counts.items())}}
                      for epoch, counts in sorted(self.per_epoch.items())]
 
         by_tier: dict[str, list[int]] = defaultdict(lambda: [0, 0])
@@ -355,12 +359,14 @@ EVENT_SPECS: dict[EventKind, EventSpec] = {
     EventKind.PROPOSAL_SUBMITTED: _spec({Phase.GOVERNANCE}, "governance", None, {
         "proposal_id": str, "kind": ProposalKind, "mode": VoteMode, "payload": object}),
     EventKind.VOTE_CAST: _spec({Phase.GOVERNANCE}, "governance", None, {
-        "proposal_id": str, "voter": str, "direction": VoteDirection, "magnitude": int}),
+        "proposal_id": str, "voter": str, "direction": VoteDirection, "magnitude": int,
+        "mode": VoteMode, "cost": int}),
     EventKind.PROPOSAL_RESOLVED: _spec({Phase.GOVERNANCE}, "governance", None, {
         "proposal_id": str, "status": ProposalStatus, "power_for": str,
         "power_against": str, "threshold": str}),
     EventKind.ASSESSMENT_RECORDED: _spec({Phase.COMPLIANCE}, None, ChainFold._assessment, {
-        "did": str, "score": str, "tier": RiskTier, "compliant": bool}),
+        "did": str, "epoch": int, "score": str, "tier": RiskTier, "compliant": bool,
+        "results": dict, "commitment": str}),
     EventKind.AUDIT_RECORDED: _spec({Phase.AUDIT}, None, ChainFold._audit, {
         "did": str, "outcome": AuditOutcome, "trigger": AuditTrigger, "epoch?": int}),
     EventKind.AUDITOR_ACCREDITED: _spec({Phase.SETUP}),
@@ -372,7 +378,8 @@ EVENT_SPECS: dict[EventKind, EventSpec] = {
                           "config?": {"risk_weights?": dict}},
             grant={"pool": Pool, "to": str, "amount": int},
             transfer={"from": str, "to": str, "amount": int},
-            pool_charge={"from": str, "pool": Pool, "amount": int},
+            pool_charge={"from": str, "pool": Pool, "amount": int, "reason?": str,
+                         "ref?": str},
             reward={"to": str, "amount": int})}),
     EventKind.STAKE_CHANGED: _spec({Phase.SETUP}, "tokens", None, {
         "holder": str, "op": ("stake", "unstake"), "amount": int,
@@ -392,6 +399,27 @@ EVENT_SPECS: dict[EventKind, EventSpec] = {
     EventKind.RULE_REGISTERED: _spec({Phase.SETUP, Phase.GOVERNANCE}),
 }
 
+
+def _shapes(fields: tuple) -> list[dict]:
+    """The shapes of a kind's compiled fields for ``encoding.body_writer``: one
+    per ``_Variants`` value, each with every declared field. An enum or tuple
+    field is a ``str``, ``int`` and ``bool`` are themselves, any other ``dict``."""
+    shapes = [{}]
+    for name, types, extra in fields:
+        if type(extra) is dict:  # _Variants: the value, then that variant's fields
+            shapes = [{**shape, name: value, **variant} for shape in shapes
+                      for value, sub in extra.items() for variant in _shapes(sub)]
+        else:
+            declared = {types} if type(types) is type else types - {object}
+            kind = next(iter(declared)) if len(declared) == 1 else dict
+            for shape in shapes:
+                shape[name] = kind if kind in (str, int, bool) else dict
+    return shapes
+
+
+# Chain.append writes each kind's bodies with the writer of its declared shapes.
+_WRITERS.update((kind, body_writer(_shapes(spec.fields), "phase"))
+                for kind, spec in EVENT_SPECS.items())
 
 # The kinds whose bodies the report reads beyond their stores: few per run.
 _RARE_FOLDS = {kind: EVENT_SPECS[kind].fold for kind in (

@@ -845,9 +845,12 @@ class Simulator:
                 run_phase(epoch)
 
         # The report from the live stores; verify_run proves it equals the fold.
+        # A tier, outcome or trigger is a report key: a plain str, looked up per member.
+        value = {member: member.value for enum in (RiskTier, audit_mod.AuditOutcome,
+                                                   audit_mod.AuditTrigger) for member in enum}
         report = tally_events(self.chain.blocks).layout(
-            self.scenario.epochs, [(a.tier.value, a.compliant) for a in self.assessment_log],
-            [(record.outcome.value, record.trigger.value) for record in self.audits.records],
+            self.scenario.epochs, [(value[a.tier], a.compliant) for a in self.assessment_log],
+            [(value[record.outcome], value[record.trigger]) for record in self.audits.records],
             self.tokens,
             {did: [[epoch, str(score)] for epoch, score, _ in profile.history]
              for did, profile in self.risk.profiles.items()},

@@ -160,6 +160,47 @@ def test_mapping_json_round_trip():
 
 # --- versioning ---
 
+# Each field set written out in full, (type, version) -> (name, kind, default)
+# per field in order: the reference for the SCHEMAS built from each v1 and its
+# v2 change.
+_SCHEMA_TABLE = {
+    (MsgType.COMPLIANCE_REPORT, 1): [
+        ("report_id", str, None), ("system_did", str, None), ("epoch", int, None),
+        ("aggregate_score", float, None), ("compliant", bool, None)],
+    (MsgType.COMPLIANCE_REPORT, 2): [
+        ("report_id", str, None), ("system_did", str, None), ("epoch", int, None),
+        ("aggregate_score", float, None), ("compliant", bool, None), ("auditor_id", str, "")],
+    (MsgType.RISK_ASSESSMENT, 1): [
+        ("assessment_id", str, None), ("system_did", str, None), ("epoch", int, None),
+        ("score", float, None), ("tier", str, None)],
+    (MsgType.RISK_ASSESSMENT, 2): [
+        ("assessment_id", str, None), ("system_did", str, None), ("epoch", int, None),
+        ("score", float, None), ("tier", str, None), ("forecast", float, 0.0)],
+    (MsgType.TRANSACTION_DATA, 1): [
+        ("tx_id", str, None), ("sender", str, None), ("receiver", str, None),
+        ("amount", int, None), ("memo", str, None)],
+    (MsgType.TRANSACTION_DATA, 2): [
+        ("tx_id", str, None), ("sender", str, None), ("receiver", str, None),
+        ("amount", int, None), ("currency", str, "EUR")],
+    (MsgType.AUDIT_REQUEST, 1): [
+        ("request_id", str, None), ("system_did", str, None), ("reason", str, None),
+        ("priority", int, None)],
+    (MsgType.AUDIT_REQUEST, 2): [
+        ("request_id", str, None), ("system_did", str, None), ("reason", str, None),
+        ("priority", int, None), ("requested_epoch", int, 0)],
+}
+
+
+def test_schemas_are_the_table_written_out():
+    derived = {key: [(spec.name, spec.kind, spec.default) for spec in fields]
+               for key, fields in SCHEMAS.items()}
+    assert derived == _SCHEMA_TABLE
+    # The defaults are of the same types too, as 0.0 == 0 == False.
+    assert ({key: [type(default) for *_, default in fields] for key, fields in derived.items()}
+            == {key: [type(default) for *_, default in fields]
+                for key, fields in _SCHEMA_TABLE.items()})
+
+
 def test_upgrade_v1_to_v2_adds_default():
     upgraded = upgrade_message(make_v1_report(), 2)
     assert upgraded.schema_version == 2

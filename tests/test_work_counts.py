@@ -15,7 +15,7 @@ template, never by the general encode.
 import importlib
 
 from govsim import compliance, encoding, governance
-from govsim.ledger import BODY_SHAPES, EventKind
+from govsim.ledger import _WRITERS, EventKind
 from govsim.simctl import run_scenario
 from tests.conftest import REPO_ROOT, scenario_path
 
@@ -59,17 +59,17 @@ def test_raw_power_is_computed_per_change_not_per_tally(monkeypatch):
 
 
 def _has_writer(event) -> bool:
-    """Whether the event's body, less its phase, is of a shape its kind declares."""
+    """Whether the event's body, less its phase, is of a shape its kind's writer
+    was derived from."""
     body = event.body()
     body.pop("phase")
     return any(body.keys() == shape.keys() and all(
         body[key] == declared for key, declared in shape.items() if isinstance(declared, str))
-        for shape in BODY_SHAPES.get(event.kind, ()))
+        for shape in _WRITERS[event.kind].shapes)
 
 
 def test_hot_bodies_skip_the_general_encode(monkeypatch):
     monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
-    scenario = importlib.import_module("workloads").synthetic("vote-storm", 23)
     calls = 0
     canonical_json_bytes = encoding.canonical_json_bytes
 
@@ -80,10 +80,14 @@ def test_hot_bodies_skip_the_general_encode(monkeypatch):
 
     # The writers that Chain.append calls reach it through encoding.
     monkeypatch.setattr(encoding, "canonical_json_bytes", counted)
-    events = [event for block in run_scenario(scenario).chain.blocks for event in block.events]
-    without_writer = sum(1 for event in events if not _has_writer(event))
-    assert without_writer * 5 < len(events)  # votes, rewards, charges and assessments dominate
-    assert 0 < calls <= without_writer
+    for workload in ("vote-storm", "audit-sweep"):
+        scenario = importlib.import_module("workloads").synthetic(workload, 23)
+        calls = 0
+        events = [event for block in run_scenario(scenario).chain.blocks for event in block.events]
+        without_writer = sum(1 for event in events if not _has_writer(event))
+        if workload == "vote-storm":  # votes, rewards, charges and assessments dominate
+            assert without_writer * 5 < len(events)
+        assert 0 < calls <= without_writer, workload
 
 
 def test_rules_compile_once_per_tier_and_registration(monkeypatch):
