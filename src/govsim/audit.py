@@ -22,7 +22,7 @@ from .errors import (
     UnknownAccreditor,
 )
 from .identity import AISystemRecord, ComplianceStatus, RiskTier
-from .ledger import Chain, EventKind
+from .ledger import Chain, EventKind, Store
 from .rng import DeterministicStream
 from .tokens import SlashReason
 
@@ -91,7 +91,7 @@ class AuditRecord:
             "audit_id": self.audit_id,
             "did": self.system_did,
             "auditor": self.auditor_id,
-            "outcome": self.outcome.value,
+            "outcome": self.outcome,
             "findings": self.findings,
             "commitment": self.evidence_commitment.hex(),
             "trigger": self.trigger,
@@ -105,7 +105,7 @@ class AuditAssignment:
     trigger: AuditTrigger
 
 
-class AuditRegistry:
+class AuditRegistry(Store):
     def __init__(
         self,
         chain: Optional[Chain],
@@ -151,15 +151,14 @@ class AuditRegistry:
         )
         self.certifications = dict(sorted({**self.certifications,
                                            auditor_id: certification}.items()))
-        if self.chain is not None:
-            self.chain.append(
-                EventKind.AUDITOR_ACCREDITED,
-                {"auditor_id": auditor_id, "body": body,
-                 "scopes": sorted(s.value for s in certification.scopes),
-                 "issued_epoch": certification.issued_epoch,
-                 "expiry_epoch": certification.expiry_epoch},
-                actor=body, epoch=epoch,
-            )
+        self._append(
+            EventKind.AUDITOR_ACCREDITED,
+            {"auditor_id": auditor_id, "body": body,
+             "scopes": sorted(s.value for s in certification.scopes),
+             "issued_epoch": certification.issued_epoch,
+             "expiry_epoch": certification.expiry_epoch},
+            actor=body, epoch=epoch,
+        )
         return certification
 
     # --- scheduling ---
@@ -258,9 +257,7 @@ class AuditRegistry:
             audit_id=audit_id, system_did=system.did, auditor_id=auditor_id, epoch=epoch,
             findings=findings, outcome=outcome, evidence_commitment=commitment, trigger=trigger)
         self.records.append(record)
-        if self.chain is not None:
-            self.chain.append(EventKind.AUDIT_RECORDED, record.to_body(),
-                              actor=auditor_id, epoch=epoch)
+        self._append(EventKind.AUDIT_RECORDED, record.to_body(), actor=auditor_id, epoch=epoch)
         if forged:
             raise EvidenceForged(f"disclosure for {system.did} does not match commitment "
                                  f"(audit {audit_id} recorded INCONCLUSIVE)")

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .governance import Proposal, ProposalKind, ProposalStatus
 from .identity import AISystemRecord, RiskTier
-from .ledger import Chain, EventKind
+from .ledger import Chain, EventKind, Store
 from .rng import DeterministicStream
 
 logger = logging.getLogger(__name__)
@@ -198,7 +198,7 @@ class CompiledTier:
         return results, score, compliant
 
 
-class RuleRegistry:
+class RuleRegistry(Store):
     """Versioned rule store; updates never mutate prior versions."""
 
     def __init__(self, chain: Optional[Chain] = None):
@@ -233,15 +233,14 @@ class RuleRegistry:
         versioned = replace(rule, version=len(history) + 1)
         history.append(versioned)
         self._compiled.clear()
-        if self.chain is not None:
-            self.chain.append(
-                EventKind.RULE_REGISTERED,
-                {"rule_id": versioned.rule_id, "domain": versioned.domain.value,
-                 "version": versioned.version, "mandatory": versioned.mandatory,
-                 "applicable_tiers": sorted(t.value for t in versioned.applicable_tiers),
-                 "authorization": auth_label},
-                actor="governance", epoch=epoch,
-            )
+        self._append(
+            EventKind.RULE_REGISTERED,
+            {"rule_id": versioned.rule_id, "domain": versioned.domain.value,
+             "version": versioned.version, "mandatory": versioned.mandatory,
+             "applicable_tiers": sorted(t.value for t in versioned.applicable_tiers),
+             "authorization": auth_label},
+            actor="governance", epoch=epoch,
+        )
         return versioned.version
 
     def get(self, rule_id: str, version: Optional[int] = None) -> ComplianceRuleModule:
@@ -314,11 +313,10 @@ def evaluate(
     metrics: Mapping[str, float | bool],
     epoch: int,
     registry: RuleRegistry,
-    chain: Optional[Chain] = None,
     *,
     salt: bytes = b"\x00" * 32,
 ) -> Assessment:
-    """Assess one system snapshot and record the outcome on the ledger."""
+    """Assess one system snapshot and record the outcome through ``registry``."""
     results, score, compliant = evaluate_rules(system.risk_tier, metrics, registry)
     assessment = Assessment(
         system_did=system.did,
@@ -331,8 +329,7 @@ def evaluate(
         salt=salt,
         tier=system.risk_tier,
     )
-    if chain is not None:
-        chain.append(EventKind.ASSESSMENT_RECORDED, assessment.to_body(),
+    registry._append(EventKind.ASSESSMENT_RECORDED, assessment.to_body(),
                      actor=system.did, epoch=epoch)
     return assessment
 
@@ -350,7 +347,7 @@ class OracleFeed:
 REGULATION_VERSION_KEY = "regulation_version"
 
 
-class OracleBook:
+class OracleBook(Store):
     """Immutable per-(feed_id, epoch) feed store."""
 
     def __init__(self, chain: Optional[Chain], oracle_authorities: Sequence[str]):
@@ -370,13 +367,12 @@ class OracleBook:
         # Defensive copy: feed values are immutable once ingested.
         epoch_feeds[feed.feed_id] = OracleFeed(feed.feed_id, feed.epoch,
                                                dict(feed.values), feed.signer)
-        if self.chain is not None:
-            self.chain.append(
-                EventKind.ORACLE_UPDATE,
-                {"feed_id": feed.feed_id, "epoch": feed.epoch,
-                 "signer": feed.signer, "values": dict(sorted(feed.values.items()))},
-                actor=feed.signer, epoch=feed.epoch,
-            )
+        self._append(
+            EventKind.ORACLE_UPDATE,
+            {"feed_id": feed.feed_id, "epoch": feed.epoch,
+             "signer": feed.signer, "values": dict(sorted(feed.values.items()))},
+            actor=feed.signer, epoch=feed.epoch,
+        )
         new_version = feed.values.get(REGULATION_VERSION_KEY)
         if new_version is not None and new_version != self._regulation_version:
             self._regulation_version = new_version
@@ -403,7 +399,7 @@ class Dispute:
     overturned: bool = False
 
 
-class DisputeCourt:
+class DisputeCourt(Store):
     """Arbitration over recorded assessments by seeded panels of auditors."""
 
     def __init__(self, chain: Optional[Chain], stream: Optional[DeterministicStream] = None):
@@ -450,11 +446,9 @@ class DisputeCourt:
         assessment = dispute.assessment
         if dispute.overturned:
             assessment.compliant = not assessment.compliant
-            if self.chain is not None:
-                body = assessment.to_body()
-                body["corrected_by_dispute"] = True
-                self.chain.append(EventKind.ASSESSMENT_RECORDED, body,
-                                  actor="arbitration-panel", epoch=assessment.epoch)
+            self._append(EventKind.ASSESSMENT_RECORDED,
+                         {**assessment.to_body(), "corrected_by_dispute": True},
+                         actor="arbitration-panel", epoch=assessment.epoch)
         return assessment
 
 

@@ -298,6 +298,9 @@ class GovernanceState(Store):
         self._power: dict[str, tuple[int, int]] = {}
         self._total = Fraction(0)
         self._cap = (0, 1)
+        # Every pair flagged so far, and each penalized member's expiry epoch.
+        self._flagged: set[tuple[str, str]] = set()
+        self._penalty_expiry: dict[str, int] = {}
 
     def _repower(self, ids: Iterable[str]) -> None:
         """Recompute the raw power of ``ids``, then the total and the cap.
@@ -490,10 +493,9 @@ class GovernanceState(Store):
             raise InvalidInput("weights change only on a PASSED proposal")
         new = self.weights.adjusted(proposal.payload)
         self._staged_weights = new
-        if self.chain is not None:
-            self.chain.append(EventKind.WEIGHTS_ADJUSTED, {
-                "proposal_id": proposal.proposal_id, "weights": new.to_json(),
-                "effective_epoch": epoch + 1}, actor="governance", epoch=epoch)
+        self._append(EventKind.WEIGHTS_ADJUSTED, {
+            "proposal_id": proposal.proposal_id, "weights": new.to_json(),
+            "effective_epoch": epoch + 1}, actor="governance", epoch=epoch)
         return new
 
     def apply_staged_weights(self) -> bool:
@@ -538,3 +540,28 @@ class GovernanceState(Store):
     def clear_collusion_penalty(self, stakeholder_id: str) -> None:
         self.stakeholders[stakeholder_id].weight_penalty = ONE
         self._repower((stakeholder_id,))
+
+    def flag_collusion(self, min_common: int, agreement: Fraction, penalty: Fraction,
+                       *, epoch: int) -> list[tuple[str, str]]:
+        """Flag each colluding pair not flagged before, in sorted order: write its
+        COLLUSION_FLAGGED and penalize both members until ``epoch + 1``.
+        Returns the newly flagged pairs."""
+        pairs = sorted(self.colluding_pairs(min_common, agreement) - self._flagged)
+        for pair in pairs:
+            self._flagged.add(pair)
+            self._append(
+                EventKind.COLLUSION_FLAGGED,
+                {"pair": list(pair), "shared": self.pair_votes[pair][0],
+                 "penalty": str(penalty), "expiry_epoch": epoch + 1},
+                actor="governance", epoch=epoch)
+            for member in pair:
+                self.apply_collusion_penalty(member, penalty)
+                self._penalty_expiry[member] = epoch + 1
+        return pairs
+
+    def expire_penalties(self, epoch: int) -> None:
+        """Lift each collusion penalty whose expiry epoch ``epoch`` has reached."""
+        for member, expiry in list(self._penalty_expiry.items()):
+            if expiry <= epoch:
+                self.clear_collusion_penalty(member)
+                del self._penalty_expiry[member]

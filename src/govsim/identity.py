@@ -38,6 +38,8 @@ from .ledger import Chain, EventKind, Store
 DID_PREFIX = "did:govsim:"
 DID_HEX_CHARS = 32
 MAX_BLOB_BYTES = 1 << 20  # 1 MiB
+# A system's exposure weight in its risk score, unless its scenario states one.
+DEFAULT_EXPOSURE = Fraction(1, 2)
 
 
 class Role(str, Enum):
@@ -145,7 +147,7 @@ class AISystemRecord:
     purpose: str
     owner: str
     version: int = 1
-    exposure: Fraction = Fraction(1, 2)
+    exposure: Fraction = DEFAULT_EXPOSURE
     metadata_refs: list[bytes] = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -191,7 +193,7 @@ class DidRegistry(Store):
                 did=body["did"], risk_tier=RiskTier(body["risk_tier"]),
                 compliance_status=ComplianceStatus.UNDER_REVIEW, purpose=body["purpose"],
                 owner=body["owner"], version=body["version"],
-                exposure=unit_fraction(body.get("exposure", "1/2"), "exposure"),
+                exposure=unit_fraction(body.get("exposure", DEFAULT_EXPOSURE), "exposure"),
                 metadata_refs=[_ref(ref, "metadata_refs")
                                for ref in body.get("metadata_refs", [])])
             return
@@ -224,7 +226,7 @@ class DidRegistry(Store):
         owner: str,
         *,
         epoch: int = 0,
-        exposure: Fraction = Fraction(1, 2),
+        exposure: Fraction = DEFAULT_EXPOSURE,
         metadata_blobs: Optional[list[bytes]] = None,
     ) -> str:
         if public_key in self._keys_seen:
@@ -251,21 +253,15 @@ class DidRegistry(Store):
         except KeyError:
             raise UnknownStakeholder(f"unknown actor: {actor}") from None
 
-    def _log_access(self, did: str, actor: str, role: Role, action: Action,
-                    allowed: bool, epoch: int) -> None:
-        if self.chain is None:
-            return
-        self.chain.append(EventKind.ACCESS_LOGGED, {
-            "did": did, "actor": actor, "role": role.value, "action": action.value,
-            "allowed": allowed}, actor=actor, epoch=epoch)
-
     def _authorize(self, record: AISystemRecord, actor: str, action: Action,
                    epoch: int) -> Role:
         """Policy check plus ownership rule; logs the attempt either way."""
         role = self._actor_role(actor)
         grant = ACCESS_POLICY[(role, action)]
         allowed = grant == "yes" or grant == "own" and record.owner == actor
-        self._log_access(record.did, actor, role, action, allowed, epoch)
+        self._append(EventKind.ACCESS_LOGGED, {
+            "did": record.did, "actor": actor, "role": role.value, "action": action.value,
+            "allowed": allowed}, actor=actor, epoch=epoch)
         if not allowed:
             raise AccessDenied(f"{role.value} may not {action.value} {record.did}")
         return role

@@ -292,13 +292,21 @@ class Chain:
 
 
 class Store:
-    """A state whose one transition is ``apply(kind, body, epoch)``: the live
-    writers record through it, and the report fold applies sealed bodies."""
+    """A state that writes its own events: the one place that decides whether an
+    event reaches a chain. A store whose one transition is ``apply(kind, body,
+    epoch)`` records through ``_record``, and the report fold applies the same
+    sealed bodies; a store without one appends through ``_append``."""
     chain: Optional[Chain]
+
+    def _append(self, kind: EventKind, body: dict, *, actor: str, epoch: int) -> None:
+        """Append the event when the store has a chain."""
+        if self.chain is not None:
+            self.chain.append(kind, body, actor=actor, epoch=epoch)
 
     def _record(self, kind: EventKind, body: dict, *, actor: str, epoch: int):
         """Apply the event, then append it when the store has a chain."""
         applied = self.apply(kind, body, epoch)
+        # The append is inline, not through _append: this is the run's hot path.
         if self.chain is not None:
             self.chain.append(kind, body, actor=actor, epoch=epoch)
         return applied

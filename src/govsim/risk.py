@@ -24,7 +24,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .encoding import _FRACTION, _REQUIRED, ONE, _key, _Keys
 from .errors import InsufficientHistory, InvalidInput, TerminalState
-from .identity import DidRegistry, RiskTier
+from .identity import DEFAULT_EXPOSURE, DidRegistry, RiskTier
 from .ledger import Chain, EventKind, Store
 
 
@@ -256,12 +256,10 @@ class IncidentLog(Store):
 @dataclass
 class RiskProfile:
     system_did: str
-    score: Fraction = Fraction(0)
-    tier: Optional[RiskTier] = None
     history: list[tuple[int, Fraction, Fraction]] = field(default_factory=list)
 
 
-class RiskEngine:
+class RiskEngine(Store):
     def __init__(
         self,
         chain: Optional[Chain],
@@ -284,7 +282,7 @@ class RiskEngine:
         *,
         audit_failed: bool = False,
         incident_count: int = 0,
-        exposure: Fraction = Fraction(1, 2),
+        exposure: Fraction = DEFAULT_EXPOSURE,
     ) -> tuple[Fraction, RiskTier, bool]:
         """Recompute the score; reclassify (and write through) on tier change."""
         record = self.registry.get(system_did)
@@ -293,18 +291,14 @@ class RiskEngine:
         )
         tier = tier_for_score(score, self.thresholds)
         profile = self.profiles.setdefault(system_did, RiskProfile(system_did))
-        profile.score = score
         profile.history.append((epoch, score, compliance_aggregate))
         changed = tier != record.risk_tier
         if changed:
-            old_tier = record.risk_tier
-            if self.chain is not None:
-                self.chain.append(
-                    EventKind.RISK_RECLASSIFIED,
-                    {"did": system_did, "score": str(score),
-                     "old_tier": old_tier.value, "new_tier": tier.value},
-                    actor="risk-engine", epoch=epoch,
-                )
+            self._append(
+                EventKind.RISK_RECLASSIFIED,
+                {"did": system_did, "score": str(score),
+                 "old_tier": record.risk_tier.value, "new_tier": tier.value},
+                actor="risk-engine", epoch=epoch,
+            )
             self.registry.system_reclassify(system_did, tier, epoch=epoch)
-        profile.tier = tier
         return score, tier, changed

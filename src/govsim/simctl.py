@@ -35,6 +35,7 @@ from .errors import (
     ScenarioError,
 )
 from .identity import (
+    DEFAULT_EXPOSURE,
     ComplianceStatus,
     ContentStore,
     DidRegistry,
@@ -167,7 +168,7 @@ class SystemSpec:
     owner: str = _key(_REQUIRED, _text)  # a stakeholder id
     purpose: str = _key(None, _text)  # None: the id
     risk_tier: RiskTier = _key(_REQUIRED, _one_of(RiskTier, "tier"))
-    exposure: Fraction = _key(Fraction(1, 2), _fraction_in(lambda f: 0 <= f <= 1, "[0, 1]"))
+    exposure: Fraction = _key(DEFAULT_EXPOSURE, _fraction_in(lambda f: 0 <= f <= 1, "[0, 1]"))
     base_metrics: dict[str, Any] = _key({}, _object)
     metadata: Optional[dict] = _key(None, _as_is)
     public_key: bytes = _key(b"", _plain(bytes.fromhex))  # empty: the key derived from the id
@@ -628,8 +629,6 @@ class Simulator:
         self._audit_records: list[audit_mod.AuditRecord] = []
         # Audit triggers since the last audit phase, which consumes them.
         self._pending_triggers: dict[str, set[audit_mod.AuditTrigger]] = {}
-        self._collusion_expiry: dict[str, int] = {}
-        self._flagged_pairs: set[tuple[str, str]] = set()
         self._salt_stream = self._stream("assessment-salt")
         self._audit_stream = self._stream("audit-assign")
         self._vote_stream = self._stream("collusion-votes")
@@ -686,7 +685,7 @@ class Simulator:
                        for k, v in self._system_specs[did].base_metrics.items()}
             salt = self._salt_stream.bytes_(32)
             assessment = compliance_mod.evaluate(
-                record, metrics, epoch, self.rules, self.chain, salt=salt)
+                record, metrics, epoch, self.rules, salt=salt)
             self._latest_assessment[did] = assessment
             self.assessment_log.append(assessment)
             self._forecast[did] = risk_mod.ewma_step(
@@ -785,25 +784,12 @@ class Simulator:
             elif proposal.kind == governance_mod.ProposalKind.RULE_UPDATE:
                 self.rules.register_rule(rule, proposal, epoch=epoch)
 
-        flagged = self.governance.colluding_pairs(
-            self.config.collusion_min_common, self.config.collusion_agreement)
-        for pair in sorted(flagged - self._flagged_pairs):
-            self._flagged_pairs.add(pair)
-            a, b = pair
-            shared, _ = self.governance.pair_votes[pair]
-            self.chain.append(
-                EventKind.COLLUSION_FLAGGED,
-                {"pair": [a, b], "shared": shared,
-                 "penalty": str(self.config.collusion_penalty),
-                 "expiry_epoch": epoch + 1},
-                actor="governance", epoch=epoch)
-            for member in pair:
-                self.governance.apply_collusion_penalty(
-                    member, self.config.collusion_penalty)
-                self._collusion_expiry[member] = epoch + 1
-                for did, spec in sorted(self._system_specs.items()):
-                    if spec.owner == member:
-                        self._add_trigger(did, audit_mod.AuditTrigger.COLLUSION)
+        for pair in self.governance.flag_collusion(
+                self.config.collusion_min_common, self.config.collusion_agreement,
+                self.config.collusion_penalty, epoch=epoch):
+            for did, spec in self._system_specs.items():
+                if spec.owner in pair:
+                    self._add_trigger(did, audit_mod.AuditTrigger.COLLUSION)
 
     def _phase_elections(self, epoch: int) -> None:
         """Every election_period epochs, and once at set-up (epoch 0)."""
@@ -826,10 +812,7 @@ class Simulator:
     def _phase_sealing(self, epoch: int) -> None:
         """Seal the epoch's events, then lift the collusion penalties that expire."""
         self.chain.seal_all({aid: kp.private for aid, kp in self._authority_keys.items()})
-        for member, expiry in list(self._collusion_expiry.items()):
-            if expiry <= epoch:
-                self.governance.clear_collusion_penalty(member)
-                del self._collusion_expiry[member]
+        self.governance.expire_penalties(epoch)
 
     # --- main loop ---
 

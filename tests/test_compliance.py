@@ -35,6 +35,8 @@ from govsim.errors import (
 )
 from govsim.governance import Proposal, ProposalKind, ProposalStatus
 from govsim.identity import AISystemRecord, ComplianceStatus, RiskTier
+from govsim.keys import get_scheme
+from govsim.ledger import Chain, EventKind
 
 HIGH_TIERS = frozenset({RiskTier.HIGH, RiskTier.LIMITED})
 
@@ -172,6 +174,24 @@ def test_missing_metric_names_the_metric():
     registry.register_rule(capital_rule(), GENESIS_AUTHORIZATION)
     with pytest.raises(MissingInput, match="capital_ratio"):
         evaluate(system(), {"other": 1.0}, 1, registry)
+
+
+def test_evaluate_records_through_its_registry(monkeypatch):
+    scheme = get_scheme("seeded")
+    chain = Chain({"a1": scheme.generate(b"a1").public}, quorum=1)
+    registry = RuleRegistry(chain)
+    registry.register_rule(capital_rule(), GENESIS_AUTHORIZATION)
+    before = len(chain.pending)
+    assessment = evaluate(system(), {"capital_ratio": 0.09}, 4, registry)
+    [event] = chain.pending[before:]
+    assert (event.kind, event.epoch, event.actor) == (
+        EventKind.ASSESSMENT_RECORDED, 4, assessment.system_did)
+    assert event.body() == json.loads(json.dumps(assessment.to_body()))
+
+    monkeypatch.setattr(Chain, "append", lambda *args, **kwargs: pytest.fail("appended"))
+    chainless = RuleRegistry()
+    chainless.register_rule(capital_rule(), GENESIS_AUTHORIZATION)
+    assert evaluate(system(), {"capital_ratio": 0.09}, 4, chainless).compliant
 
 
 def test_evaluation_deterministic_and_serializable():

@@ -398,6 +398,66 @@ def test_penalty_reduces_raw_power():
     assert raw_power(state.stakeholders["A"], state.weights) == base
 
 
+def vote_together(state, voters, proposal_ids, *, epoch):
+    for proposal_id in proposal_ids:
+        state.submit_proposal(proposal_id, ProposalKind.ROUTINE, {}, epoch=epoch)
+        for voter in voters:
+            state.cast_vote(voter, proposal_id, FOR, epoch=epoch)
+
+
+def flagged_bodies(state):
+    return [event.body() for event in state.chain.pending
+            if event.kind is EventKind.COLLUSION_FLAGGED]
+
+
+def test_flag_collusion_flags_each_pair_once_in_sorted_order():
+    state = make_state([*abc_stakeholders(), sh("D", Role.BANK, 50)])
+    vote_together(state, ["C", "B", "A"], ["p0", "p1"], epoch=1)
+    new = state.flag_collusion(2, Fraction(9, 10), Fraction(4, 5), epoch=1)
+    assert new == [("A", "B"), ("A", "C"), ("B", "C")]
+    assert [(b["pair"], b["shared"], b["penalty"], b["expiry_epoch"])
+            for b in flagged_bodies(state)] == [
+        (["A", "B"], 2, "4/5", 2), (["A", "C"], 2, "4/5", 2), (["B", "C"], 2, "4/5", 2)]
+    assert [s.weight_penalty for s in state.stakeholders.values()] == [
+        Fraction(4, 5), Fraction(4, 5), Fraction(4, 5), 1]
+
+    # At a later epoch only the pair not flagged before is written.
+    vote_together(state, ["D", "A"], ["p2", "p3"], epoch=2)
+    assert state.flag_collusion(2, Fraction(9, 10), Fraction(4, 5), epoch=2) == [("A", "D")]
+    assert [b["pair"] for b in flagged_bodies(state)][3:] == [["A", "D"]]
+    assert state.stakeholders["D"].weight_penalty == Fraction(4, 5)
+    assert state.flag_collusion(2, Fraction(9, 10), Fraction(4, 5), epoch=3) == []
+    assert len(flagged_bodies(state)) == 4
+
+
+def test_expire_penalties_lifts_each_penalty_at_its_expiry():
+    state = make_state([*abc_stakeholders(), sh("D", Role.BANK, 50)])
+    vote_together(state, ["A", "B"], ["p0", "p1"], epoch=1)
+    state.flag_collusion(2, Fraction(9, 10), Fraction(9, 10), epoch=1)
+    state.expire_penalties(1)
+    assert state.stakeholders["B"].weight_penalty == Fraction(9, 10)
+    # A is flagged again with D, which moves its expiry on to epoch 3.
+    vote_together(state, ["A", "D"], ["p2", "p3"], epoch=2)
+    state.flag_collusion(2, Fraction(9, 10), Fraction(9, 10), epoch=2)
+    state.expire_penalties(2)
+    assert {sid: s.weight_penalty for sid, s in state.stakeholders.items()} == {
+        "A": Fraction(9, 10), "B": 1, "C": 1, "D": Fraction(9, 10)}
+    state.expire_penalties(3)
+    assert all(s.weight_penalty == 1 for s in state.stakeholders.values())
+
+
+def test_chainless_state_flags_and_penalizes_without_writing(monkeypatch):
+    monkeypatch.setattr(Chain, "append", lambda *args, **kwargs: pytest.fail("appended"))
+    state = GovernanceState(None, None)
+    for stakeholder in abc_stakeholders():
+        state.add_stakeholder(stakeholder)
+    vote_together(state, ["A", "B"], ["p0", "p1"], epoch=1)
+    assert state.flag_collusion(2, Fraction(9, 10), Fraction(9, 10), epoch=1) == [("A", "B")]
+    assert state.stakeholders["A"].weight_penalty == Fraction(9, 10)
+    state.expire_penalties(2)
+    assert state.stakeholders["A"].weight_penalty == 1
+
+
 # --- adaptive weights ---
 
 def passed_weight_proposal(payload):

@@ -9,15 +9,18 @@ holds.
 Likewise each tier's rules are compiled once per registration, and each
 distinct score is built once, however many assessments and audits read them.
 And a body of a shape that its kind declares is written by that kind's
-template, never by the general encode.
+template, never by the general encode. Every event but the heartbeat is
+appended by the store that owns its state.
 """
 
 import importlib
+import sys
 
 from govsim import compliance, encoding, governance
-from govsim.ledger import _WRITERS, EventKind
+from govsim.ledger import _WRITERS, Chain, EventKind
 from govsim.simctl import run_scenario
-from tests.conftest import REPO_ROOT, scenario_path
+from tests.conftest import REFERENCE_SCENARIOS, REPO_ROOT, scenario_path
+from tests.test_pinned_outputs import synthetic_scenario, weighted_scenario
 
 
 def _power_epochs(result) -> set[int]:
@@ -132,3 +135,24 @@ def test_rules_compile_once_per_tier_and_registration(monkeypatch):
     assert len(compiled) == len(set(compiled))
     assert max(seen for _, seen in compiled) == registrations == len(registered)
     assert fractions <= len(scores) < evaluations
+
+
+# The only callers of Chain.append: a store, and the simulator's HEARTBEAT.
+APPEND_CALLERS = {"Store._append", "Store._record", "Simulator._phase_ingest"}
+
+
+def test_every_append_goes_through_a_store(monkeypatch):
+    append = Chain.append
+    callers = set()
+
+    def traced(self, *args, **kwargs):
+        callers.add(sys._getframe(1).f_code.co_qualname)
+        return append(self, *args, **kwargs)
+
+    monkeypatch.setattr(Chain, "append", traced)
+    worlds = {name: scenario_path(name) for name in REFERENCE_SCENARIOS}
+    worlds.update(synthetic=synthetic_scenario(), weighted=weighted_scenario())
+    for name, world in worlds.items():
+        callers.clear()
+        run_scenario(world)
+        assert "Store._record" in callers and callers <= APPEND_CALLERS, name
