@@ -5,6 +5,8 @@ version and never rewrites history; a dispute panel can overturn an
 assessment after the fact.
 """
 
+from pathlib import Path
+
 from govsim.compliance import (
     ComplianceRuleModule,
     DisputeCourt,
@@ -12,13 +14,16 @@ from govsim.compliance import (
     RuleDomain,
     RuleRegistry,
     evaluate,
-    standard_rule_pack,
 )
+from govsim.encoding import read_json
 from govsim.identity import AISystemRecord, ComplianceStatus, RiskTier
 from govsim.rng import DeterministicStream
+from govsim.simctl import load_scenario
+
+RULES = Path(__file__).resolve().parent.parent / "scenarios" / "standard_rules.json"
 
 registry = RuleRegistry()
-for rule in standard_rule_pack():
+for rule in load_scenario({"epochs": 1, "rules": read_json(RULES, "rules")}).rules:
     registry.register_rule(rule, GENESIS_AUTHORIZATION)
 print("active rules:", [f"{r.rule_id} v{r.version}" for r in registry.active_rules()])
 

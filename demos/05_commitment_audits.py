@@ -6,20 +6,25 @@ the commitment and the verdict. Any single altered bit makes the disclosure
 unverifiable.
 """
 
+from pathlib import Path
+
 from govsim.audit import AuditRegistry
 from govsim.compliance import (
     GENESIS_AUTHORIZATION,
     RuleDomain,
     RuleRegistry,
     metrics_commitment,
-    standard_rule_pack,
 )
+from govsim.encoding import read_json
 from govsim.errors import EvidenceForged
 from govsim.identity import AISystemRecord, ComplianceStatus, RiskTier
 from govsim.rng import DeterministicStream
+from govsim.simctl import load_scenario
+
+RULES = Path(__file__).resolve().parent.parent / "scenarios" / "standard_rules.json"
 
 rules = RuleRegistry()
-for rule in standard_rule_pack():
+for rule in load_scenario({"epochs": 1, "rules": read_json(RULES, "rules")}).rules:
     rules.register_rule(rule, GENESIS_AUTHORIZATION)
 
 audits = AuditRegistry(None, rules, ["esma"])

@@ -451,36 +451,3 @@ class DisputeCourt(Store):
                          actor="arbitration-panel", epoch=assessment.epoch)
         return assessment
 
-
-# Desk-scale starter rule pack. Thresholds are stand-ins, not legal claims.
-def standard_rule_pack() -> list[ComplianceRuleModule]:
-    high_plus = frozenset({RiskTier.HIGH, RiskTier.LIMITED})
-    return [
-        ComplianceRuleModule(
-            rule_id="capital-adequacy-min",
-            domain=RuleDomain.CAPITAL_ADEQUACY,
-            predicate={"op": ">=", "metric": "capital_ratio", "value": 0.08},
-            metrics=("capital_ratio",),
-            applicable_tiers=high_plus,
-        ),
-        ComplianceRuleModule(
-            rule_id="privacy-consent",
-            domain=RuleDomain.DATA_PRIVACY,
-            predicate={"op": "==", "metric": "data_privacy_consent", "value": True},
-            metrics=("data_privacy_consent",),
-        ),
-        ComplianceRuleModule(
-            rule_id="bias-ceiling",
-            domain=RuleDomain.RISK_ASSESSMENT,
-            predicate={"op": "<=", "metric": "model_bias_metric", "value": 0.2},
-            metrics=("model_bias_metric",),
-            applicable_tiers=frozenset({RiskTier.HIGH}),
-        ),
-        ComplianceRuleModule(
-            rule_id="audit-trail-complete",
-            domain=RuleDomain.TRANSPARENCY,
-            predicate={"op": "==", "metric": "audit_trail_complete", "value": True},
-            metrics=("audit_trail_complete",),
-            mandatory=False,
-        ),
-    ]

@@ -7,8 +7,9 @@ the same transitions the live simulator runs, into a chain-less ledger,
 registry, log and governance state, and recomputes per-epoch risk scores
 from on-chain assessment/audit/incident data plus the config snapshot
 embedded in the genesis event. The simulator reports from its live stores
-instead (``tally_events``); both lay the report out through
-``ReportTally.layout``, and ``verify`` proves the report equals the fold.
+instead. Both lay the report out through ``layout``, whose one pass over the
+chain counts the events and logs the few rare kinds, and ``verify`` proves
+the report equals the fold.
 
 ``EVENT_SPECS`` declares each event kind once: the phases it may be
 appended in, the store whose ``apply`` folds it, and its body fields. Each
@@ -50,79 +51,81 @@ from .tokens import Pool, TokenLedger
 # Each kind's value, a plain str: the report's by_kind keys.
 _KIND_VALUES = {kind: kind.value for kind in EventKind}
 
-
-class ReportTally:
-    """The report's events by kind per epoch and its logs of the rare kinds,
-    and ``layout``, which writes the report from them and the stores given."""
-
-    def __init__(self, blocks: Sequence[Block]):
-        self.blocks = blocks
-        # Events by kind per epoch; the layout writes each kind as its name.
-        self.per_epoch: dict[int, dict[EventKind, int]] = defaultdict(dict)
-        self.elections: list[dict] = []
-        self.collusion_flags: list[dict] = []
-        self.weight_adjustments: list[dict] = []
-        self.reclassifications: list[dict] = []
-        self.access_logged = self.access_denied = 0
-
-    def _access(self, body: dict, epoch: int) -> None:
-        self.access_logged += 1
-        if not body.get("allowed", True):
-            self.access_denied += 1
-
-    def layout(self, epochs: int, assessed: Iterable[tuple[str, bool]],
-               audits: Iterable[tuple[str, str]], tokens: TokenLedger,
-               scores: dict[str, list[list]], incidents: dict, proposals: dict) -> dict:
-        """The full run report as a deterministic JSON-able dict: ``assessed`` is
-        (tier, compliant) per (epoch, DID), ``audits`` (outcome, trigger)."""
-        blocks = self.blocks
-        # A row per epoch with events (each simulated epoch has a HEARTBEAT).
-        per_epoch = [{"epoch": epoch, "events": sum(counts.values()),
-                      "by_kind": {_KIND_VALUES[kind]: n for kind, n in sorted(counts.items())}}
-                     for epoch, counts in sorted(self.per_epoch.items())]
-
-        by_tier: dict[str, list[int]] = defaultdict(lambda: [0, 0])
-        for tier, compliant in assessed:
-            by_tier[tier][0] += 1
-            by_tier[tier][1] += 1 if compliant else 0
-        compliance_rates = {
-            tier: {"assessments": total, "compliant": passed, "rate": str(Fraction(passed, total))}
-            for tier, (total, passed) in sorted(by_tier.items())}
-
-        audit_outcomes = {outcome.value: 0 for outcome in AuditOutcome}
-        audits_by_trigger: dict[str, int] = defaultdict(int)
-        for outcome, trigger in audits:
-            audit_outcomes[outcome] += 1
-            audits_by_trigger[trigger] += 1
-
-        return {
-            "root_hash": blocks[-1].block_hash.hex() if blocks else "",
-            "blocks": len(blocks),
-            "epochs": epochs,
-            "events_total": sum(len(b.events) for b in blocks),
-            "per_epoch": per_epoch,
-            "compliance": {"by_tier": compliance_rates},
-            "audits": {"total": sum(audit_outcomes.values()), "by_outcome": audit_outcomes,
-                       "by_trigger": dict(sorted(audits_by_trigger.items()))},
-            "tokens": {"snapshot": tokens.snapshot(), "conserved": tokens.conserved(),
-                       "checksum": tokens.conservation_checksum()},
-            "risk_metrics": {
-                "scores": scores, "reclassifications": self.reclassifications,
-                "incidents": [incidents[k].to_json() for k in sorted(incidents)]},
-            "governance": {
-                "proposals": [proposals[k].to_json() for k in sorted(proposals)],
-                "elections": self.elections, "collusion_flags": self.collusion_flags,
-                "weight_adjustments": self.weight_adjustments},
-            "access": {"logged": self.access_logged, "denied": self.access_denied},
-        }
+# The kinds whose bodies the report logs, few per run: each kind's log.
+_LOGS = {EventKind.DELEGATE_ELECTED: "elections", EventKind.COLLUSION_FLAGGED: "collusion_flags",
+         EventKind.WEIGHTS_ADJUSTED: "weight_adjustments",
+         EventKind.RISK_RECLASSIFIED: "reclassifications", EventKind.ACCESS_LOGGED: "access"}
 
 
-class ChainFold(ReportTally):
+def layout(blocks: Sequence[Block], epochs: Optional[int], assessed: Iterable[tuple[str, bool]],
+           audits: Iterable[tuple[str, str]], tokens: TokenLedger,
+           scores: dict[str, list[list]], incidents: dict, proposals: dict) -> dict:
+    """The full run report as a deterministic JSON-able dict, from the stores
+    given and one pass over the chain: ``epochs`` is None for the last epoch
+    with events, ``assessed`` is (tier, compliant) per (epoch, DID) and
+    ``audits`` (outcome, trigger). The pass counts events by kind per epoch
+    and decodes only the logged kinds, each stamped with its frame epoch."""
+    counted: dict[int, dict[EventKind, int]] = defaultdict(dict)
+    logs: dict[str, list[dict]] = {name: [] for name in _LOGS.values()}
+    for block in blocks:
+        for event in block.events:
+            kind, epoch = event.kind, event.epoch
+            counts = counted[epoch]
+            counts[kind] = counts.get(kind, 0) + 1
+            log = _LOGS.get(kind)
+            if log:
+                logs[log].append({**from_canonical_json(event.payload), "epoch": epoch})
+    # A row per epoch with events (each simulated epoch has a HEARTBEAT).
+    per_epoch = [{"epoch": epoch, "events": sum(counts.values()),
+                  "by_kind": {_KIND_VALUES[kind]: n for kind, n in sorted(counts.items())}}
+                 for epoch, counts in sorted(counted.items())]
+
+    by_tier: dict[str, list[int]] = defaultdict(lambda: [0, 0])
+    for tier, compliant in assessed:
+        by_tier[tier][0] += 1
+        by_tier[tier][1] += 1 if compliant else 0
+    compliance_rates = {
+        tier: {"assessments": total, "compliant": passed, "rate": str(Fraction(passed, total))}
+        for tier, (total, passed) in sorted(by_tier.items())}
+
+    audit_outcomes = {outcome.value: 0 for outcome in AuditOutcome}
+    audits_by_trigger: dict[str, int] = defaultdict(int)
+    for outcome, trigger in audits:
+        audit_outcomes[outcome] += 1
+        audits_by_trigger[trigger] += 1
+
+    access = logs["access"]
+    return {
+        "root_hash": blocks[-1].block_hash.hex() if blocks else "",
+        "blocks": len(blocks),
+        "epochs": max(counted, default=0) if epochs is None else epochs,
+        "events_total": sum(len(b.events) for b in blocks),
+        "per_epoch": per_epoch,
+        "compliance": {"by_tier": compliance_rates},
+        "audits": {"total": sum(audit_outcomes.values()), "by_outcome": audit_outcomes,
+                   "by_trigger": dict(sorted(audits_by_trigger.items()))},
+        "tokens": {"snapshot": tokens.snapshot(), "conserved": tokens.conserved(),
+                   "checksum": tokens.conservation_checksum()},
+        "risk_metrics": {
+            "scores": scores, "reclassifications": logs["reclassifications"],
+            "incidents": [incidents[k].to_json() for k in sorted(incidents)]},
+        "governance": {
+            "proposals": [proposals[k].to_json() for k in sorted(proposals)],
+            "elections": [{"epoch": entry["epoch"], "delegates": entry["delegates"]}
+                          for entry in logs["elections"]],
+            "collusion_flags": logs["collusion_flags"],
+            "weight_adjustments": logs["weight_adjustments"]},
+        "access": {"logged": len(access),
+                   "denied": sum(not entry.get("allowed", True) for entry in access)},
+    }
+
+
+class ChainFold:
     """Replays every event into queryable state, checking each body against
     its kind's declaration in ``EVENT_SPECS`` first."""
 
     def __init__(self, blocks: Sequence[Block]):
-        super().__init__(blocks)
+        self.blocks = blocks
         self.genesis_meta: dict = {}
         self.weights = RiskWeights()
         self.tokens = TokenLedger(0, {})
@@ -149,7 +152,6 @@ class ChainFold(ReportTally):
         plan = {kind: (spec.phases, spec.fields,
                        spec.store and getattr(self, spec.store).apply, spec.fold)
                 for kind, spec in EVENT_SPECS.items()}
-        per_epoch = self.per_epoch
         for block in self.blocks:
             for event in block.events:
                 kind, epoch = event.kind, event.epoch
@@ -171,8 +173,6 @@ class ChainFold(ReportTally):
                 if (type(phase) is not int or phase not in phases) and self.phase_fault is None:
                     self.phase_fault = (block.height, f"event {event.event_id} ({kind.value}): "
                                         f"phase {phase}, allowed {sorted(map(int, phases))}")
-                counts = per_epoch[epoch]
-                counts[kind] = counts.get(kind, 0) + 1
 
     # --- the fold's own bookkeeping, named per kind in EVENT_SPECS ---
 
@@ -256,8 +256,8 @@ class ChainFold(ReportTally):
 
     def report(self) -> dict:
         """The full run report as a deterministic JSON-able dict."""
-        return self.layout(
-            self.genesis_meta.get("epochs", max(self.per_epoch, default=0)),
+        return layout(
+            self.blocks, self.genesis_meta.get("epochs"),
             [(e["tier"], e["compliant"]) for m in self.assessments.values() for e in m.values()],
             [(audit["outcome"], audit["trigger"]) for audit in self.audits],
             self.tokens, self.score_series(), self.incidents, self.governance.proposals)
@@ -336,10 +336,6 @@ def _spec(phases, store=None, fold=None, fields=None) -> EventSpec:
     return EventSpec(frozenset(phases), store, fold, _fields(fields or {}))
 
 
-def _logged(name: str) -> Callable[[ReportTally, dict, int], None]:
-    return lambda fold, body, epoch: getattr(fold, name).append({**body, "epoch": epoch})
-
-
 # The phases in which a system's record is written during an epoch.
 _RECORD_PHASES = {Phase.INGEST, Phase.COMPLIANCE, Phase.RISK, Phase.PENALTIES}
 
@@ -351,11 +347,8 @@ EVENT_SPECS: dict[EventKind, EventSpec] = {
         "did": str, "version": int, "change?": {
             "status?": ComplianceStatus, "risk_tier?": RiskTier, "purpose?": str,
             "metadata_ref?": str}}),
-    EventKind.DELEGATE_ELECTED: _spec(
-        {Phase.SETUP, Phase.ELECTIONS}, "governance",
-        lambda fold, body, epoch: fold.elections.append(
-            {"epoch": epoch, "delegates": body["delegates"]}),
-        {"delegates": list}),
+    EventKind.DELEGATE_ELECTED: _spec({Phase.SETUP, Phase.ELECTIONS}, "governance", None,
+                                      {"delegates": list}),
     EventKind.PROPOSAL_SUBMITTED: _spec({Phase.GOVERNANCE}, "governance", None, {
         "proposal_id": str, "kind": ProposalKind, "mode": VoteMode, "payload": object}),
     EventKind.VOTE_CAST: _spec({Phase.GOVERNANCE}, "governance", None, {
@@ -390,12 +383,12 @@ EVENT_SPECS: dict[EventKind, EventSpec] = {
         "incident_id": str, "did": str, "severity": Severity}),
     EventKind.INCIDENT_ADVANCED: _spec({Phase.RISK}, "incident_log", None,
                                        {"incident_id": str, "state": IncidentState}),
-    EventKind.RISK_RECLASSIFIED: _spec({Phase.RISK}, None, _logged("reclassifications")),
+    EventKind.RISK_RECLASSIFIED: _spec({Phase.RISK}),
     EventKind.ORACLE_UPDATE: _spec({Phase.INGEST}),
-    EventKind.ACCESS_LOGGED: _spec(_RECORD_PHASES, None, ReportTally._access, {"allowed?": bool}),
-    EventKind.WEIGHTS_ADJUSTED: _spec({Phase.GOVERNANCE}, None, _logged("weight_adjustments")),
+    EventKind.ACCESS_LOGGED: _spec(_RECORD_PHASES, None, None, {"allowed?": bool}),
+    EventKind.WEIGHTS_ADJUSTED: _spec({Phase.GOVERNANCE}),
     EventKind.HEARTBEAT: _spec({Phase.INGEST}),
-    EventKind.COLLUSION_FLAGGED: _spec({Phase.GOVERNANCE}, None, _logged("collusion_flags")),
+    EventKind.COLLUSION_FLAGGED: _spec({Phase.GOVERNANCE}),
     EventKind.RULE_REGISTERED: _spec({Phase.SETUP, Phase.GOVERNANCE}),
 }
 
@@ -421,28 +414,10 @@ def _shapes(fields: tuple) -> list[dict]:
 _WRITERS.update((kind, body_writer(_shapes(spec.fields), "phase"))
                 for kind, spec in EVENT_SPECS.items())
 
-# The kinds whose bodies the report reads beyond their stores: few per run.
-_RARE_FOLDS = {kind: EVENT_SPECS[kind].fold for kind in (
-    EventKind.DELEGATE_ELECTED, EventKind.COLLUSION_FLAGGED, EventKind.WEIGHTS_ADJUSTED,
-    EventKind.RISK_RECLASSIFIED, EventKind.ACCESS_LOGGED)}
-
 
 def build_report(blocks: Sequence[Block]) -> dict:
     """The full run report as a deterministic JSON-able dict."""
     return ChainFold(blocks).report()
-
-
-def tally_events(blocks: Sequence[Block]) -> ReportTally:
-    """The run's own tally, which ``layout`` completes from its live stores:
-    one pass counts the events and decodes only the rare kinds."""
-    tally = ReportTally(blocks)
-    for block in blocks:
-        for event in block.events:
-            kind, counts = event.kind, tally.per_epoch[event.epoch]
-            counts[kind] = counts.get(kind, 0) + 1
-            if kind in _RARE_FOLDS:
-                _RARE_FOLDS[kind](tally, event.body(), event.epoch)
-    return tally
 
 
 def first_difference(a: Any, b: Any, path: str = "") -> Optional[str]:

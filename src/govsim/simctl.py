@@ -44,7 +44,7 @@ from .identity import (
 )
 from .keys import SeededScheme, get_scheme
 from .ledger import DEFAULT_BLOCK_CAPACITY, Chain, EventKind, Phase, load_chain
-from .report import load_report, tally_events, verified_fold
+from .report import layout, load_report, verified_fold
 from .rng import DeterministicStream
 from .tokens import (
     DEFAULT_EMISSION_DIVISOR,
@@ -831,8 +831,9 @@ class Simulator:
         # A tier, outcome or trigger is a report key: a plain str, looked up per member.
         value = {member: member.value for enum in (RiskTier, audit_mod.AuditOutcome,
                                                    audit_mod.AuditTrigger) for member in enum}
-        report = tally_events(self.chain.blocks).layout(
-            self.scenario.epochs, [(value[a.tier], a.compliant) for a in self.assessment_log],
+        report = layout(
+            self.chain.blocks, self.scenario.epochs,
+            [(value[a.tier], a.compliant) for a in self.assessment_log],
             [(value[record.outcome], value[record.trigger]) for record in self.audits.records],
             self.tokens,
             {did: [[epoch, str(score)] for epoch, score, _ in profile.history]

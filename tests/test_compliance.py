@@ -20,9 +20,9 @@ from govsim.compliance import (
     evaluate_predicate,
     evaluate_rules,
     metrics_commitment,
-    standard_rule_pack,
     validate_predicate,
 )
+from govsim.encoding import read_json
 from govsim.errors import (
     AlreadyDisputed,
     DuplicateFeed,
@@ -37,6 +37,8 @@ from govsim.governance import Proposal, ProposalKind, ProposalStatus
 from govsim.identity import AISystemRecord, ComplianceStatus, RiskTier
 from govsim.keys import get_scheme
 from govsim.ledger import Chain, EventKind
+from govsim.simctl import load_scenario
+from tests.conftest import scenario_path
 
 HIGH_TIERS = frozenset({RiskTier.HIGH, RiskTier.LIMITED})
 
@@ -196,7 +198,8 @@ def test_evaluate_records_through_its_registry(monkeypatch):
 
 def test_evaluation_deterministic_and_serializable():
     registry = RuleRegistry()
-    for rule in standard_rule_pack():
+    rules = read_json(scenario_path("standard_rules"), "rules")
+    for rule in load_scenario({"epochs": 1, "rules": rules}).rules:
         registry.register_rule(rule, GENESIS_AUTHORIZATION)
     metrics = {"capital_ratio": 0.09, "data_privacy_consent": True,
                "model_bias_metric": 0.1, "audit_trail_complete": False}

@@ -342,7 +342,8 @@ def test_the_fold_takes_each_epoch_from_the_event_frame(tmp_path, capsys):
             {i: {**events[i][2], "epoch": 99} for i in picked})
     verification, fold = verified_fold(load_chain(tmp_path / "chain.db"))
     assert verification.ok
-    audit, reclassification = fold.audits[0], fold.reclassifications[0]
+    audit = fold.audits[0]
+    reclassification = fold.report()["risk_metrics"]["reclassifications"][0]
     update = events[picked[2]][2]
     capsys.readouterr()
     assert cli_main(["inspect", str(tmp_path / "chain.db"), "--did", update["did"]]) == 0

@@ -27,6 +27,7 @@ from govsim.identity import (
 )
 from govsim.keys import get_scheme
 from govsim.ledger import Chain, EventKind
+from govsim.report import build_report
 
 ROLES = {
     "regulator-1": Role.REGULATOR,
@@ -200,6 +201,17 @@ def test_developer_view_own_record_only(registry):
     assert registry.view_record(own, "dev-1").did == own
     with pytest.raises(AccessDenied):
         registry.view_record(other, "dev-1")
+
+
+def test_a_chain_without_genesis_reports_its_access_log(registry, chain):
+    # With no genesis, the report's epochs is the last epoch that has events.
+    did = registry.register_did(b"\x0b" * 32, "x", RiskTier.MINIMAL, "bank-1", epoch=0)
+    registry.view_record(did, "bank-1", epoch=1)
+    with pytest.raises(AccessDenied):
+        registry.view_record(did, "dev-1", epoch=3)
+    chain.seal_all({"a1": get_scheme("seeded").generate(b"a1").private})
+    report = build_report(chain.blocks)
+    assert (report["epochs"], report["access"]) == (3, {"logged": 2, "denied": 1})
 
 
 def test_metadata_ref_update_resolves_in_store(registry):

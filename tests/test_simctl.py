@@ -27,6 +27,7 @@ from govsim.report import (
     export_report,
     first_difference,
     report_csv_bytes,
+    verified_fold,
 )
 from govsim.simctl import (
     SCENARIO_OBJECTS,
@@ -1340,6 +1341,27 @@ def test_run_reports_without_folding_its_chain(monkeypatch):
     assert result.report["governance"]["collusion_flags"]
     assert counts == {"fold": 0, "decode": rare_events}
     assert rare_events < result.report["events_total"] / 10
+
+
+def test_verify_decodes_each_event_once_and_each_logged_one_twice(monkeypatch):
+    """The fold decodes every body; the report's layout only the logged kinds."""
+    result = run_scenario(scenario_path("collusion_attack"))
+    decodes = 0
+    real_decode = govsim.encoding.from_canonical_json
+
+    def counting_decode(data):
+        nonlocal decodes
+        decodes += 1
+        return real_decode(data)
+
+    for module in (govsim.encoding, govsim.ledger, govsim.report):
+        monkeypatch.setattr(module, "from_canonical_json", counting_decode)
+    verification, fold = verified_fold(result.chain)
+    assert verification.ok and fold.report() == result.report
+    logged = {EventKind.DELEGATE_ELECTED, EventKind.COLLUSION_FLAGGED, EventKind.WEIGHTS_ADJUSTED,
+              EventKind.RISK_RECLASSIFIED, EventKind.ACCESS_LOGGED}
+    kinds = [event.kind for block in result.chain.blocks for event in block.events]
+    assert decodes == len(kinds) + sum(kind in logged for kind in kinds)
 
 
 # --- suspension arc ---
