@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .encoding import _array, _object, read_bytes, read_json, write_bytes
-from .errors import GovSimError, IoError
+from .errors import ConversionError, GovSimError, IoError, MalformedRecord
 from .interop import LegacyMapping, convert_legacy
 from .ledger import EventKind, load_chain, query_events, save_chain
 from .report import export_report, first_difference, report_json_bytes, verified_fold
@@ -101,7 +101,13 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         rows = read_bytes(args.infile, "legacy file").decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise IoError(f"cannot read legacy file: {exc}") from exc
-    messages = [convert_legacy(row, mapping).to_json() for row in rows if row]
+    messages = []
+    for number, row in enumerate(rows, start=1):
+        if row:  # an empty line is counted, not converted
+            try:
+                messages.append(convert_legacy(row, mapping).to_json())
+            except (ConversionError, MalformedRecord) as exc:
+                raise type(exc)(f"line {number}: {exc}") from exc
     write_bytes(args.out, report_json_bytes(messages), "messages")
     print(f"converted {len(messages)} rows -> {args.out}")
     return 0

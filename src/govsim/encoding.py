@@ -25,7 +25,7 @@ from collections.abc import Mapping
 from dataclasses import MISSING, Field, field, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -113,28 +113,34 @@ def canonical_json_bytes(value: Any) -> bytes:
 
 # A declared JSON type -> (the exact test its value must pass, the expression
 # that fills its %s). The escaper refuses all but a str (a str-enum member as its
-# value); an exact int is written as int.__repr__ writes it, never a bool as 1.
+# value); an exact int is written as int.__repr__ writes it, never a bool as 1,
+# and an exact finite float as float.__repr__ writes it, as json does.
 _WRITES = {str: ("", "_esc({})"), int: ("type({}) is int", "{}"),
+           float: ("type({0}) is float and isfinite({0})", "{}"),
            bool: ("type({}) is bool", '("true" if {} else "false")'),
            dict: ("", "canonical_json_bytes({}).decode()")}
 _esc, _int = json.encoder.encode_basestring_ascii, int.__repr__
 
 
-def body_writer(shapes: Sequence[Mapping[str, Any]], stamp: str) -> Callable[[Mapping, Any], bytes]:
+def body_writer(shapes: Sequence[Mapping[str, Any]],
+                stamp: Optional[str] = None) -> Callable[..., Optional[bytes]]:
     """``write(body, value)``: the ``canonical_json_bytes`` of ``body`` with
     ``stamp`` set to ``value`` (left out if None), from one ``%`` template per
     shape, generated here once. A shape maps each key to its JSON type
-    (``str``, ``int``, ``bool``, or ``dict`` for any nested value) or to the
-    one string it holds, which tells a kind's shapes apart; it may have no
-    key. A body that fits a shape exactly, with an int ``value``, is written
-    by its template; any other, or one a template cannot write, is encoded
-    whole. So the bytes and the errors are always those of
-    ``canonical_json_bytes``. ``write.shapes`` are the shapes given."""
-    lines = ["def write(body, value):"]
+    (``str``, ``int``, ``float``, ``bool``, or ``dict`` for any nested value)
+    or to the one string it holds, which tells a kind's shapes apart; it may
+    have no key. A body that fits a shape exactly, with an int ``value``, is
+    written by its template; any other, or one a template cannot write, is
+    encoded whole. So the bytes and the errors are always those of
+    ``canonical_json_bytes``. With no ``stamp``, ``write(body)`` writes only a
+    body that fits a shape and returns None for any other, which its caller
+    encodes and checks. ``write.shapes`` are the shapes given."""
+    lines = ["def write(body, value=None):"]
     for shape in shapes:
         names = {key: f"v{i}" for i, key in enumerate(sorted(shape))}
-        tests, slots, args = ["type(value) is not bool"], [], []  # _int refuses None
-        for key in sorted([*shape, stamp]):
+        tests = [] if stamp is None else ["type(value) is not bool"]  # _int refuses None
+        slots, args = [], []
+        for key in sorted(shape if stamp is None else [*shape, stamp]):
             declared, name = shape.get(key), names.get(key)
             label = _esc(key).replace("%", "%%") + ":"
             if key == stamp:  # an int, or an IntEnum member as its value
@@ -151,12 +157,13 @@ def body_writer(shapes: Sequence[Mapping[str, Any]], stamp: str) -> Callable[[Ma
         reads = f"({', '.join(names.values())}) = ({', '.join(map('body[{!r}]'.format, names))})"
         template = "{" + ",".join(slots) + "}"
         lines += ["    try:", f"        if len(body) == {len(shape)}:", f"            {reads}",
-                  f"            if {' and '.join(tests)}:",
+                  f"            if {' and '.join(tests) or True}:",
                   f"                return ({template!r} % ({', '.join(args)},)).encode()",
                   "    except (KeyError, TypeError, ValueError, EncodingError):",
                   "        pass  # off the shape, or past what a template writes"]
-    stamped = f"{{**body, {stamp!r}: value}}"
-    lines.append(f"    return canonical_json_bytes(body if value is None else {stamped})")
+    if stamp is not None:
+        stamped = f"{{**body, {stamp!r}: value}}"
+        lines.append(f"    return canonical_json_bytes(body if value is None else {stamped})")
     exec("\n".join(lines), globals(), namespace := {})
     namespace["write"].shapes = shapes
     return namespace["write"]

@@ -15,11 +15,12 @@ import logging
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 from typing import Any, Callable, NoReturn, Optional
 
 from .encoding import (
-    _REQUIRED, _as_is, _declared, _key, _list_of, _plain, canonical_json_bytes, json_value,
-    sha256)
+    _REQUIRED, _as_is, _declared, _key, _list_of, _plain, body_writer, canonical_json_bytes,
+    json_value, sha256)
 from .errors import (
     ConversionError,
     MalformedRecord,
@@ -83,6 +84,8 @@ _FIELDS = {
     key: (tuple((f.name, f.kind) for f in schema), frozenset(f.name for f in schema))
     for key, schema in SCHEMAS.items()
 }
+# Per (type, version): the writer of a payload that fits its fields exactly.
+_PAYLOADS = {key: body_writer([dict(kinds)]) for key, (kinds, _) in _FIELDS.items()}
 
 
 def _msg_type(raw: Any) -> Any:
@@ -117,8 +120,20 @@ def payload_checksum(payload: Mapping[str, Any]) -> bytes:
     return sha256(canonical_json_bytes(payload if type(payload) is dict else dict(payload)))
 
 
+def _fitted(msg_type: Any, version: Any, payload: Any) -> Optional[bytes]:
+    """The canonical bytes of a payload dict that fits its schema exactly (its
+    keys, and each value of the exact type declared), from the schema's
+    template; None for any other, which _check and canonical_json_bytes read."""
+    if type(msg_type) is MsgType and type(version) is int and type(payload) is dict:
+        write = _PAYLOADS.get((msg_type, version))
+        return write(payload) if write else None
+    return None
+
+
 def make_message(msg_type: MsgType, schema_version: int, payload: Mapping[str, Any]) -> CanonicalMessage:
     payload = dict(payload)
+    if (data := _fitted(msg_type, schema_version, payload)) is not None:
+        return CanonicalMessage(msg_type, schema_version, payload, sha256(data))
     # Hashed first, so that an EncodingError wins over a ConversionError.
     checksum = payload_checksum(payload)
     problems: list[Violation] = []
@@ -194,13 +209,15 @@ def validate_message(message: CanonicalMessage | Mapping[str, Any]) -> list[Viol
         return [Violation("bad_envelope", f"not a message object: {type(message).__name__}")]
 
     out: list[Violation] = []
-    if not _check(msg_type, version, payload, out):
+    # A payload that fits its schema has no field to fault.
+    data = _fitted(msg_type, version, payload)
+    if data is None and not _check(msg_type, version, payload, out):
         return out
     if not isinstance(checksum, (bytes, bytearray)):
         out.append(Violation("checksum_mismatch", "checksum missing or not hex"))
     else:
         try:  # recomputed on every call: the payload is a mutable dict
-            if checksum != payload_checksum(payload):
+            if checksum != (payload_checksum(payload) if data is None else sha256(data)):
                 out.append(Violation("checksum_mismatch", "checksum does not match payload"))
         except Exception:
             out.append(Violation("checksum_mismatch", "payload not canonically hashable"))
@@ -229,18 +246,33 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"bool cell must be true/false, got {text!r}")
 
 
-# Each legacy cell kind: how a cell's text is read, and how a value is written back.
-_CELL_KINDS: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
-    "str": (str, str),
-    "int": (int, str),
-    "float": (float, lambda value: repr(float(value))),
-    "bool": (_parse_bool, lambda value: "true" if value else "false"),
+def _parse_float(text: str) -> float:
+    if isfinite(value := float(text)):
+        return value
+    raise ValueError(f"float cell must be finite, got {text!r}")
+
+
+def _float_cell(value: Any, field: str) -> str:
+    try:
+        return repr(float(value))
+    except OverflowError as exc:
+        raise ConversionError(f"field {field}: {exc}") from exc
+
+
+# Each legacy cell kind: the type of value it holds, the function (by a name
+# this module defines) that reads a cell's text, and the expression that a
+# mapping's compiled writer writes a field's value back with.
+_CELL_KINDS: dict[str, tuple[type, Callable[[str], Any], str]] = {
+    "str": (str, str, "{}"),
+    "int": (int, int, "{}"),
+    "float": (float, _parse_float, "_float_cell({}, {!r})"),
+    "bool": (bool, _parse_bool, '("true" if {} else "false")'),
 }
 
 
 def _parse_cell(text: str, spec: ColumnSpec) -> Any:
     try:
-        return _CELL_KINDS[spec.kind][0](text)
+        return _CELL_KINDS[spec.kind][1](text)
     except ValueError as exc:
         raise ConversionError(f"column {spec.column}: {exc}") from exc
 
@@ -280,7 +312,7 @@ class LegacyMapping:
             refuse("schema_version", f"no schema for {msg_type.value} v{version}")
         if type(self.delimiter) is not str or not self.delimiter:
             refuse("delimiter", f"must be a non-empty string, got {self.delimiter!r}")
-        declared, seen = _FIELDS[msg_type, version][1], set()
+        kinds, seen = dict(_FIELDS[msg_type, version][0]), set()
         for i, spec in enumerate(self.columns):
             for key in ("column", "field"):
                 if type(getattr(spec, key)) is not str:
@@ -289,10 +321,25 @@ class LegacyMapping:
                 *others, last = _CELL_KINDS
                 refuse(f"columns[{i}].kind",
                        f"must be {', '.join(others)} or {last}, got {spec.kind!r}")
-            if spec.field not in declared or spec.field in seen:
+            if spec.field not in kinds or spec.field in seen:
                 refuse(f"columns[{i}].field", f"{spec.field!r} appears twice" if spec.field in seen
                        else f"{spec.field!r} is not declared by {msg_type.value} v{version}")
             seen.add(spec.field)
+            holds, kind = _CELL_KINDS[spec.kind][0], kinds[spec.field]
+            if not _type_ok(holds(), kind):  # its every value fails the schema's type check
+                refuse(f"columns[{i}].kind", f"{spec.kind!r} cannot fill {spec.field}, "
+                       f"which holds {kind.__name__}")
+        for name in kinds:
+            if name not in seen:  # every row would miss it
+                refuse("columns", f"{name} is not mapped")
+        # The compiled cells: the payload of a row's cells, and the cells of a payload.
+        reads = (f"{spec.field!r}: {_CELL_KINDS[spec.kind][1].__name__}(cells[{i}])"
+                 for i, spec in enumerate(self.columns))
+        writes = (_CELL_KINDS[spec.kind][2].format(f"payload[{spec.field!r}]", spec.field)
+                  for spec in self.columns)
+        row = self.delimiter.replace("%", "%%").join(["%s"] * len(self.columns))
+        object.__setattr__(self, "_read", eval(f"lambda cells: {{{', '.join(reads)}}}"))
+        object.__setattr__(self, "_write", eval(f"lambda payload: {row!r} % ({', '.join(writes)},)"))
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "LegacyMapping":
@@ -315,20 +362,19 @@ def convert_legacy(row: str, mapping: LegacyMapping) -> CanonicalMessage:
         raise MalformedRecord(
             f"expected {len(mapping.columns)} columns, got {len(cells)}"
         )
-    payload = {
-        spec.field: _parse_cell(cell, spec)
-        for spec, cell in zip(mapping.columns, cells)
-    }
+    try:
+        payload = mapping._read(cells)
+    except ValueError:  # the first cell at fault, named as _parse_cell names it
+        for spec, cell in zip(mapping.columns, cells):
+            _parse_cell(cell, spec)
+        raise
     return make_message(mapping.msg_type, mapping.schema_version, payload)
 
 
 def reverse_legacy(message: CanonicalMessage, mapping: LegacyMapping) -> str:
     """Render the covered columns back into the legacy row form."""
     try:
-        return mapping.delimiter.join(
-            _CELL_KINDS[spec.kind][1](message.payload[spec.field])
-            for spec in mapping.columns
-        )
+        return mapping._write(message.payload)
     except KeyError as exc:
         raise ConversionError(f"message lacks mapped field {exc.args[0]!r}") from exc
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import typing
 
@@ -9,8 +10,12 @@ from hypothesis import strategies as st
 
 from govsim.cli import main as cli_main
 from govsim.encoding import canonical_json_bytes, sha256
-from govsim.errors import ConversionError, GovSimError, MalformedRecord, UnsupportedDowngrade
+from govsim.errors import (
+    ConversionError, EncodingError, GovSimError, MalformedRecord, UnsupportedDowngrade)
 from govsim.interop import (
+    _PAYLOADS,
+    _check,
+    _parse_cell,
     SCHEMAS,
     CanonicalMessage,
     ColumnSpec,
@@ -337,6 +342,13 @@ def _legacy_mapping(**changes):
     # converted with ",".
     ({"delimeter": ";"}, "delimeter"),
     ({"columns.0.width": 8}, "columns[0].width"),
+    # Each mapping below used to load, then fail every row alike.
+    ({"columns.2.kind": "str"}, "columns[2].kind"),
+    ({"columns.3.kind": "bool"}, "columns[3].kind"),
+    ({"columns": [{"column": "REPORT_ID", "field": "report_id", "kind": "str"},
+                  {"column": "SYSTEM_DID", "field": "system_did", "kind": "str"},
+                  {"column": "EPOCH", "field": "epoch", "kind": "int"},
+                  {"column": "SCORE", "field": "aggregate_score", "kind": "float"}]}, "columns"),
 ])
 def test_convert_refuses_a_malformed_mapping_naming_the_key(tmp_path, capsys, changes, key):
     mapping_path = tmp_path / "mapping.json"
@@ -346,6 +358,49 @@ def test_convert_refuses_a_malformed_mapping_naming_the_key(tmp_path, capsys, ch
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: legacy mapping: {key}: ")
     assert not (tmp_path / "out.json").exists()
+
+
+def test_a_mapping_must_map_every_field():
+    with pytest.raises(ConversionError, match="^legacy mapping: columns: compliant is not mapped$"):
+        LegacyMapping(msg_type=MsgType.COMPLIANCE_REPORT, schema_version=1,
+                      columns=COMPLIANCE_MAPPING.columns[:4])
+
+
+def test_an_int_cell_may_fill_a_float_field():
+    columns = (*COMPLIANCE_MAPPING.columns[:3], ColumnSpec("SCORE", "aggregate_score", "int"),
+               COMPLIANCE_MAPPING.columns[4])
+    mapping = LegacyMapping(msg_type=MsgType.COMPLIANCE_REPORT, schema_version=1,
+                            columns=columns)
+    message = convert_legacy("r,d,1,3,true", mapping)
+    assert message.payload["aggregate_score"] == 3 and validate_message(message) == []
+    assert reverse_legacy(message, COMPLIANCE_MAPPING) == "r,d,1,3.0,true"
+
+
+def test_convert_names_the_line_of_a_bad_row(tmp_path, capsys):
+    rows = (SCENARIO_DIR / "legacy_compliance.csv").read_text("utf-8").splitlines()
+    legacy = tmp_path / "legacy.csv"
+    legacy.write_text("\n".join([rows[0], "", rows[1].rsplit(",", 1)[0], *rows[2:]]), "utf-8")
+    code = cli_main(["convert", "--in", str(legacy), "--map",
+                     str(SCENARIO_DIR / "legacy_mapping.json"), "--out", str(tmp_path / "out.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: line 3: expected 5 columns, got 4\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-Infinity", "1e309"])
+def test_a_non_finite_float_cell_is_refused_naming_its_column(cell):
+    with pytest.raises(ConversionError,
+                       match=f"^column SCORE: float cell must be finite, got '{cell}'$"):
+        convert_legacy(f"r,d,1,{cell},true", COMPLIANCE_MAPPING)
+    with pytest.raises(EncodingError):  # the message itself still cannot encode it
+        make_v1_report(aggregate_score=float(cell))
+
+
+def test_reverse_refuses_a_float_field_past_the_float_range():
+    message = make_v1_report(aggregate_score=10**400)
+    assert validate_message(message) == []
+    with pytest.raises(ConversionError, match="^field aggregate_score: int too large"):
+        reverse_legacy(message, COMPLIANCE_MAPPING)
 
 
 def test_round_trip_is_byte_exact_only_for_canonical_numerals():
@@ -523,3 +578,126 @@ def test_validate_and_make_message_match_the_reference(case):
         assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
     else:
         assert make_message(msg_type, version, payload) == reference
+
+
+# --- differential: the compiled payload writers, row reader and row writer
+# against the generic path they skip ---
+
+_SCHEMA_KEYS = sorted(SCHEMAS, key=lambda k: (k[0].value, k[1]))
+_SCHEMA_IDS = [f"{msg_type.value}-v{version}" for msg_type, version in _SCHEMA_KEYS]
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# Values of each declared type, with the awkward ones drawn often.
+_FITTING = {
+    str: st.text(max_size=6) | st.sampled_from(['"', "\\", "é", "%s", "\u2028", MsgType.AUDIT_REQUEST]),
+    int: st.integers() | st.sampled_from([2**64, -2**64 - 1, 0]),
+    float: (st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 0.1])),
+    bool: st.booleans(),
+}
+# An int for a float, a bool for an int, a non-finite float, an int past the
+# digit limit, and values of no declared type.
+_OFF_FIELD = (st.sampled_from([True, False, 7, 0, 2.5, "s", None, [1], {"a": 1}, 10**4300])
+              | _NON_FINITE)
+
+
+@pytest.mark.parametrize("key", _SCHEMA_KEYS, ids=_SCHEMA_IDS)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_payload_writers_write_what_canonical_json_bytes_writes(key, data):
+    """A payload that fits its schema is written by its template, byte for byte
+    as the general encode writes it, and has no field for _check to fault; any
+    other is left to the general path, NaN and infinities included."""
+    fields, write = SCHEMAS[key], _PAYLOADS[key]
+    payload = {spec.name: data.draw(_FITTING[spec.kind]) for spec in fields}
+    assert write(payload) == canonical_json_bytes(payload)
+    for variant in [payload, *({**payload, spec.name: data.draw(_OFF_FIELD)} for spec in fields),
+                    *({k: v for k, v in payload.items() if k != spec.name} for spec in fields),
+                    {**payload, data.draw(st.text(max_size=3)): 1}]:
+        if (written := write(variant)) is not None:
+            assert written == canonical_json_bytes(variant)
+            violations = []
+            assert _check(*key, variant, violations) and violations == []
+    for spec in fields:
+        if spec.kind is float:
+            assert write({**payload, spec.name: data.draw(_NON_FINITE)}) is None
+
+
+def _result(compute):
+    """A call's value, or the type and text of the error it raised."""
+    try:
+        return compute()
+    except (GovSimError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _ref_convert(row, mapping):
+    """convert_legacy through the generic cell parser."""
+    cells = row.split(mapping.delimiter)
+    if len(cells) != len(mapping.columns):
+        raise MalformedRecord(f"expected {len(mapping.columns)} columns, got {len(cells)}")
+    payload = {spec.field: _parse_cell(cell, spec) for spec, cell in zip(mapping.columns, cells)}
+    return _ref_make_message(mapping.msg_type, mapping.schema_version, payload)
+
+
+_REF_WRITES = {"str": str, "int": str, "float": lambda value: repr(float(value)),
+               "bool": lambda value: "true" if value else "false"}
+
+
+def _ref_reverse(message, mapping):
+    """reverse_legacy cell by cell."""
+    cells = []
+    for spec in mapping.columns:
+        if spec.field not in message.payload:
+            raise ConversionError(f"message lacks mapped field {spec.field!r}")
+        try:
+            cells.append(_REF_WRITES[spec.kind](message.payload[spec.field]))
+        except OverflowError as exc:
+            raise ConversionError(f"field {spec.field}: {exc}") from exc
+    return mapping.delimiter.join(cells)
+
+
+# Cell texts per kind: canonical ones, loose numerals, and ones no kind reads.
+_CELLS = {
+    "str": st.text(max_size=5),
+    "int": (st.integers(-10**6, 10**6).map(str)
+            | st.sampled_from(["+12", " 7 ", "1_000", "-0", "1e2", "", "x", "\u0661\u0662", "9" * 4301])),
+    "float": (st.floats().map(repr)
+              | st.sampled_from(["1.50", "1e2", "+12", " 7 ", "1_000.5", ".5", "5.", "nan", "inf",
+                                 "-Infinity", "1e309", "", "x"])),
+    "bool": st.sampled_from(["true", "false", "True", "1", "", " true"]),
+}
+
+
+@st.composite
+def _mappings(draw):
+    """A mapping of any schema: its fields in any order, each of the kind of its
+    type (an int or a float cell for a float), and a delimiter of any length."""
+    msg_type, version = draw(st.sampled_from(_SCHEMA_KEYS))
+    columns = tuple(
+        ColumnSpec(f"C{i}", spec.name, draw(st.sampled_from(["int", "float"]))
+                   if spec.kind is float else spec.kind.__name__)
+        for i, spec in enumerate(draw(st.permutations(SCHEMAS[msg_type, version]))))
+    delimiter = draw(st.sampled_from([",", ";", "\t", "||", "%", "%s", "ab"]))
+    return LegacyMapping(msg_type=msg_type, schema_version=version, delimiter=delimiter,
+                         columns=columns)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_mappings(), st.sampled_from([0, 0, 0, -1, 1]), st.data())
+def test_compiled_rows_match_the_generic_path(mapping, extra, data):
+    """The compiled reader gives the message, or the error, of the generic
+    parse; the compiled writer gives the row, or the error, of the cell-by-cell
+    write: also for a payload that lacks a field or holds an int past the float range."""
+    cells = [data.draw(_CELLS[spec.kind]) for spec in mapping.columns]
+    cells = cells[:extra] if extra < 0 else cells + ["x"] * extra
+    row = mapping.delimiter.join(cells)
+    message = _result(lambda: convert_legacy(row, mapping))
+    assert message == _result(lambda: _ref_convert(row, mapping))
+    if not isinstance(message, CanonicalMessage):
+        return
+    for spec in mapping.columns:
+        for payload in [message.payload, {**message.payload, spec.field: 10**400},
+                        {k: v for k, v in message.payload.items() if k != spec.field}]:
+            changed = CanonicalMessage(message.msg_type, message.schema_version, payload, b"")
+            assert (_result(lambda: reverse_legacy(changed, mapping))
+                    == _result(lambda: _ref_reverse(changed, mapping)))

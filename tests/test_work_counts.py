@@ -10,16 +10,17 @@ Likewise each tier's rules are compiled once per registration, and each
 distinct score is built once, however many assessments and audits read them.
 And a body of a shape that its kind declares is written by that kind's
 template, never by the general encode. Every event but the heartbeat is
-appended by the store that owns its state.
+appended by the store that owns its state. A well-formed legacy row makes its
+round trip without the general encode or the field check.
 """
 
 import importlib
 import sys
 
-from govsim import compliance, encoding, governance
+from govsim import compliance, encoding, governance, interop
 from govsim.ledger import _WRITERS, Chain, EventKind
 from govsim.simctl import run_scenario
-from tests.conftest import REFERENCE_SCENARIOS, REPO_ROOT, scenario_path
+from tests.conftest import REFERENCE_SCENARIOS, REPO_ROOT, SCENARIO_DIR, scenario_path
 from tests.test_pinned_outputs import synthetic_scenario, weighted_scenario
 
 
@@ -91,6 +92,35 @@ def test_hot_bodies_skip_the_general_encode(monkeypatch):
         if workload == "vote-storm":  # votes, rewards, charges and assessments dominate
             assert without_writer * 5 < len(events)
         assert 0 < calls <= without_writer, workload
+
+
+def test_a_well_formed_row_skips_the_general_encode_and_the_check(monkeypatch):
+    calls = {"canonical_json_bytes": 0, "_check": 0}
+
+    def counting(module, name):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, counted)
+
+    # interop calls canonical_json_bytes directly, and the writers through encoding.
+    for module, name in [(encoding, "canonical_json_bytes"), (interop, "canonical_json_bytes"),
+                         (interop, "_check")]:
+        counting(module, name)
+    mapping = interop.LegacyMapping.from_json(
+        encoding.read_json(SCENARIO_DIR / "legacy_mapping.json", "mapping"))
+    rows = (SCENARIO_DIR / "legacy_compliance.csv").read_text("utf-8").splitlines()
+    assert len(rows) >= 20
+    for row in rows:
+        message = interop.convert_legacy(row, mapping)
+        assert interop.validate_message(message) == []
+        assert interop.reverse_legacy(message, mapping) == row
+        assert interop.validate_message(message.to_json()) == []
+    assert calls == {"canonical_json_bytes": 0, "_check": 0}
+    # The counters do count: a payload off its schema takes the general path.
+    interop.validate_message({**message.to_json(), "payload": {"stray": 1}})
+    assert calls == {"canonical_json_bytes": 1, "_check": 1}
 
 
 def test_rules_compile_once_per_tier_and_registration(monkeypatch):
