@@ -62,7 +62,7 @@ borderline = evaluate(system, dict(healthy, capital_ratio=0.09), epoch=3,
 print(f"9% capital under v2: compliant={borderline.compliant}")
 
 # The owner believes the data feed glitched; a neutral panel reviews.
-court = DisputeCourt(None, DeterministicStream(1, "disputes"))
+court = DisputeCourt(DeterministicStream(1, "disputes"))
 dispute = court.open_dispute(
     borderline, challenger="fintech-beta", system_owner="bank-alpha",
     eligible_auditors=["aud-1", "aud-2", "aud-3", "aud-4", "aud-5"],

@@ -11,7 +11,7 @@ Submodules map one-to-one onto the framework's subsystems:
     risk        risk scoring, tier reclassification, incidents, EWMA forecast
     interop     canonical messages, legacy conversion, schema versioning
     simctl      scenario runner (the writer loop) and CLI entry points
-    report      report building as a pure fold over sealed events
+    report      run reports from the live stores, and the fold that proves them
 """
 
 from . import (  # noqa: F401

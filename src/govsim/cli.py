@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -160,9 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone shows here, not in the interpreter's last flush
+        return code
     except GovSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # Closing stdout here too (its flush fails again) leaves the last flush nothing to write.
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
         return 1
 
 

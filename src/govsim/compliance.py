@@ -399,11 +399,10 @@ class Dispute:
     overturned: bool = False
 
 
-class DisputeCourt(Store):
+class DisputeCourt:
     """Arbitration over recorded assessments by seeded panels of auditors."""
 
-    def __init__(self, chain: Optional[Chain], stream: Optional[DeterministicStream] = None):
-        self.chain = chain
+    def __init__(self, stream: Optional[DeterministicStream] = None):
         self.stream = stream or DeterministicStream(0, "disputes")
         self._by_assessment: dict[tuple[str, int], Dispute] = {}
 
@@ -432,7 +431,7 @@ class DisputeCourt(Store):
         return dispute
 
     def resolve_dispute(self, dispute: Dispute, panel_votes: Sequence[str]) -> Assessment:
-        """Majority decides; 'overturn' flips the compliant flag and re-records."""
+        """Majority decides; 'overturn' flips the compliant flag."""
         if dispute.resolved:
             raise AlreadyDisputed("dispute already resolved")
         if len(panel_votes) != len(dispute.panel) or len(panel_votes) % 2 == 0:
@@ -443,11 +442,7 @@ class DisputeCourt(Store):
         overturns = sum(1 for v in panel_votes if v == "overturn")
         dispute.resolved = True
         dispute.overturned = overturns * 2 > len(panel_votes)
-        assessment = dispute.assessment
         if dispute.overturned:
-            assessment.compliant = not assessment.compliant
-            self._append(EventKind.ASSESSMENT_RECORDED,
-                         {**assessment.to_body(), "corrected_by_dispute": True},
-                         actor="arbitration-panel", epoch=assessment.epoch)
-        return assessment
+            dispute.assessment.compliant = not dispute.assessment.compliant
+        return dispute.assessment
 

@@ -60,23 +60,37 @@ def sha256(data: bytes) -> bytes:
 _SUSPECT_KEY = re.compile(r'\{"(?:[-0-9]|true"|false"|null")')
 
 
-def _refuse_non_str_keys(value: Any) -> None:
-    """EncodingError if any object key in this container is not a ``str``.
-
-    ``json.dumps`` writes an int key as a string but sorts it as a number
-    ({2: .., 10: ..} gives "2" before "10"), so such output need not parse
-    back to the same bytes. With only str keys it always does.
-    """
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise EncodingError(f"object key {key!r} is not a string")
-            if isinstance(item, (dict, list, tuple)):
-                _refuse_non_str_keys(item)
-    else:
-        for item in value:
-            if isinstance(item, (dict, list, tuple)):
-                _refuse_non_str_keys(item)
+def _json_fault(value: Any) -> Optional[tuple[str, str]]:
+    """``(path, problem)`` at the first place, depth first in document order,
+    where ``value`` stops being JSON, or None; the path names a field as a
+    scenario does. An int key is refused too: ``json.dumps`` writes it as a
+    string but sorts it as a number ({2: .., 10: ..} gives "2" before "10")."""
+    # id -> True while its items are being walked (meeting it then means it
+    # holds itself), False after: each container is walked once, so a shared
+    # value is not called circular.
+    todo, seen = [("", value)], {}
+    while todo:
+        path, value = todo.pop()
+        if path is None:  # every item of ``value`` is walked
+            seen[id(value)] = False
+        elif seen.get(id(value)):
+            return path, "value is circular: it holds itself"
+        elif id(value) in seen:
+            pass  # a shared value, checked already
+        elif isinstance(value, (dict, list, tuple)):
+            seen[id(value)] = True
+            if isinstance(value, dict):
+                if bad := [key for key in value if not isinstance(key, str)]:
+                    return path, f"object key {bad[0]!r} is not a string"
+                items = [(f"{path}.{key}" if path else key, item) for key, item in value.items()]
+            else:
+                items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+            todo += [(None, value), *reversed(items)]
+        elif isinstance(value, float) and not isfinite(value):
+            return path, "must be a finite number"
+        elif value is not None and not isinstance(value, (str, int, float)):
+            return path, f"a {type(value).__name__} is not a JSON value"
+    return None
 
 
 # The encoder that json.dumps(value, sort_keys=True, separators=(",", ":"),
@@ -87,7 +101,13 @@ def _refuse_non_str_keys(value: Any) -> None:
 _ENCODE = json.encoder.c_make_encoder(
     None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
     None, ":", ",", True, False, False)  # indent, separators, sort_keys, skipkeys, allow_nan
-_DECODER = json.JSONDecoder()
+
+
+def _refuse_constant(name: str) -> None:  # NaN, Infinity, -Infinity: the encoder refuses them
+    raise ValueError(f"{name} is not JSON")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def canonical_json_bytes(value: Any) -> bytes:
@@ -106,8 +126,8 @@ def canonical_json_bytes(value: Any) -> bytes:
         text = "".join(_ENCODE(value, 0))
     except (TypeError, ValueError, RecursionError) as exc:
         raise EncodingError(f"value is not canonically serializable: {exc}") from exc
-    if _SUSPECT_KEY.search(text):
-        _refuse_non_str_keys(value)
+    if _SUSPECT_KEY.search(text) and (fault := _json_fault(value)):
+        raise EncodingError(fault[1])  # encoded, so only a key that is not a str
     return text.encode("ascii")
 
 

@@ -25,7 +25,7 @@ from . import governance as governance_mod
 from . import risk as risk_mod
 from .encoding import (
     _FRACTION, _REQUIRED, _array, _as_is, _at_least, _checked, _declared, _fail, _integer,
-    _key, _Keys, _list_of, _name, _object, _one_of, _or_null, _plain, _table, _text,
+    _json_fault, _key, _Keys, _list_of, _name, _object, _one_of, _or_null, _plain, _table, _text,
     as_fraction, canonical_json_bytes, json_value, read_json, sha256, sum_terms)
 from .errors import (
     EncodingError,
@@ -261,39 +261,14 @@ SCENARIO_OBJECTS: dict[str, _Keys] = {
 
 
 def _digest(raw: Mapping[str, Any]) -> str:
-    """The scenario digest. Only if the encoding fails is the document walked (depth
-    first, in document order), to name the non-string key, NaN, infinity, non-JSON
-    value or circular value at fault."""
+    """The scenario digest. Only if the encoding fails is the document walked, to
+    name the non-string key, NaN, infinity, non-JSON value or circular value at fault."""
     try:
         return sha256(canonical_json_bytes(raw)).hex()
     except EncodingError as exc:
-        # Each container is walked once; ``open_`` holds those whose items are
-        # being walked, so meeting one of them again means it holds itself.
-        todo = [(str(key), value) for key, value in reversed(raw.items())]
-        walked, open_ = set(), set()
-        while todo:
-            path, value = todo.pop()
-            if path is None:  # every item of ``value`` is walked
-                open_.remove(id(value))
-            elif id(value) in open_:
-                _fail(path, "value is circular: it holds itself")
-            elif id(value) in walked:
-                pass  # a shared value, checked already
-            elif isinstance(value, (dict, list, tuple)):
-                walked.add(id(value))
-                open_.add(id(value))
-                if isinstance(value, dict):
-                    if bad := [key for key in value if not isinstance(key, str)]:
-                        _fail(path, f"object key {bad[0]!r} is not a string")
-                    items = [(f"{path}.{key}", item) for key, item in value.items()]
-                else:
-                    items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
-                todo += [(None, value), *reversed(items)]
-            elif isinstance(value, float) and not math.isfinite(value):
-                _fail(path, "must be a finite number")
-            elif value is not None and not isinstance(value, (str, int, float)):
-                _fail(path, f"a {type(value).__name__} is not a JSON value")
-        raise ScenarioError(f"scenario: {exc}") from None
+        if fault := _json_fault(raw):
+            _fail(*fault)
+        raise ScenarioError(f"scenario: {exc}") from None  # e.g. nested past the recursion limit
 
 
 def _proposal(proposal: Mapping[str, Any], path: str, holders: set[str], ids: dict[str, str],

@@ -87,6 +87,11 @@ def test_empty_scopes_rejected():
         audits.accredit_auditor("aud-1", "accreditor-1", [], 50)
 
 
+def test_validity_below_one_epoch_rejected():
+    audits = AuditRegistry(None, rules_with_capital(), ["accreditor-1"])
+    with pytest.raises(InvalidScope, match="validity must be at least one epoch"):
+        audits.accredit_auditor("aud-1", "accreditor-1", ALL_DOMAINS, 0)
+
 def test_unknown_accreditor_rejected():
     audits = AuditRegistry(None, rules_with_capital(), ["accreditor-1"])
     with pytest.raises(UnknownAccreditor):
@@ -125,6 +130,13 @@ def test_cadence_ordering_high_gt_limited_gt_minimal():
     minimal = count_scheduled(RiskTier.MINIMAL)
     assert high > limited > minimal
 
+
+@pytest.mark.parametrize("tier", [RiskTier.HIGH, RiskTier.LIMITED, RiskTier.MINIMAL])
+def test_no_system_is_due_by_cadence_at_epoch_0(tier):
+    # 0 is a multiple of every interval, yet the first cadence audit is at the interval.
+    audits = registry_with_auditors()
+    assert not audits.due_by_cadence(system("a", tier), 0)
+    assert audits.due_by_cadence(system("a", tier), audits.intervals[tier])
 
 def test_trigger_forces_off_cadence_audit():
     audits = registry_with_auditors()

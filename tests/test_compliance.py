@@ -341,7 +341,7 @@ AUDITORS = ["aud-1", "aud-2", "aud-3", "aud-4", "aud-5"]
 
 
 def test_majority_uphold_keeps_flag():
-    court = DisputeCourt(None)
+    court = DisputeCourt()
     assessment = fresh_assessment(compliant=False)
     dispute = court.open_dispute(assessment, "challenger-1",
                                  system_owner="bank-1", eligible_auditors=AUDITORS)
@@ -350,7 +350,7 @@ def test_majority_uphold_keeps_flag():
 
 
 def test_majority_overturn_flips_flag():
-    court = DisputeCourt(None)
+    court = DisputeCourt()
     assessment = fresh_assessment(compliant=False)
     dispute = court.open_dispute(assessment, "challenger-1",
                                  system_owner="bank-1", eligible_auditors=AUDITORS)
@@ -359,7 +359,7 @@ def test_majority_overturn_flips_flag():
 
 
 def test_second_dispute_rejected():
-    court = DisputeCourt(None)
+    court = DisputeCourt()
     assessment = fresh_assessment()
     court.open_dispute(assessment, "challenger-1",
                        system_owner="bank-1", eligible_auditors=AUDITORS)
@@ -369,7 +369,7 @@ def test_second_dispute_rejected():
 
 
 def test_even_panel_rejected():
-    court = DisputeCourt(None)
+    court = DisputeCourt()
     with pytest.raises(InvalidPanel):
         court.open_dispute(fresh_assessment(), "challenger-1",
                            system_owner="bank-1", eligible_auditors=AUDITORS,
@@ -377,18 +377,52 @@ def test_even_panel_rejected():
 
 
 def test_owner_cannot_challenge_own_assessment():
-    court = DisputeCourt(None)
+    court = DisputeCourt()
     with pytest.raises(InvalidInput):
         court.open_dispute(fresh_assessment(), "bank-1",
                            system_owner="bank-1", eligible_auditors=AUDITORS)
 
 
+def test_too_few_eligible_panelists_rejected():
+    # The challenger and the owner are left out of the pool of five.
+    with pytest.raises(InvalidPanel, match="only 2 eligible panelists for size 3"):
+        DisputeCourt().open_dispute(fresh_assessment(), "aud-1", system_owner="aud-2",
+                                    eligible_auditors=AUDITORS[:4])
+
+
+def _open_dispute(court):
+    return court.open_dispute(fresh_assessment(), "challenger-1",
+                              system_owner="bank-1", eligible_auditors=AUDITORS)
+
+
+@pytest.mark.parametrize("votes, error, message", [
+    (["overturn", "overturn"], InvalidPanel, "votes must match the odd-sized panel"),
+    (["overturn"] * 5, InvalidPanel, "votes must match the odd-sized panel"),
+    (["overturn", "abstain", "uphold"], InvalidInput,
+     "panel vote must be uphold/overturn, got 'abstain'"),
+], ids=["too-few-votes", "too-many-votes", "unknown-vote"])
+def test_a_resolution_with_bad_votes_is_refused_and_changes_nothing(votes, error, message):
+    court = DisputeCourt()
+    dispute = _open_dispute(court)
+    with pytest.raises(error, match=message):
+        court.resolve_dispute(dispute, votes)
+    assert not dispute.resolved and dispute.assessment.compliant is False
+
+
+def test_a_dispute_is_resolved_once():
+    court = DisputeCourt()
+    dispute = _open_dispute(court)
+    assert court.resolve_dispute(dispute, ["overturn"] * 3).compliant is True
+    with pytest.raises(AlreadyDisputed, match="dispute already resolved"):
+        court.resolve_dispute(dispute, ["overturn"] * 3)
+    assert dispute.assessment.compliant is True  # not flipped back
+
 def test_panel_selection_is_seeded_and_reproducible():
     from govsim.rng import DeterministicStream
 
-    panel_a = DisputeCourt(None, DeterministicStream(5, "disputes")).open_dispute(
+    panel_a = DisputeCourt(DeterministicStream(5, "disputes")).open_dispute(
         fresh_assessment(), "c", system_owner="o", eligible_auditors=AUDITORS).panel
-    panel_b = DisputeCourt(None, DeterministicStream(5, "disputes")).open_dispute(
+    panel_b = DisputeCourt(DeterministicStream(5, "disputes")).open_dispute(
         fresh_assessment(), "c", system_owner="o", eligible_auditors=AUDITORS).panel
     assert panel_a == panel_b
     assert len(set(panel_a)) == 3

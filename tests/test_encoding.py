@@ -14,6 +14,7 @@ from govsim.encoding import (
     U32,
     U64,
     ByteReader,
+    _json_fault,
     as_fraction,
     canonical_json_bytes,
     from_canonical_json,
@@ -174,6 +175,49 @@ def test_refused_exactly_when_a_key_is_not_a_string(value):
         assert is_canonical_json(data)
 
 
+# Beside JSON: NaN and the infinities, objects and sets, which no JSON type holds.
+_NOT_JSON = (_SCALARS | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+             | st.builds(object) | st.sets(st.integers(), max_size=2))
+
+
+@st.composite
+def _maybe_json(draw):
+    """A depth-bounded value, now and then not JSON: a scalar of ``_NOT_JSON``,
+    a tuple, a key of another type, or a list or dict that holds itself.
+    Shared values are drawn too, which are JSON."""
+    value = draw(st.recursive(_NOT_JSON, lambda inner: (
+        st.lists(inner, max_size=3) | st.tuples(inner)
+        | st.dictionaries(_ANY_KEYS | st.just(float("nan")), inner, max_size=3)),
+        max_leaves=12))
+    how = draw(st.sampled_from(["as-is", "shared", "list-loop", "dict-loop", "deep-loop"]))
+    if how == "as-is":
+        return value
+    if how == "shared":
+        return {"a": value, "b": [value, {"c": value}]}
+    if how == "list-loop":
+        loop = [value]
+        loop.append(loop)
+    elif how == "dict-loop":
+        loop = {"v": value}
+        loop["self"] = loop
+    else:  # held by a list inside it
+        loop = {"v": value}
+        loop["down"] = [{"up": loop}]
+    return {"x": [loop]}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_maybe_json())
+def test_the_walker_finds_a_fault_exactly_when_the_encoder_refuses(value):
+    fault = _json_fault(value)
+    try:
+        canonical_json_bytes(value)
+    except EncodingError:
+        assert fault is not None
+    else:
+        assert fault is None
+
+
 @settings(max_examples=300, deadline=None)
 @given(_json(_STR_KEYS))
 def test_bytes_are_those_of_json_dumps(value):
@@ -289,9 +333,11 @@ def test_a_failed_encode_leaves_no_stale_markers(make):
     b'{"a":1}{"b":2}', b'{"a":1}x', b"[1]]", b"1 2",
     b' {"a":1}', b'{"a":1} ', b'\n{"a":1}', b'{"a":1}\n', b"\t1",
     b'{"a":"\xff"}', b'"\xc3"', b'{"a":"\xed\xa0\x80"}',
+    b'{"a":NaN}', b"Infinity", b"-Infinity",
 ], ids=["two-documents", "trailing-junk", "extra-bracket", "two-numbers",
         "leading-space", "trailing-space", "leading-newline", "trailing-newline",
-        "leading-tab", "invalid-byte", "cut-sequence", "encoded-surrogate"])
+        "leading-tab", "invalid-byte", "cut-sequence", "encoded-surrogate",
+        "nan", "infinity", "minus-infinity"])
 def test_decoding_refuses_anything_but_one_document(data):
     with pytest.raises(EncodingError):
         from_canonical_json(data)

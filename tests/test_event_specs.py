@@ -16,9 +16,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from govsim.cli import main as cli_main
-from govsim.encoding import sha256
+from govsim.encoding import ZERO_DIGEST, canonical_json_bytes, sha256
 from govsim.keys import get_scheme
-from govsim.ledger import Chain, EventKind, GovernanceEvent, load_chain, save_chain
+from govsim.ledger import (
+    Block, Chain, EventKind, GovernanceEvent, Phase, _new_event, compute_block_hash, load_chain,
+    save_chain)
 from govsim.report import _MISSING, EVENT_SPECS, build_report, export_report, verified_fold
 from govsim.simctl import Simulator, load_scenario, verify_run
 from tests.conftest import scenario_path
@@ -157,6 +159,8 @@ def test_the_reproductions_are_refused_naming_the_field(tmp_path, capsys):
         EventKind.TOKENS_TRANSFERRED: ({"op": "grant"}, "field pool: missing"),
         EventKind.INCIDENT_ADVANCED: ({"incident_id": "nope", "state": "RESOLVED"},
                                       "field incident_id: 'nope' was never raised"),
+        EventKind.SLASH_APPLIED: ({"holder": "h", "burned": -1},
+                                  "burned amount must not be negative"),
     }
     for kind, (body, fault) in cases.items():
         _seal([(kind, 1, body)], tmp_path / "chain.db")
@@ -188,6 +192,29 @@ def test_a_payload_json_cannot_read_is_refused_naming_the_event(tmp_path, payloa
     (tmp_path / "report.json").write_bytes(payload)
     assert cli_main(["verify", str(tmp_path / "good.db"),
                      "--report", str(tmp_path / "report.json")]) == 1
+
+
+@pytest.mark.parametrize("constant", [b"NaN", b"Infinity", b"-Infinity"])
+def test_a_payload_with_a_constant_json_lacks_is_refused(tmp_path, capsys, constant):
+    # The decoder refuses what the encoder refuses: a free-form field (a
+    # proposal's payload) used to carry NaN past the field checks, and the
+    # chain verified. Chain.append cannot write it, so it is sealed by hand.
+    body = {"proposal_id": "p", "kind": "ROUTINE", "mode": "LINEAR", "payload": {"x": 0},
+            "phase": int(Phase.GOVERNANCE)}
+    payload = canonical_json_bytes(body).replace(b'"x":0', b'"x":' + constant)
+    event = _new_event(1, EventKind.PROPOSAL_SUBMITTED, 1, payload, "anyone")
+    block_hash = compute_block_hash(1, ZERO_DIGEST, (event,))
+    chain = Chain({"a1": AUTHORITY.public}, quorum=1)
+    chain.blocks.append(Block(1, ZERO_DIGEST, (event,),
+                              (("a1", SCHEME.sign(AUTHORITY.private, block_hash)),), block_hash))
+    save_chain(chain, tmp_path / "chain.db")
+    expected = ("FAIL at height 1: event 1 (PROPOSAL_SUBMITTED): payload is not valid JSON: "
+                f"{constant.decode()} is not JSON")
+    capsys.readouterr()
+    assert cli_main(["verify", str(tmp_path / "chain.db")]) == 1
+    assert capsys.readouterr().out.strip() == expected
+    assert cli_main(["inspect", str(tmp_path / "chain.db"), "--proposals"]) == 1
+    assert capsys.readouterr().err.strip() == expected
 
 
 # --- real runs, resealed after one change ---

@@ -160,6 +160,10 @@ def test_insufficient_candidates():
                        default_weights(), 2)
 
 
+def test_zero_seats_rejected():
+    with pytest.raises(InvalidInput, match="n_seats must be positive"):
+        rank_delegates(abc_stakeholders(), default_weights(), 0)
+
 def test_run_election_sets_flags_and_appends_event():
     state = make_state(abc_stakeholders())
     state.run_election(2, epoch=0)
@@ -212,6 +216,15 @@ def test_vote_mode_must_match_proposal_mode():
     with pytest.raises(InvalidInput):
         state.cast_vote("A", "quad", FOR, mode=VoteMode.LINEAR)
 
+
+def test_duplicate_proposal_id_rejected():
+    state = make_state(abc_stakeholders())
+    state.submit_proposal("p1", ProposalKind.ROUTINE, {}, mode=VoteMode.LINEAR)
+    submitted = len(state.chain.pending)
+    with pytest.raises(InvalidInput, match="duplicate proposal id p1"):
+        state.submit_proposal("p1", ProposalKind.CRITICAL, {}, mode=VoteMode.LINEAR)
+    assert state.proposals["p1"].kind is ProposalKind.ROUTINE
+    assert len(state.chain.pending) == submitted
 
 def test_double_vote_rejected():
     state = make_state(abc_stakeholders())
@@ -506,6 +519,14 @@ def test_rejected_proposal_leaves_weights_unchanged():
     assert state.weights == before
     assert not state.apply_staged_weights()
 
+
+def test_weights_change_only_on_a_weight_adjustment():
+    state = make_state(abc_stakeholders())
+    proposal = Proposal("r1", ProposalKind.ROUTINE, {"cap_fraction": "1/4"},
+                        status=ProposalStatus.PASSED)
+    with pytest.raises(InvalidInput, match="not a WEIGHT_ADJUSTMENT proposal"):
+        state.adjust_weights(proposal)
+    assert not state.apply_staged_weights()
 
 def test_vote_weights_validation():
     with pytest.raises(InvalidWeights):

@@ -224,6 +224,16 @@ def test_metadata_ref_update_resolves_in_store(registry):
     assert registry.store.resolve(address) == blob
 
 
+@pytest.mark.parametrize("changes", [{}, {"purpose": "p", "status": ComplianceStatus.COMPLIANT}],
+                         ids=["no-change", "two-changes"])
+def test_an_update_needs_exactly_one_change(registry, chain, changes):
+    did = registry.register_did(b"\x0d" * 32, "x", RiskTier.HIGH, "bank-1")
+    before = len(chain.pending)
+    with pytest.raises(InvalidBlob, match="exactly one of status/metadata_ref/purpose"):
+        registry.update_did(did, "bank-1", **changes)
+    assert registry.get(did).version == 1
+    assert len(chain.pending) == before  # refused before any access is logged
+
 def test_unknown_did_rejected(registry):
     with pytest.raises(UnknownIdentity):
         registry.update_did("did:govsim:" + "0" * 32, "regulator-1", purpose="x")

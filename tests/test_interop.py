@@ -102,6 +102,9 @@ def test_unknown_version_and_type():
                              "payload": {}, "checksum": ""})[0].code == "unknown_type"
 
 
+def test_a_value_that_is_not_a_message_is_one_bad_envelope():
+    assert validate_message(42) == [Violation("bad_envelope", "not a message object: int")]
+
 def test_undeclared_field_flagged():
     message = make_v1_report().to_json()
     message["payload"]["stray"] = 1
@@ -225,6 +228,10 @@ def test_downgrade_rejected():
     with pytest.raises(UnsupportedDowngrade):
         upgrade_message(v2, 1)
 
+
+def test_an_upgrade_past_the_last_version_is_refused():
+    with pytest.raises(UnsupportedDowngrade, match="no upgrade path: COMPLIANCE_REPORT has no v3"):
+        upgrade_message(make_v1_report(), 3)
 
 def test_transaction_upgrade_drops_memo_adds_currency():
     v1 = make_message(MsgType.TRANSACTION_DATA, 1, {
@@ -386,6 +393,16 @@ def test_convert_names_the_line_of_a_bad_row(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 3: expected 5 columns, got 4\n"
     assert not (tmp_path / "out.json").exists()
 
+
+def test_convert_refuses_a_legacy_file_that_is_not_utf8(tmp_path, capsys):
+    legacy = tmp_path / "legacy.csv"
+    rows = (SCENARIO_DIR / "legacy_compliance.csv").read_bytes()
+    legacy.write_bytes(rows + b"r,\xff,1,0.5,true\n")
+    code = cli_main(["convert", "--in", str(legacy), "--map",
+                     str(SCENARIO_DIR / "legacy_mapping.json"), "--out", str(tmp_path / "out.json")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cannot read legacy file: 'utf-8' codec ")
+    assert not (tmp_path / "out.json").exists()
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-Infinity", "1e309"])
 def test_a_non_finite_float_cell_is_refused_naming_its_column(cell):

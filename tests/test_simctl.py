@@ -926,6 +926,31 @@ def test_cli_run_reports_a_bad_config_value_without_a_traceback(tmp_path):
     assert "Traceback" not in completed.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "{out}/chain.db"], ["inspect", "{out}/chain.db", "--audits"],
+    ["inspect", "{out}/chain.db", "--proposals"],
+    ["run", str(SCENARIO_DIR / "credit_scoring.json"), "--out", "{out}/again"],
+    ["convert", "--in", str(SCENARIO_DIR / "legacy_compliance.csv"),
+     "--map", str(SCENARIO_DIR / "legacy_mapping.json"), "--out", "{out}/messages.json"],
+], ids=["verify", "inspect-audits", "inspect-proposals", "run", "convert"])
+def test_a_reader_that_closes_stdout_gets_no_traceback(reference_results, tmp_path, command):
+    # As with `govsim verify chain.db | head -0`: the pipe's read end is closed
+    # before the command writes, so every run meets the closed pipe alike.
+    save_chain(reference_results["credit_scoring"].chain, tmp_path / "chain.db")
+    src = Path(govsim.__file__).resolve().parent.parent
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-m", "govsim.cli", *(a.format(out=tmp_path) for a in command)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write_end)
+    assert completed.returncode == 1
+    assert completed.stderr == ""
+
+
 def test_a_circular_value_is_a_scenario_error(tmp_path):
     # The loader walks a value it cannot encode to name the fault, each object
     # once, and names the path at which a container holds itself. The child
@@ -968,6 +993,17 @@ def test_a_shared_value_is_not_circular():
             "ai_systems[0].metadata.c: must be a finite number")):
         load_scenario(doc)
 
+
+def test_a_value_nested_past_the_recursion_limit_is_a_scenario_error():
+    # The walk finds no value that is not JSON, so the encoder's own error is given.
+    doc = json.loads(scenario_path("credit_scoring").read_text())
+    deep = 1
+    for _ in range(5000):
+        deep = {"k": deep}
+    doc["ai_systems"][0]["metadata"] = deep
+    with pytest.raises(ScenarioError, match=re.escape(
+            "scenario: value is not canonically serializable: maximum recursion depth exceeded")):
+        load_scenario(doc)
 
 # Every config key set to a value other than its default.
 _EVERY_KEY = {

@@ -86,6 +86,14 @@ def test_unstake_before_expiry_rejected():
     assert ledger.balances["s1"] == 100
 
 
+@pytest.mark.parametrize("index", [-1, 1])
+def test_unstake_of_no_such_entry_rejected(index):
+    ledger = ledger_with({"s1": 100})
+    ledger.stake("s1", 60, 4, epoch=0)
+    with pytest.raises(InvalidInput, match="no such stake entry"):
+        ledger.unstake("s1", index, epoch=4)
+    assert ledger.staked_total("s1") == 60
+
 def test_zero_stake_rejected():
     with pytest.raises(InvalidInput):
         ledger_with({"s1": 100}).stake("s1", 0, 4)
@@ -188,6 +196,14 @@ def test_slash_full_fraction_burns_everything():
     assert ledger.slash("s1", SlashReason.AUDIT_FAIL, fraction=Fraction(1)) == 123
     assert ledger.staked_total("s1") == 0
 
+
+@pytest.mark.parametrize("fraction", [Fraction(0), Fraction(2)])
+def test_slash_fraction_outside_zero_to_one_rejected(fraction):
+    ledger = ledger_with({"s1": 100})
+    ledger.stake("s1", 100, 4, epoch=0)
+    with pytest.raises(InvalidInput, match=r"slash fraction must be in \(0, 1\]"):
+        ledger.slash("s1", SlashReason.AUDIT_FAIL, fraction=fraction)
+    assert ledger.staked_total("s1") == 100 and ledger.burned == 0
 
 def test_slash_zero_stake_is_noop():
     ledger = ledger_with({"s1": 10})
