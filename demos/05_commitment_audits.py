@@ -54,7 +54,7 @@ try:
 except EvidenceForged as exc:
     print(f"doctored disclosure: {exc}")
 print(f"the forged attempt is still on record: "
-      f"{audits.records[-1].audit_id} -> {audits.records[-1].outcome.value}")
+      f"{audits.records[-1]['audit_id']} -> {audits.records[-1]['outcome']}")
 
 body = record.to_body()
 assert "0.102" not in str(body)

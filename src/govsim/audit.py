@@ -5,6 +5,10 @@ multiple of its tier's interval (HIGH every 2 epochs, LIMITED 8, MINIMAL
 32). ``AuditTrigger`` is the one statement of the triggers, their priority
 and the slash that a failed audit under each takes. Auditors see the
 disclosed metric vector; the ledger sees only the commitment.
+
+``AuditRegistry.apply`` is the one AUDIT_RECORDED transition: ``perform_audit``
+records through it, and the report fold applies the same bodies to a chain-less
+registry, so the run and the fold read failed audits from one set.
 """
 
 from __future__ import annotations
@@ -63,6 +67,10 @@ class AuditTrigger(str, Enum):
     CADENCE = "cadence", SlashReason.AUDIT_FAIL  # audit: the tier's interval, nothing pending
 
 
+# Each outcome and trigger, or its value, to its value: a plain str, looked up per audit.
+_VALUES = {member: member.value for enum in (AuditOutcome, AuditTrigger) for member in enum}
+
+
 @dataclass(frozen=True)
 class AuditorCertification:
     auditor_id: str
@@ -91,10 +99,10 @@ class AuditRecord:
             "audit_id": self.audit_id,
             "did": self.system_did,
             "auditor": self.auditor_id,
-            "outcome": self.outcome,
+            "outcome": _VALUES[self.outcome],
             "findings": self.findings,
             "commitment": self.evidence_commitment.hex(),
-            "trigger": self.trigger,
+            "trigger": _VALUES[self.trigger],
         }
 
 
@@ -122,8 +130,15 @@ class AuditRegistry(Store):
         self.auditor_capacity = auditor_capacity
         # By auditor id, kept in id order: the order eligible_auditors lists them in.
         self.certifications: dict[str, AuditorCertification] = {}
-        self.records: list[AuditRecord] = []
-        self._audit_seq = 0
+        # Each audit's body with its epoch, and the (DID, epoch) of each failed one.
+        self.records: list[dict] = []
+        self.failed: set[tuple[str, int]] = set()
+
+    def apply(self, kind: EventKind, body: Mapping, epoch: int) -> None:
+        """Apply one AUDIT_RECORDED event at ``epoch``, its ``body`` what the kind declares."""
+        self.records.append({**body, "epoch": epoch})
+        if body["outcome"] in RISK_FAILED_OUTCOMES:
+            self.failed.add((body["did"], epoch))
 
     # --- accreditation ---
 
@@ -244,8 +259,7 @@ class AuditRegistry(Store):
         if not self.rules.domains(system.risk_tier) <= certification.scopes:
             raise ScopeViolation(f"{auditor_id} lacks scope for {system.did}")
 
-        self._audit_seq += 1
-        audit_id = f"audit-{self._audit_seq:06d}"
+        audit_id = f"audit-{len(self.records) + 1:06d}"
 
         # A disclosure that does not match the commitment is not assessed.
         forged = metrics_commitment(metrics, salt) != commitment
@@ -256,8 +270,7 @@ class AuditRegistry(Store):
         record = AuditRecord(
             audit_id=audit_id, system_did=system.did, auditor_id=auditor_id, epoch=epoch,
             findings=findings, outcome=outcome, evidence_commitment=commitment, trigger=trigger)
-        self.records.append(record)
-        self._append(EventKind.AUDIT_RECORDED, record.to_body(), actor=auditor_id, epoch=epoch)
+        self._record(EventKind.AUDIT_RECORDED, record.to_body(), actor=auditor_id, epoch=epoch)
         if forged:
             raise EvidenceForged(f"disclosure for {system.did} does not match commitment "
                                  f"(audit {audit_id} recorded INCONCLUSIVE)")

@@ -2,11 +2,11 @@
 
 Everything in a run report can be reconstructed from event payloads alone:
 ``ChainFold`` folds the events through ``TokenLedger.apply``,
-``DidRegistry.apply``, ``IncidentLog.apply`` and ``GovernanceState.apply``,
-the same transitions the live simulator runs, into a chain-less ledger,
-registry, log and governance state, and recomputes per-epoch risk scores
-from on-chain assessment/audit/incident data plus the config snapshot
-embedded in the genesis event. The simulator reports from its live stores
+``DidRegistry.apply``, ``AuditRegistry.apply``, ``IncidentLog.apply`` and
+``GovernanceState.apply``, the same transitions the live simulator runs,
+into chain-less stores, and recomputes per-epoch risk scores from on-chain
+assessment/audit/incident data plus the config snapshot embedded in the
+genesis event. The simulator reports from its live stores
 instead. Both lay the report out through ``layout``, whose one pass over the
 chain counts the events and logs the few rare kinds, and ``verify`` proves
 the report equals the fold.
@@ -18,9 +18,10 @@ import. The fold checks every body against them as it decodes it, so a
 sealed body that is not what its kind says stops the fold with
 ``EventInvalid`` naming the event and the field, never a traceback.
 
-The score series looks up failed audits by (DID, epoch) and open incidents
-per DID by epoch in indexes built from the fold's one pass; the tests hold
-them to the plain scans over ``ChainFold.audits`` and ``.incidents``.
+Epochs never decrease along the chain, or the fold refuses the event. The
+score series reads failed audits and open incidents from the audit registry
+and the incident log, as the run's risk phase does; the tests hold both to
+the plain scans over ``ChainFold.audits`` and ``.incidents``.
 """
 
 from __future__ import annotations
@@ -28,24 +29,23 @@ from __future__ import annotations
 import csv
 import io
 import json
-from bisect import bisect_right
 from collections import defaultdict
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .audit import RISK_FAILED_OUTCOMES, AuditOutcome, AuditTrigger
+from .audit import AuditOutcome, AuditRegistry, AuditTrigger
+from .compliance import RuleRegistry
 from .encoding import body_writer, from_canonical_json, read_json, unit_fraction, write_bytes
 from .errors import EventInvalid, GovSimError, InvalidInput, UnsupportedFormat
 from .governance import GovernanceState, ProposalKind, ProposalStatus, VoteDirection, VoteMode
 from .identity import ComplianceStatus, DidRegistry, RiskTier
 from .ledger import _WRITERS, Block, Chain, ChainVerification, EventKind, Phase, verify_chain
 from .risk import (
-    OPEN_INCIDENT_STATES, IncidentLog, IncidentState, RiskWeights, Severity, compute_risk_score,
-    read_risk_weights)
+    IncidentLog, IncidentState, RiskWeights, Severity, compute_risk_score, read_risk_weights)
 from .tokens import Pool, TokenLedger
 
 # Each kind's value, a plain str: the report's by_kind keys.
@@ -58,12 +58,12 @@ _LOGS = {EventKind.DELEGATE_ELECTED: "elections", EventKind.COLLUSION_FLAGGED: "
 
 
 def layout(blocks: Sequence[Block], epochs: Optional[int], assessed: Iterable[tuple[str, bool]],
-           audits: Iterable[tuple[str, str]], tokens: TokenLedger,
+           audits: Iterable[dict], tokens: TokenLedger,
            scores: dict[str, list[list]], incidents: dict, proposals: dict) -> dict:
     """The full run report as a deterministic JSON-able dict, from the stores
     given and one pass over the chain: ``epochs`` is None for the last epoch
     with events, ``assessed`` is (tier, compliant) per (epoch, DID) and
-    ``audits`` (outcome, trigger). The pass counts events by kind per epoch
+    ``audits`` the audit registry's rows. The pass counts events by kind per epoch
     and decodes only the logged kinds, each stamped with its frame epoch."""
     counted: dict[int, dict[EventKind, int]] = defaultdict(dict)
     logs: dict[str, list[dict]] = {name: [] for name in _LOGS.values()}
@@ -90,9 +90,9 @@ def layout(blocks: Sequence[Block], epochs: Optional[int], assessed: Iterable[tu
 
     audit_outcomes = {outcome.value: 0 for outcome in AuditOutcome}
     audits_by_trigger: dict[str, int] = defaultdict(int)
-    for outcome, trigger in audits:
-        audit_outcomes[outcome] += 1
-        audits_by_trigger[trigger] += 1
+    for audit in audits:
+        audit_outcomes[audit["outcome"]] += 1
+        audits_by_trigger[audit["trigger"]] += 1
 
     access = logs["access"]
     return {
@@ -131,13 +131,11 @@ class ChainFold:
         self.tokens = TokenLedger(0, {})
         self.registry = DidRegistry(None)
         self.assessments: dict[int, dict[str, dict]] = defaultdict(dict)
-        self.audits: list[dict] = []
+        self.audit_registry = AuditRegistry(None, RuleRegistry(), ())
+        # The registry's own rows, and the log's own id -> incident dict.
+        self.audits = self.audit_registry.records
         self.incident_log = IncidentLog(None)
-        # The log's own id -> incident dict, in raise order.
         self.incidents = self.incident_log.incidents
-        # Indexes over audits and incidents, filled from the replay.
-        self._failed_audits: set[tuple[str, int]] = set()
-        self._open_steps: dict[str, tuple[list[int], list[int]]] = {}
         self.governance = GovernanceState(None, None)
         # (height, reason) of the first event stamped with no phase or one its
         # kind does not allow: not raised, as hand-built chains carry no stamps.
@@ -145,16 +143,20 @@ class ChainFold:
         # Scores repeat: each distinct string is parsed once.
         self._score = cache(lambda text: unit_fraction(text, "score"))
         self._replay()
-        self._index_incidents()
 
     def _replay(self) -> None:
         # Each kind's declaration, its store's apply bound once per fold.
         plan = {kind: (spec.phases, spec.fields,
                        spec.store and getattr(self, spec.store).apply, spec.fold)
                 for kind, spec in EVENT_SPECS.items()}
+        last = 0  # a frame's epoch is unsigned
         for block in self.blocks:
             for event in block.events:
                 kind, epoch = event.kind, event.epoch
+                if epoch < last:
+                    raise EventInvalid(block.height, f"event {event.event_id} ({kind.value}): epoch "
+                                       f"{epoch} is before epoch {last} of the event before it")
+                last = epoch
                 phases, fields, apply, fold = plan[kind]
                 try:
                     body = from_canonical_json(event.payload)
@@ -194,40 +196,16 @@ class ChainFold:
             "compliant": body["compliant"],
         }
 
-    def _audit(self, body: dict, epoch: int) -> None:
-        self.audits.append({**body, "epoch": epoch})
-        if body["outcome"] in RISK_FAILED_OUTCOMES:
-            self._failed_audits.add((body["did"], epoch))
-
     # --- derived views ---
-
-    def _index_incidents(self) -> None:
-        """Each DID's open-incident count as a step function of the epoch:
-        the epochs where it changes, sorted, and the count from each on."""
-        steps: dict[str, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-        for incident in self.incidents.values():
-            delta, until = steps[incident.system_did], 1 << 64  # past every epoch
-            # As of an epoch, the state is that of the last transition at or
-            # before it: each holds until the least epoch of those after it.
-            for name, at_epoch in reversed(incident.transitions):
-                if at_epoch < until and name in OPEN_INCIDENT_STATES:
-                    delta[at_epoch] += 1
-                    delta[until] -= 1
-                until = min(until, at_epoch)
-        for did, delta in steps.items():
-            epochs = sorted(delta)
-            self._open_steps[did] = (epochs, list(accumulate(delta[e] for e in epochs)))
 
     def incident_open_at(self, did: str, epoch: int) -> int:
         """Incidents of ``did`` raised or contained as of ``epoch``."""
-        epochs, counts = self._open_steps.get(did, ((), ()))
-        at = bisect_right(epochs, epoch)
-        return counts[at - 1] if at else 0
+        return self.incident_log.open_at(did, epoch)
 
     def audit_failed_at(self, did: str, epoch: int) -> bool:
         """Whether an audit of ``did`` at ``epoch`` had an outcome of
         ``audit.RISK_FAILED_OUTCOMES``."""
-        return (did, epoch) in self._failed_audits
+        return (did, epoch) in self.audit_registry.failed
 
     def score_series(self) -> dict[str, list[list]]:
         """Recompute each system's per-epoch score from on-chain inputs.
@@ -259,7 +237,7 @@ class ChainFold:
         return layout(
             self.blocks, self.genesis_meta.get("epochs"),
             [(e["tier"], e["compliant"]) for m in self.assessments.values() for e in m.values()],
-            [(audit["outcome"], audit["trigger"]) for audit in self.audits],
+            self.audits,
             self.tokens, self.score_series(), self.incidents, self.governance.proposals)
 
 
@@ -360,7 +338,7 @@ EVENT_SPECS: dict[EventKind, EventSpec] = {
     EventKind.ASSESSMENT_RECORDED: _spec({Phase.COMPLIANCE}, None, ChainFold._assessment, {
         "did": str, "epoch": int, "score": str, "tier": RiskTier, "compliant": bool,
         "results": dict, "commitment": str}),
-    EventKind.AUDIT_RECORDED: _spec({Phase.AUDIT}, None, ChainFold._audit, {
+    EventKind.AUDIT_RECORDED: _spec({Phase.AUDIT}, "audit_registry", None, {
         "did": str, "outcome": AuditOutcome, "trigger": AuditTrigger, "epoch?": int}),
     EventKind.AUDITOR_ACCREDITED: _spec({Phase.SETUP}),
     EventKind.TOKENS_TRANSFERRED: _spec(

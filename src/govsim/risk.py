@@ -13,10 +13,13 @@ written through on every change.
 ``advance_incident`` apply the body they append, and the report fold applies
 the same bodies to a chain-less log. It raises each id once and steps it only
 to the next state, so ``verify`` refuses a second raise or a step out of order.
+It also keeps each system's open-incident count as a step function of the
+epoch, which the run's risk phase and the fold's score series both read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
@@ -154,7 +157,7 @@ class IncidentState(str, Enum):
 
 
 _NEXT_STATE = dict(zip(IncidentState, list(IncidentState)[1:]))
-# The open states, read by the live log and by the chain fold.
+# The open states: an incident in one counts toward the risk score.
 OPEN_INCIDENT_STATES = (IncidentState.RAISED, IncidentState.CONTAINED)
 
 
@@ -183,10 +186,10 @@ class IncidentLog(Store):
         # Every incident by id, in raise order.
         self.incidents: dict[str, Incident] = {}
         # Incidents not yet at POSTMORTEM_FILED, by id in raise order, and
-        # the number of open ones per system: kept as incidents move, so
-        # neither the risk phase nor open_count walks the whole log.
+        # per system the epochs at which its open count changed and the count
+        # from each on: kept as incidents move, so that no reader walks the log.
         self.active: dict[str, Incident] = {}
-        self._open_counts: dict[str, int] = {}
+        self._steps: dict[str, tuple[list[int], list[int]]] = {}
         self._seq = 0
 
     # --- the transition ---
@@ -219,8 +222,11 @@ class IncidentLog(Store):
             if state not in _NEXT_STATE:
                 del self.active[incident_id]
         incident.transitions.append((incident.state.value, epoch))
-        did = incident.system_did
-        self._open_counts[did] = self._open_counts.get(did, 0) + incident.open_() - was_open
+        change = incident.open_() - was_open
+        if change:
+            epochs, counts = self._steps.setdefault(incident.system_did, ([], []))
+            epochs.append(epoch)
+            counts.append((counts[-1] if counts else 0) + change)
         return incident
 
     def raise_incident(self, system_did: str, severity: Severity, *, epoch: int = 0) -> Incident:
@@ -248,7 +254,14 @@ class IncidentLog(Store):
         return incident.state
 
     def open_count(self, system_did: str) -> int:
-        return self._open_counts.get(system_did, 0)
+        steps = self._steps.get(system_did)
+        return steps[1][-1] if steps else 0
+
+    def open_at(self, system_did: str, epoch: int) -> int:
+        """Incidents raised or contained as of ``epoch``, if applied in epoch order."""
+        epochs, counts = self._steps.get(system_did, ((), ()))
+        at = bisect_right(epochs, epoch)
+        return counts[at - 1] if at else 0
 
 
 # --- profiles and write-through ---

@@ -597,7 +597,6 @@ class Simulator:
         self.assessment_log: list[compliance_mod.Assessment] = []
         # Running EWMA of each system's aggregate compliance score.
         self._forecast: dict[str, float] = {}
-        self._audit_failed_prev: set[str] = set()
         # Hand-offs within an epoch: ingest's metric overrides for compliance,
         # and the audit phase's records for penalties.
         self._overrides: dict[str, dict] = {}
@@ -682,7 +681,7 @@ class Simulator:
                 continue
             self.risk.update(
                 did, epoch, assessment.aggregate_score,
-                audit_failed=did in self._audit_failed_prev,
+                audit_failed=(did, epoch - 1) in self.audits.failed,
                 incident_count=self.incidents.open_count(did),
                 exposure=self.registry.records[did].exposure,
             )
@@ -723,8 +722,6 @@ class Simulator:
             else:
                 self.registry.move_status(did, "passed-audit", epoch=epoch)
         self.governance.sync_stakes()
-        self._audit_failed_prev = {record.system_did for record in self._audit_records
-                                   if record.outcome in audit_mod.RISK_FAILED_OUTCOMES}
 
     def _phase_governance(self, epoch: int) -> None:
         tallied = []  # (proposal id, the rule it registers if it passes)
@@ -803,13 +800,11 @@ class Simulator:
                 run_phase(epoch)
 
         # The report from the live stores; verify_run proves it equals the fold.
-        # A tier, outcome or trigger is a report key: a plain str, looked up per member.
-        value = {member: member.value for enum in (RiskTier, audit_mod.AuditOutcome,
-                                                   audit_mod.AuditTrigger) for member in enum}
+        # A tier is a report key: a plain str, looked up per member.
+        value = {member: member.value for member in RiskTier}
         report = layout(
             self.chain.blocks, self.scenario.epochs,
-            [(value[a.tier], a.compliant) for a in self.assessment_log],
-            [(value[record.outcome], value[record.trigger]) for record in self.audits.records],
+            [(value[a.tier], a.compliant) for a in self.assessment_log], self.audits.records,
             self.tokens,
             {did: [[epoch, str(score)] for epoch, score, _ in profile.history]
              for did, profile in self.risk.profiles.items()},

@@ -126,8 +126,10 @@ class TokenLedger(Store):
         methods build it so, and the fold checks it first. An amount below its
         op's least (``_LEAST_AMOUNT``), a stake locked for less than one epoch
         or from before epoch 0, a debit above the holder's balance, a draw
-        above the pool's, or the unstake of an entry not held raises before
-        anything changes.
+        above the pool's, the unstake of an entry not held, a burn above the
+        holder's stake, or a mint_genesis that is not the first, has a negative
+        amount or pools that do not sum to its supply raises before anything
+        changes, so the supply equation holds after every event.
         """
         op = None if kind is EventKind.SLASH_APPLIED else body["op"]
         if op in _LEAST_AMOUNT and body["amount"] < _LEAST_AMOUNT[op][0]:
@@ -147,9 +149,18 @@ class TokenLedger(Store):
                 self._debit(body["from"], body["amount"])
                 self._credit(body["to"], body["amount"])
             else:  # mint_genesis
-                self.total_supply = body["total_supply"]
-                self.pools = {p: body["pools"][p.value] for p in Pool}
-                self.emission = body["emission"]
+                supply, pools = body["total_supply"], {p: body["pools"][p.value] for p in Pool}
+                if self.total_supply:
+                    raise InvalidInput(f"field op: mint_genesis, but the supply of "
+                                       f"{self.total_supply} was minted already")
+                for name, amount in [("total_supply", supply),
+                                     *((f"pools.{p.value}", n) for p, n in pools.items())]:
+                    if amount < 0:
+                        raise InvalidInput(f"field {name}: {amount} is negative")
+                if sum(pools.values()) != supply:
+                    raise InvalidInput(f"field pools: they hold {sum(pools.values())} "
+                                       f"of a total_supply of {supply}")
+                self.total_supply, self.pools, self.emission = supply, pools, body["emission"]
         elif kind is EventKind.STAKE_CHANGED:
             if body["lock_epochs"] < 1:
                 raise InvalidInput("field lock_epochs: lock must be at least one epoch")
@@ -166,10 +177,14 @@ class TokenLedger(Store):
                 self.stakes[holder].remove(entry)
                 self._credit(holder, entry.amount)
         else:  # SLASH_APPLIED
-            remaining = body["burned"]
+            remaining, holder = body["burned"], body["holder"]
             if remaining < 0:
                 raise InvalidInput("burned amount must not be negative")
-            entries = self.stakes.get(body["holder"], [])
+            staked = self.staked_total(holder)
+            if remaining > staked:
+                raise InvalidInput(f"field burned: {remaining} exceeds the {staked} "
+                                   f"that {holder!r} has staked")
+            entries = self.stakes.get(holder, [])
             entries.sort(key=lambda e: (e.lock_start_epoch, e.lock_epochs))
             while remaining > 0 and entries:
                 entry = entries[0]

@@ -230,7 +230,7 @@ def test_tampered_metrics_raise_evidence_forged():
     with pytest.raises(EvidenceForged):
         audits.perform_audit("aud-1", system("a", RiskTier.HIGH),
                              tampered, salt, commitment, epoch=2)
-    assert audits.records[-1].outcome == AuditOutcome.INCONCLUSIVE
+    assert audits.records[-1]["outcome"] == AuditOutcome.INCONCLUSIVE
 
 
 def test_single_bit_salt_flip_forged():

@@ -96,7 +96,10 @@ def _event(kind):
     return st.tuples(st.just(kind), epoch, _mostly(body, JSON))
 
 
-EVENTS = st.lists(st.sampled_from(list(EventKind)).flatmap(_event), min_size=1, max_size=8)
+# In epoch order, as every run writes them: the fold refuses an epoch before
+# the last one, which would stop half of the unsorted draws at that check.
+EVENTS = st.lists(st.sampled_from(list(EventKind)).flatmap(_event), min_size=1,
+                  max_size=8).map(lambda events: sorted(events, key=lambda event: event[1]))
 
 
 def _seal(events, path) -> None:
@@ -136,6 +139,8 @@ def _refused(verification) -> bool:
                    "config": {"risk_weights": {"noncompliance": "x"}}})])
 @example(events=[(EventKind.AUDIT_RECORDED, 1,
                   {"did": "d", "outcome": "MAYBE", "trigger": "cadence"})])
+@example(events=[(EventKind.HEARTBEAT, 3, {"epoch": 3, "phase": 1}),
+                 (EventKind.HEARTBEAT, 1, {"epoch": 1, "phase": 1})])
 def test_any_sealed_chain_verifies_or_names_its_fault(tmp_path_factory, events):
     tmp = tmp_path_factory.mktemp("chain")
     _seal(events, tmp / "chain.db")
@@ -152,19 +157,46 @@ def test_any_sealed_chain_verifies_or_names_its_fault(tmp_path_factory, events):
         assert verify_run(tmp / "chain.db") == (verification, True)
 
 
+def _genesis(total_supply=100, **pools):
+    """A phase-stamped mint_genesis body: 100 in REWARDS unless ``pools`` says otherwise."""
+    return (EventKind.TOKENS_TRANSFERRED, 0, {
+        "op": "mint_genesis", "total_supply": total_supply, "emission": 0, "phase": 0,
+        "pools": {"REWARDS": 100, "GOVERNANCE": 0, "DEVELOPMENT": 0, **pools}})
+
+
+# A holder granted 40 from the genesis, all of it staked.
+_STAKED = [_genesis(), (EventKind.TOKENS_TRANSFERRED, 0, {
+    "op": "grant", "pool": "REWARDS", "to": "h", "amount": 40, "phase": 0}),
+    (EventKind.STAKE_CHANGED, 0, {"holder": "h", "op": "stake", "amount": 40,
+                                  "lock_start_epoch": 0, "lock_epochs": 4, "phase": 0})]
+
+
 def test_the_reproductions_are_refused_naming_the_field(tmp_path, capsys):
-    cases = {
-        EventKind.AUDIT_RECORDED: ({"x": 1}, "field did: missing"),
-        EventKind.VOTE_CAST: ({"x": 1}, "field proposal_id: missing"),
-        EventKind.TOKENS_TRANSFERRED: ({"op": "grant"}, "field pool: missing"),
-        EventKind.INCIDENT_ADVANCED: ({"incident_id": "nope", "state": "RESOLVED"},
-                                      "field incident_id: 'nope' was never raised"),
-        EventKind.SLASH_APPLIED: ({"holder": "h", "burned": -1},
-                                  "burned amount must not be negative"),
-    }
-    for kind, (body, fault) in cases.items():
-        _seal([(kind, 1, body)], tmp_path / "chain.db")
-        expected = f"FAIL at height 1: event 1 ({kind.value}): {fault}"
+    # Each chain is refused at its last event.
+    cases = [
+        ([(EventKind.AUDIT_RECORDED, 1, {"x": 1})], "field did: missing"),
+        ([(EventKind.VOTE_CAST, 1, {"x": 1})], "field proposal_id: missing"),
+        ([(EventKind.TOKENS_TRANSFERRED, 1, {"op": "grant"})], "field pool: missing"),
+        ([(EventKind.INCIDENT_ADVANCED, 1, {"incident_id": "nope", "state": "RESOLVED"})],
+         "field incident_id: 'nope' was never raised"),
+        ([(EventKind.SLASH_APPLIED, 1, {"holder": "h", "burned": -1})],
+         "burned amount must not be negative"),
+        # Each below verified before the fold held epochs to the order every run
+        # writes them in, and TokenLedger.apply held the supply equation.
+        ([(EventKind.HEARTBEAT, 3, {"epoch": 3, "phase": 1}),
+          (EventKind.HEARTBEAT, 1, {"epoch": 1, "phase": 1})],
+         "epoch 1 is before epoch 3 of the event before it"),
+        ([*_STAKED, (EventKind.SLASH_APPLIED, 1, {"holder": "h", "burned": 1000, "phase": 5})],
+         "field burned: 1000 exceeds the 40 that 'h' has staked"),
+        ([_genesis(REWARDS=1)], "field pools: they hold 1 of a total_supply of 100"),
+        ([*_STAKED, _genesis()], "field op: mint_genesis, but the supply of 100 was minted already"),
+        ([_genesis(total_supply=-5, REWARDS=-5)], "field total_supply: -5 is negative"),
+        ([_genesis(REWARDS=101, DEVELOPMENT=-1)], "field pools.DEVELOPMENT: -1 is negative"),
+    ]
+    for events, fault in cases:
+        _seal(events, tmp_path / "chain.db")
+        kind = events[-1][0]
+        expected = f"FAIL at height 1: event {len(events)} ({kind.value}): {fault}"
         capsys.readouterr()
         assert cli_main(["verify", str(tmp_path / "chain.db")]) == 1
         assert capsys.readouterr().out.strip() == expected

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from govsim.compliance import OracleBook, OracleFeed
 from govsim.encoding import ZERO_DIGEST, canonical_json_bytes
-from govsim.errors import DuplicateFeed, GovSimError, InvalidInput, TerminalState
+from govsim.errors import DuplicateFeed, EventInvalid, GovSimError, InvalidInput, TerminalState
 from govsim.governance import (
     GovernanceState,
     ProposalKind,
@@ -145,11 +145,10 @@ FOLD_EVENTS = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(events=FOLD_EVENTS)
-def test_fold_indexes_equal_linear_scans(events):
-    # The fold raises each id once and steps a raised incident only to its
-    # next state: each id's position in IncidentState order.
+def _fold_block(events) -> Block:
+    """The events as one block. The fold raises each id once and steps a
+    raised incident only to its next state: each id's position in
+    IncidentState order, taken in the order given."""
     order = list(IncidentState)
     reached: dict[str, int] = {}
     built = []
@@ -166,9 +165,22 @@ def test_fold_indexes_equal_linear_scans(events):
             body = {**body, "state": order[reached[incident_id]].value}
         built.append(GovernanceEvent(event_id=len(built) + 1, kind=kind, epoch=epoch,
                                      payload=canonical_json_bytes(body), actor="t"))
-    block = Block(height=1, prev_hash=ZERO_DIGEST, events=tuple(built),
-                  sealer_signatures=(), block_hash=ZERO_DIGEST)
-    fold = ChainFold([block])
+    return Block(height=1, prev_hash=ZERO_DIGEST, events=tuple(built),
+                 sealer_signatures=(), block_hash=ZERO_DIGEST)
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=FOLD_EVENTS)
+def test_fold_indexes_equal_linear_scans(events):
+    block = _fold_block(events)
+    epochs = [event.epoch for event in block.events]
+    if any(a > b for a, b in zip(epochs, epochs[1:])):
+        # The fold stops at the first epoch before the one of the event before it.
+        with pytest.raises(EventInvalid, match=" is before epoch "):
+            ChainFold([block])
+    # Every run writes its events in epoch order: the draw sorted by epoch,
+    # in draw order within an epoch.
+    fold = ChainFold([_fold_block(sorted(events, key=lambda event: event[1]))])
     for did in [*DIDS, "did:unknown"]:
         for epoch in range(-1, 8):
             assert fold.audit_failed_at(did, epoch) == _audit_failed_scan(fold, did, epoch)

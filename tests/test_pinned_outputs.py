@@ -12,16 +12,17 @@ moves them on purpose must say why and re-pin.
 import importlib
 import random
 from collections import defaultdict
+from functools import cache
 
 import pytest
 
 from govsim.cli import main as cli_main
 from govsim.encoding import as_fraction, is_canonical_json, sha256
-from govsim.ledger import save_chain
+from govsim.ledger import EventKind, save_chain
 from govsim.report import ChainFold, export_report, report_json_bytes
 from govsim.risk import compute_risk_score
-from govsim.simctl import run_scenario, verify_run
-from tests.conftest import REFERENCE_SCENARIOS, REPO_ROOT
+from govsim.simctl import Simulator, load_scenario, run_scenario, verify_run
+from tests.conftest import REFERENCE_SCENARIOS, REPO_ROOT, scenario_path
 from tests.test_incremental_state import _incident_open_scan
 
 PINNED_ROOT_HASHES = {
@@ -353,16 +354,41 @@ def test_score_series_equals_the_unmemoized_loop(reference_results, world):
     assert fold.score_series() == expected
 
 
-@pytest.mark.parametrize("world", [*REFERENCE_SCENARIOS, "synthetic", "weighted"])
-def test_incident_open_at_equals_the_walk_of_every_transition(reference_results, world):
-    # incident_open_at answers from per-DID steps built once per fold; the
-    # walk over every transition of every incident is the reference.
+@cache
+def _simulator(world: str) -> Simulator:
+    """A simulator of ``world`` that has run: its stores, not only its result."""
     worlds = {"synthetic": synthetic_scenario, "weighted": weighted_scenario}
-    result = reference_results.get(world) or run_scenario(worlds[world]())
-    fold = ChainFold(result.chain.blocks)
-    answers = [(fold.incident_open_at(did, epoch), _incident_open_scan(fold, did, epoch))
-               for did in [*fold.registry.records, "did:unknown"]
-               for epoch in range(-1, result.report["epochs"] + 2)]
-    assert [fast for fast, _ in answers] == [walk for _, walk in answers]
-    if fold.incidents:
-        assert any(fast for fast, _ in answers)
+    simulator = Simulator(load_scenario(worlds[world]() if world in worlds
+                                        else scenario_path(world)))
+    simulator.run()
+    return simulator
+
+
+@pytest.mark.parametrize("world", [*REFERENCE_SCENARIOS, "synthetic", "weighted"])
+def test_incident_open_at_equals_the_walk_of_every_transition(world):
+    # The fold's incident_open_at and the run's own IncidentLog.open_at
+    # answer from per-DID steps kept as incidents move; the walk over every
+    # transition of every incident is the reference.
+    simulator = _simulator(world)
+    fold = ChainFold(simulator.chain.blocks)
+    for open_at, store in ((fold.incident_open_at, fold),
+                           (simulator.incidents.open_at, simulator.incidents)):
+        answers = [(open_at(did, epoch), _incident_open_scan(store, did, epoch))
+                   for did in [*fold.registry.records, "did:unknown"]
+                   for epoch in range(-1, simulator.scenario.epochs + 2)]
+        assert [fast for fast, _ in answers] == [walk for _, walk in answers]
+        if fold.incidents:
+            assert any(fast for fast, _ in answers)
+
+
+@pytest.mark.parametrize("world", [*REFERENCE_SCENARIOS, "synthetic", "weighted"])
+def test_failed_audits_are_those_the_chain_records(world):
+    # The run's risk phase and the fold read the same AuditRegistry.failed.
+    simulator = _simulator(world)
+    recorded = [(event.body(), event.epoch) for block in simulator.chain.blocks
+                for event in block.events if event.kind is EventKind.AUDIT_RECORDED]
+    failed = {(body["did"], epoch) for body, epoch in recorded
+              if body["outcome"] in ("FAIL", "INCONCLUSIVE")}
+    assert simulator.audits.failed == failed
+    assert ChainFold(simulator.chain.blocks).audit_registry.failed == failed
+    assert len(simulator.audits.records) == len(recorded)
