@@ -44,11 +44,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    verification, fold, stored = fold_run(args.chain, args.report)
+    verification, built, stored = fold_run(args.chain, args.report)
     if not verification.ok:
         print(f"FAIL at height {verification.failed_height}: {verification.reason}")
         return 1
-    if stored is not None and (at := first_difference(stored, fold.report())):
+    if stored is not None and (at := first_difference(stored, built)):
         print(f"FAIL: report does not match the chain fold at {at}")
         return 1
     extra = "" if stored is None else " (report consistent)"

@@ -19,9 +19,13 @@ of work is done once:
   per call that every private key derives its authority's registered public
   key, then hashes and signs each block once without verifying its own
   signatures. ``verify_chain`` verifies every sealed block's quorum.
-* event frames: ``_event_frames`` frames events for the block hash at seal
-  and for the chain file on save alike, with one ``struct`` pack per event
-  for all that precedes the payload. No frame is kept from seal to save.
+* event frames: ``_event_frames`` frames events with one ``struct`` pack per
+  event for all that precedes the payload. ``seal_all`` frames each block's
+  events once, hashes those parts and keeps them on the block
+  (``Block.frames``), and ``save_chain`` writes them as they are. They cost
+  a head and an actor part per event plus the tuple, since each payload part
+  is the event's own bytes. Only a block without them (loaded, built by hand
+  or by ``replace()``) is framed on save.
 
 Where frame exactness is established on the read path: ``load_chain``
 reads the file into one buffer and decodes each block and event frame
@@ -154,9 +158,13 @@ class Block:
     # The hash of the bytes this block was loaded from; set only by
     # load_chain, so a block built in memory or by replace() has none.
     read_hash: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
+    # The event frames this block was hashed from, as _event_frames returned
+    # them; set only by seal_all, so a block loaded, built by hand or by
+    # replace() has none. Each payload part is its event's own payload object.
+    frames: Optional[tuple[bytes, ...]] = field(default=None, init=False, compare=False, repr=False)
 
 
-def _event_frames(events: Sequence[GovernanceEvent]) -> list[bytes]:
+def _event_frames(events: Sequence[GovernanceEvent]) -> tuple[bytes, ...]:
     """Each event's frame behind its u32 length prefix, as parts to join."""
     parts: list[bytes] = []
     actors: dict[str, bytes] = {}
@@ -168,11 +176,13 @@ def _event_frames(events: Sequence[GovernanceEvent]) -> list[bytes]:
             actor = actors[event.actor] = pack_str(event.actor)
         parts += (pack(size + len(payload) + len(actor), event.event_id, name_len, name,
                        event.epoch, len(payload)), payload, actor)
-    return parts
+    return tuple(parts)
 
 
-def compute_block_hash(height: int, prev_hash: bytes, events: Sequence[GovernanceEvent]) -> bytes:
-    return sha256(b"".join([U64.pack(height), prev_hash, *_event_frames(events)]))
+def compute_block_hash(height: int, prev_hash: bytes, events: Sequence[GovernanceEvent],
+                       frames: Optional[Sequence[bytes]] = None) -> bytes:
+    """The block hash; ``frames``, when given, are the events' ``_event_frames``."""
+    return sha256(b"".join([U64.pack(height), prev_hash, *(frames or _event_frames(events))]))
 
 
 @dataclass(frozen=True)
@@ -264,7 +274,8 @@ class Chain:
         must sign. The signatures made here are then not verified again:
         a matching key pair signs verifiably, exactly so for ``seeded`` and
         for ``ed25519`` by RFC 8032's deterministic signing. ``verify_chain``
-        still checks every block's quorum. Each candidate is hashed once.
+        still checks every block's quorum. Each candidate is framed and
+        hashed once, and keeps its frames for ``save_chain``.
         """
         keys = sorted(private_keys.items())
         for authority_id, private in keys:
@@ -279,12 +290,14 @@ class Chain:
         while self.pending:
             height, prev_hash = len(self.blocks) + 1, self.head_hash
             candidate = tuple(self.pending[: self.capacity])
-            digest = compute_block_hash(height, prev_hash, candidate)
+            frames = _event_frames(candidate)
+            digest = compute_block_hash(height, prev_hash, candidate, frames)
             signatures = tuple(
                 (authority_id, self.scheme.sign(private, digest))
                 for authority_id, private in keys
             )
             block = Block(height, prev_hash, candidate, signatures, digest)
+            object.__setattr__(block, "frames", frames)
             self.blocks.append(block)
             del self.pending[: len(candidate)]
             sealed.append(block)
@@ -382,16 +395,19 @@ def query_events(
 # events (len-prefixed) | u32 signature count | (authority, signature)
 # pairs (each len-prefixed) | block hash
 
-def _block_bytes(block: Block, signers: dict[str, bytes]) -> bytes:
-    """The block's frame; ``signers`` maps each authority id to its framed
-    bytes, shared across the blocks of one save."""
+def _block_bytes(block: Block, signers: dict[tuple[str, int], bytes]) -> bytes:
+    """The block's frame, from the frames it was sealed with when it has
+    them; ``signers`` maps each (authority id, signature length) to the
+    framed id and length prefix, shared across the blocks of one save."""
     parts = [U64.pack(block.height), block.prev_hash, U32.pack(len(block.events)),
-             *_event_frames(block.events), U32.pack(len(block.sealer_signatures))]
+             *(block.frames or _event_frames(block.events)),
+             U32.pack(len(block.sealer_signatures))]
     for authority_id, signature in block.sealer_signatures:
-        signer = signers.get(authority_id)
+        key = authority_id, len(signature)
+        signer = signers.get(key)
         if signer is None:
-            signer = signers[authority_id] = pack_str(authority_id)
-        parts += (signer, pack_bytes(signature))
+            signer = signers[key] = pack_str(authority_id) + U32.pack(key[1])
+        parts += (signer, signature)
     parts.append(block.block_hash)
     return b"".join(parts)
 
@@ -459,6 +475,10 @@ def _decode_block(data: bytes, view: memoryview, start: int, end: int,
 
 
 def save_chain(chain: Chain, path: str | Path) -> None:
+    """Write the sealed blocks; IoError, before anything is written, if any
+    event is still pending, since the file would silently drop it."""
+    if n := len(chain.pending):
+        raise IoError(f"cannot save a chain with {n} pending event{'s' * (n > 1)}: seal it first")
     header = {
         "authorities": {aid: pub.hex() for aid, pub in sorted(chain.authorities.items())},
         "quorum": chain.quorum,
@@ -469,7 +489,7 @@ def save_chain(chain: Chain, path: str | Path) -> None:
         CHAIN_MAGIC, bytes([CHAIN_FORMAT_VERSION]),
         pack_bytes(canonical_json_bytes(header)), U64.pack(len(chain.blocks)),
     ]
-    signers: dict[str, bytes] = {}
+    signers: dict[tuple[str, int], bytes] = {}
     for block in chain.blocks:
         frame = _block_bytes(block, signers)
         parts += (U32.pack(len(frame)), frame)

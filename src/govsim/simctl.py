@@ -826,14 +826,19 @@ def run_scenario(
 
 
 def fold_run(chain_path: str | Path, report_path: Optional[str | Path] = None):
-    """(verification, fold, stored report) of a chain file: its ``verified_fold``, and the
-    report at ``report_path``, else beside the chain; None if the chain fails or there is none."""
+    """(verification, fold report, stored report) of a chain file: the report of its
+    ``verified_fold``, and the report at ``report_path``, else beside the chain; both None if
+    the chain fails or there is none. The fold, and with it the chain, is dropped once its
+    report is built, before the stored report is read, so the two are never held at once."""
     verification, fold = verified_fold(load_chain(chain_path))
     if report_path is None:
         sibling = Path(chain_path).parent / "report.json"
         report_path = sibling if sibling.exists() else None
-    stored = load_report(report_path) if report_path is not None and fold is not None else None
-    return verification, fold, stored
+    if report_path is None or fold is None:
+        return verification, None, None
+    built = fold.report()
+    del fold
+    return verification, built, load_report(report_path)
 
 
 def verify_run(chain_path: str | Path, report_path: Optional[str | Path] = None):
@@ -843,5 +848,5 @@ def verify_run(chain_path: str | Path, report_path: Optional[str | Path] = None)
     Returns (verification, report_matches) where report_matches is None when
     the chain fails or no report was supplied or found next to the chain file.
     """
-    verification, fold, stored = fold_run(chain_path, report_path)
-    return verification, None if stored is None else stored == fold.report()
+    verification, built, stored = fold_run(chain_path, report_path)
+    return verification, None if stored is None else stored == built

@@ -615,6 +615,24 @@ def test_save_chain_to_a_missing_directory_raises_io_error(tmp_path):
         save_chain(build_sealed_chain(1), tmp_path / "missing" / "chain.db")
 
 
+def test_save_chain_refuses_pending_events_before_writing(tmp_path):
+    """The file holds sealed blocks only, so a pending event would be dropped."""
+    path = tmp_path / "chain.db"
+    chain = build_sealed_chain(1)
+    append_events(chain, 1)
+    with pytest.raises(IoError, match="^cannot save a chain with 1 pending event: seal it first$"):
+        save_chain(chain, path)
+    unsealed = make_chain()
+    append_events(unsealed, 2)
+    with pytest.raises(IoError, match="^cannot save a chain with 2 pending events: seal it first$"):
+        save_chain(unsealed, path)
+    assert not path.exists()
+    chain.seal_all(PRIVATE)
+    save_chain(chain, path)
+    assert [event.event_id for block in load_chain(path).blocks for event in block.events] == [
+        1, 2, 3, 4]
+
+
 # --- load_chain over arbitrary bytes ---
 
 def _saved(chain) -> bytes:

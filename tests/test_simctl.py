@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,58 @@ def test_cli_verify_loads_and_folds_the_chain_once(tmp_path, capsys, monkeypatch
     assert cli_main(["verify", str(tmp_path / "chain.db")]) == 1
     assert capsys.readouterr().out == "FAIL: report does not match the chain fold at tokens.checksum\n"
     assert calls == ["load", "fold"]
+
+
+def test_verify_drops_the_fold_before_it_reads_the_stored_report(tmp_path, capsys, monkeypatch,
+                                                                 reference_results):
+    """The fold, which holds the loaded chain, is freed once its report is
+    built, so it is never held with the stored report."""
+    result = reference_results["credit_scoring"]
+    save_chain(result.chain, tmp_path / "chain.db")
+    export_report(result.report, tmp_path / "report.json", "json")
+    folds, alive_at_read = [], []
+    real_init, real_load = ChainFold.__init__, govsim.simctl.load_report
+
+    def keeping_init(self, *args, **kwargs):
+        folds.append(weakref.ref(self))
+        return real_init(self, *args, **kwargs)
+
+    def checking_load(path):
+        alive_at_read.append(sum(fold() is not None for fold in folds))
+        return real_load(path)
+
+    monkeypatch.setattr(ChainFold, "__init__", keeping_init)
+    monkeypatch.setattr(govsim.simctl, "load_report", checking_load)
+    verification, report_matches = verify_run(tmp_path / "chain.db")
+    assert verification.ok and report_matches is True
+    assert cli_main(["verify", str(tmp_path / "chain.db")]) == 0
+    assert capsys.readouterr().out == "OK (report consistent)\n"
+    assert (len(folds), alive_at_read) == (2, [0, 0])
+
+
+def test_cli_verify_prints_and_exits_as_before(tmp_path, capsys, reference_results):
+    """A matching, a differing and a missing report, and none beside the chain."""
+    result = reference_results["credit_scoring"]
+    chain_path, missing = tmp_path / "chain.db", tmp_path / "missing.json"
+    save_chain(result.chain, chain_path)
+    export_report(result.report, tmp_path / "report.json", "json")
+    doctored = json.loads(json.dumps(result.report))
+    doctored["tokens"]["checksum"] = "00" * 32
+    (tmp_path / "doctored.json").write_text(json.dumps(doctored))
+    cases = [
+        ([], 0, "OK (report consistent)\n", ""),
+        (["--report", str(tmp_path / "doctored.json")], 1,
+         "FAIL: report does not match the chain fold at tokens.checksum\n", ""),
+        (["--report", str(missing)], 1, "",
+         f"error: cannot read report: [Errno 2] No such file or directory: '{missing}'\n"),
+    ]
+    capsys.readouterr()
+    for extra, code, out, err in cases:
+        assert cli_main(["verify", str(chain_path), *extra]) == code
+        assert capsys.readouterr() == (out, err)
+    (tmp_path / "report.json").unlink()
+    assert cli_main(["verify", str(chain_path)]) == 0
+    assert capsys.readouterr() == ("OK\n", "")
 
 
 def test_verify_names_tampered_height(tmp_path):
@@ -1336,10 +1389,12 @@ def test_run_encodes_hashes_and_signs_each_event_and_block_once(
     assert counts == {"recheck": 0, "block_hash": blocks, "verify": 0,
                       "encode": events, "reader": 0}
 
+    # Each block sealed in the run keeps the frames it was hashed from, and
+    # save writes them: no event is framed again.
     counts.update(block_hash=0, encode=0)
     save_chain(result.chain, tmp_path / "chain.db")
     assert counts == {"recheck": 0, "block_hash": 0, "verify": 0,
-                      "encode": events, "reader": 0}
+                      "encode": 0, "reader": 0}
 
     counts["encode"] = 0
     verification, _ = verify_run(tmp_path / "chain.db")
@@ -1350,6 +1405,54 @@ def test_run_encodes_hashes_and_signs_each_event_and_block_once(
     # the bytes it was read from, so nothing is re-encoded or re-hashed.
     assert {key: counts[key] for key in ("block_hash", "encode", "reader")} == {
         "block_hash": 0, "encode": 0, "reader": 1 + blocks}
+
+    # A loaded block has no frames: re-saving it frames each event once.
+    loaded = load_chain(tmp_path / "chain.db")
+    counts.update(encode=0, reader=0)
+    save_chain(loaded, tmp_path / "again.db")
+    assert {key: counts[key] for key in ("block_hash", "encode", "reader")} == {
+        "block_hash": 0, "encode": events, "reader": 0}
+    assert (tmp_path / "again.db").read_bytes() == (tmp_path / "chain.db").read_bytes()
+
+
+@pytest.mark.parametrize("world", [*REFERENCE_SCENARIOS, "seeded", "ed25519"])
+def test_a_chain_saves_alike_from_its_kept_frames_and_from_its_events(
+        world, tmp_path, reference_results):
+    """The frames each block was sealed with are its events' frames: the file
+    saved from them is the one saved from blocks that have none, and a block
+    rebuilt with other events saves those."""
+    if world in REFERENCE_SCENARIOS:
+        chain = reference_results[world].chain
+    else:  # credit_scoring in blocks of two, under the scheme named
+        if world == "ed25519":
+            pytest.importorskip("cryptography")
+        base = json.loads(scenario_path("credit_scoring").read_text())
+        base["config"].update(signature_scheme=world, block_capacity=2)
+        chain = run_scenario(base).chain
+    for block in chain.blocks:
+        assert b"".join(block.frames) == b"".join(govsim.ledger._event_frames(block.events))
+
+    def saved(blocks) -> bytes:
+        path = tmp_path / "chain.db"
+        other = copy.copy(chain)
+        other.blocks = blocks
+        save_chain(other, path)
+        return path.read_bytes()
+
+    data = saved(chain.blocks)
+    rebuilt = [dataclasses.replace(block) for block in chain.blocks]
+    assert all(block.frames is None for block in rebuilt)
+    assert saved(rebuilt) == data
+    (tmp_path / "chain.db").write_bytes(data)
+    assert saved(load_chain(tmp_path / "chain.db").blocks) == data
+
+    at = len(chain.blocks) // 2
+    block = chain.blocks[at]
+    event = block.events[0]
+    events = (dataclasses.replace(event, payload=event.payload + b" "), *block.events[1:])
+    saved([*chain.blocks[:at], dataclasses.replace(block, events=events),
+           *chain.blocks[at + 1:]])
+    assert load_chain(tmp_path / "chain.db").blocks[at].events == events
 
 
 def test_run_reports_without_folding_its_chain(monkeypatch):
