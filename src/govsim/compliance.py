@@ -52,9 +52,20 @@ class RuleDomain(str, Enum):
 
 # --- predicates ---
 
-def validate_predicate(tree: dict, declared_metrics: Sequence[str],
-                       _depth: int = 1) -> None:
-    """Structural check: known ops, declared metrics, bounded depth."""
+def compile_predicate(tree: dict, declared_metrics: Sequence[str], ordered: set[str],
+                      _depth: int = 1) -> Callable[[Mapping[str, float | bool]], bool]:
+    """Check a predicate and compile it to one closure over metric maps.
+
+    The check refuses a tree deeper than ``MAX_PREDICATE_DEPTH``, an unknown
+    op, an undeclared metric and a value that is neither a number nor a bool.
+    Each metric compared with >=, <=, > or < is added to ``ordered``: only
+    numbers may stand there, as a string, null or array fails the comparison
+    with a TypeError when the rule is evaluated.
+
+    Each comparison holds its metric, bound and ``operator`` function;
+    ``and``/``or`` stop at the first argument that decides them, in
+    argument order, so a metric that is never reached is never required.
+    """
     if _depth > MAX_PREDICATE_DEPTH:
         raise InvalidRule(f"predicate deeper than {MAX_PREDICATE_DEPTH}")
     if not isinstance(tree, dict) or not isinstance(tree.get("op"), str):
@@ -64,56 +75,28 @@ def validate_predicate(tree: dict, declared_metrics: Sequence[str],
         args = tree.get("args")
         if not isinstance(args, list) or not args:
             raise InvalidRule(f"'{op}' needs a non-empty 'args' list")
-        for arg in args:
-            validate_predicate(arg, declared_metrics, _depth + 1)
-    elif op == "not":
-        if "arg" not in tree:
-            raise InvalidRule("'not' needs an 'arg'")
-        validate_predicate(tree["arg"], declared_metrics, _depth + 1)
-    elif op in _OPERATORS:
-        metric = tree.get("metric")
-        if not isinstance(metric, str):
-            raise InvalidRule(f"comparison '{op}' needs a 'metric' name")
-        if metric not in declared_metrics:
-            raise InvalidRule(f"undeclared metric: {metric}")
-        if "value" not in tree:
-            raise InvalidRule(f"comparison '{op}' needs a 'value'")
-        if not isinstance(tree["value"], (int, float, bool)):
-            raise InvalidRule("comparison value must be numeric or boolean")
-    else:
-        raise InvalidRule(f"unknown predicate op: {op!r}")
-
-
-def ordered_metrics(tree: dict) -> set[str]:
-    """The metrics a validated predicate compares with >=, <=, > or <.
-
-    Only numbers may stand there: a string, null or array fails the
-    comparison with a TypeError when the rule is evaluated.
-    """
-    op = tree["op"]
-    if op in _COMBINATORS:
-        return set().union(*(ordered_metrics(arg) for arg in tree["args"]))
-    if op == "not":
-        return ordered_metrics(tree["arg"])
-    return {tree["metric"]} if op in _ORDERINGS else set()
-
-
-def compile_predicate(tree: dict) -> Callable[[Mapping[str, float | bool]], bool]:
-    """A validated predicate as one closure over metric maps.
-
-    Each comparison holds its metric, bound and ``operator`` function;
-    ``and``/``or`` stop at the first argument that decides them, in
-    argument order, so a metric that is never reached is never required.
-    """
-    op = tree["op"]
-    if op in _COMBINATORS:
-        parts = tuple(compile_predicate(arg) for arg in tree["args"])
+        parts = tuple(compile_predicate(arg, declared_metrics, ordered, _depth + 1)
+                      for arg in args)
         decide = all if op == "and" else any
         return lambda metrics: decide(part(metrics) for part in parts)
     if op == "not":
-        inner = compile_predicate(tree["arg"])
+        if "arg" not in tree:
+            raise InvalidRule("'not' needs an 'arg'")
+        inner = compile_predicate(tree["arg"], declared_metrics, ordered, _depth + 1)
         return lambda metrics: not inner(metrics)
-    metric, bound, compare = tree["metric"], tree["value"], _OPERATORS[op]
+    if op not in _OPERATORS:
+        raise InvalidRule(f"unknown predicate op: {op!r}")
+    metric, bound, compare = tree.get("metric"), tree.get("value"), _OPERATORS[op]
+    if not isinstance(metric, str):
+        raise InvalidRule(f"comparison '{op}' needs a 'metric' name")
+    if metric not in declared_metrics:
+        raise InvalidRule(f"undeclared metric: {metric}")
+    if "value" not in tree:
+        raise InvalidRule(f"comparison '{op}' needs a 'value'")
+    if not isinstance(bound, (int, float, bool)):
+        raise InvalidRule("comparison value must be numeric or boolean")
+    if op in _ORDERINGS:
+        ordered.add(metric)
 
     def comparison(metrics):
         try:
@@ -122,10 +105,6 @@ def compile_predicate(tree: dict) -> Callable[[Mapping[str, float | bool]], bool
             raise MissingInput(f"metric not supplied: {metric}") from None
         return compare(value, bound)
     return comparison
-
-
-def evaluate_predicate(tree: dict, metrics: Mapping[str, float | bool]) -> bool:
-    return compile_predicate(tree)(metrics)
 
 
 # --- rules ---
@@ -139,7 +118,7 @@ class ComplianceRuleModule:
     """One rule: each field but the version is one of its scenario keys."""
     rule_id: str = _key(_REQUIRED, _name)
     domain: RuleDomain = _key(_REQUIRED, _one_of(RuleDomain, "domain"))
-    predicate: dict = _key(_REQUIRED, _as_is)  # validate_predicate reads it
+    predicate: dict = _key(_REQUIRED, _as_is)  # compile_predicate reads it
     metrics: tuple[str, ...] = _key(
         _REQUIRED, lambda value, path: tuple(_METRICS(value, path)))
     mandatory: bool = _key(True, _flag)
@@ -148,6 +127,15 @@ class ComplianceRuleModule:
         lambda value, path: frozenset(_TIERS(value, path)))
     weight: int = _key(1, _at_least(1))
     version: int = 1
+
+    def __post_init__(self) -> None:
+        """Check and compile the predicate once: ``check`` is its closure and
+        ``ordered`` the metrics it orders. Neither is a field, so equality and
+        ``json_value`` read the fields alone."""
+        ordered: set[str] = set()
+        object.__setattr__(self, "check",
+                           compile_predicate(self.predicate, self.metrics, ordered))
+        object.__setattr__(self, "ordered", frozenset(ordered))
 
     def applies_to(self, tier: RiskTier) -> bool:
         return tier in self.applicable_tiers
@@ -160,9 +148,9 @@ class CompiledTier:
     """One tier's applicable rules, their domains and their evaluation, built
     once per registration.
 
-    The rules stand in rule-id order, each compiled to ``(rule_id,
-    predicate, weight, mandatory)``. Scores are kept by passed weight, so
-    each distinct score is one shared ``Fraction``.
+    The rules stand in rule-id order, each as ``(rule_id, check, weight,
+    mandatory)``, its check compiled when the rule was built. Scores are kept
+    by passed weight, so each distinct score is one shared ``Fraction``.
     """
 
     __slots__ = ("tier", "rules", "domains", "_checks", "_total_weight", "_scores")
@@ -171,8 +159,8 @@ class CompiledTier:
         self.tier = tier
         self.rules = rules
         self.domains = frozenset(rule.domain for rule in rules)
-        self._checks = tuple((rule.rule_id, compile_predicate(rule.predicate),
-                              rule.weight, rule.mandatory) for rule in rules)
+        self._checks = tuple((rule.rule_id, rule.check, rule.weight, rule.mandatory)
+                             for rule in rules)
         self._total_weight = sum(rule.weight for rule in rules)
         self._scores: dict[int, Fraction] = {}
 
@@ -228,7 +216,6 @@ class RuleRegistry(Store):
             auth_label = GENESIS_AUTHORIZATION
         else:
             raise GovernanceRequired("rule registration requires governance approval")
-        validate_predicate(rule.predicate, rule.metrics)
         history = self._versions.setdefault(rule.rule_id, [])
         versioned = replace(rule, version=len(history) + 1)
         history.append(versioned)

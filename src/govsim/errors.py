@@ -24,11 +24,12 @@ class SignatureInvalid(GovSimError):
     """``seal_all`` was given a private key that does not derive its authority's public key."""
 
 class EventInvalid(GovSimError):
-    """A sealed event's body is not what its kind declares, or cannot be folded."""
+    """A sealed event's body is not what its kind declares, or cannot be folded;
+    ``phase_fault`` is the (height, reason) of an earlier event's bad phase stamp."""
 
-    def __init__(self, height: int, reason: str):
+    def __init__(self, height: int, reason: str, phase_fault: tuple[int, str] | None = None):
         super().__init__(f"at height {height}: {reason}")
-        self.height, self.reason = height, reason
+        self.height, self.reason, self.phase_fault = height, reason, phase_fault
 
 
 # --- identity ---

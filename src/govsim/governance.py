@@ -341,8 +341,9 @@ class GovernanceState(Store):
         the chain fold share it.
 
         ``body`` is what its kind declares: the writers build it so, and the
-        fold checks it first. A vote or resolution of an unknown proposal is
-        ignored, and so is a second vote by the same voter.
+        fold checks it first. A second submission of a proposal id raises. A
+        vote or resolution of an unknown proposal is ignored, and so is a
+        second vote by the same voter.
         """
         if kind is EventKind.VOTE_CAST:
             proposal = self.proposals.get(body["proposal_id"])
@@ -350,8 +351,10 @@ class GovernanceState(Store):
                 proposal.votes[body["voter"]] = Vote(
                     _DIRECTIONS[body["direction"]], body["magnitude"], epoch)
         elif kind is EventKind.PROPOSAL_SUBMITTED:
-            self.proposals[body["proposal_id"]] = Proposal(
-                proposal_id=body["proposal_id"], kind=ProposalKind(body["kind"]),
+            if (proposal_id := body["proposal_id"]) in self.proposals:
+                raise InvalidInput(f"field proposal_id: duplicate proposal id {proposal_id}")
+            self.proposals[proposal_id] = Proposal(
+                proposal_id=proposal_id, kind=ProposalKind(body["kind"]),
                 payload=body["payload"], mode=VoteMode(body["mode"]), epoch=epoch)
         elif kind is EventKind.PROPOSAL_RESOLVED:
             proposal = self.proposals.get(body["proposal_id"])
@@ -368,8 +371,6 @@ class GovernanceState(Store):
     def submit_proposal(self, proposal_id: str, kind: ProposalKind, payload: dict,
                         *, mode: VoteMode = VoteMode.LINEAR,
                         actor: str = "governance", epoch: int = 0) -> Proposal:
-        if proposal_id in self.proposals:
-            raise InvalidInput(f"duplicate proposal id {proposal_id}")
         self._record(
             EventKind.PROPOSAL_SUBMITTED,
             {"proposal_id": proposal_id, "kind": kind,

@@ -9,7 +9,9 @@ would, so it can be swapped without touching the registry.
 ``DidRegistry.apply`` is the one record transition: every writer validates,
 builds the DID_REGISTERED or DID_UPDATED body, applies it and appends it, and
 the report fold applies the same bodies to a chain-less registry. It refuses
-a second registration of a DID and an update of one never registered.
+a second registration of a DID, a registration at a version other than 1,
+an update of one never registered and an update that skips or repeats a
+version.
 ``ACCESS_POLICY`` is the role/action table that ``_authorize`` reads.
 ``STATUS_RULES`` is the compliance-status lifecycle; ``move_status`` applies it.
 """
@@ -185,14 +187,18 @@ class DidRegistry(Store):
     def apply(self, kind: EventKind, body: Mapping, epoch: int) -> None:
         """Apply one DID_REGISTERED or DID_UPDATED event, its ``body`` what
         the kind declares. A bad exposure or metadata ref, a second
-        registration of a DID, or an update of one never registered raises."""
+        registration of a DID, a version out of sequence, or an update of
+        one never registered raises."""
         if kind is EventKind.DID_REGISTERED:
             if body["did"] in self.records:
                 raise DuplicateIdentity(f"did collision: {body['did']}")
+            if body["version"] != 1:
+                raise InvalidInput(
+                    f"field version: {body['version']}, but a registration is version 1")
             self.records[body["did"]] = AISystemRecord(
                 did=body["did"], risk_tier=RiskTier(body["risk_tier"]),
                 compliance_status=ComplianceStatus.UNDER_REVIEW, purpose=body["purpose"],
-                owner=body["owner"], version=body["version"],
+                owner=body["owner"],
                 exposure=unit_fraction(body.get("exposure", DEFAULT_EXPOSURE), "exposure"),
                 metadata_refs=[_ref(ref, "metadata_refs")
                                for ref in body.get("metadata_refs", [])])
@@ -200,6 +206,9 @@ class DidRegistry(Store):
         record = self.records.get(body["did"])
         if record is None:
             raise UnknownIdentity(f"field did: {body['did']!r} was never registered")
+        if body["version"] != record.version + 1:
+            raise InvalidInput(f"field version: {body['version']} does not follow version "
+                               f"{record.version}: the next version is {record.version + 1}")
         record.version = body["version"]
         change = body.get("change", {})
         if "status" in change:

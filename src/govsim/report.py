@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 from .audit import AuditOutcome, AuditRegistry, AuditTrigger
 from .compliance import RuleRegistry
 from .encoding import body_writer, from_canonical_json, read_json, unit_fraction, write_bytes
-from .errors import EventInvalid, GovSimError, InvalidInput, UnsupportedFormat
+from .errors import EventInvalid, GovSimError, InvalidInput, UnknownIdentity, UnsupportedFormat
 from .governance import GovernanceState, ProposalKind, ProposalStatus, VoteDirection, VoteMode
 from .identity import ComplianceStatus, DidRegistry, RiskTier
 from .ledger import _WRITERS, Block, Chain, ChainVerification, EventKind, Phase, verify_chain
@@ -153,12 +153,12 @@ class ChainFold:
         for block in self.blocks:
             for event in block.events:
                 kind, epoch = event.kind, event.epoch
-                if epoch < last:
-                    raise EventInvalid(block.height, f"event {event.event_id} ({kind.value}): epoch "
-                                       f"{epoch} is before epoch {last} of the event before it")
-                last = epoch
                 phases, fields, apply, fold = plan[kind]
                 try:
+                    if epoch < last:
+                        raise InvalidInput(
+                            f"epoch {epoch} is before epoch {last} of the event before it")
+                    last = epoch
                     body = from_canonical_json(event.payload)
                     fault = (_field_fault(body, fields) if type(body) is dict
                              else "body is not a JSON object")
@@ -169,8 +169,8 @@ class ChainFold:
                     if fold:
                         fold(self, body, epoch)
                 except GovSimError as exc:
-                    raise EventInvalid(
-                        block.height, f"event {event.event_id} ({kind.value}): {exc}") from exc
+                    raise EventInvalid(block.height, f"event {event.event_id} ({kind.value}): "
+                                       f"{exc}", self.phase_fault) from exc
                 phase = body.get("phase")
                 if (type(phase) is not int or phase not in phases) and self.phase_fault is None:
                     self.phase_fault = (block.height, f"event {event.event_id} ({kind.value}): "
@@ -189,6 +189,8 @@ class ChainFold:
             raise InvalidInput(f"field {exc}") from exc
 
     def _assessment(self, body: dict, epoch: int) -> None:
+        if body["did"] not in self.registry.records:
+            raise UnknownIdentity(f"field did: {body['did']!r} was never registered")
         self._score(body["score"])  # refuses a score outside [0, 1] at its event
         self.assessments[epoch][body["did"]] = {
             "score": body["score"],
@@ -220,15 +222,12 @@ class ChainFold:
         for epoch in sorted(self.assessments):
             assessed = self.assessments[epoch]
             for did in sorted(assessed):
-                record = records.get(did)
-                if record is None:
-                    continue
                 key = (assessed[did]["score"], self.audit_failed_at(did, epoch - 1),
                        self.incident_open_at(did, epoch), did)
                 score = scores.get(key)
                 if score is None:
                     score = scores[key] = str(compute_risk_score(
-                        self._score(key[0]), key[1], key[2], record.exposure, self.weights))
+                        self._score(key[0]), key[1], key[2], records[did].exposure, self.weights))
                 series[did].append([epoch, score])
         return dict(series)
 
@@ -421,8 +420,8 @@ def verified_fold(chain: Chain) -> tuple[ChainVerification, Optional[ChainFold]]
         return verification, None
     try:
         fold = ChainFold(chain.blocks)
-    except EventInvalid as exc:
-        return ChainVerification(False, exc.height, exc.reason), None
+    except EventInvalid as exc:  # the fault first along the chain
+        return ChainVerification(False, *(exc.phase_fault or (exc.height, exc.reason))), None
     if fold.phase_fault is not None:
         return ChainVerification(False, *fold.phase_fault), None
     return verification, fold

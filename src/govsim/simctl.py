@@ -29,7 +29,7 @@ from .encoding import (
     as_fraction, canonical_json_bytes, json_value, read_json, sha256, sum_terms)
 from .errors import (
     EncodingError,
-    GovSimError,
+    InvalidRule,
     InvalidWeights,
     IoError,
     ScenarioError,
@@ -197,12 +197,11 @@ _RULE = _declared(compliance_mod.ComplianceRuleModule)
 
 
 def _parse_rule(raw: Any, path: str) -> compliance_mod.ComplianceRuleModule:
-    rule = compliance_mod.ComplianceRuleModule(**_RULE(raw, path))
-    try:
-        compliance_mod.validate_predicate(rule.predicate, rule.metrics)
-    except GovSimError as exc:
+    keys = _RULE(raw, path)
+    try:  # building the rule checks its predicate
+        return compliance_mod.ComplianceRuleModule(**keys)
+    except InvalidRule as exc:
         _fail(f"{path}.predicate", str(exc))
-    return rule
 
 
 _RULE_UPDATE = _Keys(rule=_key(_REQUIRED, _parse_rule))
@@ -242,7 +241,6 @@ class SimScenario:
     feeds: dict[int, list[tuple[str, Mapping[str, Any], str]]]  # (feed_id, values, signer)
     violations: dict[int, list[tuple[str, Mapping[str, Any]]]]  # (system, metric overrides)
     incidents: dict[int, list[tuple[str, risk_mod.Severity]]]  # (system, severity)
-    regulation_versions: dict[int, Any]
     collusions: dict[int, list[tuple[tuple[str, str], list[str]]]]  # (pair, proposal ids)
     proposals: dict[int, list[ProposalSpec]]
 
@@ -396,8 +394,8 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
         metric_maps.append((feed["values"], path, "values"))
         feeds.setdefault(epoch, []).append((feed_id, feed["values"], feed["signer"]))
 
-    violations, incidents, regulation_versions, collusions, proposals = {}, {}, {}, {}, {}
-    version_paths: list[str] = []
+    violations, incidents, collusions, proposals = {}, {}, {}, {}
+    versions: dict[int, tuple[Any, str]] = {}  # epoch -> (version, its field path)
     proposal_ids: dict[str, str] = {}
     weights = config.vote_weights()
     for i, event in enumerate(doc.pop("injected_events")):
@@ -421,13 +419,18 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
         elif kind == "INCIDENT":
             incidents.setdefault(epoch, []).append((event["system"], event["severity"]))
         elif kind == "REGULATION_CHANGE":
-            if epoch in regulation_versions:
+            if epoch in versions:
                 _fail(f"{path}.epoch", "one REGULATION_CHANGE per epoch")
             if (epoch, "regulation") in feed_keys:
                 _fail(f"{path}.epoch", "an oracle feed of this epoch is named 'regulation'")
-            version = event["version"]
-            regulation_versions[epoch] = epoch if version is _THE_EPOCH else version
-            version_paths.append(f"{path}.version")
+            version = epoch if event["version"] is _THE_EPOCH else event["version"]
+            versions[epoch] = (version, f"{path}.version")
+            # The change is one more feed of its epoch, after the scenario's, signed by the
+            # first oracle authority.
+            signers = doc["oracle_authorities"] or ["regulator-oracle"]
+            doc["oracle_authorities"] = signers
+            feeds.setdefault(epoch, []).append(
+                ("regulation", {compliance_mod.REGULATION_VERSION_KEY: version}, signers[0]))
         else:  # COLLUSION
             pair = event["pair"]
             if (any(type(p) is not str or p not in stakeholders for p in pair)
@@ -457,8 +460,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
                                  if spec.rule is not None]
     rule_metrics = {m for rule in every_rule for m in rule.metrics}
     # Sorted, so that of two bad values the loader always names the same one.
-    ordered = tuple(sorted(set().union(
-        *(compliance_mod.ordered_metrics(r.predicate) for r in every_rule))))
+    ordered = tuple(sorted(set().union(*(rule.ordered for rule in every_rule))))
     for i, system in enumerate(systems.values()):
         if missing := sorted(rule_metrics - system.base_metrics.keys()):
             _fail(f"ai_systems[{i}].base_metrics", f"missing rule metrics: {', '.join(missing)}")
@@ -470,7 +472,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
                       "must be a number, as a rule compares it with >=, <=, > or <")
     # The version reaches the rules as the regulation_version metric.
     if compliance_mod.REGULATION_VERSION_KEY in ordered:
-        for version, path in zip(regulation_versions.values(), version_paths):
+        for version, path in versions.values():
             if type(version) not in (int, float):
                 _fail(path, "must be a number, as a rule compares "
                       f"{compliance_mod.REGULATION_VERSION_KEY} with >=, <=, > or <")
@@ -478,8 +480,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> SimScenario:
     return SimScenario(**{**doc, "config": config, "stakeholders": list(stakeholders.values()),
                           "ai_systems": list(systems.values())}, digest=_digest(raw),
                        feeds=feeds, violations=violations, incidents=incidents,
-                       regulation_versions=regulation_versions, collusions=collusions,
-                       proposals=proposals)
+                       collusions=collusions, proposals=proposals)
 
 
 @dataclass
@@ -621,13 +622,6 @@ class Simulator:
         regulation_changed = False
         for feed_id, values, signer in scenario.feeds.get(epoch, ()):
             feed = compliance_mod.OracleFeed(feed_id, epoch, dict(values), signer)
-            regulation_changed |= self.oracles.ingest(feed)
-        if epoch in scenario.regulation_versions:
-            signer = (scenario.oracle_authorities[0]
-                      if scenario.oracle_authorities else "regulator-oracle")
-            self.oracles.authorities.add(signer)
-            version = {compliance_mod.REGULATION_VERSION_KEY: scenario.regulation_versions[epoch]}
-            feed = compliance_mod.OracleFeed("regulation", epoch, version, signer)
             regulation_changed |= self.oracles.ingest(feed)
         if regulation_changed:
             for did in sorted(self.registry.records):

@@ -17,10 +17,8 @@ from govsim.compliance import (
     RuleRegistry,
     compile_predicate,
     evaluate,
-    evaluate_predicate,
     evaluate_rules,
     metrics_commitment,
-    validate_predicate,
 )
 from govsim.encoding import read_json
 from govsim.errors import (
@@ -73,10 +71,10 @@ def test_register_capital_rule_v1_active():
     assert version == 1
     assert registry.get("capital-adequacy-min").version == 1
     # Direct predicate oracle: the stand-in 8% floor.
-    assert evaluate_predicate(registry.get("capital-adequacy-min").predicate,
-                              {"capital_ratio": 0.09})
-    assert not evaluate_predicate(registry.get("capital-adequacy-min").predicate,
-                                  {"capital_ratio": 0.07})
+    assert compile_predicate(registry.get("capital-adequacy-min").predicate,
+                             ("capital_ratio",), set())({"capital_ratio": 0.09})
+    assert not compile_predicate(registry.get("capital-adequacy-min").predicate,
+                                 ("capital_ratio",), set())({"capital_ratio": 0.07})
 
 
 def test_reregister_keeps_prior_version_queryable():
@@ -89,13 +87,12 @@ def test_reregister_keeps_prior_version_queryable():
 
 
 def test_undeclared_metric_rejected():
-    rule = ComplianceRuleModule(
-        rule_id="bad", domain=RuleDomain.TRANSPARENCY,
-        predicate={"op": ">=", "metric": "undeclared", "value": 1},
-        metrics=("declared_only",),
-    )
     with pytest.raises(InvalidRule):
-        RuleRegistry().register_rule(rule, passed_rule_update())
+        ComplianceRuleModule(
+            rule_id="bad", domain=RuleDomain.TRANSPARENCY,
+            predicate={"op": ">=", "metric": "undeclared", "value": 1},
+            metrics=("declared_only",),
+        )
 
 
 def test_registration_requires_governance():
@@ -116,7 +113,7 @@ def test_predicate_depth_limit():
     for _ in range(17):
         tree = {"op": "not", "arg": tree}
     with pytest.raises(InvalidRule):
-        validate_predicate(tree, ["m"])
+        compile_predicate(tree, ["m"], set())
 
 
 def test_predicate_combinators():
@@ -127,9 +124,9 @@ def test_predicate_combinators():
             {"op": "not", "arg": {"op": "==", "metric": "c", "value": True}},
         ]},
     ]}
-    validate_predicate(tree, ["a", "b", "c"])
-    assert evaluate_predicate(tree, {"a": 2, "b": 0.9, "c": False})
-    assert not evaluate_predicate(tree, {"a": 0, "b": 0.1, "c": False})
+    compile_predicate(tree, ["a", "b", "c"], set())
+    assert compile_predicate(tree, ["a", "b", "c"], set())({"a": 2, "b": 0.9, "c": False})
+    assert not compile_predicate(tree, ["a", "b", "c"], set())({"a": 0, "b": 0.1, "c": False})
 
 
 @pytest.mark.parametrize("op,below,equal,above", [
@@ -138,8 +135,9 @@ def test_predicate_combinators():
 ])
 def test_every_comparison_operator(op, below, equal, above):
     tree = {"op": op, "metric": "m", "value": 2}
-    validate_predicate(tree, ["m"])
-    assert [evaluate_predicate(tree, {"m": m}) for m in (1, 2, 3)] == [below, equal, above]
+    compile_predicate(tree, ["m"], set())
+    assert [compile_predicate(tree, ["m"], set())({"m": m})
+            for m in (1, 2, 3)] == [below, equal, above]
 
 
 # --- evaluation ---
@@ -213,15 +211,17 @@ def test_version_isolation():
     registry = RuleRegistry()
     registry.register_rule(capital_rule(0.08), GENESIS_AUTHORIZATION)
     rule_v1 = registry.get("capital-adequacy-min", version=1)
-    before = evaluate_predicate(rule_v1.predicate, {"capital_ratio": 0.09})
+    before = compile_predicate(rule_v1.predicate, ("capital_ratio",), set())(
+        {"capital_ratio": 0.09})
     registry.register_rule(capital_rule(0.10), GENESIS_AUTHORIZATION)
-    after = evaluate_predicate(
-        registry.get("capital-adequacy-min", version=1).predicate,
+    after = compile_predicate(
+        registry.get("capital-adequacy-min", version=1).predicate, ("capital_ratio",), set())(
         {"capital_ratio": 0.09})
     assert before == after is True
     # The active version moved on.
-    assert not evaluate_predicate(
-        registry.get("capital-adequacy-min").predicate, {"capital_ratio": 0.09})
+    assert not compile_predicate(
+        registry.get("capital-adequacy-min").predicate, ("capital_ratio",), set())(
+        {"capital_ratio": 0.09})
 
 
 def test_applicable_rules_follow_each_registration():
@@ -521,10 +521,11 @@ _METRICS = st.dictionaries(st.sampled_from(_METRIC_NAMES), _VALUES)
                                      {"op": "==", "metric": "m1", "value": 1}]},
          metrics={"m0": 0})
 def test_compiled_predicate_is_the_tree_walk(tree, metrics):
-    validate_predicate(tree, _METRIC_NAMES)
+    compile_predicate(tree, _METRIC_NAMES, set())
     expected = _outcome(reference_predicate, tree, metrics)
-    assert _outcome(compile_predicate(tree), metrics) == expected
-    assert _outcome(evaluate_predicate, tree, metrics) == expected
+    assert _outcome(compile_predicate(tree, _METRIC_NAMES, set()), metrics) == expected
+    assert _outcome(lambda t, x: compile_predicate(t, _METRIC_NAMES, set())(x),
+                    tree, metrics) == expected
 
 
 _RULES = st.lists(st.builds(

@@ -376,10 +376,31 @@ _FIRST_DID, _SECOND_DID = ("did:govsim:2ba77b70b001b4dd1b9d8dcee660d8b7",
      "field lock_epochs: lock must be at least one epoch"),
     ("credit_scoring", EventKind.STAKE_CHANGED, {"op": "stake"}, {"lock_start_epoch": -100},
      "field lock_start_epoch: must not be negative"),
+    # Each below used to verify, and no writer writes it: the fold kept the
+    # last of two proposals of one id, took any DID version, and counted an
+    # assessment of a DID never registered.
+    ("regulation_shift", EventKind.PROPOSAL_SUBMITTED,
+     {"proposal_id": "boost-regulator-weight"}, {"proposal_id": "raise-capital-floor"},
+     "field proposal_id: duplicate proposal id raise-capital-floor"),
+    ("credit_scoring", EventKind.DID_REGISTERED, {}, {"version": 5},
+     "field version: 5, but a registration is version 1"),
+    ("credit_scoring", EventKind.DID_UPDATED, {}, {"version": 7},
+     "field version: 7 does not follow version 1: the next version is 2"),
+    ("credit_scoring", EventKind.ASSESSMENT_RECORDED, {}, {"did": _NO_DID},
+     f"field did: {_NO_DID!r} was never registered"),
+    # A rational or a content address that does not parse.
+    ("credit_scoring", EventKind.ASSESSMENT_RECORDED, {}, {"score": "3/2"},
+     "field score: '3/2' is not a rational in [0, 1]"),
+    ("credit_scoring", EventKind.DID_REGISTERED, {}, {"exposure": "2"},
+     "field exposure: '2' is not a rational in [0, 1]"),
+    ("credit_scoring", EventKind.DID_REGISTERED, {}, {"metadata_refs": ["zz"]},
+     "field metadata_refs: 'zz' is not hex"),
 ], ids=["pool-overdraft", "balance-overdraft", "incident-step-skipped",
         "incident-step-in-place", "update-of-no-did", "second-registration",
         "negative-reward", "negative-stake", "stake-locked-for-no-epoch",
-        "stake-locked-for-negative-epochs", "stake-locked-before-genesis"])
+        "stake-locked-for-negative-epochs", "stake-locked-before-genesis",
+        "second-submission-of-an-id", "registration-at-version-5", "update-skipping-versions",
+        "assessment-of-no-did", "score-above-one", "exposure-above-one", "metadata-ref-not-hex"])
 def test_a_broken_store_rule_fails_verify(tmp_path, capsys, name, kind, match, change, fault):
     _, _, events = _run(name)
     index = next(i for i, event in enumerate(events)
@@ -389,6 +410,24 @@ def test_a_broken_store_rule_fails_verify(tmp_path, capsys, name, kind, match, c
     assert cli_main(["verify", str(tmp_path / "chain.db")]) == 1
     assert capsys.readouterr().out == (
         f"FAIL at height {events[index][4]}: event {index + 1} ({kind.value}): {fault}\n")
+
+
+def test_verify_names_the_first_fault_along_the_chain(tmp_path, capsys):
+    # A bad phase stamp at event 2 and a bad body at event 18: the fold keeps
+    # going past a phase fault, but verify names it, as it comes first.
+    _, _, events = _run("credit_scoring")
+    stamp = {1: {**events[1][2], "phase": 9}}
+    body = {17: {**events[17][2], "version": "one"}}
+    assert [events[i][0] for i in (1, 17)] == [EventKind.RULE_REGISTERED,
+                                               EventKind.DID_REGISTERED]
+    for faults, expected in [
+            ({**stamp, **body}, "event 2 (RULE_REGISTERED): phase 9, allowed [0, 6]"),
+            (stamp, "event 2 (RULE_REGISTERED): phase 9, allowed [0, 6]"),
+            (body, "event 18 (DID_REGISTERED): field version: 'one' is not int")]:
+        _reseal("credit_scoring", tmp_path / "chain.db", faults)
+        capsys.readouterr()
+        assert cli_main(["verify", str(tmp_path / "chain.db")]) == 1
+        assert capsys.readouterr().out == f"FAIL at height 1: {expected}\n"
 
 
 def test_the_fold_takes_each_epoch_from_the_event_frame(tmp_path, capsys):

@@ -10,6 +10,7 @@ moves them on purpose must say why and re-pin.
 """
 
 import importlib
+import json
 import random
 from collections import defaultdict
 from functools import cache
@@ -71,6 +72,10 @@ SYNTHETIC_REPORT_DIGEST = "5d222697c72fa643572a1a66a8ecad528847f6a3fcdd8befca4a2
 
 WEIGHTED_ROOT_HASH = "ae52fb58a496e3d59b9bf9281ae036236f78d1ff3c34bc1878c1c3b84c99245a"
 WEIGHTED_REPORT_DIGEST = "cdb2931c3b5dcab88ccbf9c74a356f19e66e912c5bff70df54f967841c4ba34d"
+
+# credit_scoring with no oracle authority and a REGULATION_CHANGE of the default
+# version at epoch 3, whose feed the fallback signer regulator-oracle signs.
+REGULATOR_ORACLE_ROOT_HASH = "e9b8af050e6b7c3fad055da86952207e4d56e2cf5b5083b770b97ba8ff402a5a"
 
 ALL_SCOPES = ["DATA_PRIVACY", "RISK_ASSESSMENT", "CAPITAL_ADEQUACY", "TRANSPARENCY"]
 TIERS = ["HIGH", "LIMITED", "MINIMAL"]
@@ -292,6 +297,19 @@ def test_weighted_world_pinned():
     assert result.root_hash == WEIGHTED_ROOT_HASH
     assert _report_digest(report) == WEIGHTED_REPORT_DIGEST
     _assert_fold_equals_live_governance(result)
+
+
+def test_regulation_change_without_an_oracle_authority_pinned():
+    scenario = json.loads(scenario_path("credit_scoring").read_text())
+    scenario.update(oracle_authorities=[], oracle_feeds=[])
+    scenario["injected_events"].append({"epoch": 3, "kind": "REGULATION_CHANGE"})
+    result = run_scenario(scenario)
+    [update] = [(event.epoch, event.actor, event.body()) for block in result.chain.blocks
+                for event in block.events if event.kind is EventKind.ORACLE_UPDATE]
+    assert update == (3, "regulator-oracle", {
+        "epoch": 3, "feed_id": "regulation", "phase": 1, "signer": "regulator-oracle",
+        "values": {"regulation_version": 3}})
+    assert result.root_hash == REGULATOR_ORACLE_ROOT_HASH
 
 
 @pytest.mark.parametrize("shape", PINNED_WORKLOAD_ROOTS)

@@ -6,8 +6,9 @@ a run computes each stakeholder's raw power once at set-up and again only in
 an epoch where one of those moved, however many tallies and elections it
 holds.
 
-Likewise each tier's rules are compiled once per registration, and each
-distinct score is built once, however many assessments and audits read them.
+Likewise each predicate is checked and compiled once, when its rule is built,
+each tier's rules are gathered once per registration, and each distinct score
+is built once, however many assessments and audits read them.
 And a body of a shape that its kind declares is written by that kind's
 template, never by the general encode. Every event but the heartbeat is
 appended by the store that owns its state. A well-formed legacy row makes its
@@ -19,7 +20,7 @@ import sys
 
 from govsim import compliance, encoding, governance, interop
 from govsim.ledger import _WRITERS, Chain, EventKind
-from govsim.simctl import run_scenario
+from govsim.simctl import Simulator, load_scenario, run_scenario
 from tests.conftest import REFERENCE_SCENARIOS, REPO_ROOT, SCENARIO_DIR, scenario_path
 from tests.test_pinned_outputs import synthetic_scenario, weighted_scenario
 
@@ -165,6 +166,41 @@ def test_rules_compile_once_per_tier_and_registration(monkeypatch):
     assert len(compiled) == len(set(compiled))
     assert max(seen for _, seen in compiled) == registrations == len(registered)
     assert fractions <= len(scores) < evaluations
+
+
+def test_each_predicate_is_walked_once_per_rule_built(monkeypatch):
+    walks = []  # per walk of a whole predicate: whether a CompiledTier was being built
+    building = False
+    compile_predicate = compliance.compile_predicate
+
+    def counted(tree, declared, ordered, *depth):
+        if not depth:  # the walk's root, not a node below it
+            walks.append(building)
+        return compile_predicate(tree, declared, ordered, *depth)
+
+    class CountedTier(compliance.CompiledTier):
+        __slots__ = ()
+
+        def __init__(self, tier, rules):
+            nonlocal building
+            building = True
+            try:
+                super().__init__(tier, rules)
+            finally:
+                building = False
+
+    monkeypatch.setattr(compliance, "compile_predicate", counted)
+    monkeypatch.setattr(compliance, "CompiledTier", CountedTier)
+    scenario = load_scenario(scenario_path("regulation_shift"))
+    parsed = len(scenario.rules) + sum(
+        spec.rule is not None for specs in scenario.proposals.values() for spec in specs)
+    assert len(walks) == parsed
+    result = Simulator(scenario).run()
+    registered = [event.epoch for block in result.chain.blocks for event in block.events
+                  if event.kind is EventKind.RULE_REGISTERED]
+    assert registered[-1] > 0  # a RULE_UPDATE passed mid-run
+    # Each registration builds the rule at its version: one walk, and none by a tier.
+    assert walks == [False] * (parsed + len(registered))
 
 
 # The only callers of Chain.append: a store, and the simulator's HEARTBEAT.
