@@ -341,13 +341,14 @@ class GovernanceState(Store):
         the chain fold share it.
 
         ``body`` is what its kind declares: the writers build it so, and the
-        fold checks it first. A second submission of a proposal id raises. A
-        vote or resolution of an unknown proposal is ignored, and so is a
-        second vote by the same voter.
+        fold checks it first. A second submission of a proposal id raises, and
+        so does a vote on, or a resolution of, a proposal that was never
+        submitted or is resolved already. A second vote by the same voter is
+        ignored.
         """
         if kind is EventKind.VOTE_CAST:
-            proposal = self.proposals.get(body["proposal_id"])
-            if proposal is not None and body["voter"] not in proposal.votes:
+            proposal = self._open(body["proposal_id"])
+            if body["voter"] not in proposal.votes:
                 proposal.votes[body["voter"]] = Vote(
                     _DIRECTIONS[body["direction"]], body["magnitude"], epoch)
         elif kind is EventKind.PROPOSAL_SUBMITTED:
@@ -357,14 +358,23 @@ class GovernanceState(Store):
                 proposal_id=proposal_id, kind=ProposalKind(body["kind"]),
                 payload=body["payload"], mode=VoteMode(body["mode"]), epoch=epoch)
         elif kind is EventKind.PROPOSAL_RESOLVED:
-            proposal = self.proposals.get(body["proposal_id"])
-            if proposal is not None:
-                proposal.status = ProposalStatus(body["status"])
-                proposal.power_for = body["power_for"]
-                proposal.power_against = body["power_against"]
-                proposal.threshold = body["threshold"]
+            proposal = self._open(body["proposal_id"])
+            proposal.status = ProposalStatus(body["status"])
+            proposal.power_for = body["power_for"]
+            proposal.power_against = body["power_against"]
+            proposal.threshold = body["threshold"]
         else:  # DELEGATE_ELECTED
             self.delegates = body["delegates"]
+
+    def _open(self, proposal_id: str) -> Proposal:
+        """The open proposal ``proposal_id``; raises if there is none."""
+        proposal = self.proposals.get(proposal_id)
+        if proposal is None:
+            raise InvalidInput(f"field proposal_id: {proposal_id!r} was never submitted")
+        if proposal.status != ProposalStatus.OPEN:
+            raise InvalidInput(f"field proposal_id: {proposal_id!r} is "
+                               f"{proposal.status.value} already")
+        return proposal
 
     # --- proposals and votes ---
 

@@ -7,7 +7,9 @@ failures, open incidents and a static exposure weight:
 
 with default weights 0.5/0.2/0.2/0.1. Tier cuts at 0.9/0.6/0.3 map scores
 onto the four-tier taxonomy; the registry stores the authoritative tier,
-written through on every change.
+written through on every change. ``RiskEngine``, like the report fold, scores
+each distinct input once and keeps its score and tier; an input the scorer
+refuses is never kept, and raises again each time it recurs.
 
 ``IncidentLog.apply`` is the one incident transition: ``raise_incident`` and
 ``advance_incident`` apply the body they append, and the report fold applies
@@ -285,6 +287,9 @@ class RiskEngine(Store):
         self.registry = registry
         self.weights = weights
         self.thresholds = thresholds
+        # (score, tier) under these weights and thresholds, by the integer
+        # terms of each input scored, which hash far faster than its Fractions.
+        self._scored: dict[tuple, tuple[Fraction, RiskTier]] = {}
         self.profiles: dict[str, RiskProfile] = {}
 
     def update(
@@ -297,13 +302,19 @@ class RiskEngine(Store):
         incident_count: int = 0,
         exposure: Fraction = DEFAULT_EXPOSURE,
     ) -> tuple[Fraction, RiskTier, bool]:
-        """Recompute the score; reclassify (and write through) on tier change."""
+        """Score once per distinct input; reclassify (and write through) on tier change."""
         record = self.registry.get(system_did)
-        score = compute_risk_score(
-            compliance_aggregate, audit_failed, incident_count, exposure, self.weights
-        )
-        tier = tier_for_score(score, self.thresholds)
-        profile = self.profiles.setdefault(system_did, RiskProfile(system_did))
+        key = (compliance_aggregate.numerator, compliance_aggregate.denominator,
+               bool(audit_failed), incident_count, exposure.numerator, exposure.denominator)
+        scored = self._scored.get(key)
+        if scored is None:
+            score = compute_risk_score(compliance_aggregate, audit_failed, incident_count,
+                                       exposure, self.weights)
+            scored = self._scored[key] = score, tier_for_score(score, self.thresholds)
+        score, tier = scored
+        profile = self.profiles.get(system_did)
+        if profile is None:
+            profile = self.profiles[system_did] = RiskProfile(system_did)
         profile.history.append((epoch, score, compliance_aggregate))
         changed = tier != record.risk_tier
         if changed:

@@ -395,12 +395,26 @@ _FIRST_DID, _SECOND_DID = ("did:govsim:2ba77b70b001b4dd1b9d8dcee660d8b7",
      "field exposure: '2' is not a rational in [0, 1]"),
     ("credit_scoring", EventKind.DID_REGISTERED, {}, {"metadata_refs": ["zz"]},
      "field metadata_refs: 'zz' is not hex"),
+    # Each below used to verify, and no writer writes it: the fold ignored a
+    # vote on, or a resolution of, a proposal never submitted or resolved already.
+    ("regulation_shift", EventKind.VOTE_CAST, {}, {"proposal_id": "nope"},
+     "field proposal_id: 'nope' was never submitted"),
+    ("regulation_shift", EventKind.PROPOSAL_RESOLVED, {}, {"proposal_id": "nope"},
+     "field proposal_id: 'nope' was never submitted"),
+    ("regulation_shift", EventKind.VOTE_CAST, {"proposal_id": "boost-regulator-weight"},
+     {"proposal_id": "raise-capital-floor"},
+     "field proposal_id: 'raise-capital-floor' is PASSED already"),
+    ("regulation_shift", EventKind.PROPOSAL_RESOLVED, {"proposal_id": "boost-regulator-weight"},
+     {"proposal_id": "raise-capital-floor"},
+     "field proposal_id: 'raise-capital-floor' is PASSED already"),
 ], ids=["pool-overdraft", "balance-overdraft", "incident-step-skipped",
         "incident-step-in-place", "update-of-no-did", "second-registration",
         "negative-reward", "negative-stake", "stake-locked-for-no-epoch",
         "stake-locked-for-negative-epochs", "stake-locked-before-genesis",
         "second-submission-of-an-id", "registration-at-version-5", "update-skipping-versions",
-        "assessment-of-no-did", "score-above-one", "exposure-above-one", "metadata-ref-not-hex"])
+        "assessment-of-no-did", "score-above-one", "exposure-above-one", "metadata-ref-not-hex",
+        "vote-on-no-proposal", "resolution-of-no-proposal", "vote-on-a-resolved-proposal",
+        "second-resolution"])
 def test_a_broken_store_rule_fails_verify(tmp_path, capsys, name, kind, match, change, fault):
     _, _, events = _run(name)
     index = next(i for i, event in enumerate(events)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from govsim.encoding import ZERO_DIGEST
-from govsim.errors import GovSimError
+from govsim.errors import GovSimError, InvalidInput
 from govsim.governance import (
     GovernanceState,
     ProposalKind,
@@ -24,7 +24,7 @@ from govsim.governance import (
 from govsim.identity import Role
 from govsim.keys import get_scheme
 from govsim.ledger import Block, Chain, EventKind
-from govsim.report import ChainFold, build_report
+from govsim.report import ChainFold
 from govsim.tokens import Pool, TokenLedger
 from tests.conftest import REFERENCE_SCENARIOS
 
@@ -123,20 +123,23 @@ def test_fold_equals_live_governance_of_reference_runs(reference_results, name):
     assert fold.delegates == result.governance.delegates
 
 
-def test_votes_and_resolutions_of_unknown_proposals_are_ignored():
-    chain = Chain({"a1": get_scheme("seeded").generate(b"a1").public}, quorum=1)
-    chain.append(EventKind.VOTE_CAST,
-                 {"proposal_id": "ghost", "voter": "h0", "direction": "FOR",
-                  "magnitude": 1, "mode": "LINEAR", "cost": 0},
-                 actor="h0", epoch=1)
-    chain.append(EventKind.PROPOSAL_RESOLVED,
-                 {"proposal_id": "ghost", "status": "PASSED", "power_for": "1",
-                  "power_against": "0", "threshold": "1/2", "kind": "ROUTINE",
-                  "mode": "LINEAR"},
-                 actor="governance", epoch=1)
-    chain.seal_all({"a1": get_scheme("seeded").generate(b"a1").private})
-    assert ChainFold(chain.blocks).governance.proposals == {}
-    assert build_report(chain.blocks)["governance"]["proposals"] == []
+def test_votes_and_resolutions_of_unknown_or_resolved_proposals_are_refused():
+    vote = {"voter": "h0", "direction": "FOR", "magnitude": 1, "mode": "LINEAR", "cost": 0}
+    resolution = {"status": "PASSED", "power_for": "1", "power_against": "0",
+                  "threshold": "1/2", "kind": "ROUTINE", "mode": "LINEAR"}
+    bodies = [(EventKind.VOTE_CAST, vote), (EventKind.PROPOSAL_RESOLVED, resolution)]
+    state = GovernanceState(None, None)
+    for kind, body in bodies:
+        with pytest.raises(InvalidInput, match="^field proposal_id: 'ghost' was never submitted$"):
+            state.apply(kind, {"proposal_id": "ghost", **body}, 1)
+    assert state.proposals == {}
+    state.apply(EventKind.PROPOSAL_SUBMITTED,
+                {"proposal_id": "p", "kind": "ROUTINE", "mode": "LINEAR", "payload": {}}, 1)
+    state.apply(EventKind.PROPOSAL_RESOLVED, {"proposal_id": "p", **resolution}, 2)
+    for kind, body in bodies:
+        with pytest.raises(InvalidInput, match="^field proposal_id: 'p' is PASSED already$"):
+            state.apply(kind, {"proposal_id": "p", **body}, 3)
+    assert state.proposals["p"].votes == {}
 
 
 def test_a_repeated_voter_counts_once():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from govsim.errors import InsufficientHistory, InvalidInput, TerminalState
 from govsim.identity import (
@@ -257,3 +259,76 @@ def test_profile_history_accumulates():
     for epoch in (1, 2, 3):
         engine.update(did, epoch, Fraction(1, 2), exposure=Fraction(1, 2))
     assert [h[0] for h in engine.profiles[did].history] == [1, 2, 3]
+
+
+# --- each distinct input scored once ---
+
+class _Unmemoized:
+    """The engine's update as a reference that scores every input afresh."""
+
+    def __init__(self):
+        self.chain, self.registry = make_registry()
+        self.history: dict[str, list] = {}
+
+    def update(self, did, epoch, aggregate, *, audit_failed, incident_count, exposure):
+        record = self.registry.get(did)
+        score = compute_risk_score(aggregate, audit_failed, incident_count, exposure)
+        tier = tier_for_score(score)
+        self.history.setdefault(did, []).append((epoch, score, aggregate))
+        changed = tier != record.risk_tier
+        if changed:
+            self.chain.append(EventKind.RISK_RECLASSIFIED,
+                              {"did": did, "score": str(score),
+                               "old_tier": record.risk_tier.value, "new_tier": tier.value},
+                              actor="risk-engine", epoch=epoch)
+            self.registry.system_reclassify(did, tier, epoch=epoch)
+        return score, tier, changed
+
+
+# Few values each, so that inputs repeat; some outside [0, 1], some negative.
+_AGGREGATES = [Fraction(n, d) for n, d in [(0, 1), (1, 2), (1, 1), (-1, 2), (3, 2)]]
+_EXPOSURES = [Fraction(n, d) for n, d in [(0, 1), (1, 2), (1, 1), (2, 1)]]
+_STEPS = st.lists(st.tuples(st.integers(0, 1), st.sampled_from(_AGGREGATES), st.booleans(),
+                            st.integers(-1, 4), st.sampled_from(_EXPOSURES)),
+                  min_size=1, max_size=40)
+_HALF = Fraction(1, 2)
+
+
+def _outcome(side, did, epoch, inputs):
+    aggregate, audit_failed, incident_count, exposure = inputs
+    try:
+        return side.update(did, epoch, aggregate, audit_failed=audit_failed,
+                           incident_count=incident_count, exposure=exposure)
+    except InvalidInput as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_STEPS)
+# Each term of the input in turn differs from the step before, the last two a
+# refused input, twice.
+@example([(0, _HALF, False, 1, _HALF), (1, _HALF, True, 1, _HALF),
+          (0, _HALF, True, 2, _HALF), (1, _HALF, True, 2, Fraction(1)),
+          (0, Fraction(1), True, 2, Fraction(1)), (1, Fraction(3, 2), True, 2, Fraction(1)),
+          (0, Fraction(3, 2), True, 2, Fraction(1))])
+def test_the_memoized_engine_agrees_with_scoring_every_input(steps):
+    chain, registry = make_registry()
+    engine = RiskEngine(chain, registry)
+    reference = _Unmemoized()
+    dids = [side.register_did(bytes([key]) * 32, "x", RiskTier.HIGH, "bank-1")
+            for side in (registry, reference.registry) for key in (9, 10)]
+    assert dids[:2] == dids[2:]
+    refused = set()
+    for epoch, (which, *inputs) in enumerate(steps, start=1):
+        did = dids[which]
+        outcome = _outcome(engine, did, epoch, inputs)
+        assert outcome == _outcome(reference, did, epoch, inputs)
+        if tuple(inputs) in refused:
+            assert isinstance(outcome, str)  # refused again, never kept
+        if isinstance(outcome, str):
+            refused.add(tuple(inputs))
+        assert {d: p.history for d, p in engine.profiles.items()} == reference.history
+        assert ([(e.kind, e.epoch, e.body()) for e in chain.pending]
+                == [(e.kind, e.epoch, e.body()) for e in reference.chain.pending])
+        assert ([registry.get(d).risk_tier for d in dids]
+                == [reference.registry.get(d).risk_tier for d in dids])

@@ -4,7 +4,8 @@ linear scaling that times nothing.
 Voting power changes only when a stake, the weights or a penalty changes, so
 a run computes each stakeholder's raw power once at set-up and again only in
 an epoch where one of those moved, however many tallies and elections it
-holds.
+holds. The risk phase scores each distinct (aggregate, audit failed, open
+incidents, exposure) input once, however many assessments it reads.
 
 Likewise each predicate is checked and compiled once, when its rule is built,
 each tier's rules are gathered once per registration, and each distinct score
@@ -18,7 +19,7 @@ round trip without the general encode or the field check.
 import importlib
 import sys
 
-from govsim import compliance, encoding, governance, interop
+from govsim import compliance, encoding, governance, interop, risk
 from govsim.ledger import _WRITERS, Chain, EventKind
 from govsim.simctl import Simulator, load_scenario, run_scenario
 from tests.conftest import REFERENCE_SCENARIOS, REPO_ROOT, SCENARIO_DIR, scenario_path
@@ -61,6 +62,23 @@ def test_raw_power_is_computed_per_change_not_per_tally(monkeypatch):
     assert tallies >= 1000  # the workload is the storm of votes it claims to be
     bound = len(result.governance.stakeholders) * (1 + len(_power_epochs(result)))
     assert calls <= bound
+
+
+def test_each_distinct_risk_input_is_scored_once(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    scenario = importlib.import_module("workloads").synthetic("audit-sweep", 23)
+    inputs = []
+    compute_risk_score = risk.compute_risk_score
+
+    def counted(aggregate, audit_failed, incident_count, exposure, weights):
+        inputs.append((aggregate, audit_failed, incident_count, exposure))
+        return compute_risk_score(aggregate, audit_failed, incident_count, exposure, weights)
+
+    monkeypatch.setattr(risk, "compute_risk_score", counted)
+    result = run_scenario(scenario)
+    updates = sum(len(profile.history) for profile in result.risk_profiles.values())
+    assert updates == 4800  # one update per assessment: the workload the benchmark runs
+    assert len(inputs) == len(set(inputs)) == 20
 
 
 def _has_writer(event) -> bool:
